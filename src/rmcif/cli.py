@@ -72,14 +72,20 @@ def _solver_list(text: str) -> tuple[str, ...]:
 def _coerce_param(name: str, value) -> object:
     if name in _UNBOUNDED_PARAMS and str(value).lower() in ("none", "inf", "unbounded"):
         return None
-    return int(value)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise RmcifError(f"parameter {name}: expected an integer, got {value!r}") from None
 
 
 def _build_params(config_path: str | None, overrides: list[str]) -> SearchParams:
     known = {f.name for f in dataclasses.fields(SearchParams)}
     settings: dict[str, object] = {}
     if config_path:
-        loaded = json.loads(Path(config_path).read_text())
+        try:
+            loaded = json.loads(Path(config_path).read_text())
+        except json.JSONDecodeError as exc:
+            raise RmcifError(f"config file {config_path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise RmcifError("config file must hold a JSON object")
         settings.update(loaded)
@@ -251,8 +257,11 @@ def main(argv=None) -> int:
     try:
         return handlers[args.command](args)
     except RmcifError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        message = str(exc)
+    except OSError as exc:
+        message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -34,6 +34,10 @@ class RmcifError(Exception):
     """Base class for every error raised by this package."""
 
 
+class InvalidParameter(RmcifError, ValueError):
+    """A parameter value outside its documented range."""
+
+
 class InstanceFormatError(RmcifError):
     """Malformed or inconsistent instance text."""
 

@@ -6,6 +6,15 @@ composition of unit-flow lists, negative-cycle cost reduction, random
 perturbation, harmonization toward another flow's support, feasible-flow
 construction and single-scenario minimum-cost flow.
 
+A residual network is held as parallel int lists (tail, head, residual
+capacity, arc index, direction), built in one pass over the arcs.  The
+per-arc `ResidualArc` views that path and cycle searches walk are built
+lazily from those lists; the negative-cycle kernel never builds them and
+relaxes over plain tuples, creating views only for the cycle it returns.
+It stops Bellman-Ford at the first pass whose predecessor graph closes a
+cycle (Cherkassky & Goldberg, "Negative-cycle detection algorithms",
+Math. Prog. 85, 1999) instead of running all n passes.
+
 All procedures are pure: they return new flows and never mutate their
 inputs.  Randomized ones take an explicit numpy Generator.  Deterministic
 tie-breaking follows arc declaration order throughout (adjacency lists,
@@ -17,6 +26,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 from .core import (
@@ -64,30 +74,61 @@ class Cycle:
 
 
 class ResidualNetwork:
-    """Displacement network of an integer flow.
+    """Displacement network of an integer flow, as parallel int lists.
 
     Each original arc contributes a forward residual arc while spare
     capacity remains and a backward residual arc while it carries flow;
-    zero-capacity residual arcs are never materialized.
+    zero-capacity residual arcs are never materialized.  Residual arc `e`
+    is ``(tails[e], heads[e], capacities[e], arc_indices[e], forward[e])``,
+    and residual arcs follow arc declaration order, each arc's forward
+    residual before its backward one.  `arcs` and `out` are `ResidualArc`
+    views over these lists, built on first access.
     """
 
     def __init__(self, network: Network, values: Sequence[int]):
         self.network = network
         self.vertex_count = network.vertex_count
-        arcs: list[ResidualArc] = []
-        out: list[list[ResidualArc]] = [[] for _ in range(network.vertex_count + 1)]
+        tails: list[int] = []
+        heads: list[int] = []
+        capacities: list[int] = []
+        arc_indices: list[int] = []
+        forward: list[bool] = []
         for i, (arc, x) in enumerate(zip(network.arcs, values)):
             free = arc.capacity - x
             if free > 0:
-                ra = ResidualArc(arc.tail, arc.head, free, i, True)
-                arcs.append(ra)
-                out[arc.tail].append(ra)
+                tails.append(arc.tail)
+                heads.append(arc.head)
+                capacities.append(free)
+                arc_indices.append(i)
+                forward.append(True)
             if x > 0:
-                ra = ResidualArc(arc.head, arc.tail, x, i, False)
-                arcs.append(ra)
-                out[arc.head].append(ra)
-        self.arcs = arcs
-        self.out = out
+                tails.append(arc.head)
+                heads.append(arc.tail)
+                capacities.append(x)
+                arc_indices.append(i)
+                forward.append(False)
+        self.tails = tails
+        self.heads = heads
+        self.capacities = capacities
+        self.arc_indices = arc_indices
+        self.forward = forward
+
+    def arc(self, e: int) -> ResidualArc:
+        """View of residual arc `e`."""
+        return ResidualArc(
+            self.tails[e], self.heads[e], self.capacities[e], self.arc_indices[e], self.forward[e]
+        )
+
+    @cached_property
+    def arcs(self) -> list[ResidualArc]:
+        return [self.arc(e) for e in range(len(self.tails))]
+
+    @cached_property
+    def out(self) -> list[list[ResidualArc]]:
+        out: list[list[ResidualArc]] = [[] for _ in range(self.vertex_count + 1)]
+        for ra in self.arcs:
+            out[ra.tail].append(ra)
+        return out
 
 
 def residual_cost(arc: ResidualArc, costs: Sequence[int]) -> int:
@@ -318,70 +359,69 @@ def compose(network: Network, first: Sequence[UnitFlow], second: Sequence[UnitFl
     return IntegerFlow(_augment_to_value(network, totals, target))
 
 
+def _predecessor_cycle(pred_vertex: Sequence[int], n: int) -> int:
+    """A vertex on a cycle of the predecessor graph, or -1 if it is a forest.
+
+    Walks toward the roots from vertices 1..n in turn, marking each walk
+    with its start vertex; a walk that meets its own mark has closed a
+    cycle, one that meets an earlier walk's mark or a root has not.  Every
+    vertex is visited once, and the first cycle closed is returned.
+    """
+    mark = [0] * (n + 1)
+    for s in range(1, n + 1):
+        v = s
+        while v > 0 and mark[v] == 0:
+            mark[v] = s
+            v = pred_vertex[v]
+        if v > 0 and mark[v] == s:
+            return v
+    return -1
+
+
 def negative_cycle(res: ResidualNetwork, costs: Sequence[int]):
     """First negative-total-cost residual cycle, or None when costs are optimal.
 
-    Bellman-Ford from an implicit super-source (all distances start at 0);
-    an update in the n-th pass certifies a cycle in the predecessor graph,
-    which is then extracted by walking predecessors until a vertex repeats.
+    Bellman-Ford from an implicit super-source (all distances start at 0),
+    relaxing `(tail, head, signed cost)` tuples in residual arc order.  After
+    every pass that lowers a distance the predecessor graph is searched for
+    a cycle, and the search stops at the first one (Cherkassky & Goldberg,
+    "Negative-cycle detection algorithms", Math. Prog. 85, 1999).  Such a
+    cycle is always negative, and while the graph has a negative cycle
+    distances keep falling until one closes, since an acyclic predecessor
+    graph bounds them from below.  A pass without updates certifies that
+    no negative cycle exists.
     """
     n = res.vertex_count
+    edges = [
+        (t, h, costs[i] if f else -costs[i], e)
+        for e, (t, h, i, f) in enumerate(zip(res.tails, res.heads, res.arc_indices, res.forward))
+    ]
     dist = [0] * (n + 1)
-    parent: list[ResidualArc | None] = [None] * (n + 1)
-    start = -1
-    for _ in range(n):
-        start = -1
-        for arc in res.arcs:
-            nd = dist[arc.tail] + (
-                costs[arc.arc_index] if arc.forward else -costs[arc.arc_index]
-            )
-            if nd < dist[arc.head]:
-                dist[arc.head] = nd
-                parent[arc.head] = arc
-                if start < 0:
-                    start = arc.head
-        if start < 0:
+    pred = [-1] * (n + 1)
+    pred_vertex = [0] * (n + 1)
+    while True:
+        changed = False
+        for t, h, w, e in edges:
+            nd = dist[t] + w
+            if nd < dist[h]:
+                dist[h] = nd
+                pred[h] = e
+                pred_vertex[h] = t
+                changed = True
+        if not changed:
             return None
-    walk: list[ResidualArc] = []
-    seen: dict[int, int] = {}
-    cur = start
-    while cur not in seen:
-        seen[cur] = len(walk)
-        arc = parent[cur]
-        if arc is None:
-            raise AssertionError("broken predecessor chain during cycle extraction")
-        walk.append(arc)
-        cur = arc.tail
-    cycle = tuple(reversed(walk[seen[cur]:]))
-    total = sum(residual_cost(a, costs) for a in cycle)
-    if total >= 0:
+        on_cycle = _predecessor_cycle(pred_vertex, n)
+        if on_cycle > 0:
+            break
+    walk = [pred[on_cycle]]
+    v = pred_vertex[on_cycle]
+    while v != on_cycle:
+        walk.append(pred[v])
+        v = pred_vertex[v]
+    cycle = tuple(res.arc(e) for e in reversed(walk))
+    if sum(residual_cost(a, costs) for a in cycle) >= 0:
         raise AssertionError("extracted cycle is not negative")
     return Cycle(cycle, min(a.capacity for a in cycle))
-
-
-def has_negative_cycle_floyd_warshall(res: ResidualNetwork, costs: Sequence[int]) -> bool:
-    """Existence-only cross-check for `negative_cycle`."""
-    n = res.vertex_count
-    inf = float("inf")
-    dist = [[inf] * (n + 1) for _ in range(n + 1)]
-    for v in range(1, n + 1):
-        dist[v][v] = 0
-    for arc in res.arcs:
-        w = residual_cost(arc, costs)
-        if w < dist[arc.tail][arc.head]:
-            dist[arc.tail][arc.head] = w
-    for k in range(1, n + 1):
-        dk = dist[k]
-        for i in range(1, n + 1):
-            dik = dist[i][k]
-            if dik == inf:
-                continue
-            di = dist[i]
-            for j in range(1, n + 1):
-                nd = dik + dk[j]
-                if nd < di[j]:
-                    di[j] = nd
-    return any(dist[v][v] < 0 for v in range(1, n + 1))
 
 
 def cost_reduce(network: Network, costs: Sequence[int], flow: IntegerFlow):

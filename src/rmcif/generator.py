@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Arc, Instance, Network, RmcifError, ScenarioSet
+from .core import Arc, Instance, InvalidParameter, Network, RmcifError, ScenarioSet
 from .flow_ops import max_flow_value
 from .heuristics import make_rng
 
@@ -43,21 +43,21 @@ class GeneratorSpec:
 
     def __post_init__(self):
         if not self.layer_widths or any(w < 1 for w in self.layer_widths):
-            raise ValueError("layer widths must be positive")
+            raise InvalidParameter("layer widths must be positive")
         if self.scenario_count < 1:
-            raise ValueError("scenario count must be positive")
+            raise InvalidParameter("scenario count must be positive")
         for name in ("capacity_range", "cost_range"):
             lo, hi = getattr(self, name)
             if lo < 0 or hi < lo:
-                raise ValueError(f"{name} must satisfy 0 <= lo <= hi")
+                raise InvalidParameter(f"{name} must satisfy 0 <= lo <= hi")
         if not 0 < self.density <= 1:
-            raise ValueError("density must lie in (0, 1]")
+            raise InvalidParameter("density must lie in (0, 1]")
         if self.flow_value is not None and self.flow_value < 0:
-            raise ValueError("flow value must be nonnegative")
+            raise InvalidParameter("flow value must be nonnegative")
         if not 0 <= self.flow_fraction <= 1:
-            raise ValueError("flow fraction must lie in [0, 1]")
+            raise InvalidParameter("flow fraction must lie in [0, 1]")
         if self.max_retries < 1:
-            raise ValueError("retry budget must be positive")
+            raise InvalidParameter("retry budget must be positive")
 
 
 def _layer_vertices(widths: tuple[int, ...]) -> list[list[int]]:

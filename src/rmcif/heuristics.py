@@ -18,7 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EC_SOLVERS, LS_SOLVERS, Instance, IntegerFlow, SolutionRecord
+from .core import (
+    EC_SOLVERS,
+    LS_SOLVERS,
+    Instance,
+    IntegerFlow,
+    InvalidParameter,
+    SolutionRecord,
+)
 from .flow_ops import (
     center,
     compose,
@@ -54,14 +61,14 @@ class SearchParams:
     def __post_init__(self):
         for name in ("neighborhood_size", "population_size", "no_improvement_limit", "tournament_size"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+                raise InvalidParameter(f"{name} must be positive")
         for name in ("iteration_limit", "generation_limit"):
             bound = getattr(self, name)
             if bound is not None and bound < 1:
-                raise ValueError(f"{name} must be positive or None")
+                raise InvalidParameter(f"{name} must be positive or None")
         for name in ("similarity_threshold", "mutation_threshold"):
             if not 0 <= getattr(self, name) <= 100:
-                raise ValueError(f"{name} must lie in 0..100")
+                raise InvalidParameter(f"{name} must lie in 0..100")
 
 
 def make_rng(seed: int) -> np.random.Generator:

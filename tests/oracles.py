@@ -90,6 +90,38 @@ def brute_robust_optimum(instance: Instance, variant: str) -> int:
     )
 
 
+def has_negative_cycle_floyd_warshall(network: Network, values, costs) -> bool:
+    """Whether the residual network of `values` has a negative-cost cycle.
+
+    Existence only, by all-pairs Floyd-Warshall over the residual arcs,
+    which are rebuilt here from the arc list: spare capacity gives a
+    forward arc at the arc's cost, carried flow a backward arc at its
+    negated cost.
+    """
+    n = network.vertex_count
+    inf = float("inf")
+    dist = [[inf] * (n + 1) for _ in range(n + 1)]
+    for v in range(1, n + 1):
+        dist[v][v] = 0
+    for arc, x, c in zip(network.arcs, values, costs):
+        if x < arc.capacity and c < dist[arc.tail][arc.head]:
+            dist[arc.tail][arc.head] = c
+        if x > 0 and -c < dist[arc.head][arc.tail]:
+            dist[arc.head][arc.tail] = -c
+    for k in range(1, n + 1):
+        dk = dist[k]
+        for i in range(1, n + 1):
+            dik = dist[i][k]
+            if dik == inf:
+                continue
+            di = dist[i]
+            for j in range(1, n + 1):
+                nd = dik + dk[j]
+                if nd < di[j]:
+                    di[j] = nd
+    return any(dist[v][v] < 0 for v in range(1, n + 1))
+
+
 def simple_paths(network: Network) -> list[list[int]]:
     """All simple source-to-sink paths over arcs of positive capacity,
     as lists of arc indices."""

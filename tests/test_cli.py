@@ -295,3 +295,36 @@ def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsy
         outputs.append(path.read_bytes())
     capsys.readouterr()
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--instance", "{missing}", "--variant", "abs", "--solver", "ls1"],
+        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+         "--param", "neighborhood_size=abc"],
+        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+         "--param", "neighborhood_size=0"],
+        ["generate", "--width", "2", "--layers", "2", "--scenarios", "0"],
+        ["generate", "--width", "2", "--layers", "2", "--scenarios", "1", "--density", "1.5"],
+        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+         "--config", "{config}"],
+    ],
+    ids=["missing-instance", "non-integer-param", "zero-param", "zero-scenarios", "density",
+         "config-not-json"],
+)
+def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
+    config = tmp_path / "params.json"
+    config.write_text("{neighborhood_size: 3")
+    paths = {
+        "missing": str(tmp_path / "missing.rmcif"),
+        "diamond": str(diamond_file),
+        "config": str(config),
+    }
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")

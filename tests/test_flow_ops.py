@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gen
-from oracles import brute_min_cost, min_cut_value
+from oracles import brute_min_cost, has_negative_cycle_floyd_warshall, min_cut_value
 from rmcif import (
     AlreadyMaximal,
     Arc,
@@ -39,7 +39,6 @@ from rmcif.flow_ops import (
     apply_arcs,
     bfs_path,
     dfs_cycle,
-    has_negative_cycle_floyd_warshall,
     negative_cycle,
     residual_cost,
 )
@@ -297,10 +296,72 @@ class TestNegativeCycle:
         costs = instance.scenarios.costs[scenario]
         res = ResidualNetwork(instance.network, flow.values)
         cyc = negative_cycle(res, costs)
-        assert (cyc is not None) == has_negative_cycle_floyd_warshall(res, costs)
+        assert (cyc is not None) == has_negative_cycle_floyd_warshall(
+            instance.network, flow.values, costs
+        )
         if cyc is not None:
             assert sum(residual_cost(a, costs) for a in cyc.arcs) < 0
             assert cyc.bottleneck == min(a.capacity for a in cyc.arcs)
+
+
+def residual_capacity(network, values, arc):
+    """Residual capacity of one move, read off the arc list directly."""
+    x = values[arc.arc_index]
+    return network.arcs[arc.arc_index].capacity - x if arc.forward else x
+
+
+class TestNegativeCycleKernel:
+    """Properties of the early-exit kernel on cyclic residual networks."""
+
+    @staticmethod
+    def case(seed, scenario):
+        instance = gen(seed, widths=(3, 3), scenarios=3, caps=(1, 4), density=0.8)
+        flow = random_feasible_flow(instance, seed)
+        return instance, flow, instance.scenarios.costs[scenario]
+
+    @given(small_seeds, st.integers(0, 2))
+    @settings(max_examples=60)
+    def test_finds_a_cycle_exactly_when_one_exists(self, seed, scenario):
+        instance, flow, costs = self.case(seed, scenario)
+        cyc = negative_cycle(ResidualNetwork(instance.network, flow.values), costs)
+        exists = has_negative_cycle_floyd_warshall(instance.network, flow.values, costs)
+        assert (cyc is not None) == exists
+
+    @given(small_seeds, st.integers(0, 2))
+    @settings(max_examples=60)
+    def test_cycle_is_closed_simple_negative_and_residual(self, seed, scenario):
+        instance, flow, costs = self.case(seed, scenario)
+        cyc = negative_cycle(ResidualNetwork(instance.network, flow.values), costs)
+        if cyc is None:
+            return
+        arcs = cyc.arcs
+        for prev, nxt in zip(arcs, arcs[1:] + arcs[:1]):
+            assert prev.head == nxt.tail
+        tails = [a.tail for a in arcs]
+        assert len(tails) == len(set(tails))
+        assert sum(residual_cost(a, costs) for a in arcs) < 0
+        network = instance.network
+        for a in arcs:
+            arc = network.arcs[a.arc_index]
+            assert (a.tail, a.head) == ((arc.tail, arc.head) if a.forward else (arc.head, arc.tail))
+            assert a.capacity == residual_capacity(network, flow.values, a) > 0
+        assert cyc.bottleneck == min(
+            residual_capacity(network, flow.values, a) for a in arcs
+        )
+
+    @given(small_seeds, st.integers(0, 2))
+    @settings(max_examples=30)
+    def test_repeat_calls_return_the_same_cycle(self, seed, scenario):
+        instance, flow, costs = self.case(seed, scenario)
+        res = ResidualNetwork(instance.network, flow.values)
+        first = negative_cycle(res, costs)
+        assert negative_cycle(res, costs) == first
+        assert negative_cycle(ResidualNetwork(instance.network, flow.values), costs) == first
+
+    def test_flat_lists_match_the_views(self, diamond):
+        res = ResidualNetwork(diamond.network, UPPER.values)
+        rows = list(zip(res.tails, res.heads, res.capacities, res.arc_indices, res.forward))
+        assert rows == [(a.tail, a.head, a.capacity, a.arc_index, a.forward) for a in res.arcs]
 
 
 class TestCostReduce:
@@ -322,6 +383,38 @@ class TestCostReduce:
         assert feasible_value(instance.network, flow) == instance.flow_value
         got = sum(c * v for c, v in zip(costs, flow.values))
         assert got == brute_min_cost(instance, 0)
+
+
+class TestMinCostFlowAgainstLinprog:
+    """Scenario optima on L-size instances, against an off-the-shelf LP.
+
+    The node-arc incidence matrix is totally unimodular, so the LP optimum
+    of one scenario is also its integer optimum.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_cost_equals_lp_optimum(self, seed):
+        pytest.importorskip("scipy")
+        import numpy as np
+        from scipy.optimize import linprog
+
+        instance = gen(seed, widths=(10, 10, 10), scenarios=3, caps=(1, 50), costs=(0, 99))
+        network = instance.network
+        n, m = network.vertex_count, network.arc_count
+        incidence = np.zeros((n, m))
+        for i, arc in enumerate(network.arcs):
+            incidence[arc.tail - 1, i] = 1
+            incidence[arc.head - 1, i] = -1
+        supply = np.zeros(n)
+        supply[network.source - 1] = instance.flow_value
+        supply[network.sink - 1] = -instance.flow_value
+        bounds = [(0, arc.capacity) for arc in network.arcs]
+        for costs in instance.scenarios.costs:
+            flow = min_cost_flow(network, costs, instance.flow_value)
+            assert feasible_value(network, flow) == instance.flow_value
+            lp = linprog(costs, A_eq=incidence, b_eq=supply, bounds=bounds, method="highs")
+            assert lp.status == 0, lp.message
+            assert sum(c * x for c, x in zip(costs, flow.values)) == round(lp.fun)
 
 
 class TestPerturbAndHarmonize:
