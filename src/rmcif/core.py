@@ -13,7 +13,7 @@ scenarios are numbered from 1 in files and error messages.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Sequence, Union
@@ -197,21 +197,30 @@ class PseudoFlow:
 
 @dataclass(frozen=True)
 class UnitFlow:
-    """A value-1 flow: one simple source-to-sink path."""
+    """A value-1 flow: one simple source-to-sink path.
+
+    `arc_indices` lists the path's arcs (those with value 1) in arc
+    declaration order, so that work on a unit path is proportional to its
+    length rather than the arc count.  It is derived from `values` unless
+    the caller already knows it, and takes no part in equality.
+    """
 
     values: tuple[int, ...]
     vertices: tuple[int, ...]
+    arc_indices: tuple[int, ...] = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.arc_indices is None:
+            indices = tuple(i for i, v in enumerate(self.values) if v)
+            object.__setattr__(self, "arc_indices", indices)
 
 
 def flow_value_of(network: Network, values: Sequence[Number]) -> Number:
     """Net outflow at the source."""
-    total: Number = 0
-    for arc, v in zip(network.arcs, values):
-        if arc.tail == network.source:
-            total += v
-        elif arc.head == network.source:
-            total -= v
-    return total
+    source = network.source
+    return sum(values[i] for i in network.out_arcs[source]) - sum(
+        values[i] for i in network.in_arcs[source]
+    )
 
 
 def check_arc_values(network: Network, values: Sequence[Number]) -> list[Number]:

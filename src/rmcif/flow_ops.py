@@ -6,14 +6,23 @@ composition of unit-flow lists, negative-cycle cost reduction, random
 perturbation, harmonization toward another flow's support, feasible-flow
 construction and single-scenario minimum-cost flow.
 
-A residual network is held as parallel int lists (tail, head, residual
-capacity, arc index, direction), built in one pass over the arcs.  The
-per-arc `ResidualArc` views that path and cycle searches walk are built
-lazily from those lists; the negative-cycle kernel never builds them and
-relaxes over plain tuples, creating views only for the cycle it returns.
-It stops Bellman-Ford at the first pass whose predecessor graph closes a
-cycle (Cherkassky & Goldberg, "Negative-cycle detection algorithms",
-Math. Prog. 85, 1999) instead of running all n passes.
+Path and cycle searches walk plain int tuples, never per-arc objects:
+`ResidualArc` views are built only for a cycle that is returned.
+
+- Augmentation (`find_flow`, `max_flow_value`, `augment` and the repair
+  step of `round_flow` and `compose`) runs one fewest-arc search over a
+  per-vertex adjacency of both arc directions, built once per call, and
+  reads residual room off the capacities and current arc values.
+- `decompose` and the extraction in `round_flow` run the same search over
+  the positive support and peel each path's whole bottleneck at once
+  (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 3).
+- `compose` checks capacity on a unit path's own arcs only.
+- `perturb` and `harmonize` search cycles over per-vertex move tuples.
+- The negative-cycle kernel keeps a residual network as parallel int
+  lists (tail, head, residual capacity, arc index, direction) and stops
+  Bellman-Ford at the first pass whose predecessor graph closes a cycle
+  (Cherkassky & Goldberg, "Negative-cycle detection algorithms",
+  Math. Prog. 85, 1999) instead of running all n passes.
 
 All procedures are pure: they return new flows and never mutate their
 inputs.  Randomized ones take an explicit numpy Generator.  Deterministic
@@ -23,10 +32,8 @@ scan orders and breadth-first expansions are all built in that order).
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .core import (
@@ -81,8 +88,8 @@ class ResidualNetwork:
     zero-capacity residual arcs are never materialized.  Residual arc `e`
     is ``(tails[e], heads[e], capacities[e], arc_indices[e], forward[e])``,
     and residual arcs follow arc declaration order, each arc's forward
-    residual before its backward one.  `arcs` and `out` are `ResidualArc`
-    views over these lists, built on first access.
+    residual before its backward one; `arc` builds the `ResidualArc` view
+    of one of them.
     """
 
     def __init__(self, network: Network, values: Sequence[int]):
@@ -119,17 +126,6 @@ class ResidualNetwork:
             self.tails[e], self.heads[e], self.capacities[e], self.arc_indices[e], self.forward[e]
         )
 
-    @cached_property
-    def arcs(self) -> list[ResidualArc]:
-        return [self.arc(e) for e in range(len(self.tails))]
-
-    @cached_property
-    def out(self) -> list[list[ResidualArc]]:
-        out: list[list[ResidualArc]] = [[] for _ in range(self.vertex_count + 1)]
-        for ra in self.arcs:
-            out[ra.tail].append(ra)
-        return out
-
 
 def residual_cost(arc: ResidualArc, costs: Sequence[int]) -> int:
     return costs[arc.arc_index] if arc.forward else -costs[arc.arc_index]
@@ -146,80 +142,98 @@ def apply_arcs(values: Sequence[int], arcs, amount: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def bfs_path(out: Sequence[Sequence[ResidualArc]], source: int, sink: int):
-    """Fewest-arc path from source to sink, or None if the sink is unreachable.
+def residual_adjacency(network: Network) -> list[list[tuple[int, bool, int]]]:
+    """Per-vertex ``(arc index, forward, other end)`` for both directions.
 
-    First-reached wins, with adjacency scanned in declaration order, so the
-    result is deterministic.
+    Each vertex lists its incident arcs by arc index, an arc leaving it as a
+    forward move and an arc entering it as a backward one: the order in
+    which `ResidualNetwork` lays out residual arcs, grouped by tail.
     """
-    parent: dict[int, ResidualArc | None] = {source: None}
-    queue = deque([source])
-    while queue:
-        v = queue.popleft()
-        for arc in out[v]:
-            h = arc.head
-            if h in parent:
+    adjacency: list[list[tuple[int, bool, int]]] = [[] for _ in range(network.vertex_count + 1)]
+    for i, arc in enumerate(network.arcs):
+        adjacency[arc.tail].append((i, True, arc.head))
+        adjacency[arc.head].append((i, False, arc.tail))
+    return adjacency
+
+
+def _support_adjacency(network: Network) -> list[list[tuple[int, bool, int]]]:
+    """Per-vertex forward moves only, in `Network.out_arcs` order."""
+    arcs = network.arcs
+    return [[(i, True, arcs[i].head) for i in out] for out in network.out_arcs]
+
+
+def fewest_arc_path(adjacency, upper: Sequence[int], values: Sequence[int], source: int, sink: int):
+    """Fewest-arc source-to-sink path over moves with room, or None.
+
+    A forward move on arc ``i`` has room ``upper[i] - values[i]``, a
+    backward one ``values[i]``; moves without room are skipped.  The path
+    comes back as ``(arc index, forward, room)`` triples.  First-reached
+    wins, with `adjacency` scanned in order, so the result is deterministic
+    and depends only on which moves have room.
+    """
+    via: list[tuple[int, int, bool, int] | None] = [None] * len(adjacency)
+    reached = [False] * len(adjacency)
+    reached[source] = True
+    queue = [source]
+    for v in queue:
+        for i, forward, h in adjacency[v]:
+            if reached[h]:
                 continue
-            parent[h] = arc
+            room = upper[i] - values[i] if forward else values[i]
+            if room <= 0:
+                continue
+            reached[h] = True
+            via[h] = (v, i, forward, room)
             if h == sink:
                 path = []
-                cur = sink
-                while cur != source:
-                    a = parent[cur]
-                    path.append(a)
-                    cur = a.tail
+                while h != source:
+                    t, i, forward, room = via[h]
+                    path.append((i, forward, room))
+                    h = t
                 path.reverse()
                 return path
             queue.append(h)
     return None
 
 
-def _support_out(network: Network, remaining: Sequence[int]):
-    """Adjacency over arcs still carrying positive value."""
-    out: list[list[ResidualArc]] = [[] for _ in range(network.vertex_count + 1)]
-    for i, (arc, v) in enumerate(zip(network.arcs, remaining)):
-        if v > 0:
-            out[arc.tail].append(ResidualArc(arc.tail, arc.head, v, i, True))
-    return out
+def _push(values: list[int], path, amount: int) -> None:
+    """Move `amount` along a `fewest_arc_path` path, in place."""
+    for i, forward, _ in path:
+        values[i] += amount if forward else -amount
+
+
+def _augment(network: Network, values: Sequence[int], target) -> tuple[list[int], int]:
+    """Augment along fewest-arc residual paths until the flow value reaches
+    `target` or no path is left, truncating the last push.
+
+    Returns the new arc values and the value reached.
+    """
+    vals = list(values)
+    current = flow_value_of(network, vals)
+    adjacency = residual_adjacency(network)
+    caps = [arc.capacity for arc in network.arcs]
+    source, sink = network.source, network.sink
+    while current < target:
+        path = fewest_arc_path(adjacency, caps, vals, source, sink)
+        if path is None:
+            break
+        push = min(min(room for _, _, room in path), target - current)
+        _push(vals, path, push)
+        current += push
+    return vals, current
 
 
 def _augment_to_value(network: Network, values: Sequence[int], target: int) -> tuple[int, ...]:
     """Raise the flow value to `target` by augmenting paths, truncating the last push."""
-    vals = list(values)
-    current = flow_value_of(network, vals)
-    while current < target:
-        res = ResidualNetwork(network, vals)
-        path = bfs_path(res.out, network.source, network.sink)
-        if path is None:
-            raise TargetUnreachable(
-                f"cannot raise the flow value past {current} (target {target})"
-            )
-        push = min(min(a.capacity for a in path), target - current)
-        for a in path:
-            if a.forward:
-                vals[a.arc_index] += push
-            else:
-                vals[a.arc_index] -= push
-        current += push
+    vals, current = _augment(network, values, target)
+    if current < target:
+        raise TargetUnreachable(f"cannot raise the flow value past {current} (target {target})")
     return tuple(vals)
 
 
 def max_flow_value(network: Network) -> int:
-    """Maximum source-to-sink flow value, by breadth-first augmenting paths."""
-    vals = [0] * network.arc_count
-    total = 0
-    while True:
-        res = ResidualNetwork(network, vals)
-        path = bfs_path(res.out, network.source, network.sink)
-        if path is None:
-            return total
-        push = min(a.capacity for a in path)
-        for a in path:
-            if a.forward:
-                vals[a.arc_index] += push
-            else:
-                vals[a.arc_index] -= push
-        total += push
+    """Maximum source-to-sink flow value: augment until no path is left."""
+    return _augment(network, [0] * network.arc_count, math.inf)[1]
 
 
 def find_flow(network: Network, value: int) -> IntegerFlow:
@@ -229,11 +243,15 @@ def find_flow(network: Network, value: int) -> IntegerFlow:
 
 def augment(network: Network, flow: IntegerFlow) -> IntegerFlow:
     """Push the bottleneck along one augmenting path; error if none exists."""
-    res = ResidualNetwork(network, flow.values)
-    path = bfs_path(res.out, network.source, network.sink)
+    caps = [arc.capacity for arc in network.arcs]
+    path = fewest_arc_path(
+        residual_adjacency(network), caps, flow.values, network.source, network.sink
+    )
     if path is None:
         raise AlreadyMaximal("the flow value is already maximal")
-    return IntegerFlow(apply_arcs(flow.values, path, min(a.capacity for a in path)))
+    vals = list(flow.values)
+    _push(vals, path, min(room for _, _, room in path))
+    return IntegerFlow(tuple(vals))
 
 
 def sum_flows(network: Network, flows: Sequence) -> PseudoFlow:
@@ -252,28 +270,52 @@ def sum_flows(network: Network, flows: Sequence) -> PseudoFlow:
     return PseudoFlow(tuple(totals))
 
 
+def _peel_paths(network: Network, remaining: list[int], units: int):
+    """Take up to `units` unit paths out of `remaining`, a whole bottleneck at a time.
+
+    Yields ``(path, copies)`` with `path` as `fewest_arc_path` triples.  The
+    fewest-arc search over the positive support sees the same support until
+    some arc on the path runs out, so `copies`, the path's smallest
+    remaining value capped by the units still wanted, is how many times in
+    a row a one-unit-at-a-time extraction would return this path.  Stops
+    early when the support disconnects.
+    """
+    adjacency = _support_adjacency(network)
+    zeros = [0] * network.arc_count
+    source, sink = network.source, network.sink
+    while units > 0:
+        path = fewest_arc_path(adjacency, remaining, zeros, source, sink)
+        if path is None:
+            return
+        copies = min(min(room for _, _, room in path), units)
+        _push(remaining, path, -copies)
+        units -= copies
+        yield path, copies
+
+
 def decompose(network: Network, flow: IntegerFlow) -> list[UnitFlow]:
     """Split an integer flow of value F into F unit-flow paths.
 
-    Paths are extracted by repeated fewest-arc searches over the positive
-    support, one unit at a time.  A flow hiding a circulation cannot be
-    reassembled from paths and is rejected.
+    Paths come from repeated fewest-arc searches over the positive support,
+    each peeled off as many times as it can carry (see `_peel_paths`); the
+    copies of one path share one `UnitFlow`.  The list is the one that
+    extracting a unit at a time would give.  A flow hiding a circulation
+    cannot be reassembled from paths and is rejected.
     """
     remaining = list(flow.values)
     total = flow_value_of(network, remaining)
     pieces: list[UnitFlow] = []
-    for _ in range(total):
-        path = bfs_path(_support_out(network, remaining), network.source, network.sink)
-        if path is None:
-            raise DegenerateCirculation(
-                "flow value remains but no source-to-sink path is left in the support"
-            )
+    for path, copies in _peel_paths(network, remaining, total):
         vals = [0] * network.arc_count
-        for a in path:
-            remaining[a.arc_index] -= 1
-            vals[a.arc_index] = 1
-        pieces.append(
-            UnitFlow(tuple(vals), (network.source,) + tuple(a.head for a in path))
+        vertices = [network.source]
+        for i, _, _ in path:
+            vals[i] = 1
+            vertices.append(network.arcs[i].head)
+        indices = tuple(sorted(i for i, _, _ in path))
+        pieces.extend([UnitFlow(tuple(vals), tuple(vertices), indices)] * copies)
+    if len(pieces) < total:
+        raise DegenerateCirculation(
+            "flow value remains but no source-to-sink path is left in the support"
         )
     if any(remaining):
         raise DegenerateCirculation("leftover circulation after extracting all unit paths")
@@ -295,26 +337,24 @@ def center(network: Network, flows: Sequence) -> FractionalFlow:
     return FractionalFlow(means)
 
 
+def _round_half_up(v: Number) -> int:
+    """floor(v + 1/2) of an int or a Fraction, in integer arithmetic."""
+    return (2 * v.numerator + v.denominator) // (2 * v.denominator)
+
+
 def round_flow(network: Network, flow) -> IntegerFlow:
     """Integral flow near a fractional one, of value floor(value + 1/2).
 
-    Arc values are first rounded half-up, then unit paths are extracted from
-    the rounded vector until the target is met or its support disconnects,
-    and any shortfall is closed by augmentation.
+    Arc values are first rounded half-up (exactly, in integer arithmetic),
+    then unit paths are peeled from the rounded vector, whole bottlenecks
+    at a time (see `_peel_paths`), until the target is met or its support
+    disconnects, and any shortfall is closed by augmentation.
     """
-    half = Fraction(1, 2)
-    target = math.floor(flow_value_of(network, flow.values) + half)
-    rounded = [math.floor(v + half) for v in flow.values]
+    target = _round_half_up(flow_value_of(network, flow.values))
+    rounded = [_round_half_up(v) for v in flow.values]
     extracted = [0] * network.arc_count
-    got = 0
-    while got < target:
-        path = bfs_path(_support_out(network, rounded), network.source, network.sink)
-        if path is None:
-            break
-        for a in path:
-            rounded[a.arc_index] -= 1
-            extracted[a.arc_index] += 1
-        got += 1
+    for path, copies in _peel_paths(network, rounded, target):
+        _push(extracted, path, copies)
     return IntegerFlow(_augment_to_value(network, extracted, target))
 
 
@@ -324,9 +364,10 @@ def compose(network: Network, first: Sequence[UnitFlow], second: Sequence[UnitFl
     Picks alternate between the lists (a coin flip chooses the starting
     one); each pick is drawn in seeded random order from the active list's
     unused elements and accepted only if the running sum stays within
-    capacity.  A list with no acceptable element left passes its turn to
-    the other; once both stall the partial sum is repaired by augmentation
-    up to value F.
+    capacity, which is checked on the unit's own arcs (`UnitFlow.arc_indices`).
+    A list with no acceptable element left passes its turn to the other;
+    once both stall the partial sum is repaired by augmentation up to
+    value F.
     """
     target = len(first)
     if target < 1 or len(second) != target:
@@ -341,17 +382,17 @@ def compose(network: Network, first: Sequence[UnitFlow], second: Sequence[UnitFl
     while picked < target and stalls < 2:
         pool = remaining[active]
         chosen = -1
-        for j in rng.permutation(len(pool)):
-            unit = lists[active][pool[int(j)]]
-            if all(t + v <= c for t, v, c in zip(totals, unit.values, caps)):
-                chosen = pool[int(j)]
+        for j in rng.permutation(len(pool)).tolist():
+            unit = lists[active][pool[j]]
+            if all(totals[i] < caps[i] for i in unit.arc_indices):
+                chosen = pool[j]
                 break
         if chosen < 0:
             stalls += 1
             active = 1 - active
             continue
-        for i, v in enumerate(lists[active][chosen].values):
-            totals[i] += v
+        for i in lists[active][chosen].arc_indices:
+            totals[i] += 1
         pool.remove(chosen)
         picked += 1
         stalls = 0
@@ -438,46 +479,67 @@ def cost_reduce(network: Network, costs: Sequence[int], flow: IntegerFlow):
     return IntegerFlow(apply_arcs(flow.values, cyc.arcs, cyc.bottleneck)), False
 
 
+def cycle_moves(network: Network, values: Sequence[int], target: Sequence[int] | None = None):
+    """Per-vertex ``(head, arc index, forward, capacity)`` moves for `dfs_cycle`.
+
+    These are the residual arcs of `values` grouped by tail, in residual arc
+    order.  With `target`, only moves toward its support are kept: forward
+    ones where `target` carries flow, backward ones where it does not.
+    """
+    out: list[list[tuple[int, int, bool, int]]] = [[] for _ in range(network.vertex_count + 1)]
+    for i, (arc, x) in enumerate(zip(network.arcs, values)):
+        wanted = target is None or target[i] > 0
+        if wanted and arc.capacity - x > 0:
+            out[arc.tail].append((arc.head, i, True, arc.capacity - x))
+        if (target is None or not wanted) and x > 0:
+            out[arc.head].append((arc.tail, i, False, x))
+    return out
+
+
 def dfs_cycle(vertex_count: int, out, rng):
     """Any vertex-simple cycle, by randomized depth-first search.
 
-    Start vertices and adjacency expansions are shuffled with `rng`.  The
-    degenerate two-arc cycle that immediately reverses the arc just
-    traversed is skipped: pushing along it would not move any flow.
+    `out` holds per-vertex ``(head, arc index, forward, capacity)`` moves,
+    as `cycle_moves` builds them.  Start vertices and adjacency expansions
+    are shuffled with `rng`.  The degenerate two-arc cycle that immediately
+    reverses the arc just traversed is skipped: pushing along it would not
+    move any flow.  `ResidualArc`s are built only for the cycle returned.
     """
     white, gray, black = 0, 1, 2
     color = [white] * (vertex_count + 1)
 
     def shuffled(v):
         lst = out[v]
-        return [lst[int(j)] for j in rng.permutation(len(lst))]
+        return [lst[j] for j in rng.permutation(len(lst)).tolist()]
 
-    for s in (int(i) + 1 for i in rng.permutation(vertex_count)):
+    for s in (i + 1 for i in rng.permutation(vertex_count).tolist()):
         if color[s] != white:
             continue
         color[s] = gray
         depth = {s: 0}
-        path: list[ResidualArc] = []
-        stack: list[tuple[int, object, ResidualArc | None]] = [(s, iter(shuffled(s)), None)]
+        # (tail, move) pairs from s to the vertex on top of the stack
+        path: list[tuple[int, tuple[int, int, bool, int]]] = []
+        stack: list[tuple[int, object, int]] = [(s, iter(shuffled(s)), -1)]
         while stack:
-            v, arc_iter, entry = stack[-1]
+            v, move_iter, entry = stack[-1]
             advanced = False
-            for arc in arc_iter:
-                if (
-                    entry is not None
-                    and arc.arc_index == entry.arc_index
-                    and arc.forward != entry.forward
-                ):
+            for move in move_iter:
+                h, i = move[0], move[1]
+                # a vertex lists each arc at most once, so this is the
+                # entry arc taken back
+                if i == entry:
                     continue
-                h = arc.head
                 if color[h] == gray:
-                    cyc = path[depth[h]:] + [arc]
-                    return Cycle(tuple(cyc), min(a.capacity for a in cyc))
+                    cyc = tuple(
+                        ResidualArc(t, head, cap, j, fwd)
+                        for t, (head, j, fwd, cap) in path[depth[h]:] + [(v, move)]
+                    )
+                    return Cycle(cyc, min(a.capacity for a in cyc))
                 if color[h] == white:
                     color[h] = gray
                     depth[h] = len(path) + 1
-                    path.append(arc)
-                    stack.append((h, iter(shuffled(h)), arc))
+                    path.append((v, move))
+                    stack.append((h, iter(shuffled(h)), i))
                     advanced = True
                     break
             if not advanced:
@@ -493,8 +555,7 @@ def perturb(network: Network, flow: IntegerFlow, rng) -> IntegerFlow:
 
     Returns the input unchanged when the residual network is acyclic.
     """
-    res = ResidualNetwork(network, flow.values)
-    cyc = dfs_cycle(res.vertex_count, res.out, rng)
+    cyc = dfs_cycle(network.vertex_count, cycle_moves(network, flow.values), rng)
     if cyc is None:
         return flow
     return IntegerFlow(apply_arcs(flow.values, cyc.arcs, cyc.bottleneck))
@@ -507,13 +568,7 @@ def harmonize(network: Network, flow: IntegerFlow, target, rng) -> IntegerFlow:
     residual arcs exist only where `target` carries flow, backward ones only
     where it does not, so a push never reduces support agreement.
     """
-    out: list[list[ResidualArc]] = [[] for _ in range(network.vertex_count + 1)]
-    for i, (arc, x, t) in enumerate(zip(network.arcs, flow.values, target.values)):
-        if t > 0 and arc.capacity - x > 0:
-            out[arc.tail].append(ResidualArc(arc.tail, arc.head, arc.capacity - x, i, True))
-        if t == 0 and x > 0:
-            out[arc.head].append(ResidualArc(arc.head, arc.tail, x, i, False))
-    cyc = dfs_cycle(network.vertex_count, out, rng)
+    cyc = dfs_cycle(network.vertex_count, cycle_moves(network, flow.values, target.values), rng)
     if cyc is None:
         return flow
     return IntegerFlow(apply_arcs(flow.values, cyc.arcs, cyc.bottleneck))

@@ -6,6 +6,8 @@ with the package, so agreement between the two is meaningful evidence.
 """
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations
 
 from rmcif import ABSOLUTE, DEVIATION, Instance, Network
@@ -289,3 +291,245 @@ def solve_lp_text(text: str) -> float:
     )
     assert result.success, result.message
     return float(result.fun)
+
+
+# Reference implementations of the path, augmentation and cycle walks as
+# they stood before the flat-list kernels: one unit path per search over a
+# rebuilt support, one rebuilt residual network per augmenting path, and
+# cycle search over per-arc move records.  They return plain values (arc
+# tuples, vertex tuples, move tuples) so that the comparison does not rest
+# on any package code path.  A move is ``(tail, head, capacity, arc
+# index, forward)``.
+
+
+class OracleCirculation(Exception):
+    """The oracle's counterpart of `DegenerateCirculation`."""
+
+
+class OracleUnreachable(Exception):
+    """The oracle's counterpart of `TargetUnreachable`."""
+
+
+
+def _flow_value(network: Network, values) -> int:
+    total = 0
+    for arc, v in zip(network.arcs, values):
+        if arc.tail == network.source:
+            total += v
+        elif arc.head == network.source:
+            total -= v
+    return total
+
+
+def _bfs_moves(out, source: int, sink: int):
+    """Fewest-arc path over per-vertex move lists, first-reached wins."""
+    parent = {source: None}
+    queue = [source]
+    for v in queue:
+        for move in out[v]:
+            h = move[1]
+            if h in parent:
+                continue
+            parent[h] = move
+            if h == sink:
+                path = []
+                cur = sink
+                while cur != source:
+                    path.append(parent[cur])
+                    cur = parent[cur][0]
+                return path[::-1]
+            queue.append(h)
+    return None
+
+
+def _support_moves(network: Network, remaining):
+    out = [[] for _ in range(network.vertex_count + 1)]
+    for i, (arc, v) in enumerate(zip(network.arcs, remaining)):
+        if v > 0:
+            out[arc.tail].append((arc.tail, arc.head, v, i, True))
+    return out
+
+
+def residual_moves(network: Network, values):
+    """Per-vertex residual moves, arcs in declaration order, forward first."""
+    out = [[] for _ in range(network.vertex_count + 1)]
+    for i, (arc, x) in enumerate(zip(network.arcs, values)):
+        if arc.capacity - x > 0:
+            out[arc.tail].append((arc.tail, arc.head, arc.capacity - x, i, True))
+        if x > 0:
+            out[arc.head].append((arc.head, arc.tail, x, i, False))
+    return out
+
+
+def _push(values: list, path, amount: int) -> None:
+    for _, _, _, i, forward in path:
+        values[i] += amount if forward else -amount
+
+
+def unit_paths(network: Network, values):
+    """One-unit-at-a-time decomposition into (values, vertices) pairs."""
+    remaining = list(values)
+    pieces = []
+    for _ in range(_flow_value(network, remaining)):
+        path = _bfs_moves(_support_moves(network, remaining), network.source, network.sink)
+        if path is None:
+            raise OracleCirculation("no source-to-sink path left in the support")
+        unit = [0] * network.arc_count
+        for move in path:
+            remaining[move[3]] -= 1
+            unit[move[3]] = 1
+        pieces.append((tuple(unit), (network.source,) + tuple(m[1] for m in path)))
+    if any(remaining):
+        raise OracleCirculation("leftover circulation")
+    return pieces
+
+
+def augment_to_value(network: Network, values, target: int) -> tuple[int, ...]:
+    """Raise the value to `target`, one rebuilt residual network per path."""
+    vals = list(values)
+    current = _flow_value(network, vals)
+    while current < target:
+        path = _bfs_moves(residual_moves(network, vals), network.source, network.sink)
+        if path is None:
+            raise OracleUnreachable(f"stuck at {current} (target {target})")
+        push = min(min(m[2] for m in path), target - current)
+        _push(vals, path, push)
+        current += push
+    return tuple(vals)
+
+
+def augment_once(network: Network, values):
+    """Values after pushing the bottleneck along one residual path, or None."""
+    path = _bfs_moves(residual_moves(network, values), network.source, network.sink)
+    if path is None:
+        return None
+    vals = list(values)
+    _push(vals, path, min(m[2] for m in path))
+    return tuple(vals)
+
+
+def max_flow(network: Network) -> int:
+    """Maximum flow value by augmenting until no residual path is left."""
+    vals = [0] * network.arc_count
+    total = 0
+    while True:
+        path = _bfs_moves(residual_moves(network, vals), network.source, network.sink)
+        if path is None:
+            return total
+        push = min(m[2] for m in path)
+        _push(vals, path, push)
+        total += push
+
+
+def round_to_integer(network: Network, values) -> tuple[int, ...]:
+    """Half-up rounding, one unit path extracted per search, then augmentation."""
+    half = Fraction(1, 2)
+    target = math.floor(_flow_value(network, values) + half)
+    rounded = [math.floor(v + half) for v in values]
+    extracted = [0] * network.arc_count
+    got = 0
+    while got < target:
+        path = _bfs_moves(_support_moves(network, rounded), network.source, network.sink)
+        if path is None:
+            break
+        for move in path:
+            rounded[move[3]] -= 1
+            extracted[move[3]] += 1
+        got += 1
+    return augment_to_value(network, extracted, target)
+
+
+def compose_units(network: Network, first, second, rng) -> tuple[int, ...]:
+    """Alternating composition with the capacity check zipped over every arc."""
+    target = len(first)
+    caps = [arc.capacity for arc in network.arcs]
+    totals = [0] * network.arc_count
+    remaining = [list(range(target)), list(range(target))]
+    lists = (first, second)
+    active = int(rng.integers(0, 2))
+    picked = stalls = 0
+    while picked < target and stalls < 2:
+        pool = remaining[active]
+        chosen = -1
+        for j in rng.permutation(len(pool)):
+            unit = lists[active][pool[int(j)]]
+            if all(t + v <= c for t, v, c in zip(totals, unit.values, caps)):
+                chosen = pool[int(j)]
+                break
+        if chosen < 0:
+            stalls += 1
+            active = 1 - active
+            continue
+        for i, v in enumerate(lists[active][chosen].values):
+            totals[i] += v
+        pool.remove(chosen)
+        picked += 1
+        stalls = 0
+        active = 1 - active
+    return augment_to_value(network, totals, target)
+
+
+def random_cycle(vertex_count: int, out, rng):
+    """Randomized depth-first cycle search over move lists, as a move tuple.
+
+    Start vertices and each expansion are shuffled with `rng`; the move
+    that immediately reverses the one just taken is skipped.
+    """
+    color = [0] * (vertex_count + 1)
+
+    def shuffled(v):
+        lst = out[v]
+        return [lst[int(j)] for j in rng.permutation(len(lst))]
+
+    for s in (int(i) + 1 for i in rng.permutation(vertex_count)):
+        if color[s]:
+            continue
+        color[s] = 1
+        depth = {s: 0}
+        path = []
+        stack = [(s, iter(shuffled(s)), None)]
+        while stack:
+            v, moves, entry = stack[-1]
+            advanced = False
+            for move in moves:
+                if entry is not None and move[3] == entry[3] and move[4] != entry[4]:
+                    continue
+                h = move[1]
+                if color[h] == 1:
+                    return tuple(path[depth[h]:] + [move])
+                if color[h] == 0:
+                    color[h] = 1
+                    depth[h] = len(path) + 1
+                    path.append(move)
+                    stack.append((h, iter(shuffled(h)), move))
+                    advanced = True
+                    break
+            if not advanced:
+                stack.pop()
+                color[v] = 2
+                if path:
+                    path.pop()
+    return None
+
+
+def _push_cycle(values, cycle) -> tuple[int, ...]:
+    vals = list(values)
+    if cycle is not None:
+        _push(vals, cycle, min(m[2] for m in cycle))
+    return tuple(vals)
+
+
+def perturb_values(network: Network, values, rng) -> tuple[int, ...]:
+    """Push the bottleneck around a random residual cycle, if there is one."""
+    return _push_cycle(values, random_cycle(network.vertex_count, residual_moves(network, values), rng))
+
+
+def harmonize_values(network: Network, values, target, rng) -> tuple[int, ...]:
+    """Cycle push restricted to moves toward the support of `target`."""
+    out = [[] for _ in range(network.vertex_count + 1)]
+    for i, (arc, x, t) in enumerate(zip(network.arcs, values, target)):
+        if t > 0 and arc.capacity - x > 0:
+            out[arc.tail].append((arc.tail, arc.head, arc.capacity - x, i, True))
+        if t == 0 and x > 0:
+            out[arc.head].append((arc.head, arc.tail, x, i, False))
+    return _push_cycle(values, random_cycle(network.vertex_count, out, rng))

@@ -1,0 +1,254 @@
+"""The flat-list path, augmentation and cycle walks against reference ones.
+
+`oracles` keeps plain implementations that extract one unit path per
+search, rebuild the residual network for every augmenting path and search
+cycles over per-arc move records.  On random layered instances and on
+random cyclic networks with zero-capacity arcs, every kernel here must give
+the same output, raise the matching error, and leave a shared random
+stream in the same state.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import gen
+from rmcif import (
+    AlreadyMaximal,
+    Arc,
+    DegenerateCirculation,
+    FractionalFlow,
+    IntegerFlow,
+    Network,
+    TargetUnreachable,
+    augment,
+    center,
+    compose,
+    decompose,
+    find_flow,
+    flow_value_of,
+    harmonize,
+    max_flow_value,
+    perturb,
+    round_flow,
+)
+from rmcif.flow_ops import _augment_to_value, cycle_moves, dfs_cycle
+from rmcif.heuristics import make_rng
+
+seeds = st.integers(0, 2_000)
+
+
+@st.composite
+def cyclic_networks(draw):
+    """Up to 7 vertices, arcs in both directions, capacities 0..4."""
+    n = draw(st.integers(2, 7))
+    pairs = [(t, h) for t in range(1, n + 1) for h in range(1, n + 1) if t != h]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=18))
+    caps = draw(st.lists(st.integers(0, 4), min_size=len(chosen), max_size=len(chosen)))
+    return Network(n, tuple(Arc(t, h, c) for (t, h), c in zip(chosen, caps)))
+
+
+@st.composite
+def networks(draw):
+    if draw(st.booleans()):
+        return draw(cyclic_networks())
+    seed = draw(seeds)
+    return gen(seed, widths=(3, 3), caps=(0, 4), density=0.8).network
+
+
+def scrambled_flow(network, value, seed, steps=3):
+    """A value-`value` flow moved around random residual cycles."""
+    rng = make_rng(seed)
+    values = oracles.augment_to_value(network, [0] * network.arc_count, value)
+    for _ in range(steps):
+        values = oracles.perturb_values(network, values, rng)
+    return values
+
+
+@st.composite
+def flows(draw, count=1):
+    """A network and `count` scrambled flows of one common random value."""
+    network = draw(networks())
+    value = draw(st.integers(0, oracles.max_flow(network)))
+    seed = draw(seeds)
+    return network, [scrambled_flow(network, value, seed + k) for k in range(count)]
+
+
+def next_draw(rng):
+    return int(rng.integers(0, 2**62))
+
+
+def outcome(fn, *args):
+    """`fn(*args)`, or the name of the error family it raised."""
+    try:
+        return fn(*args)
+    except (DegenerateCirculation, oracles.OracleCirculation):
+        return "circulation"
+    except (TargetUnreachable, oracles.OracleUnreachable):
+        return "unreachable"
+
+
+def unit_pairs(network, values):
+    return [(u.values, u.vertices) for u in decompose(network, IntegerFlow(values))]
+
+
+class TestDecompose:
+    @given(flows())
+    @settings(max_examples=60)
+    def test_same_unit_paths_in_the_same_order(self, case):
+        network, (values,) = case
+        got = outcome(unit_pairs, network, values)
+        assert got == outcome(oracles.unit_paths, network, values)
+
+    @given(flows())
+    @settings(max_examples=60)
+    def test_arc_indices_are_the_positive_arcs(self, case):
+        network, (values,) = case
+        try:
+            pieces = decompose(network, IntegerFlow(values))
+        except DegenerateCirculation:
+            return
+        for unit in pieces:
+            assert unit.arc_indices == tuple(i for i, v in enumerate(unit.values) if v)
+
+    def test_circulation_on_the_path_is_rejected_alike(self):
+        net = Network(4, (Arc(1, 2, 2), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 2)))
+        values = (2, 1, 1, 2)
+        assert outcome(unit_pairs, net, values) == "circulation"
+        assert outcome(oracles.unit_paths, net, values) == "circulation"
+
+
+class TestAugmentation:
+    @given(networks())
+    @settings(max_examples=60)
+    def test_max_flow_value(self, network):
+        assert max_flow_value(network) == oracles.max_flow(network)
+
+    @given(networks(), st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_find_flow_every_value_and_one_past(self, network, extra):
+        value = oracles.max_flow(network) + extra - 2
+        if value < 0:
+            return
+        got = outcome(lambda: find_flow(network, value).values)
+        want = outcome(oracles.augment_to_value, network, [0] * network.arc_count, value)
+        assert got == want
+
+
+    @given(flows(), st.integers(0, 3))
+    @settings(max_examples=60)
+    def test_raising_a_scrambled_flow(self, case, extra):
+        network, (values,) = case
+        target = flow_value_of(network, values) + extra
+        got = outcome(_augment_to_value, network, values, target)
+        assert got == outcome(oracles.augment_to_value, network, values, target)
+
+    @given(flows())
+    @settings(max_examples=60)
+    def test_augment_one_path(self, case):
+        network, (values,) = case
+        try:
+            got = augment(network, IntegerFlow(values)).values
+        except AlreadyMaximal:
+            got = None
+        assert got == oracles.augment_once(network, values)
+
+
+class TestRoundFlow:
+    @given(flows(count=3), st.integers(2, 3))
+    @settings(max_examples=60)
+    def test_rounded_center(self, case, count):
+        network, values = case
+        mean = center(network, [IntegerFlow(v) for v in values[:count]])
+        got = outcome(lambda: round_flow(network, mean).values)
+        assert got == outcome(oracles.round_to_integer, network, mean.values)
+
+    @given(networks(), st.data())
+    @settings(max_examples=60)
+    def test_arbitrary_half_integral_vectors(self, network, data):
+        halves = [
+            Fraction(data.draw(st.integers(0, 2 * arc.capacity)), 2) for arc in network.arcs
+        ]
+        got = outcome(lambda: round_flow(network, FractionalFlow(tuple(halves))).values)
+        assert got == outcome(oracles.round_to_integer, network, halves)
+
+
+class TestCompose:
+    @given(flows(count=2), seeds)
+    @settings(max_examples=60)
+    def test_same_flow_and_random_stream(self, case, seed):
+        network, (a, b) = case
+        try:
+            first = decompose(network, IntegerFlow(a))
+            second = decompose(network, IntegerFlow(b))
+        except DegenerateCirculation:
+            return
+        if not first:
+            return
+        rng, ref = make_rng(seed), make_rng(seed)
+        got = outcome(lambda: compose(network, first, second, rng).values)
+        assert got == outcome(oracles.compose_units, network, first, second, ref)
+        assert next_draw(rng) == next_draw(ref)
+
+
+class TestCycleWalks:
+    @given(flows(), seeds)
+    @settings(max_examples=60)
+    def test_dfs_cycle_returns_the_same_moves(self, case, seed):
+        network, (values,) = case
+        rng, ref = make_rng(seed), make_rng(seed)
+        cyc = dfs_cycle(network.vertex_count, cycle_moves(network, values), rng)
+        want = oracles.random_cycle(
+            network.vertex_count, oracles.residual_moves(network, values), ref
+        )
+        if want is None:
+            assert cyc is None
+        else:
+            moves = tuple((a.tail, a.head, a.capacity, a.arc_index, a.forward) for a in cyc.arcs)
+            assert moves == want
+            assert cyc.bottleneck == min(m[2] for m in want)
+        assert next_draw(rng) == next_draw(ref)
+
+    @given(flows(), seeds)
+    @settings(max_examples=60)
+    def test_perturb(self, case, seed):
+        network, (values,) = case
+        rng, ref = make_rng(seed), make_rng(seed)
+        flow = IntegerFlow(values)
+        moved = perturb(network, flow, rng)
+        want = oracles.perturb_values(network, values, ref)
+        assert moved.values == want
+        if want == values:
+            assert moved is flow
+        assert next_draw(rng) == next_draw(ref)
+
+    @given(flows(count=2), seeds)
+    @settings(max_examples=60)
+    def test_harmonize(self, case, seed):
+        network, (a, b) = case
+        rng, ref = make_rng(seed), make_rng(seed)
+        pulled = harmonize(network, IntegerFlow(a), IntegerFlow(b), rng)
+        assert pulled.values == oracles.harmonize_values(network, a, b, ref)
+        assert next_draw(rng) == next_draw(ref)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_larger_layered_instances(seed):
+    """Multiplicities above one on 6x6x6: whole-bottleneck peeling must agree."""
+    instance = gen(seed, widths=(6, 6, 6), scenarios=2, caps=(1, 20))
+    network = instance.network
+    a = scrambled_flow(network, instance.flow_value, seed, steps=5)
+    b = scrambled_flow(network, instance.flow_value, seed + 9, steps=5)
+    assert unit_pairs(network, a) == oracles.unit_paths(network, a)
+    mean = center(network, [IntegerFlow(a), IntegerFlow(b)])
+    assert round_flow(network, mean).values == oracles.round_to_integer(network, mean.values)
+    rng, ref = make_rng(seed), make_rng(seed)
+    first, second = decompose(network, IntegerFlow(a)), decompose(network, IntegerFlow(b))
+    assert compose(network, first, second, rng).values == oracles.compose_units(
+        network, first, second, ref
+    )
+    assert next_draw(rng) == next_draw(ref)

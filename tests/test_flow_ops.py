@@ -37,9 +37,11 @@ from rmcif import (
 from rmcif.flow_ops import (
     ResidualNetwork,
     apply_arcs,
-    bfs_path,
+    cycle_moves,
     dfs_cycle,
+    fewest_arc_path,
     negative_cycle,
+    residual_adjacency,
     residual_cost,
 )
 from rmcif.heuristics import make_rng
@@ -60,6 +62,11 @@ def feasible_value(network, flow):
     return balance[network.source]
 
 
+def views(res):
+    """`ResidualArc` views of every residual arc, in residual arc order."""
+    return [res.arc(e) for e in range(len(res.tails))]
+
+
 def random_feasible_flow(instance, seed):
     """A value-F flow scrambled away from the breadth-first one."""
     rng = make_rng(seed)
@@ -72,7 +79,7 @@ def random_feasible_flow(instance, seed):
 class TestResidualNetwork:
     def test_canonical_arc_order(self, diamond):
         res = ResidualNetwork(diamond.network, UPPER.values)
-        seen = [(a.tail, a.head, a.capacity, a.arc_index, a.forward) for a in res.arcs]
+        seen = [(a.tail, a.head, a.capacity, a.arc_index, a.forward) for a in views(res)]
         assert seen == [
             (2, 1, 1, 0, False),
             (1, 3, 1, 1, True),
@@ -83,37 +90,49 @@ class TestResidualNetwork:
     def test_partially_used_arc_contributes_both_directions(self):
         net = Network(2, (Arc(1, 2, 3),))
         res = ResidualNetwork(net, (1,))
-        assert [(a.forward, a.capacity) for a in res.arcs] == [(True, 2), (False, 1)]
+        assert [(a.forward, a.capacity) for a in views(res)] == [(True, 2), (False, 1)]
 
     def test_out_lists_group_by_tail(self, diamond):
-        res = ResidualNetwork(diamond.network, UPPER.values)
-        assert [a.head for a in res.out[1]] == [3]
-        assert [a.head for a in res.out[4]] == [2]
+        out = cycle_moves(diamond.network, UPPER.values)
+        assert [head for head, _, _, _ in out[1]] == [3]
+        assert [head for head, _, _, _ in out[4]] == [2]
 
     def test_residual_cost_sign(self, diamond):
-        res = ResidualNetwork(diamond.network, UPPER.values)
+        arcs = views(ResidualNetwork(diamond.network, UPPER.values))
         costs = diamond.scenarios.costs[0]
-        backward = res.out[2][0]
-        forward = res.out[1][0]
+        backward = next(a for a in arcs if a.tail == 2)
+        forward = next(a for a in arcs if a.tail == 1)
         assert residual_cost(backward, costs) == -costs[backward.arc_index]
         assert residual_cost(forward, costs) == costs[forward.arc_index]
 
     def test_apply_arcs_moves_flow(self, diamond):
         res = ResidualNetwork(diamond.network, UPPER.values)
-        assert apply_arcs(UPPER.values, res.arcs, 1) == (0, 1, 0, 1)
+        assert apply_arcs(UPPER.values, views(res), 1) == (0, 1, 0, 1)
+
+
+def residual_path(network, values):
+    caps = [arc.capacity for arc in network.arcs]
+    return fewest_arc_path(
+        residual_adjacency(network), caps, values, network.source, network.sink
+    )
 
 
 class TestPathSearch:
     def test_bfs_finds_fewest_arcs(self):
         net = Network(4, (Arc(1, 2, 1), Arc(2, 4, 1), Arc(1, 4, 1)))
-        res = ResidualNetwork(net, (0, 0, 0))
-        path = bfs_path(res.out, 1, 4)
-        assert [a.arc_index for a in path] == [2]
+        path = residual_path(net, (0, 0, 0))
+        assert [i for i, _, _ in path] == [2]
 
     def test_bfs_none_when_disconnected(self):
         net = Network(3, (Arc(1, 2, 1),))
-        res = ResidualNetwork(net, (0,))
-        assert bfs_path(res.out, 1, 3) is None
+        assert residual_path(net, (0,)) is None
+
+    def test_bfs_uses_backward_room(self):
+        net = Network(
+            4, (Arc(1, 2, 1), Arc(1, 3, 1), Arc(2, 3, 1), Arc(2, 4, 1), Arc(3, 4, 1))
+        )
+        path = residual_path(net, (1, 0, 1, 0, 1))
+        assert path == [(1, True, 1), (2, False, 1), (3, True, 1)]
 
 
 class TestMaxFlowAndFind:
@@ -361,7 +380,10 @@ class TestNegativeCycleKernel:
     def test_flat_lists_match_the_views(self, diamond):
         res = ResidualNetwork(diamond.network, UPPER.values)
         rows = list(zip(res.tails, res.heads, res.capacities, res.arc_indices, res.forward))
-        assert rows == [(a.tail, a.head, a.capacity, a.arc_index, a.forward) for a in res.arcs]
+        assert rows == [(a.tail, a.head, a.capacity, a.arc_index, a.forward) for a in views(res)]
+        moves = cycle_moves(diamond.network, UPPER.values)
+        by_tail = [(t, h, c, i, f) for t in range(5) for h, i, f, c in moves[t]]
+        assert by_tail == sorted(rows, key=lambda row: row[0])
 
 
 class TestCostReduce:
@@ -464,12 +486,12 @@ def self_distance(a, b):
 
 class TestDfsCycle:
     def test_none_on_acyclic_residual(self, diamond):
-        res = ResidualNetwork(diamond.network, FULL.values)
-        assert dfs_cycle(res.vertex_count, res.out, make_rng(0)) is None
+        out = cycle_moves(diamond.network, FULL.values)
+        assert dfs_cycle(diamond.network.vertex_count, out, make_rng(0)) is None
 
     def test_cycle_is_vertex_simple(self, diamond):
-        res = ResidualNetwork(diamond.network, UPPER.values)
-        cyc = dfs_cycle(res.vertex_count, res.out, make_rng(2))
+        out = cycle_moves(diamond.network, UPPER.values)
+        cyc = dfs_cycle(diamond.network.vertex_count, out, make_rng(2))
         assert cyc is not None
         tails = [a.tail for a in cyc.arcs]
         assert len(tails) == len(set(tails))
