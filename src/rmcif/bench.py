@@ -25,7 +25,7 @@ from .core import (
     parse_instance,
 )
 from .exact import enumerate_optimum
-from .heuristics import SearchParams, evolutionary, local_search
+from .heuristics import SearchParams, check_seed, evolutionary, local_search
 from .objectives import compute_optima
 
 CSV_COLUMNS = (
@@ -61,6 +61,7 @@ def solve_one(
     if solver in EC_SOLVERS:
         return evolutionary(instance, variant, solver, params, seed, clock)
     if solver == "exact":
+        check_seed(seed)
         start = clock()
         cost, flow = enumerate_optimum(instance, variant, exact_budget)
         return SolutionRecord(variant, solver, cost, flow.values, seed, clock() - start)

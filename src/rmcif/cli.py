@@ -13,6 +13,7 @@ from .core import (
     ALL_SOLVERS,
     DEVIATION,
     HEURISTIC_SOLVERS,
+    InvalidParameter,
     RmcifError,
     format_solution,
     parse_instance,
@@ -20,7 +21,7 @@ from .core import (
 )
 from .exact import export_lp
 from .generator import GeneratorSpec, generate
-from .heuristics import SearchParams
+from .heuristics import SearchParams, check_seed
 
 _VARIANT_ALIASES = {
     "abs": ABSOLUTE,
@@ -53,10 +54,20 @@ def _widths(text: str) -> tuple[int, ...]:
 
 
 def _seeds(text: str) -> tuple[int, ...]:
-    if ":" in text:
-        lo, _, hi = text.partition(":")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(s) for s in text.split(","))
+    """Seeds from 'lo:hi' or a comma-separated list; bad input raises `InvalidParameter`."""
+    lo, sep, hi = text.partition(":")
+    try:
+        if sep:
+            seeds = tuple(range(int(lo), int(hi) + 1))
+        else:
+            seeds = tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise InvalidParameter(f"expected 'lo:hi' or comma-separated seeds, got {text!r}") from None
+    if not seeds:
+        raise InvalidParameter(f"seed range {text!r} is empty")
+    for seed in seeds:
+        check_seed(seed)
+    return seeds
 
 
 def _solver_list(text: str) -> tuple[str, ...]:
@@ -170,7 +181,7 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="comma-separated variant tags")
     bench.add_argument("--solvers", type=_solver_list, default=HEURISTIC_SOLVERS,
                        help="'all' or a comma-separated list")
-    bench.add_argument("--seeds", type=_seeds, default=(0,),
+    bench.add_argument("--seeds", default="0",
                        help="'lo:hi' or comma-separated seeds")
     bench.add_argument("--out", required=True, help="CSV output path")
     bench.add_argument("--sol-dir", help="directory for per-run .sol files")
@@ -233,7 +244,7 @@ def _cmd_bench(args) -> int:
         args.dir,
         variants,
         args.solvers,
-        args.seeds,
+        _seeds(args.seeds),
         params,
         out_csv=args.out,
         sol_dir=args.sol_dir,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .core import Arc, Instance, InvalidParameter, Network, RmcifError, ScenarioSet
 from .flow_ops import max_flow_value
-from .heuristics import make_rng
+from .heuristics import check_seed, make_rng
 
 
 class GenerationError(RmcifError):
@@ -58,6 +58,7 @@ class GeneratorSpec:
             raise InvalidParameter("flow fraction must lie in [0, 1]")
         if self.max_retries < 1:
             raise InvalidParameter("retry budget must be positive")
+        check_seed(self.seed)
 
 
 def _layer_vertices(widths: tuple[int, ...]) -> list[list[int]]:

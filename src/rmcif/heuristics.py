@@ -7,6 +7,11 @@ solvers (ec1..ec9) share one steady-state loop and differ in the crossover
 composition) paired with the mutation (perturbation, single-scenario cost
 reduction, or a capped inner local search).
 
+The descent carries each candidate's per-scenario cost vector along the
+cancelled cycles instead of re-evaluating every neighbor; before a solver
+returns, one fresh evaluation of its flow must reproduce the reported
+robust cost.
+
 Every solver is deterministic for a fixed (instance, variant, parameters,
 seed): randomness comes from one counter-based generator created from the
 seed, and every tie is broken by position.
@@ -15,10 +20,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 import numpy as np
 
 from .core import (
+    DEVIATION,
     EC_SOLVERS,
     LS_SOLVERS,
     Instance,
@@ -36,7 +44,14 @@ from .flow_ops import (
     perturb,
     round_flow,
 )
-from .objectives import Criterion, compute_optima, make_criterion
+from .objectives import (
+    Criterion,
+    compute_optima,
+    eval_absolute,
+    eval_deviation,
+    make_criterion,
+    scenario_costs,
+)
 
 # Iteration ceiling for local search used as a mutation operator.
 MUTATION_SEARCH_CAP = 50
@@ -71,34 +86,59 @@ class SearchParams:
                 raise InvalidParameter(f"{name} must lie in 0..100")
 
 
+def check_seed(seed: int) -> int:
+    """The seed as an int; `InvalidParameter` if it is negative."""
+    if seed < 0:
+        raise InvalidParameter(f"seed must be nonnegative, got {seed}")
+    return int(seed)
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; the same seed reproduces the same stream anywhere."""
-    return np.random.Generator(np.random.Philox(int(seed)))
+    return np.random.Generator(np.random.Philox(check_seed(seed)))
 
 
-def _neighborhood(instance: Instance, flow: IntegerFlow, size: int) -> list[IntegerFlow]:
+def _advance(rows, costs: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]):
+    """Scenario costs of `new`, given those of `old`.
+
+    Only the arcs whose values differ are summed, so after a cycle
+    cancellation the work is K times the cycle's length.
+    """
+    changed = [(i, new[i] - old[i]) for i in compress(range(len(old)), map(ne, old, new))]
+    return tuple(c + sum(row[i] * d for i, d in changed) for c, row in zip(costs, rows))
+
+
+def _neighborhood(
+    instance: Instance, flow: IntegerFlow, costs: tuple[int, ...], size: int
+) -> list[tuple[IntegerFlow, tuple[int, ...]]]:
     """Iterated cost reduction around a flow, spread evenly over scenarios.
 
     Each scenario owns a chain of successive cost reductions starting at the
     flow; chains advance one step per round, and every intermediate flow is
     a neighbor.  Collection stops at `size` or when all chains hit their
     per-scenario optima.
+
+    Returns ``(flow, costs)`` pairs.  `costs` is the scenario cost vector of
+    the input flow, and each chain carries its own vector forward over the
+    arcs its cancellation changed.  A push around a residual cycle keeps a
+    feasible flow feasible, so the neighbors are not validated again.
     """
     network = instance.network
     rows = instance.scenarios.costs
-    working = [flow] * len(rows)
+    working = [(flow, costs)] * len(rows)
     done = [False] * len(rows)
-    found: list[IntegerFlow] = []
+    found: list[tuple[IntegerFlow, tuple[int, ...]]] = []
     while len(found) < size and not all(done):
         for s, row in enumerate(rows):
             if done[s]:
                 continue
-            nxt, optimal = cost_reduce(network, row, working[s])
+            prev, prev_costs = working[s]
+            nxt, optimal = cost_reduce(network, row, prev)
             if optimal:
                 done[s] = True
                 continue
-            working[s] = nxt
-            found.append(nxt)
+            working[s] = (nxt, _advance(rows, prev_costs, prev.values, nxt.values))
+            found.append(working[s])
             if len(found) >= size:
                 break
     return found
@@ -117,24 +157,43 @@ def _descend(
     Returns ``(flow, cost, accepted_moves)``.  `trace(flow, cost)` is called
     on every accepted move.  Costs are nonnegative integers and each move
     strictly decreases them, so the descent terminates without any limit.
+
+    The start flow is validated and costed once; from there each
+    candidate's scenario cost vector is carried along the cancelled cycles
+    (see `_neighborhood`), and `criterion` scores the carried vector.
     """
     current = start
-    current_cost = criterion.evaluate(start)
+    current_costs = scenario_costs(instance, start)
+    current_cost = criterion.evaluate(start, current_costs)
     moves = 0
     while iteration_limit is None or moves < iteration_limit:
         best = None
         best_cost = None
-        for cand in _neighborhood(instance, current, params.neighborhood_size):
-            cost = criterion.evaluate(cand)
+        for cand in _neighborhood(instance, current, current_costs, params.neighborhood_size):
+            cost = criterion.evaluate(*cand)
             if best_cost is None or cost < best_cost:
                 best, best_cost = cand, cost
         if best is None or best_cost >= current_cost:
             break
-        current, current_cost = best, best_cost
+        (current, current_costs), current_cost = best, best_cost
         moves += 1
         if trace is not None:
             trace(current, current_cost)
     return current, current_cost, moves
+
+
+def _confirm_cost(criterion: Criterion, flow: IntegerFlow, cost: int) -> None:
+    """Raise unless a fresh evaluation of the returned flow gives `cost`.
+
+    The evaluation goes around `criterion.evaluate`, so the evaluation
+    counter does not move.
+    """
+    if criterion.variant == DEVIATION:
+        fresh = eval_deviation(criterion.instance, flow, criterion.optima)
+    else:
+        fresh = eval_absolute(criterion.instance, flow)
+    if fresh != cost:
+        raise AssertionError(f"carried cost {cost} differs from the fresh cost {fresh}")
 
 
 def _zero_flow_record(
@@ -167,6 +226,7 @@ def local_search(
     """
     if solver not in LS_SOLVERS:
         raise ValueError(f"unknown local-search solver {solver!r}")
+    check_seed(seed)
     if params is None:
         params = SearchParams()
     t0 = clock()
@@ -196,6 +256,7 @@ def local_search(
         )
         if best_cost is None or cost < best_cost:
             best_flow, best_cost = flow, cost
+    _confirm_cost(criterion, best_flow, best_cost)
     return SolutionRecord(
         variant, solver, best_cost, best_flow.values, seed, clock() - t0
     )
@@ -366,4 +427,5 @@ def evolutionary(
 
     winner = min(range(len(population)), key=lambda i: (population[i][1], i))
     flow, cost = population[winner]
+    _confirm_cost(criterion, flow, cost)
     return SolutionRecord(variant, solver, cost, flow.values, seed, clock() - t0)

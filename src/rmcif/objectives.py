@@ -5,11 +5,18 @@ The deviation objective is its worst regret: the gap between its cost
 under a scenario and the best cost any feasible flow of the required
 value achieves under that same scenario.  Scenario optima are therefore
 shared, cacheable inputs; `compute_optima` memoizes them per instance.
+
+Both objectives are a maximum over the per-scenario cost vector that
+`scenario_costs` returns, less a fixed shift per scenario (zero, or the
+scenario optimum).  A caller that already holds a flow's vector, such as
+the descent, which carries it along each cancelled cycle, hands it to
+`Criterion.evaluate` and skips the validation and the K dot products.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul, sub
 
 from .core import (
     ABSOLUTE,
@@ -51,21 +58,24 @@ def _require_feasible(instance: Instance, flow) -> None:
         )
 
 
+def scenario_costs(instance: Instance, flow) -> tuple[int, ...]:
+    """Costs of a feasible flow of the required value, one per scenario.
+
+    Raises like `validate_flow`, or `WrongFlowValue`.
+    """
+    _require_feasible(instance, flow)
+    values = flow.values
+    return tuple(sum(map(mul, row, values)) for row in instance.scenarios.costs)
+
+
 def eval_absolute(instance: Instance, flow) -> int:
     """Worst scenario cost of a feasible flow of the required value."""
-    _require_feasible(instance, flow)
-    return max(
-        flow_cost(instance, flow, s) for s in range(instance.scenarios.scenario_count)
-    )
+    return max(scenario_costs(instance, flow))
 
 
 def eval_deviation(instance: Instance, flow, optima: ScenarioOptima) -> int:
     """Worst regret of a feasible flow against the per-scenario optima."""
-    _require_feasible(instance, flow)
-    return max(
-        flow_cost(instance, flow, s) - optima.costs[s]
-        for s in range(instance.scenarios.scenario_count)
-    )
+    return max(map(sub, scenario_costs(instance, flow), optima.costs))
 
 
 @dataclass
@@ -73,7 +83,8 @@ class Criterion:
     """Callable robust objective with an evaluation counter.
 
     Heuristics rank candidate flows through one of these; the counter
-    supports search-effort accounting in experiments.
+    supports search-effort accounting in experiments.  Every call counts
+    once, whether it scores a fresh flow or a carried cost vector.
     """
 
     instance: Instance
@@ -81,11 +92,18 @@ class Criterion:
     optima: ScenarioOptima | None = None
     evaluations: int = field(default=0)
 
-    def evaluate(self, flow) -> int:
+    def evaluate(self, flow, costs: tuple[int, ...] | None = None) -> int:
+        """Robust cost of `flow`.
+
+        `costs`, when given, must be the flow's `scenario_costs`; the flow
+        is then neither validated nor re-summed.
+        """
         self.evaluations += 1
+        if costs is None:
+            costs = scenario_costs(self.instance, flow)
         if self.variant == ABSOLUTE:
-            return eval_absolute(self.instance, flow)
-        return eval_deviation(self.instance, flow, self.optima)
+            return max(costs)
+        return max(map(sub, costs, self.optima.costs))
 
 
 def make_criterion(instance: Instance, variant: str) -> Criterion:

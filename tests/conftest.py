@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+
+import oracles
 
 from rmcif import (
     Arc,
@@ -12,6 +15,7 @@ from rmcif import (
     Network,
     ScenarioSet,
     generate,
+    make_rng,
     parse_instance,
 )
 
@@ -88,3 +92,22 @@ def seeded_instances(count: int, start_seed: int = 0, **kwargs):
         yield seed, instance
         produced += 1
         seed += 1
+
+
+@st.composite
+def cyclic_networks(draw):
+    """Up to 7 vertices, arcs in both directions, capacities 0..4."""
+    n = draw(st.integers(2, 7))
+    pairs = [(t, h) for t in range(1, n + 1) for h in range(1, n + 1) if t != h]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=18))
+    caps = draw(st.lists(st.integers(0, 4), min_size=len(chosen), max_size=len(chosen)))
+    return Network(n, tuple(Arc(t, h, c) for (t, h), c in zip(chosen, caps)))
+
+
+def scrambled_flow(network, value, seed, steps=3):
+    """A value-`value` flow moved around random residual cycles."""
+    rng = make_rng(seed)
+    values = oracles.augment_to_value(network, [0] * network.arc_count, value)
+    for _ in range(steps):
+        values = oracles.perturb_values(network, values, rng)
+    return values

@@ -9,6 +9,7 @@ from conftest import gen
 from rmcif import (
     ABSOLUTE,
     DEVIATION,
+    InvalidParameter,
     RmcifError,
     SearchParams,
     SolutionRecord,
@@ -45,6 +46,11 @@ class TestSolveOne:
     def test_unknown_tag(self, diamond):
         with pytest.raises(ValueError, match="unknown solver tag"):
             solve_one(diamond, ABSOLUTE, "lp")
+
+    @pytest.mark.parametrize("solver", ["ls1", "ec1", "exact"])
+    def test_negative_seed(self, diamond, solver):
+        with pytest.raises(InvalidParameter, match="seed"):
+            solve_one(diamond, ABSOLUTE, solver, seed=-1, params=FAST)
 
     def test_exact_tag_matches_enumerator(self, diamond):
         record = solve_one(diamond, DEVIATION, "exact")

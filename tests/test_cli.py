@@ -6,7 +6,7 @@ import json
 import pytest
 
 from conftest import DIAMOND_TEXT
-from rmcif import SearchParams, parse_instance, parse_solution
+from rmcif import InvalidParameter, SearchParams, parse_instance, parse_solution
 from rmcif.cli import _build_params, _seeds, _solver_list, _widths, main
 
 
@@ -26,6 +26,11 @@ class TestArgumentHelpers:
         assert _seeds("0:3") == (0, 1, 2, 3)
         assert _seeds("5,7") == (5, 7)
         assert _seeds("4") == (4,)
+
+    @pytest.mark.parametrize("text", ["3:1", "-1", "0,-2", "-2:0", "x", "1:"])
+    def test_bad_seeds(self, text):
+        with pytest.raises(InvalidParameter):
+            _seeds(text)
 
     def test_solver_list(self):
         assert len(_solver_list("all")) == 13
@@ -309,9 +314,16 @@ def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsy
         ["generate", "--width", "2", "--layers", "2", "--scenarios", "1", "--density", "1.5"],
         ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
          "--config", "{config}"],
+        ["generate", "--width", "2", "--layers", "2", "--scenarios", "1", "--seed", "-1"],
+        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ec1",
+         "--seed", "-1"],
+        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+         "--seed", "-1"],
+        ["bench", "--dir", "{dir}", "--seeds", "3:1", "--out", "{csv}"],
     ],
     ids=["missing-instance", "non-integer-param", "zero-param", "zero-scenarios", "density",
-         "config-not-json"],
+         "config-not-json", "generate-negative-seed", "ec-negative-seed", "ls-negative-seed",
+         "empty-seed-range"],
 )
 def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
     config = tmp_path / "params.json"
@@ -320,6 +332,8 @@ def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
         "missing": str(tmp_path / "missing.rmcif"),
         "diamond": str(diamond_file),
         "config": str(config),
+        "dir": str(diamond_file.parent),
+        "csv": str(tmp_path / "bench.csv"),
     }
     code = main([arg.format(**paths) for arg in argv])
     captured = capsys.readouterr()

@@ -1,0 +1,165 @@
+"""Descent scores carried cost vectors; they must equal fresh evaluations.
+
+`_neighborhood` advances each scenario chain's cost vector over the arcs
+that a cycle cancellation changed, and `_descend` scores those vectors
+without re-validating the flow.  On random layered instances and random
+cyclic networks with zero-capacity arcs, every carried vector must equal
+the per-scenario costs of its flow, and every carried score the fresh
+objective.  The solvers' evaluation counts are pinned, and a corrupted
+vector must trip the closing fresh evaluation.
+"""
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import cyclic_networks, gen, scrambled_flow
+from rmcif import (
+    ABSOLUTE,
+    DEVIATION,
+    Instance,
+    IntegerFlow,
+    ScenarioSet,
+    compute_optima,
+    eval_absolute,
+    eval_deviation,
+    flow_cost,
+    heuristics,
+    validate_flow,
+)
+from rmcif.heuristics import SearchParams, _descend, _neighborhood, evolutionary, local_search
+from rmcif.objectives import make_criterion, scenario_costs
+
+seeds = st.integers(0, 2_000)
+
+
+@st.composite
+def started_instances(draw):
+    """An instance and a scrambled feasible start flow of its value F."""
+    if draw(st.booleans()):
+        network = draw(cyclic_networks())
+        k = draw(st.integers(1, 3))
+        rows = draw(st.lists(
+            st.lists(st.integers(0, 9), min_size=network.arc_count, max_size=network.arc_count),
+            min_size=k, max_size=k,
+        ))
+        value = draw(st.integers(0, oracles.max_flow(network)))
+        instance = Instance(network, ScenarioSet(tuple(tuple(r) for r in rows)), value)
+    else:
+        instance = gen(draw(seeds), widths=(3, 3), scenarios=3, caps=(0, 4), density=0.8)
+    start = scrambled_flow(instance.network, instance.flow_value, draw(seeds))
+    return instance, IntegerFlow(start)
+
+
+def fresh_costs(instance, flow):
+    return tuple(flow_cost(instance, flow, s) for s in range(instance.scenarios.scenario_count))
+
+
+def fresh_score(instance, variant, flow):
+    if variant == ABSOLUTE:
+        return eval_absolute(instance, flow)
+    return eval_deviation(instance, flow, compute_optima(instance))
+
+
+variants = st.sampled_from((ABSOLUTE, DEVIATION))
+
+
+@given(started_instances(), variants, st.integers(1, 40))
+@settings(max_examples=80)
+def test_neighborhood_vectors_equal_fresh_costs(case, variant, size):
+    instance, start = case
+    criterion = make_criterion(instance, variant)
+    for flow, costs in _neighborhood(instance, start, scenario_costs(instance, start), size):
+        assert validate_flow(instance, flow) == instance.flow_value
+        assert costs == fresh_costs(instance, flow)
+        assert criterion.evaluate(flow, costs) == fresh_score(instance, variant, flow)
+
+
+@given(started_instances(), variants)
+@settings(max_examples=60)
+def test_descent_scores_equal_fresh_evaluations(case, variant):
+    instance, start = case
+    criterion = make_criterion(instance, variant)
+    evaluate = criterion.evaluate
+    scored = []
+
+    def checked(flow, costs=None):
+        if costs is not None:
+            assert costs == fresh_costs(instance, flow)
+        cost = evaluate(flow, costs)
+        scored.append((flow, cost))
+        return cost
+
+    criterion.evaluate = checked
+    flow, cost, _ = _descend(instance, criterion, start, SearchParams(neighborhood_size=8), None)
+    assert scored and criterion.evaluations == len(scored)
+    for seen, seen_cost in scored:
+        assert seen_cost == fresh_score(instance, variant, seen)
+    assert cost == fresh_score(instance, variant, flow)
+
+
+def test_corrupted_vector_fails_the_closing_check(monkeypatch):
+    instance = gen(1, widths=(6, 6, 6), scenarios=5, caps=(1, 20), costs=(0, 99))
+    advance = heuristics._advance
+    monkeypatch.setattr(
+        heuristics, "_advance", lambda *args: tuple(c - 1 for c in advance(*args))
+    )
+    with pytest.raises(AssertionError, match="fresh cost"):
+        local_search(instance, ABSOLUTE, "ls1")
+
+
+# (instance seed, variant, solver) -> Criterion.evaluations, recorded before
+# the descent carried cost vectors; ec runs use generation_limit=10.
+EVALUATIONS = {
+    (1, "absolute", "ls1"): 121,
+    (1, "absolute", "ls2"): 156,
+    (1, "absolute", "ls3"): 61,
+    (1, "absolute", "ls4"): 485,
+    (1, "absolute", "ec3"): 1156,
+    (1, "absolute", "ec9"): 1156,
+    (1, "deviation", "ls1"): 121,
+    (1, "deviation", "ls2"): 126,
+    (1, "deviation", "ls3"): 181,
+    (1, "deviation", "ls4"): 635,
+    (1, "deviation", "ec3"): 1087,
+    (1, "deviation", "ec9"): 1087,
+    (2, "absolute", "ls1"): 121,
+    (2, "absolute", "ls2"): 96,
+    (2, "absolute", "ls3"): 121,
+    (2, "absolute", "ls4"): 785,
+    (2, "absolute", "ec3"): 1025,
+    (2, "absolute", "ec9"): 1055,
+    (2, "deviation", "ls1"): 181,
+    (2, "deviation", "ls2"): 66,
+    (2, "deviation", "ls3"): 31,
+    (2, "deviation", "ls4"): 845,
+    (2, "deviation", "ec3"): 1264,
+    (2, "deviation", "ec9"): 1296,
+}
+
+
+@pytest.fixture(scope="module")
+def instances():
+    """Two 6x6x6 instances with five scenarios (84 arcs, F = 35 and 39)."""
+    return {
+        seed: gen(seed, widths=(6, 6, 6), scenarios=5, caps=(1, 20), costs=(0, 99))
+        for seed in (1, 2)
+    }
+
+
+@pytest.mark.parametrize("seed, variant, solver", sorted(EVALUATIONS))
+def test_evaluation_count_unchanged(instances, monkeypatch, seed, variant, solver):
+    made = []
+
+    def capture(instance, variant):
+        made.append(make_criterion(instance, variant))
+        return made[-1]
+
+    monkeypatch.setattr(heuristics, "make_criterion", capture)
+    if solver.startswith("ls"):
+        local_search(instances[seed], variant, solver, SearchParams(), seed)
+    else:
+        evolutionary(instances[seed], variant, solver, SearchParams(generation_limit=10), seed)
+    assert [c.evaluations for c in made] == [EVALUATIONS[seed, variant, solver]]

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import gen
+from conftest import cyclic_networks, gen, scrambled_flow
 from rmcif import (
     AlreadyMaximal,
     Arc,
@@ -43,30 +43,11 @@ seeds = st.integers(0, 2_000)
 
 
 @st.composite
-def cyclic_networks(draw):
-    """Up to 7 vertices, arcs in both directions, capacities 0..4."""
-    n = draw(st.integers(2, 7))
-    pairs = [(t, h) for t in range(1, n + 1) for h in range(1, n + 1) if t != h]
-    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=18))
-    caps = draw(st.lists(st.integers(0, 4), min_size=len(chosen), max_size=len(chosen)))
-    return Network(n, tuple(Arc(t, h, c) for (t, h), c in zip(chosen, caps)))
-
-
-@st.composite
 def networks(draw):
     if draw(st.booleans()):
         return draw(cyclic_networks())
     seed = draw(seeds)
     return gen(seed, widths=(3, 3), caps=(0, 4), density=0.8).network
-
-
-def scrambled_flow(network, value, seed, steps=3):
-    """A value-`value` flow moved around random residual cycles."""
-    rng = make_rng(seed)
-    values = oracles.augment_to_value(network, [0] * network.arc_count, value)
-    for _ in range(steps):
-        values = oracles.perturb_values(network, values, rng)
-    return values
 
 
 @st.composite

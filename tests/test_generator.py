@@ -35,6 +35,7 @@ class TestSpecValidation:
             ({"flow_value": -1}, "flow value"),
             ({"flow_fraction": 1.2}, "flow fraction"),
             ({"max_retries": 0}, "retry budget"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_rejects(self, kwargs, fragment):

@@ -13,6 +13,7 @@ from rmcif import (
     EC_SOLVERS,
     HEURISTIC_SOLVERS,
     LS_SOLVERS,
+    InvalidParameter,
     IntegerFlow,
     SearchParams,
     evolutionary,
@@ -21,6 +22,7 @@ from rmcif import (
     make_rng,
     validate_flow,
 )
+from rmcif.objectives import scenario_costs
 from rmcif.heuristics import _neighborhood, insert_child, tournament_select
 
 UPPER = IntegerFlow((1, 0, 1, 0))
@@ -87,15 +89,15 @@ class TestRng:
 
 class TestNeighborhood:
     def test_chains_collect_intermediate_flows(self, diamond):
-        neighbors = _neighborhood(diamond, LOWER, 30)
-        assert [n.values for n in neighbors] == [UPPER.values]
+        neighbors = _neighborhood(diamond, LOWER, scenario_costs(diamond, LOWER), 30)
+        assert [(n.values, costs) for n, costs in neighbors] == [(UPPER.values, (2, 4))]
 
     def test_size_cap(self, diamond):
-        assert len(_neighborhood(diamond, LOWER, 1)) <= 1
+        assert len(_neighborhood(diamond, LOWER, scenario_costs(diamond, LOWER), 1)) <= 1
 
     def test_exhausts_when_all_chains_hit_optima(self, diamond):
-        neighbors = _neighborhood(diamond, UPPER, 30)
-        assert [n.values for n in neighbors] == [LOWER.values]
+        neighbors = _neighborhood(diamond, UPPER, scenario_costs(diamond, UPPER), 30)
+        assert [(n.values, costs) for n, costs in neighbors] == [(LOWER.values, (4, 2))]
 
 
 class TestTournament:
@@ -181,6 +183,12 @@ class TestLocalSearch:
     def test_unknown_solver(self, diamond):
         with pytest.raises(ValueError, match="unknown local-search solver"):
             local_search(diamond, ABSOLUTE, "ec1")
+
+    def test_negative_seed(self, diamond):
+        with pytest.raises(InvalidParameter, match="seed"):
+            local_search(diamond, ABSOLUTE, "ls1", seed=-1)
+        with pytest.raises(InvalidParameter, match="seed"):
+            make_rng(-1)
 
     def test_zero_flow_instance(self):
         instance = chain_instance(3, 2, 0)
