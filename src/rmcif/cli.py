@@ -19,7 +19,7 @@ from .core import (
     parse_instance,
     write_instance,
 )
-from .exact import export_lp
+from .exact import check_budget, export_lp
 from .generator import GeneratorSpec, generate
 from .heuristics import SearchParams, check_seed
 
@@ -220,7 +220,7 @@ def _cmd_solve(args) -> int:
     params = _build_params(args.config, args.param)
     record = solve_one(
         instance, args.variant, args.solver, args.seed, params,
-        exact_budget=args.budget,
+        exact_budget=check_budget(args.budget),
     )
     _emit(format_solution(record, instance), args.output)
     if args.output is not None:
@@ -249,7 +249,7 @@ def _cmd_bench(args) -> int:
         out_csv=args.out,
         sol_dir=args.sol_dir,
         compute_exact=not args.no_exact,
-        exact_budget=args.budget,
+        exact_budget=check_budget(args.budget),
     )
     print(summary_table(report))
     for warning in report.warnings:

@@ -1,10 +1,13 @@
 """Exact optima for small instances, plus LP-format export of the models.
 
 The enumerator plays the role an external MILP solver would otherwise
-play: it walks every feasible integer flow of the required value by
-depth-first assignment with conservation and cost-bound pruning, so
-heuristic output can be scored against true optima.  `export_lp` writes
-the equivalent linearized model for anyone who prefers a real solver.
+play: a branch and bound over the integer flows of the required value,
+so heuristic output can be scored against true optima.  It assigns arc
+values depth first, on an explicit stack, keeps flow conservation, and
+prunes a branch once a reduced-cost completion bound (the cost of the
+fixed arcs plus the least the rest of the flow must still cost, per
+scenario) reaches the incumbent.  `export_lp` writes the equivalent
+linearized model for anyone who prefers a real solver.
 """
 from __future__ import annotations
 
@@ -16,6 +19,7 @@ from .core import (
     VARIANTS,
     Instance,
     IntegerFlow,
+    InvalidParameter,
     Network,
     RmcifError,
 )
@@ -60,13 +64,62 @@ def _balances(instance: Instance) -> list[int]:
     return b
 
 
+def _sink_distances(network: Network, row) -> list[int]:
+    """Cheapest cost from every vertex to the sink under one cost row.
+
+    One reverse Dijkstra over `in_arcs`.  Every arc counts, zero-capacity
+    arcs too, and costs are nonnegative.  A vertex that cannot reach the
+    sink takes the largest finite distance, which keeps the reduced cost
+    ``row[i] + d[head] - d[tail]`` of every arc nonnegative.  Index 0 is
+    unused.
+    """
+    arcs = network.arcs
+    dist: list[int | None] = [None] * (network.vertex_count + 1)
+    heap = [(0, network.sink)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if dist[v] is not None:
+            continue
+        dist[v] = d
+        for i in network.in_arcs[v]:
+            tail = arcs[i].tail
+            if dist[tail] is None:
+                heapq.heappush(heap, (d + row[i], tail))
+    far = max(d for d in dist if d is not None)
+    return [far if d is None else d for d in dist]
+
+
 class _Search:
-    """Shared state for the depth-first enumeration."""
+    """Shared state for the depth-first enumeration.
+
+    Each scenario row holds reduced costs ``c_s(i) + d_s(head) - d_s(tail)``,
+    with ``d_s`` from `_sink_distances`, and its partial sum starts at
+    ``F * d_s(source)``.  Reduced costs are nonnegative, so a partial sum
+    never falls as arcs are fixed, and on a conserving flow it telescopes
+    to the scenario's true cost.  `bound()` is therefore a lower bound on
+    every completion of the fixed arcs, and exact at a leaf.
+
+    Along a topological order the reduced sum is never below the cost of
+    the fixed arcs.  In arc order it can be (a vertex's out-arcs may be
+    fixed before its in-arcs), so with `keep_costs` the plain cost rows
+    are kept as well, and `bound()` is the larger of the two bounds.
+    """
 
     def __init__(self, instance: Instance, shift, lower: int, node_budget: int,
-                 best_cost: int, best_values: tuple[int, ...]):
+                 best_cost: int, best_values: tuple[int, ...], keep_costs: bool):
         self.network = instance.network
-        self.rows = instance.scenarios.costs
+        self.rows = []
+        self.partial = []
+        for row in instance.scenarios.costs:
+            d = _sink_distances(self.network, row)
+            self.rows.append(
+                [c + d[a.head] - d[a.tail] for c, a in zip(row, self.network.arcs)]
+            )
+            self.partial.append(instance.flow_value * d[self.network.source])
+        if keep_costs:
+            self.rows.extend(instance.scenarios.costs)
+            self.partial.extend([0] * len(shift))
+            shift = (*shift, *shift)
         self.shift = shift
         self.lower = lower
         self.node_budget = node_budget
@@ -74,7 +127,6 @@ class _Search:
         self.best_values = best_values
         self.balance = _balances(instance)
         self.values = [0] * self.network.arc_count
-        self.partial = [0] * len(self.rows)
         self.explored = 0
 
     def tick(self) -> None:
@@ -112,9 +164,13 @@ def _search_dag(search: _Search, topo: list[int]) -> None:
 
     When a vertex is reached, all its in-arcs are already fixed, so its
     required outflow is known exactly and only capacity-respecting
-    distributions over its out-arcs are enumerated.
+    distributions over its out-arcs are enumerated.  The depth-first walk
+    keeps one frame per out-arc being assigned on an explicit stack, so
+    its depth is not limited by Python's recursion limit.
     """
     network = search.network
+    values = search.values
+    balance = search.balance
     out_indexed = [
         [(i, a.capacity) for i, a in enumerate(network.arcs) if a.tail == v]
         for v in range(network.vertex_count + 1)
@@ -130,32 +186,50 @@ def _search_dag(search: _Search, topo: list[int]) -> None:
         for v in range(network.vertex_count + 1)
     ]
 
-    def visit(position: int) -> None:
-        if position == len(topo):
-            search.offer_leaf()
-            return
+    def required(v: int) -> int:
+        return sum(values[i] for i in in_indices[v]) + balance[v]
+
+    def frame(position: int, j: int, need: int) -> list | None:
+        """The frame assigning out-arc j of ``topo[position]``, or None.
+
+        Vertices whose out-arcs are all assigned are passed over; past the
+        last vertex the flow is offered as a leaf.  None means the branch
+        ends here, at a leaf or dead.
+        """
         v = topo[position]
-        required = sum(search.values[i] for i in in_indices[v]) + search.balance[v]
-        if required < 0:
-            return
-        distribute(v, 0, required, position)
+        while j == len(out_indexed[v]):
+            if need != 0:
+                return None
+            position += 1
+            if position == len(topo):
+                search.offer_leaf()
+                return None
+            v = topo[position]
+            need = required(v)
+            if need < 0:
+                return None
+            j = 0
+        index, cap = out_indexed[v][j]
+        # position, j, need, arc index, next amount, last amount
+        return [position, j, need, index, max(0, need - suffix[v][j + 1]), min(cap, need)]
 
-    def distribute(v: int, j: int, need: int, position: int) -> None:
-        arcs_v = out_indexed[v]
-        if j == len(arcs_v):
-            if need == 0:
-                visit(position + 1)
-            return
-        index, cap = arcs_v[j]
-        rest = suffix[v][j + 1]
-        for amount in range(max(0, need - rest), min(cap, need) + 1):
-            search.tick()
-            search.add(index, amount)
-            if search.bound() < search.best_cost:
-                distribute(v, j + 1, need - amount, position)
-            search.remove(index)
-
-    visit(0)
+    need = required(topo[0])
+    first = frame(0, 0, need) if need >= 0 else None
+    stack = [] if first is None else [first]
+    while stack:
+        top = stack[-1]
+        position, j, need, index, amount, last = top
+        search.remove(index)
+        if amount > last:
+            stack.pop()
+            continue
+        top[4] = amount + 1
+        search.tick()
+        search.add(index, amount)
+        if search.bound() < search.best_cost:
+            child = frame(position, j + 1, need - amount)
+            if child is not None:
+                stack.append(child)
 
 
 def _search_generic(search: _Search) -> None:
@@ -163,15 +237,21 @@ def _search_generic(search: _Search) -> None:
 
     For each endpoint of a just-assigned arc, the remaining unassigned
     incident capacities must still be able to close that vertex's balance;
-    otherwise the branch is dead.
+    otherwise the branch is dead.  The walk keeps the next amount of every
+    arc on the current branch in a list indexed by depth, so its depth is
+    not limited by Python's recursion limit.
     """
     network = search.network
     n = network.vertex_count
+    m = network.arc_count
+    tails = [a.tail for a in network.arcs]
+    heads = [a.head for a in network.arcs]
+    caps = [a.capacity for a in network.arcs]
     rem_out = [
-        sum(network.arcs[i].capacity for i in network.out_arcs[v]) for v in range(n + 1)
+        sum(caps[i] for i in network.out_arcs[v]) for v in range(n + 1)
     ]
     rem_in = [
-        sum(network.arcs[i].capacity for i in network.in_arcs[v]) for v in range(n + 1)
+        sum(caps[i] for i in network.in_arcs[v]) for v in range(n + 1)
     ]
     cur_out = [0] * (n + 1)
     cur_in = [0] * (n + 1)
@@ -180,49 +260,72 @@ def _search_generic(search: _Search) -> None:
         need = search.balance[v] - (cur_out[v] - cur_in[v])
         return -rem_in[v] <= need <= rem_out[v]
 
-    def assign(i: int) -> None:
-        if i == network.arc_count:
+    def enter(i: int) -> bool:
+        """Open depth i, or offer the flow as a leaf once every arc is fixed."""
+        if i == m:
             if all(
                 cur_out[v] - cur_in[v] == search.balance[v] for v in range(1, n + 1)
             ):
                 search.offer_leaf()
-            return
-        arc = network.arcs[i]
-        rem_out[arc.tail] -= arc.capacity
-        rem_in[arc.head] -= arc.capacity
-        for amount in range(arc.capacity + 1):
-            search.tick()
-            search.add(i, amount)
-            cur_out[arc.tail] += amount
-            cur_in[arc.head] += amount
-            if (
-                closable(arc.tail)
-                and closable(arc.head)
-                and search.bound() < search.best_cost
-            ):
-                assign(i + 1)
-            cur_out[arc.tail] -= amount
-            cur_in[arc.head] -= amount
-            search.remove(i)
-        rem_out[arc.tail] += arc.capacity
-        rem_in[arc.head] += arc.capacity
+            return False
+        rem_out[tails[i]] -= caps[i]
+        rem_in[heads[i]] -= caps[i]
+        upcoming[i] = 0
+        return True
 
-    assign(0)
+    upcoming = [0] * m
+    i = 0 if enter(0) else -1
+    while i >= 0:
+        tail, head, amount = tails[i], heads[i], upcoming[i]
+        if amount:
+            cur_out[tail] -= amount - 1
+            cur_in[head] -= amount - 1
+            search.remove(i)
+        if amount > caps[i]:
+            rem_out[tail] += caps[i]
+            rem_in[head] += caps[i]
+            i -= 1
+            continue
+        upcoming[i] = amount + 1
+        search.tick()
+        search.add(i, amount)
+        cur_out[tail] += amount
+        cur_in[head] += amount
+        if (
+            closable(tail)
+            and closable(head)
+            and search.bound() < search.best_cost
+            and enter(i + 1)
+        ):
+            i += 1
+
+
+def check_budget(node_budget: int) -> int:
+    """The node budget as an int; `InvalidParameter` if it is negative."""
+    if node_budget < 0:
+        raise InvalidParameter(f"node budget must be nonnegative, got {node_budget}")
+    return int(node_budget)
 
 
 def enumerate_optimum(
     instance: Instance, variant: str, node_budget: int = 100_000_000
 ) -> tuple[int, IntegerFlow]:
-    """True optimum and a witness flow, by pruned exhaustive search.
+    """True optimum and a witness flow, by branch and bound.
 
     The incumbent starts at the best-evaluated scenario-optimal flow, and
     the search stops early once the incumbent meets the variant's lower
     bound (the largest scenario optimum for the absolute variant, zero for
-    the deviation variant).  Raises BudgetExceeded when more than
-    `node_budget` arc assignments get explored.
+    the deviation variant).  A branch is pruned once the reduced-cost
+    completion bound of its fixed arcs (see `_Search`) reaches the
+    incumbent: what the rest of the flow must still cost is counted before
+    its arcs are assigned.  The walk runs on an explicit stack, so large
+    networks end in `BudgetExceeded`, not `RecursionError`.  Raises
+    `BudgetExceeded` when more than `node_budget` arc assignments get
+    explored, and `InvalidParameter` for a negative budget.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant tag {variant!r}")
+    node_budget = check_budget(node_budget)
     optima = compute_optima(instance)
     scenario_count = instance.scenarios.scenario_count
     if variant == DEVIATION:
@@ -247,8 +350,10 @@ def enumerate_optimum(
     if best_cost <= lower:
         return best_cost, IntegerFlow(best_values)
 
-    search = _Search(instance, shift, lower, node_budget, best_cost, best_values)
     topo = _topological_order(instance.network)
+    search = _Search(
+        instance, shift, lower, node_budget, best_cost, best_values, keep_costs=topo is None
+    )
     try:
         if topo is None:
             _search_generic(search)

@@ -154,7 +154,8 @@ def _descend(
 ):
     """Best-neighbor descent accepting only strict improvements.
 
-    Returns ``(flow, cost, accepted_moves)``.  `trace(flow, cost)` is called
+    Returns ``(flow, costs, cost, accepted_moves)``, where `costs` is the
+    flow's carried scenario cost vector.  `trace(flow, cost)` is called
     on every accepted move.  Costs are nonnegative integers and each move
     strictly decreases them, so the descent terminates without any limit.
 
@@ -179,7 +180,7 @@ def _descend(
         moves += 1
         if trace is not None:
             trace(current, current_cost)
-    return current, current_cost, moves
+    return current, current_costs, current_cost, moves
 
 
 def _confirm_cost(criterion: Criterion, flow: IntegerFlow, cost: int) -> None:
@@ -251,7 +252,7 @@ def local_search(
     best_flow = None
     best_cost = None
     for start in starts:
-        flow, cost, _ = _descend(
+        flow, _, cost, _ = _descend(
             instance, criterion, start, params, params.iteration_limit, trace=trace
         )
         if best_cost is None or cost < best_cost:
@@ -360,17 +361,18 @@ def evolutionary(
             return harmonize(network, a, b, rng)
         return compose(network, decompose(network, a), decompose(network, b), rng)
 
-    def mutate(flow: IntegerFlow, trace=None) -> IntegerFlow:
+    def mutate(flow: IntegerFlow, trace=None):
+        """The mutant, and its scenario costs when the inner descent carried them."""
         if mut_kind == 0:
-            return perturb(network, flow, rng)
+            return perturb(network, flow, rng), None
         if mut_kind == 1:
             s = int(rng.integers(0, len(cost_rows)))
-            return cost_reduce(network, cost_rows[s], flow)[0]
+            return cost_reduce(network, cost_rows[s], flow)[0], None
         cap = MUTATION_SEARCH_CAP
         if params.iteration_limit is not None:
             cap = min(cap, params.iteration_limit)
-        final, _, _ = _descend(instance, criterion, flow, params, cap, trace=trace)
-        return final
+        final, costs, _, _ = _descend(instance, criterion, flow, params, cap, trace=trace)
+        return final, costs
 
     optima = compute_optima(instance)
     population = [(f, criterion.evaluate(f)) for f in optima.flows]
@@ -385,9 +387,9 @@ def evolutionary(
                 population.append((flow, cost))
 
         before = len(population)
-        mutant = mutate(source, trace=harvest)
+        mutant, costs = mutate(source, trace=harvest)
         if len(population) == before and len(population) < params.population_size:
-            population.append((mutant, criterion.evaluate(mutant)))
+            population.append((mutant, criterion.evaluate(mutant, costs)))
 
     best_cost = min(cost for _, cost in population)
     generations = 0
@@ -413,8 +415,8 @@ def evolutionary(
             others = [i for i in range(len(population)) if i != best_index]
             if others:
                 target = others[int(rng.integers(0, len(others)))]
-                mutant = mutate(population[target][0])
-                population[target] = (mutant, criterion.evaluate(mutant))
+                mutant, costs = mutate(population[target][0])
+                population[target] = (mutant, criterion.evaluate(mutant, costs))
         generations += 1
         round_best = min(cost for _, cost in population)
         if round_best < best_cost:

@@ -6,11 +6,12 @@ with the package, so agreement between the two is meaningful evidence.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from itertools import combinations
 
-from rmcif import ABSOLUTE, DEVIATION, Instance, Network
+from rmcif import ABSOLUTE, DEVIATION, Instance, Network, compute_optima
 
 
 def enumerate_feasible_flows(network: Network, flow_value: int) -> list[tuple[int, ...]]:
@@ -533,3 +534,216 @@ def harmonize_values(network: Network, values, target, rng) -> tuple[int, ...]:
         if t == 0 and x > 0:
             out[arc.head].append((arc.head, arc.tail, x, i, False))
     return _push_cycle(values, random_cycle(network.vertex_count, out, rng))
+
+
+# Reference implementation of the exact enumerator as it stood before the
+# reduced-cost completion bound: a branch is pruned on the cost of the arcs
+# already fixed and nothing else, and both searches recurse.  It counts the
+# arc assignments it explores in `explored`.  It takes its starting
+# incumbent from the package's `compute_optima`, so that both enumerators
+# begin from the same flow.
+
+
+class OracleBudget(Exception):
+    """The oracle's counterpart of `BudgetExceeded`."""
+
+    def __init__(self, explored: int):
+        super().__init__(f"enumeration budget exhausted after {explored} nodes")
+        self.explored = explored
+
+
+class _OracleOptimumHit(Exception):
+    pass
+
+
+def _oracle_topological_order(network: Network):
+    indegree = [0] * (network.vertex_count + 1)
+    for arc in network.arcs:
+        indegree[arc.head] += 1
+    ready = [v for v in range(1, network.vertex_count + 1) if indegree[v] == 0]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        v = heapq.heappop(ready)
+        order.append(v)
+        for i, arc in enumerate(network.arcs):
+            if arc.tail == v:
+                indegree[arc.head] -= 1
+                if indegree[arc.head] == 0:
+                    heapq.heappush(ready, arc.head)
+    return order if len(order) == network.vertex_count else None
+
+
+class PrefixCostSearch:
+    """Depth-first enumeration pruned on the cost of the fixed arcs."""
+
+    def __init__(self, instance: Instance, shift, lower: int, node_budget: int,
+                 best_cost: int, best_values):
+        self.network = instance.network
+        self.rows = instance.scenarios.costs
+        self.shift = shift
+        self.lower = lower
+        self.node_budget = node_budget
+        self.best_cost = best_cost
+        self.best_values = tuple(best_values)
+        n = self.network.vertex_count
+        self.balance = [0] * (n + 1)
+        self.balance[self.network.source] = instance.flow_value
+        self.balance[self.network.sink] = -instance.flow_value
+        self.values = [0] * self.network.arc_count
+        self.partial = [0] * len(self.rows)
+        self.explored = 0
+
+    def tick(self) -> None:
+        self.explored += 1
+        if self.explored > self.node_budget:
+            raise OracleBudget(self.explored)
+
+    def bound(self) -> int:
+        return max(p - z for p, z in zip(self.partial, self.shift))
+
+    def add(self, arc_index: int, amount: int) -> None:
+        self.values[arc_index] = amount
+        if amount:
+            for s, row in enumerate(self.rows):
+                self.partial[s] += row[arc_index] * amount
+
+    def remove(self, arc_index: int) -> None:
+        amount = self.values[arc_index]
+        self.values[arc_index] = 0
+        if amount:
+            for s, row in enumerate(self.rows):
+                self.partial[s] -= row[arc_index] * amount
+
+    def offer_leaf(self) -> None:
+        cost = self.bound()
+        if cost < self.best_cost:
+            self.best_cost = cost
+            self.best_values = tuple(self.values)
+            if cost <= self.lower:
+                raise _OracleOptimumHit
+
+
+def _prefix_search_dag(search: PrefixCostSearch, topo) -> None:
+    network = search.network
+    out_indexed = [
+        [(i, a.capacity) for i, a in enumerate(network.arcs) if a.tail == v]
+        for v in range(network.vertex_count + 1)
+    ]
+    suffix = []
+    for arcs_v in out_indexed:
+        tail_sums = [0] * (len(arcs_v) + 1)
+        for j in range(len(arcs_v) - 1, -1, -1):
+            tail_sums[j] = tail_sums[j + 1] + arcs_v[j][1]
+        suffix.append(tail_sums)
+    in_indices = [
+        [i for i, a in enumerate(network.arcs) if a.head == v]
+        for v in range(network.vertex_count + 1)
+    ]
+
+    def visit(position: int) -> None:
+        if position == len(topo):
+            search.offer_leaf()
+            return
+        v = topo[position]
+        required = sum(search.values[i] for i in in_indices[v]) + search.balance[v]
+        if required < 0:
+            return
+        distribute(v, 0, required, position)
+
+    def distribute(v: int, j: int, need: int, position: int) -> None:
+        arcs_v = out_indexed[v]
+        if j == len(arcs_v):
+            if need == 0:
+                visit(position + 1)
+            return
+        index, cap = arcs_v[j]
+        rest = suffix[v][j + 1]
+        for amount in range(max(0, need - rest), min(cap, need) + 1):
+            search.tick()
+            search.add(index, amount)
+            if search.bound() < search.best_cost:
+                distribute(v, j + 1, need - amount, position)
+            search.remove(index)
+
+    visit(0)
+
+
+def _prefix_search_generic(search: PrefixCostSearch) -> None:
+    network = search.network
+    n = network.vertex_count
+    rem_out = [0] * (n + 1)
+    rem_in = [0] * (n + 1)
+    for arc in network.arcs:
+        rem_out[arc.tail] += arc.capacity
+        rem_in[arc.head] += arc.capacity
+    cur_out = [0] * (n + 1)
+    cur_in = [0] * (n + 1)
+
+    def closable(v: int) -> bool:
+        need = search.balance[v] - (cur_out[v] - cur_in[v])
+        return -rem_in[v] <= need <= rem_out[v]
+
+    def assign(i: int) -> None:
+        if i == network.arc_count:
+            if all(
+                cur_out[v] - cur_in[v] == search.balance[v] for v in range(1, n + 1)
+            ):
+                search.offer_leaf()
+            return
+        arc = network.arcs[i]
+        rem_out[arc.tail] -= arc.capacity
+        rem_in[arc.head] -= arc.capacity
+        for amount in range(arc.capacity + 1):
+            search.tick()
+            search.add(i, amount)
+            cur_out[arc.tail] += amount
+            cur_in[arc.head] += amount
+            if (
+                closable(arc.tail)
+                and closable(arc.head)
+                and search.bound() < search.best_cost
+            ):
+                assign(i + 1)
+            cur_out[arc.tail] -= amount
+            cur_in[arc.head] -= amount
+            search.remove(i)
+        rem_out[arc.tail] += arc.capacity
+        rem_in[arc.head] += arc.capacity
+
+    assign(0)
+
+
+def prefix_cost_optimum(instance: Instance, variant: str, node_budget: int):
+    """``(cost, witness values, explored)`` from the prefix-cost enumerator.
+
+    The incumbent starts, as in `enumerate_optimum`, at the best-evaluated
+    scenario-optimal flow from `compute_optima`, and the search is skipped
+    when that flow already meets the variant's lower bound.  Raises
+    `OracleBudget` once more than `node_budget` arc assignments have been
+    explored.
+    """
+    optima = compute_optima(instance)
+    if variant == DEVIATION:
+        shift, lower = optima.costs, 0
+    else:
+        shift, lower = (0,) * instance.scenarios.scenario_count, max(optima.costs)
+    best_cost = best_values = None
+    for flow in optima.flows:
+        cost = max(
+            scenario_cost(instance, flow.values, s) - z for s, z in enumerate(shift)
+        )
+        if best_cost is None or cost < best_cost:
+            best_cost, best_values = cost, flow.values
+    if best_cost <= lower:
+        return best_cost, tuple(best_values), 0
+    search = PrefixCostSearch(instance, shift, lower, node_budget, best_cost, best_values)
+    topo = _oracle_topological_order(instance.network)
+    try:
+        if topo is None:
+            _prefix_search_generic(search)
+        else:
+            _prefix_search_dag(search, topo)
+    except _OracleOptimumHit:
+        pass
+    return search.best_cost, search.best_values, search.explored

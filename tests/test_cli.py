@@ -320,10 +320,13 @@ def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsy
         ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
          "--seed", "-1"],
         ["bench", "--dir", "{dir}", "--seeds", "3:1", "--out", "{csv}"],
+        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "exact",
+         "--budget", "-5"],
+        ["bench", "--dir", "{dir}", "--budget", "-1", "--out", "{csv}"],
     ],
     ids=["missing-instance", "non-integer-param", "zero-param", "zero-scenarios", "density",
          "config-not-json", "generate-negative-seed", "ec-negative-seed", "ls-negative-seed",
-         "empty-seed-range"],
+         "empty-seed-range", "solve-negative-budget", "bench-negative-budget"],
 )
 def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
     config = tmp_path / "params.json"

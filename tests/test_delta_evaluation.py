@@ -93,10 +93,13 @@ def test_descent_scores_equal_fresh_evaluations(case, variant):
         return cost
 
     criterion.evaluate = checked
-    flow, cost, _ = _descend(instance, criterion, start, SearchParams(neighborhood_size=8), None)
+    flow, costs, cost, _ = _descend(
+        instance, criterion, start, SearchParams(neighborhood_size=8), None
+    )
     assert scored and criterion.evaluations == len(scored)
     for seen, seen_cost in scored:
         assert seen_cost == fresh_score(instance, variant, seen)
+    assert costs == fresh_costs(instance, flow)
     assert cost == fresh_score(instance, variant, flow)
 
 

@@ -12,12 +12,15 @@ from rmcif import (
     DEVIATION,
     Arc,
     BudgetExceeded,
+    GeneratorSpec,
     Instance,
     IntegerFlow,
+    InvalidParameter,
     Network,
     ScenarioSet,
     enumerate_optimum,
     export_lp,
+    generate,
     make_criterion,
     validate_flow,
 )
@@ -74,6 +77,19 @@ class TestEnumerate:
             enumerate_optimum(instance, ABSOLUTE, node_budget=2)
         assert err.value.explored >= 2
         assert "budget" in str(err.value)
+
+    def test_negative_budget(self, diamond):
+        with pytest.raises(InvalidParameter, match="node budget"):
+            enumerate_optimum(diamond, ABSOLUTE, node_budget=-1)
+
+    def test_deep_network_ends_in_budget(self):
+        # 1,860 arcs: a search that recursed once per arc would overflow
+        # Python's stack long before the budget runs out.
+        instance = generate(GeneratorSpec((30, 30, 30), 2, (1, 5), (0, 99), 1.0, seed=0))
+        assert instance.network.arc_count == 1860
+        with pytest.raises(BudgetExceeded) as err:
+            enumerate_optimum(instance, ABSOLUTE, node_budget=10_000)
+        assert err.value.explored == 10_001
 
     def test_non_acyclic_network(self):
         instance = cyclic_instance()
