@@ -119,7 +119,7 @@ def _load_instances(source) -> list[tuple[str, Instance]]:
             raise RmcifError(f"no .rmcif instances found under {source}")
     else:
         paths = [Path(p) for p in source]
-    return [(p.stem, parse_instance(p.read_text())) for p in paths]
+    return [(p.stem, parse_instance(p.read_bytes())) for p in paths]
 
 
 def run_bench(

@@ -42,6 +42,14 @@ def _variant(text: str) -> str:
         ) from None
 
 
+def _variants(text: str) -> tuple[str, ...]:
+    """Variants from a comma-separated list; an unknown tag raises `InvalidParameter`."""
+    try:
+        return tuple(_variant(v) for v in text.split(","))
+    except argparse.ArgumentTypeError as exc:
+        raise InvalidParameter(str(exc)) from None
+
+
 def _int_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
@@ -216,7 +224,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    instance = parse_instance(Path(args.instance).read_text())
+    instance = parse_instance(Path(args.instance).read_bytes())
     params = _build_params(args.config, args.param)
     record = solve_one(
         instance, args.variant, args.solver, args.seed, params,
@@ -232,17 +240,16 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_export_lp(args) -> int:
-    instance = parse_instance(Path(args.instance).read_text())
+    instance = parse_instance(Path(args.instance).read_bytes())
     _emit(export_lp(instance, args.variant), args.output)
     return 0
 
 
 def _cmd_bench(args) -> int:
-    variants = tuple(_variant(v) for v in args.variants.split(","))
     params = _build_params(args.config, args.param)
     report = run_bench(
         args.dir,
-        variants,
+        _variants(args.variants),
         args.solvers,
         _seeds(args.seeds),
         params,

@@ -14,11 +14,8 @@ scenarios are numbered from 1 in files and error messages.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
-
-Number = Union[int, Fraction]
+from typing import Sequence
 
 ABSOLUTE = "absolute"
 DEVIATION = "deviation"
@@ -182,20 +179,6 @@ class IntegerFlow:
 
 
 @dataclass(frozen=True)
-class FractionalFlow:
-    """Arc values of an exact-rational flow."""
-
-    values: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class PseudoFlow:
-    """Capacity-respecting arc values without the conservation guarantee."""
-
-    values: tuple[Number, ...]
-
-
-@dataclass(frozen=True)
 class UnitFlow:
     """A value-1 flow: one simple source-to-sink path.
 
@@ -215,7 +198,7 @@ class UnitFlow:
             object.__setattr__(self, "arc_indices", indices)
 
 
-def flow_value_of(network: Network, values: Sequence[Number]) -> Number:
+def flow_value_of(network: Network, values: Sequence[int]) -> int:
     """Net outflow at the source."""
     source = network.source
     return sum(values[i] for i in network.out_arcs[source]) - sum(
@@ -223,11 +206,11 @@ def flow_value_of(network: Network, values: Sequence[Number]) -> Number:
     )
 
 
-def check_arc_values(network: Network, values: Sequence[Number]) -> list[Number]:
+def check_arc_values(network: Network, values: Sequence[int]) -> list[int]:
     """Check capacity bounds and return the per-vertex balance vector."""
     if len(values) != network.arc_count:
         raise ValueError("value vector length differs from the arc count")
-    balance: list[Number] = [0] * (network.vertex_count + 1)
+    balance: list[int] = [0] * (network.vertex_count + 1)
     for i, (arc, v) in enumerate(zip(network.arcs, values)):
         if v < 0 or v > arc.capacity:
             raise CapacityViolation(
@@ -239,11 +222,11 @@ def check_arc_values(network: Network, values: Sequence[Number]) -> list[Number]
     return balance
 
 
-def validate_flow(instance: Instance, flow) -> Number:
+def validate_flow(instance: Instance, flow) -> int:
     """Return the value of `flow` after checking capacities and conservation.
 
-    Raises `CapacityViolation` or `ConservationViolation`; accepts any flow
-    object with a `values` attribute, including exact-rational ones.
+    Raises `CapacityViolation` or `ConservationViolation`; accepts any
+    object with integer arc `values`, such as a `SolutionRecord`.
     """
     network = instance.network
     balance = check_arc_values(network, flow.values)
@@ -258,7 +241,7 @@ def validate_flow(instance: Instance, flow) -> Number:
     return value
 
 
-def flow_cost(instance: Instance, flow, scenario: int) -> Number:
+def flow_cost(instance: Instance, flow, scenario: int) -> int:
     """Total cost of `flow` under the scenario with 0-based index `scenario`."""
     rows = instance.scenarios.costs
     if not 0 <= scenario < len(rows):
@@ -273,6 +256,18 @@ def _int_token(token: str, what: str, line: int) -> int:
         raise InstanceFormatError(f"{what} is not an integer: {token!r}", line) from None
 
 
+def _ascii(text: str | bytes) -> str:
+    """Instance or solution text as a str; bytes that are not ASCII raise
+    `InstanceFormatError` on the line that holds the first such byte."""
+    if not isinstance(text, (bytes, bytearray)):
+        return text
+    try:
+        return text.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = text.count(b"\n", 0, exc.start) + 1
+        raise InstanceFormatError(f"byte 0x{text[exc.start]:02x} is not ASCII", line) from None
+
+
 def parse_instance(text: str | bytes) -> Instance:
     """Parse ``.rmcif`` instance text.
 
@@ -285,9 +280,7 @@ def parse_instance(text: str | bytes) -> Instance:
 
     Errors carry the offending line number.
     """
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("ascii")
-
+    text = _ascii(text)
     header: tuple[int, int, int, int] | None = None
     header_line = 0
     arcs: list[Arc] = []
@@ -427,8 +420,7 @@ def format_solution(record: SolutionRecord, instance: Instance) -> str:
 
 def parse_solution(text: str | bytes, instance: Instance) -> SolutionRecord:
     """Parse ``.sol`` text produced by `format_solution` and validate the flow."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("ascii")
+    text = _ascii(text)
     network = instance.network
     arc_index = {(a.tail, a.head): i for i, a in enumerate(network.arcs)}
     values = [0] * network.arc_count

@@ -12,6 +12,7 @@ linearized model for anyone who prefers a real solver.
 from __future__ import annotations
 
 import heapq
+from operator import sub
 
 from .core import (
     ABSOLUTE,
@@ -23,7 +24,7 @@ from .core import (
     Network,
     RmcifError,
 )
-from .objectives import ScenarioOptima, compute_optima
+from .objectives import ScenarioOptima, compute_optima, scenario_costs
 
 
 class BudgetExceeded(RmcifError):
@@ -171,20 +172,15 @@ def _search_dag(search: _Search, topo: list[int]) -> None:
     network = search.network
     values = search.values
     balance = search.balance
-    out_indexed = [
-        [(i, a.capacity) for i, a in enumerate(network.arcs) if a.tail == v]
-        for v in range(network.vertex_count + 1)
-    ]
+    arcs = network.arcs
+    out_indexed = [[(i, arcs[i].capacity) for i in out] for out in network.out_arcs]
     suffix = []
     for arcs_v in out_indexed:
         tail_sums = [0] * (len(arcs_v) + 1)
         for j in range(len(arcs_v) - 1, -1, -1):
             tail_sums[j] = tail_sums[j + 1] + arcs_v[j][1]
         suffix.append(tail_sums)
-    in_indices = [
-        [i for i, a in enumerate(network.arcs) if a.head == v]
-        for v in range(network.vertex_count + 1)
-    ]
+    in_indices = network.in_arcs
 
     def required(v: int) -> int:
         return sum(values[i] for i in in_indices[v]) + balance[v]
@@ -335,16 +331,10 @@ def enumerate_optimum(
         shift = (0,) * scenario_count
         lower = max(optima.costs)
 
-    def objective(flow: IntegerFlow) -> int:
-        return max(
-            sum(c * x for c, x in zip(row, flow.values)) - shift[s]
-            for s, row in enumerate(instance.scenarios.costs)
-        )
-
     best_values = None
     best_cost = None
     for flow in optima.flows:
-        cost = objective(flow)
+        cost = max(map(sub, scenario_costs(instance, flow), shift))
         if best_cost is None or cost < best_cost:
             best_cost, best_values = cost, flow.values
     if best_cost <= lower:

@@ -1,13 +1,14 @@
-"""Residual-network machinery and the basic flow procedures.
+"""Integer-flow procedures: the building blocks of the heuristic solvers.
 
-These are the building blocks the heuristic solvers are assembled from:
-summation, path decomposition, averaging, augmentation, rounding,
+They are path decomposition, integer centring and rounding, augmentation,
 composition of unit-flow lists, negative-cycle cost reduction, random
 perturbation, harmonization toward another flow's support, feasible-flow
 construction and single-scenario minimum-cost flow.
 
-Path and cycle searches walk plain int tuples, never per-arc objects:
-`ResidualArc` views are built only for a cycle that is returned.
+Every path and cycle is a list of ``(arc index, forward, room)`` triples:
+a forward move adds flow to its arc, a backward one removes it, and room
+is how much the move can carry.  Searches walk plain int tuples built
+from the arc list, never per-arc objects.
 
 - Augmentation (`find_flow`, `max_flow_value`, `augment` and the repair
   step of `round_flow` and `compose`) runs one fewest-arc search over a
@@ -16,13 +17,15 @@ Path and cycle searches walk plain int tuples, never per-arc objects:
 - `decompose` and the extraction in `round_flow` run the same search over
   the positive support and peel each path's whole bottleneck at once
   (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 3).
+- `center` sums arc values and `round_flow` rounds the mean half-up in
+  integer arithmetic, so no rational number is ever built.
 - `compose` checks capacity on a unit path's own arcs only.
 - `perturb` and `harmonize` search cycles over per-vertex move tuples.
-- The negative-cycle kernel keeps a residual network as parallel int
-  lists (tail, head, residual capacity, arc index, direction) and stops
-  Bellman-Ford at the first pass whose predecessor graph closes a cycle
-  (Cherkassky & Goldberg, "Negative-cycle detection algorithms",
-  Math. Prog. 85, 1999) instead of running all n passes.
+- The negative-cycle kernel relaxes one ``(tail, head, signed cost,
+  move)`` tuple per residual move and stops Bellman-Ford at the first
+  pass whose predecessor graph closes a cycle (Cherkassky & Goldberg,
+  "Negative-cycle detection algorithms", Math. Prog. 85, 1999) instead of
+  running all n passes.
 
 All procedures are pure: they return new flows and never mutate their
 inputs.  Randomized ones take an explicit numpy Generator.  Deterministic
@@ -32,17 +35,11 @@ scan orders and breadth-first expansions are all built in that order).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import (
-    CapacityViolation,
-    FractionalFlow,
     IntegerFlow,
     Network,
-    Number,
-    PseudoFlow,
     RmcifError,
     UnitFlow,
     flow_value_of,
@@ -61,93 +58,13 @@ class DegenerateCirculation(RmcifError):
     """Positive arc values remain that no source-to-sink path can drain."""
 
 
-@dataclass(frozen=True)
-class ResidualArc:
-    """One displacement move: forward adds flow to an arc, backward removes it."""
-
-    tail: int
-    head: int
-    capacity: int
-    arc_index: int
-    forward: bool
-
-
-@dataclass(frozen=True)
-class Cycle:
-    """A vertex-simple residual cycle and the amount it can carry."""
-
-    arcs: tuple[ResidualArc, ...]
-    bottleneck: int
-
-
-class ResidualNetwork:
-    """Displacement network of an integer flow, as parallel int lists.
-
-    Each original arc contributes a forward residual arc while spare
-    capacity remains and a backward residual arc while it carries flow;
-    zero-capacity residual arcs are never materialized.  Residual arc `e`
-    is ``(tails[e], heads[e], capacities[e], arc_indices[e], forward[e])``,
-    and residual arcs follow arc declaration order, each arc's forward
-    residual before its backward one; `arc` builds the `ResidualArc` view
-    of one of them.
-    """
-
-    def __init__(self, network: Network, values: Sequence[int]):
-        self.network = network
-        self.vertex_count = network.vertex_count
-        tails: list[int] = []
-        heads: list[int] = []
-        capacities: list[int] = []
-        arc_indices: list[int] = []
-        forward: list[bool] = []
-        for i, (arc, x) in enumerate(zip(network.arcs, values)):
-            free = arc.capacity - x
-            if free > 0:
-                tails.append(arc.tail)
-                heads.append(arc.head)
-                capacities.append(free)
-                arc_indices.append(i)
-                forward.append(True)
-            if x > 0:
-                tails.append(arc.head)
-                heads.append(arc.tail)
-                capacities.append(x)
-                arc_indices.append(i)
-                forward.append(False)
-        self.tails = tails
-        self.heads = heads
-        self.capacities = capacities
-        self.arc_indices = arc_indices
-        self.forward = forward
-
-    def arc(self, e: int) -> ResidualArc:
-        """View of residual arc `e`."""
-        return ResidualArc(
-            self.tails[e], self.heads[e], self.capacities[e], self.arc_indices[e], self.forward[e]
-        )
-
-
-def residual_cost(arc: ResidualArc, costs: Sequence[int]) -> int:
-    return costs[arc.arc_index] if arc.forward else -costs[arc.arc_index]
-
-
-def apply_arcs(values: Sequence[int], arcs, amount: int) -> tuple[int, ...]:
-    """Push `amount` along residual arcs: add on forward ones, remove on backward."""
-    out = list(values)
-    for a in arcs:
-        if a.forward:
-            out[a.arc_index] += amount
-        else:
-            out[a.arc_index] -= amount
-    return tuple(out)
-
-
 def residual_adjacency(network: Network) -> list[list[tuple[int, bool, int]]]:
     """Per-vertex ``(arc index, forward, other end)`` for both directions.
 
     Each vertex lists its incident arcs by arc index, an arc leaving it as a
-    forward move and an arc entering it as a backward one: the order in
-    which `ResidualNetwork` lays out residual arcs, grouped by tail.
+    forward move and an arc entering it as a backward one: the residual
+    moves in arc declaration order, each arc's forward move before its
+    backward one, grouped by tail.
     """
     adjacency: list[list[tuple[int, bool, int]]] = [[] for _ in range(network.vertex_count + 1)]
     for i, arc in enumerate(network.arcs):
@@ -197,9 +114,16 @@ def fewest_arc_path(adjacency, upper: Sequence[int], values: Sequence[int], sour
 
 
 def _push(values: list[int], path, amount: int) -> None:
-    """Move `amount` along a `fewest_arc_path` path, in place."""
+    """Move `amount` along a path or cycle of triples, in place."""
     for i, forward, _ in path:
         values[i] += amount if forward else -amount
+
+
+def _push_room(values: Sequence[int], path) -> IntegerFlow:
+    """The flow `values` with the smallest room of `path` pushed along it."""
+    vals = list(values)
+    _push(vals, path, min(room for _, _, room in path))
+    return IntegerFlow(tuple(vals))
 
 
 def _augment(network: Network, values: Sequence[int], target) -> tuple[list[int], int]:
@@ -249,25 +173,7 @@ def augment(network: Network, flow: IntegerFlow) -> IntegerFlow:
     )
     if path is None:
         raise AlreadyMaximal("the flow value is already maximal")
-    vals = list(flow.values)
-    _push(vals, path, min(room for _, _, room in path))
-    return IntegerFlow(tuple(vals))
-
-
-def sum_flows(network: Network, flows: Sequence) -> PseudoFlow:
-    """Arc-wise sum of flows on one network; capacities must absorb the total."""
-    if not flows:
-        raise ValueError("cannot sum an empty list of flows")
-    totals: list[Number] = [0] * network.arc_count
-    for f in flows:
-        for i, v in enumerate(f.values):
-            totals[i] += v
-    for i, (arc, v) in enumerate(zip(network.arcs, totals)):
-        if v > arc.capacity:
-            raise CapacityViolation(
-                i, f"arc {i + 1}: summed value {v} exceeds capacity {arc.capacity}"
-            )
-    return PseudoFlow(tuple(totals))
+    return _push_room(flow.values, path)
 
 
 def _peel_paths(network: Network, remaining: list[int], units: int):
@@ -322,36 +228,32 @@ def decompose(network: Network, flow: IntegerFlow) -> list[UnitFlow]:
     return pieces
 
 
-def center(network: Network, flows: Sequence) -> FractionalFlow:
-    """Exact arc-wise mean of equal-value flows."""
+def center(network: Network, flows: Sequence) -> tuple[tuple[int, ...], int]:
+    """Arc-wise totals of equal-value flows, and their count.
+
+    The arc-wise mean is ``totals / count``; `round_flow` rounds it.
+    """
     if not flows:
         raise ValueError("cannot center an empty list of flows")
     first = flow_value_of(network, flows[0].values)
     for f in flows[1:]:
         if flow_value_of(network, f.values) != first:
             raise ValueError("flows must share the same value")
-    count = len(flows)
-    means = tuple(
-        Fraction(sum(f.values[i] for f in flows), count) for i in range(network.arc_count)
-    )
-    return FractionalFlow(means)
+    return tuple(map(sum, zip(*(f.values for f in flows)))), len(flows)
 
 
-def _round_half_up(v: Number) -> int:
-    """floor(v + 1/2) of an int or a Fraction, in integer arithmetic."""
-    return (2 * v.numerator + v.denominator) // (2 * v.denominator)
+def round_flow(network: Network, totals: Sequence[int], count: int) -> IntegerFlow:
+    """Integral flow near the mean ``totals / count``, of value floor(value + 1/2).
 
-
-def round_flow(network: Network, flow) -> IntegerFlow:
-    """Integral flow near a fractional one, of value floor(value + 1/2).
-
-    Arc values are first rounded half-up (exactly, in integer arithmetic),
-    then unit paths are peeled from the rounded vector, whole bottlenecks
-    at a time (see `_peel_paths`), until the target is met or its support
-    disconnects, and any shortfall is closed by augmentation.
+    Every arc mean ``t / count``, and the mean's value, is rounded half-up
+    as ``(2·t + count) // (2·count)``, which is ``floor(t / count + 1/2)``
+    in integer arithmetic.  Unit paths are then peeled from the rounded
+    vector, whole bottlenecks at a time (see `_peel_paths`), until the
+    target is met or its support disconnects, and any shortfall is closed
+    by augmentation.
     """
-    target = _round_half_up(flow_value_of(network, flow.values))
-    rounded = [_round_half_up(v) for v in flow.values]
+    target = (2 * flow_value_of(network, totals) + count) // (2 * count)
+    rounded = [(2 * t + count) // (2 * count) for t in totals]
     extracted = [0] * network.arc_count
     for path, copies in _peel_paths(network, rounded, target):
         _push(extracted, path, copies)
@@ -419,34 +321,41 @@ def _predecessor_cycle(pred_vertex: Sequence[int], n: int) -> int:
     return -1
 
 
-def negative_cycle(res: ResidualNetwork, costs: Sequence[int]):
-    """First negative-total-cost residual cycle, or None when costs are optimal.
+def negative_cycle(network: Network, values: Sequence[int], costs: Sequence[int]):
+    """First negative-total-cost residual cycle of `values`, or None when
+    costs are optimal.
 
-    Bellman-Ford from an implicit super-source (all distances start at 0),
-    relaxing `(tail, head, signed cost)` tuples in residual arc order.  After
-    every pass that lowers a distance the predecessor graph is searched for
-    a cycle, and the search stops at the first one (Cherkassky & Goldberg,
+    The cycle comes back as ``(arc index, forward, room)`` triples, in the
+    order they are walked.  Bellman-Ford runs from an implicit super-source
+    (all distances start at 0), relaxing one ``(tail, head, signed cost,
+    move)`` tuple per residual move, in arc declaration order with each
+    arc's forward move before its backward one.  After every pass that
+    lowers a distance the predecessor graph is searched for a cycle, and
+    the search stops at the first one (Cherkassky & Goldberg,
     "Negative-cycle detection algorithms", Math. Prog. 85, 1999).  Such a
     cycle is always negative, and while the graph has a negative cycle
     distances keep falling until one closes, since an acyclic predecessor
     graph bounds them from below.  A pass without updates certifies that
     no negative cycle exists.
     """
-    n = res.vertex_count
-    edges = [
-        (t, h, costs[i] if f else -costs[i], e)
-        for e, (t, h, i, f) in enumerate(zip(res.tails, res.heads, res.arc_indices, res.forward))
-    ]
+    n = network.vertex_count
+    edges = []
+    for i, (arc, x) in enumerate(zip(network.arcs, values)):
+        free = arc.capacity - x
+        if free > 0:
+            edges.append((arc.tail, arc.head, costs[i], (i, True, free)))
+        if x > 0:
+            edges.append((arc.head, arc.tail, -costs[i], (i, False, x)))
     dist = [0] * (n + 1)
-    pred = [-1] * (n + 1)
+    pred: list = [None] * (n + 1)
     pred_vertex = [0] * (n + 1)
     while True:
         changed = False
-        for t, h, w, e in edges:
+        for t, h, w, move in edges:
             nd = dist[t] + w
             if nd < dist[h]:
                 dist[h] = nd
-                pred[h] = e
+                pred[h] = move
                 pred_vertex[h] = t
                 changed = True
         if not changed:
@@ -454,36 +363,36 @@ def negative_cycle(res: ResidualNetwork, costs: Sequence[int]):
         on_cycle = _predecessor_cycle(pred_vertex, n)
         if on_cycle > 0:
             break
-    walk = [pred[on_cycle]]
+    cycle = [pred[on_cycle]]
     v = pred_vertex[on_cycle]
     while v != on_cycle:
-        walk.append(pred[v])
+        cycle.append(pred[v])
         v = pred_vertex[v]
-    cycle = tuple(res.arc(e) for e in reversed(walk))
-    if sum(residual_cost(a, costs) for a in cycle) >= 0:
+    cycle.reverse()
+    if sum(costs[i] if forward else -costs[i] for i, forward, _ in cycle) >= 0:
         raise AssertionError("extracted cycle is not negative")
-    return Cycle(cycle, min(a.capacity for a in cycle))
+    return cycle
 
 
 def cost_reduce(network: Network, costs: Sequence[int], flow: IntegerFlow):
     """One negative-cycle cancellation under `costs`.
 
-    Returns ``(flow, optimal)``: the input with the cycle's bottleneck pushed
-    around it and ``optimal`` False, or the input unchanged and ``optimal``
-    True when no negative residual cycle remains.
+    Returns ``(flow, optimal)``: the input with the cycle's smallest room
+    pushed around it and ``optimal`` False, or the input unchanged and
+    ``optimal`` True when no negative residual cycle remains.
     """
-    res = ResidualNetwork(network, flow.values)
-    cyc = negative_cycle(res, costs)
-    if cyc is None:
+    cycle = negative_cycle(network, flow.values, costs)
+    if cycle is None:
         return flow, True
-    return IntegerFlow(apply_arcs(flow.values, cyc.arcs, cyc.bottleneck)), False
+    return _push_room(flow.values, cycle), False
 
 
 def cycle_moves(network: Network, values: Sequence[int], target: Sequence[int] | None = None):
-    """Per-vertex ``(head, arc index, forward, capacity)`` moves for `dfs_cycle`.
+    """Per-vertex ``(head, arc index, forward, room)`` moves for `dfs_cycle`.
 
-    These are the residual arcs of `values` grouped by tail, in residual arc
-    order.  With `target`, only moves toward its support are kept: forward
+    These are the residual moves of `values` grouped by tail, in arc
+    declaration order with each arc's forward move before its backward
+    one, as in `residual_adjacency`.  With `target`, only moves toward its support are kept: forward
     ones where `target` carries flow, backward ones where it does not.
     """
     out: list[list[tuple[int, int, bool, int]]] = [[] for _ in range(network.vertex_count + 1)]
@@ -499,11 +408,12 @@ def cycle_moves(network: Network, values: Sequence[int], target: Sequence[int] |
 def dfs_cycle(vertex_count: int, out, rng):
     """Any vertex-simple cycle, by randomized depth-first search.
 
-    `out` holds per-vertex ``(head, arc index, forward, capacity)`` moves,
-    as `cycle_moves` builds them.  Start vertices and adjacency expansions
-    are shuffled with `rng`.  The degenerate two-arc cycle that immediately
+    `out` holds per-vertex ``(head, arc index, forward, room)`` moves, as
+    `cycle_moves` builds them.  Start vertices and adjacency expansions are
+    shuffled with `rng`.  The degenerate two-arc cycle that immediately
     reverses the arc just traversed is skipped: pushing along it would not
-    move any flow.  `ResidualArc`s are built only for the cycle returned.
+    move any flow.  The cycle comes back as ``(arc index, forward, room)``
+    triples, in the order they are walked, or None if there is none.
     """
     white, gray, black = 0, 1, 2
     color = [white] * (vertex_count + 1)
@@ -517,8 +427,8 @@ def dfs_cycle(vertex_count: int, out, rng):
             continue
         color[s] = gray
         depth = {s: 0}
-        # (tail, move) pairs from s to the vertex on top of the stack
-        path: list[tuple[int, tuple[int, int, bool, int]]] = []
+        # moves from s to the vertex on top of the stack
+        path: list[tuple[int, int, bool, int]] = []
         stack: list[tuple[int, object, int]] = [(s, iter(shuffled(s)), -1)]
         while stack:
             v, move_iter, entry = stack[-1]
@@ -530,15 +440,11 @@ def dfs_cycle(vertex_count: int, out, rng):
                 if i == entry:
                     continue
                 if color[h] == gray:
-                    cyc = tuple(
-                        ResidualArc(t, head, cap, j, fwd)
-                        for t, (head, j, fwd, cap) in path[depth[h]:] + [(v, move)]
-                    )
-                    return Cycle(cyc, min(a.capacity for a in cyc))
+                    return [(j, fwd, room) for _, j, fwd, room in path[depth[h]:] + [move]]
                 if color[h] == white:
                     color[h] = gray
                     depth[h] = len(path) + 1
-                    path.append((v, move))
+                    path.append(move)
                     stack.append((h, iter(shuffled(h)), i))
                     advanced = True
                     break
@@ -551,14 +457,14 @@ def dfs_cycle(vertex_count: int, out, rng):
 
 
 def perturb(network: Network, flow: IntegerFlow, rng) -> IntegerFlow:
-    """Push the bottleneck around an arbitrary residual cycle.
+    """Push the smallest room around an arbitrary residual cycle.
 
     Returns the input unchanged when the residual network is acyclic.
     """
-    cyc = dfs_cycle(network.vertex_count, cycle_moves(network, flow.values), rng)
-    if cyc is None:
+    cycle = dfs_cycle(network.vertex_count, cycle_moves(network, flow.values), rng)
+    if cycle is None:
         return flow
-    return IntegerFlow(apply_arcs(flow.values, cyc.arcs, cyc.bottleneck))
+    return _push_room(flow.values, cycle)
 
 
 def harmonize(network: Network, flow: IntegerFlow, target, rng) -> IntegerFlow:
@@ -568,10 +474,10 @@ def harmonize(network: Network, flow: IntegerFlow, target, rng) -> IntegerFlow:
     residual arcs exist only where `target` carries flow, backward ones only
     where it does not, so a push never reduces support agreement.
     """
-    cyc = dfs_cycle(network.vertex_count, cycle_moves(network, flow.values, target.values), rng)
-    if cyc is None:
+    cycle = dfs_cycle(network.vertex_count, cycle_moves(network, flow.values, target.values), rng)
+    if cycle is None:
         return flow
-    return IntegerFlow(apply_arcs(flow.values, cyc.arcs, cyc.bottleneck))
+    return _push_room(flow.values, cycle)
 
 
 def min_cost_flow(network: Network, costs: Sequence[int], value: int) -> IntegerFlow:

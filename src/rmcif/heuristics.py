@@ -245,7 +245,7 @@ def local_search(
             scored = [(criterion.evaluate(f), i) for i, f in enumerate(optima.flows)]
             starts = [optima.flows[min(scored)[1]]]
         elif solver == "ls3":
-            starts = [round_flow(instance.network, center(instance.network, optima.flows))]
+            starts = [round_flow(instance.network, *center(instance.network, optima.flows))]
         else:
             starts = list(optima.flows)
 
@@ -356,7 +356,7 @@ def evolutionary(
 
     def crossover(a: IntegerFlow, b: IntegerFlow) -> IntegerFlow:
         if cross_kind == 0:
-            return round_flow(network, center(network, [a, b]))
+            return round_flow(network, *center(network, [a, b]))
         if cross_kind == 1:
             return harmonize(network, a, b, rng)
         return compose(network, decompose(network, a), decompose(network, b), rng)

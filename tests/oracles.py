@@ -11,7 +11,15 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from rmcif import ABSOLUTE, DEVIATION, Instance, Network, compute_optima
+from rmcif import (
+    ABSOLUTE,
+    DEVIATION,
+    CapacityViolation,
+    Instance,
+    IntegerFlow,
+    Network,
+    compute_optima,
+)
 
 
 def enumerate_feasible_flows(network: Network, flow_value: int) -> list[tuple[int, ...]]:
@@ -67,6 +75,22 @@ def enumerate_feasible_flows(network: Network, flow_value: int) -> list[tuple[in
             )
             assert net == target[v], "oracle produced an unbalanced flow"
     return found
+
+
+def sum_flows(network: Network, flows) -> IntegerFlow:
+    """Arc-wise sum of flows on one network; capacities must absorb the total."""
+    if not flows:
+        raise ValueError("cannot sum an empty list of flows")
+    totals = [0] * network.arc_count
+    for f in flows:
+        for i, v in enumerate(f.values):
+            totals[i] += v
+    for i, (arc, v) in enumerate(zip(network.arcs, totals)):
+        if v > arc.capacity:
+            raise CapacityViolation(
+                i, f"arc {i + 1}: summed value {v} exceeds capacity {arc.capacity}"
+            )
+    return IntegerFlow(tuple(totals))
 
 
 def scenario_cost(instance: Instance, values, scenario: int) -> int:

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import pytest
 
 from conftest import gen
-from oracles import brute_min_cost, robust_path_optimum, solve_lp_text
+from oracles import brute_min_cost, robust_path_optimum, solve_lp_text, sum_flows
 from rmcif import (
     ABSOLUTE,
     DEVIATION,
@@ -46,7 +46,6 @@ from rmcif import (
     round_flow,
     run_bench,
     solve_one,
-    sum_flows,
     validate_flow,
     write_instance,
 )
@@ -223,7 +222,7 @@ def test_criterion_06_feasibility_closure(announce):
                         a, _ = cost_reduce(network, instance.scenarios.costs[s], a)
                         assert validate_flow(instance, a) == value
                     elif roll == 4:
-                        rounded = round_flow(network, center(network, [a, b]))
+                        rounded = round_flow(network, *center(network, [a, b]))
                         assert validate_flow(instance, rounded) == value
                         b = rounded
                     else:

@@ -323,15 +323,25 @@ def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsy
         ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "exact",
          "--budget", "-5"],
         ["bench", "--dir", "{dir}", "--budget", "-1", "--out", "{csv}"],
+        ["bench", "--dir", "{dir}", "--variants", "foo", "--out", "{csv}"],
+        ["solve", "--instance", "{latin}", "--variant", "abs", "--solver", "ls1"],
+        ["export-lp", "--instance", "{latin}", "--variant", "abs"],
+        ["bench", "--dir", "{latin_dir}", "--out", "{csv}"],
     ],
     ids=["missing-instance", "non-integer-param", "zero-param", "zero-scenarios", "density",
          "config-not-json", "generate-negative-seed", "ec-negative-seed", "ls-negative-seed",
-         "empty-seed-range", "solve-negative-budget", "bench-negative-budget"],
+         "empty-seed-range", "solve-negative-budget", "bench-negative-budget",
+         "bench-unknown-variant", "solve-non-ascii", "export-lp-non-ascii", "bench-non-ascii"],
 )
 def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
     config = tmp_path / "params.json"
     config.write_text("{neighborhood_size: 3")
+    latin = tmp_path / "latin" / "diamond.rmcif"
+    latin.parent.mkdir()
+    latin.write_bytes(diamond_file.read_bytes().replace(b"s 2", b"c \xff\ns 2"))
     paths = {
+        "latin": str(latin),
+        "latin_dir": str(latin.parent),
         "missing": str(tmp_path / "missing.rmcif"),
         "diamond": str(diamond_file),
         "config": str(config),

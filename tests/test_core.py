@@ -129,6 +129,14 @@ class TestInstanceFormat:
     def test_bytes_accepted(self):
         assert parse_instance(DIAMOND_TEXT.encode()) == parse_instance(DIAMOND_TEXT)
 
+    def test_non_ascii_bytes_rejected(self, diamond):
+        broken = DIAMOND_TEXT.encode().replace(b"s 2", b"c \xff\ns 2")
+        with pytest.raises(InstanceFormatError, match="line 7: byte 0xff is not ASCII"):
+            parse_instance(broken)
+        solution = b"o absolute ls2 4 7\nx 1 2 1\nc \xff\nx 2 4 1\n"
+        with pytest.raises(InstanceFormatError, match="line 3: byte 0xff is not ASCII"):
+            parse_solution(solution, diamond)
+
     def test_comments_and_blank_lines(self):
         text = "c a comment\n\n" + DIAMOND_TEXT + "c trailing\n"
         assert parse_instance(text) == parse_instance(DIAMOND_TEXT)

@@ -21,7 +21,6 @@ from rmcif import (
     AlreadyMaximal,
     Arc,
     DegenerateCirculation,
-    FractionalFlow,
     IntegerFlow,
     Network,
     TargetUnreachable,
@@ -71,6 +70,11 @@ def outcome(fn, *args):
         return "circulation"
     except (TargetUnreachable, oracles.OracleUnreachable):
         return "unreachable"
+
+
+def endpoints(network, i, forward):
+    arc = network.arcs[i]
+    return (arc.tail, arc.head) if forward else (arc.head, arc.tail)
 
 
 def unit_pairs(network, values):
@@ -144,17 +148,18 @@ class TestRoundFlow:
     @settings(max_examples=60)
     def test_rounded_center(self, case, count):
         network, values = case
-        mean = center(network, [IntegerFlow(v) for v in values[:count]])
-        got = outcome(lambda: round_flow(network, mean).values)
-        assert got == outcome(oracles.round_to_integer, network, mean.values)
+        totals, k = center(network, [IntegerFlow(v) for v in values[:count]])
+        assert k == count
+        got = outcome(lambda: round_flow(network, totals, k).values)
+        mean = [Fraction(t, k) for t in totals]
+        assert got == outcome(oracles.round_to_integer, network, mean)
 
     @given(networks(), st.data())
     @settings(max_examples=60)
     def test_arbitrary_half_integral_vectors(self, network, data):
-        halves = [
-            Fraction(data.draw(st.integers(0, 2 * arc.capacity)), 2) for arc in network.arcs
-        ]
-        got = outcome(lambda: round_flow(network, FractionalFlow(tuple(halves))).values)
+        doubled = [data.draw(st.integers(0, 2 * arc.capacity)) for arc in network.arcs]
+        got = outcome(lambda: round_flow(network, doubled, 2).values)
+        halves = [Fraction(d, 2) for d in doubled]
         assert got == outcome(oracles.round_to_integer, network, halves)
 
 
@@ -189,9 +194,10 @@ class TestCycleWalks:
         if want is None:
             assert cyc is None
         else:
-            moves = tuple((a.tail, a.head, a.capacity, a.arc_index, a.forward) for a in cyc.arcs)
+            moves = tuple((*endpoints(network, i, forward), room, i, forward)
+                          for i, forward, room in cyc)
             assert moves == want
-            assert cyc.bottleneck == min(m[2] for m in want)
+            assert min(room for _, _, room in cyc) == min(m[2] for m in want)
         assert next_draw(rng) == next_draw(ref)
 
     @given(flows(), seeds)
@@ -225,8 +231,9 @@ def test_larger_layered_instances(seed):
     a = scrambled_flow(network, instance.flow_value, seed, steps=5)
     b = scrambled_flow(network, instance.flow_value, seed + 9, steps=5)
     assert unit_pairs(network, a) == oracles.unit_paths(network, a)
-    mean = center(network, [IntegerFlow(a), IntegerFlow(b)])
-    assert round_flow(network, mean).values == oracles.round_to_integer(network, mean.values)
+    totals, count = center(network, [IntegerFlow(a), IntegerFlow(b)])
+    mean = [Fraction(t, count) for t in totals]
+    assert round_flow(network, totals, count).values == oracles.round_to_integer(network, mean)
     rng, ref = make_rng(seed), make_rng(seed)
     first, second = decompose(network, IntegerFlow(a)), decompose(network, IntegerFlow(b))
     assert compose(network, first, second, rng).values == oracles.compose_units(

@@ -1,20 +1,17 @@
 """Flow constructors, displacement network, and cycle machinery."""
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gen
-from oracles import brute_min_cost, has_negative_cycle_floyd_warshall, min_cut_value
+from oracles import brute_min_cost, has_negative_cycle_floyd_warshall, min_cut_value, sum_flows
 from rmcif import (
     AlreadyMaximal,
     Arc,
     CapacityViolation,
     DegenerateCirculation,
-    FractionalFlow,
     IntegerFlow,
     Network,
     TargetUnreachable,
@@ -32,17 +29,14 @@ from rmcif import (
     min_cost_flow,
     perturb,
     round_flow,
-    sum_flows,
 )
 from rmcif.flow_ops import (
-    ResidualNetwork,
-    apply_arcs,
+    _push_room,
     cycle_moves,
     dfs_cycle,
     fewest_arc_path,
     negative_cycle,
     residual_adjacency,
-    residual_cost,
 )
 from rmcif.heuristics import make_rng
 
@@ -62,9 +56,33 @@ def feasible_value(network, flow):
     return balance[network.source]
 
 
-def views(res):
-    """`ResidualArc` views of every residual arc, in residual arc order."""
-    return [res.arc(e) for e in range(len(res.tails))]
+def residual_moves(network, values):
+    """Every residual move of `values` as ``(tail, head, room, arc index, forward)``.
+
+    Read off `cycle_moves` and put in residual order: arc declaration order,
+    each arc's forward move before its backward one.
+    """
+    moves = [
+        (t, h, room, i, forward)
+        for t, out in enumerate(cycle_moves(network, values))
+        for h, i, forward, room in out
+    ]
+    return sorted(moves, key=lambda m: (m[3], not m[4]))
+
+
+def endpoints(network, move):
+    """``(tail, head)`` of an ``(arc index, forward, room)`` move."""
+    arc = network.arcs[move[0]]
+    return (arc.tail, arc.head) if move[1] else (arc.head, arc.tail)
+
+
+def cycle_cost(cycle, costs):
+    """Cost change per unit pushed around a cycle of triples."""
+    return sum(costs[i] if forward else -costs[i] for i, forward, _ in cycle)
+
+
+def bottleneck(cycle):
+    return min(room for _, _, room in cycle)
 
 
 def random_feasible_flow(instance, seed):
@@ -78,8 +96,7 @@ def random_feasible_flow(instance, seed):
 
 class TestResidualNetwork:
     def test_canonical_arc_order(self, diamond):
-        res = ResidualNetwork(diamond.network, UPPER.values)
-        seen = [(a.tail, a.head, a.capacity, a.arc_index, a.forward) for a in views(res)]
+        seen = residual_moves(diamond.network, UPPER.values)
         assert seen == [
             (2, 1, 1, 0, False),
             (1, 3, 1, 1, True),
@@ -89,8 +106,8 @@ class TestResidualNetwork:
 
     def test_partially_used_arc_contributes_both_directions(self):
         net = Network(2, (Arc(1, 2, 3),))
-        res = ResidualNetwork(net, (1,))
-        assert [(a.forward, a.capacity) for a in views(res)] == [(True, 2), (False, 1)]
+        moves = residual_moves(net, (1,))
+        assert [(forward, room) for _, _, room, _, forward in moves] == [(True, 2), (False, 1)]
 
     def test_out_lists_group_by_tail(self, diamond):
         out = cycle_moves(diamond.network, UPPER.values)
@@ -98,16 +115,24 @@ class TestResidualNetwork:
         assert [head for head, _, _, _ in out[4]] == [2]
 
     def test_residual_cost_sign(self, diamond):
-        arcs = views(ResidualNetwork(diamond.network, UPPER.values))
         costs = diamond.scenarios.costs[0]
-        backward = next(a for a in arcs if a.tail == 2)
-        forward = next(a for a in arcs if a.tail == 1)
-        assert residual_cost(backward, costs) == -costs[backward.arc_index]
-        assert residual_cost(forward, costs) == costs[forward.arc_index]
+        moves = {t: (i, forward, room) for t, _, room, i, forward in residual_moves(
+            diamond.network, UPPER.values
+        )}
+        backward, forward = moves[2], moves[1]
+        assert cycle_cost([backward], costs) == -costs[backward[0]]
+        assert cycle_cost([forward], costs) == costs[forward[0]]
+        for move in (backward, forward):
+            moved = _push_room(UPPER.values, [move])
+            assert flow_cost(diamond, moved, 0) - flow_cost(diamond, UPPER, 0) == cycle_cost(
+                [move], costs
+            )
 
-    def test_apply_arcs_moves_flow(self, diamond):
-        res = ResidualNetwork(diamond.network, UPPER.values)
-        assert apply_arcs(UPPER.values, views(res), 1) == (0, 1, 0, 1)
+    def test_push_room_moves_flow(self, diamond):
+        moves = [(i, forward, room) for _, _, room, i, forward in residual_moves(
+            diamond.network, UPPER.values
+        )]
+        assert _push_room(UPPER.values, moves).values == (0, 1, 0, 1)
 
 
 def residual_path(network, values):
@@ -216,8 +241,8 @@ class TestSumAndDecompose:
 
 class TestCenterAndRound:
     def test_center_means(self, diamond):
-        mean = center(diamond.network, [UPPER, LOWER])
-        assert mean.values == (Fraction(1, 2),) * 4
+        totals, count = center(diamond.network, [UPPER, LOWER])
+        assert (totals, count) == ((1, 1, 1, 1), 2)
 
     def test_center_requires_equal_values(self, diamond):
         with pytest.raises(ValueError, match="same value"):
@@ -226,24 +251,22 @@ class TestCenterAndRound:
             center(diamond.network, [])
 
     def test_round_flow_half_up(self, diamond):
-        mean = center(diamond.network, [UPPER, LOWER])
-        rounded = round_flow(diamond.network, mean)
+        rounded = round_flow(diamond.network, *center(diamond.network, [UPPER, LOWER]))
         assert feasible_value(diamond.network, rounded) == 1
 
     def test_round_flow_fixes_integer_input(self, diamond):
-        assert round_flow(diamond.network, UPPER).values == UPPER.values
+        assert round_flow(diamond.network, UPPER.values, 1).values == UPPER.values
 
     def test_round_flow_repairs_overshoot(self):
         net = Network(3, (Arc(1, 2, 2), Arc(2, 3, 2)))
-        frac = FractionalFlow((Fraction(3, 2), Fraction(3, 2)))
-        rounded = round_flow(net, frac)
+        rounded = round_flow(net, (3, 3), 2)
         assert feasible_value(net, rounded) == 2
 
     @given(small_seeds)
     def test_round_center_keeps_value(self, seed):
         instance = gen(seed, widths=(2, 2), caps=(1, 3), density=0.8)
         flows = [random_feasible_flow(instance, seed + k) for k in range(3)]
-        rounded = round_flow(instance.network, center(instance.network, flows))
+        rounded = round_flow(instance.network, *center(instance.network, flows))
         assert feasible_value(instance.network, rounded) == instance.flow_value
 
 
@@ -286,26 +309,23 @@ class TestCompose:
 class TestNegativeCycle:
     def test_finds_the_improving_cycle(self, diamond):
         costs = diamond.scenarios.costs[0]
-        res = ResidualNetwork(diamond.network, LOWER.values)
-        cyc = negative_cycle(res, costs)
+        cyc = negative_cycle(diamond.network, LOWER.values, costs)
         assert cyc is not None
-        assert cyc.bottleneck == 1
-        assert sum(residual_cost(a, costs) for a in cyc.arcs) < 0
-        improved = apply_arcs(LOWER.values, cyc.arcs, cyc.bottleneck)
-        assert flow_cost(diamond, IntegerFlow(improved), 0) < flow_cost(diamond, LOWER, 0)
+        assert bottleneck(cyc) == 1
+        assert cycle_cost(cyc, costs) < 0
+        improved = _push_room(LOWER.values, cyc)
+        assert flow_cost(diamond, improved, 0) < flow_cost(diamond, LOWER, 0)
 
     def test_none_at_optimum(self, diamond):
         costs = diamond.scenarios.costs[0]
-        res = ResidualNetwork(diamond.network, UPPER.values)
-        assert negative_cycle(res, costs) is None
+        assert negative_cycle(diamond.network, UPPER.values, costs) is None
 
     def test_cycle_is_closed(self, diamond):
-        res = ResidualNetwork(diamond.network, LOWER.values)
-        cyc = negative_cycle(res, diamond.scenarios.costs[0])
-        arcs = cyc.arcs
-        assert arcs[-1].head == arcs[0].tail
+        cyc = negative_cycle(diamond.network, LOWER.values, diamond.scenarios.costs[0])
+        arcs = [endpoints(diamond.network, move) for move in cyc]
+        assert arcs[-1][1] == arcs[0][0]
         for prev, nxt in zip(arcs, arcs[1:]):
-            assert prev.head == nxt.tail
+            assert prev[1] == nxt[0]
 
     @given(small_seeds, st.integers(0, 3))
     @settings(max_examples=60)
@@ -313,20 +333,21 @@ class TestNegativeCycle:
         instance = gen(seed, widths=(2, 2), scenarios=4, caps=(0, 3), density=0.7)
         flow = random_feasible_flow(instance, seed)
         costs = instance.scenarios.costs[scenario]
-        res = ResidualNetwork(instance.network, flow.values)
-        cyc = negative_cycle(res, costs)
+        cyc = negative_cycle(instance.network, flow.values, costs)
         assert (cyc is not None) == has_negative_cycle_floyd_warshall(
             instance.network, flow.values, costs
         )
         if cyc is not None:
-            assert sum(residual_cost(a, costs) for a in cyc.arcs) < 0
-            assert cyc.bottleneck == min(a.capacity for a in cyc.arcs)
+            assert cycle_cost(cyc, costs) < 0
+            assert bottleneck(cyc) == min(
+                residual_capacity(instance.network, flow.values, move) for move in cyc
+            )
 
 
-def residual_capacity(network, values, arc):
+def residual_capacity(network, values, move):
     """Residual capacity of one move, read off the arc list directly."""
-    x = values[arc.arc_index]
-    return network.arcs[arc.arc_index].capacity - x if arc.forward else x
+    i, forward, _ = move
+    return network.arcs[i].capacity - values[i] if forward else values[i]
 
 
 class TestNegativeCycleKernel:
@@ -342,7 +363,7 @@ class TestNegativeCycleKernel:
     @settings(max_examples=60)
     def test_finds_a_cycle_exactly_when_one_exists(self, seed, scenario):
         instance, flow, costs = self.case(seed, scenario)
-        cyc = negative_cycle(ResidualNetwork(instance.network, flow.values), costs)
+        cyc = negative_cycle(instance.network, flow.values, costs)
         exists = has_negative_cycle_floyd_warshall(instance.network, flow.values, costs)
         assert (cyc is not None) == exists
 
@@ -350,37 +371,32 @@ class TestNegativeCycleKernel:
     @settings(max_examples=60)
     def test_cycle_is_closed_simple_negative_and_residual(self, seed, scenario):
         instance, flow, costs = self.case(seed, scenario)
-        cyc = negative_cycle(ResidualNetwork(instance.network, flow.values), costs)
+        cyc = negative_cycle(instance.network, flow.values, costs)
         if cyc is None:
             return
-        arcs = cyc.arcs
-        for prev, nxt in zip(arcs, arcs[1:] + arcs[:1]):
-            assert prev.head == nxt.tail
-        tails = [a.tail for a in arcs]
-        assert len(tails) == len(set(tails))
-        assert sum(residual_cost(a, costs) for a in arcs) < 0
         network = instance.network
-        for a in arcs:
-            arc = network.arcs[a.arc_index]
-            assert (a.tail, a.head) == ((arc.tail, arc.head) if a.forward else (arc.head, arc.tail))
-            assert a.capacity == residual_capacity(network, flow.values, a) > 0
-        assert cyc.bottleneck == min(
-            residual_capacity(network, flow.values, a) for a in arcs
+        arcs = [endpoints(network, move) for move in cyc]
+        for prev, nxt in zip(arcs, arcs[1:] + arcs[:1]):
+            assert prev[1] == nxt[0]
+        tails = [tail for tail, _ in arcs]
+        assert len(tails) == len(set(tails))
+        assert cycle_cost(cyc, costs) < 0
+        for move in cyc:
+            assert move[2] == residual_capacity(network, flow.values, move) > 0
+        assert bottleneck(cyc) == min(
+            residual_capacity(network, flow.values, move) for move in cyc
         )
 
     @given(small_seeds, st.integers(0, 2))
     @settings(max_examples=30)
     def test_repeat_calls_return_the_same_cycle(self, seed, scenario):
         instance, flow, costs = self.case(seed, scenario)
-        res = ResidualNetwork(instance.network, flow.values)
-        first = negative_cycle(res, costs)
-        assert negative_cycle(res, costs) == first
-        assert negative_cycle(ResidualNetwork(instance.network, flow.values), costs) == first
+        first = negative_cycle(instance.network, flow.values, costs)
+        assert negative_cycle(instance.network, flow.values, costs) == first
+        assert negative_cycle(instance.network, list(flow.values), costs) == first
 
     def test_flat_lists_match_the_views(self, diamond):
-        res = ResidualNetwork(diamond.network, UPPER.values)
-        rows = list(zip(res.tails, res.heads, res.capacities, res.arc_indices, res.forward))
-        assert rows == [(a.tail, a.head, a.capacity, a.arc_index, a.forward) for a in views(res)]
+        rows = residual_moves(diamond.network, UPPER.values)
         moves = cycle_moves(diamond.network, UPPER.values)
         by_tail = [(t, h, c, i, f) for t in range(5) for h, i, f, c in moves[t]]
         assert by_tail == sorted(rows, key=lambda row: row[0])
@@ -493,6 +509,7 @@ class TestDfsCycle:
         out = cycle_moves(diamond.network, UPPER.values)
         cyc = dfs_cycle(diamond.network.vertex_count, out, make_rng(2))
         assert cyc is not None
-        tails = [a.tail for a in cyc.arcs]
+        arcs = [endpoints(diamond.network, move) for move in cyc]
+        tails = [tail for tail, _ in arcs]
         assert len(tails) == len(set(tails))
-        assert cyc.arcs[-1].head == cyc.arcs[0].tail
+        assert arcs[-1][1] == arcs[0][0]
