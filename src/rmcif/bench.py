@@ -19,6 +19,7 @@ from .core import (
     EC_SOLVERS,
     LS_SOLVERS,
     Instance,
+    InstanceFormatError,
     RmcifError,
     SolutionRecord,
     format_solution,
@@ -119,7 +120,13 @@ def _load_instances(source) -> list[tuple[str, Instance]]:
             raise RmcifError(f"no .rmcif instances found under {source}")
     else:
         paths = [Path(p) for p in source]
-    return [(p.stem, parse_instance(p.read_bytes())) for p in paths]
+    loaded = []
+    for p in paths:
+        try:
+            loaded.append((p.stem, parse_instance(p.read_bytes())))
+        except InstanceFormatError as exc:
+            raise InstanceFormatError(f"{p}: {exc}") from None
+    return loaded
 
 
 def run_bench(

@@ -89,12 +89,17 @@ def _solver_list(text: str) -> tuple[str, ...]:
 
 
 def _coerce_param(name: str, value) -> object:
+    """An integer from a ``--param`` string or a JSON integer (or integral float)."""
     if name in _UNBOUNDED_PARAMS and str(value).lower() in ("none", "inf", "unbounded"):
         return None
-    try:
+    if isinstance(value, float) and value.is_integer():
         return int(value)
-    except (TypeError, ValueError):
-        raise RmcifError(f"parameter {name}: expected an integer, got {value!r}") from None
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise RmcifError(f"parameter {name}: expected an integer, got {value!r}")
 
 
 def _build_params(config_path: str | None, overrides: list[str]) -> SearchParams:
@@ -102,7 +107,9 @@ def _build_params(config_path: str | None, overrides: list[str]) -> SearchParams
     settings: dict[str, object] = {}
     if config_path:
         try:
-            loaded = json.loads(Path(config_path).read_text())
+            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
+        except UnicodeDecodeError:
+            raise RmcifError(f"config file {config_path} is not UTF-8 text") from None
         except json.JSONDecodeError as exc:
             raise RmcifError(f"config file {config_path} is not valid JSON: {exc}") from None
         if not isinstance(loaded, dict):

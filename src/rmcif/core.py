@@ -13,7 +13,7 @@ scenarios are numbered from 1 in files and error messages.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -124,6 +124,26 @@ class Network:
             inc[arc.head].append(i)
         return tuple(tuple(lst) for lst in inc)
 
+    @cached_property
+    def capacities(self) -> tuple[int, ...]:
+        """Arc capacities in arc declaration order."""
+        return tuple(arc.capacity for arc in self.arcs)
+
+    @cached_property
+    def residual_adjacency(self) -> tuple[tuple[tuple[int, bool, int], ...], ...]:
+        """Per-vertex ``(arc index, forward, other end)`` for both arc directions.
+
+        Each vertex lists its incident arcs by arc index, an arc leaving it
+        as a forward move and an arc entering it as a backward one: the
+        residual moves in arc declaration order, grouped by tail.  Slot 0 is
+        unused.
+        """
+        adjacency: list[list[tuple[int, bool, int]]] = [[] for _ in range(self.vertex_count + 1)]
+        for i, arc in enumerate(self.arcs):
+            adjacency[arc.tail].append((i, True, arc.head))
+            adjacency[arc.head].append((i, False, arc.tail))
+        return tuple(tuple(lst) for lst in adjacency)
+
 
 @dataclass(frozen=True)
 class ScenarioSet:
@@ -176,26 +196,6 @@ class IntegerFlow:
     """Arc values of an integral flow, in arc declaration order."""
 
     values: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class UnitFlow:
-    """A value-1 flow: one simple source-to-sink path.
-
-    `arc_indices` lists the path's arcs (those with value 1) in arc
-    declaration order, so that work on a unit path is proportional to its
-    length rather than the arc count.  It is derived from `values` unless
-    the caller already knows it, and takes no part in equality.
-    """
-
-    values: tuple[int, ...]
-    vertices: tuple[int, ...]
-    arc_indices: tuple[int, ...] = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.arc_indices is None:
-            indices = tuple(i for i, v in enumerate(self.values) if v)
-            object.__setattr__(self, "arc_indices", indices)
 
 
 def flow_value_of(network: Network, values: Sequence[int]) -> int:

@@ -1,26 +1,29 @@
 """Integer-flow procedures: the building blocks of the heuristic solvers.
 
 They are path decomposition, integer centring and rounding, augmentation,
-composition of unit-flow lists, negative-cycle cost reduction, random
+composition of unit-path lists, negative-cycle cost reduction, random
 perturbation, harmonization toward another flow's support, feasible-flow
 construction and single-scenario minimum-cost flow.
 
 Every path and cycle is a list of ``(arc index, forward, room)`` triples:
 a forward move adds flow to its arc, a backward one removes it, and room
-is how much the move can carry.  Searches walk plain int tuples built
-from the arc list, never per-arc objects.
+is how much the move can carry.  A unit path, as `decompose` returns it
+and `compose` takes it, is the tuple of its arc indices in walk order.
+Every search walks the network's one cached `Network.residual_adjacency`
+and reads room off upper bounds (`Network.capacities`, or the values
+still to peel) and the current arc values.
 
 - Augmentation (`find_flow`, `max_flow_value`, `augment` and the repair
-  step of `round_flow` and `compose`) runs one fewest-arc search over a
-  per-vertex adjacency of both arc directions, built once per call, and
-  reads residual room off the capacities and current arc values.
-- `decompose` and the extraction in `round_flow` run the same search over
-  the positive support and peel each path's whole bottleneck at once
-  (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 3).
+  step of `round_flow` and `compose`) runs one fewest-arc search.
+- `decompose` and the extraction in `round_flow` run the same search with
+  the remaining values as capacities and no backward room, and peel each
+  path's whole bottleneck at once (Ahuja, Magnanti & Orlin, *Network
+  Flows*, 1993, ch. 3).
 - `center` sums arc values and `round_flow` rounds the mean half-up in
   integer arithmetic, so no rational number is ever built.
 - `compose` checks capacity on a unit path's own arcs only.
-- `perturb` and `harmonize` search cycles over per-vertex move tuples.
+- `perturb` and `harmonize` filter a vertex's moves only when the cycle
+  search expands it.
 - The negative-cycle kernel relaxes one ``(tail, head, signed cost,
   move)`` tuple per residual move and stops Bellman-Ford at the first
   pass whose predecessor graph closes a cycle (Cherkassky & Goldberg,
@@ -41,7 +44,6 @@ from .core import (
     IntegerFlow,
     Network,
     RmcifError,
-    UnitFlow,
     flow_value_of,
 )
 
@@ -58,36 +60,17 @@ class DegenerateCirculation(RmcifError):
     """Positive arc values remain that no source-to-sink path can drain."""
 
 
-def residual_adjacency(network: Network) -> list[list[tuple[int, bool, int]]]:
-    """Per-vertex ``(arc index, forward, other end)`` for both directions.
-
-    Each vertex lists its incident arcs by arc index, an arc leaving it as a
-    forward move and an arc entering it as a backward one: the residual
-    moves in arc declaration order, each arc's forward move before its
-    backward one, grouped by tail.
-    """
-    adjacency: list[list[tuple[int, bool, int]]] = [[] for _ in range(network.vertex_count + 1)]
-    for i, arc in enumerate(network.arcs):
-        adjacency[arc.tail].append((i, True, arc.head))
-        adjacency[arc.head].append((i, False, arc.tail))
-    return adjacency
-
-
-def _support_adjacency(network: Network) -> list[list[tuple[int, bool, int]]]:
-    """Per-vertex forward moves only, in `Network.out_arcs` order."""
-    arcs = network.arcs
-    return [[(i, True, arcs[i].head) for i in out] for out in network.out_arcs]
-
-
-def fewest_arc_path(adjacency, upper: Sequence[int], values: Sequence[int], source: int, sink: int):
+def fewest_arc_path(network: Network, upper: Sequence[int], values: Sequence[int]):
     """Fewest-arc source-to-sink path over moves with room, or None.
 
     A forward move on arc ``i`` has room ``upper[i] - values[i]``, a
     backward one ``values[i]``; moves without room are skipped.  The path
     comes back as ``(arc index, forward, room)`` triples.  First-reached
-    wins, with `adjacency` scanned in order, so the result is deterministic
-    and depends only on which moves have room.
+    wins, with `Network.residual_adjacency` scanned in order, so the result
+    is deterministic and depends only on which moves have room.
     """
+    adjacency = network.residual_adjacency
+    source, sink = network.source, network.sink
     via: list[tuple[int, int, bool, int] | None] = [None] * len(adjacency)
     reached = [False] * len(adjacency)
     reached[source] = True
@@ -134,11 +117,8 @@ def _augment(network: Network, values: Sequence[int], target) -> tuple[list[int]
     """
     vals = list(values)
     current = flow_value_of(network, vals)
-    adjacency = residual_adjacency(network)
-    caps = [arc.capacity for arc in network.arcs]
-    source, sink = network.source, network.sink
     while current < target:
-        path = fewest_arc_path(adjacency, caps, vals, source, sink)
+        path = fewest_arc_path(network, network.capacities, vals)
         if path is None:
             break
         push = min(min(room for _, _, room in path), target - current)
@@ -167,10 +147,7 @@ def find_flow(network: Network, value: int) -> IntegerFlow:
 
 def augment(network: Network, flow: IntegerFlow) -> IntegerFlow:
     """Push the bottleneck along one augmenting path; error if none exists."""
-    caps = [arc.capacity for arc in network.arcs]
-    path = fewest_arc_path(
-        residual_adjacency(network), caps, flow.values, network.source, network.sink
-    )
+    path = fewest_arc_path(network, network.capacities, flow.values)
     if path is None:
         raise AlreadyMaximal("the flow value is already maximal")
     return _push_room(flow.values, path)
@@ -180,17 +157,17 @@ def _peel_paths(network: Network, remaining: list[int], units: int):
     """Take up to `units` unit paths out of `remaining`, a whole bottleneck at a time.
 
     Yields ``(path, copies)`` with `path` as `fewest_arc_path` triples.  The
-    fewest-arc search over the positive support sees the same support until
-    some arc on the path runs out, so `copies`, the path's smallest
-    remaining value capped by the units still wanted, is how many times in
-    a row a one-unit-at-a-time extraction would return this path.  Stops
-    early when the support disconnects.
+    search runs with `remaining` as capacities and zero values, so only
+    forward moves on the positive support have room, met in `out_arcs`
+    order.  It sees the same support until some arc on the path runs out,
+    so `copies`, the path's smallest remaining value capped by the units
+    still wanted, is how many times in a row a one-unit-at-a-time
+    extraction would return this path.  Stops early when the support
+    disconnects.
     """
-    adjacency = _support_adjacency(network)
     zeros = [0] * network.arc_count
-    source, sink = network.source, network.sink
     while units > 0:
-        path = fewest_arc_path(adjacency, remaining, zeros, source, sink)
+        path = fewest_arc_path(network, remaining, zeros)
         if path is None:
             return
         copies = min(min(room for _, _, room in path), units)
@@ -199,26 +176,21 @@ def _peel_paths(network: Network, remaining: list[int], units: int):
         yield path, copies
 
 
-def decompose(network: Network, flow: IntegerFlow) -> list[UnitFlow]:
-    """Split an integer flow of value F into F unit-flow paths.
+def decompose(network: Network, flow: IntegerFlow) -> list[tuple[int, ...]]:
+    """Split an integer flow of value F into F unit paths.
 
-    Paths come from repeated fewest-arc searches over the positive support,
-    each peeled off as many times as it can carry (see `_peel_paths`); the
-    copies of one path share one `UnitFlow`.  The list is the one that
-    extracting a unit at a time would give.  A flow hiding a circulation
-    cannot be reassembled from paths and is rejected.
+    Each unit path is the tuple of its arc indices in walk order, from the
+    source to the sink.  Paths come from repeated fewest-arc searches over
+    the positive support, each peeled off as many times as it can carry
+    (see `_peel_paths`); the copies of one path share one tuple.  The list
+    is the one that extracting a unit at a time would give.  A flow hiding
+    a circulation cannot be reassembled from paths and is rejected.
     """
     remaining = list(flow.values)
     total = flow_value_of(network, remaining)
-    pieces: list[UnitFlow] = []
+    pieces: list[tuple[int, ...]] = []
     for path, copies in _peel_paths(network, remaining, total):
-        vals = [0] * network.arc_count
-        vertices = [network.source]
-        for i, _, _ in path:
-            vals[i] = 1
-            vertices.append(network.arcs[i].head)
-        indices = tuple(sorted(i for i, _, _ in path))
-        pieces.extend([UnitFlow(tuple(vals), tuple(vertices), indices)] * copies)
+        pieces.extend([tuple(i for i, _, _ in path)] * copies)
     if len(pieces) < total:
         raise DegenerateCirculation(
             "flow value remains but no source-to-sink path is left in the support"
@@ -260,21 +232,21 @@ def round_flow(network: Network, totals: Sequence[int], count: int) -> IntegerFl
     return IntegerFlow(_augment_to_value(network, extracted, target))
 
 
-def compose(network: Network, first: Sequence[UnitFlow], second: Sequence[UnitFlow], rng) -> IntegerFlow:
-    """Feasible flow built from two unit-flow lists of a common length F.
+def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence[tuple[int, ...]], rng) -> IntegerFlow:
+    """Feasible flow built from two unit-path lists of a common length F.
 
     Picks alternate between the lists (a coin flip chooses the starting
     one); each pick is drawn in seeded random order from the active list's
     unused elements and accepted only if the running sum stays within
-    capacity, which is checked on the unit's own arcs (`UnitFlow.arc_indices`).
+    capacity, which is checked on the unit path's own arcs.
     A list with no acceptable element left passes its turn to the other;
     once both stall the partial sum is repaired by augmentation up to
     value F.
     """
     target = len(first)
     if target < 1 or len(second) != target:
-        raise ValueError("expected two unit-flow lists of equal positive length")
-    caps = [arc.capacity for arc in network.arcs]
+        raise ValueError("expected two unit-path lists of equal positive length")
+    caps = network.capacities
     totals = [0] * network.arc_count
     remaining = [list(range(target)), list(range(target))]
     lists = (first, second)
@@ -285,15 +257,14 @@ def compose(network: Network, first: Sequence[UnitFlow], second: Sequence[UnitFl
         pool = remaining[active]
         chosen = -1
         for j in rng.permutation(len(pool)).tolist():
-            unit = lists[active][pool[j]]
-            if all(totals[i] < caps[i] for i in unit.arc_indices):
+            if all(totals[i] < caps[i] for i in lists[active][pool[j]]):
                 chosen = pool[j]
                 break
         if chosen < 0:
             stalls += 1
             active = 1 - active
             continue
-        for i in lists[active][chosen].arc_indices:
+        for i in lists[active][chosen]:
             totals[i] += 1
         pool.remove(chosen)
         picked += 1
@@ -387,60 +358,50 @@ def cost_reduce(network: Network, costs: Sequence[int], flow: IntegerFlow):
     return _push_room(flow.values, cycle), False
 
 
-def cycle_moves(network: Network, values: Sequence[int], target: Sequence[int] | None = None):
-    """Per-vertex ``(head, arc index, forward, room)`` moves for `dfs_cycle`.
+def dfs_cycle(network: Network, values: Sequence[int], rng, target: Sequence[int] | None = None):
+    """Any vertex-simple residual cycle of `values`, by randomized depth-first search.
 
-    These are the residual moves of `values` grouped by tail, in arc
-    declaration order with each arc's forward move before its backward
-    one, as in `residual_adjacency`.  With `target`, only moves toward its support are kept: forward
-    ones where `target` carries flow, backward ones where it does not.
-    """
-    out: list[list[tuple[int, int, bool, int]]] = [[] for _ in range(network.vertex_count + 1)]
-    for i, (arc, x) in enumerate(zip(network.arcs, values)):
-        wanted = target is None or target[i] > 0
-        if wanted and arc.capacity - x > 0:
-            out[arc.tail].append((arc.head, i, True, arc.capacity - x))
-        if (target is None or not wanted) and x > 0:
-            out[arc.head].append((arc.tail, i, False, x))
-    return out
-
-
-def dfs_cycle(vertex_count: int, out, rng):
-    """Any vertex-simple cycle, by randomized depth-first search.
-
-    `out` holds per-vertex ``(head, arc index, forward, room)`` moves, as
-    `cycle_moves` builds them.  Start vertices and adjacency expansions are
-    shuffled with `rng`.  The degenerate two-arc cycle that immediately
-    reverses the arc just traversed is skipped: pushing along it would not
-    move any flow.  The cycle comes back as ``(arc index, forward, room)``
-    triples, in the order they are walked, or None if there is none.
+    A vertex's moves are read off `Network.residual_adjacency` when the
+    search expands it, keeping those with room.  With `target`, only moves
+    toward its support are kept: forward ones where `target` carries flow,
+    backward ones where it does not.  Start vertices and each vertex's kept
+    moves are shuffled with `rng`.  The degenerate two-arc cycle that
+    immediately reverses the arc just traversed is skipped: pushing along
+    it would not move any flow.  The cycle comes back as ``(arc index,
+    forward, room)`` triples, in the order they are walked, or None if
+    there is none.
     """
     white, gray, black = 0, 1, 2
-    color = [white] * (vertex_count + 1)
+    color = [white] * (network.vertex_count + 1)
+    adjacency, caps = network.residual_adjacency, network.capacities
 
     def shuffled(v):
-        lst = out[v]
-        return [lst[j] for j in rng.permutation(len(lst)).tolist()]
+        moves = []
+        for i, forward, h in adjacency[v]:
+            room = caps[i] - values[i] if forward else values[i]
+            if room > 0 and (target is None or (target[i] > 0) == forward):
+                moves.append((i, forward, room, h))
+        return [moves[j] for j in rng.permutation(len(moves)).tolist()]
 
-    for s in (i + 1 for i in rng.permutation(vertex_count).tolist()):
+    for s in (i + 1 for i in rng.permutation(network.vertex_count).tolist()):
         if color[s] != white:
             continue
         color[s] = gray
         depth = {s: 0}
         # moves from s to the vertex on top of the stack
-        path: list[tuple[int, int, bool, int]] = []
+        path: list[tuple[int, bool, int, int]] = []
         stack: list[tuple[int, object, int]] = [(s, iter(shuffled(s)), -1)]
         while stack:
             v, move_iter, entry = stack[-1]
             advanced = False
             for move in move_iter:
-                h, i = move[0], move[1]
+                i, h = move[0], move[3]
                 # a vertex lists each arc at most once, so this is the
                 # entry arc taken back
                 if i == entry:
                     continue
                 if color[h] == gray:
-                    return [(j, fwd, room) for _, j, fwd, room in path[depth[h]:] + [move]]
+                    return [m[:3] for m in path[depth[h]:] + [move]]
                 if color[h] == white:
                     color[h] = gray
                     depth[h] = len(path) + 1
@@ -461,7 +422,7 @@ def perturb(network: Network, flow: IntegerFlow, rng) -> IntegerFlow:
 
     Returns the input unchanged when the residual network is acyclic.
     """
-    cycle = dfs_cycle(network.vertex_count, cycle_moves(network, flow.values), rng)
+    cycle = dfs_cycle(network, flow.values, rng)
     if cycle is None:
         return flow
     return _push_room(flow.values, cycle)
@@ -474,7 +435,7 @@ def harmonize(network: Network, flow: IntegerFlow, target, rng) -> IntegerFlow:
     residual arcs exist only where `target` carries flow, backward ones only
     where it does not, so a push never reduces support agreement.
     """
-    cycle = dfs_cycle(network.vertex_count, cycle_moves(network, flow.values, target.values), rng)
+    cycle = dfs_cycle(network, flow.values, rng, target.values)
     if cycle is None:
         return flow
     return _push_room(flow.values, cycle)

@@ -22,6 +22,10 @@ class GenerationError(RmcifError):
     """No feasible instance emerged within the retry budget."""
 
 
+# The largest bound numpy's int64 draw takes: `integers(lo, hi + 1)` needs hi + 1 <= 2**63.
+_DRAW_MAX = 2**63 - 1
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Description of one layered instance family member.
@@ -48,8 +52,8 @@ class GeneratorSpec:
             raise InvalidParameter("scenario count must be positive")
         for name in ("capacity_range", "cost_range"):
             lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise InvalidParameter(f"{name} must satisfy 0 <= lo <= hi")
+            if lo < 0 or hi < lo or hi > _DRAW_MAX:
+                raise InvalidParameter(f"{name} must satisfy 0 <= lo <= hi <= {_DRAW_MAX}")
         if not 0 < self.density <= 1:
             raise InvalidParameter("density must lie in (0, 1]")
         if self.flow_value is not None and self.flow_value < 0:

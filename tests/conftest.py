@@ -12,6 +12,7 @@ from rmcif import (
     GenerationError,
     GeneratorSpec,
     Instance,
+    IntegerFlow,
     Network,
     ScenarioSet,
     generate,
@@ -111,3 +112,16 @@ def scrambled_flow(network, value, seed, steps=3):
     for _ in range(steps):
         values = oracles.perturb_values(network, values, rng)
     return values
+
+
+def unit_flow(network, path) -> IntegerFlow:
+    """The value-1 flow of a unit path given as arc indices."""
+    values = [0] * network.arc_count
+    for i in path:
+        values[i] = 1
+    return IntegerFlow(tuple(values))
+
+
+def unit_vertices(network, path) -> tuple[int, ...]:
+    """The vertices a unit path given as arc indices walks, source first."""
+    return (network.source,) + tuple(network.arcs[i].head for i in path)

@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import gen
+from conftest import gen, unit_flow, unit_vertices
 from oracles import brute_min_cost, robust_path_optimum, solve_lp_text, sum_flows
 from rmcif import (
     ABSOLUTE,
@@ -177,14 +177,17 @@ def test_criterion_05_decomposition_roundtrip(announce):
                 flow = perturb(network, flow, rng)
                 pieces = decompose(network, flow)
                 assert len(pieces) == instance.flow_value
-                for piece in pieces:
-                    assert validate_flow(instance, piece) == 1
-                    assert flow_value_of(network, piece.values) == 1
-                    assert piece.vertices[0] == network.source
-                    assert piece.vertices[-1] == network.sink
-                    assert len(set(piece.vertices)) == len(piece.vertices)
+                units = [unit_flow(network, piece) for piece in pieces]
+                for piece, unit in zip(pieces, units):
+                    assert validate_flow(instance, unit) == 1
+                    assert flow_value_of(network, unit.values) == 1
+                    vertices = unit_vertices(network, piece)
+                    assert all(network.arcs[i].tail == v for i, v in zip(piece, vertices))
+                    assert vertices[0] == network.source
+                    assert vertices[-1] == network.sink
+                    assert len(set(vertices)) == len(vertices)
                 if pieces:
-                    assert sum_flows(network, pieces).values == flow.values
+                    assert sum_flows(network, units).values == flow.values
                 checked += 1
         assert checked >= 1000
         assert time.monotonic() - start < 30.0

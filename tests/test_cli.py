@@ -50,6 +50,11 @@ class TestArgumentHelpers:
         assert params.tournament_size == 2
         assert params.iteration_limit == 9
 
+    def test_build_params_config_integral_float(self, tmp_path):
+        config = tmp_path / "params.json"
+        config.write_text(json.dumps({"population_size": 4.0}))
+        assert _build_params(str(config), []).population_size == 4
+
     def test_build_params_rejects_unknown_names(self):
         from rmcif import RmcifError
 
@@ -282,6 +287,19 @@ class TestBench:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_broken_instance_is_named(self, tmp_path, capsys):
+        instances = tmp_path / "set"
+        instances.mkdir()
+        (instances / "d.rmcif").write_text(DIAMOND_TEXT)
+        (instances / "e.rmcif").write_text("".join(DIAMOND_TEXT.splitlines(True)[:2]))
+        code = main(["bench", "--dir", str(instances), "--out", str(tmp_path / "r.csv")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "e.rmcif" in lines[0]
+
 
 def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsys):
     outputs = []
@@ -327,15 +345,30 @@ def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsy
         ["solve", "--instance", "{latin}", "--variant", "abs", "--solver", "ls1"],
         ["export-lp", "--instance", "{latin}", "--variant", "abs"],
         ["bench", "--dir", "{latin_dir}", "--out", "{csv}"],
+        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+         "--config", "{config_latin}"],
+        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+         "--config", "{config_float}"],
+        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+         "--config", "{config_bool}"],
+        ["generate", "--width", "2", "--layers", "2", "--scenarios", "2",
+         "--cap", "99999999999999999999:99999999999999999999"],
     ],
     ids=["missing-instance", "non-integer-param", "zero-param", "zero-scenarios", "density",
          "config-not-json", "generate-negative-seed", "ec-negative-seed", "ls-negative-seed",
          "empty-seed-range", "solve-negative-budget", "bench-negative-budget",
-         "bench-unknown-variant", "solve-non-ascii", "export-lp-non-ascii", "bench-non-ascii"],
+         "bench-unknown-variant", "solve-non-ascii", "export-lp-non-ascii", "bench-non-ascii",
+         "config-not-utf8", "config-float", "config-bool", "generate-oversized-cap"],
 )
 def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
     config = tmp_path / "params.json"
     config.write_text("{neighborhood_size: 3")
+    config_latin = tmp_path / "latin.json"
+    config_latin.write_bytes(b"\xff{}")
+    config_float = tmp_path / "float.json"
+    config_float.write_text('{"population_size": 2.7}')
+    config_bool = tmp_path / "bool.json"
+    config_bool.write_text('{"neighborhood_size": true}')
     latin = tmp_path / "latin" / "diamond.rmcif"
     latin.parent.mkdir()
     latin.write_bytes(diamond_file.read_bytes().replace(b"s 2", b"c \xff\ns 2"))
@@ -345,6 +378,9 @@ def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
         "missing": str(tmp_path / "missing.rmcif"),
         "diamond": str(diamond_file),
         "config": str(config),
+        "config_latin": str(config_latin),
+        "config_float": str(config_float),
+        "config_bool": str(config_bool),
         "dir": str(diamond_file.parent),
         "csv": str(tmp_path / "bench.csv"),
     }

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cyclic_networks, gen, scrambled_flow
+from conftest import cyclic_networks, gen, scrambled_flow, unit_flow, unit_vertices
 from rmcif import (
     AlreadyMaximal,
     Arc,
@@ -35,7 +35,7 @@ from rmcif import (
     perturb,
     round_flow,
 )
-from rmcif.flow_ops import _augment_to_value, cycle_moves, dfs_cycle
+from rmcif.flow_ops import _augment_to_value, dfs_cycle
 from rmcif.heuristics import make_rng
 
 seeds = st.integers(0, 2_000)
@@ -78,7 +78,16 @@ def endpoints(network, i, forward):
 
 
 def unit_pairs(network, values):
-    return [(u.values, u.vertices) for u in decompose(network, IntegerFlow(values))]
+    """`decompose` as the oracle's ``(values, vertices)`` pairs."""
+    return [
+        (unit_flow(network, path).values, unit_vertices(network, path))
+        for path in decompose(network, IntegerFlow(values))
+    ]
+
+
+def oracle_units(network, paths):
+    """Unit paths as the value-1 flows `oracles.compose_units` reads."""
+    return [unit_flow(network, path) for path in paths]
 
 
 class TestDecompose:
@@ -88,17 +97,6 @@ class TestDecompose:
         network, (values,) = case
         got = outcome(unit_pairs, network, values)
         assert got == outcome(oracles.unit_paths, network, values)
-
-    @given(flows())
-    @settings(max_examples=60)
-    def test_arc_indices_are_the_positive_arcs(self, case):
-        network, (values,) = case
-        try:
-            pieces = decompose(network, IntegerFlow(values))
-        except DegenerateCirculation:
-            return
-        for unit in pieces:
-            assert unit.arc_indices == tuple(i for i, v in enumerate(unit.values) if v)
 
     def test_circulation_on_the_path_is_rejected_alike(self):
         net = Network(4, (Arc(1, 2, 2), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 2)))
@@ -177,7 +175,11 @@ class TestCompose:
             return
         rng, ref = make_rng(seed), make_rng(seed)
         got = outcome(lambda: compose(network, first, second, rng).values)
-        assert got == outcome(oracles.compose_units, network, first, second, ref)
+        want = outcome(
+            oracles.compose_units, network, oracle_units(network, first),
+            oracle_units(network, second), ref,
+        )
+        assert got == want
         assert next_draw(rng) == next_draw(ref)
 
 
@@ -187,7 +189,7 @@ class TestCycleWalks:
     def test_dfs_cycle_returns_the_same_moves(self, case, seed):
         network, (values,) = case
         rng, ref = make_rng(seed), make_rng(seed)
-        cyc = dfs_cycle(network.vertex_count, cycle_moves(network, values), rng)
+        cyc = dfs_cycle(network, values, rng)
         want = oracles.random_cycle(
             network.vertex_count, oracles.residual_moves(network, values), ref
         )
@@ -237,6 +239,6 @@ def test_larger_layered_instances(seed):
     rng, ref = make_rng(seed), make_rng(seed)
     first, second = decompose(network, IntegerFlow(a)), decompose(network, IntegerFlow(b))
     assert compose(network, first, second, rng).values == oracles.compose_units(
-        network, first, second, ref
+        network, oracle_units(network, first), oracle_units(network, second), ref
     )
     assert next_draw(rng) == next_draw(ref)

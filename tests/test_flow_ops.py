@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gen
+import oracles
+from conftest import gen, unit_flow, unit_vertices
 from oracles import brute_min_cost, has_negative_cycle_floyd_warshall, min_cut_value, sum_flows
 from rmcif import (
     AlreadyMaximal,
@@ -15,7 +16,6 @@ from rmcif import (
     IntegerFlow,
     Network,
     TargetUnreachable,
-    UnitFlow,
     augment,
     center,
     check_arc_values,
@@ -30,14 +30,7 @@ from rmcif import (
     perturb,
     round_flow,
 )
-from rmcif.flow_ops import (
-    _push_room,
-    cycle_moves,
-    dfs_cycle,
-    fewest_arc_path,
-    negative_cycle,
-    residual_adjacency,
-)
+from rmcif.flow_ops import _push_room, dfs_cycle, fewest_arc_path, negative_cycle
 from rmcif.heuristics import make_rng
 
 UPPER = IntegerFlow((1, 0, 1, 0))
@@ -59,15 +52,17 @@ def feasible_value(network, flow):
 def residual_moves(network, values):
     """Every residual move of `values` as ``(tail, head, room, arc index, forward)``.
 
-    Read off `cycle_moves` and put in residual order: arc declaration order,
-    each arc's forward move before its backward one.
+    Read off `Network.residual_adjacency`, keeping the moves with room, and
+    put in residual order: arc declaration order, each arc's forward move
+    before its backward one.
     """
+    caps = network.capacities
     moves = [
-        (t, h, room, i, forward)
-        for t, out in enumerate(cycle_moves(network, values))
-        for h, i, forward, room in out
+        (t, h, caps[i] - values[i] if forward else values[i], i, forward)
+        for t, adjacent in enumerate(network.residual_adjacency)
+        for i, forward, h in adjacent
     ]
-    return sorted(moves, key=lambda m: (m[3], not m[4]))
+    return sorted((m for m in moves if m[2] > 0), key=lambda m: (m[3], not m[4]))
 
 
 def endpoints(network, move):
@@ -110,9 +105,16 @@ class TestResidualNetwork:
         assert [(forward, room) for _, _, room, _, forward in moves] == [(True, 2), (False, 1)]
 
     def test_out_lists_group_by_tail(self, diamond):
-        out = cycle_moves(diamond.network, UPPER.values)
-        assert [head for head, _, _, _ in out[1]] == [3]
-        assert [head for head, _, _, _ in out[4]] == [2]
+        adjacency = diamond.network.residual_adjacency
+        assert adjacency[1] == ((0, True, 2), (1, True, 3))
+        assert adjacency[4] == ((2, False, 2), (3, False, 3))
+        moves = residual_moves(diamond.network, UPPER.values)
+        assert [h for t, h, _, _, _ in moves if t == 1] == [3]
+        assert [h for t, h, _, _, _ in moves if t == 4] == [2]
+
+    def test_capacities(self, diamond):
+        assert diamond.network.capacities == (1, 1, 1, 1)
+        assert Network(3, (Arc(1, 2, 5), Arc(2, 3, 0))).capacities == (5, 0)
 
     def test_residual_cost_sign(self, diamond):
         costs = diamond.scenarios.costs[0]
@@ -136,10 +138,7 @@ class TestResidualNetwork:
 
 
 def residual_path(network, values):
-    caps = [arc.capacity for arc in network.arcs]
-    return fewest_arc_path(
-        residual_adjacency(network), caps, values, network.source, network.sink
-    )
+    return fewest_arc_path(network, network.capacities, values)
 
 
 class TestPathSearch:
@@ -213,9 +212,11 @@ class TestSumAndDecompose:
         pieces = decompose(diamond.network, FULL)
         assert len(pieces) == 2
         for piece in pieces:
-            assert feasible_value(diamond.network, piece) == 1
-        assert sorted(p.vertices for p in pieces) == [(1, 2, 4), (1, 3, 4)]
-        assert sum_flows(diamond.network, pieces).values == FULL.values
+            assert feasible_value(diamond.network, unit_flow(diamond.network, piece)) == 1
+        assert sorted(pieces) == [(0, 2), (1, 3)]
+        assert sorted(unit_vertices(diamond.network, p) for p in pieces) == [(1, 2, 4), (1, 3, 4)]
+        units = [unit_flow(diamond.network, p) for p in pieces]
+        assert sum_flows(diamond.network, units).values == FULL.values
 
     def test_decompose_zero_flow(self, diamond):
         assert decompose(diamond.network, IntegerFlow((0, 0, 0, 0))) == []
@@ -236,7 +237,8 @@ class TestSumAndDecompose:
         flow = random_feasible_flow(instance, seed)
         pieces = decompose(instance.network, flow)
         assert len(pieces) == instance.flow_value
-        assert sum_flows(instance.network, pieces).values == flow.values
+        units = [unit_flow(instance.network, p) for p in pieces]
+        assert sum_flows(instance.network, units).values == flow.values
 
 
 class TestCenterAndRound:
@@ -286,7 +288,7 @@ class TestCompose:
 
     def test_repair_after_both_lists_stall(self):
         net = Network(4, (Arc(1, 2, 1), Arc(2, 4, 1), Arc(1, 3, 1), Arc(3, 4, 1)))
-        top = UnitFlow((1, 1, 0, 0), (1, 2, 4))
+        top = (0, 1)
         clones = [top, top]
         flow = compose(net, clones, clones, make_rng(1))
         assert feasible_value(net, flow) == 2
@@ -397,9 +399,8 @@ class TestNegativeCycleKernel:
 
     def test_flat_lists_match_the_views(self, diamond):
         rows = residual_moves(diamond.network, UPPER.values)
-        moves = cycle_moves(diamond.network, UPPER.values)
-        by_tail = [(t, h, c, i, f) for t in range(5) for h, i, f, c in moves[t]]
-        assert by_tail == sorted(rows, key=lambda row: row[0])
+        want = [m for out in oracles.residual_moves(diamond.network, UPPER.values) for m in out]
+        assert sorted(rows, key=lambda row: row[0]) == want
 
 
 class TestCostReduce:
@@ -502,12 +503,10 @@ def self_distance(a, b):
 
 class TestDfsCycle:
     def test_none_on_acyclic_residual(self, diamond):
-        out = cycle_moves(diamond.network, FULL.values)
-        assert dfs_cycle(diamond.network.vertex_count, out, make_rng(0)) is None
+        assert dfs_cycle(diamond.network, FULL.values, make_rng(0)) is None
 
     def test_cycle_is_vertex_simple(self, diamond):
-        out = cycle_moves(diamond.network, UPPER.values)
-        cyc = dfs_cycle(diamond.network.vertex_count, out, make_rng(2))
+        cyc = dfs_cycle(diamond.network, UPPER.values, make_rng(2))
         assert cyc is not None
         arcs = [endpoints(diamond.network, move) for move in cyc]
         tails = [tail for tail, _ in arcs]

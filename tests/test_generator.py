@@ -36,6 +36,8 @@ class TestSpecValidation:
             ({"flow_fraction": 1.2}, "flow fraction"),
             ({"max_retries": 0}, "retry budget"),
             ({"seed": -1}, "seed"),
+            ({"capacity_range": (0, 2**63)}, "capacity_range"),
+            ({"cost_range": (10**20, 10**20)}, "cost_range"),
         ],
     )
     def test_rejects(self, kwargs, fragment):
