@@ -64,8 +64,8 @@ def solve_one(
     if solver == "exact":
         check_seed(seed)
         start = clock()
-        cost, flow = enumerate_optimum(instance, variant, exact_budget)
-        return SolutionRecord(variant, solver, cost, flow.values, seed, clock() - start)
+        cost, values = enumerate_optimum(instance, variant, exact_budget)
+        return SolutionRecord(variant, solver, cost, values, seed, clock() - start)
     raise ValueError(f"unknown solver tag {solver!r}")
 
 

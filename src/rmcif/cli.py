@@ -50,15 +50,28 @@ def _variants(text: str) -> tuple[str, ...]:
         raise InvalidParameter(str(exc)) from None
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose syntax errors raise `RmcifError` instead of exiting 2."""
+
+    def error(self, message: str):
+        raise RmcifError(message)
+
+
 def _int_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
-    return int(lo), int(hi)
+    try:
+        lo, hi = (int(t) for t in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers lo:hi, got {text!r}") from None
+    return lo, hi
 
 
 def _widths(text: str) -> tuple[int, ...]:
-    return tuple(int(w) for w in text.split(","))
+    try:
+        return tuple(int(w) for w in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _seeds(text: str) -> tuple[int, ...]:
@@ -146,7 +159,7 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _make_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rmcif",
         description="Heuristic and exact solvers for robust minimum-cost integer flows",
     )
@@ -272,7 +285,8 @@ def _cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _make_parser().parse_args(argv)
+    """Run one command; every user error, argument syntax included, is one
+    ``error:`` line on stderr and exit code 1."""
     handlers = {
         "generate": _cmd_generate,
         "solve": _cmd_solve,
@@ -280,6 +294,7 @@ def main(argv=None) -> int:
         "bench": _cmd_bench,
     }
     try:
+        args = _make_parser().parse_args(argv)
         return handlers[args.command](args)
     except RmcifError as exc:
         message = str(exc)

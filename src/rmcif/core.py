@@ -7,6 +7,7 @@ Two robust objectives are supported downstream: the worst scenario cost
 ("absolute") and the worst regret against the per-scenario optima
 ("deviation").
 
+A flow is a plain tuple of integer arc values in arc declaration order.
 Instances travel as plain-text ``.rmcif`` files (see `parse_instance`),
 solutions as ``.sol`` files (see `format_solution`).  Vertices, arcs and
 scenarios are numbered from 1 in files and error messages.
@@ -191,13 +192,6 @@ class Instance:
             raise ValueError("F exceeds maximum flow")
 
 
-@dataclass(frozen=True)
-class IntegerFlow:
-    """Arc values of an integral flow, in arc declaration order."""
-
-    values: tuple[int, ...]
-
-
 def flow_value_of(network: Network, values: Sequence[int]) -> int:
     """Net outflow at the source."""
     source = network.source
@@ -222,14 +216,13 @@ def check_arc_values(network: Network, values: Sequence[int]) -> list[int]:
     return balance
 
 
-def validate_flow(instance: Instance, flow) -> int:
-    """Return the value of `flow` after checking capacities and conservation.
+def validate_flow(instance: Instance, values: Sequence[int]) -> int:
+    """Return the value of the flow `values` after checking capacities and conservation.
 
-    Raises `CapacityViolation` or `ConservationViolation`; accepts any
-    object with integer arc `values`, such as a `SolutionRecord`.
+    Raises `CapacityViolation` or `ConservationViolation`.
     """
     network = instance.network
-    balance = check_arc_values(network, flow.values)
+    balance = check_arc_values(network, values)
     for v in range(1, network.vertex_count + 1):
         if v in (network.source, network.sink):
             continue
@@ -241,12 +234,12 @@ def validate_flow(instance: Instance, flow) -> int:
     return value
 
 
-def flow_cost(instance: Instance, flow, scenario: int) -> int:
-    """Total cost of `flow` under the scenario with 0-based index `scenario`."""
+def flow_cost(instance: Instance, values: Sequence[int], scenario: int) -> int:
+    """Total cost of the flow `values` under the scenario with 0-based index `scenario`."""
     rows = instance.scenarios.costs
     if not 0 <= scenario < len(rows):
         raise IndexError(f"scenario index {scenario} out of range")
-    return sum(c * v for c, v in zip(rows[scenario], flow.values))
+    return sum(c * v for c, v in zip(rows[scenario], values))
 
 
 def _int_token(token: str, what: str, line: int) -> int:
@@ -406,7 +399,7 @@ def format_solution(record: SolutionRecord, instance: Instance) -> str:
         raise ValueError(f"unknown variant tag {record.variant!r}")
     if record.solver not in ALL_SOLVERS:
         raise ValueError(f"unknown solver tag {record.solver!r}")
-    value = validate_flow(instance, record)
+    value = validate_flow(instance, record.values)
     if value != instance.flow_value:
         raise WrongFlowValue(
             f"solution value {value} differs from required {instance.flow_value}"
@@ -457,7 +450,7 @@ def parse_solution(text: str | bytes, instance: Instance) -> SolutionRecord:
     if head is None:
         raise InstanceFormatError("missing solution header")
     record = SolutionRecord(head[0], head[1], head[2], tuple(values), head[3])
-    value = validate_flow(instance, record)
+    value = validate_flow(instance, record.values)
     if value != instance.flow_value:
         raise WrongFlowValue(
             f"solution value {value} differs from required {instance.flow_value}"

@@ -14,17 +14,8 @@ from __future__ import annotations
 import heapq
 from operator import sub
 
-from .core import (
-    ABSOLUTE,
-    DEVIATION,
-    VARIANTS,
-    Instance,
-    IntegerFlow,
-    InvalidParameter,
-    Network,
-    RmcifError,
-)
-from .objectives import ScenarioOptima, compute_optima, scenario_costs
+from .core import Instance, InvalidParameter, Network, RmcifError
+from .objectives import compute_optima, make_criterion, scenario_costs
 
 
 class BudgetExceeded(RmcifError):
@@ -305,13 +296,14 @@ def check_budget(node_budget: int) -> int:
 
 def enumerate_optimum(
     instance: Instance, variant: str, node_budget: int = 100_000_000
-) -> tuple[int, IntegerFlow]:
-    """True optimum and a witness flow, by branch and bound.
+) -> tuple[int, tuple[int, ...]]:
+    """True optimum and a witness flow (its arc values), by branch and bound.
 
     The incumbent starts at the best-evaluated scenario-optimal flow, and
-    the search stops early once the incumbent meets the variant's lower
-    bound (the largest scenario optimum for the absolute variant, zero for
-    the deviation variant).  A branch is pruned once the reduced-cost
+    the search stops early once the incumbent meets the lower bound
+    ``max(optimum_s - shift_s)``, with the shift of the variant's criterion
+    (the largest scenario optimum for the absolute variant, zero for the
+    deviation variant).  A branch is pruned once the reduced-cost
     completion bound of its fixed arcs (see `_Search`) reaches the
     incumbent: what the rest of the flow must still cost is counted before
     its arcs are assigned.  The walk runs on an explicit stack, so large
@@ -319,26 +311,21 @@ def enumerate_optimum(
     `BudgetExceeded` when more than `node_budget` arc assignments get
     explored, and `InvalidParameter` for a negative budget.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant tag {variant!r}")
+    criterion = make_criterion(instance, variant)
+    shift = criterion.shift
     node_budget = check_budget(node_budget)
-    optima = compute_optima(instance)
-    scenario_count = instance.scenarios.scenario_count
-    if variant == DEVIATION:
-        shift = optima.costs
-        lower = 0
-    else:
-        shift = (0,) * scenario_count
-        lower = max(optima.costs)
+    # the deviation criterion already holds the optima
+    optima = criterion.optima or compute_optima(instance)
+    lower = max(map(sub, optima.costs, shift))
 
     best_values = None
     best_cost = None
     for flow in optima.flows:
         cost = max(map(sub, scenario_costs(instance, flow), shift))
         if best_cost is None or cost < best_cost:
-            best_cost, best_values = cost, flow.values
+            best_cost, best_values = cost, flow
     if best_cost <= lower:
-        return best_cost, IntegerFlow(best_values)
+        return best_cost, best_values
 
     topo = _topological_order(instance.network)
     search = _Search(
@@ -351,7 +338,7 @@ def enumerate_optimum(
             _search_dag(search, topo)
     except _OptimumHit:
         pass
-    return search.best_cost, IntegerFlow(search.best_values)
+    return search.best_cost, search.best_values
 
 
 def _lp_rows(label: str, terms: list[str], relation: str) -> list[str]:
@@ -381,19 +368,16 @@ def _term(coefficient: int, name: str) -> str:
     return f"{sign} {body}"
 
 
-def export_lp(instance: Instance, variant: str, optima: ScenarioOptima | None = None) -> str:
+def export_lp(instance: Instance, variant: str) -> str:
     """LP-format text of the linearized robust model.
 
     Minimizes the auxiliary variable y subject to one robust row per
-    scenario (cost row minus y, bounded by zero for the absolute variant
-    and by the scenario optimum for the deviation variant), one flow
-    conservation equality per vertex, capacity bounds, and integrality of
-    every arc variable.
+    scenario (cost row minus y, bounded by the criterion's shift: zero for
+    the absolute variant, the scenario optimum for the deviation variant),
+    one flow conservation equality per vertex, capacity bounds, and
+    integrality of every arc variable.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant tag {variant!r}")
-    if variant == DEVIATION and optima is None:
-        optima = compute_optima(instance)
+    shift = make_criterion(instance, variant).shift
     network = instance.network
     names = [f"x_{a.tail}_{a.head}" for a in network.arcs]
     lines = [f"\\ robust minimum-cost flow model, {variant} variant"]
@@ -403,8 +387,7 @@ def export_lp(instance: Instance, variant: str, optima: ScenarioOptima | None = 
     for s, row in enumerate(instance.scenarios.costs):
         terms = [_term(c, names[i]) for i, c in enumerate(row) if c != 0]
         terms.append("- y")
-        bound = optima.costs[s] if variant == DEVIATION else 0
-        lines.extend(_lp_rows(f"rob_{s + 1}", terms, f"<= {bound}"))
+        lines.extend(_lp_rows(f"rob_{s + 1}", terms, f"<= {shift[s]}"))
     balance = _balances(instance)
     for v in range(1, network.vertex_count + 1):
         terms = []

@@ -30,22 +30,20 @@ still to peel) and the current arc values.
   "Negative-cycle detection algorithms", Math. Prog. 85, 1999) instead of
   running all n passes.
 
-All procedures are pure: they return new flows and never mutate their
-inputs.  Randomized ones take an explicit numpy Generator.  Deterministic
-tie-breaking follows arc declaration order throughout (adjacency lists,
-scan orders and breadth-first expansions are all built in that order).
+A flow is a plain tuple of integer arc values in arc declaration order,
+the shape of `Network.capacities`, and every procedure here takes and
+returns flows as such tuples.  All procedures are pure: they return new
+flows and never mutate their inputs.  Randomized ones take an explicit
+numpy Generator.  Deterministic tie-breaking follows arc declaration
+order throughout (adjacency lists, scan orders and breadth-first
+expansions are all built in that order).
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from .core import (
-    IntegerFlow,
-    Network,
-    RmcifError,
-    flow_value_of,
-)
+from .core import Network, RmcifError, flow_value_of
 
 
 class AlreadyMaximal(RmcifError):
@@ -102,11 +100,11 @@ def _push(values: list[int], path, amount: int) -> None:
         values[i] += amount if forward else -amount
 
 
-def _push_room(values: Sequence[int], path) -> IntegerFlow:
+def _push_room(values: Sequence[int], path) -> tuple[int, ...]:
     """The flow `values` with the smallest room of `path` pushed along it."""
     vals = list(values)
     _push(vals, path, min(room for _, _, room in path))
-    return IntegerFlow(tuple(vals))
+    return tuple(vals)
 
 
 def _augment(network: Network, values: Sequence[int], target) -> tuple[list[int], int]:
@@ -140,17 +138,17 @@ def max_flow_value(network: Network) -> int:
     return _augment(network, [0] * network.arc_count, math.inf)[1]
 
 
-def find_flow(network: Network, value: int) -> IntegerFlow:
+def find_flow(network: Network, value: int) -> tuple[int, ...]:
     """An arbitrary feasible flow of the given value, built without cost data."""
-    return IntegerFlow(_augment_to_value(network, [0] * network.arc_count, value))
+    return _augment_to_value(network, [0] * network.arc_count, value)
 
 
-def augment(network: Network, flow: IntegerFlow) -> IntegerFlow:
+def augment(network: Network, flow: tuple[int, ...]) -> tuple[int, ...]:
     """Push the bottleneck along one augmenting path; error if none exists."""
-    path = fewest_arc_path(network, network.capacities, flow.values)
+    path = fewest_arc_path(network, network.capacities, flow)
     if path is None:
         raise AlreadyMaximal("the flow value is already maximal")
-    return _push_room(flow.values, path)
+    return _push_room(flow, path)
 
 
 def _peel_paths(network: Network, remaining: list[int], units: int):
@@ -176,7 +174,7 @@ def _peel_paths(network: Network, remaining: list[int], units: int):
         yield path, copies
 
 
-def decompose(network: Network, flow: IntegerFlow) -> list[tuple[int, ...]]:
+def decompose(network: Network, flow: tuple[int, ...]) -> list[tuple[int, ...]]:
     """Split an integer flow of value F into F unit paths.
 
     Each unit path is the tuple of its arc indices in walk order, from the
@@ -186,7 +184,7 @@ def decompose(network: Network, flow: IntegerFlow) -> list[tuple[int, ...]]:
     is the one that extracting a unit at a time would give.  A flow hiding
     a circulation cannot be reassembled from paths and is rejected.
     """
-    remaining = list(flow.values)
+    remaining = list(flow)
     total = flow_value_of(network, remaining)
     pieces: list[tuple[int, ...]] = []
     for path, copies in _peel_paths(network, remaining, total):
@@ -200,21 +198,21 @@ def decompose(network: Network, flow: IntegerFlow) -> list[tuple[int, ...]]:
     return pieces
 
 
-def center(network: Network, flows: Sequence) -> tuple[tuple[int, ...], int]:
+def center(network: Network, flows: Sequence[tuple[int, ...]]) -> tuple[tuple[int, ...], int]:
     """Arc-wise totals of equal-value flows, and their count.
 
     The arc-wise mean is ``totals / count``; `round_flow` rounds it.
     """
     if not flows:
         raise ValueError("cannot center an empty list of flows")
-    first = flow_value_of(network, flows[0].values)
+    first = flow_value_of(network, flows[0])
     for f in flows[1:]:
-        if flow_value_of(network, f.values) != first:
+        if flow_value_of(network, f) != first:
             raise ValueError("flows must share the same value")
-    return tuple(map(sum, zip(*(f.values for f in flows)))), len(flows)
+    return tuple(map(sum, zip(*flows))), len(flows)
 
 
-def round_flow(network: Network, totals: Sequence[int], count: int) -> IntegerFlow:
+def round_flow(network: Network, totals: Sequence[int], count: int) -> tuple[int, ...]:
     """Integral flow near the mean ``totals / count``, of value floor(value + 1/2).
 
     Every arc mean ``t / count``, and the mean's value, is rounded half-up
@@ -229,10 +227,10 @@ def round_flow(network: Network, totals: Sequence[int], count: int) -> IntegerFl
     extracted = [0] * network.arc_count
     for path, copies in _peel_paths(network, rounded, target):
         _push(extracted, path, copies)
-    return IntegerFlow(_augment_to_value(network, extracted, target))
+    return _augment_to_value(network, extracted, target)
 
 
-def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence[tuple[int, ...]], rng) -> IntegerFlow:
+def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence[tuple[int, ...]], rng) -> tuple[int, ...]:
     """Feasible flow built from two unit-path lists of a common length F.
 
     Picks alternate between the lists (a coin flip chooses the starting
@@ -270,7 +268,7 @@ def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence
         picked += 1
         stalls = 0
         active = 1 - active
-    return IntegerFlow(_augment_to_value(network, totals, target))
+    return _augment_to_value(network, totals, target)
 
 
 def _predecessor_cycle(pred_vertex: Sequence[int], n: int) -> int:
@@ -345,17 +343,17 @@ def negative_cycle(network: Network, values: Sequence[int], costs: Sequence[int]
     return cycle
 
 
-def cost_reduce(network: Network, costs: Sequence[int], flow: IntegerFlow):
+def cost_reduce(network: Network, costs: Sequence[int], flow: tuple[int, ...]):
     """One negative-cycle cancellation under `costs`.
 
     Returns ``(flow, optimal)``: the input with the cycle's smallest room
     pushed around it and ``optimal`` False, or the input unchanged and
     ``optimal`` True when no negative residual cycle remains.
     """
-    cycle = negative_cycle(network, flow.values, costs)
+    cycle = negative_cycle(network, flow, costs)
     if cycle is None:
         return flow, True
-    return _push_room(flow.values, cycle), False
+    return _push_room(flow, cycle), False
 
 
 def dfs_cycle(network: Network, values: Sequence[int], rng, target: Sequence[int] | None = None):
@@ -417,31 +415,32 @@ def dfs_cycle(network: Network, values: Sequence[int], rng, target: Sequence[int
     return None
 
 
-def perturb(network: Network, flow: IntegerFlow, rng) -> IntegerFlow:
+def perturb(network: Network, flow: tuple[int, ...], rng) -> tuple[int, ...]:
     """Push the smallest room around an arbitrary residual cycle.
 
-    Returns the input unchanged when the residual network is acyclic.
+    Returns the input object itself when the residual network is acyclic.
     """
-    cycle = dfs_cycle(network, flow.values, rng)
+    cycle = dfs_cycle(network, flow, rng)
     if cycle is None:
         return flow
-    return _push_room(flow.values, cycle)
+    return _push_room(flow, cycle)
 
 
-def harmonize(network: Network, flow: IntegerFlow, target, rng) -> IntegerFlow:
+def harmonize(network: Network, flow: tuple[int, ...], target, rng) -> tuple[int, ...]:
     """Perturbation restricted to moves that pull `flow` onto `target`'s support.
 
     The cycle search runs on a customized displacement network: forward
     residual arcs exist only where `target` carries flow, backward ones only
-    where it does not, so a push never reduces support agreement.
+    where it does not, so a push never reduces support agreement.  Returns
+    the input object itself when no such cycle exists.
     """
-    cycle = dfs_cycle(network, flow.values, rng, target.values)
+    cycle = dfs_cycle(network, flow, rng, target)
     if cycle is None:
         return flow
-    return _push_room(flow.values, cycle)
+    return _push_room(flow, cycle)
 
 
-def min_cost_flow(network: Network, costs: Sequence[int], value: int) -> IntegerFlow:
+def min_cost_flow(network: Network, costs: Sequence[int], value: int) -> tuple[int, ...]:
     """Minimum-cost flow of the given value under one cost vector.
 
     A feasible flow is built by augmentation, then negative residual cycles

@@ -21,19 +21,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne
+from operator import ne, sub
 
 import numpy as np
 
-from .core import (
-    DEVIATION,
-    EC_SOLVERS,
-    LS_SOLVERS,
-    Instance,
-    IntegerFlow,
-    InvalidParameter,
-    SolutionRecord,
-)
+from .core import EC_SOLVERS, LS_SOLVERS, Instance, InvalidParameter, SolutionRecord
 from .flow_ops import (
     center,
     compose,
@@ -44,14 +36,7 @@ from .flow_ops import (
     perturb,
     round_flow,
 )
-from .objectives import (
-    Criterion,
-    compute_optima,
-    eval_absolute,
-    eval_deviation,
-    make_criterion,
-    scenario_costs,
-)
+from .objectives import Criterion, compute_optima, make_criterion, scenario_costs
 
 # Iteration ceiling for local search used as a mutation operator.
 MUTATION_SEARCH_CAP = 50
@@ -109,8 +94,8 @@ def _advance(rows, costs: tuple[int, ...], old: tuple[int, ...], new: tuple[int,
 
 
 def _neighborhood(
-    instance: Instance, flow: IntegerFlow, costs: tuple[int, ...], size: int
-) -> list[tuple[IntegerFlow, tuple[int, ...]]]:
+    instance: Instance, flow: tuple[int, ...], costs: tuple[int, ...], size: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Iterated cost reduction around a flow, spread evenly over scenarios.
 
     Each scenario owns a chain of successive cost reductions starting at the
@@ -127,7 +112,7 @@ def _neighborhood(
     rows = instance.scenarios.costs
     working = [(flow, costs)] * len(rows)
     done = [False] * len(rows)
-    found: list[tuple[IntegerFlow, tuple[int, ...]]] = []
+    found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
     while len(found) < size and not all(done):
         for s, row in enumerate(rows):
             if done[s]:
@@ -137,7 +122,7 @@ def _neighborhood(
             if optimal:
                 done[s] = True
                 continue
-            working[s] = (nxt, _advance(rows, prev_costs, prev.values, nxt.values))
+            working[s] = (nxt, _advance(rows, prev_costs, prev, nxt))
             found.append(working[s])
             if len(found) >= size:
                 break
@@ -147,7 +132,7 @@ def _neighborhood(
 def _descend(
     instance: Instance,
     criterion: Criterion,
-    start: IntegerFlow,
+    start: tuple[int, ...],
     params: SearchParams,
     iteration_limit: int | None,
     trace=None,
@@ -183,16 +168,13 @@ def _descend(
     return current, current_costs, current_cost, moves
 
 
-def _confirm_cost(criterion: Criterion, flow: IntegerFlow, cost: int) -> None:
+def _confirm_cost(criterion: Criterion, flow: tuple[int, ...], cost: int) -> None:
     """Raise unless a fresh evaluation of the returned flow gives `cost`.
 
-    The evaluation goes around `criterion.evaluate`, so the evaluation
-    counter does not move.
+    The flow is validated and costed again around `criterion.evaluate`, so
+    the evaluation counter does not move.
     """
-    if criterion.variant == DEVIATION:
-        fresh = eval_deviation(criterion.instance, flow, criterion.optima)
-    else:
-        fresh = eval_absolute(criterion.instance, flow)
+    fresh = max(map(sub, scenario_costs(criterion.instance, flow), criterion.shift))
     if fresh != cost:
         raise AssertionError(f"carried cost {cost} differs from the fresh cost {fresh}")
 
@@ -200,10 +182,8 @@ def _confirm_cost(criterion: Criterion, flow: IntegerFlow, cost: int) -> None:
 def _zero_flow_record(
     instance: Instance, criterion: Criterion, variant: str, solver: str, seed: int, elapsed: float
 ) -> SolutionRecord:
-    zero = IntegerFlow((0,) * instance.network.arc_count)
-    return SolutionRecord(
-        variant, solver, criterion.evaluate(zero), zero.values, seed, elapsed
-    )
+    zero = (0,) * instance.network.arc_count
+    return SolutionRecord(variant, solver, criterion.evaluate(zero), zero, seed, elapsed)
 
 
 def local_search(
@@ -258,9 +238,7 @@ def local_search(
         if best_cost is None or cost < best_cost:
             best_flow, best_cost = flow, cost
     _confirm_cost(criterion, best_flow, best_cost)
-    return SolutionRecord(
-        variant, solver, best_cost, best_flow.values, seed, clock() - t0
-    )
+    return SolutionRecord(variant, solver, best_cost, best_flow, seed, clock() - t0)
 
 
 def tournament_select(population, mode: str, sample_size: int, rng, exclude=()):
@@ -354,14 +332,14 @@ def evolutionary(
     network = instance.network
     cost_rows = instance.scenarios.costs
 
-    def crossover(a: IntegerFlow, b: IntegerFlow) -> IntegerFlow:
+    def crossover(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         if cross_kind == 0:
             return round_flow(network, *center(network, [a, b]))
         if cross_kind == 1:
             return harmonize(network, a, b, rng)
         return compose(network, decompose(network, a), decompose(network, b), rng)
 
-    def mutate(flow: IntegerFlow, trace=None):
+    def mutate(flow: tuple[int, ...], trace=None):
         """The mutant, and its scenario costs when the inner descent carried them."""
         if mut_kind == 0:
             return perturb(network, flow, rng), None
@@ -430,4 +408,4 @@ def evolutionary(
     winner = min(range(len(population)), key=lambda i: (population[i][1], i))
     flow, cost = population[winner]
     _confirm_cost(criterion, flow, cost)
-    return SolutionRecord(variant, solver, cost, flow.values, seed, clock() - t0)
+    return SolutionRecord(variant, solver, cost, flow, seed, clock() - t0)

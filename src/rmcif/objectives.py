@@ -6,11 +6,14 @@ under a scenario and the best cost any feasible flow of the required
 value achieves under that same scenario.  Scenario optima are therefore
 shared, cacheable inputs; `compute_optima` memoizes them per instance.
 
-Both objectives are a maximum over the per-scenario cost vector that
-`scenario_costs` returns, less a fixed shift per scenario (zero, or the
-scenario optimum).  A caller that already holds a flow's vector, such as
-the descent, which carries it along each cancelled cycle, hands it to
-`Criterion.evaluate` and skips the validation and the K dot products.
+A flow is a plain tuple of arc values in arc declaration order.  Both
+objectives are a maximum over the per-scenario cost vector that
+`scenario_costs` returns, less the criterion's `shift`: zero for every
+scenario, or the scenario optima.  `make_criterion` picks the shift, and
+nothing downstream branches on the variant again.  A caller that
+already holds a flow's vector, such as the descent, which carries it
+along each cancelled cycle, hands it to `Criterion.evaluate` and skips
+the validation and the K dot products.
 """
 from __future__ import annotations
 
@@ -22,7 +25,6 @@ from .core import (
     ABSOLUTE,
     DEVIATION,
     Instance,
-    IntegerFlow,
     WrongFlowValue,
     flow_cost,
     validate_flow,
@@ -35,7 +37,7 @@ class ScenarioOptima:
     """Per-scenario minimum costs and one optimal flow witnessing each."""
 
     costs: tuple[int, ...]
-    flows: tuple[IntegerFlow, ...]
+    flows: tuple[tuple[int, ...], ...]
 
 
 @lru_cache(maxsize=None)
@@ -64,8 +66,7 @@ def scenario_costs(instance: Instance, flow) -> tuple[int, ...]:
     Raises like `validate_flow`, or `WrongFlowValue`.
     """
     _require_feasible(instance, flow)
-    values = flow.values
-    return tuple(sum(map(mul, row, values)) for row in instance.scenarios.costs)
+    return tuple(sum(map(mul, row, flow)) for row in instance.scenarios.costs)
 
 
 def eval_absolute(instance: Instance, flow) -> int:
@@ -84,11 +85,14 @@ class Criterion:
 
     Heuristics rank candidate flows through one of these; the counter
     supports search-effort accounting in experiments.  Every call counts
-    once, whether it scores a fresh flow or a carried cost vector.
+    once, whether it scores a fresh flow or a carried cost vector.  The
+    robust cost is the largest of the scenario costs, each less its
+    `shift` entry.
     """
 
     instance: Instance
     variant: str
+    shift: tuple[int, ...]
     optima: ScenarioOptima | None = None
     evaluations: int = field(default=0)
 
@@ -101,14 +105,18 @@ class Criterion:
         self.evaluations += 1
         if costs is None:
             costs = scenario_costs(self.instance, flow)
-        if self.variant == ABSOLUTE:
-            return max(costs)
-        return max(map(sub, costs, self.optima.costs))
+        return max(map(sub, costs, self.shift))
 
 
 def make_criterion(instance: Instance, variant: str) -> Criterion:
-    """Build the objective for a variant, computing scenario optima if needed."""
-    if variant not in (ABSOLUTE, DEVIATION):
-        raise ValueError(f"unknown variant {variant!r}")
-    optima = compute_optima(instance) if variant == DEVIATION else None
-    return Criterion(instance, variant, optima)
+    """Build the objective for a variant, computing scenario optima if needed.
+
+    The absolute variant shifts every scenario cost by zero, the deviation
+    variant by that scenario's optimum.
+    """
+    if variant == ABSOLUTE:
+        return Criterion(instance, variant, (0,) * instance.scenarios.scenario_count)
+    if variant == DEVIATION:
+        optima = compute_optima(instance)
+        return Criterion(instance, variant, optima.costs, optima)
+    raise ValueError(f"unknown variant {variant!r}")

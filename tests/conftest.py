@@ -12,7 +12,6 @@ from rmcif import (
     GenerationError,
     GeneratorSpec,
     Instance,
-    IntegerFlow,
     Network,
     ScenarioSet,
     generate,
@@ -114,12 +113,12 @@ def scrambled_flow(network, value, seed, steps=3):
     return values
 
 
-def unit_flow(network, path) -> IntegerFlow:
+def unit_flow(network, path) -> tuple[int, ...]:
     """The value-1 flow of a unit path given as arc indices."""
     values = [0] * network.arc_count
     for i in path:
         values[i] = 1
-    return IntegerFlow(tuple(values))
+    return tuple(values)
 
 
 def unit_vertices(network, path) -> tuple[int, ...]:

@@ -16,7 +16,6 @@ from rmcif import (
     DEVIATION,
     CapacityViolation,
     Instance,
-    IntegerFlow,
     Network,
     compute_optima,
 )
@@ -77,20 +76,20 @@ def enumerate_feasible_flows(network: Network, flow_value: int) -> list[tuple[in
     return found
 
 
-def sum_flows(network: Network, flows) -> IntegerFlow:
+def sum_flows(network: Network, flows) -> tuple[int, ...]:
     """Arc-wise sum of flows on one network; capacities must absorb the total."""
     if not flows:
         raise ValueError("cannot sum an empty list of flows")
     totals = [0] * network.arc_count
     for f in flows:
-        for i, v in enumerate(f.values):
+        for i, v in enumerate(f):
             totals[i] += v
     for i, (arc, v) in enumerate(zip(network.arcs, totals)):
         if v > arc.capacity:
             raise CapacityViolation(
                 i, f"arc {i + 1}: summed value {v} exceeds capacity {arc.capacity}"
             )
-    return IntegerFlow(tuple(totals))
+    return tuple(totals)
 
 
 def scenario_cost(instance: Instance, values, scenario: int) -> int:
@@ -478,14 +477,14 @@ def compose_units(network: Network, first, second, rng) -> tuple[int, ...]:
         chosen = -1
         for j in rng.permutation(len(pool)):
             unit = lists[active][pool[int(j)]]
-            if all(t + v <= c for t, v, c in zip(totals, unit.values, caps)):
+            if all(t + v <= c for t, v, c in zip(totals, unit, caps)):
                 chosen = pool[int(j)]
                 break
         if chosen < 0:
             stalls += 1
             active = 1 - active
             continue
-        for i, v in enumerate(lists[active][chosen].values):
+        for i, v in enumerate(lists[active][chosen]):
             totals[i] += v
         pool.remove(chosen)
         picked += 1
@@ -755,10 +754,10 @@ def prefix_cost_optimum(instance: Instance, variant: str, node_budget: int):
     best_cost = best_values = None
     for flow in optima.flows:
         cost = max(
-            scenario_cost(instance, flow.values, s) - z for s, z in enumerate(shift)
+            scenario_cost(instance, flow, s) - z for s, z in enumerate(shift)
         )
         if best_cost is None or cost < best_cost:
-            best_cost, best_values = cost, flow.values
+            best_cost, best_values = cost, flow
     if best_cost <= lower:
         return best_cost, tuple(best_values), 0
     search = PrefixCostSearch(instance, shift, lower, node_budget, best_cost, best_values)

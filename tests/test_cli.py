@@ -163,18 +163,25 @@ class TestSolve:
         assert code == 0
         assert capsys.readouterr().out.startswith("o deviation ec1 2 2\n")
 
-    def test_bad_variant_exits_two(self, diamond_file, capsys):
+    def test_bad_variant_is_one_error_line(self, diamond_file, capsys):
+        code = main(
+            [
+                "solve",
+                "--instance", str(diamond_file),
+                "--variant", "worst",
+                "--solver", "ls1",
+            ]
+        )
+        assert code == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "unknown variant" in lines[0]
+
+    def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as err:
-            main(
-                [
-                    "solve",
-                    "--instance", str(diamond_file),
-                    "--variant", "worst",
-                    "--solver", "ls1",
-                ]
-            )
-        assert err.value.code == 2
-        assert "unknown variant" in capsys.readouterr().err
+            main(["solve", "--help"])
+        assert err.value.code == 0
+        assert "--variant" in capsys.readouterr().out
 
     def test_malformed_instance_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.rmcif"
@@ -353,12 +360,19 @@ def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsy
          "--config", "{config_bool}"],
         ["generate", "--width", "2", "--layers", "2", "--scenarios", "2",
          "--cap", "99999999999999999999:99999999999999999999"],
+        ["generate", "--width", "2", "--layers", "2", "--scenarios", "2", "--cap", "1:x"],
+        ["generate", "--width", "2,x", "--layers", "2", "--scenarios", "2"],
+        ["bench", "--dir", "{dir}", "--solvers", "ls9", "--out", "{csv}"],
+        ["solve", "--instance", "{diamond}", "--solver", "ls1"],
+        [],
     ],
     ids=["missing-instance", "non-integer-param", "zero-param", "zero-scenarios", "density",
          "config-not-json", "generate-negative-seed", "ec-negative-seed", "ls-negative-seed",
          "empty-seed-range", "solve-negative-budget", "bench-negative-budget",
          "bench-unknown-variant", "solve-non-ascii", "export-lp-non-ascii", "bench-non-ascii",
-         "config-not-utf8", "config-float", "config-bool", "generate-oversized-cap"],
+         "config-not-utf8", "config-float", "config-bool", "generate-oversized-cap",
+         "generate-non-integer-cap", "generate-non-integer-width", "bench-unknown-solver",
+         "solve-missing-variant", "no-command"],
 )
 def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
     config = tmp_path / "params.json"

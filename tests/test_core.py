@@ -13,7 +13,6 @@ from rmcif import (
     ConservationViolation,
     Instance,
     InstanceFormatError,
-    IntegerFlow,
     Network,
     ScenarioSet,
     SolutionRecord,
@@ -99,22 +98,22 @@ class TestFlowChecks:
         assert flow_value_of(net, (2, 1, 1)) == 1
 
     def test_validate_flow_value(self, diamond):
-        assert validate_flow(diamond, IntegerFlow((1, 0, 1, 0))) == 1
-        assert validate_flow(diamond, IntegerFlow((1, 1, 1, 1))) == 2
+        assert validate_flow(diamond, (1, 0, 1, 0)) == 1
+        assert validate_flow(diamond, (1, 1, 1, 1)) == 2
 
     def test_validate_flow_capacity(self, diamond):
         with pytest.raises(CapacityViolation) as err:
-            validate_flow(diamond, IntegerFlow((2, 0, 2, 0)))
+            validate_flow(diamond, (2, 0, 2, 0))
         assert err.value.arc_index == 0
         assert "arc 1" in str(err.value)
 
     def test_validate_flow_conservation(self, diamond):
         with pytest.raises(ConservationViolation) as err:
-            validate_flow(diamond, IntegerFlow((1, 0, 0, 1)))
+            validate_flow(diamond, (1, 0, 0, 1))
         assert err.value.vertex in (2, 3)
 
     def test_flow_cost_by_scenario(self, diamond):
-        upper = IntegerFlow((1, 0, 1, 0))
+        upper = (1, 0, 1, 0)
         assert flow_cost(diamond, upper, 0) == 2
         assert flow_cost(diamond, upper, 1) == 4
         with pytest.raises(IndexError, match="out of range"):

@@ -20,7 +20,6 @@ from rmcif import (
     ABSOLUTE,
     DEVIATION,
     Instance,
-    IntegerFlow,
     ScenarioSet,
     compute_optima,
     eval_absolute,
@@ -50,7 +49,7 @@ def started_instances(draw):
     else:
         instance = gen(draw(seeds), widths=(3, 3), scenarios=3, caps=(0, 4), density=0.8)
     start = scrambled_flow(instance.network, instance.flow_value, draw(seeds))
-    return instance, IntegerFlow(start)
+    return instance, start
 
 
 def fresh_costs(instance, flow):

@@ -102,7 +102,7 @@ def counted(instance, variant, node_budget):
         cost, witness = enumerate_optimum(instance, variant, node_budget)
     finally:
         exact._Search.tick = tick
-    return cost, witness.values, explored
+    return cost, witness, explored
 
 
 def scannable(instance) -> bool:

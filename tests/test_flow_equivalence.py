@@ -21,7 +21,6 @@ from rmcif import (
     AlreadyMaximal,
     Arc,
     DegenerateCirculation,
-    IntegerFlow,
     Network,
     TargetUnreachable,
     augment,
@@ -80,8 +79,8 @@ def endpoints(network, i, forward):
 def unit_pairs(network, values):
     """`decompose` as the oracle's ``(values, vertices)`` pairs."""
     return [
-        (unit_flow(network, path).values, unit_vertices(network, path))
-        for path in decompose(network, IntegerFlow(values))
+        (unit_flow(network, path), unit_vertices(network, path))
+        for path in decompose(network, values)
     ]
 
 
@@ -117,7 +116,7 @@ class TestAugmentation:
         value = oracles.max_flow(network) + extra - 2
         if value < 0:
             return
-        got = outcome(lambda: find_flow(network, value).values)
+        got = outcome(lambda: find_flow(network, value))
         want = outcome(oracles.augment_to_value, network, [0] * network.arc_count, value)
         assert got == want
 
@@ -135,7 +134,7 @@ class TestAugmentation:
     def test_augment_one_path(self, case):
         network, (values,) = case
         try:
-            got = augment(network, IntegerFlow(values)).values
+            got = augment(network, values)
         except AlreadyMaximal:
             got = None
         assert got == oracles.augment_once(network, values)
@@ -146,9 +145,9 @@ class TestRoundFlow:
     @settings(max_examples=60)
     def test_rounded_center(self, case, count):
         network, values = case
-        totals, k = center(network, [IntegerFlow(v) for v in values[:count]])
+        totals, k = center(network, values[:count])
         assert k == count
-        got = outcome(lambda: round_flow(network, totals, k).values)
+        got = outcome(lambda: round_flow(network, totals, k))
         mean = [Fraction(t, k) for t in totals]
         assert got == outcome(oracles.round_to_integer, network, mean)
 
@@ -156,7 +155,7 @@ class TestRoundFlow:
     @settings(max_examples=60)
     def test_arbitrary_half_integral_vectors(self, network, data):
         doubled = [data.draw(st.integers(0, 2 * arc.capacity)) for arc in network.arcs]
-        got = outcome(lambda: round_flow(network, doubled, 2).values)
+        got = outcome(lambda: round_flow(network, doubled, 2))
         halves = [Fraction(d, 2) for d in doubled]
         assert got == outcome(oracles.round_to_integer, network, halves)
 
@@ -167,14 +166,14 @@ class TestCompose:
     def test_same_flow_and_random_stream(self, case, seed):
         network, (a, b) = case
         try:
-            first = decompose(network, IntegerFlow(a))
-            second = decompose(network, IntegerFlow(b))
+            first = decompose(network, a)
+            second = decompose(network, b)
         except DegenerateCirculation:
             return
         if not first:
             return
         rng, ref = make_rng(seed), make_rng(seed)
-        got = outcome(lambda: compose(network, first, second, rng).values)
+        got = outcome(lambda: compose(network, first, second, rng))
         want = outcome(
             oracles.compose_units, network, oracle_units(network, first),
             oracle_units(network, second), ref,
@@ -207,12 +206,11 @@ class TestCycleWalks:
     def test_perturb(self, case, seed):
         network, (values,) = case
         rng, ref = make_rng(seed), make_rng(seed)
-        flow = IntegerFlow(values)
-        moved = perturb(network, flow, rng)
+        moved = perturb(network, values, rng)
         want = oracles.perturb_values(network, values, ref)
-        assert moved.values == want
+        assert moved == want
         if want == values:
-            assert moved is flow
+            assert moved is values
         assert next_draw(rng) == next_draw(ref)
 
     @given(flows(count=2), seeds)
@@ -220,8 +218,8 @@ class TestCycleWalks:
     def test_harmonize(self, case, seed):
         network, (a, b) = case
         rng, ref = make_rng(seed), make_rng(seed)
-        pulled = harmonize(network, IntegerFlow(a), IntegerFlow(b), rng)
-        assert pulled.values == oracles.harmonize_values(network, a, b, ref)
+        pulled = harmonize(network, a, b, rng)
+        assert pulled == oracles.harmonize_values(network, a, b, ref)
         assert next_draw(rng) == next_draw(ref)
 
 
@@ -233,12 +231,12 @@ def test_larger_layered_instances(seed):
     a = scrambled_flow(network, instance.flow_value, seed, steps=5)
     b = scrambled_flow(network, instance.flow_value, seed + 9, steps=5)
     assert unit_pairs(network, a) == oracles.unit_paths(network, a)
-    totals, count = center(network, [IntegerFlow(a), IntegerFlow(b)])
+    totals, count = center(network, [a, b])
     mean = [Fraction(t, count) for t in totals]
-    assert round_flow(network, totals, count).values == oracles.round_to_integer(network, mean)
+    assert round_flow(network, totals, count) == oracles.round_to_integer(network, mean)
     rng, ref = make_rng(seed), make_rng(seed)
-    first, second = decompose(network, IntegerFlow(a)), decompose(network, IntegerFlow(b))
-    assert compose(network, first, second, rng).values == oracles.compose_units(
+    first, second = decompose(network, a), decompose(network, b)
+    assert compose(network, first, second, rng) == oracles.compose_units(
         network, oracle_units(network, first), oracle_units(network, second), ref
     )
     assert next_draw(rng) == next_draw(ref)

@@ -13,7 +13,6 @@ from rmcif import (
     Arc,
     CapacityViolation,
     DegenerateCirculation,
-    IntegerFlow,
     Network,
     TargetUnreachable,
     augment,
@@ -33,16 +32,16 @@ from rmcif import (
 from rmcif.flow_ops import _push_room, dfs_cycle, fewest_arc_path, negative_cycle
 from rmcif.heuristics import make_rng
 
-UPPER = IntegerFlow((1, 0, 1, 0))
-LOWER = IntegerFlow((0, 1, 0, 1))
-FULL = IntegerFlow((1, 1, 1, 1))
+UPPER = (1, 0, 1, 0)
+LOWER = (0, 1, 0, 1)
+FULL = (1, 1, 1, 1)
 
 small_seeds = st.integers(0, 2_000)
 
 
 def feasible_value(network, flow):
     """Flow value after asserting capacities and conservation on a bare network."""
-    balance = check_arc_values(network, flow.values)
+    balance = check_arc_values(network, flow)
     for v in range(1, network.vertex_count + 1):
         if v not in (network.source, network.sink):
             assert balance[v] == 0, f"vertex {v} unbalanced"
@@ -91,7 +90,7 @@ def random_feasible_flow(instance, seed):
 
 class TestResidualNetwork:
     def test_canonical_arc_order(self, diamond):
-        seen = residual_moves(diamond.network, UPPER.values)
+        seen = residual_moves(diamond.network, UPPER)
         assert seen == [
             (2, 1, 1, 0, False),
             (1, 3, 1, 1, True),
@@ -108,7 +107,7 @@ class TestResidualNetwork:
         adjacency = diamond.network.residual_adjacency
         assert adjacency[1] == ((0, True, 2), (1, True, 3))
         assert adjacency[4] == ((2, False, 2), (3, False, 3))
-        moves = residual_moves(diamond.network, UPPER.values)
+        moves = residual_moves(diamond.network, UPPER)
         assert [h for t, h, _, _, _ in moves if t == 1] == [3]
         assert [h for t, h, _, _, _ in moves if t == 4] == [2]
 
@@ -119,22 +118,22 @@ class TestResidualNetwork:
     def test_residual_cost_sign(self, diamond):
         costs = diamond.scenarios.costs[0]
         moves = {t: (i, forward, room) for t, _, room, i, forward in residual_moves(
-            diamond.network, UPPER.values
+            diamond.network, UPPER
         )}
         backward, forward = moves[2], moves[1]
         assert cycle_cost([backward], costs) == -costs[backward[0]]
         assert cycle_cost([forward], costs) == costs[forward[0]]
         for move in (backward, forward):
-            moved = _push_room(UPPER.values, [move])
+            moved = _push_room(UPPER, [move])
             assert flow_cost(diamond, moved, 0) - flow_cost(diamond, UPPER, 0) == cycle_cost(
                 [move], costs
             )
 
     def test_push_room_moves_flow(self, diamond):
         moves = [(i, forward, room) for _, _, room, i, forward in residual_moves(
-            diamond.network, UPPER.values
+            diamond.network, UPPER
         )]
-        assert _push_room(UPPER.values, moves).values == (0, 1, 0, 1)
+        assert _push_room(UPPER, moves) == (0, 1, 0, 1)
 
 
 def residual_path(network, values):
@@ -201,7 +200,7 @@ class TestMaxFlowAndFind:
 class TestSumAndDecompose:
     def test_sum_flows(self, diamond):
         total = sum_flows(diamond.network, [UPPER, LOWER])
-        assert total.values == (1, 1, 1, 1)
+        assert total == (1, 1, 1, 1)
 
     def test_sum_flows_capacity_guard(self, diamond):
         with pytest.raises(CapacityViolation) as err:
@@ -216,20 +215,20 @@ class TestSumAndDecompose:
         assert sorted(pieces) == [(0, 2), (1, 3)]
         assert sorted(unit_vertices(diamond.network, p) for p in pieces) == [(1, 2, 4), (1, 3, 4)]
         units = [unit_flow(diamond.network, p) for p in pieces]
-        assert sum_flows(diamond.network, units).values == FULL.values
+        assert sum_flows(diamond.network, units) == FULL
 
     def test_decompose_zero_flow(self, diamond):
-        assert decompose(diamond.network, IntegerFlow((0, 0, 0, 0))) == []
+        assert decompose(diamond.network, (0, 0, 0, 0)) == []
 
     def test_decompose_rejects_pure_circulation(self):
         net = Network(4, (Arc(1, 2, 1), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 1)))
         with pytest.raises(DegenerateCirculation):
-            decompose(net, IntegerFlow((0, 1, 1, 0)))
+            decompose(net, (0, 1, 1, 0))
 
     def test_decompose_rejects_hidden_circulation(self):
         net = Network(4, (Arc(1, 2, 1), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 1)))
         with pytest.raises(DegenerateCirculation):
-            decompose(net, IntegerFlow((1, 1, 1, 1)))
+            decompose(net, (1, 1, 1, 1))
 
     @given(small_seeds)
     def test_roundtrip_on_layered_instances(self, seed):
@@ -238,7 +237,7 @@ class TestSumAndDecompose:
         pieces = decompose(instance.network, flow)
         assert len(pieces) == instance.flow_value
         units = [unit_flow(instance.network, p) for p in pieces]
-        assert sum_flows(instance.network, units).values == flow.values
+        assert sum_flows(instance.network, units) == flow
 
 
 class TestCenterAndRound:
@@ -257,7 +256,7 @@ class TestCenterAndRound:
         assert feasible_value(diamond.network, rounded) == 1
 
     def test_round_flow_fixes_integer_input(self, diamond):
-        assert round_flow(diamond.network, UPPER.values, 1).values == UPPER.values
+        assert round_flow(diamond.network, UPPER, 1) == UPPER
 
     def test_round_flow_repairs_overshoot(self):
         net = Network(3, (Arc(1, 2, 2), Arc(2, 3, 2)))
@@ -284,7 +283,7 @@ class TestCompose:
         second = list(reversed(first))
         a = compose(diamond.network, first, second, make_rng(5))
         b = compose(diamond.network, first, second, make_rng(5))
-        assert a.values == b.values
+        assert a == b
 
     def test_repair_after_both_lists_stall(self):
         net = Network(4, (Arc(1, 2, 1), Arc(2, 4, 1), Arc(1, 3, 1), Arc(3, 4, 1)))
@@ -292,7 +291,7 @@ class TestCompose:
         clones = [top, top]
         flow = compose(net, clones, clones, make_rng(1))
         assert feasible_value(net, flow) == 2
-        assert flow.values == (1, 1, 1, 1)
+        assert flow == (1, 1, 1, 1)
 
     def test_rejects_mismatched_lists(self, diamond):
         pieces = decompose(diamond.network, FULL)
@@ -311,19 +310,19 @@ class TestCompose:
 class TestNegativeCycle:
     def test_finds_the_improving_cycle(self, diamond):
         costs = diamond.scenarios.costs[0]
-        cyc = negative_cycle(diamond.network, LOWER.values, costs)
+        cyc = negative_cycle(diamond.network, LOWER, costs)
         assert cyc is not None
         assert bottleneck(cyc) == 1
         assert cycle_cost(cyc, costs) < 0
-        improved = _push_room(LOWER.values, cyc)
+        improved = _push_room(LOWER, cyc)
         assert flow_cost(diamond, improved, 0) < flow_cost(diamond, LOWER, 0)
 
     def test_none_at_optimum(self, diamond):
         costs = diamond.scenarios.costs[0]
-        assert negative_cycle(diamond.network, UPPER.values, costs) is None
+        assert negative_cycle(diamond.network, UPPER, costs) is None
 
     def test_cycle_is_closed(self, diamond):
-        cyc = negative_cycle(diamond.network, LOWER.values, diamond.scenarios.costs[0])
+        cyc = negative_cycle(diamond.network, LOWER, diamond.scenarios.costs[0])
         arcs = [endpoints(diamond.network, move) for move in cyc]
         assert arcs[-1][1] == arcs[0][0]
         for prev, nxt in zip(arcs, arcs[1:]):
@@ -335,14 +334,14 @@ class TestNegativeCycle:
         instance = gen(seed, widths=(2, 2), scenarios=4, caps=(0, 3), density=0.7)
         flow = random_feasible_flow(instance, seed)
         costs = instance.scenarios.costs[scenario]
-        cyc = negative_cycle(instance.network, flow.values, costs)
+        cyc = negative_cycle(instance.network, flow, costs)
         assert (cyc is not None) == has_negative_cycle_floyd_warshall(
-            instance.network, flow.values, costs
+            instance.network, flow, costs
         )
         if cyc is not None:
             assert cycle_cost(cyc, costs) < 0
             assert bottleneck(cyc) == min(
-                residual_capacity(instance.network, flow.values, move) for move in cyc
+                residual_capacity(instance.network, flow, move) for move in cyc
             )
 
 
@@ -365,15 +364,15 @@ class TestNegativeCycleKernel:
     @settings(max_examples=60)
     def test_finds_a_cycle_exactly_when_one_exists(self, seed, scenario):
         instance, flow, costs = self.case(seed, scenario)
-        cyc = negative_cycle(instance.network, flow.values, costs)
-        exists = has_negative_cycle_floyd_warshall(instance.network, flow.values, costs)
+        cyc = negative_cycle(instance.network, flow, costs)
+        exists = has_negative_cycle_floyd_warshall(instance.network, flow, costs)
         assert (cyc is not None) == exists
 
     @given(small_seeds, st.integers(0, 2))
     @settings(max_examples=60)
     def test_cycle_is_closed_simple_negative_and_residual(self, seed, scenario):
         instance, flow, costs = self.case(seed, scenario)
-        cyc = negative_cycle(instance.network, flow.values, costs)
+        cyc = negative_cycle(instance.network, flow, costs)
         if cyc is None:
             return
         network = instance.network
@@ -384,22 +383,22 @@ class TestNegativeCycleKernel:
         assert len(tails) == len(set(tails))
         assert cycle_cost(cyc, costs) < 0
         for move in cyc:
-            assert move[2] == residual_capacity(network, flow.values, move) > 0
+            assert move[2] == residual_capacity(network, flow, move) > 0
         assert bottleneck(cyc) == min(
-            residual_capacity(network, flow.values, move) for move in cyc
+            residual_capacity(network, flow, move) for move in cyc
         )
 
     @given(small_seeds, st.integers(0, 2))
     @settings(max_examples=30)
     def test_repeat_calls_return_the_same_cycle(self, seed, scenario):
         instance, flow, costs = self.case(seed, scenario)
-        first = negative_cycle(instance.network, flow.values, costs)
-        assert negative_cycle(instance.network, flow.values, costs) == first
-        assert negative_cycle(instance.network, list(flow.values), costs) == first
+        first = negative_cycle(instance.network, flow, costs)
+        assert negative_cycle(instance.network, flow, costs) == first
+        assert negative_cycle(instance.network, list(flow), costs) == first
 
     def test_flat_lists_match_the_views(self, diamond):
-        rows = residual_moves(diamond.network, UPPER.values)
-        want = [m for out in oracles.residual_moves(diamond.network, UPPER.values) for m in out]
+        rows = residual_moves(diamond.network, UPPER)
+        want = [m for out in oracles.residual_moves(diamond.network, UPPER) for m in out]
         assert sorted(rows, key=lambda row: row[0]) == want
 
 
@@ -408,10 +407,10 @@ class TestCostReduce:
         costs = diamond.scenarios.costs[0]
         flow, optimal = cost_reduce(diamond.network, costs, LOWER)
         assert not optimal
-        assert flow.values == UPPER.values
+        assert flow == UPPER
         flow, optimal = cost_reduce(diamond.network, costs, flow)
         assert optimal
-        assert flow.values == UPPER.values
+        assert flow == UPPER
 
     @given(small_seeds)
     @settings(max_examples=60)
@@ -420,7 +419,7 @@ class TestCostReduce:
         costs = instance.scenarios.costs[0]
         flow = min_cost_flow(instance.network, costs, instance.flow_value)
         assert feasible_value(instance.network, flow) == instance.flow_value
-        got = sum(c * v for c, v in zip(costs, flow.values))
+        got = sum(c * v for c, v in zip(costs, flow))
         assert got == brute_min_cost(instance, 0)
 
 
@@ -453,29 +452,29 @@ class TestMinCostFlowAgainstLinprog:
             assert feasible_value(network, flow) == instance.flow_value
             lp = linprog(costs, A_eq=incidence, b_eq=supply, bounds=bounds, method="highs")
             assert lp.status == 0, lp.message
-            assert sum(c * x for c, x in zip(costs, flow.values)) == round(lp.fun)
+            assert sum(c * x for c, x in zip(costs, flow)) == round(lp.fun)
 
 
 class TestPerturbAndHarmonize:
     def test_perturb_moves_around_the_only_cycle(self, diamond):
         for seed in range(6):
             moved = perturb(diamond.network, UPPER, make_rng(seed))
-            assert moved.values == LOWER.values
+            assert moved == LOWER
 
     def test_perturb_skips_two_arc_reversal(self):
         net = Network(2, (Arc(1, 2, 2),))
-        flow = IntegerFlow((1,))
-        assert perturb(net, flow, make_rng(0)).values == flow.values
+        flow = (1,)
+        assert perturb(net, flow, make_rng(0)) == flow
 
     def test_perturb_without_cycles(self, diamond):
-        assert perturb(diamond.network, FULL, make_rng(3)).values == FULL.values
+        assert perturb(diamond.network, FULL, make_rng(3)) == FULL
 
     def test_harmonize_reaches_target(self, diamond):
         pulled = harmonize(diamond.network, UPPER, LOWER, make_rng(0))
-        assert pulled.values == LOWER.values
+        assert pulled == LOWER
 
     def test_harmonize_fixpoint_on_self(self, diamond):
-        assert harmonize(diamond.network, UPPER, UPPER, make_rng(0)).values == UPPER.values
+        assert harmonize(diamond.network, UPPER, UPPER, make_rng(0)) == UPPER
 
     @given(small_seeds)
     @settings(max_examples=60)
@@ -498,15 +497,15 @@ class TestPerturbAndHarmonize:
 
 def self_distance(a, b):
     """Arcs where exactly one of the two flows is positive."""
-    return sum(1 for x, y in zip(a.values, b.values) if (x > 0) != (y > 0))
+    return sum(1 for x, y in zip(a, b) if (x > 0) != (y > 0))
 
 
 class TestDfsCycle:
     def test_none_on_acyclic_residual(self, diamond):
-        assert dfs_cycle(diamond.network, FULL.values, make_rng(0)) is None
+        assert dfs_cycle(diamond.network, FULL, make_rng(0)) is None
 
     def test_cycle_is_vertex_simple(self, diamond):
-        cyc = dfs_cycle(diamond.network, UPPER.values, make_rng(2))
+        cyc = dfs_cycle(diamond.network, UPPER, make_rng(2))
         assert cyc is not None
         arcs = [endpoints(diamond.network, move) for move in cyc]
         tails = [tail for tail, _ in arcs]

@@ -14,7 +14,6 @@ from rmcif import (
     HEURISTIC_SOLVERS,
     LS_SOLVERS,
     InvalidParameter,
-    IntegerFlow,
     SearchParams,
     evolutionary,
     local_search,
@@ -25,8 +24,8 @@ from rmcif import (
 from rmcif.objectives import scenario_costs
 from rmcif.heuristics import _neighborhood, insert_child, tournament_select
 
-UPPER = IntegerFlow((1, 0, 1, 0))
-LOWER = IntegerFlow((0, 1, 0, 1))
+UPPER = (1, 0, 1, 0)
+LOWER = (0, 1, 0, 1)
 
 FAST = SearchParams(
     neighborhood_size=10,
@@ -90,14 +89,14 @@ class TestRng:
 class TestNeighborhood:
     def test_chains_collect_intermediate_flows(self, diamond):
         neighbors = _neighborhood(diamond, LOWER, scenario_costs(diamond, LOWER), 30)
-        assert [(n.values, costs) for n, costs in neighbors] == [(UPPER.values, (2, 4))]
+        assert neighbors == [(UPPER, (2, 4))]
 
     def test_size_cap(self, diamond):
         assert len(_neighborhood(diamond, LOWER, scenario_costs(diamond, LOWER), 1)) <= 1
 
     def test_exhausts_when_all_chains_hit_optima(self, diamond):
         neighbors = _neighborhood(diamond, UPPER, scenario_costs(diamond, UPPER), 30)
-        assert [(n.values, costs) for n, costs in neighbors] == [(LOWER.values, (4, 2))]
+        assert neighbors == [(LOWER, (4, 2))]
 
 
 class TestTournament:
@@ -178,7 +177,7 @@ class TestLocalSearch:
         assert record.robust_cost == optimum
         assert record.variant == variant and record.solver == solver
         assert record.seed == 3
-        assert validate_flow(diamond, IntegerFlow(record.values)) == 1
+        assert validate_flow(diamond, record.values) == 1
 
     def test_unknown_solver(self, diamond):
         with pytest.raises(ValueError, match="unknown local-search solver"):
@@ -212,7 +211,7 @@ class TestLocalSearch:
         assert all(b < a for a, b in zip(seen, seen[1:]))
         if seen:
             assert record.robust_cost == seen[-1]
-        assert validate_flow(instance, IntegerFlow(record.values)) == instance.flow_value
+        assert validate_flow(instance, record.values) == instance.flow_value
 
     @given(run_seeds)
     @settings(max_examples=20)
@@ -239,7 +238,7 @@ class TestEvolutionary:
     def test_diamond_optimum(self, diamond, solver, variant, optimum):
         record = evolutionary(diamond, variant, solver, params=FAST, seed=1)
         assert record.robust_cost == optimum
-        assert validate_flow(diamond, IntegerFlow(record.values)) == 1
+        assert validate_flow(diamond, record.values) == 1
 
     def test_unknown_solver(self, diamond):
         with pytest.raises(ValueError, match="unknown evolutionary solver"):
@@ -298,7 +297,7 @@ class TestEvolutionary:
         )
         assert all(b <= a for a, b in zip(costs, costs[1:]))
         assert record.robust_cost == min(costs)
-        assert validate_flow(instance, IntegerFlow(record.values)) == instance.flow_value
+        assert validate_flow(instance, record.values) == instance.flow_value
 
 
 class TestAgainstEnumeration:
@@ -311,7 +310,7 @@ class TestAgainstEnumeration:
             for solver in ("ls1", "ls3", "ec1", "ec5", "ec9"):
                 record = solve(instance, variant, solver, seed=seed)
                 assert record.robust_cost >= floor
-                assert validate_flow(instance, IntegerFlow(record.values)) == instance.flow_value
+                assert validate_flow(instance, record.values) == instance.flow_value
 
 
 def test_solver_registries():

@@ -10,7 +10,6 @@ from oracles import brute_min_cost, enumerate_feasible_flows, scenario_cost
 from rmcif import (
     ABSOLUTE,
     DEVIATION,
-    IntegerFlow,
     WrongFlowValue,
     compute_optima,
     eval_absolute,
@@ -19,16 +18,16 @@ from rmcif import (
     validate_flow,
 )
 
-UPPER = IntegerFlow((1, 0, 1, 0))
-LOWER = IntegerFlow((0, 1, 0, 1))
+UPPER = (1, 0, 1, 0)
+LOWER = (0, 1, 0, 1)
 
 
 class TestScenarioOptima:
     def test_diamond_values(self, diamond):
         optima = compute_optima(diamond)
         assert optima.costs == (2, 2)
-        assert optima.flows[0].values == UPPER.values
-        assert optima.flows[1].values == LOWER.values
+        assert optima.flows[0] == UPPER
+        assert optima.flows[1] == LOWER
 
     def test_memoized_per_instance(self, diamond):
         assert compute_optima(diamond) is compute_optima(diamond)
@@ -64,11 +63,11 @@ class TestEvaluators:
 
     def test_rejects_wrong_value(self, diamond):
         with pytest.raises(WrongFlowValue):
-            eval_absolute(diamond, IntegerFlow((1, 1, 1, 1)))
+            eval_absolute(diamond, (1, 1, 1, 1))
 
     def test_rejects_infeasible(self, diamond):
         with pytest.raises(Exception):
-            eval_absolute(diamond, IntegerFlow((1, 0, 0, 1)))
+            eval_absolute(diamond, (1, 0, 0, 1))
 
     @given(st.integers(0, 1_500))
     @settings(max_examples=40)
@@ -77,12 +76,11 @@ class TestEvaluators:
         optima = compute_optima(instance)
         K = instance.scenarios.scenario_count
         for values in enumerate_feasible_flows(instance.network, instance.flow_value):
-            flow = IntegerFlow(values)
             per = [scenario_cost(instance, values, s) for s in range(K)]
-            assert eval_absolute(instance, flow) == max(per)
+            assert eval_absolute(instance, values) == max(per)
             expected = max(p - o for p, o in zip(per, optima.costs))
-            assert eval_deviation(instance, flow, optima) == expected
-            assert eval_deviation(instance, flow, optima) >= 0
+            assert eval_deviation(instance, values, optima) == expected
+            assert eval_deviation(instance, values, optima) >= 0
 
 
 class TestCriterion:
@@ -100,6 +98,10 @@ class TestCriterion:
         crit = make_criterion(diamond, DEVIATION)
         assert crit.optima is compute_optima(diamond)
         assert crit.evaluate(UPPER) == 2
+
+    def test_shift_is_zero_or_the_scenario_optima(self, diamond):
+        assert make_criterion(diamond, ABSOLUTE).shift == (0, 0)
+        assert make_criterion(diamond, DEVIATION).shift == compute_optima(diamond).costs
 
     def test_unknown_variant(self, diamond):
         with pytest.raises(ValueError, match="unknown variant"):
