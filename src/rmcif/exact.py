@@ -2,12 +2,15 @@
 
 The enumerator plays the role an external MILP solver would otherwise
 play: a branch and bound over the integer flows of the required value,
-so heuristic output can be scored against true optima.  It assigns arc
-values depth first, on an explicit stack, keeps flow conservation, and
-prunes a branch once a reduced-cost completion bound (the cost of the
-fixed arcs plus the least the rest of the flow must still cost, per
-scenario) reaches the incumbent.  `export_lp` writes the equivalent
-linearized model for anyone who prefers a real solver.
+so heuristic output can be scored against true optima.  One depth-first
+walk, on an explicit stack, assigns the arcs in a single order: by the
+tail's topological position on a DAG (a vertex's out-arcs in `out_arcs`
+order), in declaration order otherwise.  Each arc is tried only at the
+amounts that leave both of its endpoints closable by the arcs still
+unassigned, and a branch is pruned once a reduced-cost completion bound
+(the cost of the fixed arcs plus the least the rest of the flow must
+still cost, per scenario) reaches the incumbent.  `export_lp` writes the
+equivalent linearized model for anyone who prefers a real solver.
 """
 from __future__ import annotations
 
@@ -91,10 +94,15 @@ class _Search:
     to the scenario's true cost.  `bound()` is therefore a lower bound on
     every completion of the fixed arcs, and exact at a leaf.
 
-    Along a topological order the reduced sum is never below the cost of
-    the fixed arcs.  In arc order it can be (a vertex's out-arcs may be
-    fixed before its in-arcs), so with `keep_costs` the plain cost rows
-    are kept as well, and `bound()` is the larger of the two bounds.
+    The reduced sum exceeds the cost of the fixed arcs by ``F * d_s(source)``
+    plus ``d_s(v)`` times each vertex's fixed inflow less its fixed
+    outflow.  Along a topological order every in-arc of a vertex is fixed
+    before its out-arcs, and no vertex sends on more than it received plus
+    its supply, so that excess is nonnegative and the reduced sum alone
+    bounds the fixed cost too.  Off a topological order a vertex's out-arcs
+    may be fixed before its in-arcs, the excess can go negative, and so
+    with `keep_costs` the plain cost rows are kept as well and `bound()`
+    is the larger of the two bounds.
     """
 
     def __init__(self, instance: Instance, shift, lower: int, node_budget: int,
@@ -151,140 +159,65 @@ class _Search:
                 raise _OptimumHit
 
 
-def _search_dag(search: _Search, topo: list[int]) -> None:
-    """Vertex-by-vertex outflow distribution along a topological order.
+def _walk(search: _Search, order: list[int]) -> None:
+    """Depth-first assignment of the arcs in `order`, on an explicit stack.
 
-    When a vertex is reached, all its in-arcs are already fixed, so its
-    required outflow is known exactly and only capacity-respecting
-    distributions over its out-arcs are enumerated.  The depth-first walk
-    keeps one frame per out-arc being assigned on an explicit stack, so
-    its depth is not limited by Python's recursion limit.
+    ``need[v]`` is the net outflow vertex v still owes, and ``rem_out[v]``
+    / ``rem_in[v]`` the capacity of its out- and in-arcs not yet on the
+    branch.  An arc is tried only at the amounts that leave both of its
+    endpoints closable by those arcs, in increasing order.  Each endpoint
+    is closed by the last arc that touches it, so every complete
+    assignment is a flow of the required value.  The stack holds one
+    ``[arc index, next amount, last amount]`` frame per arc on the branch,
+    so its depth is not limited by Python's recursion limit.
     """
     network = search.network
+    tails = [a.tail for a in network.arcs]
+    heads = [a.head for a in network.arcs]
+    caps = network.capacities
     values = search.values
-    balance = search.balance
-    arcs = network.arcs
-    out_indexed = [[(i, arcs[i].capacity) for i in out] for out in network.out_arcs]
-    suffix = []
-    for arcs_v in out_indexed:
-        tail_sums = [0] * (len(arcs_v) + 1)
-        for j in range(len(arcs_v) - 1, -1, -1):
-            tail_sums[j] = tail_sums[j + 1] + arcs_v[j][1]
-        suffix.append(tail_sums)
-    in_indices = network.in_arcs
+    need = list(search.balance)
+    rem_out = [sum(caps[i] for i in out) for out in network.out_arcs]
+    rem_in = [sum(caps[i] for i in inc) for inc in network.in_arcs]
 
-    def required(v: int) -> int:
-        return sum(values[i] for i in in_indices[v]) + balance[v]
+    def frame(depth: int) -> list | None:
+        """The frame assigning ``order[depth]``; past the last arc, offer a leaf."""
+        if depth == len(order):
+            search.offer_leaf()
+            return None
+        i = order[depth]
+        t, h = tails[i], heads[i]
+        rem_out[t] -= caps[i]
+        rem_in[h] -= caps[i]
+        return [
+            i,
+            max(0, need[t] - rem_out[t], -rem_in[h] - need[h]),
+            min(caps[i], need[t] + rem_in[t], rem_out[h] - need[h]),
+        ]
 
-    def frame(position: int, j: int, need: int) -> list | None:
-        """The frame assigning out-arc j of ``topo[position]``, or None.
-
-        Vertices whose out-arcs are all assigned are passed over; past the
-        last vertex the flow is offered as a leaf.  None means the branch
-        ends here, at a leaf or dead.
-        """
-        v = topo[position]
-        while j == len(out_indexed[v]):
-            if need != 0:
-                return None
-            position += 1
-            if position == len(topo):
-                search.offer_leaf()
-                return None
-            v = topo[position]
-            need = required(v)
-            if need < 0:
-                return None
-            j = 0
-        index, cap = out_indexed[v][j]
-        # position, j, need, arc index, next amount, last amount
-        return [position, j, need, index, max(0, need - suffix[v][j + 1]), min(cap, need)]
-
-    need = required(topo[0])
-    first = frame(0, 0, need) if need >= 0 else None
+    first = frame(0)
     stack = [] if first is None else [first]
     while stack:
         top = stack[-1]
-        position, j, need, index, amount, last = top
-        search.remove(index)
+        i, amount, last = top
+        t, h = tails[i], heads[i]
+        need[t] += values[i]
+        need[h] -= values[i]
+        search.remove(i)
         if amount > last:
+            rem_out[t] += caps[i]
+            rem_in[h] += caps[i]
             stack.pop()
             continue
-        top[4] = amount + 1
-        search.tick()
-        search.add(index, amount)
-        if search.bound() < search.best_cost:
-            child = frame(position, j + 1, need - amount)
-            if child is not None:
-                stack.append(child)
-
-
-def _search_generic(search: _Search) -> None:
-    """Arc-by-arc assignment with balance-interval pruning, for any network.
-
-    For each endpoint of a just-assigned arc, the remaining unassigned
-    incident capacities must still be able to close that vertex's balance;
-    otherwise the branch is dead.  The walk keeps the next amount of every
-    arc on the current branch in a list indexed by depth, so its depth is
-    not limited by Python's recursion limit.
-    """
-    network = search.network
-    n = network.vertex_count
-    m = network.arc_count
-    tails = [a.tail for a in network.arcs]
-    heads = [a.head for a in network.arcs]
-    caps = [a.capacity for a in network.arcs]
-    rem_out = [
-        sum(caps[i] for i in network.out_arcs[v]) for v in range(n + 1)
-    ]
-    rem_in = [
-        sum(caps[i] for i in network.in_arcs[v]) for v in range(n + 1)
-    ]
-    cur_out = [0] * (n + 1)
-    cur_in = [0] * (n + 1)
-
-    def closable(v: int) -> bool:
-        need = search.balance[v] - (cur_out[v] - cur_in[v])
-        return -rem_in[v] <= need <= rem_out[v]
-
-    def enter(i: int) -> bool:
-        """Open depth i, or offer the flow as a leaf once every arc is fixed."""
-        if i == m:
-            if all(
-                cur_out[v] - cur_in[v] == search.balance[v] for v in range(1, n + 1)
-            ):
-                search.offer_leaf()
-            return False
-        rem_out[tails[i]] -= caps[i]
-        rem_in[heads[i]] -= caps[i]
-        upcoming[i] = 0
-        return True
-
-    upcoming = [0] * m
-    i = 0 if enter(0) else -1
-    while i >= 0:
-        tail, head, amount = tails[i], heads[i], upcoming[i]
-        if amount:
-            cur_out[tail] -= amount - 1
-            cur_in[head] -= amount - 1
-            search.remove(i)
-        if amount > caps[i]:
-            rem_out[tail] += caps[i]
-            rem_in[head] += caps[i]
-            i -= 1
-            continue
-        upcoming[i] = amount + 1
+        top[1] = amount + 1
         search.tick()
         search.add(i, amount)
-        cur_out[tail] += amount
-        cur_in[head] += amount
-        if (
-            closable(tail)
-            and closable(head)
-            and search.bound() < search.best_cost
-            and enter(i + 1)
-        ):
-            i += 1
+        need[t] -= amount
+        need[h] += amount
+        if search.bound() < search.best_cost:
+            child = frame(len(stack))
+            if child is not None:
+                stack.append(child)
 
 
 def check_budget(node_budget: int) -> int:
@@ -327,15 +260,17 @@ def enumerate_optimum(
     if best_cost <= lower:
         return best_cost, best_values
 
-    topo = _topological_order(instance.network)
+    network = instance.network
+    topo = _topological_order(network)
+    if topo is None:
+        order = list(range(network.arc_count))
+    else:
+        order = [i for v in topo for i in network.out_arcs[v]]
     search = _Search(
         instance, shift, lower, node_budget, best_cost, best_values, keep_costs=topo is None
     )
     try:
-        if topo is None:
-            _search_generic(search)
-        else:
-            _search_dag(search, topo)
+        _walk(search, order)
     except _OptimumHit:
         pass
     return search.best_cost, search.best_values

@@ -1,9 +1,10 @@
 """Integer-flow procedures: the building blocks of the heuristic solvers.
 
-They are path decomposition, integer centring and rounding, augmentation,
-composition of unit-path lists, negative-cycle cost reduction, random
-perturbation, harmonization toward another flow's support, feasible-flow
-construction and single-scenario minimum-cost flow.
+They are path decomposition, integer centring and rounding, augmentation
+to a target value, composition of unit-path lists, negative-cycle cost
+reduction, random perturbation, harmonization toward another flow's
+support, feasible-flow construction and single-scenario minimum-cost
+flow.
 
 Every path and cycle is a list of ``(arc index, forward, room)`` triples:
 a forward move adds flow to its arc, a backward one removes it, and room
@@ -13,8 +14,8 @@ Every search walks the network's one cached `Network.residual_adjacency`
 and reads room off upper bounds (`Network.capacities`, or the values
 still to peel) and the current arc values.
 
-- Augmentation (`find_flow`, `max_flow_value`, `augment` and the repair
-  step of `round_flow` and `compose`) runs one fewest-arc search.
+- Augmentation (`find_flow`, `max_flow_value` and the repair step of
+  `round_flow` and `compose`) runs one fewest-arc search.
 - `decompose` and the extraction in `round_flow` run the same search with
   the remaining values as capacities and no backward room, and peel each
   path's whole bottleneck at once (Ahuja, Magnanti & Orlin, *Network
@@ -46,16 +47,12 @@ from typing import Sequence
 from .core import Network, RmcifError, flow_value_of
 
 
-class AlreadyMaximal(RmcifError):
-    """No augmenting source-to-sink path exists."""
-
-
 class TargetUnreachable(RmcifError):
     """Augmentation cannot raise the flow value to the requested target."""
 
 
 class DegenerateCirculation(RmcifError):
-    """Positive arc values remain that no source-to-sink path can drain."""
+    """Flow value remains that no source-to-sink path in the support can carry."""
 
 
 def fewest_arc_path(network: Network, upper: Sequence[int], values: Sequence[int]):
@@ -143,14 +140,6 @@ def find_flow(network: Network, value: int) -> tuple[int, ...]:
     return _augment_to_value(network, [0] * network.arc_count, value)
 
 
-def augment(network: Network, flow: tuple[int, ...]) -> tuple[int, ...]:
-    """Push the bottleneck along one augmenting path; error if none exists."""
-    path = fewest_arc_path(network, network.capacities, flow)
-    if path is None:
-        raise AlreadyMaximal("the flow value is already maximal")
-    return _push_room(flow, path)
-
-
 def _peel_paths(network: Network, remaining: list[int], units: int):
     """Take up to `units` unit paths out of `remaining`, a whole bottleneck at a time.
 
@@ -181,8 +170,10 @@ def decompose(network: Network, flow: tuple[int, ...]) -> list[tuple[int, ...]]:
     source to the sink.  Paths come from repeated fewest-arc searches over
     the positive support, each peeled off as many times as it can carry
     (see `_peel_paths`); the copies of one path share one tuple.  The list
-    is the one that extracting a unit at a time would give.  A flow hiding
-    a circulation cannot be reassembled from paths and is rejected.
+    is the one that extracting a unit at a time would give.  By the flow
+    decomposition theorem the rest of a conserving flow is a circulation;
+    it is left out, so composing the paths gives the flow's path part.
+    Non-conserving input, whose value no path can drain, is rejected.
     """
     remaining = list(flow)
     total = flow_value_of(network, remaining)
@@ -193,8 +184,6 @@ def decompose(network: Network, flow: tuple[int, ...]) -> list[tuple[int, ...]]:
         raise DegenerateCirculation(
             "flow value remains but no source-to-sink path is left in the support"
         )
-    if any(remaining):
-        raise DegenerateCirculation("leftover circulation after extracting all unit paths")
     return pieces
 
 

@@ -220,7 +220,7 @@ def local_search(
     if solver == "ls1":
         starts = [find_flow(instance.network, instance.flow_value)]
     else:
-        optima = compute_optima(instance)
+        optima = criterion.optima or compute_optima(instance)
         if solver == "ls2":
             scored = [(criterion.evaluate(f), i) for i, f in enumerate(optima.flows)]
             starts = [optima.flows[min(scored)[1]]]
@@ -352,7 +352,7 @@ def evolutionary(
         final, costs, _, _ = _descend(instance, criterion, flow, params, cap, trace=trace)
         return final, costs
 
-    optima = compute_optima(instance)
+    optima = criterion.optima or compute_optima(instance)
     population = [(f, criterion.evaluate(f)) for f in optima.flows]
     if len(population) > params.population_size:
         order = sorted(range(len(population)), key=lambda i: (population[i][1], i))

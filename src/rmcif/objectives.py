@@ -69,16 +69,6 @@ def scenario_costs(instance: Instance, flow) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, flow)) for row in instance.scenarios.costs)
 
 
-def eval_absolute(instance: Instance, flow) -> int:
-    """Worst scenario cost of a feasible flow of the required value."""
-    return max(scenario_costs(instance, flow))
-
-
-def eval_deviation(instance: Instance, flow, optima: ScenarioOptima) -> int:
-    """Worst regret of a feasible flow against the per-scenario optima."""
-    return max(map(sub, scenario_costs(instance, flow), optima.costs))
-
-
 @dataclass
 class Criterion:
     """Callable robust objective with an evaluation counter.
@@ -91,7 +81,6 @@ class Criterion:
     """
 
     instance: Instance
-    variant: str
     shift: tuple[int, ...]
     optima: ScenarioOptima | None = None
     evaluations: int = field(default=0)
@@ -115,8 +104,8 @@ def make_criterion(instance: Instance, variant: str) -> Criterion:
     variant by that scenario's optimum.
     """
     if variant == ABSOLUTE:
-        return Criterion(instance, variant, (0,) * instance.scenarios.scenario_count)
+        return Criterion(instance, (0,) * instance.scenarios.scenario_count)
     if variant == DEVIATION:
         optima = compute_optima(instance)
-        return Criterion(instance, variant, optima.costs, optima)
+        return Criterion(instance, optima.costs, optima)
     raise ValueError(f"unknown variant {variant!r}")

@@ -19,6 +19,7 @@ from rmcif import (
     Network,
     compute_optima,
 )
+from rmcif.objectives import scenario_costs
 
 
 def enumerate_feasible_flows(network: Network, flow_value: int) -> list[tuple[int, ...]]:
@@ -94,6 +95,20 @@ def sum_flows(network: Network, flows) -> tuple[int, ...]:
 
 def scenario_cost(instance: Instance, values, scenario: int) -> int:
     return sum(c * x for c, x in zip(instance.scenarios.costs[scenario], values))
+
+
+def eval_absolute(instance: Instance, flow) -> int:
+    """Worst scenario cost of a feasible flow of the required value.
+
+    The flow is checked by the package's `scenario_costs`, which raises
+    like `validate_flow`, or `WrongFlowValue`.
+    """
+    return max(scenario_costs(instance, flow))
+
+
+def eval_deviation(instance: Instance, flow, optima) -> int:
+    """Worst regret of a feasible flow against the per-scenario optima."""
+    return max(c - o for c, o in zip(scenario_costs(instance, flow), optima.costs))
 
 
 def brute_min_cost(instance: Instance, scenario: int) -> int:
@@ -391,7 +406,11 @@ def _push(values: list, path, amount: int) -> None:
 
 
 def unit_paths(network: Network, values):
-    """One-unit-at-a-time decomposition into (values, vertices) pairs."""
+    """One-unit-at-a-time decomposition into (values, vertices) pairs.
+
+    Only the flow's path part is returned; a circulation left over once
+    the value is drained is ignored.
+    """
     remaining = list(values)
     pieces = []
     for _ in range(_flow_value(network, remaining)):
@@ -403,8 +422,6 @@ def unit_paths(network: Network, values):
             remaining[move[3]] -= 1
             unit[move[3]] = 1
         pieces.append((tuple(unit), (network.source,) + tuple(m[1] for m in path)))
-    if any(remaining):
-        raise OracleCirculation("leftover circulation")
     return pieces
 
 

@@ -22,8 +22,6 @@ from rmcif import (
     Instance,
     ScenarioSet,
     compute_optima,
-    eval_absolute,
-    eval_deviation,
     flow_cost,
     heuristics,
     validate_flow,
@@ -58,8 +56,8 @@ def fresh_costs(instance, flow):
 
 def fresh_score(instance, variant, flow):
     if variant == ABSOLUTE:
-        return eval_absolute(instance, flow)
-    return eval_deviation(instance, flow, compute_optima(instance))
+        return oracles.eval_absolute(instance, flow)
+    return oracles.eval_deviation(instance, flow, compute_optima(instance))
 
 
 variants = st.sampled_from((ABSOLUTE, DEVIATION))

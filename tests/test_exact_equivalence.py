@@ -1,10 +1,12 @@
 """The reduced-cost enumerator against the prefix-cost one it replaced.
 
 `oracles.prefix_cost_optimum` keeps the enumerator that pruned on the cost
-of the fixed arcs alone.  On generator DAGs and on random cyclic networks,
-both with zero-capacity arcs, `enumerate_optimum` must return the same
-cost and witness, explore no more arc assignments, give up under the same
-node budgets, and match the optimum of a scan over every feasible flow.
+of the fixed arcs alone, with one walk for DAGs and one for other
+networks.  On generator DAGs, with their arcs declared in generator or in
+shuffled order, and on random cyclic networks, all with zero-capacity
+arcs, `enumerate_optimum` must return the same cost and witness, explore
+no more arc assignments, give up under the same node budgets, and match
+the optimum of a scan over every feasible flow.
 """
 from __future__ import annotations
 
@@ -68,7 +70,24 @@ def cyclic_instances(draw):
     return Instance(network, ScenarioSet(tuple(map(tuple, rows))), value)
 
 
-instances = st.one_of(generator_instances(), cyclic_instances())
+def redeclared(instance: Instance, order) -> Instance:
+    """The same instance with its arcs, and cost columns, declared in `order`."""
+    network = instance.network
+    arcs = tuple(network.arcs[i] for i in order)
+    rows = tuple(tuple(row[i] for i in order) for row in instance.scenarios.costs)
+    return Instance(Network(network.vertex_count, arcs), ScenarioSet(rows), instance.flow_value)
+
+
+@st.composite
+def shuffled_generator_instances(draw):
+    """A generator DAG whose arcs are declared in a random order."""
+    instance = draw(generator_instances())
+    return redeclared(instance, draw(st.permutations(range(instance.network.arc_count))))
+
+
+instances = st.one_of(
+    generator_instances(), shuffled_generator_instances(), cyclic_instances()
+)
 
 
 def seeded_cyclic_instance(seed: int) -> Instance | None:
@@ -144,7 +163,7 @@ def test_same_optimum_in_fewer_nodes(instance, variant):
 
 
 # Seeds per kind: few random cyclic instances need any search at all.
-SWEEP = {"generator": 40, "cyclic": 300}
+SWEEP = {"generator": 40, "shuffled": 40, "cyclic": 300}
 
 
 @pytest.mark.parametrize("kind", sorted(SWEEP))
@@ -161,6 +180,10 @@ def test_seeded_sweep_searches(kind):
                                density=0.8)
             except GenerationError:
                 instance = None
+            if kind == "shuffled" and instance is not None:
+                order = random.Random(seed).sample(range(instance.network.arc_count),
+                                                   instance.network.arc_count)
+                instance = redeclared(instance, order)
         if instance is None:
             continue
         for variant in (ABSOLUTE, DEVIATION):

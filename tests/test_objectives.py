@@ -6,14 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import gen
-from oracles import brute_min_cost, enumerate_feasible_flows, scenario_cost
+from oracles import (
+    brute_min_cost,
+    enumerate_feasible_flows,
+    eval_absolute,
+    eval_deviation,
+    scenario_cost,
+)
 from rmcif import (
     ABSOLUTE,
     DEVIATION,
     WrongFlowValue,
     compute_optima,
-    eval_absolute,
-    eval_deviation,
     make_criterion,
     validate_flow,
 )
