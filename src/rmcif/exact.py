@@ -2,14 +2,16 @@
 
 The enumerator plays the role an external MILP solver would otherwise
 play: a branch and bound over the integer flows of the required value,
-so heuristic output can be scored against true optima.  One depth-first
-walk, on an explicit stack, assigns the arcs in a single order: by the
-tail's topological position on a DAG (a vertex's out-arcs in `out_arcs`
+so heuristic output can be scored against true optima.  One function,
+`_walk`, holds the whole search: a depth-first walk, on an explicit
+stack, that assigns the arcs in a single order: by the tail's
+topological position on a DAG (a vertex's out-arcs in `out_arcs`
 order), in declaration order otherwise.  Each arc is tried only at the
 amounts that leave both of its endpoints closable by the arcs still
-unassigned, and a branch is pruned once a reduced-cost completion bound
-(the cost of the fixed arcs plus the least the rest of the flow must
-still cost, per scenario) reaches the incumbent.  `export_lp` writes the
+unassigned, a branch is pruned once a reduced-cost completion bound (the
+cost of the fixed arcs plus the least the rest of the flow must still
+cost, per scenario) reaches the incumbent, and the walk stops at the
+first leaf that meets the variant's lower bound.  `export_lp` writes the
 equivalent linearized model for anyone who prefers a real solver.
 """
 from __future__ import annotations
@@ -18,7 +20,7 @@ import heapq
 from operator import sub
 
 from .core import Instance, InvalidParameter, Network, RmcifError
-from .objectives import compute_optima, make_criterion, scenario_costs
+from .objectives import compute_optima, make_criterion
 
 
 class BudgetExceeded(RmcifError):
@@ -27,10 +29,6 @@ class BudgetExceeded(RmcifError):
     def __init__(self, explored: int):
         super().__init__(f"enumeration budget exhausted after {explored} nodes")
         self.explored = explored
-
-
-class _OptimumHit(Exception):
-    """Internal signal: the incumbent reached the variant's lower bound."""
 
 
 def _topological_order(network: Network) -> list[int] | None:
@@ -84,15 +82,32 @@ def _sink_distances(network: Network, row) -> list[int]:
     return [far if d is None else d for d in dist]
 
 
-class _Search:
-    """Shared state for the depth-first enumeration.
+def _walk(
+    instance: Instance, order: list[int], keep_costs: bool, shift, lower: int,
+    best_cost: int, best_values: tuple[int, ...], node_budget: int,
+) -> tuple[int, tuple[int, ...], int]:
+    """Branch and bound over the arcs in `order`: ``(cost, witness, explored)``.
+
+    A depth-first walk on an explicit stack, so its depth is not limited
+    by Python's recursion limit, with one ``[arc index, next amount, last
+    amount]`` frame per arc on the branch.  ``need[v]`` is the net outflow
+    vertex v still owes, and ``rem_out[v]`` / ``rem_in[v]`` the capacity
+    of its out- and in-arcs not yet on the branch.  An arc is tried only
+    at the amounts that leave both of its endpoints closable by those
+    arcs, in increasing order.  Each endpoint is closed by the last arc
+    that touches it, so every complete assignment is a flow of the
+    required value.  Every amount tried counts as one explored node, and
+    `BudgetExceeded` is raised once more than `node_budget` are explored.
 
     Each scenario row holds reduced costs ``c_s(i) + d_s(head) - d_s(tail)``,
     with ``d_s`` from `_sink_distances`, and its partial sum starts at
-    ``F * d_s(source)``.  Reduced costs are nonnegative, so a partial sum
-    never falls as arcs are fixed, and on a conserving flow it telescopes
-    to the scenario's true cost.  `bound()` is therefore a lower bound on
-    every completion of the fixed arcs, and exact at a leaf.
+    ``F * d_s(source)`` less the row's `shift` entry.  Reduced costs are
+    nonnegative, so a partial sum never falls as arcs are fixed, and on a
+    conserving flow it telescopes to the scenario's shifted cost.  The
+    largest partial sum therefore bounds every completion of the fixed
+    arcs from below, and is exact at a leaf.  A branch goes on only while
+    that bound is below the incumbent, and the walk stops at the first
+    leaf that reaches `lower`.
 
     The reduced sum exceeds the cost of the fixed arcs by ``F * d_s(source)``
     plus ``d_s(v)`` times each vertex's fixed inflow less its fixed
@@ -101,123 +116,70 @@ class _Search:
     its supply, so that excess is nonnegative and the reduced sum alone
     bounds the fixed cost too.  Off a topological order a vertex's out-arcs
     may be fixed before its in-arcs, the excess can go negative, and so
-    with `keep_costs` the plain cost rows are kept as well and `bound()`
-    is the larger of the two bounds.
+    with `keep_costs` the plain cost rows are kept as well, their partial
+    sums bounding the fixed cost directly.
     """
-
-    def __init__(self, instance: Instance, shift, lower: int, node_budget: int,
-                 best_cost: int, best_values: tuple[int, ...], keep_costs: bool):
-        self.network = instance.network
-        self.rows = []
-        self.partial = []
-        for row in instance.scenarios.costs:
-            d = _sink_distances(self.network, row)
-            self.rows.append(
-                [c + d[a.head] - d[a.tail] for c, a in zip(row, self.network.arcs)]
-            )
-            self.partial.append(instance.flow_value * d[self.network.source])
-        if keep_costs:
-            self.rows.extend(instance.scenarios.costs)
-            self.partial.extend([0] * len(shift))
-            shift = (*shift, *shift)
-        self.shift = shift
-        self.lower = lower
-        self.node_budget = node_budget
-        self.best_cost = best_cost
-        self.best_values = best_values
-        self.balance = _balances(instance)
-        self.values = [0] * self.network.arc_count
-        self.explored = 0
-
-    def tick(self) -> None:
-        self.explored += 1
-        if self.explored > self.node_budget:
-            raise BudgetExceeded(self.explored)
-
-    def bound(self) -> int:
-        return max(p - z for p, z in zip(self.partial, self.shift))
-
-    def add(self, arc_index: int, amount: int) -> None:
-        self.values[arc_index] = amount
-        if amount:
-            for s, row in enumerate(self.rows):
-                self.partial[s] += row[arc_index] * amount
-
-    def remove(self, arc_index: int) -> None:
-        amount = self.values[arc_index]
-        self.values[arc_index] = 0
-        if amount:
-            for s, row in enumerate(self.rows):
-                self.partial[s] -= row[arc_index] * amount
-
-    def offer_leaf(self) -> None:
-        cost = self.bound()
-        if cost < self.best_cost:
-            self.best_cost = cost
-            self.best_values = tuple(self.values)
-            if cost <= self.lower:
-                raise _OptimumHit
-
-
-def _walk(search: _Search, order: list[int]) -> None:
-    """Depth-first assignment of the arcs in `order`, on an explicit stack.
-
-    ``need[v]`` is the net outflow vertex v still owes, and ``rem_out[v]``
-    / ``rem_in[v]`` the capacity of its out- and in-arcs not yet on the
-    branch.  An arc is tried only at the amounts that leave both of its
-    endpoints closable by those arcs, in increasing order.  Each endpoint
-    is closed by the last arc that touches it, so every complete
-    assignment is a flow of the required value.  The stack holds one
-    ``[arc index, next amount, last amount]`` frame per arc on the branch,
-    so its depth is not limited by Python's recursion limit.
-    """
-    network = search.network
+    network = instance.network
+    rows, partial = [], []
+    for row, z in zip(instance.scenarios.costs, shift):
+        d = _sink_distances(network, row)
+        rows.append([c + d[a.head] - d[a.tail] for c, a in zip(row, network.arcs)])
+        partial.append(instance.flow_value * d[network.source] - z)
+    if keep_costs:
+        rows.extend(instance.scenarios.costs)
+        partial.extend(-z for z in shift)
+    columns = list(zip(*rows))
     tails = [a.tail for a in network.arcs]
     heads = [a.head for a in network.arcs]
     caps = network.capacities
-    values = search.values
-    need = list(search.balance)
+    values = [0] * network.arc_count
+    need = _balances(instance)
     rem_out = [sum(caps[i] for i in out) for out in network.out_arcs]
     rem_in = [sum(caps[i] for i in inc) for inc in network.in_arcs]
-
-    def frame(depth: int) -> list | None:
-        """The frame assigning ``order[depth]``; past the last arc, offer a leaf."""
-        if depth == len(order):
-            search.offer_leaf()
-            return None
-        i = order[depth]
-        t, h = tails[i], heads[i]
-        rem_out[t] -= caps[i]
-        rem_in[h] -= caps[i]
-        return [
-            i,
-            max(0, need[t] - rem_out[t], -rem_in[h] - need[h]),
-            min(caps[i], need[t] + rem_in[t], rem_out[h] - need[h]),
-        ]
-
-    first = frame(0)
-    stack = [] if first is None else [first]
-    while stack:
+    explored = 0
+    stack: list[list[int]] = []
+    grow = True
+    while True:
+        if grow and len(stack) < len(order):
+            i = order[len(stack)]
+            t, h = tails[i], heads[i]
+            rem_out[t] -= caps[i]
+            rem_in[h] -= caps[i]
+            stack.append([
+                i,
+                max(0, need[t] - rem_out[t], -rem_in[h] - need[h]),
+                min(caps[i], need[t] + rem_in[t], rem_out[h] - need[h]),
+            ])
+        elif grow:
+            cost = max(partial)
+            if cost < best_cost:
+                best_cost, best_values = cost, tuple(values)
+                if cost <= lower:
+                    break
+        if not stack:
+            break
         top = stack[-1]
         i, amount, last = top
         t, h = tails[i], heads[i]
-        need[t] += values[i]
-        need[h] -= values[i]
-        search.remove(i)
-        if amount > last:
+        tried = amount <= last
+        if tried:
+            top[1] = amount + 1
+            explored += 1
+            if explored > node_budget:
+                raise BudgetExceeded(explored)
+        else:
+            stack.pop()
             rem_out[t] += caps[i]
             rem_in[h] += caps[i]
-            stack.pop()
-            continue
-        top[1] = amount + 1
-        search.tick()
-        search.add(i, amount)
-        need[t] -= amount
-        need[h] += amount
-        if search.bound() < search.best_cost:
-            child = frame(len(stack))
-            if child is not None:
-                stack.append(child)
+            amount = 0
+        delta = amount - values[i]
+        if delta:
+            values[i] = amount
+            need[t] -= delta
+            need[h] += delta
+            partial = [p + c * delta for p, c in zip(partial, columns[i])]
+        grow = tried and max(partial) < best_cost
+    return best_cost, best_values, explored
 
 
 def check_budget(node_budget: int) -> int:
@@ -237,7 +199,7 @@ def enumerate_optimum(
     ``max(optimum_s - shift_s)``, with the shift of the variant's criterion
     (the largest scenario optimum for the absolute variant, zero for the
     deviation variant).  A branch is pruned once the reduced-cost
-    completion bound of its fixed arcs (see `_Search`) reaches the
+    completion bound of its fixed arcs (see `_walk`) reaches the
     incumbent: what the rest of the flow must still cost is counted before
     its arcs are assigned.  The walk runs on an explicit stack, so large
     networks end in `BudgetExceeded`, not `RecursionError`.  Raises
@@ -251,12 +213,9 @@ def enumerate_optimum(
     optima = criterion.optima or compute_optima(instance)
     lower = max(map(sub, optima.costs, shift))
 
-    best_values = None
-    best_cost = None
-    for flow in optima.flows:
-        cost = max(map(sub, scenario_costs(instance, flow), shift))
-        if best_cost is None or cost < best_cost:
-            best_cost, best_values = cost, flow
+    best_cost, best_values = min(
+        ((criterion.evaluate(flow), flow) for flow in optima.flows), key=lambda pair: pair[0]
+    )
     if best_cost <= lower:
         return best_cost, best_values
 
@@ -266,14 +225,10 @@ def enumerate_optimum(
         order = list(range(network.arc_count))
     else:
         order = [i for v in topo for i in network.out_arcs[v]]
-    search = _Search(
-        instance, shift, lower, node_budget, best_cost, best_values, keep_costs=topo is None
+    cost, values, _ = _walk(
+        instance, order, topo is None, shift, lower, best_cost, best_values, node_budget
     )
-    try:
-        _walk(search, order)
-    except _OptimumHit:
-        pass
-    return search.best_cost, search.best_values
+    return cost, values
 
 
 def _lp_rows(label: str, terms: list[str], relation: str) -> list[str]:

@@ -44,15 +44,11 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from .core import Network, RmcifError, flow_value_of
+from .core import ConservationViolation, Network, RmcifError, check_arc_values, flow_value_of
 
 
 class TargetUnreachable(RmcifError):
     """Augmentation cannot raise the flow value to the requested target."""
-
-
-class DegenerateCirculation(RmcifError):
-    """Flow value remains that no source-to-sink path in the support can carry."""
 
 
 def fewest_arc_path(network: Network, upper: Sequence[int], values: Sequence[int]):
@@ -173,7 +169,10 @@ def decompose(network: Network, flow: tuple[int, ...]) -> list[tuple[int, ...]]:
     is the one that extracting a unit at a time would give.  By the flow
     decomposition theorem the rest of a conserving flow is a circulation;
     it is left out, so composing the paths gives the flow's path part.
-    Non-conserving input, whose value no path can drain, is rejected.
+    Non-conserving input, whose value no path can drain, raises
+    `ConservationViolation` at the first inner vertex out of balance in
+    what is left: were what is left conserving, its positive value would
+    still hold a source-to-sink path.
     """
     remaining = list(flow)
     total = flow_value_of(network, remaining)
@@ -181,8 +180,10 @@ def decompose(network: Network, flow: tuple[int, ...]) -> list[tuple[int, ...]]:
     for path, copies in _peel_paths(network, remaining, total):
         pieces.extend([tuple(i for i, _, _ in path)] * copies)
     if len(pieces) < total:
-        raise DegenerateCirculation(
-            "flow value remains but no source-to-sink path is left in the support"
+        ends = (network.source, network.sink)
+        balance = check_arc_values(network, remaining)
+        raise ConservationViolation(
+            next(v for v, b in enumerate(balance) if b and v not in ends)
         )
     return pieces
 

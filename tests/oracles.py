@@ -342,7 +342,10 @@ def solve_lp_text(text: str) -> float:
 
 
 class OracleCirculation(Exception):
-    """The oracle's counterpart of `DegenerateCirculation`."""
+    """Flow value remains that no path can drain: non-conserving input.
+
+    `flow_ops.decompose` raises `ConservationViolation` in this case.
+    """
 
 
 class OracleUnreachable(Exception):

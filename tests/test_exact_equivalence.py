@@ -107,20 +107,20 @@ def seeded_cyclic_instance(seed: int) -> Instance | None:
 
 
 def counted(instance, variant, node_budget):
-    """``(cost, witness values, explored)``, counting `_Search.tick` calls."""
+    """``(cost, witness values, explored)``, with the count `exact._walk` returns."""
     explored = 0
-    tick = exact._Search.tick
+    walk = exact._walk
 
-    def counting(self):
+    def counting(*args):
         nonlocal explored
-        explored += 1
-        tick(self)
+        cost, values, explored = walk(*args)
+        return cost, values, explored
 
-    exact._Search.tick = counting
+    exact._walk = counting
     try:
         cost, witness = enumerate_optimum(instance, variant, node_budget)
     finally:
-        exact._Search.tick = tick
+        exact._walk = walk
     return cost, witness, explored
 
 
@@ -147,7 +147,9 @@ def check_against_oracle(instance, variant) -> int:
     if scannable(instance):
         assert cost == oracles.brute_robust_optimum(instance, variant)
     if explored:
-        # One node short of what the search needs, both enumerators give up.
+        # The search fits a budget of exactly its node count; one node
+        # short of it, both enumerators give up.
+        assert enumerate_optimum(instance, variant, explored) == (cost, values)
         with pytest.raises(BudgetExceeded) as err:
             enumerate_optimum(instance, variant, explored - 1)
         assert err.value.explored == explored

@@ -11,7 +11,7 @@ from oracles import brute_min_cost, has_negative_cycle_floyd_warshall, min_cut_v
 from rmcif import (
     Arc,
     CapacityViolation,
-    DegenerateCirculation,
+    ConservationViolation,
     Network,
     TargetUnreachable,
     center,
@@ -222,8 +222,9 @@ class TestSumAndDecompose:
     def test_decompose_rejects_non_conserving_input(self):
         # Value 1 leaves the source, but nothing leaves vertex 2.
         net = Network(4, (Arc(1, 2, 1), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 1)))
-        with pytest.raises(DegenerateCirculation):
+        with pytest.raises(ConservationViolation) as err:
             decompose(net, (1, 0, 0, 0))
+        assert err.value.vertex == 2
 
     @given(small_seeds)
     def test_roundtrip_on_layered_instances(self, seed):
