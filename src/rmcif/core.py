@@ -119,6 +119,11 @@ class Network:
         return tuple(tuple(lst) for lst in out)
 
     @cached_property
+    def heads(self) -> tuple[int, ...]:
+        """Arc heads in arc declaration order."""
+        return tuple(arc.head for arc in self.arcs)
+
+    @cached_property
     def in_arcs(self) -> tuple[tuple[int, ...], ...]:
         inc: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
         for i, arc in enumerate(self.arcs):

@@ -10,16 +10,16 @@ Every path and cycle is a list of ``(arc index, forward, room)`` triples:
 a forward move adds flow to its arc, a backward one removes it, and room
 is how much the move can carry.  A unit path, as `decompose` returns it
 and `compose` takes it, is the tuple of its arc indices in walk order.
-Every search walks the network's one cached `Network.residual_adjacency`
-and reads room off upper bounds (`Network.capacities`, or the values
-still to peel) and the current arc values.
+Every residual search walks the network's one cached
+`Network.residual_adjacency` and reads room off `Network.capacities` and
+the current arc values.
 
 - Augmentation (`find_flow`, `max_flow_value` and the repair step of
   `round_flow` and `compose`) runs one fewest-arc search.
-- `decompose` and the extraction in `round_flow` run the same search with
-  the remaining values as capacities and no backward room, and peel each
-  path's whole bottleneck at once (Ahuja, Magnanti & Orlin, *Network
-  Flows*, 1993, ch. 3).
+- `decompose` and the extraction in `round_flow` run the same search over
+  forward arcs only (`Network.out_arcs`), with the values still to peel
+  as capacities, and peel each path's whole bottleneck at once (Ahuja,
+  Magnanti & Orlin, *Network Flows*, 1993, ch. 3).
 - `center` sums arc values and `round_flow` rounds the mean half-up in
   integer arithmetic, so no rational number is ever built.
 - `compose` checks capacity on a unit path's own arcs only.
@@ -136,21 +136,52 @@ def find_flow(network: Network, value: int) -> tuple[int, ...]:
     return _augment_to_value(network, [0] * network.arc_count, value)
 
 
+def _support_path(network: Network, remaining: Sequence[int]):
+    """Fewest-arc source-to-sink path over arcs with positive `remaining`, or None.
+
+    The path comes back as ``(arc index, True, remaining value)`` triples.
+    Arcs are scanned in `out_arcs` order and the first vertex reached
+    wins, so this is `fewest_arc_path` with `remaining` as capacities and
+    zero values, which leaves every backward move without room.
+    """
+    out_arcs, heads = network.out_arcs, network.heads
+    source, sink = network.source, network.sink
+    via: list[tuple[int, int] | None] = [None] * len(out_arcs)
+    reached = [False] * len(out_arcs)
+    reached[source] = True
+    queue = [source]
+    for v in queue:
+        for i in out_arcs[v]:
+            h = heads[i]
+            if reached[h] or remaining[i] <= 0:
+                continue
+            reached[h] = True
+            via[h] = (v, i)
+            if h == sink:
+                path = []
+                while h != source:
+                    h, i = via[h]
+                    path.append((i, True, remaining[i]))
+                path.reverse()
+                return path
+            queue.append(h)
+    return None
+
+
 def _peel_paths(network: Network, remaining: list[int], units: int):
     """Take up to `units` unit paths out of `remaining`, a whole bottleneck at a time.
 
-    Yields ``(path, copies)`` with `path` as `fewest_arc_path` triples.  The
-    search runs with `remaining` as capacities and zero values, so only
-    forward moves on the positive support have room, met in `out_arcs`
-    order.  It sees the same support until some arc on the path runs out,
-    so `copies`, the path's smallest remaining value capped by the units
-    still wanted, is how many times in a row a one-unit-at-a-time
-    extraction would return this path.  Stops early when the support
-    disconnects.
+    Yields ``(path, copies)`` with `path` as `fewest_arc_path` triples.
+    Each search (`_support_path`) scans forward arcs only, met in
+    `out_arcs` order: with `remaining` as capacities and zero values no
+    backward move ever has room.  It sees the same support until some arc
+    on the path runs out, so `copies`, the path's smallest remaining value
+    capped by the units still wanted, is how many times in a row a
+    one-unit-at-a-time extraction would return this path.  Stops early
+    when the support disconnects.
     """
-    zeros = [0] * network.arc_count
     while units > 0:
-        path = fewest_arc_path(network, remaining, zeros)
+        path = _support_path(network, remaining)
         if path is None:
             return
         copies = min(min(room for _, _, room in path), units)

@@ -12,6 +12,20 @@ cancelled cycles instead of re-evaluating every neighbor; before a solver
 returns, one fresh evaluation of its flow must reproduce the reported
 robust cost.
 
+One `evolutionary` run remembers two results of pure functions, so
+neither changes a flow, an RNG draw or an evaluation count.  Each
+parent's unit paths (`decompose`) are kept in a dict keyed by its flow;
+once the dict holds as many entries as the population, the flows that
+have left the population are dropped before another is added, so it
+never outgrows the population.  The capped descents that fill the
+initial population share one dict from a flow to its `_neighborhood`
+list, because they mostly restart from copies of the same scenario
+optima.  Each entry either follows an accepted move, which fills a
+population slot, or ends a descent, so the dict holds at most about
+2 × `population_size` + `MUTATION_SEARCH_CAP` neighborhoods, and it is
+dropped once the population is full.  The mutations of the generation
+loop and `local_search` build every neighborhood afresh.
+
 Every solver is deterministic for a fixed (instance, variant, parameters,
 seed): randomness comes from one counter-based generator created from the
 seed, and every tie is broken by position.
@@ -136,6 +150,7 @@ def _descend(
     params: SearchParams,
     iteration_limit: int | None,
     trace=None,
+    memo: dict | None = None,
 ):
     """Best-neighbor descent accepting only strict improvements.
 
@@ -147,6 +162,9 @@ def _descend(
     The start flow is validated and costed once; from there each
     candidate's scenario cost vector is carried along the cancelled cycles
     (see `_neighborhood`), and `criterion` scores the carried vector.
+    `memo`, when given, maps a flow to its `_neighborhood` list and is
+    read before one is built and filled after; every neighbor is still
+    scored, so the evaluation count does not depend on it.
     """
     current = start
     current_costs = scenario_costs(instance, start)
@@ -155,7 +173,12 @@ def _descend(
     while iteration_limit is None or moves < iteration_limit:
         best = None
         best_cost = None
-        for cand in _neighborhood(instance, current, current_costs, params.neighborhood_size):
+        neighbors = None if memo is None else memo.get(current)
+        if neighbors is None:
+            neighbors = _neighborhood(instance, current, current_costs, params.neighborhood_size)
+            if memo is not None:
+                memo[current] = neighbors
+        for cand in neighbors:
             cost = criterion.evaluate(*cand)
             if best_cost is None or cost < best_cost:
                 best, best_cost = cand, cost
@@ -331,15 +354,26 @@ def evolutionary(
 
     network = instance.network
     cost_rows = instance.scenarios.costs
+    # parent flow -> its unit paths; pruned to the live members when full
+    unit_paths: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+
+    def paths_of(flow: tuple[int, ...]) -> list[tuple[int, ...]]:
+        paths = unit_paths.get(flow)
+        if paths is None:
+            if len(unit_paths) >= len(population):
+                for stale in unit_paths.keys() - {member[0] for member in population}:
+                    del unit_paths[stale]
+            paths = unit_paths[flow] = decompose(network, flow)
+        return paths
 
     def crossover(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         if cross_kind == 0:
             return round_flow(network, *center(network, [a, b]))
         if cross_kind == 1:
             return harmonize(network, a, b, rng)
-        return compose(network, decompose(network, a), decompose(network, b), rng)
+        return compose(network, paths_of(a), paths_of(b), rng)
 
-    def mutate(flow: tuple[int, ...], trace=None):
+    def mutate(flow: tuple[int, ...], trace=None, memo=None):
         """The mutant, and its scenario costs when the inner descent carried them."""
         if mut_kind == 0:
             return perturb(network, flow, rng), None
@@ -349,7 +383,7 @@ def evolutionary(
         cap = MUTATION_SEARCH_CAP
         if params.iteration_limit is not None:
             cap = min(cap, params.iteration_limit)
-        final, costs, _, _ = _descend(instance, criterion, flow, params, cap, trace=trace)
+        final, costs, _, _ = _descend(instance, criterion, flow, params, cap, trace, memo)
         return final, costs
 
     optima = criterion.optima or compute_optima(instance)
@@ -357,6 +391,8 @@ def evolutionary(
     if len(population) > params.population_size:
         order = sorted(range(len(population)), key=lambda i: (population[i][1], i))
         population = [population[i] for i in order[: params.population_size]]
+    # The fill's descents mostly start from copies of the same few optima.
+    neighborhoods: dict = {}
     while len(population) < params.population_size:
         source = population[int(rng.integers(0, len(population)))][0]
 
@@ -365,9 +401,10 @@ def evolutionary(
                 population.append((flow, cost))
 
         before = len(population)
-        mutant, costs = mutate(source, trace=harvest)
+        mutant, costs = mutate(source, trace=harvest, memo=neighborhoods)
         if len(population) == before and len(population) < params.population_size:
             population.append((mutant, criterion.evaluate(mutant, costs)))
+    del neighborhoods
 
     best_cost = min(cost for _, cost in population)
     generations = 0

@@ -4,7 +4,7 @@ The absolute objective of a flow is its worst cost over the scenarios.
 The deviation objective is its worst regret: the gap between its cost
 under a scenario and the best cost any feasible flow of the required
 value achieves under that same scenario.  Scenario optima are therefore
-shared, cacheable inputs; `compute_optima` memoizes them per instance.
+shared, cacheable inputs; `compute_optima` keeps them on the instance.
 
 A flow is a plain tuple of arc values in arc declaration order.  Both
 objectives are a maximum over the per-scenario cost vector that
@@ -18,7 +18,6 @@ the validation and the K dot products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from operator import mul, sub
 
 from .core import (
@@ -40,16 +39,26 @@ class ScenarioOptima:
     flows: tuple[tuple[int, ...], ...]
 
 
-@lru_cache(maxsize=None)
 def compute_optima(instance: Instance) -> ScenarioOptima:
-    """Minimum-cost flow of value F under each scenario separately."""
-    costs = []
-    flows = []
-    for s, cost_row in enumerate(instance.scenarios.costs):
-        flow = min_cost_flow(instance.network, cost_row, instance.flow_value)
-        flows.append(flow)
-        costs.append(flow_cost(instance, flow, s))
-    return ScenarioOptima(tuple(costs), tuple(flows))
+    """Minimum-cost flow of value F under each scenario separately.
+
+    The result is kept on the instance object, the way `Network` keeps its
+    cached properties, so it lives exactly as long as the instance: a long
+    session holds no optima for instances it has dropped, and two equal
+    but separately built instances compute their own.
+    """
+    # `Instance` is frozen; like `cached_property`, write its `__dict__` directly
+    cache = vars(instance)
+    optima = cache.get("scenario_optima")
+    if optima is None:
+        costs = []
+        flows = []
+        for s, cost_row in enumerate(instance.scenarios.costs):
+            flow = min_cost_flow(instance.network, cost_row, instance.flow_value)
+            flows.append(flow)
+            costs.append(flow_cost(instance, flow, s))
+        optima = cache["scenario_optima"] = ScenarioOptima(tuple(costs), tuple(flows))
+    return optima
 
 
 def _require_feasible(instance: Instance, flow) -> None:

@@ -104,6 +104,36 @@ def cyclic_networks(draw):
     return Network(n, tuple(Arc(t, h, c) for (t, h), c in zip(chosen, caps)))
 
 
+@st.composite
+def routed_networks(draw):
+    """A `cyclic_networks` network with a positive maximum flow value.
+
+    A random simple source-to-sink walk is added to it, its arcs created or
+    widened to capacity 1..4.
+    """
+    network = draw(cyclic_networks())
+    n = network.vertex_count
+    inner = draw(st.permutations(range(2, n)))
+    walk = [network.source, *inner[: draw(st.integers(0, n - 2))], network.sink]
+    caps = {(arc.tail, arc.head): arc.capacity for arc in network.arcs}
+    for pair in zip(walk, walk[1:]):
+        caps[pair] = max(caps.get(pair, 0), draw(st.integers(1, 4)))
+    return Network(n, tuple(Arc(t, h, c) for (t, h), c in caps.items()))
+
+
+@st.composite
+def cyclic_instances(draw):
+    """A `routed_networks` network, 1..3 scenarios of costs 0..9, and F
+    drawn as the maximum flow value, a random positive value or 0."""
+    network = draw(routed_networks())
+    k = draw(st.integers(1, 3))
+    row = st.tuples(*[st.integers(0, 9)] * network.arc_count)
+    rows = draw(st.lists(row, min_size=k, max_size=k))
+    top = oracles.max_flow(network)
+    value = draw(st.sampled_from((top, draw(st.integers(1, top)), 0)))
+    return Instance(network, ScenarioSet(tuple(rows)), value)
+
+
 def scrambled_flow(network, value, seed, steps=3):
     """A value-`value` flow moved around random residual cycles."""
     rng = make_rng(seed)

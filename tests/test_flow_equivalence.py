@@ -16,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cyclic_networks, gen, scrambled_flow, unit_flow, unit_vertices
+from conftest import (
+    cyclic_networks,
+    gen,
+    routed_networks,
+    scrambled_flow,
+    unit_flow,
+    unit_vertices,
+)
 from rmcif import (
     Arc,
     Network,
@@ -31,7 +38,13 @@ from rmcif import (
     perturb,
     round_flow,
 )
-from rmcif.flow_ops import _augment_to_value, dfs_cycle
+from rmcif.flow_ops import (
+    _augment_to_value,
+    _peel_paths,
+    _support_path,
+    dfs_cycle,
+    fewest_arc_path,
+)
 from rmcif.heuristics import make_rng
 
 seeds = st.integers(0, 2_000)
@@ -91,6 +104,28 @@ class TestDecompose:
         # Every conserving flow decomposes; a circulation is left out alike.
         network, (values,) = case
         assert unit_pairs(network, values) == oracles.unit_paths(network, values)
+
+    @given(routed_networks(), seeds, st.data())
+    @settings(max_examples=60)
+    def test_forward_peel_matches_one_unit_extraction(self, network, seed, data):
+        # Each peeled path, taken `copies` times, is what one-unit-at-a-time extraction gives.
+        values = scrambled_flow(network, data.draw(st.integers(0, oracles.max_flow(network))), seed)
+        remaining = list(values)
+        got = []
+        for path, copies in _peel_paths(network, remaining, flow_value_of(network, values)):
+            assert all(forward for _, forward, _ in path)
+            arcs = [i for i, _, _ in path]
+            got += [(unit_flow(network, arcs), unit_vertices(network, arcs))] * copies
+        assert got == oracles.unit_paths(network, values)
+
+    @given(routed_networks(), st.data())
+    @settings(max_examples=60)
+    def test_support_path_is_the_fewest_arc_path_without_backward_room(self, network, data):
+        remaining = data.draw(st.lists(
+            st.integers(0, 3), min_size=network.arc_count, max_size=network.arc_count
+        ))
+        zeros = [0] * network.arc_count
+        assert _support_path(network, remaining) == fewest_arc_path(network, remaining, zeros)
 
     def test_circulation_on_the_path_is_rejected_alike(self):
         # The circulation 2 -> 3 -> 2 is left out by both: two copies of 1 -> 2 -> 4.

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gen
+from conftest import DIAMOND_TEXT, gen
 from oracles import (
     brute_min_cost,
     enumerate_feasible_flows,
@@ -19,6 +19,7 @@ from rmcif import (
     WrongFlowValue,
     compute_optima,
     make_criterion,
+    parse_instance,
     validate_flow,
 )
 
@@ -35,6 +36,16 @@ class TestScenarioOptima:
 
     def test_memoized_per_instance(self, diamond):
         assert compute_optima(diamond) is compute_optima(diamond)
+
+    def test_kept_on_the_instance_object(self, diamond):
+        # An equal instance parsed apart computes and keeps its own optima.
+        twin = parse_instance(DIAMOND_TEXT)
+        assert twin == diamond and twin is not diamond
+        first = compute_optima(diamond)
+        second = compute_optima(twin)
+        assert second == first and second is not first
+        assert second.flows[0] is not first.flows[0]
+        assert compute_optima(twin) is second
 
     def test_duplicate_scenarios_counted_separately(self):
         base = gen(3, widths=(2,), scenarios=1)
