@@ -22,14 +22,19 @@ the current arc values.
   Magnanti & Orlin, *Network Flows*, 1993, ch. 3).
 - `center` sums arc values and `round_flow` rounds the mean half-up in
   integer arithmetic, so no rational number is ever built.
-- `compose` checks capacity on a unit path's own arcs only.
+- `compose` checks capacity on a unit path's own arcs only, and scans
+  each list once in one random order drawn per call.
 - `perturb` and `harmonize` filter a vertex's moves only when the cycle
   search expands it.
-- The negative-cycle kernel relaxes one ``(tail, head, signed cost,
-  move)`` tuple per residual move and stops Bellman-Ford at the first
-  pass whose predecessor graph closes a cycle (Cherkassky & Goldberg,
-  "Negative-cycle detection algorithms", Math. Prog. 85, 1999) instead of
-  running all n passes.
+- The negative-cycle kernel of the descent (`cost_reduce`) relaxes one
+  ``(tail, head, signed cost, move)`` tuple per residual move and stops
+  Bellman-Ford at the first pass whose predecessor graph closes a cycle
+  (Cherkassky & Goldberg, "Negative-cycle detection algorithms", Math.
+  Prog. 85, 1999) instead of running all n passes.
+- `min_cost_flow` runs successive shortest paths from the zero flow:
+  Dijkstra's search over reduced costs with node potentials (Ahuja,
+  Magnanti & Orlin 1993, §9.7), which needs no feasible start and no
+  cycle cancelling.
 
 A flow is a plain tuple of integer arc values in arc declaration order,
 the shape of `Network.capacities`, and every procedure here takes and
@@ -42,6 +47,7 @@ expansions are all built in that order).
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .core import ConservationViolation, Network, RmcifError, check_arc_values, flow_value_of
@@ -255,9 +261,12 @@ def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence
     """Feasible flow built from two unit-path lists of a common length F.
 
     Picks alternate between the lists (a coin flip chooses the starting
-    one); each pick is drawn in seeded random order from the active list's
-    unused elements and accepted only if the running sum stays within
-    capacity, which is checked on the unit path's own arcs.
+    one).  Each list is scanned once, in one seeded random order drawn per
+    call, and the next element whose unit path fits is picked; capacity is
+    checked on the unit path's own arcs.  The running sum only grows, so
+    an element that does not fit never fits later in the call, and the
+    scan skips it for good: each pick is uniform over the acceptable
+    unused elements, as one fresh order per pick would make it.
     A list with no acceptable element left passes its turn to the other;
     once both stall the partial sum is repaired by augmentation up to
     value F.
@@ -267,25 +276,24 @@ def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence
         raise ValueError("expected two unit-path lists of equal positive length")
     caps = network.capacities
     totals = [0] * network.arc_count
-    remaining = [list(range(target)), list(range(target))]
-    lists = (first, second)
     active = int(rng.integers(0, 2))
+    lists = (first, second)
+    orders = (rng.permutation(target).tolist(), rng.permutation(target).tolist())
+    cursors = [0, 0]
     picked = 0
     stalls = 0
     while picked < target and stalls < 2:
-        pool = remaining[active]
-        chosen = -1
-        for j in rng.permutation(len(pool)).tolist():
-            if all(totals[i] < caps[i] for i in lists[active][pool[j]]):
-                chosen = pool[j]
-                break
-        if chosen < 0:
+        units, order = lists[active], orders[active]
+        j = cursors[active]
+        while j < target and not all(totals[i] < caps[i] for i in units[order[j]]):
+            j += 1
+        cursors[active] = j + 1
+        if j >= target:
             stalls += 1
             active = 1 - active
             continue
-        for i in lists[active][chosen]:
+        for i in units[order[j]]:
             totals[i] += 1
-        pool.remove(chosen)
         picked += 1
         stalls = 0
         active = 1 - active
@@ -462,14 +470,68 @@ def harmonize(network: Network, flow: tuple[int, ...], target, rng) -> tuple[int
 
 
 def min_cost_flow(network: Network, costs: Sequence[int], value: int) -> tuple[int, ...]:
-    """Minimum-cost flow of the given value under one cost vector.
+    """Minimum-cost flow of the given value under one nonnegative cost vector.
 
-    A feasible flow is built by augmentation, then negative residual cycles
-    are cancelled to a fixpoint; the absence of such a cycle certifies
-    optimality.
+    Successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*,
+    1993, §9.7): from the zero flow, Dijkstra's search over residual moves
+    with reduced costs ``cost + potential[tail] - potential[head]`` finds a
+    cheapest source-to-sink path, which carries its bottleneck, capped by
+    the value still missing.  Costs are nonnegative, so zero potentials
+    start every reduced cost nonnegative, cycles in the network included.
+    The search stops once it settles the sink, and each potential then
+    grows by its vertex's distance capped at the sink's, which keeps every
+    reduced cost nonnegative and those on the path zero.  Each path is a
+    cheapest one, so the flow of every value reached is a cheapest one
+    (no negative residual cycle ever forms).  Ties are broken by vertex
+    number and adjacency order, so the witness is deterministic.  Raises
+    `TargetUnreachable` when `value` exceeds the maximum flow value and
+    `ValueError` on a negative cost.
     """
-    flow = find_flow(network, value)
-    while True:
-        flow, optimal = cost_reduce(network, costs, flow)
-        if optimal:
-            return flow
+    if any(c < 0 for c in costs):
+        raise ValueError("min_cost_flow needs nonnegative costs")
+    adjacency, caps = network.residual_adjacency, network.capacities
+    source, sink = network.source, network.sink
+    values = [0] * network.arc_count
+    potential = [0] * len(adjacency)
+    current = 0
+    while current < value:
+        dist = [math.inf] * len(adjacency)
+        via: list[tuple[int, int, bool, int] | None] = [None] * len(adjacency)
+        settled = [False] * len(adjacency)
+        dist[source] = 0
+        heap = [(0, source)]
+        while heap:
+            d, v = heappop(heap)
+            if settled[v]:
+                continue
+            settled[v] = True
+            if v == sink:
+                break
+            base = d + potential[v]
+            for i, forward, h in adjacency[v]:
+                if settled[h]:
+                    continue
+                if forward:
+                    room, step = caps[i] - values[i], costs[i]
+                else:
+                    room, step = values[i], -costs[i]
+                if room <= 0:
+                    continue
+                nd = base + step - potential[h]
+                if nd < dist[h]:
+                    dist[h] = nd
+                    via[h] = (v, i, forward, room)
+                    heappush(heap, (nd, h))
+        if not settled[sink]:
+            raise TargetUnreachable(f"cannot raise the flow value past {current} (target {value})")
+        reach = dist[sink]
+        potential = [p + min(d, reach) for p, d in zip(potential, dist)]
+        path = []
+        h = sink
+        while h != source:
+            h, i, forward, room = via[h]
+            path.append((i, forward, room))
+        push = min(min(room for _, _, room in path), value - current)
+        _push(values, path, push)
+        current += push
+    return tuple(values)

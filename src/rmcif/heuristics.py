@@ -20,11 +20,16 @@ have left the population are dropped before another is added, so it
 never outgrows the population.  The capped descents that fill the
 initial population share one dict from a flow to its `_neighborhood`
 list, because they mostly restart from copies of the same scenario
-optima.  Each entry either follows an accepted move, which fills a
-population slot, or ends a descent, so the dict holds at most about
-2 × `population_size` + `MUTATION_SEARCH_CAP` neighborhoods, and it is
+optima.  Each accepted move of such a descent fills a population slot,
+so a descent stops once it has as many moves as there are free slots;
+each entry then either follows an accepted move or ends a descent, the
+dict holds at most 2 × `population_size` neighborhoods, and it is
 dropped once the population is full.  The mutations of the generation
 loop and `local_search` build every neighborhood afresh.
+
+The loop's frequent draws are cheap ones: a tournament draws its sample
+from one ``rng.random(size)`` call (Floyd's algorithm), and the
+per-generation mutation coin is one ``rng.random()``.
 
 Every solver is deterministic for a fixed (instance, variant, parameters,
 seed): randomness comes from one counter-based generator created from the
@@ -267,15 +272,22 @@ def local_search(
 def tournament_select(population, mode: str, sample_size: int, rng, exclude=()):
     """Index of the best (or worst) member of a random distinct sample.
 
-    Ties go to the lower member index.  Returns None when `exclude` leaves
-    nothing to sample.
+    The sample is uniform over the subsets of its size, drawn by Floyd's
+    algorithm from one ``rng.random(size)`` call: step j takes a uniform
+    position in 0..j, or j itself when that one is already taken.  Ties go
+    to the lower member index.  Returns None when `exclude` leaves nothing
+    to sample.
     """
     candidates = [i for i in range(len(population)) if i not in exclude]
     if not candidates:
         return None
-    size = min(sample_size, len(candidates))
-    picks = rng.choice(len(candidates), size=size, replace=False)
-    sampled = sorted(candidates[int(p)] for p in picks)
+    n = len(candidates)
+    size = min(sample_size, n)
+    picked: set[int] = set()
+    for j, u in zip(range(n - size, n), rng.random(size).tolist()):
+        t = int(u * (j + 1))
+        picked.add(j if t in picked else t)
+    sampled = [candidates[p] for p in sorted(picked)]
     if mode == "best":
         return min(sampled, key=lambda i: (population[i][1], i))
     if mode == "worst":
@@ -373,17 +385,18 @@ def evolutionary(
             return harmonize(network, a, b, rng)
         return compose(network, paths_of(a), paths_of(b), rng)
 
-    def mutate(flow: tuple[int, ...], trace=None, memo=None):
+    cap = MUTATION_SEARCH_CAP
+    if params.iteration_limit is not None:
+        cap = min(cap, params.iteration_limit)
+
+    def mutate(flow: tuple[int, ...], limit=cap, trace=None, memo=None):
         """The mutant, and its scenario costs when the inner descent carried them."""
         if mut_kind == 0:
             return perturb(network, flow, rng), None
         if mut_kind == 1:
             s = int(rng.integers(0, len(cost_rows)))
             return cost_reduce(network, cost_rows[s], flow)[0], None
-        cap = MUTATION_SEARCH_CAP
-        if params.iteration_limit is not None:
-            cap = min(cap, params.iteration_limit)
-        final, costs, _, _ = _descend(instance, criterion, flow, params, cap, trace, memo)
+        final, costs, _, _ = _descend(instance, criterion, flow, params, limit, trace, memo)
         return final, costs
 
     optima = criterion.optima or compute_optima(instance)
@@ -400,8 +413,10 @@ def evolutionary(
             if len(population) < params.population_size:
                 population.append((flow, cost))
 
+        # each accepted move fills a slot, so a descent past the free slots is wasted
         before = len(population)
-        mutant, costs = mutate(source, trace=harvest, memo=neighborhoods)
+        limit = min(cap, params.population_size - before)
+        mutant, costs = mutate(source, limit, harvest, neighborhoods)
         if len(population) == before and len(population) < params.population_size:
             population.append((mutant, criterion.evaluate(mutant, costs)))
     del neighborhoods
@@ -423,7 +438,7 @@ def evolutionary(
             params.tournament_size,
             rng,
         )
-        if int(rng.integers(1, 101)) <= params.mutation_threshold:
+        if rng.random() * 100 < params.mutation_threshold:
             best_index = min(
                 range(len(population)), key=lambda i: (population[i][1], i)
             )

@@ -484,7 +484,42 @@ def round_to_integer(network: Network, values) -> tuple[int, ...]:
 
 
 def compose_units(network: Network, first, second, rng) -> tuple[int, ...]:
-    """Alternating composition with the capacity check zipped over every arc."""
+    """Alternating composition with the capacity check zipped over every arc.
+
+    Each list is walked in one random order drawn per call; an element
+    that does not fit is dropped from the list for the rest of the call.
+    """
+    target = len(first)
+    caps = [arc.capacity for arc in network.arcs]
+    totals = [0] * network.arc_count
+    active = int(rng.integers(0, 2))
+    queues = [
+        [first[int(j)] for j in rng.permutation(target)],
+        [second[int(j)] for j in rng.permutation(target)],
+    ]
+    picked = stalls = 0
+    while picked < target and stalls < 2:
+        queue = queues[active]
+        while queue and not all(t + v <= c for t, v, c in zip(totals, queue[0], caps)):
+            queue.pop(0)
+        if not queue:
+            stalls += 1
+            active = 1 - active
+            continue
+        for i, v in enumerate(queue.pop(0)):
+            totals[i] += v
+        picked += 1
+        stalls = 0
+        active = 1 - active
+    return augment_to_value(network, totals, target)
+
+
+def compose_units_per_pick(network: Network, first, second, rng) -> tuple[int, ...]:
+    """Alternating composition drawing a fresh random order for every pick.
+
+    The scheme `compose` used before it drew one order per list and call;
+    its output flows must follow the same distribution.
+    """
     target = len(first)
     caps = [arc.capacity for arc in network.arcs]
     totals = [0] * network.arc_count

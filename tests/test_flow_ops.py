@@ -2,17 +2,19 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import gen, unit_flow, unit_vertices
+from conftest import cyclic_instances, gen, unit_flow, unit_vertices
 from oracles import brute_min_cost, has_negative_cycle_floyd_warshall, min_cut_value, sum_flows
 from rmcif import (
     Arc,
     CapacityViolation,
     ConservationViolation,
+    Instance,
     Network,
+    ScenarioSet,
     TargetUnreachable,
     center,
     check_arc_values,
@@ -417,6 +419,30 @@ class TestCostReduce:
         assert feasible_value(instance.network, flow) == instance.flow_value
         got = sum(c * v for c, v in zip(costs, flow))
         assert got == brute_min_cost(instance, 0)
+
+    # A zero-cost cycle 2 -> 3 -> 2 on the cheapest route, a zero-capacity
+    # shortcut 1 -> 4 and a dearer parallel route 2 -> 4.
+    @example(Instance(
+        Network(4, (Arc(1, 2, 3), Arc(2, 3, 2), Arc(3, 2, 2), Arc(3, 4, 2), Arc(2, 4, 3), Arc(1, 4, 0))),
+        ScenarioSet(((1, 0, 0, 1, 5, 0), (1, 0, 0, 9, 1, 0))),
+        3,
+    ))
+    @given(cyclic_instances())
+    @settings(max_examples=40)
+    def test_min_cost_flow_on_cyclic_networks(self, instance):
+        network = instance.network
+        top = oracles.max_flow(network)
+        for s, costs in enumerate(instance.scenarios.costs):
+            flow = min_cost_flow(network, costs, instance.flow_value)
+            assert feasible_value(network, flow) == instance.flow_value
+            assert sum(c * v for c, v in zip(costs, flow)) == brute_min_cost(instance, s)
+            assert min_cost_flow(network, costs, 0) == (0,) * network.arc_count
+            with pytest.raises(TargetUnreachable):
+                min_cost_flow(network, costs, top + 1)
+
+    def test_min_cost_flow_rejects_negative_costs(self, diamond):
+        with pytest.raises(ValueError, match="nonnegative"):
+            min_cost_flow(diamond.network, (1, -1, 1, 1), 1)
 
 
 class TestMinCostFlowAgainstLinprog:

@@ -1,6 +1,9 @@
 """Local-search and evolutionary solvers, plus their shared building blocks."""
 from __future__ import annotations
 
+from collections import Counter
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +131,32 @@ class TestTournament:
     def test_sample_respects_exclusion(self, seed):
         got = tournament_select(self.population, "worst", 2, make_rng(seed), exclude=(4,))
         assert got in (0, 1, 2, 3)
+
+    @staticmethod
+    def sample(seed, exclude=()):
+        """The members that a size-3 tournament over five members samples with `seed`.
+
+        The draw is replayed once per member j, with j the only member of
+        cost 0, so the "best" pick is j exactly when j was sampled.
+        """
+        return frozenset(
+            j for j in range(5)
+            if tournament_select(
+                [(None, int(i != j)) for i in range(5)], "best", 3, make_rng(seed), exclude
+            ) == j
+        )
+
+    @pytest.mark.parametrize("exclude", [(), (2,)])
+    def test_samples_are_uniform_over_subsets(self, exclude):
+        # 4,000 seeds: a subset's frequency has a standard error of at most
+        # 0.007, so the tolerance of 0.03 is above four of them.
+        seeds = range(4_000)
+        counts = Counter(self.sample(seed, exclude) for seed in seeds)
+        members = [i for i in range(5) if i not in exclude]
+        subsets = {frozenset(c) for c in combinations(members, 3)}
+        assert set(counts) == subsets
+        for count in counts.values():
+            assert abs(count / len(seeds) - 1 / len(subsets)) <= 0.03
 
 
 class TestInsertChild:

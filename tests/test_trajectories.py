@@ -1,10 +1,10 @@
 """Golden trajectories: fixed seeds must keep writing the same `.sol` bytes.
 
-The digests below were recorded from the solvers before the flat-list
-rewrite of the path, augmentation and cycle walks in `flow_ops`, which is
-meant not to change any search trajectory.  A change that does alter a
-trajectory on purpose (for example a different optimal witness for a
-scenario) must say so in CHANGES.md and record new digests here.
+The digests below were recorded once scenario optima came from
+successive shortest paths and the evolutionary loop drew its tournaments,
+mutation coin and composition orders cheaply; both changed witnesses and
+RNG streams on purpose.  A later change that alters a trajectory on
+purpose must say so in CHANGES.md and record new digests here.
 """
 from __future__ import annotations
 
@@ -27,25 +27,25 @@ GOLDEN = {
     (1, "absolute", "ec1"): "cf4e3ba943de2417c7f31e2f96ee45c58d3a82c639ee4ff877612539143b90f9",
     (1, "absolute", "ec4"): "459fa6e7b18111114398bf4f8b54efb74666e58fb4fc024fb83d9ee89ee3c8a8",
     (1, "absolute", "ec7"): "be7ac80ad927d2a62130a1ec2044cdfc2894bade36fae9cfb91b6aaca29ddc40",
-    (1, "absolute", "ec9"): "cc2dbf45abf0f3fbcb52d61c183b270ee4b8062d116a6d9addbc8e1206c24990",
+    (1, "absolute", "ec9"): "a17fc57550a276f13d4f1e3519cb881a6da890b20119467a128bb1201034f66c",
     (1, "deviation", "ls1"): "62473e656eb8525deb19ed1917924e9ba26685dc139c8e09f7a48eac4d592d2e",
     (1, "deviation", "ls3"): "28d1bb3d67d1101d8d294697c5cc5e28f82736f3a87ed1028911a6bc28c3beed",
-    (1, "deviation", "ec1"): "1a4149bc789d42c9ad454c7573fb6481a55861308c122c8c6e6068adec58a89f",
-    (1, "deviation", "ec4"): "d8905270f2c1bc2b7d168eb0b2e6cf342e77190f16d3435a6b47b7391e42c890",
-    (1, "deviation", "ec7"): "7aaebe7fcdb545f6c149f8c32744d321cde060ce6a74f0bc49195d75c0514f04",
-    (1, "deviation", "ec9"): "804df032c10168d517c61ff622814261d9f66eb380eaba7a6de56e7a63e5aaab",
+    (1, "deviation", "ec1"): "b9a6976a0075e9654551e185f4b962724812c677eab260936bb1f162a15861e7",
+    (1, "deviation", "ec4"): "79223dcd5005a1f8e4a31af26cb75203bf5b796e02c5cf0fdb069d2e1359888d",
+    (1, "deviation", "ec7"): "59f5f1c32bd05bf69a2a159c3e0ad45a820174e51c3beea93c9cf333ede35d86",
+    (1, "deviation", "ec9"): "13e540dd5784e63fbf62e8bdcd0d0f3e84a114655bf4300ad39b8ee9c240fe3a",
     (2, "absolute", "ls1"): "ba0f550b62a4bbf7d2cd0478271e2023586f050235966fb339e5e75e74a420a5",
-    (2, "absolute", "ls3"): "99932b7dfb2e4d021f893ab18d3bdf699d27e901d00ce5a7478ed8d242b11558",
-    (2, "absolute", "ec1"): "9e132ce92686110fb2826afc5979b8016d09c5b2311236ca8fec8ac489982816",
-    (2, "absolute", "ec4"): "d53853aa1bf81a099494c0b92f0583f53d02891b8da9d9349a432a0352fe8ee6",
-    (2, "absolute", "ec7"): "57da8265c35e3384aedd491fa0dc81cdfee2d846b354179b98ec1437f14f7a51",
+    (2, "absolute", "ls3"): "3a49189a6bbcb114afa876d1f6987a18c1974120899c157c3c5e87df2d782a94",
+    (2, "absolute", "ec1"): "0203cefb925253ee5523c7036e2d5a30ebfb736c3504e8ca2d4b5fd51766b125",
+    (2, "absolute", "ec4"): "f5d02d6a5b3f8b0fec78769fe9a32ef936952f8c9929d9a7c1016dbb8663c618",
+    (2, "absolute", "ec7"): "c97cc028124c735c461c6767b41ddfc0439ce3918b56b12c4bf0472e2ab89295",
     (2, "absolute", "ec9"): "de3f47a1cfe66c932b5d4891cbe9f1da46b532cb9c06e95711d7ef95060ee64f",
     (2, "deviation", "ls1"): "e1f20e8191e691d8b416f6cbe08ee82d7b2d00c38315d84ba93c182db191e59c",
-    (2, "deviation", "ls3"): "dbf5de4ed7bf4b65e0ba32e6fd5f984add36febcb3b9729f61d9f8a43a24a12a",
-    (2, "deviation", "ec1"): "f18d56e35780a6ae97e281dbba8f325c57d91129f2c3ab20d4ccf601c49b3d17",
-    (2, "deviation", "ec4"): "7005299e2904583a4297f121124cd39be98f7c07b12078f1725031b3ccee35cf",
-    (2, "deviation", "ec7"): "fe50bcc6d2db4bafa8ace0b402d6096d426cf700aa4ea44fc749ba49973a6d86",
-    (2, "deviation", "ec9"): "f55601439e6416f0fbbbcda34f7b14f8d8d2a6e1d63e76e93f14e045ffa75c83",
+    (2, "deviation", "ls3"): "49d959275fbdf8ddcb5c873530532e9dffb561881d9431636a97e2e1b6a909f8",
+    (2, "deviation", "ec1"): "5c28ad87abbc0192df4679eb50c977773777653051b83fc1cc2bee19481365f8",
+    (2, "deviation", "ec4"): "d9e3245e49c49eb20518993a55cf6dbbdb6c62d09bf6aad578b421b76fbdcd88",
+    (2, "deviation", "ec7"): "d19d6d1fb085e07bc6330fd2d41a3050842ca32441dfda800bbe9842c07c2954",
+    (2, "deviation", "ec9"): "bd20cfdd4c86199e910262b244bd5642480607bccf360d12540af8e9e6036e06",
 }
 
 
