@@ -214,7 +214,11 @@ def enumerate_optimum(
     lower = max(map(sub, optima.costs, shift))
 
     best_cost, best_values = min(
-        ((criterion.evaluate(flow), flow) for flow in optima.flows), key=lambda pair: pair[0]
+        (
+            (criterion.evaluate(flow, costs), flow)
+            for flow, costs in zip(optima.flows, optima.vectors(instance))
+        ),
+        key=lambda pair: pair[0],
     )
     if best_cost <= lower:
         return best_cost, best_values

@@ -8,9 +8,17 @@ composition) paired with the mutation (perturbation, single-scenario cost
 reduction, or a capped inner local search).
 
 The descent carries each candidate's per-scenario cost vector along the
-cancelled cycles instead of re-evaluating every neighbor; before a solver
-returns, one fresh evaluation of its flow must reproduce the reported
-robust cost.
+cancelled cycles instead of re-evaluating every neighbor.  The
+evolutionary loop carries one per member: the scenario optima's vectors
+are computed once per instance (`ScenarioOptima.vectors`), a child's is
+its first parent's advanced over the arcs where the two differ, and a
+perturbed or cost-reduced mutant's is its source member's advanced the
+same way.  A member that a fill descent harvested gets its vector the
+first time it is a parent.  The crossovers and mutations build feasible
+flows of value F by construction, so no member is validated again;
+before a solver returns, one fresh evaluation of its flow must reproduce
+the reported robust cost.  The loop also tracks the index and cost of
+its best member as members are replaced, instead of scanning for it.
 
 One `evolutionary` run remembers two results of pure functions, so
 neither changes a flow, an RNG draw or an evaluation count.  Each
@@ -106,7 +114,8 @@ def _advance(rows, costs: tuple[int, ...], old: tuple[int, ...], new: tuple[int,
     """Scenario costs of `new`, given those of `old`.
 
     Only the arcs whose values differ are summed, so after a cycle
-    cancellation the work is K times the cycle's length.
+    cancellation the work is K times the cycle's length, and after a
+    crossover K times the arcs where the child leaves its parent.
     """
     changed = [(i, new[i] - old[i]) for i in compress(range(len(old)), map(ne, old, new))]
     return tuple(c + sum(row[i] * d for i, d in changed) for c, row in zip(costs, rows))
@@ -250,7 +259,8 @@ def local_search(
     else:
         optima = criterion.optima or compute_optima(instance)
         if solver == "ls2":
-            scored = [(criterion.evaluate(f), i) for i, f in enumerate(optima.flows)]
+            pairs = zip(optima.flows, optima.vectors(instance))
+            scored = [(criterion.evaluate(f, v), i) for i, (f, v) in enumerate(pairs)]
             starts = [optima.flows[min(scored)[1]]]
         elif solver == "ls3":
             starts = [round_flow(instance.network, *center(instance.network, optima.flows))]
@@ -305,21 +315,38 @@ def _similar(cost_a: int, cost_b: int, base: int, threshold: int) -> bool:
     return 100 * abs(cost_a - cost_b) <= threshold * base
 
 
-def insert_child(population, child, child_cost, similarity_threshold, tournament_size, rng):
+def insert_child(
+    population,
+    child,
+    child_cost,
+    similarity_threshold,
+    tournament_size,
+    rng,
+    best_index=None,
+    child_costs=None,
+):
     """Place a child into the population, preserving size and diversity.
 
     If some member's cost lies within the similarity band of the child's,
     the better of the two twins survives (the incumbent on ties; the first
     such member by index is the twin).  Otherwise the child replaces a
     worst-of-tournament member, with the population best shielded.
+
+    Returns the updated member list; a member the child took reads
+    ``(child, child_cost)``, or ``(child, child_cost, child_costs)`` when
+    the child's scenario cost vector is given.  `best_index`, when given,
+    must be the index of the lowest-cost member (the lowest index on ties),
+    which then is not searched for.
     """
-    best_index = min(range(len(population)), key=lambda i: (population[i][1], i))
+    if best_index is None:
+        best_index = min(range(len(population)), key=lambda i: (population[i][1], i))
     base = population[best_index][1]
-    for i, (_, cost) in enumerate(population):
-        if _similar(cost, child_cost, base, similarity_threshold):
+    member = (child, child_cost) if child_costs is None else (child, child_cost, child_costs)
+    for i, twin in enumerate(population):
+        if _similar(twin[1], child_cost, base, similarity_threshold):
             updated = list(population)
-            if child_cost < cost:
-                updated[i] = (child, child_cost)
+            if child_cost < twin[1]:
+                updated[i] = member
             return updated
     victim = tournament_select(
         population, "worst", tournament_size, rng, exclude=(best_index,)
@@ -327,7 +354,7 @@ def insert_child(population, child, child_cost, similarity_threshold, tournament
     if victim is None:
         return list(population)
     updated = list(population)
-    updated[victim] = (child, child_cost)
+    updated[victim] = member
     return updated
 
 
@@ -378,86 +405,117 @@ def evolutionary(
             paths = unit_paths[flow] = decompose(network, flow)
         return paths
 
-    def crossover(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    def costs_of(i: int) -> tuple[int, ...]:
+        """Member i's scenario costs; a member harvested without them gets them here."""
+        flow, cost, costs = population[i]
+        if costs is None:
+            costs = scenario_costs(instance, flow)
+            population[i] = (flow, cost, costs)
+        return costs
+
+    def crossover(first: int, second: int):
+        """The child of two members, and its scenario costs."""
+        a, b = population[first][0], population[second][0]
         if cross_kind == 0:
-            return round_flow(network, *center(network, [a, b]))
-        if cross_kind == 1:
-            return harmonize(network, a, b, rng)
-        return compose(network, paths_of(a), paths_of(b), rng)
+            child = round_flow(network, *center(network, [a, b]))
+        elif cross_kind == 1:
+            child = harmonize(network, a, b, rng)
+        else:
+            child = compose(network, paths_of(a), paths_of(b), rng)
+        return child, _advance(cost_rows, costs_of(first), a, child)
 
     cap = MUTATION_SEARCH_CAP
     if params.iteration_limit is not None:
         cap = min(cap, params.iteration_limit)
 
-    def mutate(flow: tuple[int, ...], limit=cap, trace=None, memo=None):
-        """The mutant, and its scenario costs when the inner descent carried them."""
+    def mutate(i: int, limit=cap, trace=None, memo=None):
+        """Member i's mutant, and its scenario costs."""
+        flow = population[i][0]
+        if mut_kind == 2:
+            final, costs, _, _ = _descend(instance, criterion, flow, params, limit, trace, memo)
+            return final, costs
         if mut_kind == 0:
-            return perturb(network, flow, rng), None
-        if mut_kind == 1:
+            mutant = perturb(network, flow, rng)
+        else:
             s = int(rng.integers(0, len(cost_rows)))
-            return cost_reduce(network, cost_rows[s], flow)[0], None
-        final, costs, _, _ = _descend(instance, criterion, flow, params, limit, trace, memo)
-        return final, costs
+            mutant = cost_reduce(network, cost_rows[s], flow)[0]
+        return mutant, _advance(cost_rows, costs_of(i), flow, mutant)
 
+    # A member is (flow, robust cost, scenario costs).  The scenario costs
+    # are carried from the optima through every crossover and mutation, so
+    # no member is validated or summed in full again; a member that a fill
+    # descent harvested holds None until `costs_of` first needs them.
     optima = criterion.optima or compute_optima(instance)
-    population = [(f, criterion.evaluate(f)) for f in optima.flows]
+    population = [
+        (f, criterion.evaluate(f, costs), costs)
+        for f, costs in zip(optima.flows, optima.vectors(instance))
+    ]
     if len(population) > params.population_size:
         order = sorted(range(len(population)), key=lambda i: (population[i][1], i))
         population = [population[i] for i in order[: params.population_size]]
     # The fill's descents mostly start from copies of the same few optima.
     neighborhoods: dict = {}
     while len(population) < params.population_size:
-        source = population[int(rng.integers(0, len(population)))][0]
+        source = int(rng.integers(0, len(population)))
 
         def harvest(flow, cost):
             if len(population) < params.population_size:
-                population.append((flow, cost))
+                population.append((flow, cost, None))
 
         # each accepted move fills a slot, so a descent past the free slots is wasted
         before = len(population)
         limit = min(cap, params.population_size - before)
         mutant, costs = mutate(source, limit, harvest, neighborhoods)
         if len(population) == before and len(population) < params.population_size:
-            population.append((mutant, criterion.evaluate(mutant, costs)))
+            population.append((mutant, criterion.evaluate(mutant, costs), costs))
     del neighborhoods
 
-    best_cost = min(cost for _, cost in population)
+    # The best member (lowest cost, then lowest index) is tracked as members
+    # are replaced.  The best is never replaced by a worse member, so its
+    # cost only falls, and a generation improves when it falls.
+    best = min(range(len(population)), key=lambda i: (population[i][1], i))
+    best_cost = population[best][1]
     generations = 0
     stagnant = 0
     while (
         params.generation_limit is None or generations < params.generation_limit
     ) and stagnant < params.no_improvement_limit:
+        previous = best_cost
         first = tournament_select(population, "best", params.tournament_size, rng)
         second = tournament_select(population, "best", params.tournament_size, rng)
-        child = crossover(population[first][0], population[second][0])
+        child, child_costs = crossover(first, second)
+        child_cost = criterion.evaluate(child, child_costs)
+        prior = population
         population = insert_child(
-            population,
+            prior,
             child,
-            criterion.evaluate(child),
+            child_cost,
             params.similarity_threshold,
             params.tournament_size,
             rng,
+            best,
+            child_costs,
         )
-        if rng.random() * 100 < params.mutation_threshold:
-            best_index = min(
-                range(len(population)), key=lambda i: (population[i][1], i)
-            )
-            others = [i for i in range(len(population)) if i != best_index]
-            if others:
-                target = others[int(rng.integers(0, len(others)))]
-                mutant, costs = mutate(population[target][0])
-                population[target] = (mutant, criterion.evaluate(mutant, costs))
+        if child_cost <= best_cost:
+            # insert_child copies the list and replaces at most one member
+            for slot, (old, new) in enumerate(zip(prior, population)):
+                if old is not new:
+                    if (child_cost, slot) < (best_cost, best):
+                        best, best_cost = slot, child_cost
+                    break
+        if rng.random() * 100 < params.mutation_threshold and len(population) > 1:
+            target = int(rng.integers(0, len(population) - 1))
+            target += target >= best  # any member but the best
+            mutant, costs = mutate(target)
+            cost = criterion.evaluate(mutant, costs)
+            population[target] = (mutant, cost, costs)
+            if (cost, target) < (best_cost, best):
+                best, best_cost = target, cost
         generations += 1
-        round_best = min(cost for _, cost in population)
-        if round_best < best_cost:
-            best_cost = round_best
-            stagnant = 0
-        else:
-            stagnant += 1
+        stagnant = 0 if best_cost < previous else stagnant + 1
         if trace is not None:
-            trace(generations, round_best)
+            trace(generations, best_cost)
 
-    winner = min(range(len(population)), key=lambda i: (population[i][1], i))
-    flow, cost = population[winner]
+    flow, cost, _ = population[best]
     _confirm_cost(criterion, flow, cost)
     return SolutionRecord(variant, solver, cost, flow, seed, clock() - t0)

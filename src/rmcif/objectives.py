@@ -12,8 +12,11 @@ objectives are a maximum over the per-scenario cost vector that
 scenario, or the scenario optima.  `make_criterion` picks the shift, and
 nothing downstream branches on the variant again.  A caller that
 already holds a flow's vector, such as the descent, which carries it
-along each cancelled cycle, hands it to `Criterion.evaluate` and skips
-the validation and the K dot products.
+along each cancelled cycle, or the evolutionary loop, which carries it
+through every crossover and mutation, hands it to `Criterion.evaluate`
+and skips the validation and the K dot products.  The vectors of the
+scenario optima themselves are computed once per instance, on a
+solver's first call to `ScenarioOptima.vectors`.
 """
 from __future__ import annotations
 
@@ -37,6 +40,23 @@ class ScenarioOptima:
 
     costs: tuple[int, ...]
     flows: tuple[tuple[int, ...], ...]
+
+    def vectors(self, instance: Instance) -> tuple[tuple[int, ...], ...]:
+        """The `scenario_costs` of each optimal flow, in `flows` order.
+
+        Computed on the first call and kept on this object, so a solver
+        that starts from the optima scores them without validating or
+        summing them again, and `compute_optima` on the set-up path does
+        not pay for vectors that no solver may ask for.  `instance` must be
+        the one these optima were computed for.
+        """
+        # frozen; like `cached_property`, write `__dict__` directly (under
+        # another name, which would otherwise shadow this method)
+        kept = vars(self)
+        vectors = kept.get("_vectors")
+        if vectors is None:
+            vectors = kept["_vectors"] = tuple(scenario_costs(instance, f) for f in self.flows)
+        return vectors
 
 
 def compute_optima(instance: Instance) -> ScenarioOptima:

@@ -1,13 +1,14 @@
-"""Descent scores carried cost vectors; they must equal fresh evaluations.
+"""Solvers score carried cost vectors; they must equal fresh evaluations.
 
 `_neighborhood` advances each scenario chain's cost vector over the arcs
 that a cycle cancellation changed, and `_descend` scores those vectors
-without re-validating the flow.  On random layered instances and random
-cyclic networks with zero-capacity arcs and a source-to-sink route
-(`routed_networks`), every carried vector must equal
-the per-scenario costs of its flow, and every carried score the fresh
-objective.  The solvers' evaluation counts are pinned, and a corrupted
-vector must trip the closing fresh evaluation.
+without re-validating the flow.  `evolutionary` carries each member's
+vector from the scenario optima through every crossover and mutation.
+On random layered instances and random cyclic networks with
+zero-capacity arcs and a source-to-sink route (`routed_networks`), every
+carried vector must equal the per-scenario costs of its flow, and every
+carried score the fresh objective.  The solvers' evaluation counts are
+pinned, and a corrupted vector must trip the closing fresh evaluation.
 """
 from __future__ import annotations
 
@@ -16,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import gen, routed_networks, scrambled_flow
+from conftest import cyclic_instances, gen, routed_networks, scrambled_flow
 from rmcif import (
     ABSOLUTE,
     DEVIATION,
+    EC_SOLVERS,
+    VARIANTS,
     Instance,
     ScenarioSet,
     compute_optima,
@@ -28,7 +31,7 @@ from rmcif import (
     validate_flow,
 )
 from rmcif.heuristics import SearchParams, _descend, _neighborhood, evolutionary, local_search
-from rmcif.objectives import make_criterion, scenario_costs
+from rmcif.objectives import Criterion, make_criterion, scenario_costs
 
 seeds = st.integers(0, 2_000)
 
@@ -101,6 +104,48 @@ def test_descent_scores_equal_fresh_evaluations(case, variant):
     assert cost == fresh_score(instance, variant, flow)
 
 
+# A mutation in most generations, so its carried vectors are scored too.
+CARRY = SearchParams(population_size=8, generation_limit=15, mutation_threshold=60)
+
+
+def run_checked(instance, variant, solver, seed):
+    """Run `solver`; every vector `Criterion.evaluate` receives must be fresh.
+
+    With a positive flow value every evaluation must come with a vector:
+    the loop never falls back on validating and summing a flow.
+    """
+    evaluate = Criterion.evaluate
+    received = []
+
+    def checked(self, flow, costs=None):
+        if instance.flow_value:
+            assert costs is not None
+        if costs is not None:
+            assert costs == scenario_costs(instance, flow)
+            received.append(costs)
+        return evaluate(self, flow, costs)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(Criterion, "evaluate", checked)
+        evolutionary(instance, variant, solver, CARRY, seed)
+    return received
+
+
+@pytest.mark.parametrize("seed", range(2))
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("solver", EC_SOLVERS)
+def test_evolutionary_vectors_equal_fresh_costs(seed, variant, solver):
+    instance = gen(seed, widths=(3, 3), scenarios=3, caps=(1, 4))
+    assert run_checked(instance, variant, solver, seed)
+
+
+@given(cyclic_instances(), st.sampled_from(EC_SOLVERS), st.integers(0, 100))
+@settings(max_examples=40)
+def test_evolutionary_vectors_equal_fresh_costs_on_cyclic_networks(instance, solver, seed):
+    for variant in VARIANTS:
+        run_checked(instance, variant, solver, seed)
+
+
 def test_corrupted_vector_fails_the_closing_check(monkeypatch):
     instance = gen(1, widths=(6, 6, 6), scenarios=5, caps=(1, 20), costs=(0, 99))
     advance = heuristics._advance
@@ -109,6 +154,10 @@ def test_corrupted_vector_fails_the_closing_check(monkeypatch):
     )
     with pytest.raises(AssertionError, match="fresh cost"):
         local_search(instance, ABSOLUTE, "ls1")
+    # one solver per crossover kind
+    for solver in ("ec1", "ec4", "ec7"):
+        with pytest.raises(AssertionError, match="fresh cost"):
+            evolutionary(instance, ABSOLUTE, solver, SearchParams(generation_limit=10))
 
 
 # (instance seed, variant, solver) -> Criterion.evaluations, recorded with

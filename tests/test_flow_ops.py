@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cyclic_instances, gen, unit_flow, unit_vertices
+from conftest import cyclic_instances, gen, scrambled_flow, unit_flow, unit_vertices
 from oracles import brute_min_cost, has_negative_cycle_floyd_warshall, min_cut_value, sum_flows
 from rmcif import (
     Arc,
@@ -440,6 +440,19 @@ class TestCostReduce:
             with pytest.raises(TargetUnreachable):
                 min_cost_flow(network, costs, top + 1)
 
+    @given(small_seeds)
+    @settings(max_examples=60)
+    def test_min_cost_flow_at_the_maximum_value_matches_enumeration(self, seed):
+        # At the maximum flow value later paths often have to undo part of
+        # an earlier one, a backward move of negative cost that only the
+        # node potentials keep the search exact for.
+        instance = gen(seed, widths=(3, 3), scenarios=3, caps=(1, 3), flow_fraction=1.0)
+        network = instance.network
+        for s, costs in enumerate(instance.scenarios.costs):
+            flow = min_cost_flow(network, costs, instance.flow_value)
+            assert feasible_value(network, flow) == instance.flow_value
+            assert sum(c * v for c, v in zip(costs, flow)) == brute_min_cost(instance, s)
+
     def test_min_cost_flow_rejects_negative_costs(self, diamond):
         with pytest.raises(ValueError, match="nonnegative"):
             min_cost_flow(diamond.network, (1, -1, 1, 1), 1)
@@ -515,6 +528,29 @@ class TestPerturbAndHarmonize:
         flow = random_feasible_flow(instance, seed)
         moved = perturb(instance.network, flow, make_rng(seed + 1))
         assert feasible_value(instance.network, moved) == instance.flow_value
+
+
+@given(cyclic_instances(), small_seeds)
+@settings(max_examples=80)
+def test_crossover_and_mutation_outputs_are_feasible(instance, seed):
+    """The evolutionary loop scores these outputs without validating them.
+
+    It never runs at flow value 0, where `compose` has no unit paths.
+    """
+    network, value = instance.network, instance.flow_value
+    a = scrambled_flow(network, value, seed)
+    b = scrambled_flow(network, value, seed + 1)
+    rng = make_rng(seed)
+    outputs = [
+        round_flow(network, *center(network, [a, b])),
+        harmonize(network, a, b, rng),
+        perturb(network, a, rng),
+    ]
+    outputs += [cost_reduce(network, costs, a)[0] for costs in instance.scenarios.costs]
+    if value:
+        outputs.append(compose(network, decompose(network, a), decompose(network, b), rng))
+    for flow in outputs:
+        assert feasible_value(network, flow) == value
 
 
 def self_distance(a, b):

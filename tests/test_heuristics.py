@@ -198,6 +198,57 @@ class TestInsertChild:
         got = insert_child(population, "kid", 3, 100, 2, make_rng(0))
         assert got == [("a", 0), ("kid", 3)]
 
+    def test_given_best_index_and_vector(self):
+        population = [("a", 300), ("b", 100), ("c", 100)]
+        for seed in range(10):
+            plain = insert_child(population, "kid", 200, 5, 3, make_rng(seed))
+            given_best = insert_child(population, "kid", 200, 5, 3, make_rng(seed), 1)
+            assert given_best == plain
+        got = insert_child(population, "kid", 97, 5, 2, make_rng(0), 1, (90, 97))
+        assert got == [("a", 300), ("kid", 97, (90, 97)), ("c", 100)]
+
+
+def lowest(population) -> int:
+    """Index of the lowest-cost member, the lowest index on ties."""
+    return min(range(len(population)), key=lambda i: (population[i][1], i))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("variant", [ABSOLUTE, DEVIATION])
+@pytest.mark.parametrize("solver", EC_SOLVERS)
+def test_tracked_best_index(monkeypatch, solver, variant, seed):
+    """The loop's tracked best equals a fresh scan after every generation.
+
+    Costs 0..2 make tied members common, and a member mutates in every
+    generation.  The population after a generation is the list the last
+    `insert_child` call returned, as the mutation then changed it in place.
+    """
+    instance = gen(seed, widths=(3, 3), scenarios=2, caps=(1, 3), costs=(0, 2))
+    params = SearchParams(
+        population_size=8, generation_limit=30, similarity_threshold=30, mutation_threshold=100
+    )
+    insert = heuristics.insert_child
+    after = []  # the population after the last generation
+    ties = []
+
+    def checked(population, child, child_cost, *args):
+        assert len(args) == 5, "the loop passes its tracked best index"
+        assert args[3] == lowest(population)
+        after[:] = [insert(population, child, child_cost, *args)]
+        return after[0]
+
+    def trace(generation, best_cost):
+        population = after[0]
+        assert best_cost == population[lowest(population)][1]
+        ties.append(sum(member[1] == best_cost for member in population) > 1)
+
+    monkeypatch.setattr(heuristics, "insert_child", checked)
+    record = evolutionary(instance, variant, solver, params, seed, trace=trace)
+    assert len(ties) == params.generation_limit
+    population = after[0]
+    assert (record.values, record.robust_cost) == population[lowest(population)][:2]
+    assert any(ties)
+
 
 class TestLocalSearch:
     @pytest.mark.parametrize("solver", LS_SOLVERS)
