@@ -239,14 +239,6 @@ def validate_flow(instance: Instance, values: Sequence[int]) -> int:
     return value
 
 
-def flow_cost(instance: Instance, values: Sequence[int], scenario: int) -> int:
-    """Total cost of the flow `values` under the scenario with 0-based index `scenario`."""
-    rows = instance.scenarios.costs
-    if not 0 <= scenario < len(rows):
-        raise IndexError(f"scenario index {scenario} out of range")
-    return sum(c * v for c, v in zip(rows[scenario], values))
-
-
 def _int_token(token: str, what: str, line: int) -> int:
     try:
         return int(token)
@@ -417,11 +409,16 @@ def format_solution(record: SolutionRecord, instance: Instance) -> str:
 
 
 def parse_solution(text: str | bytes, instance: Instance) -> SolutionRecord:
-    """Parse ``.sol`` text produced by `format_solution` and validate the flow."""
+    """Parse ``.sol`` text produced by `format_solution` and validate the flow.
+
+    A negative seed or a second value line for one arc raises
+    `InstanceFormatError` at that line.
+    """
     text = _ascii(text)
     network = instance.network
     arc_index = {(a.tail, a.head): i for i, a in enumerate(network.arcs)}
     values = [0] * network.arc_count
+    given: set[int] = set()
     head: tuple[str, str, int, int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
@@ -441,15 +438,21 @@ def parse_solution(text: str | bytes, instance: Instance) -> SolutionRecord:
                 head = (variant, solver, int(parts[3]), int(parts[4]))
             except ValueError:
                 raise InstanceFormatError("malformed solution header", lineno) from None
+            if head[3] < 0:
+                raise InstanceFormatError(f"negative seed {head[3]}", lineno)
         elif parts[0] == "x":
             if head is None:
                 raise InstanceFormatError("value line before solution header", lineno)
             if len(parts) != 4:
                 raise InstanceFormatError("malformed value line", lineno)
             tail, hd, v = (_int_token(t, "value field", lineno) for t in parts[1:])
-            if (tail, hd) not in arc_index:
+            i = arc_index.get((tail, hd))
+            if i is None:
                 raise InstanceFormatError(f"no arc {tail}->{hd} in the instance", lineno)
-            values[arc_index[(tail, hd)]] = v
+            if i in given:
+                raise InstanceFormatError(f"second value line for arc {tail}->{hd}", lineno)
+            given.add(i)
+            values[i] = v
         else:
             raise InstanceFormatError(f"unknown line tag {parts[0]!r}", lineno)
     if head is None:

@@ -216,7 +216,7 @@ def enumerate_optimum(
     best_cost, best_values = min(
         (
             (criterion.evaluate(flow, costs), flow)
-            for flow, costs in zip(optima.flows, optima.vectors(instance))
+            for flow, costs in zip(optima.flows, optima.vectors)
         ),
         key=lambda pair: pair[0],
     )

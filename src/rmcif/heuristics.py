@@ -7,18 +7,21 @@ solvers (ec1..ec9) share one steady-state loop and differ in the crossover
 composition) paired with the mutation (perturbation, single-scenario cost
 reduction, or a capped inner local search).
 
-The descent carries each candidate's per-scenario cost vector along the
-cancelled cycles instead of re-evaluating every neighbor.  The
-evolutionary loop carries one per member: the scenario optima's vectors
-are computed once per instance (`ScenarioOptima.vectors`), a child's is
-its first parent's advanced over the arcs where the two differ, and a
-perturbed or cost-reduced mutant's is its source member's advanced the
-same way.  A member that a fill descent harvested gets its vector the
-first time it is a parent.  The crossovers and mutations build feasible
-flows of value F by construction, so no member is validated again;
-before a solver returns, one fresh evaluation of its flow must reproduce
-the reported robust cost.  The loop also tracks the index and cost of
-its best member as members are replaced, instead of scanning for it.
+Every flow a solver holds comes with its per-scenario cost vector, and
+gets it in one of two ways.  A constructed flow (ls1's arbitrary flow,
+ls3's rounded center, and the scenario optima in `compute_optima`) is
+costed once by `scenario_costs`, which validates it.  A derived flow is
+advanced from the flow it came from over the arcs where the two differ:
+a descent's neighbor from the flow its cycle was cancelled in
+(`_neighborhood`), a child from its first parent, and a perturbed or
+cost-reduced mutant from its source member (`_advance`).  The descent
+takes its start's vector and hands each accepted move's vector to its
+callback, so the members that the fill harvests carry theirs too.  The
+crossovers, mutations and cycle cancellations build feasible flows of
+value F by construction, so no derived flow is validated; before a
+solver returns, one fresh evaluation of its flow must reproduce the
+reported robust cost.  The loop also tracks the index and cost of its
+best member as members are replaced, instead of scanning for it.
 
 One `evolutionary` run remembers two results of pure functions, so
 neither changes a flow, an RNG draw or an evaluation count.  Each
@@ -161,27 +164,30 @@ def _descend(
     instance: Instance,
     criterion: Criterion,
     start: tuple[int, ...],
+    start_costs: tuple[int, ...],
     params: SearchParams,
     iteration_limit: int | None,
-    trace=None,
+    on_move=None,
     memo: dict | None = None,
 ):
     """Best-neighbor descent accepting only strict improvements.
 
     Returns ``(flow, costs, cost, accepted_moves)``, where `costs` is the
-    flow's carried scenario cost vector.  `trace(flow, cost)` is called
-    on every accepted move.  Costs are nonnegative integers and each move
-    strictly decreases them, so the descent terminates without any limit.
+    flow's carried scenario cost vector.  `on_move(flow, cost, costs)` is
+    called on every accepted move.  Costs are nonnegative integers and
+    each move strictly decreases them, so the descent terminates without
+    any limit.
 
-    The start flow is validated and costed once; from there each
-    candidate's scenario cost vector is carried along the cancelled cycles
-    (see `_neighborhood`), and `criterion` scores the carried vector.
-    `memo`, when given, maps a flow to its `_neighborhood` list and is
-    read before one is built and filled after; every neighbor is still
-    scored, so the evaluation count does not depend on it.
+    `start_costs` must be the start flow's `scenario_costs`; the start is
+    not validated here.  From there each candidate's scenario cost vector
+    is carried along the cancelled cycles (see `_neighborhood`), and
+    `criterion` scores the carried vector.  `memo`, when given, maps a
+    flow to its `_neighborhood` list and is read before one is built and
+    filled after; every neighbor is still scored, so the evaluation count
+    does not depend on it.
     """
     current = start
-    current_costs = scenario_costs(instance, start)
+    current_costs = start_costs
     current_cost = criterion.evaluate(start, current_costs)
     moves = 0
     while iteration_limit is None or moves < iteration_limit:
@@ -200,8 +206,8 @@ def _descend(
             break
         (current, current_costs), current_cost = best, best_cost
         moves += 1
-        if trace is not None:
-            trace(current, current_cost)
+        if on_move is not None:
+            on_move(current, current_cost, current_costs)
     return current, current_costs, current_cost, moves
 
 
@@ -254,24 +260,27 @@ def local_search(
             instance, criterion, variant, solver, seed, clock() - t0
         )
 
+    # (start flow, its scenario costs) for each descent
     if solver == "ls1":
-        starts = [find_flow(instance.network, instance.flow_value)]
+        start = find_flow(instance.network, instance.flow_value)
+        starts = [(start, scenario_costs(instance, start))]
     else:
         optima = criterion.optima or compute_optima(instance)
+        pairs = list(zip(optima.flows, optima.vectors))
         if solver == "ls2":
-            pairs = zip(optima.flows, optima.vectors(instance))
-            scored = [(criterion.evaluate(f, v), i) for i, (f, v) in enumerate(pairs)]
-            starts = [optima.flows[min(scored)[1]]]
+            starts = [min(pairs, key=lambda pair: criterion.evaluate(*pair))]
         elif solver == "ls3":
-            starts = [round_flow(instance.network, *center(instance.network, optima.flows))]
+            start = round_flow(instance.network, *center(instance.network, optima.flows))
+            starts = [(start, scenario_costs(instance, start))]
         else:
-            starts = list(optima.flows)
+            starts = pairs
 
+    on_move = None if trace is None else lambda flow, cost, _: trace(flow, cost)
     best_flow = None
     best_cost = None
-    for start in starts:
+    for start, start_costs in starts:
         flow, _, cost, _ = _descend(
-            instance, criterion, start, params, params.iteration_limit, trace=trace
+            instance, criterion, start, start_costs, params, params.iteration_limit, on_move
         )
         if best_cost is None or cost < best_cost:
             best_flow, best_cost = flow, cost
@@ -322,26 +331,23 @@ def insert_child(
     similarity_threshold,
     tournament_size,
     rng,
-    best_index=None,
-    child_costs=None,
+    best_index,
+    child_costs,
 ):
     """Place a child into the population, preserving size and diversity.
 
-    If some member's cost lies within the similarity band of the child's,
-    the better of the two twins survives (the incumbent on ties; the first
-    such member by index is the twin).  Otherwise the child replaces a
-    worst-of-tournament member, with the population best shielded.
+    Members are ``(flow, robust cost, scenario costs)``.  If some member's
+    cost lies within the similarity band of the child's, the better of the
+    two twins survives (the incumbent on ties; the first such member by
+    index is the twin).  Otherwise the child replaces a worst-of-tournament
+    member, with the population best shielded.  `best_index` must be the
+    index of the lowest-cost member (the lowest index on ties).
 
     Returns the updated member list; a member the child took reads
-    ``(child, child_cost)``, or ``(child, child_cost, child_costs)`` when
-    the child's scenario cost vector is given.  `best_index`, when given,
-    must be the index of the lowest-cost member (the lowest index on ties),
-    which then is not searched for.
+    ``(child, child_cost, child_costs)``.
     """
-    if best_index is None:
-        best_index = min(range(len(population)), key=lambda i: (population[i][1], i))
     base = population[best_index][1]
-    member = (child, child_cost) if child_costs is None else (child, child_cost, child_costs)
+    member = (child, child_cost, child_costs)
     for i, twin in enumerate(population):
         if _similar(twin[1], child_cost, base, similarity_threshold):
             updated = list(population)
@@ -405,50 +411,39 @@ def evolutionary(
             paths = unit_paths[flow] = decompose(network, flow)
         return paths
 
-    def costs_of(i: int) -> tuple[int, ...]:
-        """Member i's scenario costs; a member harvested without them gets them here."""
-        flow, cost, costs = population[i]
-        if costs is None:
-            costs = scenario_costs(instance, flow)
-            population[i] = (flow, cost, costs)
-        return costs
-
     def crossover(first: int, second: int):
         """The child of two members, and its scenario costs."""
-        a, b = population[first][0], population[second][0]
+        (a, _, a_costs), b = population[first], population[second][0]
         if cross_kind == 0:
             child = round_flow(network, *center(network, [a, b]))
         elif cross_kind == 1:
             child = harmonize(network, a, b, rng)
         else:
             child = compose(network, paths_of(a), paths_of(b), rng)
-        return child, _advance(cost_rows, costs_of(first), a, child)
+        return child, _advance(cost_rows, a_costs, a, child)
 
     cap = MUTATION_SEARCH_CAP
     if params.iteration_limit is not None:
         cap = min(cap, params.iteration_limit)
 
-    def mutate(i: int, limit=cap, trace=None, memo=None):
+    def mutate(i: int, limit=cap, on_move=None, memo=None):
         """Member i's mutant, and its scenario costs."""
-        flow = population[i][0]
+        flow, _, costs = population[i]
         if mut_kind == 2:
-            final, costs, _, _ = _descend(instance, criterion, flow, params, limit, trace, memo)
-            return final, costs
+            return _descend(instance, criterion, flow, costs, params, limit, on_move, memo)[:2]
         if mut_kind == 0:
             mutant = perturb(network, flow, rng)
         else:
             s = int(rng.integers(0, len(cost_rows)))
             mutant = cost_reduce(network, cost_rows[s], flow)[0]
-        return mutant, _advance(cost_rows, costs_of(i), flow, mutant)
+        return mutant, _advance(cost_rows, costs, flow, mutant)
 
     # A member is (flow, robust cost, scenario costs).  The scenario costs
-    # are carried from the optima through every crossover and mutation, so
-    # no member is validated or summed in full again; a member that a fill
-    # descent harvested holds None until `costs_of` first needs them.
+    # are carried from the optima through every descent, crossover and
+    # mutation, so no member is validated or summed in full again.
     optima = criterion.optima or compute_optima(instance)
     population = [
-        (f, criterion.evaluate(f, costs), costs)
-        for f, costs in zip(optima.flows, optima.vectors(instance))
+        (f, criterion.evaluate(f, costs), costs) for f, costs in zip(optima.flows, optima.vectors)
     ]
     if len(population) > params.population_size:
         order = sorted(range(len(population)), key=lambda i: (population[i][1], i))
@@ -458,9 +453,9 @@ def evolutionary(
     while len(population) < params.population_size:
         source = int(rng.integers(0, len(population)))
 
-        def harvest(flow, cost):
+        def harvest(flow, cost, costs):
             if len(population) < params.population_size:
-                population.append((flow, cost, None))
+                population.append((flow, cost, costs))
 
         # each accepted move fills a slot, so a descent past the free slots is wasted
         before = len(population)

@@ -4,7 +4,8 @@ The absolute objective of a flow is its worst cost over the scenarios.
 The deviation objective is its worst regret: the gap between its cost
 under a scenario and the best cost any feasible flow of the required
 value achieves under that same scenario.  Scenario optima are therefore
-shared, cacheable inputs; `compute_optima` keeps them on the instance.
+shared, cacheable inputs; `compute_optima` keeps them on the instance,
+together with each optimal flow's scenario cost vector.
 
 A flow is a plain tuple of arc values in arc declaration order.  Both
 objectives are a maximum over the per-scenario cost vector that
@@ -14,9 +15,7 @@ nothing downstream branches on the variant again.  A caller that
 already holds a flow's vector, such as the descent, which carries it
 along each cancelled cycle, or the evolutionary loop, which carries it
 through every crossover and mutation, hands it to `Criterion.evaluate`
-and skips the validation and the K dot products.  The vectors of the
-scenario optima themselves are computed once per instance, on a
-solver's first call to `ScenarioOptima.vectors`.
+and skips the validation and the K dot products.
 """
 from __future__ import annotations
 
@@ -28,7 +27,6 @@ from .core import (
     DEVIATION,
     Instance,
     WrongFlowValue,
-    flow_cost,
     validate_flow,
 )
 from .flow_ops import min_cost_flow
@@ -36,27 +34,12 @@ from .flow_ops import min_cost_flow
 
 @dataclass(frozen=True)
 class ScenarioOptima:
-    """Per-scenario minimum costs and one optimal flow witnessing each."""
+    """Per-scenario minimum costs, one optimal flow witnessing each, and
+    the `scenario_costs` of each such flow, so ``costs[s] == vectors[s][s]``."""
 
     costs: tuple[int, ...]
     flows: tuple[tuple[int, ...], ...]
-
-    def vectors(self, instance: Instance) -> tuple[tuple[int, ...], ...]:
-        """The `scenario_costs` of each optimal flow, in `flows` order.
-
-        Computed on the first call and kept on this object, so a solver
-        that starts from the optima scores them without validating or
-        summing them again, and `compute_optima` on the set-up path does
-        not pay for vectors that no solver may ask for.  `instance` must be
-        the one these optima were computed for.
-        """
-        # frozen; like `cached_property`, write `__dict__` directly (under
-        # another name, which would otherwise shadow this method)
-        kept = vars(self)
-        vectors = kept.get("_vectors")
-        if vectors is None:
-            vectors = kept["_vectors"] = tuple(scenario_costs(instance, f) for f in self.flows)
-        return vectors
+    vectors: tuple[tuple[int, ...], ...]
 
 
 def compute_optima(instance: Instance) -> ScenarioOptima:
@@ -65,19 +48,18 @@ def compute_optima(instance: Instance) -> ScenarioOptima:
     The result is kept on the instance object, the way `Network` keeps its
     cached properties, so it lives exactly as long as the instance: a long
     session holds no optima for instances it has dropped, and two equal
-    but separately built instances compute their own.
+    but separately built instances compute their own.  Each optimal flow
+    is costed by `scenario_costs`, so it is validated once, here.
     """
     # `Instance` is frozen; like `cached_property`, write its `__dict__` directly
     cache = vars(instance)
     optima = cache.get("scenario_optima")
     if optima is None:
-        costs = []
-        flows = []
-        for s, cost_row in enumerate(instance.scenarios.costs):
-            flow = min_cost_flow(instance.network, cost_row, instance.flow_value)
-            flows.append(flow)
-            costs.append(flow_cost(instance, flow, s))
-        optima = cache["scenario_optima"] = ScenarioOptima(tuple(costs), tuple(flows))
+        rows = instance.scenarios.costs
+        flows = tuple(min_cost_flow(instance.network, row, instance.flow_value) for row in rows)
+        vectors = tuple(scenario_costs(instance, flow) for flow in flows)
+        costs = tuple(vector[s] for s, vector in enumerate(vectors))
+        optima = cache["scenario_optima"] = ScenarioOptima(costs, flows, vectors)
     return optima
 
 

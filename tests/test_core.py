@@ -17,7 +17,6 @@ from rmcif import (
     ScenarioSet,
     SolutionRecord,
     WrongFlowValue,
-    flow_cost,
     flow_value_of,
     format_solution,
     parse_instance,
@@ -112,12 +111,6 @@ class TestFlowChecks:
             validate_flow(diamond, (1, 0, 0, 1))
         assert err.value.vertex in (2, 3)
 
-    def test_flow_cost_by_scenario(self, diamond):
-        upper = (1, 0, 1, 0)
-        assert flow_cost(diamond, upper, 0) == 2
-        assert flow_cost(diamond, upper, 1) == 4
-        with pytest.raises(IndexError, match="out of range"):
-            flow_cost(diamond, upper, 2)
 
 
 class TestInstanceFormat:
@@ -228,6 +221,8 @@ class TestSolutionFormat:
             ("o best ls2 4 7\n", "unknown variant"),
             ("o absolute zz 4 7\n", "unknown solver"),
             ("o absolute ls2 4 7\nx 1 4 1\n", "no arc"),
+            ("o absolute ls2 4 7\nx 1 2 1\nx 1 2 0\n", "line 3: second value line for arc 1->2"),
+            ("o absolute ls2 4 -1\n", "line 1: negative seed -1"),
             ("", "missing solution header"),
         ],
     )

@@ -9,8 +9,12 @@ zero-capacity arcs and a source-to-sink route (`routed_networks`), every
 carried vector must equal the per-scenario costs of its flow, and every
 carried score the fresh objective.  The solvers' evaluation counts are
 pinned, and a corrupted vector must trip the closing fresh evaluation.
+A flow is costed in full only where it is constructed: the scenario
+optima, ls1's and ls3's starts, and each solver's closing check.
 """
 from __future__ import annotations
+
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +26,14 @@ from rmcif import (
     ABSOLUTE,
     DEVIATION,
     EC_SOLVERS,
+    HEURISTIC_SOLVERS,
     VARIANTS,
     Instance,
     ScenarioSet,
     compute_optima,
-    flow_cost,
     heuristics,
+    objectives,
+    parse_instance,
     validate_flow,
 )
 from rmcif.heuristics import SearchParams, _descend, _neighborhood, evolutionary, local_search
@@ -55,7 +61,8 @@ def started_instances(draw):
 
 
 def fresh_costs(instance, flow):
-    return tuple(flow_cost(instance, flow, s) for s in range(instance.scenarios.scenario_count))
+    K = instance.scenarios.scenario_count
+    return tuple(oracles.scenario_cost(instance, flow, s) for s in range(K))
 
 
 def fresh_score(instance, variant, flow):
@@ -94,9 +101,9 @@ def test_descent_scores_equal_fresh_evaluations(case, variant):
         return cost
 
     criterion.evaluate = checked
-    flow, costs, cost, _ = _descend(
-        instance, criterion, start, SearchParams(neighborhood_size=8), None
-    )
+    params = SearchParams(neighborhood_size=8)
+    start_costs = fresh_costs(instance, start)
+    flow, costs, cost, _ = _descend(instance, criterion, start, start_costs, params, None)
     assert scored and criterion.evaluations == len(scored)
     for seen, seen_cost in scored:
         assert seen_cost == fresh_score(instance, variant, seen)
@@ -215,3 +222,38 @@ def test_evaluation_count_unchanged(instances, monkeypatch, seed, variant, solve
     else:
         evolutionary(instances[seed], variant, solver, SearchParams(generation_limit=10), seed)
     assert [c.evaluations for c in made] == [EVALUATIONS[seed, variant, solver]]
+
+
+CYC = Path(__file__).parent / "data" / "cyc.rmcif"
+# ls1 and ls3 cost the start they construct; every solver's closing check
+# costs its result.  Every other vector is carried.
+FULL_COSTINGS = {"ls1": 2, "ls3": 2, **{solver: 1 for solver in ("ls2", "ls4", *EC_SOLVERS)}}
+
+
+@pytest.mark.parametrize("solver", HEURISTIC_SOLVERS)
+def test_flows_are_costed_in_full_only_where_constructed(monkeypatch, solver):
+    costed = []
+    fresh = objectives.scenario_costs
+
+    def counting(instance, flow):
+        costed.append(flow)
+        return fresh(instance, flow)
+
+    for module in (objectives, heuristics):
+        monkeypatch.setattr(module, "scenario_costs", counting)
+    instances = [gen(seed, widths=(4, 4), scenarios=4, caps=(1, 5)) for seed in (1, 2)]
+    instances.append(parse_instance(CYC.read_text()))
+    # a fill after the K optima, and a mutation in most generations
+    params = SearchParams(population_size=8, generation_limit=10, mutation_threshold=60)
+    for instance in instances:
+        del costed[:]
+        optima = compute_optima(instance)
+        assert costed == list(optima.flows)
+        for variant in VARIANTS:
+            del costed[:]
+            if solver in EC_SOLVERS:
+                record = evolutionary(instance, variant, solver, params, seed=1)
+            else:
+                record = local_search(instance, variant, solver, params, seed=1)
+            assert len(costed) == FULL_COSTINGS[solver]
+            assert costed[-1] == record.values

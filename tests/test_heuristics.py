@@ -159,53 +159,65 @@ class TestTournament:
             assert abs(count / len(seeds) - 1 / len(subsets)) <= 0.03
 
 
+def members(*pairs):
+    """Population members whose scenario cost vector is just their cost."""
+    return [(flow, cost, (cost,)) for flow, cost in pairs]
+
+
 class TestInsertChild:
-    base_population = [("a", 100), ("b", 200), ("c", 300)]
+    base_population = members(("a", 100), ("b", 200), ("c", 300))
+
+    @staticmethod
+    def insert(population, child_cost, threshold, size, seed=0):
+        """Insert "kid" with the lowest-cost member as the given best."""
+        return insert_child(
+            population, "kid", child_cost, threshold, size, make_rng(seed),
+            lowest(population), (child_cost,),
+        )
 
     def test_better_child_replaces_similar_twin(self):
-        got = insert_child(self.base_population, "kid", 97, 5, 2, make_rng(0))
-        assert got[0] == ("kid", 97)
+        got = self.insert(self.base_population, 97, 5, 2)
+        assert got[0] == ("kid", 97, (97,))
         assert got[1:] == self.base_population[1:]
 
     def test_worse_child_loses_to_similar_twin(self):
-        got = insert_child(self.base_population, "kid", 103, 5, 2, make_rng(0))
+        got = self.insert(self.base_population, 103, 5, 2)
         assert got == self.base_population
 
     def test_equal_cost_twin_keeps_incumbent(self):
-        got = insert_child(self.base_population, "kid", 100, 5, 2, make_rng(0))
+        got = self.insert(self.base_population, 100, 5, 2)
         assert got == self.base_population
 
     def test_first_twin_by_index_wins(self):
-        population = [("a", 100), ("b", 100)]
-        got = insert_child(population, "kid", 97, 5, 2, make_rng(0))
-        assert got == [("kid", 97), ("b", 100)]
+        population = members(("a", 100), ("b", 100))
+        got = self.insert(population, 97, 5, 2)
+        assert got == members(("kid", 97), ("b", 100))
 
     def test_dissimilar_child_evicts_tournament_worst(self):
-        got = insert_child(self.base_population, "kid", 150, 5, 3, make_rng(0))
-        assert got == [("a", 100), ("b", 200), ("kid", 150)]
+        got = self.insert(self.base_population, 150, 5, 3)
+        assert got == members(("a", 100), ("b", 200), ("kid", 150))
 
     def test_best_member_is_shielded(self):
         for seed in range(10):
-            got = insert_child([("a", 100), ("b", 400)], "kid", 250, 5, 3, make_rng(seed))
-            assert got == [("a", 100), ("kid", 250)]
+            got = self.insert(members(("a", 100), ("b", 400)), 250, 5, 3, seed)
+            assert got == members(("a", 100), ("kid", 250))
 
     def test_single_member_population_unchanged(self):
-        got = insert_child([("a", 100)], "kid", 500, 5, 3, make_rng(0))
-        assert got == [("a", 100)]
+        got = self.insert(members(("a", 100)), 500, 5, 3)
+        assert got == members(("a", 100))
 
     def test_zero_base_requires_equality(self):
-        population = [("a", 0), ("b", 4)]
-        got = insert_child(population, "kid", 3, 100, 2, make_rng(0))
-        assert got == [("a", 0), ("kid", 3)]
+        population = members(("a", 0), ("b", 4))
+        got = self.insert(population, 3, 100, 2)
+        assert got == members(("a", 0), ("kid", 3))
 
-    def test_given_best_index_and_vector(self):
-        population = [("a", 300), ("b", 100), ("c", 100)]
+    def test_given_best_index_is_shielded_and_vector_kept(self):
+        # b and c tie for the best; the given index decides which one is shielded
+        b, c = members(("b", 100), ("c", 100))
+        kid = ("kid", 200, (150, 200))
         for seed in range(10):
-            plain = insert_child(population, "kid", 200, 5, 3, make_rng(seed))
-            given_best = insert_child(population, "kid", 200, 5, 3, make_rng(seed), 1)
-            assert given_best == plain
-        got = insert_child(population, "kid", 97, 5, 2, make_rng(0), 1, (90, 97))
-        assert got == [("a", 300), ("kid", 97, (90, 97)), ("c", 100)]
+            assert insert_child([b, c], *kid[:2], 5, 3, make_rng(seed), 0, kid[2]) == [b, kid]
+            assert insert_child([b, c], *kid[:2], 5, 3, make_rng(seed), 1, kid[2]) == [kid, c]
 
 
 def lowest(population) -> int:

@@ -48,24 +48,12 @@ class TestScenarioOptima:
         assert second.flows[0] is not first.flows[0]
         assert compute_optima(twin) is second
 
-    def test_vectors_computed_once_on_first_use(self, monkeypatch):
+    def test_vectors_are_the_optimal_flows_scenario_costs(self):
         instance = gen(3, widths=(3, 3), scenarios=3)
-        costed = []
-        fresh = objectives.scenario_costs
-
-        def counting(inst, flow):
-            costed.append(flow)
-            return fresh(inst, flow)
-
-        monkeypatch.setattr(objectives, "scenario_costs", counting)
         optima = compute_optima(instance)
-        assert costed == []  # set-up does not pay for them
-        vectors = optima.vectors(instance)
-        assert costed == list(optima.flows)
-        assert vectors == tuple(fresh(instance, f) for f in optima.flows)
-        assert tuple(v[s] for s, v in enumerate(vectors)) == optima.costs
-        assert optima.vectors(instance) is vectors
-        assert len(costed) == 3
+        fresh = tuple(objectives.scenario_costs(instance, f) for f in optima.flows)
+        assert optima.vectors == fresh
+        assert tuple(v[s] for s, v in enumerate(optima.vectors)) == optima.costs
 
     def test_duplicate_scenarios_counted_separately(self):
         base = gen(3, widths=(2,), scenarios=1)

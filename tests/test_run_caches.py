@@ -112,11 +112,12 @@ def test_descent_with_a_memo_follows_the_one_without(instance, variant, seed):
     start = scrambled_flow(instance.network, instance.flow_value, seed)
     params = SearchParams(neighborhood_size=5)
     plain = make_criterion(instance, variant)
-    want = _descend(instance, plain, start, params, None)
+    start_costs = scenario_costs(instance, start)
+    want = _descend(instance, plain, start, start_costs, params, None)
     memo = {}
     for _ in range(2):  # an empty memo, then the one the first descent filled
         criterion = make_criterion(instance, variant)
-        assert _descend(instance, criterion, start, params, None, memo=memo) == want
+        assert _descend(instance, criterion, start, start_costs, params, None, memo=memo) == want
         assert criterion.evaluations == plain.evaluations
     for flow, neighbors in memo.items():
         size = params.neighborhood_size
