@@ -48,7 +48,6 @@ def solve_one(
     solver: str,
     seed: int = 0,
     params: SearchParams | None = None,
-    clock=time.perf_counter,
     exact_budget: int = 100_000_000,
 ) -> SolutionRecord:
     """Run a single solver tag (ls*, ec*, or exact) on one instance.
@@ -58,14 +57,14 @@ def solve_one(
     """
     compute_optima(instance)
     if solver in LS_SOLVERS:
-        return local_search(instance, variant, solver, params, seed, clock)
+        return local_search(instance, variant, solver, params, seed)
     if solver in EC_SOLVERS:
-        return evolutionary(instance, variant, solver, params, seed, clock)
+        return evolutionary(instance, variant, solver, params, seed)
     if solver == "exact":
         check_seed(seed)
-        start = clock()
+        start = time.perf_counter()
         cost, values = enumerate_optimum(instance, variant, exact_budget)
-        return SolutionRecord(variant, solver, cost, values, seed, clock() - start)
+        return SolutionRecord(variant, solver, cost, values, seed, time.perf_counter() - start)
     raise ValueError(f"unknown solver tag {solver!r}")
 
 
@@ -139,7 +138,6 @@ def run_bench(
     sol_dir: str | Path | None = None,
     compute_exact: bool = True,
     exact_budget: int = 100_000_000,
-    clock=time.perf_counter,
 ) -> BenchReport:
     """Run every (instance, variant, solver, seed) cell and aggregate.
 
@@ -155,13 +153,13 @@ def run_bench(
         for name, instance in loaded:
             compute_optima(instance)
             for variant in variants:
-                start = clock()
+                start = time.perf_counter()
                 try:
                     cost, _ = enumerate_optimum(instance, variant, exact_budget)
                 except RmcifError as exc:
                     report.warnings.append(f"{name}/{variant}: exact solve failed: {exc}")
                     continue
-                exact_results[(name, variant)] = (cost, clock() - start)
+                exact_results[(name, variant)] = (cost, time.perf_counter() - start)
 
     sol_path = Path(sol_dir) if sol_dir is not None else None
     if sol_path is not None:
@@ -173,9 +171,7 @@ def run_bench(
             for solver in solvers:
                 for seed in seeds:
                     try:
-                        record = solve_one(
-                            instance, variant, solver, seed, params, clock, exact_budget
-                        )
+                        record = solve_one(instance, variant, solver, seed, params, exact_budget)
                     except RmcifError as exc:
                         report.warnings.append(
                             f"{name}/{variant}/{solver}/seed {seed} failed: {exc}"

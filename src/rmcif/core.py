@@ -411,8 +411,9 @@ def format_solution(record: SolutionRecord, instance: Instance) -> str:
 def parse_solution(text: str | bytes, instance: Instance) -> SolutionRecord:
     """Parse ``.sol`` text produced by `format_solution` and validate the flow.
 
-    A negative seed or a second value line for one arc raises
-    `InstanceFormatError` at that line.
+    A negative seed, a second value line for one arc, or a header cost
+    other than the flow's fresh robust cost under the header's variant
+    raises `InstanceFormatError` at that line.
     """
     text = _ascii(text)
     network = instance.network
@@ -420,6 +421,7 @@ def parse_solution(text: str | bytes, instance: Instance) -> SolutionRecord:
     values = [0] * network.arc_count
     given: set[int] = set()
     head: tuple[str, str, int, int] | None = None
+    head_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts or parts[0] == "c":
@@ -440,6 +442,7 @@ def parse_solution(text: str | bytes, instance: Instance) -> SolutionRecord:
                 raise InstanceFormatError("malformed solution header", lineno) from None
             if head[3] < 0:
                 raise InstanceFormatError(f"negative seed {head[3]}", lineno)
+            head_line = lineno
         elif parts[0] == "x":
             if head is None:
                 raise InstanceFormatError("value line before solution header", lineno)
@@ -462,5 +465,13 @@ def parse_solution(text: str | bytes, instance: Instance) -> SolutionRecord:
     if value != instance.flow_value:
         raise WrongFlowValue(
             f"solution value {value} differs from required {instance.flow_value}"
+        )
+    # deferred import: objectives depends on this module
+    from .objectives import make_criterion
+
+    cost = make_criterion(instance, record.variant).evaluate(record.values)
+    if cost != record.robust_cost:
+        raise InstanceFormatError(
+            f"header cost {head[2]} differs from the flow's {head[0]} cost {cost}", head_line
         )
     return record

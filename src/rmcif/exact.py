@@ -43,7 +43,7 @@ def _topological_order(network: Network) -> list[int] | None:
         v = heapq.heappop(ready)
         order.append(v)
         for i in network.out_arcs[v]:
-            head = network.arcs[i].head
+            head = network.heads[i]
             indegree[head] -= 1
             if indegree[head] == 0:
                 heapq.heappush(ready, head)
@@ -130,8 +130,7 @@ def _walk(
         partial.extend(-z for z in shift)
     columns = list(zip(*rows))
     tails = [a.tail for a in network.arcs]
-    heads = [a.head for a in network.arcs]
-    caps = network.capacities
+    heads, caps = network.heads, network.capacities
     values = [0] * network.arc_count
     need = _balances(instance)
     rem_out = [sum(caps[i] for i in out) for out in network.out_arcs]
@@ -282,14 +281,9 @@ def export_lp(instance: Instance, variant: str) -> str:
         terms = [_term(c, names[i]) for i, c in enumerate(row) if c != 0]
         terms.append("- y")
         lines.extend(_lp_rows(f"rob_{s + 1}", terms, f"<= {shift[s]}"))
-    balance = _balances(instance)
+    balance, adjacency = _balances(instance), network.residual_adjacency
     for v in range(1, network.vertex_count + 1):
-        terms = []
-        for i, arc in enumerate(network.arcs):
-            if arc.tail == v:
-                terms.append(_term(1, names[i]))
-            elif arc.head == v:
-                terms.append(_term(-1, names[i]))
+        terms = [_term(1 if forward else -1, names[i]) for i, forward, _ in adjacency[v]]
         if not terms:
             terms = ["0 y"]
         lines.extend(_lp_rows(f"cons_{v}", terms, f"= {balance[v]}"))

@@ -10,31 +10,30 @@ Every path and cycle is a list of ``(arc index, forward, room)`` triples:
 a forward move adds flow to its arc, a backward one removes it, and room
 is how much the move can carry.  A unit path, as `decompose` returns it
 and `compose` takes it, is the tuple of its arc indices in walk order.
-Every residual search walks the network's one cached
-`Network.residual_adjacency` and reads room off `Network.capacities` and
-the current arc values.
 
-- Augmentation (`find_flow`, `max_flow_value` and the repair step of
-  `round_flow` and `compose`) runs one fewest-arc search.
-- `decompose` and the extraction in `round_flow` run the same search over
-  forward arcs only (`Network.out_arcs`), with the values still to peel
-  as capacities, and peel each path's whole bottleneck at once (Ahuja,
-  Magnanti & Orlin, *Network Flows*, 1993, ch. 3).
+- One augmenting loop, `_push_paths`, asks a path search for a path and
+  moves its bottleneck, capped by the units still wanted, until no path
+  is left.  Through `_augment_to_value` it augments in `find_flow`,
+  `min_cost_flow` and the repair step of `round_flow` and `compose`; it
+  also sums `max_flow_value` and peels paths out of a flow in `decompose`
+  and `round_flow` (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 3).
+- Its path searches share one read-back (`_path_to`).  The fewest-arc
+  search (`fewest_arc_path`) and `min_cost_flow`'s Dijkstra search over
+  reduced costs with node potentials (`_cheapest_path`, Ahuja, Magnanti &
+  Orlin 1993, §9.7) walk `Network.residual_adjacency`; the peel's search
+  (`_support_path`) walks forward arcs only (`out_arcs` and `heads`).
 - `center` sums arc values and `round_flow` rounds the mean half-up in
   integer arithmetic, so no rational number is ever built.
 - `compose` checks capacity on a unit path's own arcs only, and scans
   each list once in one random order drawn per call.
-- `perturb` and `harmonize` filter a vertex's moves only when the cycle
-  search expands it.
-- The negative-cycle kernel of the descent (`cost_reduce`) relaxes one
-  ``(tail, head, signed cost, move)`` tuple per residual move and stops
-  Bellman-Ford at the first pass whose predecessor graph closes a cycle
-  (Cherkassky & Goldberg, "Negative-cycle detection algorithms", Math.
-  Prog. 85, 1999) instead of running all n passes.
-- `min_cost_flow` runs successive shortest paths from the zero flow:
-  Dijkstra's search over reduced costs with node potentials (Ahuja,
-  Magnanti & Orlin 1993, §9.7), which needs no feasible start and no
-  cycle cancelling.
+- `perturb` and `harmonize` read `Network.residual_adjacency` too, and
+  filter a vertex's moves only when the cycle search expands it.
+- The negative-cycle kernel of the descent (`cost_reduce`) builds one
+  ``(tail, head, signed cost, move)`` tuple per residual move from
+  `Network.arcs` and stops Bellman-Ford at the first pass whose
+  predecessor graph closes a cycle (Cherkassky & Goldberg,
+  "Negative-cycle detection algorithms", Math. Prog. 85, 1999) instead
+  of running all n passes.
 
 A flow is a plain tuple of integer arc values in arc declaration order,
 the shape of `Network.capacities`, and every procedure here takes and
@@ -47,6 +46,7 @@ expansions are all built in that order).
 from __future__ import annotations
 
 import math
+from functools import partial
 from heapq import heappop, heappush
 from typing import Sequence
 
@@ -57,16 +57,29 @@ class TargetUnreachable(RmcifError):
     """Augmentation cannot raise the flow value to the requested target."""
 
 
-def fewest_arc_path(network: Network, upper: Sequence[int], values: Sequence[int]):
-    """Fewest-arc source-to-sink path over moves with room, or None.
+def _path_to(via, source: int, sink: int) -> list[tuple[int, bool, int]]:
+    """The path back from `sink` to `source` along a search's `via` records,
+    ``(tail, arc index, forward, room)`` per reached vertex, as ``(arc
+    index, forward, room)`` triples in walk order."""
+    path = []
+    h = sink
+    while h != source:
+        h, i, forward, room = via[h]
+        path.append((i, forward, room))
+    path.reverse()
+    return path
 
-    A forward move on arc ``i`` has room ``upper[i] - values[i]``, a
+
+def fewest_arc_path(network: Network, values: Sequence[int]):
+    """Fewest-arc source-to-sink residual path of `values`, or None.
+
+    A forward move on arc ``i`` has room ``capacity[i] - values[i]``, a
     backward one ``values[i]``; moves without room are skipped.  The path
     comes back as ``(arc index, forward, room)`` triples.  First-reached
     wins, with `Network.residual_adjacency` scanned in order, so the result
     is deterministic and depends only on which moves have room.
     """
-    adjacency = network.residual_adjacency
+    adjacency, caps = network.residual_adjacency, network.capacities
     source, sink = network.source, network.sink
     via: list[tuple[int, int, bool, int] | None] = [None] * len(adjacency)
     reached = [False] * len(adjacency)
@@ -76,21 +89,90 @@ def fewest_arc_path(network: Network, upper: Sequence[int], values: Sequence[int
         for i, forward, h in adjacency[v]:
             if reached[h]:
                 continue
-            room = upper[i] - values[i] if forward else values[i]
+            room = caps[i] - values[i] if forward else values[i]
             if room <= 0:
                 continue
             reached[h] = True
             via[h] = (v, i, forward, room)
             if h == sink:
-                path = []
-                while h != source:
-                    t, i, forward, room = via[h]
-                    path.append((i, forward, room))
-                    h = t
-                path.reverse()
-                return path
+                return _path_to(via, source, sink)
             queue.append(h)
     return None
+
+
+def _support_path(network: Network, remaining: Sequence[int]):
+    """Fewest-arc source-to-sink path over arcs with positive `remaining`, or None.
+
+    Arcs are scanned in `out_arcs` order and the first vertex reached
+    wins, so this is `fewest_arc_path` at the zero flow of a network whose
+    capacities are `remaining`, where no backward move has room.  Peeling
+    calls it again after each bottleneck, and it sees the same support
+    until some arc on the path runs out: the path's smallest remaining
+    value, capped by the units still wanted, is how many times in a row a
+    one-unit-at-a-time extraction would return this path.
+    """
+    out_arcs, heads = network.out_arcs, network.heads
+    source, sink = network.source, network.sink
+    via: list[tuple[int, int, bool, int] | None] = [None] * len(out_arcs)
+    reached = [False] * len(out_arcs)
+    reached[source] = True
+    queue = [source]
+    for v in queue:
+        for i in out_arcs[v]:
+            h = heads[i]
+            if reached[h] or remaining[i] <= 0:
+                continue
+            reached[h] = True
+            via[h] = (v, i, True, remaining[i])
+            if h == sink:
+                return _path_to(via, source, sink)
+            queue.append(h)
+    return None
+
+
+def _cheapest_path(network: Network, costs: Sequence[int], potential: list, values: Sequence[int]):
+    """Cheapest source-to-sink residual path of `values` under `costs`, or None.
+
+    Dijkstra's search over nonnegative reduced costs ``cost +
+    potential[tail] - potential[head]``, stopped once it settles the sink,
+    with ties broken by vertex number and adjacency order.  Each potential
+    then grows in place by its vertex's distance capped at the sink's,
+    which keeps every reduced cost nonnegative and those on the path zero.
+    """
+    adjacency, caps = network.residual_adjacency, network.capacities
+    source, sink = network.source, network.sink
+    dist = [math.inf] * len(adjacency)
+    via: list[tuple[int, int, bool, int] | None] = [None] * len(adjacency)
+    settled = [False] * len(adjacency)
+    dist[source] = 0
+    heap = [(0, source)]
+    while heap:
+        d, v = heappop(heap)
+        if settled[v]:
+            continue
+        settled[v] = True
+        if v == sink:
+            break
+        base = d + potential[v]
+        for i, forward, h in adjacency[v]:
+            if settled[h]:
+                continue
+            if forward:
+                room, step = caps[i] - values[i], costs[i]
+            else:
+                room, step = values[i], -costs[i]
+            if room <= 0:
+                continue
+            nd = base + step - potential[h]
+            if nd < dist[h]:
+                dist[h] = nd
+                via[h] = (v, i, forward, room)
+                heappush(heap, (nd, h))
+    if not settled[sink]:
+        return None
+    reach = dist[sink]
+    potential[:] = [p + min(d, reach) for p, d in zip(potential, dist)]
+    return _path_to(via, source, sink)
 
 
 def _push(values: list[int], path, amount: int) -> None:
@@ -106,94 +188,48 @@ def _push_room(values: Sequence[int], path) -> tuple[int, ...]:
     return tuple(vals)
 
 
-def _augment(network: Network, values: Sequence[int], target) -> tuple[list[int], int]:
-    """Augment along fewest-arc residual paths until the flow value reaches
-    `target` or no path is left, truncating the last push.
+def _push_paths(values: list[int], find_path, units, direction: int):
+    """Move path bottlenecks through `values`, in place, up to `units` in all.
 
-    Returns the new arc values and the value reached.
+    The one augmenting loop.  Each round asks ``find_path(values)`` for a
+    path of ``(arc index, forward, room)`` triples, stops when it returns
+    None, and moves the path's smallest room, capped by the units still
+    wanted, along it: forward with `direction` 1 to augment, backward
+    with -1 to peel the path out of a flow.  Yields ``(path, amount)``
+    after each move.
     """
-    vals = list(values)
-    current = flow_value_of(network, vals)
-    while current < target:
-        path = fewest_arc_path(network, network.capacities, vals)
+    while units > 0:
+        path = find_path(values)
         if path is None:
-            break
-        push = min(min(room for _, _, room in path), target - current)
-        _push(vals, path, push)
-        current += push
-    return vals, current
+            return
+        amount = min(min(room for _, _, room in path), units)
+        _push(values, path, direction * amount)
+        units -= amount
+        yield path, amount
 
 
-def _augment_to_value(network: Network, values: Sequence[int], target: int) -> tuple[int, ...]:
-    """Raise the flow value to `target` by augmenting paths, truncating the last push."""
-    vals, current = _augment(network, values, target)
-    if current < target:
-        raise TargetUnreachable(f"cannot raise the flow value past {current} (target {target})")
+def _augment_to_value(
+    network: Network, values: Sequence[int], target: int, find_path
+) -> tuple[int, ...]:
+    """Raise the flow value to `target` along `find_path`'s paths, truncating the last push."""
+    vals = list(values)
+    start = flow_value_of(network, vals)
+    reached = start + sum(amount for _, amount in _push_paths(vals, find_path, target - start, 1))
+    if reached < target:
+        raise TargetUnreachable(f"cannot raise the flow value past {reached} (target {target})")
     return tuple(vals)
 
 
 def max_flow_value(network: Network) -> int:
     """Maximum source-to-sink flow value: augment until no path is left."""
-    return _augment(network, [0] * network.arc_count, math.inf)[1]
+    paths = _push_paths([0] * network.arc_count, partial(fewest_arc_path, network), math.inf, 1)
+    return sum(amount for _, amount in paths)
 
 
 def find_flow(network: Network, value: int) -> tuple[int, ...]:
     """An arbitrary feasible flow of the given value, built without cost data."""
-    return _augment_to_value(network, [0] * network.arc_count, value)
-
-
-def _support_path(network: Network, remaining: Sequence[int]):
-    """Fewest-arc source-to-sink path over arcs with positive `remaining`, or None.
-
-    The path comes back as ``(arc index, True, remaining value)`` triples.
-    Arcs are scanned in `out_arcs` order and the first vertex reached
-    wins, so this is `fewest_arc_path` with `remaining` as capacities and
-    zero values, which leaves every backward move without room.
-    """
-    out_arcs, heads = network.out_arcs, network.heads
-    source, sink = network.source, network.sink
-    via: list[tuple[int, int] | None] = [None] * len(out_arcs)
-    reached = [False] * len(out_arcs)
-    reached[source] = True
-    queue = [source]
-    for v in queue:
-        for i in out_arcs[v]:
-            h = heads[i]
-            if reached[h] or remaining[i] <= 0:
-                continue
-            reached[h] = True
-            via[h] = (v, i)
-            if h == sink:
-                path = []
-                while h != source:
-                    h, i = via[h]
-                    path.append((i, True, remaining[i]))
-                path.reverse()
-                return path
-            queue.append(h)
-    return None
-
-
-def _peel_paths(network: Network, remaining: list[int], units: int):
-    """Take up to `units` unit paths out of `remaining`, a whole bottleneck at a time.
-
-    Yields ``(path, copies)`` with `path` as `fewest_arc_path` triples.
-    Each search (`_support_path`) scans forward arcs only, met in
-    `out_arcs` order: with `remaining` as capacities and zero values no
-    backward move ever has room.  It sees the same support until some arc
-    on the path runs out, so `copies`, the path's smallest remaining value
-    capped by the units still wanted, is how many times in a row a
-    one-unit-at-a-time extraction would return this path.  Stops early
-    when the support disconnects.
-    """
-    while units > 0:
-        path = _support_path(network, remaining)
-        if path is None:
-            return
-        copies = min(min(room for _, _, room in path), units)
-        _push(remaining, path, -copies)
-        units -= copies
-        yield path, copies
+    zeros = [0] * network.arc_count
+    return _augment_to_value(network, zeros, value, partial(fewest_arc_path, network))
 
 
 def decompose(network: Network, flow: tuple[int, ...]) -> list[tuple[int, ...]]:
@@ -201,9 +237,9 @@ def decompose(network: Network, flow: tuple[int, ...]) -> list[tuple[int, ...]]:
 
     Each unit path is the tuple of its arc indices in walk order, from the
     source to the sink.  Paths come from repeated fewest-arc searches over
-    the positive support, each peeled off as many times as it can carry
-    (see `_peel_paths`); the copies of one path share one tuple.  The list
-    is the one that extracting a unit at a time would give.  By the flow
+    the positive support (`_support_path`), each peeled off as many times
+    as it can carry; the copies of one path share one tuple.  The list is
+    the one that extracting a unit at a time would give.  By the flow
     decomposition theorem the rest of a conserving flow is a circulation;
     it is left out, so composing the paths gives the flow's path part.
     Non-conserving input, whose value no path can drain, raises
@@ -214,7 +250,7 @@ def decompose(network: Network, flow: tuple[int, ...]) -> list[tuple[int, ...]]:
     remaining = list(flow)
     total = flow_value_of(network, remaining)
     pieces: list[tuple[int, ...]] = []
-    for path, copies in _peel_paths(network, remaining, total):
+    for path, copies in _push_paths(remaining, partial(_support_path, network), total, -1):
         pieces.extend([tuple(i for i, _, _ in path)] * copies)
     if len(pieces) < total:
         ends = (network.source, network.sink)
@@ -245,16 +281,16 @@ def round_flow(network: Network, totals: Sequence[int], count: int) -> tuple[int
     Every arc mean ``t / count``, and the mean's value, is rounded half-up
     as ``(2·t + count) // (2·count)``, which is ``floor(t / count + 1/2)``
     in integer arithmetic.  Unit paths are then peeled from the rounded
-    vector, whole bottlenecks at a time (see `_peel_paths`), until the
+    vector, whole bottlenecks at a time (see `_support_path`), until the
     target is met or its support disconnects, and any shortfall is closed
     by augmentation.
     """
     target = (2 * flow_value_of(network, totals) + count) // (2 * count)
     rounded = [(2 * t + count) // (2 * count) for t in totals]
     extracted = [0] * network.arc_count
-    for path, copies in _peel_paths(network, rounded, target):
+    for path, copies in _push_paths(rounded, partial(_support_path, network), target, -1):
         _push(extracted, path, copies)
-    return _augment_to_value(network, extracted, target)
+    return _augment_to_value(network, extracted, target, partial(fewest_arc_path, network))
 
 
 def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence[tuple[int, ...]], rng) -> tuple[int, ...]:
@@ -297,7 +333,7 @@ def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence
         picked += 1
         stalls = 0
         active = 1 - active
-    return _augment_to_value(network, totals, target)
+    return _augment_to_value(network, totals, target, partial(fewest_arc_path, network))
 
 
 def _predecessor_cycle(pred_vertex: Sequence[int], n: int) -> int:
@@ -473,65 +509,18 @@ def min_cost_flow(network: Network, costs: Sequence[int], value: int) -> tuple[i
     """Minimum-cost flow of the given value under one nonnegative cost vector.
 
     Successive shortest paths (Ahuja, Magnanti & Orlin, *Network Flows*,
-    1993, §9.7): from the zero flow, Dijkstra's search over residual moves
-    with reduced costs ``cost + potential[tail] - potential[head]`` finds a
-    cheapest source-to-sink path, which carries its bottleneck, capped by
-    the value still missing.  Costs are nonnegative, so zero potentials
-    start every reduced cost nonnegative, cycles in the network included.
-    The search stops once it settles the sink, and each potential then
-    grows by its vertex's distance capped at the sink's, which keeps every
-    reduced cost nonnegative and those on the path zero.  Each path is a
-    cheapest one, so the flow of every value reached is a cheapest one
-    (no negative residual cycle ever forms).  Ties are broken by vertex
-    number and adjacency order, so the witness is deterministic.  Raises
-    `TargetUnreachable` when `value` exceeds the maximum flow value and
-    `ValueError` on a negative cost.
+    1993, §9.7): from the zero flow, each `_cheapest_path` carries its
+    bottleneck, capped by the value still missing.  Costs are nonnegative,
+    so zero potentials start every reduced cost nonnegative, cycles in the
+    network included.  Each path is a cheapest one, so the flow of every
+    value reached is a cheapest one (no negative residual cycle ever
+    forms), and the witness is deterministic.  Raises `TargetUnreachable`
+    when `value` exceeds the maximum flow value and `ValueError` on a
+    negative cost.
     """
     if any(c < 0 for c in costs):
         raise ValueError("min_cost_flow needs nonnegative costs")
-    adjacency, caps = network.residual_adjacency, network.capacities
-    source, sink = network.source, network.sink
-    values = [0] * network.arc_count
-    potential = [0] * len(adjacency)
-    current = 0
-    while current < value:
-        dist = [math.inf] * len(adjacency)
-        via: list[tuple[int, int, bool, int] | None] = [None] * len(adjacency)
-        settled = [False] * len(adjacency)
-        dist[source] = 0
-        heap = [(0, source)]
-        while heap:
-            d, v = heappop(heap)
-            if settled[v]:
-                continue
-            settled[v] = True
-            if v == sink:
-                break
-            base = d + potential[v]
-            for i, forward, h in adjacency[v]:
-                if settled[h]:
-                    continue
-                if forward:
-                    room, step = caps[i] - values[i], costs[i]
-                else:
-                    room, step = values[i], -costs[i]
-                if room <= 0:
-                    continue
-                nd = base + step - potential[h]
-                if nd < dist[h]:
-                    dist[h] = nd
-                    via[h] = (v, i, forward, room)
-                    heappush(heap, (nd, h))
-        if not settled[sink]:
-            raise TargetUnreachable(f"cannot raise the flow value past {current} (target {value})")
-        reach = dist[sink]
-        potential = [p + min(d, reach) for p, d in zip(potential, dist)]
-        path = []
-        h = sink
-        while h != source:
-            h, i, forward, room = via[h]
-            path.append((i, forward, room))
-        push = min(min(room for _, _, room in path), value - current)
-        _push(values, path, push)
-        current += push
-    return tuple(values)
+    potential = [0] * (network.vertex_count + 1)
+    return _augment_to_value(
+        network, [0] * network.arc_count, value, partial(_cheapest_path, network, costs, potential)
+    )

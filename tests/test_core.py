@@ -223,6 +223,8 @@ class TestSolutionFormat:
             ("o absolute ls2 4 7\nx 1 4 1\n", "no arc"),
             ("o absolute ls2 4 7\nx 1 2 1\nx 1 2 0\n", "line 3: second value line for arc 1->2"),
             ("o absolute ls2 4 -1\n", "line 1: negative seed -1"),
+            ("o absolute ls2 999 7\nx 1 2 1\nx 2 4 1\n", "line 1: header cost 999 differs"),
+            ("c x\no absolute ls2 -5 7\nx 1 2 1\nx 2 4 1\n", "line 2: header cost -5 differs"),
             ("", "missing solution header"),
         ],
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,7 @@ from rmcif import (
 )
 from rmcif.flow_ops import (
     _augment_to_value,
-    _peel_paths,
+    _push_paths,
     _support_path,
     dfs_cycle,
     fewest_arc_path,
@@ -113,7 +114,8 @@ class TestDecompose:
         values = scrambled_flow(network, data.draw(st.integers(0, oracles.max_flow(network))), seed)
         remaining = list(values)
         got = []
-        for path, copies in _peel_paths(network, remaining, flow_value_of(network, values)):
+        total = flow_value_of(network, values)
+        for path, copies in _push_paths(remaining, partial(_support_path, network), total, -1):
             assert all(forward for _, forward, _ in path)
             arcs = [i for i, _, _ in path]
             got += [(unit_flow(network, arcs), unit_vertices(network, arcs))] * copies
@@ -125,8 +127,12 @@ class TestDecompose:
         remaining = data.draw(st.lists(
             st.integers(0, 3), min_size=network.arc_count, max_size=network.arc_count
         ))
+        # `remaining` as capacities at the zero flow: no backward move has room.
+        support = Network(network.vertex_count, tuple(
+            Arc(arc.tail, arc.head, r) for arc, r in zip(network.arcs, remaining)
+        ))
         zeros = [0] * network.arc_count
-        assert _support_path(network, remaining) == fewest_arc_path(network, remaining, zeros)
+        assert _support_path(network, remaining) == fewest_arc_path(support, zeros)
 
     def test_circulation_on_the_path_is_rejected_alike(self):
         # The circulation 2 -> 3 -> 2 is left out by both: two copies of 1 -> 2 -> 4.
@@ -158,7 +164,7 @@ class TestAugmentation:
     def test_raising_a_scrambled_flow(self, case, extra):
         network, (values,) = case
         target = flow_value_of(network, values) + extra
-        got = outcome(_augment_to_value, network, values, target)
+        got = outcome(_augment_to_value, network, values, target, partial(fewest_arc_path, network))
         assert got == outcome(oracles.augment_to_value, network, values, target)
 
 

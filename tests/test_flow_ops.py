@@ -136,25 +136,21 @@ class TestResidualNetwork:
         assert _push_room(UPPER, moves) == (0, 1, 0, 1)
 
 
-def residual_path(network, values):
-    return fewest_arc_path(network, network.capacities, values)
-
-
 class TestPathSearch:
     def test_bfs_finds_fewest_arcs(self):
         net = Network(4, (Arc(1, 2, 1), Arc(2, 4, 1), Arc(1, 4, 1)))
-        path = residual_path(net, (0, 0, 0))
+        path = fewest_arc_path(net, (0, 0, 0))
         assert [i for i, _, _ in path] == [2]
 
     def test_bfs_none_when_disconnected(self):
         net = Network(3, (Arc(1, 2, 1),))
-        assert residual_path(net, (0,)) is None
+        assert fewest_arc_path(net, (0,)) is None
 
     def test_bfs_uses_backward_room(self):
         net = Network(
             4, (Arc(1, 2, 1), Arc(1, 3, 1), Arc(2, 3, 1), Arc(2, 4, 1), Arc(3, 4, 1))
         )
-        path = residual_path(net, (1, 0, 1, 0, 1))
+        path = fewest_arc_path(net, (1, 0, 1, 0, 1))
         assert path == [(1, True, 1), (2, False, 1), (3, True, 1)]
 
 
@@ -186,6 +182,20 @@ class TestMaxFlowAndFind:
     def test_find_flow_unreachable(self, diamond):
         with pytest.raises(TargetUnreachable):
             find_flow(diamond.network, 3)
+
+    @given(small_seeds)
+    @settings(max_examples=30)
+    def test_one_unit_past_the_maximum_fails_alike(self, seed):
+        # Both raise from the one augment-to-target step, naming the maximum reached.
+        instance = gen(seed, widths=(2, 2), scenarios=1, caps=(0, 4), density=0.6)
+        network, costs = instance.network, instance.scenarios.costs[0]
+        top = min_cut_value(network)
+        messages = []
+        for build, args in ((find_flow, ()), (min_cost_flow, (costs,))):
+            with pytest.raises(TargetUnreachable) as err:
+                build(network, *args, top + 1)
+            messages.append(str(err.value))
+        assert messages == [f"cannot raise the flow value past {top} (target {top + 1})"] * 2
 
 
 class TestSumAndDecompose:
