@@ -1,8 +1,11 @@
 """Batch experiment harness: solver dispatch, error/speedup accounting, CSV.
 
-A benchmark cell is one (instance, variant, solver, seed) run.  The exact
-optimum of each (instance, variant) pair is enumerated once and reused for
-every cell's relative error and speedup; shared per-scenario optima are
+A benchmark cell is one (instance, variant, solver, seed) run.  The bench
+makes one pass per instance: it parses the instance, enumerates the exact
+optimum of each (instance, variant) pair once for every cell's relative
+error and speedup, runs the cells, writes each one's CSV line and .sol
+file as it finishes, and drops the instance before the next, so memory
+stays flat in the number of instances.  Shared per-scenario optima are
 computed before any clock starts, so solvers are timed on search alone.
 Failing cells are recorded with their error message, reported as warnings,
 and left out of the CSV and the averages.
@@ -11,7 +14,9 @@ from __future__ import annotations
 
 import csv
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from itertools import product
 from pathlib import Path
 from typing import Sequence
 
@@ -107,25 +112,11 @@ def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-def _load_instances(source) -> list[tuple[str, Instance]]:
-    """Accepts a directory (all *.rmcif inside, sorted) or a list of paths."""
-    paths: list[Path]
-    if isinstance(source, (str, Path)):
-        base = Path(source)
-        if not base.is_dir():
-            raise RmcifError(f"instance directory not found: {source}")
-        paths = sorted(base.glob("*.rmcif"))
-        if not paths:
-            raise RmcifError(f"no .rmcif instances found under {source}")
-    else:
-        paths = [Path(p) for p in source]
-    loaded = []
-    for p in paths:
-        try:
-            loaded.append((p.stem, parse_instance(p.read_bytes())))
-        except InstanceFormatError as exc:
-            raise InstanceFormatError(f"{p}: {exc}") from None
-    return loaded
+def _parse(path: Path) -> Instance:
+    try:
+        return parse_instance(path.read_bytes())
+    except InstanceFormatError as exc:
+        raise InstanceFormatError(f"{path}: {exc}") from None
 
 
 def run_bench(
@@ -141,35 +132,51 @@ def run_bench(
 ) -> BenchReport:
     """Run every (instance, variant, solver, seed) cell and aggregate.
 
-    `instances` is a directory of .rmcif files or a list of file paths.
-    Exact optima (for errors and speedups) are enumerated once per
-    instance and variant when `compute_exact` is set; an exhausted
-    enumeration budget downgrades that pair to cost-only reporting.
+    `instances` is a directory (all *.rmcif inside, sorted) or a list of
+    file paths.  Every file is parsed once up front, so a broken one ends
+    the call before any cell runs or any output is written.  Then each
+    instance in turn is parsed again, enumerated, run, written and
+    dropped, so memory stays flat in the number of instances.  Exact
+    optima (for errors and speedups) are enumerated once per instance and
+    variant when `compute_exact` is set; an exhausted enumeration budget
+    downgrades that pair to cost-only reporting.
     """
-    loaded = _load_instances(instances)
-    report = BenchReport()
-    exact_results: dict[tuple[str, str], tuple[int, float]] = {}
-    if compute_exact:
-        for name, instance in loaded:
-            compute_optima(instance)
-            for variant in variants:
-                start = time.perf_counter()
-                try:
-                    cost, _ = enumerate_optimum(instance, variant, exact_budget)
-                except RmcifError as exc:
-                    report.warnings.append(f"{name}/{variant}: exact solve failed: {exc}")
-                    continue
-                exact_results[(name, variant)] = (cost, time.perf_counter() - start)
+    if isinstance(instances, (str, Path)):
+        base = Path(instances)
+        if not base.is_dir():
+            raise RmcifError(f"instance directory not found: {instances}")
+        paths = sorted(base.glob("*.rmcif"))
+        if not paths:
+            raise RmcifError(f"no .rmcif instances found under {instances}")
+    else:
+        paths = [Path(p) for p in instances]
+    for path in paths:
+        _parse(path)
 
+    report = BenchReport()
     sol_path = Path(sol_dir) if sol_dir is not None else None
     if sol_path is not None:
         sol_path.mkdir(parents=True, exist_ok=True)
-
-    for name, instance in loaded:
-        for variant in variants:
-            exact_pair = exact_results.get((name, variant))
-            for solver in solvers:
-                for seed in seeds:
+    with ExitStack() as stack:
+        writer = None
+        if out_csv is not None:
+            writer = csv.writer(stack.enter_context(open(out_csv, "w", newline="")))
+            writer.writerow(CSV_COLUMNS)
+        for path in paths:
+            name = path.stem
+            instance = _parse(path)
+            compute_optima(instance)
+            for variant in variants:
+                exact_pair = None
+                if compute_exact:
+                    start = time.perf_counter()
+                    try:
+                        cost, _ = enumerate_optimum(instance, variant, exact_budget)
+                    except RmcifError as exc:
+                        report.warnings.append(f"{name}/{variant}: exact solve failed: {exc}")
+                    else:
+                        exact_pair = (cost, time.perf_counter() - start)
+                for solver, seed in product(solvers, seeds):
                     try:
                         record = solve_one(instance, variant, solver, seed, params, exact_budget)
                     except RmcifError as exc:
@@ -182,6 +189,8 @@ def run_bench(
                         continue
                     row = _score(name, record, exact_pair, report.warnings)
                     report.rows.append(row)
+                    if writer is not None:
+                        writer.writerow(_csv_fields(row))
                     if sol_path is not None:
                         out = sol_path / f"{name}_{variant}_{solver}_s{seed}.sol"
                         out.write_text(format_solution(record, instance))
@@ -205,9 +214,6 @@ def run_bench(
                     _mean([r.seconds for r in cells]),
                 )
             )
-
-    if out_csv is not None:
-        write_csv(report, out_csv)
     return report
 
 
@@ -241,27 +247,19 @@ def _score(name, record, exact_pair, warnings) -> BenchRow:
     )
 
 
-def write_csv(report: BenchReport, path: str | Path) -> None:
-    """Successful cells only, one line each, in run order."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_COLUMNS)
-        for row in report.rows:
-            if row.error is not None:
-                continue
-            writer.writerow(
-                [
-                    row.instance,
-                    row.variant,
-                    row.solver,
-                    row.seed,
-                    row.robust_cost,
-                    "" if row.exact_cost is None else row.exact_cost,
-                    "" if row.rel_error_pct is None else f"{row.rel_error_pct:.4f}",
-                    f"{row.seconds:.6f}",
-                    "" if row.speedup is None else f"{row.speedup:.4f}",
-                ]
-            )
+def _csv_fields(row: BenchRow) -> list:
+    """A successful cell's CSV line, in `CSV_COLUMNS` order."""
+    return [
+        row.instance,
+        row.variant,
+        row.solver,
+        row.seed,
+        row.robust_cost,
+        "" if row.exact_cost is None else row.exact_cost,
+        "" if row.rel_error_pct is None else f"{row.rel_error_pct:.4f}",
+        f"{row.seconds:.6f}",
+        "" if row.speedup is None else f"{row.speedup:.4f}",
+    ]
 
 
 def summary_table(report: BenchReport) -> str:

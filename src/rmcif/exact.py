@@ -208,8 +208,7 @@ def enumerate_optimum(
     criterion = make_criterion(instance, variant)
     shift = criterion.shift
     node_budget = check_budget(node_budget)
-    # the deviation criterion already holds the optima
-    optima = criterion.optima or compute_optima(instance)
+    optima = compute_optima(instance)
     lower = max(map(sub, optima.costs, shift))
 
     best_cost, best_values = min(

@@ -265,7 +265,7 @@ def local_search(
         start = find_flow(instance.network, instance.flow_value)
         starts = [(start, scenario_costs(instance, start))]
     else:
-        optima = criterion.optima or compute_optima(instance)
+        optima = compute_optima(instance)
         pairs = list(zip(optima.flows, optima.vectors))
         if solver == "ls2":
             starts = [min(pairs, key=lambda pair: criterion.evaluate(*pair))]
@@ -441,7 +441,7 @@ def evolutionary(
     # A member is (flow, robust cost, scenario costs).  The scenario costs
     # are carried from the optima through every descent, crossover and
     # mutation, so no member is validated or summed in full again.
-    optima = criterion.optima or compute_optima(instance)
+    optima = compute_optima(instance)
     population = [
         (f, criterion.evaluate(f, costs), costs) for f, costs in zip(optima.flows, optima.vectors)
     ]
@@ -450,18 +450,18 @@ def evolutionary(
         population = [population[i] for i in order[: params.population_size]]
     # The fill's descents mostly start from copies of the same few optima.
     neighborhoods: dict = {}
+
+    def harvest(flow, cost, costs):
+        population.append((flow, cost, costs))
+
     while len(population) < params.population_size:
         source = int(rng.integers(0, len(population)))
-
-        def harvest(flow, cost, costs):
-            if len(population) < params.population_size:
-                population.append((flow, cost, costs))
-
-        # each accepted move fills a slot, so a descent past the free slots is wasted
+        # each accepted move fills a slot, so a descent past the free slots
+        # is wasted, and one capped at them never overfills the population
         before = len(population)
         limit = min(cap, params.population_size - before)
         mutant, costs = mutate(source, limit, harvest, neighborhoods)
-        if len(population) == before and len(population) < params.population_size:
+        if len(population) == before:
             population.append((mutant, criterion.evaluate(mutant, costs), costs))
     del neighborhoods
 

@@ -93,7 +93,6 @@ class Criterion:
 
     instance: Instance
     shift: tuple[int, ...]
-    optima: ScenarioOptima | None = None
     evaluations: int = field(default=0)
 
     def evaluate(self, flow, costs: tuple[int, ...] | None = None) -> int:
@@ -117,6 +116,5 @@ def make_criterion(instance: Instance, variant: str) -> Criterion:
     if variant == ABSOLUTE:
         return Criterion(instance, (0,) * instance.scenarios.scenario_count)
     if variant == DEVIATION:
-        optima = compute_optima(instance)
-        return Criterion(instance, optima.costs, optima)
+        return Criterion(instance, compute_optima(instance).costs)
     raise ValueError(f"unknown variant {variant!r}")

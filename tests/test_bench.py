@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -181,6 +183,65 @@ class TestRunBench:
         paths = sorted(bench_dir.glob("*.rmcif"))[:1]
         report = run_bench(paths, (ABSOLUTE,), ("ls1",), (0,), params=FAST)
         assert {row.instance for row in report.rows} == {"inst0"}
+
+    def test_cells_run_instance_major(self, bench_dir, tmp_path):
+        out_csv = tmp_path / "order.csv"
+        variants, solvers, seeds = (ABSOLUTE, DEVIATION), ("ls1", "ec1"), (1, 0)
+        report = run_bench(
+            bench_dir, variants, solvers, seeds, params=FAST, out_csv=out_csv
+        )
+        expected = [
+            [name, variant, solver, str(seed)]
+            for name, variant, solver, seed in product(("inst0", "inst1"), variants, solvers, seeds)
+        ]
+        assert [[r.instance, r.variant, r.solver, str(r.seed)] for r in report.rows] == expected
+        with open(out_csv) as handle:
+            assert [line[:4] for line in list(csv.reader(handle))[1:]] == expected
+
+    def test_exact_warnings_come_with_their_instance(self, bench_dir):
+        report = run_bench(
+            bench_dir, (ABSOLUTE,), ("ls1", "exact"), (0,), params=FAST, exact_budget=1
+        )
+        prefixes = [
+            f"{name}/{ABSOLUTE}{suffix}"
+            for name in ("inst0", "inst1")
+            for suffix in (": exact solve failed", "/exact/seed 0 failed")
+        ]
+        assert len(report.warnings) == len(prefixes)
+        for warning, prefix in zip(report.warnings, prefixes):
+            assert warning.startswith(prefix)
+
+    def test_memory_flat_in_instance_count(self, tmp_path):
+        # Each instance is dropped before the next is parsed, so twice the
+        # instances must not raise the traced peak by much.
+        params = SearchParams(iteration_limit=1)
+
+        def corpus(count):
+            directory = tmp_path / f"n{count}"
+            directory.mkdir()
+            for seed in range(count):
+                instance = gen(seed, widths=(6, 6, 6), scenarios=6, caps=(1, 20))
+                (directory / f"i{seed:02d}.rmcif").write_text(write_instance(instance))
+            return directory
+
+        def peak(directory):
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_bench(directory, (ABSOLUTE,), ("ls1",), (0,), params, compute_exact=False)
+            return tracemalloc.get_traced_memory()[1] - base
+
+        single, double = corpus(8), corpus(16)
+        tracemalloc.start()
+        try:
+            # Warm-up: first-call caches, and the interpreter's free lists,
+            # which keep traced objects and so raise the baseline for a while.
+            for _ in range(3):
+                peak(double)
+            single_peak = peak(single)
+            double_peak = peak(double)
+        finally:
+            tracemalloc.stop()
+        assert double_peak <= single_peak * 1.25, (single_peak, double_peak)
 
     def test_empty_directory(self, tmp_path):
         empty = tmp_path / "none"

@@ -299,13 +299,15 @@ class TestBench:
         instances.mkdir()
         (instances / "d.rmcif").write_text(DIAMOND_TEXT)
         (instances / "e.rmcif").write_text("".join(DIAMOND_TEXT.splitlines(True)[:2]))
-        code = main(["bench", "--dir", str(instances), "--out", str(tmp_path / "r.csv")])
+        out_csv = tmp_path / "r.csv"
+        code = main(["bench", "--dir", str(instances), "--out", str(out_csv)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "e.rmcif" in lines[0]
+        assert not out_csv.exists()
 
 
 def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsys):

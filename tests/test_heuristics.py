@@ -414,16 +414,17 @@ def test_solver_registries():
 
 @pytest.mark.parametrize("solver", ["ls2", "ls3", "ls4", "ec1", "ec9"])
 @pytest.mark.parametrize("variant", [ABSOLUTE, DEVIATION])
-def test_one_optima_lookup_per_run(diamond, monkeypatch, solver, variant):
-    # The deviation criterion already holds the optima; the solver reuses them.
+def test_scenario_optima_computed_once_per_instance(monkeypatch, solver, variant):
+    # One min-cost flow per scenario, however many solves read the optima.
+    instance = gen(4, widths=(2, 2), scenarios=3)
     calls = []
-    fetch = objectives.compute_optima
+    flow = objectives.min_cost_flow
 
-    def counting(instance):
-        calls.append(instance)
-        return fetch(instance)
+    def counting(*args):
+        calls.append(args)
+        return flow(*args)
 
-    for module in (objectives, heuristics):
-        monkeypatch.setattr(module, "compute_optima", counting)
-    solve(diamond, variant, solver)
-    assert len(calls) == 1
+    monkeypatch.setattr(objectives, "min_cost_flow", counting)
+    for seed in (0, 1):
+        solve(instance, variant, solver, seed=seed)
+    assert len(calls) == instance.scenarios.scenario_count == 3

@@ -114,14 +114,6 @@ class TestCriterion:
         crit.evaluate(LOWER)
         assert crit.evaluations == 2
 
-    def test_absolute_has_no_optima(self, diamond):
-        assert make_criterion(diamond, ABSOLUTE).optima is None
-
-    def test_deviation_reuses_cached_optima(self, diamond):
-        crit = make_criterion(diamond, DEVIATION)
-        assert crit.optima is compute_optima(diamond)
-        assert crit.evaluate(UPPER) == 2
-
     def test_shift_is_zero_or_the_scenario_optima(self, diamond):
         assert make_criterion(diamond, ABSOLUTE).shift == (0, 0)
         assert make_criterion(diamond, DEVIATION).shift == compute_optima(diamond).costs
