@@ -119,6 +119,11 @@ class Network:
         return tuple(tuple(lst) for lst in out)
 
     @cached_property
+    def tails(self) -> tuple[int, ...]:
+        """Arc tails in arc declaration order."""
+        return tuple(arc.tail for arc in self.arcs)
+
+    @cached_property
     def heads(self) -> tuple[int, ...]:
         """Arc heads in arc declaration order."""
         return tuple(arc.head for arc in self.arcs)
@@ -268,7 +273,9 @@ def parse_instance(text: str | bytes) -> Instance:
         a <tail> <head> <capacity>     exactly m lines, declaration order
         s <k> <c_1> ... <c_m>          exactly K lines, k ascending from 1
 
-    Errors carry the offending line number.
+    The vertex count may not exceed what m arcs plus source and sink can
+    touch, ``n <= 2m + 2``; the problem line is checked for it before any
+    per-vertex list is built.  Errors carry the offending line number.
     """
     text = _ascii(text)
     header: tuple[int, int, int, int] | None = None
@@ -292,6 +299,12 @@ def parse_instance(text: str | bytes) -> Instance:
                 raise InstanceFormatError("vertex count must be at least 2", lineno)
             if m < 0 or k < 1 or f < 0:
                 raise InstanceFormatError("problem counts out of range", lineno)
+            if n > 2 * m + 2:
+                raise InstanceFormatError(
+                    f"more vertices than {m} arcs can touch"
+                    f" (n must be at most 2m + 2 = {2 * m + 2})",
+                    lineno,
+                )
             header = (n, m, k, f)
             header_line = lineno
         elif tag == "a":

@@ -129,8 +129,7 @@ def _walk(
         rows.extend(instance.scenarios.costs)
         partial.extend(-z for z in shift)
     columns = list(zip(*rows))
-    tails = [a.tail for a in network.arcs]
-    heads, caps = network.heads, network.capacities
+    tails, heads, caps = network.tails, network.heads, network.capacities
     values = [0] * network.arc_count
     need = _balances(instance)
     rem_out = [sum(caps[i] for i in out) for out in network.out_arcs]

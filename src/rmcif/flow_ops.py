@@ -28,10 +28,12 @@ and `compose` takes it, is the tuple of its arc indices in walk order.
   each list once in one random order drawn per call.
 - `perturb` and `harmonize` read `Network.residual_adjacency` too, and
   filter a vertex's moves only when the cycle search expands it.
-- The negative-cycle kernel of the descent (`cost_reduce`) builds one
-  ``(tail, head, signed cost, move)`` tuple per residual move from
-  `Network.arcs` and stops Bellman-Ford at the first pass whose
-  predecessor graph closes a cycle (Cherkassky & Goldberg,
+- The negative-cycle kernel of the descent (`cost_reduce`) builds no
+  residual edge list: each Bellman-Ford pass relaxes every arc's forward
+  and backward move straight off `Network.tails`, `heads` and
+  `capacities` and the flow's values, and ``(arc index, forward, room)``
+  triples are made only for the cycle it returns.  It stops at the first
+  pass whose predecessor graph closes a cycle (Cherkassky & Goldberg,
   "Negative-cycle detection algorithms", Math. Prog. 85, 1999) instead
   of running all n passes.
 
@@ -361,47 +363,56 @@ def negative_cycle(network: Network, values: Sequence[int], costs: Sequence[int]
 
     The cycle comes back as ``(arc index, forward, room)`` triples, in the
     order they are walked.  Bellman-Ford runs from an implicit super-source
-    (all distances start at 0), relaxing one ``(tail, head, signed cost,
-    move)`` tuple per residual move, in arc declaration order with each
-    arc's forward move before its backward one.  After every pass that
-    lowers a distance the predecessor graph is searched for a cycle, and
-    the search stops at the first one (Cherkassky & Goldberg,
-    "Negative-cycle detection algorithms", Math. Prog. 85, 1999).  Such a
-    cycle is always negative, and while the graph has a negative cycle
-    distances keep falling until one closes, since an acyclic predecessor
-    graph bounds them from below.  A pass without updates certifies that
-    no negative cycle exists.
+    (all distances start at 0) and relaxes straight off the arc arrays
+    (`Network.tails`, `heads`, `capacities`): each pass takes the arcs in
+    declaration order and tries an arc's forward move when it has spare
+    capacity, then its backward move when it carries flow.  No residual
+    edge list is built; a vertex's predecessor is a signed arc code (``i``
+    forward, ``~i`` backward), and triples are made only for the returned
+    cycle.  After every pass that lowers a distance the predecessor graph
+    is searched for a cycle, and the search stops at the first one
+    (Cherkassky & Goldberg, "Negative-cycle detection algorithms", Math.
+    Prog. 85, 1999).  Such a cycle is always negative, and while the graph
+    has a negative cycle distances keep falling until one closes, since an
+    acyclic predecessor graph bounds them from below.  A pass without
+    updates certifies that no negative cycle exists.
     """
     n = network.vertex_count
-    edges = []
-    for i, (arc, x) in enumerate(zip(network.arcs, values)):
-        free = arc.capacity - x
-        if free > 0:
-            edges.append((arc.tail, arc.head, costs[i], (i, True, free)))
-        if x > 0:
-            edges.append((arc.head, arc.tail, -costs[i], (i, False, x)))
+    tails, heads, caps = network.tails, network.heads, network.capacities
+    codes = range(network.arc_count)
     dist = [0] * (n + 1)
-    pred: list = [None] * (n + 1)
+    pred = [0] * (n + 1)
     pred_vertex = [0] * (n + 1)
     while True:
         changed = False
-        for t, h, w, move in edges:
-            nd = dist[t] + w
-            if nd < dist[h]:
-                dist[h] = nd
-                pred[h] = move
-                pred_vertex[h] = t
-                changed = True
+        for i, t, h, cap, x, c in zip(codes, tails, heads, caps, values, costs):
+            if x < cap:
+                nd = dist[t] + c
+                if nd < dist[h]:
+                    dist[h] = nd
+                    pred[h] = i
+                    pred_vertex[h] = t
+                    changed = True
+            if x > 0:
+                nd = dist[h] - c
+                if nd < dist[t]:
+                    dist[t] = nd
+                    pred[t] = ~i
+                    pred_vertex[t] = h
+                    changed = True
         if not changed:
             return None
         on_cycle = _predecessor_cycle(pred_vertex, n)
         if on_cycle > 0:
             break
-    cycle = [pred[on_cycle]]
-    v = pred_vertex[on_cycle]
-    while v != on_cycle:
-        cycle.append(pred[v])
+    cycle = []
+    v = on_cycle
+    while True:
+        i = pred[v]
+        cycle.append((i, True, caps[i] - values[i]) if i >= 0 else (~i, False, values[~i]))
         v = pred_vertex[v]
+        if v == on_cycle:
+            break
     cycle.reverse()
     if sum(costs[i] if forward else -costs[i] for i, forward, _ in cycle) >= 0:
         raise AssertionError("extracted cycle is not negative")

@@ -163,6 +163,59 @@ def has_negative_cycle_floyd_warshall(network: Network, values, costs) -> bool:
     return any(dist[v][v] < 0 for v in range(1, n + 1))
 
 
+def negative_cycle_edge_list(network: Network, values, costs):
+    """The residual-edge-list Bellman-Ford kernel `negative_cycle` replaced.
+
+    It first lists one ``(tail, head, signed cost, (arc index, forward,
+    room))`` tuple per residual move, in arc declaration order with each
+    arc's forward move before its backward one, then relaxes that list
+    from all-zero distances.  After every pass that lowers a distance it
+    walks the predecessor graph toward the roots from vertices 1..n in
+    turn and stops at the first walk that closes a cycle, which comes back
+    as ``(arc index, forward, room)`` triples in walk order.  Returns None
+    after a pass without updates.
+    """
+    n = network.vertex_count
+    edges = []
+    for i, (arc, x) in enumerate(zip(network.arcs, values)):
+        if x < arc.capacity:
+            edges.append((arc.tail, arc.head, costs[i], (i, True, arc.capacity - x)))
+        if x > 0:
+            edges.append((arc.head, arc.tail, -costs[i], (i, False, x)))
+    dist = [0] * (n + 1)
+    pred: list = [None] * (n + 1)
+    pred_vertex = [0] * (n + 1)
+    while True:
+        changed = False
+        for t, h, w, move in edges:
+            if dist[t] + w < dist[h]:
+                dist[h] = dist[t] + w
+                pred[h] = move
+                pred_vertex[h] = t
+                changed = True
+        if not changed:
+            return None
+        mark = [0] * (n + 1)
+        on_cycle = 0
+        for s in range(1, n + 1):
+            v = s
+            while v > 0 and mark[v] == 0:
+                mark[v] = s
+                v = pred_vertex[v]
+            if v > 0 and mark[v] == s:
+                on_cycle = v
+                break
+        if on_cycle:
+            break
+    cycle = [pred[on_cycle]]
+    v = pred_vertex[on_cycle]
+    while v != on_cycle:
+        cycle.append(pred[v])
+        v = pred_vertex[v]
+    cycle.reverse()
+    return cycle
+
+
 def simple_paths(network: Network) -> list[list[int]]:
     """All simple source-to-sink paths over arcs of positive capacity,
     as lists of arc indices."""

@@ -367,6 +367,9 @@ def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsy
         ["bench", "--dir", "{dir}", "--solvers", "ls9", "--out", "{csv}"],
         ["solve", "--instance", "{diamond}", "--solver", "ls1"],
         [],
+        ["solve", "--instance", "{sparse}", "--variant", "abs", "--solver", "ls1"],
+        ["export-lp", "--instance", "{sparse}", "--variant", "abs"],
+        ["bench", "--dir", "{sparse_dir}", "--out", "{csv}"],
     ],
     ids=["missing-instance", "non-integer-param", "zero-param", "zero-scenarios", "density",
          "config-not-json", "generate-negative-seed", "ec-negative-seed", "ls-negative-seed",
@@ -374,7 +377,8 @@ def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsy
          "bench-unknown-variant", "solve-non-ascii", "export-lp-non-ascii", "bench-non-ascii",
          "config-not-utf8", "config-float", "config-bool", "generate-oversized-cap",
          "generate-non-integer-cap", "generate-non-integer-width", "bench-unknown-solver",
-         "solve-missing-variant", "no-command"],
+         "solve-missing-variant", "no-command", "solve-sparse-header",
+         "export-lp-sparse-header", "bench-sparse-header"],
 )
 def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
     config = tmp_path / "params.json"
@@ -388,9 +392,14 @@ def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
     latin = tmp_path / "latin" / "diamond.rmcif"
     latin.parent.mkdir()
     latin.write_bytes(diamond_file.read_bytes().replace(b"s 2", b"c \xff\ns 2"))
+    sparse = tmp_path / "sparse" / "sparse.rmcif"
+    sparse.parent.mkdir()
+    sparse.write_text("p rmcif 2000000 0 1 0\ns 1\n")
     paths = {
         "latin": str(latin),
         "latin_dir": str(latin.parent),
+        "sparse": str(sparse),
+        "sparse_dir": str(sparse.parent),
         "missing": str(tmp_path / "missing.rmcif"),
         "diamond": str(diamond_file),
         "config": str(config),

@@ -57,6 +57,12 @@ class TestNetworkValidation:
         assert net.in_arcs[3] == (1, 2)
         assert net.source == 1 and net.sink == 3
 
+    def test_tails_follow_declaration_order(self):
+        arcs = (Arc(3, 1, 1), Arc(1, 2, 1), Arc(2, 3, 1), Arc(1, 3, 1), Arc(2, 1, 0))
+        net = Network(3, arcs)
+        assert net.tails == tuple(arc.tail for arc in arcs) == (3, 1, 2, 1, 2)
+        assert net.heads == tuple(arc.head for arc in arcs)
+
 
 class TestScenarioSet:
     def test_empty(self):
@@ -153,6 +159,8 @@ class TestInstanceFormat:
             (lambda t: t.replace("s 1", "q 1"), "unknown line tag"),
             (lambda t: "", "missing problem line"),
             (lambda t: t.replace("4 2 1\n", "4 2 9\n"), "maximum flow"),
+            (lambda t: t.replace("p rmcif 4 4", "p rmcif 11 4"), "more vertices than 4 arcs"),
+            (lambda t: "p rmcif 2000000 0 1 0\ns 1\n", "more vertices than 0 arcs"),
         ],
     )
     def test_rejects_malformed_text(self, mutation, fragment):
@@ -165,6 +173,14 @@ class TestInstanceFormat:
             parse_instance(broken)
         assert err.value.line == 3
         assert str(err.value).startswith("line 3:")
+
+    def test_vertex_count_bound(self):
+        text = "p rmcif {} 1 1 0\na 1 {} 1\ns 1 5\n"
+        assert parse_instance(text.format(4, 4)).network.vertex_count == 4
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance("c header\n" + text.format(5, 5))
+        assert err.value.line == 2
+        assert "at most 2m + 2 = 4" in str(err.value)
 
     def test_scenario_line_must_follow_all_arcs(self):
         lines = DIAMOND_TEXT.splitlines()

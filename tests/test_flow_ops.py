@@ -6,7 +6,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cyclic_instances, gen, scrambled_flow, unit_flow, unit_vertices
+from conftest import (
+    cyclic_instances,
+    gen,
+    routed_networks,
+    scrambled_flow,
+    seeded_instances,
+    unit_flow,
+    unit_vertices,
+)
 from oracles import brute_min_cost, has_negative_cycle_floyd_warshall, min_cut_value, sum_flows
 from rmcif import (
     Arc,
@@ -408,6 +416,55 @@ class TestNegativeCycleKernel:
         rows = residual_moves(diamond.network, UPPER)
         want = [m for out in oracles.residual_moves(diamond.network, UPPER) for m in out]
         assert sorted(rows, key=lambda row: row[0]) == want
+
+
+@st.composite
+def residual_cases(draw):
+    """A `routed_networks` network, a scrambled flow of random value and a
+    cost row of -9..9, so the zero flow can hold negative cycles too."""
+    network = draw(routed_networks())
+    value = draw(st.integers(0, oracles.max_flow(network)))
+    flow = scrambled_flow(network, value, draw(small_seeds))
+    row = st.integers(-9, 9)
+    costs = draw(st.lists(row, min_size=network.arc_count, max_size=network.arc_count))
+    return network, flow, costs
+
+
+# perfbench's L and S shapes: the descent workload's and the corpus's instances
+L_SHAPE = dict(widths=(10, 10, 10), scenarios=10, caps=(1, 50), costs=(0, 99), density=1.0)
+S_SHAPE = dict(widths=(4, 4), scenarios=4, caps=(1, 5), costs=(0, 99), density=0.8)
+
+
+class TestNegativeCycleAgainstEdgeList:
+    """The arc-array kernel returns exactly the cycle of the edge-list
+    kernel it replaced: same triples, same order, or None for both."""
+
+    @given(residual_cases())
+    @settings(max_examples=300)
+    def test_same_cycle_on_routed_networks(self, case):
+        network, flow, costs = case
+        assert negative_cycle(network, flow, costs) == oracles.negative_cycle_edge_list(
+            network, flow, costs
+        )
+
+    @pytest.mark.parametrize(
+        "seed, instance",
+        [*seeded_instances(2, **L_SHAPE), *seeded_instances(10, **S_SHAPE)],
+    )
+    def test_same_cycles_along_cancellation_chains(self, seed, instance):
+        network = instance.network
+        start = random_feasible_flow(instance, seed)
+        calls = 0
+        for costs in instance.scenarios.costs:
+            flow = start
+            while True:
+                cycle = negative_cycle(network, flow, costs)
+                calls += 1
+                assert cycle == oracles.negative_cycle_edge_list(network, flow, costs)
+                if cycle is None:
+                    break
+                flow = _push_room(flow, cycle)
+        assert calls > instance.scenarios.scenario_count
 
 
 class TestCostReduce:
