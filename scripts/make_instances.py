@@ -1,21 +1,32 @@
 #!/usr/bin/env python3
 """Build a reusable corpus of layered .rmcif instances.
 
-Seeds are consumed in order and draws the generator rejects (no feasible
-flow value at the requested density) are skipped, so the corpus size is
-exact even when the parameters are tight.
+Instance i is drawn with generator seed start-seed + i; each one's flow
+value is its maximum flow scaled by the flow fraction, so every seed
+gives an instance and the corpus holds exactly `count` files.
 """
 from __future__ import annotations
 
 import argparse
 from pathlib import Path
 
-from rmcif import GenerationError, GeneratorSpec, generate, write_instance
+from rmcif import GeneratorSpec, generate, write_instance
 
 
 def int_pair(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     return int(lo), int(hi)
+
+
+def write_corpus(
+    directory: Path, count: int, start_seed: int = 0, prefix: str = "", **spec
+) -> None:
+    """Write `count` instances, seeds from `start_seed` on, as
+    ``<prefix>s<seed>.rmcif``; `spec` holds the other `GeneratorSpec` fields."""
+    directory.mkdir(parents=True, exist_ok=True)
+    for seed in range(start_seed, start_seed + count):
+        instance = generate(GeneratorSpec(seed=seed, **spec))
+        (directory / f"{prefix}s{seed:04d}.rmcif").write_text(write_instance(instance))
 
 
 def main() -> None:
@@ -31,30 +42,19 @@ def main() -> None:
     parser.add_argument("--start-seed", type=int, default=0)
     args = parser.parse_args()
 
-    widths = tuple(int(w) for w in args.widths.split("x"))
-    args.out.mkdir(parents=True, exist_ok=True)
-    written = 0
-    seed = args.start_seed
-    while written < args.count:
-        spec = GeneratorSpec(
-            layer_widths=widths,
-            scenario_count=args.scenarios,
-            capacity_range=args.caps,
-            cost_range=args.costs,
-            density=args.density,
-            flow_fraction=args.flow_fraction,
-            seed=seed,
-        )
-        try:
-            instance = generate(spec)
-        except GenerationError:
-            seed += 1
-            continue
-        path = args.out / f"{args.widths}_s{seed:04d}.rmcif"
-        path.write_text(write_instance(instance))
-        written += 1
-        seed += 1
-    print(f"wrote {written} instances to {args.out}")
+    write_corpus(
+        args.out,
+        args.count,
+        args.start_seed,
+        f"{args.widths}_",
+        layer_widths=tuple(int(w) for w in args.widths.split("x")),
+        scenario_count=args.scenarios,
+        capacity_range=args.caps,
+        cost_range=args.costs,
+        density=args.density,
+        flow_fraction=args.flow_fraction,
+    )
+    print(f"wrote {args.count} instances to {args.out}")
 
 
 if __name__ == "__main__":

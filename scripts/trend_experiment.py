@@ -15,51 +15,13 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
-from rmcif import (
-    ABSOLUTE,
-    DEVIATION,
-    GenerationError,
-    GeneratorSpec,
-    SearchParams,
-    generate,
-    run_bench,
-    summary_table,
-    write_instance,
-)
+from make_instances import int_pair, write_corpus
+from rmcif import ABSOLUTE, DEVIATION, SearchParams, run_bench, summary_table
 
 
 def seed_range(text: str) -> tuple[int, ...]:
     lo, _, hi = text.partition(":")
     return tuple(range(int(lo), int(hi) + 1))
-
-
-def int_pair(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    return int(lo), int(hi)
-
-
-def build_corpus(directory: Path, widths, args) -> int:
-    directory.mkdir(parents=True, exist_ok=True)
-    written = 0
-    seed = 0
-    while written < args.count:
-        spec = GeneratorSpec(
-            layer_widths=widths,
-            scenario_count=args.scenarios,
-            capacity_range=args.caps,
-            cost_range=args.costs,
-            density=args.density,
-            seed=seed,
-        )
-        try:
-            instance = generate(spec)
-        except GenerationError:
-            seed += 1
-            continue
-        (directory / f"s{seed:04d}.rmcif").write_text(write_instance(instance))
-        written += 1
-        seed += 1
-    return written
 
 
 def main() -> None:
@@ -83,7 +45,15 @@ def main() -> None:
     for shape in args.shapes.split(","):
         widths = tuple(int(w) for w in shape.split("x"))
         corpus = args.out / shape
-        build_corpus(corpus, widths, args)
+        write_corpus(
+            corpus,
+            args.count,
+            layer_widths=widths,
+            scenario_count=args.scenarios,
+            capacity_range=args.caps,
+            cost_range=args.costs,
+            density=args.density,
+        )
         report = run_bench(
             corpus,
             variants=(ABSOLUTE, DEVIATION),

@@ -37,7 +37,6 @@ from .core import (
     flow_value_of,
     format_solution,
     parse_instance,
-    parse_solution,
     validate_flow,
     write_instance,
 )
@@ -113,7 +112,6 @@ __all__ = [
     "max_flow_value",
     "min_cost_flow",
     "parse_instance",
-    "parse_solution",
     "perturb",
     "round_flow",
     "run_bench",

@@ -5,7 +5,9 @@ makes one pass per instance: it parses the instance, enumerates the exact
 optimum of each (instance, variant) pair once for every cell's relative
 error and speedup, runs the cells, writes each one's CSV line and .sol
 file as it finishes, and drops the instance before the next, so memory
-stays flat in the number of instances.  Shared per-scenario optima are
+stays flat in the number of instances.  The enumerator ignores the seed,
+so every ``exact`` cell of a pair reports that one enumeration: its cost,
+witness and seconds, or its error.  Shared per-scenario optima are
 computed before any clock starts, so solvers are timed on search alone.
 Failing cells are recorded with their error message, reported as warnings,
 and left out of the CSV and the averages.
@@ -137,9 +139,11 @@ def run_bench(
     the call before any cell runs or any output is written.  Then each
     instance in turn is parsed again, enumerated, run, written and
     dropped, so memory stays flat in the number of instances.  Exact
-    optima (for errors and speedups) are enumerated once per instance and
-    variant when `compute_exact` is set; an exhausted enumeration budget
-    downgrades that pair to cost-only reporting.
+    optima are enumerated once per instance and variant when
+    `compute_exact` is set (for errors and speedups) or when ``exact`` is
+    among the solvers, whose cells all reuse that enumeration.  An
+    exhausted enumeration budget downgrades the pair to cost-only
+    reporting and fails its ``exact`` cells.
     """
     if isinstance(instances, (str, Path)):
         base = Path(instances)
@@ -167,18 +171,25 @@ def run_bench(
             instance = _parse(path)
             compute_optima(instance)
             for variant in variants:
-                exact_pair = None
-                if compute_exact:
+                # the pair's (cost, seconds, witness), or the error it raised
+                exact = None
+                if compute_exact or "exact" in solvers:
                     start = time.perf_counter()
                     try:
-                        cost, _ = enumerate_optimum(instance, variant, exact_budget)
+                        cost, values = enumerate_optimum(instance, variant, exact_budget)
                     except RmcifError as exc:
-                        report.warnings.append(f"{name}/{variant}: exact solve failed: {exc}")
+                        exact = exc
+                        if compute_exact:
+                            report.warnings.append(f"{name}/{variant}: exact solve failed: {exc}")
                     else:
-                        exact_pair = (cost, time.perf_counter() - start)
+                        exact = (cost, time.perf_counter() - start, values)
+                exact_pair = exact[:2] if compute_exact and isinstance(exact, tuple) else None
                 for solver, seed in product(solvers, seeds):
                     try:
-                        record = solve_one(instance, variant, solver, seed, params, exact_budget)
+                        if solver == "exact":
+                            record = _exact_record(variant, seed, exact)
+                        else:
+                            record = solve_one(instance, variant, solver, seed, params, exact_budget)
                     except RmcifError as exc:
                         report.warnings.append(
                             f"{name}/{variant}/{solver}/seed {seed} failed: {exc}"
@@ -215,6 +226,16 @@ def run_bench(
                 )
             )
     return report
+
+
+def _exact_record(variant: str, seed: int, exact) -> SolutionRecord:
+    """An exact cell's record from its pair's one enumeration, which does
+    not depend on the seed; the pair's error is raised again instead."""
+    check_seed(seed)
+    if isinstance(exact, RmcifError):
+        raise exact
+    cost, seconds, values = exact
+    return SolutionRecord(variant, "exact", cost, values, seed, seconds)
 
 
 def _score(name, record, exact_pair, warnings) -> BenchRow:

@@ -214,7 +214,7 @@ def _make_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", required=True, help="CSV output path")
     bench.add_argument("--sol-dir", help="directory for per-run .sol files")
     bench.add_argument("--no-exact", action="store_true",
-                       help="skip exact optima (no error/speedup columns)")
+                       help="skip exact scoring (no error/speedup columns)")
     bench.add_argument("--budget", type=int, default=100_000_000)
     _add_param_flags(bench)
     return parser

@@ -9,7 +9,8 @@ Two robust objectives are supported downstream: the worst scenario cost
 
 A flow is a plain tuple of integer arc values in arc declaration order.
 Instances travel as plain-text ``.rmcif`` files (see `parse_instance`),
-solutions as ``.sol`` files (see `format_solution`).  Vertices, arcs and
+solutions as ``.sol`` files (see `format_solution`), which the package
+writes and never reads back.  Vertices, arcs and
 scenarios are numbered from 1 in files and error messages.
 """
 from __future__ import annotations
@@ -252,7 +253,7 @@ def _int_token(token: str, what: str, line: int) -> int:
 
 
 def _ascii(text: str | bytes) -> str:
-    """Instance or solution text as a str; bytes that are not ASCII raise
+    """Instance text as a str; bytes that are not ASCII raise
     `InstanceFormatError` on the line that holds the first such byte."""
     if not isinstance(text, (bytes, bytearray)):
         return text
@@ -420,71 +421,3 @@ def format_solution(record: SolutionRecord, instance: Instance) -> str:
             lines.append(f"x {arc.tail} {arc.head} {v}")
     return "\n".join(lines) + "\n"
 
-
-def parse_solution(text: str | bytes, instance: Instance) -> SolutionRecord:
-    """Parse ``.sol`` text produced by `format_solution` and validate the flow.
-
-    A negative seed, a second value line for one arc, or a header cost
-    other than the flow's fresh robust cost under the header's variant
-    raises `InstanceFormatError` at that line.
-    """
-    text = _ascii(text)
-    network = instance.network
-    arc_index = {(a.tail, a.head): i for i, a in enumerate(network.arcs)}
-    values = [0] * network.arc_count
-    given: set[int] = set()
-    head: tuple[str, str, int, int] | None = None
-    head_line = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0] == "c":
-            continue
-        if parts[0] == "o":
-            if head is not None:
-                raise InstanceFormatError("duplicate solution header", lineno)
-            if len(parts) != 5:
-                raise InstanceFormatError("malformed solution header", lineno)
-            variant, solver = parts[1], parts[2]
-            if variant not in VARIANTS:
-                raise InstanceFormatError(f"unknown variant tag {variant!r}", lineno)
-            if solver not in ALL_SOLVERS:
-                raise InstanceFormatError(f"unknown solver tag {solver!r}", lineno)
-            try:
-                head = (variant, solver, int(parts[3]), int(parts[4]))
-            except ValueError:
-                raise InstanceFormatError("malformed solution header", lineno) from None
-            if head[3] < 0:
-                raise InstanceFormatError(f"negative seed {head[3]}", lineno)
-            head_line = lineno
-        elif parts[0] == "x":
-            if head is None:
-                raise InstanceFormatError("value line before solution header", lineno)
-            if len(parts) != 4:
-                raise InstanceFormatError("malformed value line", lineno)
-            tail, hd, v = (_int_token(t, "value field", lineno) for t in parts[1:])
-            i = arc_index.get((tail, hd))
-            if i is None:
-                raise InstanceFormatError(f"no arc {tail}->{hd} in the instance", lineno)
-            if i in given:
-                raise InstanceFormatError(f"second value line for arc {tail}->{hd}", lineno)
-            given.add(i)
-            values[i] = v
-        else:
-            raise InstanceFormatError(f"unknown line tag {parts[0]!r}", lineno)
-    if head is None:
-        raise InstanceFormatError("missing solution header")
-    record = SolutionRecord(head[0], head[1], head[2], tuple(values), head[3])
-    value = validate_flow(instance, record.values)
-    if value != instance.flow_value:
-        raise WrongFlowValue(
-            f"solution value {value} differs from required {instance.flow_value}"
-        )
-    # deferred import: objectives depends on this module
-    from .objectives import make_criterion
-
-    cost = make_criterion(instance, record.variant).evaluate(record.values)
-    if cost != record.robust_cost:
-        raise InstanceFormatError(
-            f"header cost {head[2]} differs from the flow's {head[0]} cost {cost}", head_line
-        )
-    return record

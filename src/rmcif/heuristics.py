@@ -19,9 +19,10 @@ takes its start's vector and hands each accepted move's vector to its
 callback, so the members that the fill harvests carry theirs too.  The
 crossovers, mutations and cycle cancellations build feasible flows of
 value F by construction, so no derived flow is validated; before a
-solver returns, one fresh evaluation of its flow must reproduce the
-reported robust cost.  The loop also tracks the index and cost of its
-best member as members are replaced, instead of scanning for it.
+solver returns, the fresh scenario costs of its flow must equal the
+whole vector carried with it, from which its robust cost was scored.
+The loop also tracks the index and cost of its best member as members
+are replaced, instead of scanning for it.
 
 One `evolutionary` run remembers two results of pure functions, so
 neither changes a flow, an RNG draw or an evaluation count.  Each
@@ -51,7 +52,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne, sub
+from operator import ne
 
 import numpy as np
 
@@ -211,22 +212,24 @@ def _descend(
     return current, current_costs, current_cost, moves
 
 
-def _confirm_cost(criterion: Criterion, flow: tuple[int, ...], cost: int) -> None:
-    """Raise unless a fresh evaluation of the returned flow gives `cost`.
+def _confirm_costs(instance: Instance, flow: tuple[int, ...], costs: tuple[int, ...]) -> None:
+    """Raise unless the returned flow's fresh `scenario_costs` equal its
+    carried vector `costs`, from which its robust cost was scored.
 
-    The flow is validated and costed again around `criterion.evaluate`, so
-    the evaluation counter does not move.
+    The whole vector is compared, so a wrong entry below the worst one is
+    caught too, and the criterion's evaluation counter does not move.
     """
-    fresh = max(map(sub, scenario_costs(criterion.instance, flow), criterion.shift))
-    if fresh != cost:
-        raise AssertionError(f"carried cost {cost} differs from the fresh cost {fresh}")
+    fresh = scenario_costs(instance, flow)
+    if fresh != costs:
+        raise AssertionError(f"carried scenario costs {costs} differ from the fresh costs {fresh}")
 
 
 def _zero_flow_record(
-    instance: Instance, criterion: Criterion, variant: str, solver: str, seed: int, elapsed: float
+    instance: Instance, criterion: Criterion, variant: str, solver: str, seed: int, t0: float
 ) -> SolutionRecord:
     zero = (0,) * instance.network.arc_count
-    return SolutionRecord(variant, solver, criterion.evaluate(zero), zero, seed, elapsed)
+    cost = criterion.evaluate(zero)
+    return SolutionRecord(variant, solver, cost, zero, seed, time.perf_counter() - t0)
 
 
 def local_search(
@@ -235,7 +238,6 @@ def local_search(
     solver: str,
     params: SearchParams | None = None,
     seed: int = 0,
-    clock=time.perf_counter,
     trace=None,
 ) -> SolutionRecord:
     """Run one local-search solver (ls1..ls4) and report its best flow.
@@ -253,12 +255,10 @@ def local_search(
     check_seed(seed)
     if params is None:
         params = SearchParams()
-    t0 = clock()
+    t0 = time.perf_counter()
     criterion = make_criterion(instance, variant)
     if instance.flow_value == 0:
-        return _zero_flow_record(
-            instance, criterion, variant, solver, seed, clock() - t0
-        )
+        return _zero_flow_record(instance, criterion, variant, solver, seed, t0)
 
     # (start flow, its scenario costs) for each descent
     if solver == "ls1":
@@ -276,16 +276,15 @@ def local_search(
             starts = pairs
 
     on_move = None if trace is None else lambda flow, cost, _: trace(flow, cost)
-    best_flow = None
-    best_cost = None
+    best_flow = best_costs = best_cost = None
     for start, start_costs in starts:
-        flow, _, cost, _ = _descend(
+        flow, costs, cost, _ = _descend(
             instance, criterion, start, start_costs, params, params.iteration_limit, on_move
         )
         if best_cost is None or cost < best_cost:
-            best_flow, best_cost = flow, cost
-    _confirm_cost(criterion, best_flow, best_cost)
-    return SolutionRecord(variant, solver, best_cost, best_flow, seed, clock() - t0)
+            best_flow, best_costs, best_cost = flow, costs, cost
+    _confirm_costs(instance, best_flow, best_costs)
+    return SolutionRecord(variant, solver, best_cost, best_flow, seed, time.perf_counter() - t0)
 
 
 def tournament_select(population, mode: str, sample_size: int, rng, exclude=()):
@@ -370,7 +369,6 @@ def evolutionary(
     solver: str,
     params: SearchParams | None = None,
     seed: int = 0,
-    clock=time.perf_counter,
     trace=None,
 ) -> SolutionRecord:
     """Run one steady-state evolutionary solver (ec1..ec9).
@@ -390,12 +388,10 @@ def evolutionary(
     kind = EC_SOLVERS.index(solver)
     cross_kind, mut_kind = divmod(kind, 3)
     rng = make_rng(seed)
-    t0 = clock()
+    t0 = time.perf_counter()
     criterion = make_criterion(instance, variant)
     if instance.flow_value == 0:
-        return _zero_flow_record(
-            instance, criterion, variant, solver, seed, clock() - t0
-        )
+        return _zero_flow_record(instance, criterion, variant, solver, seed, t0)
 
     network = instance.network
     cost_rows = instance.scenarios.costs
@@ -511,6 +507,6 @@ def evolutionary(
         if trace is not None:
             trace(generations, best_cost)
 
-    flow, cost, _ = population[best]
-    _confirm_cost(criterion, flow, cost)
-    return SolutionRecord(variant, solver, cost, flow, seed, clock() - t0)
+    flow, cost, costs = population[best]
+    _confirm_costs(instance, flow, costs)
+    return SolutionRecord(variant, solver, cost, flow, seed, time.perf_counter() - t0)

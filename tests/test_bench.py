@@ -16,11 +16,13 @@ from rmcif import (
     SearchParams,
     SolutionRecord,
     enumerate_optimum,
-    parse_solution,
+    format_solution,
+    parse_instance,
     run_bench,
     solve_one,
     write_instance,
 )
+from rmcif import bench
 from rmcif.bench import CSV_COLUMNS, _score, summary_table
 
 FAST = SearchParams(population_size=4, generation_limit=8, no_improvement_limit=8)
@@ -135,16 +137,17 @@ class TestRunBench:
         assert all(s.runs == 4 for s in report.summaries)
 
     def test_solution_files_parse_back(self, bench_dir, tmp_path):
+        # A written .sol holds the bytes `format_solution` gives the same
+        # cell run in process, which checks capacity, conservation and F.
         sol_dir = tmp_path / "sols"
         run_bench(
             bench_dir, (ABSOLUTE,), ("ls2",), (3,), params=FAST, sol_dir=sol_dir
         )
-        name = "inst1_absolute_ls2_s3.sol"
-        instance_text = (bench_dir / "inst1.rmcif").read_text()
-        from rmcif import parse_instance
-
-        record = parse_solution((sol_dir / name).read_text(), parse_instance(instance_text))
-        assert record.solver == "ls2" and record.seed == 3
+        instance = parse_instance((bench_dir / "inst1.rmcif").read_bytes())
+        record = solve_one(instance, ABSOLUTE, "ls2", 3, FAST)
+        written = (sol_dir / "inst1_absolute_ls2_s3.sol").read_text()
+        assert written == format_solution(record, instance)
+        assert written.startswith(f"o absolute ls2 {record.robust_cost} 3\n")
 
     def test_without_exact(self, bench_dir):
         report = run_bench(
@@ -178,6 +181,60 @@ class TestRunBench:
         assert report.summaries == []
         with open(out_csv) as handle:
             assert len(list(csv.reader(handle))) == 1
+
+    @pytest.fixture()
+    def enumerations(self, monkeypatch):
+        calls = []
+        enumerate_ = bench.enumerate_optimum
+
+        def counting(*args):
+            calls.append(args)
+            return enumerate_(*args)
+
+        monkeypatch.setattr(bench, "enumerate_optimum", counting)
+        return calls
+
+    def test_exact_cells_reuse_the_pair_enumeration(self, bench_dir, tmp_path, enumerations):
+        sol_dir = tmp_path / "sols"
+        report = run_bench(bench_dir, (ABSOLUTE,), ("exact",), (0, 1, 2), sol_dir=sol_dir)
+        assert len(enumerations) == 2
+        assert len(report.rows) == 6 and report.warnings == []
+        for row in report.rows:
+            assert row.speedup == 1.0 and row.rel_error_pct == 0.0
+            assert row.robust_cost == row.exact_cost
+        for name in ("inst0", "inst1"):
+            instance = parse_instance((bench_dir / f"{name}.rmcif").read_bytes())
+            cost, values = enumerate_optimum(instance, ABSOLUTE)
+            for seed in (0, 1, 2):
+                record = SolutionRecord(ABSOLUTE, "exact", cost, values, seed)
+                written = (sol_dir / f"{name}_absolute_exact_s{seed}.sol").read_text()
+                assert written == format_solution(record, instance)
+
+    @pytest.mark.parametrize("solvers, calls", [(("exact", "ls1"), 2), (("ls1",), 0)])
+    def test_without_exact_enumerates_only_for_exact_cells(
+        self, bench_dir, enumerations, solvers, calls
+    ):
+        report = run_bench(bench_dir, (ABSOLUTE,), solvers, (0, 1), FAST, compute_exact=False)
+        assert len(enumerations) == calls
+        assert all(row.error is None and row.speedup is None for row in report.rows)
+
+    def test_exhausted_budget_fails_every_exact_cell_once_enumerated(
+        self, bench_dir, enumerations
+    ):
+        seeds = (0, 1, 2)
+        report = run_bench(bench_dir, (ABSOLUTE,), ("exact",), seeds, exact_budget=1)
+        assert len(enumerations) == 2
+        warnings, rows = [], []
+        for name in ("inst0", "inst1"):
+            instance = parse_instance((bench_dir / f"{name}.rmcif").read_bytes())
+            with pytest.raises(RmcifError) as err:
+                enumerate_optimum(instance, ABSOLUTE, 1)
+            warnings.append(f"{name}/absolute: exact solve failed: {err.value}")
+            for seed in seeds:
+                warnings.append(f"{name}/absolute/exact/seed {seed} failed: {err.value}")
+                rows.append(bench.BenchRow(name, ABSOLUTE, "exact", seed, error=str(err.value)))
+        assert report.warnings == warnings
+        assert report.rows == rows
 
     def test_explicit_path_list(self, bench_dir):
         paths = sorted(bench_dir.glob("*.rmcif"))[:1]

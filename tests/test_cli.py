@@ -6,7 +6,15 @@ import json
 import pytest
 
 from conftest import DIAMOND_TEXT
-from rmcif import InvalidParameter, SearchParams, parse_instance, parse_solution
+from rmcif import (
+    ABSOLUTE,
+    InvalidParameter,
+    SearchParams,
+    SolutionRecord,
+    enumerate_optimum,
+    format_solution,
+    parse_instance,
+)
 from rmcif.cli import _build_params, _seeds, _solver_list, _widths, main
 
 
@@ -144,8 +152,11 @@ class TestSolve:
             ]
         )
         assert code == 0
-        record = parse_solution(out.read_text(), parse_instance(DIAMOND_TEXT))
-        assert record.robust_cost == 4
+        instance = parse_instance(DIAMOND_TEXT)
+        cost, values = enumerate_optimum(instance, ABSOLUTE)
+        record = SolutionRecord(ABSOLUTE, "exact", cost, values, 0)
+        assert cost == 4
+        assert out.read_text() == format_solution(record, instance)
         assert "robust cost 4" in capsys.readouterr().out
 
     def test_param_flag_reaches_solver(self, diamond_file, capsys):

@@ -8,7 +8,8 @@ On random layered instances and random cyclic networks with
 zero-capacity arcs and a source-to-sink route (`routed_networks`), every
 carried vector must equal the per-scenario costs of its flow, and every
 carried score the fresh objective.  The solvers' evaluation counts are
-pinned, and a corrupted vector must trip the closing fresh evaluation.
+pinned, and a corrupted vector, even in an entry below the worst one,
+must trip the closing comparison with the fresh scenario costs.
 A flow is costed in full only where it is constructed: the scenario
 optima, ls1's and ls3's starts, and each solver's closing check.
 """
@@ -162,6 +163,26 @@ def test_corrupted_vector_fails_the_closing_check(monkeypatch):
     with pytest.raises(AssertionError, match="fresh cost"):
         local_search(instance, ABSOLUTE, "ls1")
     # one solver per crossover kind
+    for solver in ("ec1", "ec4", "ec7"):
+        with pytest.raises(AssertionError, match="fresh cost"):
+            evolutionary(instance, ABSOLUTE, solver, SearchParams(generation_limit=10))
+
+
+def test_corrupted_entry_below_the_worst_fails_the_closing_check(monkeypatch):
+    # Lowering a scenario cost that is not the worst leaves every robust
+    # cost, and so the whole search, unchanged: only a check of the whole
+    # carried vector sees it.
+    instance = gen(1, widths=(6, 6, 6), scenarios=5, caps=(1, 20), costs=(0, 99))
+    advance = heuristics._advance
+
+    def corrupted(*args):
+        costs = list(advance(*args))
+        costs[costs.index(min(costs))] -= 1
+        return tuple(costs)
+
+    monkeypatch.setattr(heuristics, "_advance", corrupted)
+    with pytest.raises(AssertionError, match="fresh cost"):
+        local_search(instance, ABSOLUTE, "ls1")
     for solver in ("ec1", "ec4", "ec7"):
         with pytest.raises(AssertionError, match="fresh cost"):
             evolutionary(instance, ABSOLUTE, solver, SearchParams(generation_limit=10))

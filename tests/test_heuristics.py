@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
@@ -288,11 +289,6 @@ class TestLocalSearch:
         assert record.robust_cost == 0
         assert record.values == (0, 0)
 
-    def test_elapsed_uses_injected_clock(self, diamond):
-        ticks = iter(range(100))
-        record = local_search(diamond, ABSOLUTE, "ls2", clock=lambda: next(ticks))
-        assert record.elapsed_seconds >= 1
-
     @given(run_seeds)
     @settings(max_examples=30)
     def test_trace_costs_strictly_decrease(self, seed):
@@ -343,12 +339,9 @@ class TestEvolutionary:
         assert record.robust_cost == 0
 
     def test_same_seed_same_record(self, diamond):
-        def frozen():
-            return 0.0
-
-        a = evolutionary(diamond, ABSOLUTE, "ec7", params=FAST, seed=9, clock=frozen)
-        b = evolutionary(diamond, ABSOLUTE, "ec7", params=FAST, seed=9, clock=frozen)
-        assert a == b
+        a = evolutionary(diamond, ABSOLUTE, "ec7", params=FAST, seed=9)
+        b = evolutionary(diamond, ABSOLUTE, "ec7", params=FAST, seed=9)
+        assert replace(a, elapsed_seconds=0.0) == replace(b, elapsed_seconds=0.0)
 
     def test_stops_after_stagnation(self, diamond):
         generations = []
