@@ -35,7 +35,10 @@ and `compose` takes it, is the tuple of its arc indices in walk order.
   triples are made only for the cycle it returns.  It stops at the first
   pass whose predecessor graph closes a cycle (Cherkassky & Goldberg,
   "Negative-cycle detection algorithms", Math. Prog. 85, 1999) instead
-  of running all n passes.
+  of running all n passes.  `cost_reduce` hands back the arc changes of
+  the cycle it cancels next to the new flow (Ahuja, Magnanti & Orlin
+  1993, §9.6), so a caller that carries a per-scenario cost vector
+  advances it over those few arcs instead of comparing whole flows.
 
 A flow is a plain tuple of integer arc values in arc declaration order,
 the shape of `Network.capacities`, and every procedure here takes and
@@ -422,14 +425,21 @@ def negative_cycle(network: Network, values: Sequence[int], costs: Sequence[int]
 def cost_reduce(network: Network, costs: Sequence[int], flow: tuple[int, ...]):
     """One negative-cycle cancellation under `costs`.
 
-    Returns ``(flow, optimal)``: the input with the cycle's smallest room
-    pushed around it and ``optimal`` False, or the input unchanged and
-    ``optimal`` True when no negative residual cycle remains.
+    Returns ``(flow, optimal, changes)``.  When `negative_cycle` finds a
+    cycle, `flow` is the input with the cycle's smallest room pushed around
+    it, `optimal` is False, and `changes` lists the ``(arc index, signed
+    amount)`` pair of each move in walk order: the room pushed on a forward
+    move, its negation on a backward one.  Adding each amount to its arc of
+    the input gives the returned flow.  When no negative residual cycle
+    remains, it returns the input object itself, True and an empty list.
     """
     cycle = negative_cycle(network, flow, costs)
     if cycle is None:
-        return flow, True
-    return _push_room(flow, cycle), False
+        return flow, True, []
+    amount = min(room for _, _, room in cycle)
+    values = list(flow)
+    _push(values, cycle, amount)
+    return tuple(values), False, [(i, amount if forward else -amount) for i, forward, _ in cycle]
 
 
 def dfs_cycle(network: Network, values: Sequence[int], rng, target: Sequence[int] | None = None):

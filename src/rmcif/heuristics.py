@@ -10,17 +10,21 @@ reduction, or a capped inner local search).
 Every flow a solver holds comes with its per-scenario cost vector, and
 gets it in one of two ways.  A constructed flow (ls1's arbitrary flow,
 ls3's rounded center, and the scenario optima in `compute_optima`) is
-costed once by `scenario_costs`, which validates it.  A derived flow is
-advanced from the flow it came from over the arcs where the two differ:
-a descent's neighbor from the flow its cycle was cancelled in
-(`_neighborhood`), a child from its first parent, and a perturbed or
-cost-reduced mutant from its source member (`_advance`).  The descent
-takes its start's vector and hands each accepted move's vector to its
-callback, so the members that the fill harvests carry theirs too.  The
-crossovers, mutations and cycle cancellations build feasible flows of
-value F by construction, so no derived flow is validated; before a
-solver returns, the fresh scenario costs of its flow must equal the
-whole vector carried with it, from which its robust cost was scored.
+costed once by `scenario_costs`, which validates it.  A derived flow's
+vector is advanced from the vector of the flow it came from by one
+function, `_advance`, over a list of ``(arc index, signed change)``
+pairs.  A descent's neighbor (`_neighborhood`) and a cost-reduced mutant
+advance over the cycle that `cost_reduce` cancelled and hands back, a
+few arcs, without comparing the two flows.  A crossover child (rounded
+center, harmonized or composed flow) advances from its first parent, and
+a perturbed mutant from its source member, over the arcs where the two
+flows differ (`_changes`).  The descent takes its start's vector and
+hands each accepted move's vector to its callback, so the members that
+the fill harvests carry theirs too.  The crossovers, mutations and cycle
+cancellations build feasible flows of value F by construction, so no
+derived flow is validated; before a solver returns, the fresh scenario
+costs of its flow must equal the whole vector carried with it, from
+which its robust cost was scored.
 The loop also tracks the index and cost of its best member as members
 are replaced, instead of scanning for it.
 
@@ -114,15 +118,22 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(check_seed(seed)))
 
 
-def _advance(rows, costs: tuple[int, ...], old: tuple[int, ...], new: tuple[int, ...]):
-    """Scenario costs of `new`, given those of `old`.
+def _changes(old: tuple[int, ...], new: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The ``(arc index, new - old)`` pairs of the arcs where two flows differ."""
+    return [(i, new[i] - old[i]) for i in compress(range(len(old)), map(ne, old, new))]
 
-    Only the arcs whose values differ are summed, so after a cycle
-    cancellation the work is K times the cycle's length, and after a
-    crossover K times the arcs where the child leaves its parent.
+
+def _advance(rows, costs: tuple[int, ...], changes) -> tuple[int, ...]:
+    """Scenario costs of a flow derived from one whose costs are `costs`.
+
+    `changes` lists the ``(arc index, signed change)`` pairs that turn the
+    old flow into the new one: the cycle `cost_reduce` cancelled, or
+    `_changes` of the two flows.  Each scenario's row is summed over those
+    arcs only, so after a cancellation the work is K times the cycle's
+    length, and after a crossover K times the arcs where the child leaves
+    its parent.
     """
-    changed = [(i, new[i] - old[i]) for i in compress(range(len(old)), map(ne, old, new))]
-    return tuple(c + sum(row[i] * d for i, d in changed) for c, row in zip(costs, rows))
+    return tuple(c + sum(row[i] * d for i, d in changes) for c, row in zip(costs, rows))
 
 
 def _neighborhood(
@@ -136,9 +147,11 @@ def _neighborhood(
     per-scenario optima.
 
     Returns ``(flow, costs)`` pairs.  `costs` is the scenario cost vector of
-    the input flow, and each chain carries its own vector forward over the
-    arcs its cancellation changed.  A push around a residual cycle keeps a
-    feasible flow feasible, so the neighbors are not validated again.
+    the input flow, and each chain carries its own vector forward with
+    `_advance` over the arc changes `cost_reduce` hands back for the cycle
+    it cancelled; the two flows are never compared.  A push around a
+    residual cycle keeps a feasible flow feasible, so the neighbors are not
+    validated again.
     """
     network = instance.network
     rows = instance.scenarios.costs
@@ -150,11 +163,11 @@ def _neighborhood(
             if done[s]:
                 continue
             prev, prev_costs = working[s]
-            nxt, optimal = cost_reduce(network, row, prev)
+            nxt, optimal, changes = cost_reduce(network, row, prev)
             if optimal:
                 done[s] = True
                 continue
-            working[s] = (nxt, _advance(rows, prev_costs, prev, nxt))
+            working[s] = (nxt, _advance(rows, prev_costs, changes))
             found.append(working[s])
             if len(found) >= size:
                 break
@@ -416,7 +429,7 @@ def evolutionary(
             child = harmonize(network, a, b, rng)
         else:
             child = compose(network, paths_of(a), paths_of(b), rng)
-        return child, _advance(cost_rows, a_costs, a, child)
+        return child, _advance(cost_rows, a_costs, _changes(a, child))
 
     cap = MUTATION_SEARCH_CAP
     if params.iteration_limit is not None:
@@ -429,10 +442,11 @@ def evolutionary(
             return _descend(instance, criterion, flow, costs, params, limit, on_move, memo)[:2]
         if mut_kind == 0:
             mutant = perturb(network, flow, rng)
+            changes = _changes(flow, mutant)
         else:
             s = int(rng.integers(0, len(cost_rows)))
-            mutant = cost_reduce(network, cost_rows[s], flow)[0]
-        return mutant, _advance(cost_rows, costs, flow, mutant)
+            mutant, _, changes = cost_reduce(network, cost_rows[s], flow)
+        return mutant, _advance(cost_rows, costs, changes)
 
     # A member is (flow, robust cost, scenario costs).  The scenario costs
     # are carried from the optima through every descent, crossover and

@@ -223,7 +223,7 @@ def test_criterion_06_feasibility_closure(announce):
                         assert validate_flow(instance, a) == value
                     elif roll == 3:
                         s = applications % instance.scenarios.scenario_count
-                        a, _ = cost_reduce(network, instance.scenarios.costs[s], a)
+                        a, _, _ = cost_reduce(network, instance.scenarios.costs[s], a)
                         assert validate_flow(instance, a) == value
                     elif roll == 4:
                         rounded = round_flow(network, *center(network, [a, b]))

@@ -9,7 +9,9 @@ zero-capacity arcs and a source-to-sink route (`routed_networks`), every
 carried vector must equal the per-scenario costs of its flow, and every
 carried score the fresh objective.  The solvers' evaluation counts are
 pinned, and a corrupted vector, even in an entry below the worst one,
-must trip the closing comparison with the fresh scenario costs.
+must trip the closing comparison with the fresh scenario costs.  Along
+whole `cost_reduce` chains the arc changes it hands back must turn each
+input into its output and advance the carried vector to the fresh one.
 A flow is costed in full only where it is constructed: the scenario
 optima, ls1's and ls3's starts, and each solver's closing check.
 """
@@ -32,6 +34,7 @@ from rmcif import (
     Instance,
     ScenarioSet,
     compute_optima,
+    cost_reduce,
     heuristics,
     objectives,
     parse_instance,
@@ -112,6 +115,58 @@ def test_descent_scores_equal_fresh_evaluations(case, variant):
     assert cost == fresh_score(instance, variant, flow)
 
 
+def walk_cost_reduce_chains(instance, start):
+    """Run every scenario's `cost_reduce` chain from `start` to its optimum.
+
+    At each step the returned changes must turn the input into the returned
+    flow, be empty exactly when the step is optimal (and then the flow is
+    the input object), and advance the carried vector to the fresh
+    scenario costs.  Returns the number of cancellations.
+    """
+    network, rows = instance.network, instance.scenarios.costs
+    steps = 0
+    for row in rows:
+        flow, costs = start, scenario_costs(instance, start)
+        while True:
+            nxt, optimal, changes = cost_reduce(network, row, flow)
+            # a list: per-call tuples of varying length fill the
+            # interpreter's tuple free lists
+            assert type(changes) is list
+            assert (not changes) == optimal
+            if optimal:
+                assert nxt is flow
+                break
+            moved = list(flow)
+            for i, d in changes:
+                moved[i] += d
+            assert tuple(moved) == nxt
+            costs = heuristics._advance(rows, costs, changes)
+            assert costs == scenario_costs(instance, nxt)
+            flow = nxt
+            steps += 1
+    return steps
+
+
+@given(seeds, seeds)
+@settings(max_examples=60)
+def test_cost_reduce_changes_advance_to_fresh_costs(instance_seed, flow_seed):
+    instance = gen(instance_seed, widths=(3, 3), scenarios=3, caps=(0, 4), density=0.8)
+    walk_cost_reduce_chains(instance, scrambled_flow(instance.network, instance.flow_value, flow_seed))
+
+
+@given(cyclic_instances(), seeds)
+@settings(max_examples=80)
+def test_cost_reduce_changes_advance_to_fresh_costs_on_cyclic_networks(instance, flow_seed):
+    walk_cost_reduce_chains(instance, scrambled_flow(instance.network, instance.flow_value, flow_seed))
+
+
+@pytest.mark.parametrize("seed", (1, 2))
+def test_cost_reduce_changes_along_long_chains(seed):
+    instance = gen(seed, widths=(6, 6, 6), scenarios=5, caps=(1, 20), costs=(0, 99))
+    start = scrambled_flow(instance.network, instance.flow_value, seed)
+    assert walk_cost_reduce_chains(instance, start) > 5 * instance.scenarios.scenario_count
+
+
 # A mutation in most generations, so its carried vectors are scored too.
 CARRY = SearchParams(population_size=8, generation_limit=15, mutation_threshold=60)
 
@@ -166,6 +221,9 @@ def test_corrupted_vector_fails_the_closing_check(monkeypatch):
     for solver in ("ec1", "ec4", "ec7"):
         with pytest.raises(AssertionError, match="fresh cost"):
             evolutionary(instance, ABSOLUTE, solver, SearchParams(generation_limit=10))
+    # a cost-reduce mutation in every generation
+    with pytest.raises(AssertionError, match="fresh cost"):
+        evolutionary(instance, ABSOLUTE, "ec2", SearchParams(generation_limit=10, mutation_threshold=100))
 
 
 def test_corrupted_entry_below_the_worst_fails_the_closing_check(monkeypatch):
@@ -186,6 +244,9 @@ def test_corrupted_entry_below_the_worst_fails_the_closing_check(monkeypatch):
     for solver in ("ec1", "ec4", "ec7"):
         with pytest.raises(AssertionError, match="fresh cost"):
             evolutionary(instance, ABSOLUTE, solver, SearchParams(generation_limit=10))
+    # a cost-reduce mutation in every generation
+    with pytest.raises(AssertionError, match="fresh cost"):
+        evolutionary(instance, ABSOLUTE, "ec2", SearchParams(generation_limit=10, mutation_threshold=100))
 
 
 # (instance seed, variant, solver) -> Criterion.evaluations, recorded with

@@ -470,10 +470,10 @@ class TestNegativeCycleAgainstEdgeList:
 class TestCostReduce:
     def test_single_step(self, diamond):
         costs = diamond.scenarios.costs[0]
-        flow, optimal = cost_reduce(diamond.network, costs, LOWER)
+        flow, optimal, _ = cost_reduce(diamond.network, costs, LOWER)
         assert not optimal
         assert flow == UPPER
-        flow, optimal = cost_reduce(diamond.network, costs, flow)
+        flow, optimal, _ = cost_reduce(diamond.network, costs, flow)
         assert optimal
         assert flow == UPPER
 
