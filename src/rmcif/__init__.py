@@ -22,7 +22,6 @@ from .core import (
     HEURISTIC_SOLVERS,
     LS_SOLVERS,
     VARIANTS,
-    Arc,
     CapacityViolation,
     ConservationViolation,
     Instance,
@@ -72,7 +71,6 @@ __all__ = [
     "HEURISTIC_SOLVERS",
     "LS_SOLVERS",
     "VARIANTS",
-    "Arc",
     "BenchReport",
     "BenchRow",
     "BudgetExceeded",

@@ -66,37 +66,36 @@ class WrongFlowValue(RmcifError):
 
 
 @dataclass(frozen=True)
-class Arc:
-    tail: int
-    head: int
-    capacity: int
-
-
-@dataclass(frozen=True)
 class Network:
     """Directed graph with integer arc capacities, source 1 and sink n.
 
+    Arc i runs from ``tails[i]`` to ``heads[i]`` with capacity
+    ``capacities[i]``; the three tuples share one length, the arc count.
     At most one arc may join an ordered vertex pair and self-loops are
     rejected, so arcs are identified by their declaration index.
     """
 
     vertex_count: int
-    arcs: tuple[Arc, ...]
+    tails: tuple[int, ...]
+    heads: tuple[int, ...]
+    capacities: tuple[int, ...]
 
     def __post_init__(self):
         n = self.vertex_count
         if n < 2:
             raise ValueError("a network needs at least a source and a sink")
+        if not len(self.tails) == len(self.heads) == len(self.capacities):
+            raise ValueError("tails, heads and capacities must have the same length")
         seen: set[tuple[int, int]] = set()
-        for i, arc in enumerate(self.arcs):
-            if not (1 <= arc.tail <= n and 1 <= arc.head <= n):
+        for i, (tail, head, capacity) in enumerate(zip(self.tails, self.heads, self.capacities)):
+            if not (1 <= tail <= n and 1 <= head <= n):
                 raise ValueError(f"arc {i + 1}: vertex index out of range")
-            if arc.tail == arc.head:
+            if tail == head:
                 raise ValueError(f"arc {i + 1}: self-loops are not allowed")
-            if (arc.tail, arc.head) in seen:
-                raise ValueError(f"arc {i + 1}: duplicate arc {arc.tail}->{arc.head}")
-            seen.add((arc.tail, arc.head))
-            if not isinstance(arc.capacity, int) or arc.capacity < 0:
+            if (tail, head) in seen:
+                raise ValueError(f"arc {i + 1}: duplicate arc {tail}->{head}")
+            seen.add((tail, head))
+            if not isinstance(capacity, int) or capacity < 0:
                 raise ValueError(f"arc {i + 1}: capacity must be a nonnegative integer")
 
     @property
@@ -109,37 +108,22 @@ class Network:
 
     @property
     def arc_count(self) -> int:
-        return len(self.arcs)
+        return len(self.tails)
 
     @cached_property
     def out_arcs(self) -> tuple[tuple[int, ...], ...]:
         """Arc indices grouped by tail vertex; slot 0 is unused."""
         out: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
-        for i, arc in enumerate(self.arcs):
-            out[arc.tail].append(i)
+        for i, tail in enumerate(self.tails):
+            out[tail].append(i)
         return tuple(tuple(lst) for lst in out)
-
-    @cached_property
-    def tails(self) -> tuple[int, ...]:
-        """Arc tails in arc declaration order."""
-        return tuple(arc.tail for arc in self.arcs)
-
-    @cached_property
-    def heads(self) -> tuple[int, ...]:
-        """Arc heads in arc declaration order."""
-        return tuple(arc.head for arc in self.arcs)
 
     @cached_property
     def in_arcs(self) -> tuple[tuple[int, ...], ...]:
         inc: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
-        for i, arc in enumerate(self.arcs):
-            inc[arc.head].append(i)
+        for i, head in enumerate(self.heads):
+            inc[head].append(i)
         return tuple(tuple(lst) for lst in inc)
-
-    @cached_property
-    def capacities(self) -> tuple[int, ...]:
-        """Arc capacities in arc declaration order."""
-        return tuple(arc.capacity for arc in self.arcs)
 
     @cached_property
     def residual_adjacency(self) -> tuple[tuple[tuple[int, bool, int], ...], ...]:
@@ -151,9 +135,9 @@ class Network:
         unused.
         """
         adjacency: list[list[tuple[int, bool, int]]] = [[] for _ in range(self.vertex_count + 1)]
-        for i, arc in enumerate(self.arcs):
-            adjacency[arc.tail].append((i, True, arc.head))
-            adjacency[arc.head].append((i, False, arc.tail))
+        for i, (tail, head) in enumerate(zip(self.tails, self.heads)):
+            adjacency[tail].append((i, True, head))
+            adjacency[head].append((i, False, tail))
         return tuple(tuple(lst) for lst in adjacency)
 
 
@@ -216,14 +200,14 @@ def check_arc_values(network: Network, values: Sequence[int]) -> list[int]:
     if len(values) != network.arc_count:
         raise ValueError("value vector length differs from the arc count")
     balance: list[int] = [0] * (network.vertex_count + 1)
-    for i, (arc, v) in enumerate(zip(network.arcs, values)):
-        if v < 0 or v > arc.capacity:
+    arcs = zip(network.tails, network.heads, network.capacities, values)
+    for i, (tail, head, capacity, v) in enumerate(arcs):
+        if v < 0 or v > capacity:
             raise CapacityViolation(
-                i,
-                f"arc {i + 1} ({arc.tail}->{arc.head}): value {v} outside [0, {arc.capacity}]",
+                i, f"arc {i + 1} ({tail}->{head}): value {v} outside [0, {capacity}]"
             )
-        balance[arc.tail] += v
-        balance[arc.head] -= v
+        balance[tail] += v
+        balance[head] -= v
     return balance
 
 
@@ -281,7 +265,9 @@ def parse_instance(text: str | bytes) -> Instance:
     text = _ascii(text)
     header: tuple[int, int, int, int] | None = None
     header_line = 0
-    arcs: list[Arc] = []
+    tails: list[int] = []
+    heads: list[int] = []
+    capacities: list[int] = []
     pairs: set[tuple[int, int]] = set()
     rows: list[tuple[int, ...]] = []
 
@@ -314,7 +300,7 @@ def parse_instance(text: str | bytes) -> Instance:
             if rows:
                 raise InstanceFormatError("arc line after scenario lines", lineno)
             n, m, _, _ = header
-            if len(arcs) >= m:
+            if len(tails) >= m:
                 raise InstanceFormatError(f"more than {m} arc lines", lineno)
             if len(parts) != 4:
                 raise InstanceFormatError("malformed arc line", lineno)
@@ -328,12 +314,14 @@ def parse_instance(text: str | bytes) -> Instance:
             if cap < 0:
                 raise InstanceFormatError("negative capacity", lineno)
             pairs.add((tail, head))
-            arcs.append(Arc(tail, head, cap))
+            tails.append(tail)
+            heads.append(head)
+            capacities.append(cap)
         elif tag == "s":
             if header is None:
                 raise InstanceFormatError("scenario line before problem line", lineno)
             n, m, k, _ = header
-            if len(arcs) != m:
+            if len(tails) != m:
                 raise InstanceFormatError("scenario line before all arcs are declared", lineno)
             if len(rows) >= k:
                 raise InstanceFormatError(f"more than {k} scenario lines", lineno)
@@ -358,13 +346,14 @@ def parse_instance(text: str | bytes) -> Instance:
     if header is None:
         raise InstanceFormatError("missing problem line")
     n, m, k, f = header
-    if len(arcs) != m:
-        raise InstanceFormatError(f"expected {m} arc lines, found {len(arcs)}", header_line)
+    if len(tails) != m:
+        raise InstanceFormatError(f"expected {m} arc lines, found {len(tails)}", header_line)
     if len(rows) != k:
         raise InstanceFormatError(f"expected {k} scenario lines, found {len(rows)}", header_line)
 
     try:
-        return Instance(Network(n, tuple(arcs)), ScenarioSet(tuple(rows)), f)
+        network = Network(n, tuple(tails), tuple(heads), tuple(capacities))
+        return Instance(network, ScenarioSet(tuple(rows)), f)
     except ValueError as exc:
         raise InstanceFormatError(str(exc), header_line) from None
 
@@ -376,8 +365,8 @@ def write_instance(instance: Instance) -> str:
         f"p rmcif {network.vertex_count} {network.arc_count}"
         f" {instance.scenarios.scenario_count} {instance.flow_value}"
     ]
-    for arc in network.arcs:
-        lines.append(f"a {arc.tail} {arc.head} {arc.capacity}")
+    for tail, head, capacity in zip(network.tails, network.heads, network.capacities):
+        lines.append(f"a {tail} {head} {capacity}")
     for k, row in enumerate(instance.scenarios.costs, start=1):
         lines.append(f"s {k} " + " ".join(str(c) for c in row))
     return "\n".join(lines) + "\n"
@@ -416,8 +405,9 @@ def format_solution(record: SolutionRecord, instance: Instance) -> str:
             f"solution value {value} differs from required {instance.flow_value}"
         )
     lines = [f"o {record.variant} {record.solver} {record.robust_cost} {record.seed}"]
-    for arc, v in zip(instance.network.arcs, record.values):
+    network = instance.network
+    for tail, head, v in zip(network.tails, network.heads, record.values):
         if v != 0:
-            lines.append(f"x {arc.tail} {arc.head} {v}")
+            lines.append(f"x {tail} {head} {v}")
     return "\n".join(lines) + "\n"
 

@@ -33,9 +33,7 @@ class BudgetExceeded(RmcifError):
 
 def _topological_order(network: Network) -> list[int] | None:
     """Vertices in topological order (smallest index first), None on a cycle."""
-    indegree = [0] * (network.vertex_count + 1)
-    for arc in network.arcs:
-        indegree[arc.head] += 1
+    indegree = [len(inc) for inc in network.in_arcs]
     ready = [v for v in range(1, network.vertex_count + 1) if indegree[v] == 0]
     heapq.heapify(ready)
     order: list[int] = []
@@ -66,7 +64,7 @@ def _sink_distances(network: Network, row) -> list[int]:
     ``row[i] + d[head] - d[tail]`` of every arc nonnegative.  Index 0 is
     unused.
     """
-    arcs = network.arcs
+    tails = network.tails
     dist: list[int | None] = [None] * (network.vertex_count + 1)
     heap = [(0, network.sink)]
     while heap:
@@ -75,7 +73,7 @@ def _sink_distances(network: Network, row) -> list[int]:
             continue
         dist[v] = d
         for i in network.in_arcs[v]:
-            tail = arcs[i].tail
+            tail = tails[i]
             if dist[tail] is None:
                 heapq.heappush(heap, (d + row[i], tail))
     far = max(d for d in dist if d is not None)
@@ -123,7 +121,7 @@ def _walk(
     rows, partial = [], []
     for row, z in zip(instance.scenarios.costs, shift):
         d = _sink_distances(network, row)
-        rows.append([c + d[a.head] - d[a.tail] for c, a in zip(row, network.arcs)])
+        rows.append([c + d[h] - d[t] for c, t, h in zip(row, network.tails, network.heads)])
         partial.append(instance.flow_value * d[network.source] - z)
     if keep_costs:
         rows.extend(instance.scenarios.costs)
@@ -270,7 +268,7 @@ def export_lp(instance: Instance, variant: str) -> str:
     """
     shift = make_criterion(instance, variant).shift
     network = instance.network
-    names = [f"x_{a.tail}_{a.head}" for a in network.arcs]
+    names = [f"x_{t}_{h}" for t, h in zip(network.tails, network.heads)]
     lines = [f"\\ robust minimum-cost flow model, {variant} variant"]
     lines.append("Minimize")
     lines.append(" obj: y")
@@ -286,8 +284,8 @@ def export_lp(instance: Instance, variant: str) -> str:
             terms = ["0 y"]
         lines.extend(_lp_rows(f"cons_{v}", terms, f"= {balance[v]}"))
     lines.append("Bounds")
-    for name, arc in zip(names, network.arcs):
-        lines.append(f" 0 <= {name} <= {arc.capacity}")
+    for name, capacity in zip(names, network.capacities):
+        lines.append(f" 0 <= {name} <= {capacity}")
     lines.append("Generals")
     text = ""
     for name in names:

@@ -30,7 +30,7 @@ and `compose` takes it, is the tuple of its arc indices in walk order.
   filter a vertex's moves only when the cycle search expands it.
 - The negative-cycle kernel of the descent (`cost_reduce`) builds no
   residual edge list: each Bellman-Ford pass relaxes every arc's forward
-  and backward move straight off `Network.tails`, `heads` and
+  and backward move straight off the `Network` fields `tails`, `heads` and
   `capacities` and the flow's values, and ``(arc index, forward, room)``
   triples are made only for the cycle it returns.  It stops at the first
   pass whose predecessor graph closes a cycle (Cherkassky & Goldberg,

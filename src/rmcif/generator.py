@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Arc, Instance, InvalidParameter, Network, RmcifError, ScenarioSet
+from .core import Instance, InvalidParameter, Network, RmcifError, ScenarioSet
 from .flow_ops import max_flow_value
 from .heuristics import check_seed, make_rng
 
@@ -115,14 +115,13 @@ def generate(spec: GeneratorSpec) -> Instance:
     cost_lo, cost_hi = spec.cost_range
     for _ in range(spec.max_retries):
         pairs = _draw_arcs(layers, spec.density, rng)
-        arcs = tuple(
-            Arc(t, h, int(rng.integers(cap_lo, cap_hi + 1))) for t, h in pairs
-        )
+        tails, heads = zip(*pairs)
+        capacities = tuple(int(rng.integers(cap_lo, cap_hi + 1)) for _ in pairs)
         rows = tuple(
-            tuple(int(rng.integers(cost_lo, cost_hi + 1)) for _ in arcs)
+            tuple(int(rng.integers(cost_lo, cost_hi + 1)) for _ in pairs)
             for _ in range(spec.scenario_count)
         )
-        network = Network(vertex_count, arcs)
+        network = Network(vertex_count, tails, heads, capacities)
         capacity = max_flow_value(network)
         if spec.flow_value is not None:
             if spec.flow_value > capacity:

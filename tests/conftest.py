@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 import oracles
 
 from rmcif import (
-    Arc,
     GenerationError,
     GeneratorSpec,
     Instance,
@@ -37,6 +36,12 @@ s 2 2 1 2 1
 """
 
 
+def network_of(vertex_count: int, triples) -> Network:
+    """A `Network` from ``(tail, head, capacity)`` triples in declaration order."""
+    tails, heads, capacities = tuple(zip(*triples)) or ((), (), ())
+    return Network(vertex_count, tails, heads, capacities)
+
+
 @pytest.fixture
 def diamond() -> Instance:
     return parse_instance(DIAMOND_TEXT)
@@ -47,20 +52,20 @@ def four_path() -> Network:
     """Four vertex-disjoint unit-capacity paths from source 1 to sink 6."""
     arcs = []
     for middle in (2, 3, 4, 5):
-        arcs.append(Arc(1, middle, 1))
+        arcs.append((1, middle, 1))
     for middle in (2, 3, 4, 5):
-        arcs.append(Arc(middle, 6, 1))
-    return Network(6, tuple(arcs))
+        arcs.append((middle, 6, 1))
+    return network_of(6, arcs)
 
 
 def chain_instance(
     vertices: int, capacity: int, flow_value: int, cost_rows=None
 ) -> Instance:
     """Single path 1 -> 2 -> ... -> n; the unique route for any flow."""
-    arcs = tuple(Arc(v, v + 1, capacity) for v in range(1, vertices))
+    arcs = [(v, v + 1, capacity) for v in range(1, vertices)]
     if cost_rows is None:
         cost_rows = ((1,) * len(arcs),)
-    return Instance(Network(vertices, arcs), ScenarioSet(tuple(cost_rows)), flow_value)
+    return Instance(network_of(vertices, arcs), ScenarioSet(tuple(cost_rows)), flow_value)
 
 
 def gen(seed: int, widths=(2, 2), scenarios=2, caps=(1, 3), costs=(0, 9),
@@ -101,7 +106,7 @@ def cyclic_networks(draw):
     pairs = [(t, h) for t in range(1, n + 1) for h in range(1, n + 1) if t != h]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1, max_size=18))
     caps = draw(st.lists(st.integers(0, 4), min_size=len(chosen), max_size=len(chosen)))
-    return Network(n, tuple(Arc(t, h, c) for (t, h), c in zip(chosen, caps)))
+    return network_of(n, [(t, h, c) for (t, h), c in zip(chosen, caps)])
 
 
 @st.composite
@@ -115,10 +120,11 @@ def routed_networks(draw):
     n = network.vertex_count
     inner = draw(st.permutations(range(2, n)))
     walk = [network.source, *inner[: draw(st.integers(0, n - 2))], network.sink]
-    caps = {(arc.tail, arc.head): arc.capacity for arc in network.arcs}
+    arcs = zip(network.tails, network.heads, network.capacities)
+    caps = {(t, h): c for t, h, c in arcs}
     for pair in zip(walk, walk[1:]):
         caps[pair] = max(caps.get(pair, 0), draw(st.integers(1, 4)))
-    return Network(n, tuple(Arc(t, h, c) for (t, h), c in caps.items()))
+    return network_of(n, [(t, h, c) for (t, h), c in caps.items()])
 
 
 @st.composite
@@ -153,4 +159,4 @@ def unit_flow(network, path) -> tuple[int, ...]:
 
 def unit_vertices(network, path) -> tuple[int, ...]:
     """The vertices a unit path given as arc indices walks, source first."""
-    return (network.source,) + tuple(network.arcs[i].head for i in path)
+    return (network.source,) + tuple(network.heads[i] for i in path)

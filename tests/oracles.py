@@ -29,16 +29,16 @@ def enumerate_feasible_flows(network: Network, flow_value: int) -> list[tuple[in
     can no longer be closed by its still-unassigned incident capacities.
     No cost logic of any kind.
     """
-    arcs = network.arcs
+    arcs = list(zip(network.tails, network.heads, network.capacities))
     n = network.vertex_count
     target = [0] * (n + 1)
     target[network.source] = flow_value
     target[network.sink] = -flow_value
     spare_out = [0] * (n + 1)
     spare_in = [0] * (n + 1)
-    for arc in arcs:
-        spare_out[arc.tail] += arc.capacity
-        spare_in[arc.head] += arc.capacity
+    for tail, head, capacity in arcs:
+        spare_out[tail] += capacity
+        spare_in[head] += capacity
     out_sum = [0] * (n + 1)
     in_sum = [0] * (n + 1)
     values = [0] * len(arcs)
@@ -52,26 +52,26 @@ def enumerate_feasible_flows(network: Network, flow_value: int) -> list[tuple[in
         if i == len(arcs):
             found.append(tuple(values))
             return
-        arc = arcs[i]
-        spare_out[arc.tail] -= arc.capacity
-        spare_in[arc.head] -= arc.capacity
-        for x in range(arc.capacity + 1):
+        tail, head, capacity = arcs[i]
+        spare_out[tail] -= capacity
+        spare_in[head] -= capacity
+        for x in range(capacity + 1):
             values[i] = x
-            out_sum[arc.tail] += x
-            in_sum[arc.head] += x
-            if closable(arc.tail) and closable(arc.head):
+            out_sum[tail] += x
+            in_sum[head] += x
+            if closable(tail) and closable(head):
                 walk(i + 1)
-            out_sum[arc.tail] -= x
-            in_sum[arc.head] -= x
+            out_sum[tail] -= x
+            in_sum[head] -= x
         values[i] = 0
-        spare_out[arc.tail] += arc.capacity
-        spare_in[arc.head] += arc.capacity
+        spare_out[tail] += capacity
+        spare_in[head] += capacity
 
     walk(0)
     for flow in found:
         for v in range(1, n + 1):
-            net = sum(x for a, x in zip(arcs, flow) if a.tail == v) - sum(
-                x for a, x in zip(arcs, flow) if a.head == v
+            net = sum(x for (t, _, _), x in zip(arcs, flow) if t == v) - sum(
+                x for (_, h, _), x in zip(arcs, flow) if h == v
             )
             assert net == target[v], "oracle produced an unbalanced flow"
     return found
@@ -85,10 +85,10 @@ def sum_flows(network: Network, flows) -> tuple[int, ...]:
     for f in flows:
         for i, v in enumerate(f):
             totals[i] += v
-    for i, (arc, v) in enumerate(zip(network.arcs, totals)):
-        if v > arc.capacity:
+    for i, (capacity, v) in enumerate(zip(network.capacities, totals)):
+        if v > capacity:
             raise CapacityViolation(
-                i, f"arc {i + 1}: summed value {v} exceeds capacity {arc.capacity}"
+                i, f"arc {i + 1}: summed value {v} exceeds capacity {capacity}"
             )
     return tuple(totals)
 
@@ -144,11 +144,12 @@ def has_negative_cycle_floyd_warshall(network: Network, values, costs) -> bool:
     dist = [[inf] * (n + 1) for _ in range(n + 1)]
     for v in range(1, n + 1):
         dist[v][v] = 0
-    for arc, x, c in zip(network.arcs, values, costs):
-        if x < arc.capacity and c < dist[arc.tail][arc.head]:
-            dist[arc.tail][arc.head] = c
-        if x > 0 and -c < dist[arc.head][arc.tail]:
-            dist[arc.head][arc.tail] = -c
+    arcs = zip(network.tails, network.heads, network.capacities)
+    for (tail, head, capacity), x, c in zip(arcs, values, costs):
+        if x < capacity and c < dist[tail][head]:
+            dist[tail][head] = c
+        if x > 0 and -c < dist[head][tail]:
+            dist[head][tail] = -c
     for k in range(1, n + 1):
         dk = dist[k]
         for i in range(1, n + 1):
@@ -177,11 +178,12 @@ def negative_cycle_edge_list(network: Network, values, costs):
     """
     n = network.vertex_count
     edges = []
-    for i, (arc, x) in enumerate(zip(network.arcs, values)):
-        if x < arc.capacity:
-            edges.append((arc.tail, arc.head, costs[i], (i, True, arc.capacity - x)))
+    arcs = zip(network.tails, network.heads, network.capacities)
+    for i, ((tail, head, capacity), x) in enumerate(zip(arcs, values)):
+        if x < capacity:
+            edges.append((tail, head, costs[i], (i, True, capacity - x)))
         if x > 0:
-            edges.append((arc.head, arc.tail, -costs[i], (i, False, x)))
+            edges.append((head, tail, -costs[i], (i, False, x)))
     dist = [0] * (n + 1)
     pred: list = [None] * (n + 1)
     pred_vertex = [0] * (n + 1)
@@ -220,9 +222,9 @@ def simple_paths(network: Network) -> list[list[int]]:
     """All simple source-to-sink paths over arcs of positive capacity,
     as lists of arc indices."""
     by_tail: dict[int, list[int]] = {}
-    for i, arc in enumerate(network.arcs):
-        if arc.capacity >= 1:
-            by_tail.setdefault(arc.tail, []).append(i)
+    for i, (tail, capacity) in enumerate(zip(network.tails, network.capacities)):
+        if capacity >= 1:
+            by_tail.setdefault(tail, []).append(i)
     paths: list[list[int]] = []
 
     def walk(v: int, seen: set[int], trail: list[int]) -> None:
@@ -230,7 +232,7 @@ def simple_paths(network: Network) -> list[list[int]]:
             paths.append(list(trail))
             return
         for i in by_tail.get(v, ()):
-            head = network.arcs[i].head
+            head = network.heads[i]
             if head in seen:
                 continue
             seen.add(head)
@@ -278,9 +280,9 @@ def min_cut_value(network: Network) -> int:
         for chosen in combinations(middle, r):
             side = {network.source, *chosen}
             cut = sum(
-                arc.capacity
-                for arc in network.arcs
-                if arc.tail in side and arc.head not in side
+                capacity
+                for tail, head, capacity in zip(network.tails, network.heads, network.capacities)
+                if tail in side and head not in side
             )
             if best is None or cut < best:
                 best = cut
@@ -408,10 +410,10 @@ class OracleUnreachable(Exception):
 
 def _flow_value(network: Network, values) -> int:
     total = 0
-    for arc, v in zip(network.arcs, values):
-        if arc.tail == network.source:
+    for tail, head, v in zip(network.tails, network.heads, values):
+        if tail == network.source:
             total += v
-        elif arc.head == network.source:
+        elif head == network.source:
             total -= v
     return total
 
@@ -439,20 +441,21 @@ def _bfs_moves(out, source: int, sink: int):
 
 def _support_moves(network: Network, remaining):
     out = [[] for _ in range(network.vertex_count + 1)]
-    for i, (arc, v) in enumerate(zip(network.arcs, remaining)):
+    for i, (tail, head, v) in enumerate(zip(network.tails, network.heads, remaining)):
         if v > 0:
-            out[arc.tail].append((arc.tail, arc.head, v, i, True))
+            out[tail].append((tail, head, v, i, True))
     return out
 
 
 def residual_moves(network: Network, values):
     """Per-vertex residual moves, arcs in declaration order, forward first."""
     out = [[] for _ in range(network.vertex_count + 1)]
-    for i, (arc, x) in enumerate(zip(network.arcs, values)):
-        if arc.capacity - x > 0:
-            out[arc.tail].append((arc.tail, arc.head, arc.capacity - x, i, True))
+    arcs = zip(network.tails, network.heads, network.capacities)
+    for i, ((tail, head, capacity), x) in enumerate(zip(arcs, values)):
+        if capacity - x > 0:
+            out[tail].append((tail, head, capacity - x, i, True))
         if x > 0:
-            out[arc.head].append((arc.head, arc.tail, x, i, False))
+            out[head].append((head, tail, x, i, False))
     return out
 
 
@@ -543,7 +546,7 @@ def compose_units(network: Network, first, second, rng) -> tuple[int, ...]:
     that does not fit is dropped from the list for the rest of the call.
     """
     target = len(first)
-    caps = [arc.capacity for arc in network.arcs]
+    caps = network.capacities
     totals = [0] * network.arc_count
     active = int(rng.integers(0, 2))
     queues = [
@@ -574,7 +577,7 @@ def compose_units_per_pick(network: Network, first, second, rng) -> tuple[int, .
     its output flows must follow the same distribution.
     """
     target = len(first)
-    caps = [arc.capacity for arc in network.arcs]
+    caps = network.capacities
     totals = [0] * network.arc_count
     remaining = [list(range(target)), list(range(target))]
     lists = (first, second)
@@ -659,11 +662,12 @@ def perturb_values(network: Network, values, rng) -> tuple[int, ...]:
 def harmonize_values(network: Network, values, target, rng) -> tuple[int, ...]:
     """Cycle push restricted to moves toward the support of `target`."""
     out = [[] for _ in range(network.vertex_count + 1)]
-    for i, (arc, x, t) in enumerate(zip(network.arcs, values, target)):
-        if t > 0 and arc.capacity - x > 0:
-            out[arc.tail].append((arc.tail, arc.head, arc.capacity - x, i, True))
+    arcs = zip(network.tails, network.heads, network.capacities)
+    for i, ((tail, head, capacity), x, t) in enumerate(zip(arcs, values, target)):
+        if t > 0 and capacity - x > 0:
+            out[tail].append((tail, head, capacity - x, i, True))
         if t == 0 and x > 0:
-            out[arc.head].append((arc.head, arc.tail, x, i, False))
+            out[head].append((head, tail, x, i, False))
     return _push_cycle(values, random_cycle(network.vertex_count, out, rng))
 
 
@@ -689,19 +693,19 @@ class _OracleOptimumHit(Exception):
 
 def _oracle_topological_order(network: Network):
     indegree = [0] * (network.vertex_count + 1)
-    for arc in network.arcs:
-        indegree[arc.head] += 1
+    for head in network.heads:
+        indegree[head] += 1
     ready = [v for v in range(1, network.vertex_count + 1) if indegree[v] == 0]
     heapq.heapify(ready)
     order = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for i, arc in enumerate(network.arcs):
-            if arc.tail == v:
-                indegree[arc.head] -= 1
-                if indegree[arc.head] == 0:
-                    heapq.heappush(ready, arc.head)
+        for tail, head in zip(network.tails, network.heads):
+            if tail == v:
+                indegree[head] -= 1
+                if indegree[head] == 0:
+                    heapq.heappush(ready, head)
     return order if len(order) == network.vertex_count else None
 
 
@@ -758,7 +762,7 @@ class PrefixCostSearch:
 def _prefix_search_dag(search: PrefixCostSearch, topo) -> None:
     network = search.network
     out_indexed = [
-        [(i, a.capacity) for i, a in enumerate(network.arcs) if a.tail == v]
+        [(i, c) for i, (t, c) in enumerate(zip(network.tails, network.capacities)) if t == v]
         for v in range(network.vertex_count + 1)
     ]
     suffix = []
@@ -768,7 +772,7 @@ def _prefix_search_dag(search: PrefixCostSearch, topo) -> None:
             tail_sums[j] = tail_sums[j + 1] + arcs_v[j][1]
         suffix.append(tail_sums)
     in_indices = [
-        [i for i, a in enumerate(network.arcs) if a.head == v]
+        [i for i, h in enumerate(network.heads) if h == v]
         for v in range(network.vertex_count + 1)
     ]
 
@@ -805,9 +809,10 @@ def _prefix_search_generic(search: PrefixCostSearch) -> None:
     n = network.vertex_count
     rem_out = [0] * (n + 1)
     rem_in = [0] * (n + 1)
-    for arc in network.arcs:
-        rem_out[arc.tail] += arc.capacity
-        rem_in[arc.head] += arc.capacity
+    arcs = list(zip(network.tails, network.heads, network.capacities))
+    for tail, head, capacity in arcs:
+        rem_out[tail] += capacity
+        rem_in[head] += capacity
     cur_out = [0] * (n + 1)
     cur_in = [0] * (n + 1)
 
@@ -822,25 +827,25 @@ def _prefix_search_generic(search: PrefixCostSearch) -> None:
             ):
                 search.offer_leaf()
             return
-        arc = network.arcs[i]
-        rem_out[arc.tail] -= arc.capacity
-        rem_in[arc.head] -= arc.capacity
-        for amount in range(arc.capacity + 1):
+        tail, head, capacity = arcs[i]
+        rem_out[tail] -= capacity
+        rem_in[head] -= capacity
+        for amount in range(capacity + 1):
             search.tick()
             search.add(i, amount)
-            cur_out[arc.tail] += amount
-            cur_in[arc.head] += amount
+            cur_out[tail] += amount
+            cur_in[head] += amount
             if (
-                closable(arc.tail)
-                and closable(arc.head)
+                closable(tail)
+                and closable(head)
                 and search.bound() < search.best_cost
             ):
                 assign(i + 1)
-            cur_out[arc.tail] -= amount
-            cur_in[arc.head] -= amount
+            cur_out[tail] -= amount
+            cur_in[head] -= amount
             search.remove(i)
-        rem_out[arc.tail] += arc.capacity
-        rem_in[arc.head] += arc.capacity
+        rem_out[tail] += capacity
+        rem_in[head] += capacity
 
     assign(0)
 

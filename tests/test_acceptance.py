@@ -185,7 +185,7 @@ def test_criterion_05_decomposition_roundtrip(announce):
                     assert validate_flow(instance, unit) == 1
                     assert flow_value_of(network, unit) == 1
                     vertices = unit_vertices(network, piece)
-                    assert all(network.arcs[i].tail == v for i, v in zip(piece, vertices))
+                    assert all(network.tails[i] == v for i, v in zip(piece, vertices))
                     assert vertices[0] == network.source
                     assert vertices[-1] == network.sink
                     assert len(set(vertices)) == len(vertices)

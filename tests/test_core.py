@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import DIAMOND_TEXT, chain_instance, gen
+from conftest import DIAMOND_TEXT, chain_instance, gen, network_of
 from rmcif import (
     ABSOLUTE,
-    Arc,
     CapacityViolation,
     ConservationViolation,
     Instance,
@@ -28,39 +27,51 @@ from rmcif import (
 class TestNetworkValidation:
     def test_minimum_size(self):
         with pytest.raises(ValueError, match="source and a sink"):
-            Network(1, ())
+            network_of(1, [])
 
     def test_vertex_range(self):
         with pytest.raises(ValueError, match="arc 1"):
-            Network(3, (Arc(1, 4, 1),))
+            network_of(3, [(1, 4, 1)])
 
     def test_self_loop(self):
         with pytest.raises(ValueError, match="self-loop"):
-            Network(3, (Arc(2, 2, 1),))
+            network_of(3, [(2, 2, 1)])
 
     def test_duplicate_pair(self):
         with pytest.raises(ValueError, match="duplicate"):
-            Network(3, (Arc(1, 2, 1), Arc(1, 2, 2)))
+            network_of(3, [(1, 2, 1), (1, 2, 2)])
 
     def test_reverse_pair_allowed(self):
-        net = Network(3, (Arc(1, 2, 1), Arc(2, 1, 1), Arc(2, 3, 1)))
+        net = network_of(3, [(1, 2, 1), (2, 1, 1), (2, 3, 1)])
         assert net.arc_count == 3
 
     def test_negative_capacity(self):
         with pytest.raises(ValueError, match="capacity"):
-            Network(2, (Arc(1, 2, -1),))
+            network_of(2, [(1, 2, -1)])
 
     def test_adjacency_indices(self):
-        net = Network(3, (Arc(1, 2, 1), Arc(2, 3, 1), Arc(1, 3, 1)))
+        net = network_of(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
         assert net.out_arcs[1] == (0, 2)
         assert net.in_arcs[3] == (1, 2)
         assert net.source == 1 and net.sink == 3
 
     def test_tails_follow_declaration_order(self):
-        arcs = (Arc(3, 1, 1), Arc(1, 2, 1), Arc(2, 3, 1), Arc(1, 3, 1), Arc(2, 1, 0))
-        net = Network(3, arcs)
-        assert net.tails == tuple(arc.tail for arc in arcs) == (3, 1, 2, 1, 2)
-        assert net.heads == tuple(arc.head for arc in arcs)
+        net = network_of(3, [(3, 1, 1), (1, 2, 1), (2, 3, 1), (1, 3, 1), (2, 1, 0)])
+        assert net.tails == (3, 1, 2, 1, 2)
+        assert net.residual_adjacency[1] == (
+            (0, False, 3), (1, True, 2), (3, True, 3), (4, False, 2)
+        )
+        assert net.residual_adjacency[2] == ((1, False, 1), (2, True, 3), (4, True, 1))
+
+    @pytest.mark.parametrize("tails, heads, capacities", [
+        ((1,), (2, 3), (1, 1)),
+        ((1, 2), (2,), (1, 1)),
+        ((1, 2), (2, 3), (1,)),
+    ], ids=["tails", "heads", "capacities"])
+    def test_short_array(self, tails, heads, capacities):
+        message = "^tails, heads and capacities must have the same length$"
+        with pytest.raises(ValueError, match=message):
+            Network(3, tails, heads, capacities)
 
 
 class TestScenarioSet:
@@ -82,12 +93,12 @@ class TestScenarioSet:
 
 class TestInstanceValidation:
     def test_row_width(self):
-        net = Network(2, (Arc(1, 2, 1),))
+        net = network_of(2, [(1, 2, 1)])
         with pytest.raises(ValueError, match="one entry per arc"):
             Instance(net, ScenarioSet(((1, 2),)), 1)
 
     def test_flow_value_exceeds_max_flow(self):
-        net = Network(2, (Arc(1, 2, 3),))
+        net = network_of(2, [(1, 2, 3)])
         with pytest.raises(ValueError, match="maximum flow"):
             Instance(net, ScenarioSet(((1,),)), 4)
 
@@ -98,7 +109,7 @@ class TestInstanceValidation:
 
 class TestFlowChecks:
     def test_flow_value_counts_returning_arcs(self):
-        net = Network(3, (Arc(1, 2, 2), Arc(2, 1, 2), Arc(2, 3, 2)))
+        net = network_of(3, [(1, 2, 2), (2, 1, 2), (2, 3, 2)])
         assert flow_value_of(net, (2, 1, 1)) == 1
 
     def test_validate_flow_value(self, diamond):

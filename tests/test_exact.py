@@ -5,17 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DIAMOND_TEXT, chain_instance, gen
+from conftest import DIAMOND_TEXT, chain_instance, gen, network_of
 from oracles import brute_robust_optimum, solve_lp_text
 from rmcif import (
     ABSOLUTE,
     DEVIATION,
-    Arc,
     BudgetExceeded,
     GeneratorSpec,
     Instance,
     InvalidParameter,
-    Network,
     ScenarioSet,
     compute_optima,
     enumerate_optimum,
@@ -49,7 +47,7 @@ End
 
 def cyclic_instance():
     """A network whose middle vertices form a directed cycle."""
-    net = Network(4, (Arc(1, 2, 2), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 2)))
+    net = network_of(4, [(1, 2, 2), (2, 3, 1), (3, 2, 1), (2, 4, 2)])
     return Instance(net, ScenarioSet(((1, 5, 5, 1), (2, 1, 1, 2))), 1)
 
 
@@ -132,14 +130,14 @@ class TestExportLp:
             export_lp(diamond, "both")
 
     def test_zero_cost_terms_skipped(self):
-        net = Network(3, (Arc(1, 2, 1), Arc(2, 3, 1)))
+        net = network_of(3, [(1, 2, 1), (2, 3, 1)])
         instance = Instance(net, ScenarioSet(((0, 3), (0, 0))), 1)
         text = export_lp(instance, ABSOLUTE)
         assert " rob_1: 3 x_2_3 - y <= 0" in text
         assert " rob_2: - y <= 0" in text
 
     def test_isolated_vertex_row(self):
-        net = Network(3, (Arc(1, 3, 2),))
+        net = network_of(3, [(1, 3, 2)])
         instance = Instance(net, ScenarioSet(((1,),)), 1)
         text = export_lp(instance, ABSOLUTE)
         assert " cons_2: 0 y = 0" in text

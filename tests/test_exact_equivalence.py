@@ -18,15 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import cyclic_networks, gen
+from conftest import cyclic_networks, gen, network_of
 from rmcif import (
     ABSOLUTE,
     DEVIATION,
-    Arc,
     BudgetExceeded,
     GenerationError,
     Instance,
-    Network,
     ScenarioSet,
     enumerate_optimum,
 )
@@ -73,9 +71,10 @@ def cyclic_instances(draw):
 def redeclared(instance: Instance, order) -> Instance:
     """The same instance with its arcs, and cost columns, declared in `order`."""
     network = instance.network
-    arcs = tuple(network.arcs[i] for i in order)
+    arcs = list(zip(network.tails, network.heads, network.capacities))
     rows = tuple(tuple(row[i] for i in order) for row in instance.scenarios.costs)
-    return Instance(Network(network.vertex_count, arcs), ScenarioSet(rows), instance.flow_value)
+    redeclared_network = network_of(network.vertex_count, [arcs[i] for i in order])
+    return Instance(redeclared_network, ScenarioSet(rows), instance.flow_value)
 
 
 @st.composite
@@ -96,7 +95,7 @@ def seeded_cyclic_instance(seed: int) -> Instance | None:
     n = rng.randint(3, 7)
     pairs = [(t, h) for t in range(1, n + 1) for h in range(1, n + 1) if t != h]
     chosen = rng.sample(pairs, rng.randint(2, min(14, len(pairs))))
-    network = Network(n, tuple(Arc(t, h, rng.randint(0, 4)) for t, h in chosen))
+    network = network_of(n, [(t, h, rng.randint(0, 4)) for t, h in chosen])
     top = oracles.max_flow(network)
     if top == 0:
         return None
@@ -125,7 +124,7 @@ def counted(instance, variant, node_budget):
 
 
 def scannable(instance) -> bool:
-    return math.prod(a.capacity + 1 for a in instance.network.arcs) <= SCAN_LIMIT
+    return math.prod(c + 1 for c in instance.network.capacities) <= SCAN_LIMIT
 
 
 def check_against_oracle(instance, variant) -> int:
@@ -196,13 +195,12 @@ def test_seeded_sweep_searches(kind):
 def test_unreachable_vertex_keeps_reduced_costs_nonnegative():
     # Vertex 3 cannot reach the sink 5.  The zero-capacity arc 4 -> 2 still
     # counts: it makes vertex 4 two away from the sink, not seven.
-    arcs = (Arc(1, 2, 1), Arc(2, 5, 1), Arc(1, 3, 1), Arc(4, 3, 2), Arc(4, 5, 1),
-            Arc(1, 4, 1), Arc(4, 2, 0), Arc(5, 3, 0))
-    network = Network(5, arcs)
+    network = network_of(5, [(1, 2, 1), (2, 5, 1), (1, 3, 1), (4, 3, 2), (4, 5, 1),
+                             (1, 4, 1), (4, 2, 0), (5, 3, 0)])
     for row in ((4, 1, 0, 3, 7, 2, 1, 5), (0, 0, 9, 0, 0, 0, 0, 0)):
         d = _sink_distances(network, row)
         assert d[network.sink] == 0
         assert d[3] == max(d[1], d[2], d[4], d[5])
-        for arc, c in zip(arcs, row):
-            assert c + d[arc.head] - d[arc.tail] >= 0
+        for tail, head, c in zip(network.tails, network.heads, row):
+            assert c + d[head] - d[tail] >= 0
     assert _sink_distances(network, (4, 1, 0, 3, 7, 2, 1, 5))[1:] == [4, 1, 4, 2, 0]

@@ -21,13 +21,13 @@ from hypothesis import strategies as st
 import oracles
 from conftest import (
     gen,
+    network_of,
     routed_networks,
     scrambled_flow,
     unit_flow,
     unit_vertices,
 )
 from rmcif import (
-    Arc,
     Network,
     TargetUnreachable,
     center,
@@ -82,8 +82,8 @@ def outcome(fn, *args):
 
 
 def endpoints(network, i, forward):
-    arc = network.arcs[i]
-    return (arc.tail, arc.head) if forward else (arc.head, arc.tail)
+    tail, head = network.tails[i], network.heads[i]
+    return (tail, head) if forward else (head, tail)
 
 
 def unit_pairs(network, values):
@@ -128,15 +128,13 @@ class TestDecompose:
             st.integers(0, 3), min_size=network.arc_count, max_size=network.arc_count
         ))
         # `remaining` as capacities at the zero flow: no backward move has room.
-        support = Network(network.vertex_count, tuple(
-            Arc(arc.tail, arc.head, r) for arc, r in zip(network.arcs, remaining)
-        ))
+        support = Network(network.vertex_count, network.tails, network.heads, tuple(remaining))
         zeros = [0] * network.arc_count
         assert _support_path(network, remaining) == fewest_arc_path(support, zeros)
 
     def test_circulation_on_the_path_is_rejected_alike(self):
         # The circulation 2 -> 3 -> 2 is left out by both: two copies of 1 -> 2 -> 4.
-        net = Network(4, (Arc(1, 2, 2), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 2)))
+        net = network_of(4, [(1, 2, 2), (2, 3, 1), (3, 2, 1), (2, 4, 2)])
         values = (2, 1, 1, 2)
         want = [((1, 0, 0, 1), (1, 2, 4))] * 2
         assert unit_pairs(net, values) == oracles.unit_paths(net, values) == want
@@ -182,7 +180,7 @@ class TestRoundFlow:
     @given(networks(), st.data())
     @settings(max_examples=60)
     def test_arbitrary_half_integral_vectors(self, network, data):
-        doubled = [data.draw(st.integers(0, 2 * arc.capacity)) for arc in network.arcs]
+        doubled = [data.draw(st.integers(0, 2 * c)) for c in network.capacities]
         got = outcome(lambda: round_flow(network, doubled, 2))
         halves = [Fraction(d, 2) for d in doubled]
         assert got == outcome(oracles.round_to_integer, network, halves)
@@ -216,10 +214,10 @@ def test_compose_keeps_the_per_pick_distribution():
     match the per-pick scheme's within 0.05, above four standard errors of
     the difference.
     """
-    network = Network(5, (
-        Arc(1, 2, 2), Arc(1, 3, 2), Arc(2, 4, 1), Arc(3, 4, 2),
-        Arc(4, 5, 3), Arc(2, 5, 1), Arc(3, 5, 1),
-    ))
+    network = network_of(5, [
+        (1, 2, 2), (1, 3, 2), (2, 4, 1), (3, 4, 2),
+        (4, 5, 3), (2, 5, 1), (3, 5, 1),
+    ])
     via_2_4, via_3_4, via_2, via_3 = (0, 2, 4), (1, 3, 4), (0, 5), (1, 6)
     first = [via_2_4, via_2, via_3_4]
     second = [via_3_4, via_3, via_2_4]

@@ -9,6 +9,7 @@ import oracles
 from conftest import (
     cyclic_instances,
     gen,
+    network_of,
     routed_networks,
     scrambled_flow,
     seeded_instances,
@@ -17,11 +18,9 @@ from conftest import (
 )
 from oracles import brute_min_cost, has_negative_cycle_floyd_warshall, min_cut_value, sum_flows
 from rmcif import (
-    Arc,
     CapacityViolation,
     ConservationViolation,
     Instance,
-    Network,
     ScenarioSet,
     TargetUnreachable,
     center,
@@ -73,8 +72,8 @@ def residual_moves(network, values):
 
 def endpoints(network, move):
     """``(tail, head)`` of an ``(arc index, forward, room)`` move."""
-    arc = network.arcs[move[0]]
-    return (arc.tail, arc.head) if move[1] else (arc.head, arc.tail)
+    tail, head = network.tails[move[0]], network.heads[move[0]]
+    return (tail, head) if move[1] else (head, tail)
 
 
 def cycle_cost(cycle, costs):
@@ -106,7 +105,7 @@ class TestResidualNetwork:
         ]
 
     def test_partially_used_arc_contributes_both_directions(self):
-        net = Network(2, (Arc(1, 2, 3),))
+        net = network_of(2, [(1, 2, 3)])
         moves = residual_moves(net, (1,))
         assert [(forward, room) for _, _, room, _, forward in moves] == [(True, 2), (False, 1)]
 
@@ -120,7 +119,7 @@ class TestResidualNetwork:
 
     def test_capacities(self, diamond):
         assert diamond.network.capacities == (1, 1, 1, 1)
-        assert Network(3, (Arc(1, 2, 5), Arc(2, 3, 0))).capacities == (5, 0)
+        assert network_of(3, [(1, 2, 5), (2, 3, 0)]).capacities == (5, 0)
 
     def test_residual_cost_sign(self, diamond):
         costs = diamond.scenarios.costs[0]
@@ -146,18 +145,16 @@ class TestResidualNetwork:
 
 class TestPathSearch:
     def test_bfs_finds_fewest_arcs(self):
-        net = Network(4, (Arc(1, 2, 1), Arc(2, 4, 1), Arc(1, 4, 1)))
+        net = network_of(4, [(1, 2, 1), (2, 4, 1), (1, 4, 1)])
         path = fewest_arc_path(net, (0, 0, 0))
         assert [i for i, _, _ in path] == [2]
 
     def test_bfs_none_when_disconnected(self):
-        net = Network(3, (Arc(1, 2, 1),))
+        net = network_of(3, [(1, 2, 1)])
         assert fewest_arc_path(net, (0,)) is None
 
     def test_bfs_uses_backward_room(self):
-        net = Network(
-            4, (Arc(1, 2, 1), Arc(1, 3, 1), Arc(2, 3, 1), Arc(2, 4, 1), Arc(3, 4, 1))
-        )
+        net = network_of(4, [(1, 2, 1), (1, 3, 1), (2, 3, 1), (2, 4, 1), (3, 4, 1)])
         path = fewest_arc_path(net, (1, 0, 1, 0, 1))
         assert path == [(1, True, 1), (2, False, 1), (3, True, 1)]
 
@@ -167,14 +164,11 @@ class TestMaxFlowAndFind:
         assert max_flow_value(diamond.network) == 2
 
     def test_bottlenecked_chain(self):
-        net = Network(3, (Arc(1, 2, 5), Arc(2, 3, 2)))
+        net = network_of(3, [(1, 2, 5), (2, 3, 2)])
         assert max_flow_value(net) == 2
 
     def test_needs_backward_arcs(self):
-        net = Network(
-            4,
-            (Arc(1, 2, 1), Arc(1, 3, 1), Arc(2, 3, 1), Arc(2, 4, 1), Arc(3, 4, 1)),
-        )
+        net = network_of(4, [(1, 2, 1), (1, 3, 1), (2, 3, 1), (2, 4, 1), (3, 4, 1)])
         assert max_flow_value(net) == 2
 
     @given(small_seeds)
@@ -231,17 +225,17 @@ class TestSumAndDecompose:
 
     def test_decompose_rejects_pure_circulation(self):
         # A flow of value 0 has no unit paths; its circulation is left out.
-        net = Network(4, (Arc(1, 2, 1), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 1)))
+        net = network_of(4, [(1, 2, 1), (2, 3, 1), (3, 2, 1), (2, 4, 1)])
         assert decompose(net, (0, 1, 1, 0)) == []
 
     def test_decompose_rejects_hidden_circulation(self):
         # Only the path part 1 -> 2 -> 4 comes back, not the cycle 2 -> 3 -> 2.
-        net = Network(4, (Arc(1, 2, 1), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 1)))
+        net = network_of(4, [(1, 2, 1), (2, 3, 1), (3, 2, 1), (2, 4, 1)])
         assert decompose(net, (1, 1, 1, 1)) == [(0, 3)]
 
     def test_decompose_rejects_non_conserving_input(self):
         # Value 1 leaves the source, but nothing leaves vertex 2.
-        net = Network(4, (Arc(1, 2, 1), Arc(2, 3, 1), Arc(3, 2, 1), Arc(2, 4, 1)))
+        net = network_of(4, [(1, 2, 1), (2, 3, 1), (3, 2, 1), (2, 4, 1)])
         with pytest.raises(ConservationViolation) as err:
             decompose(net, (1, 0, 0, 0))
         assert err.value.vertex == 2
@@ -275,7 +269,7 @@ class TestCenterAndRound:
         assert round_flow(diamond.network, UPPER, 1) == UPPER
 
     def test_round_flow_repairs_overshoot(self):
-        net = Network(3, (Arc(1, 2, 2), Arc(2, 3, 2)))
+        net = network_of(3, [(1, 2, 2), (2, 3, 2)])
         rounded = round_flow(net, (3, 3), 2)
         assert feasible_value(net, rounded) == 2
 
@@ -302,7 +296,7 @@ class TestCompose:
         assert a == b
 
     def test_repair_after_both_lists_stall(self):
-        net = Network(4, (Arc(1, 2, 1), Arc(2, 4, 1), Arc(1, 3, 1), Arc(3, 4, 1)))
+        net = network_of(4, [(1, 2, 1), (2, 4, 1), (1, 3, 1), (3, 4, 1)])
         top = (0, 1)
         clones = [top, top]
         flow = compose(net, clones, clones, make_rng(1))
@@ -364,7 +358,7 @@ class TestNegativeCycle:
 def residual_capacity(network, values, move):
     """Residual capacity of one move, read off the arc list directly."""
     i, forward, _ = move
-    return network.arcs[i].capacity - values[i] if forward else values[i]
+    return network.capacities[i] - values[i] if forward else values[i]
 
 
 class TestNegativeCycleKernel:
@@ -490,7 +484,7 @@ class TestCostReduce:
     # A zero-cost cycle 2 -> 3 -> 2 on the cheapest route, a zero-capacity
     # shortcut 1 -> 4 and a dearer parallel route 2 -> 4.
     @example(Instance(
-        Network(4, (Arc(1, 2, 3), Arc(2, 3, 2), Arc(3, 2, 2), Arc(3, 4, 2), Arc(2, 4, 3), Arc(1, 4, 0))),
+        network_of(4, [(1, 2, 3), (2, 3, 2), (3, 2, 2), (3, 4, 2), (2, 4, 3), (1, 4, 0)]),
         ScenarioSet(((1, 0, 0, 1, 5, 0), (1, 0, 0, 9, 1, 0))),
         3,
     ))
@@ -542,13 +536,13 @@ class TestMinCostFlowAgainstLinprog:
         network = instance.network
         n, m = network.vertex_count, network.arc_count
         incidence = np.zeros((n, m))
-        for i, arc in enumerate(network.arcs):
-            incidence[arc.tail - 1, i] = 1
-            incidence[arc.head - 1, i] = -1
+        for i, (tail, head) in enumerate(zip(network.tails, network.heads)):
+            incidence[tail - 1, i] = 1
+            incidence[head - 1, i] = -1
         supply = np.zeros(n)
         supply[network.source - 1] = instance.flow_value
         supply[network.sink - 1] = -instance.flow_value
-        bounds = [(0, arc.capacity) for arc in network.arcs]
+        bounds = [(0, capacity) for capacity in network.capacities]
         for costs in instance.scenarios.costs:
             flow = min_cost_flow(network, costs, instance.flow_value)
             assert feasible_value(network, flow) == instance.flow_value
@@ -564,7 +558,7 @@ class TestPerturbAndHarmonize:
             assert moved == LOWER
 
     def test_perturb_skips_two_arc_reversal(self):
-        net = Network(2, (Arc(1, 2, 2),))
+        net = network_of(2, [(1, 2, 2)])
         flow = (1,)
         assert perturb(net, flow, make_rng(0)) == flow
 

@@ -63,8 +63,8 @@ class TestShapes:
     def test_source_and_sink_fully_wired(self):
         spec = GeneratorSpec(layer_widths=(3, 3), scenario_count=1, density=0.3, seed=5)
         net = generate(spec).network
-        from_source = {a.head for a in net.arcs if a.tail == 1}
-        to_sink = {a.tail for a in net.arcs if a.head == net.vertex_count}
+        from_source = {h for t, h in zip(net.tails, net.heads) if t == 1}
+        to_sink = {t for t, h in zip(net.tails, net.heads) if h == net.vertex_count}
         assert from_source == {2, 3, 4}
         assert to_sink == {5, 6, 7}
 
@@ -128,9 +128,9 @@ def test_structural_invariants(seed):
     instance = generate(spec)
     net = instance.network
     widths = spec.layer_widths
-    for arc in net.arcs:
-        assert layer_of(widths, arc.head) == layer_of(widths, arc.tail) + 1
-        assert 0 <= arc.capacity <= 9
+    for tail, head, capacity in zip(net.tails, net.heads, net.capacities):
+        assert layer_of(widths, head) == layer_of(widths, tail) + 1
+        assert 0 <= capacity <= 9
     for vertex in range(2, net.vertex_count):
         assert net.in_arcs[vertex], f"vertex {vertex} has no entry"
         assert net.out_arcs[vertex], f"vertex {vertex} has no exit"

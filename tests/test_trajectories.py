@@ -13,8 +13,9 @@ import hashlib
 import pytest
 
 from conftest import gen
-from rmcif import format_solution
+from rmcif import format_solution, write_instance
 from rmcif.bench import solve_one
+from rmcif.exact import export_lp
 from rmcif.heuristics import SearchParams
 
 PARAMS = SearchParams(generation_limit=10)
@@ -48,6 +49,17 @@ GOLDEN = {
     (2, "deviation", "ec9"): "bd20cfdd4c86199e910262b244bd5642480607bccf360d12540af8e9e6036e06",
 }
 
+# (instance seed, text) -> SHA-256 of `write_instance` and of `export_lp`
+# for each variant, pinning the instance and LP text of a generator instance.
+TEXT_GOLDEN = {
+    (1, "instance"): "b245f2678e76c22073481a4a7c077cc08d2c25178ebbf1ae2f9cafc93a05f7e9",
+    (1, "absolute"): "60a9c22f2aad863b4cd9c60e77d32cd692494371b8ee9c511fae2e60c4b5afad",
+    (1, "deviation"): "a9712f1904bf437f1c0383bf3b530077187d6aa5fe87fa202f48527c10d5d92e",
+    (2, "instance"): "9e10550d7126f4b8c6703d16a6e924d47974169b176375c236324f5e0d6031a6",
+    (2, "absolute"): "880e7f6d5bf75f1065eac7f7572b95b220456a35967a42918d8cf4c4e59a2283",
+    (2, "deviation"): "ab51fed175e72e0ad3f3d549ff563363eb4746a1d79a5460ed2d8dff7a11407e",
+}
+
 
 @pytest.fixture(scope="module")
 def instances():
@@ -64,3 +76,10 @@ def test_solution_bytes_unchanged(instances, seed, variant, solver):
     record = solve_one(instance, variant, solver, seed, PARAMS)
     text = format_solution(record, instance)
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[seed, variant, solver]
+
+
+@pytest.mark.parametrize("seed, kind", sorted(TEXT_GOLDEN))
+def test_instance_and_lp_bytes_unchanged(instances, seed, kind):
+    instance = instances[seed]
+    text = write_instance(instance) if kind == "instance" else export_lp(instance, kind)
+    assert hashlib.sha256(text.encode()).hexdigest() == TEXT_GOLDEN[seed, kind]
