@@ -72,7 +72,10 @@ class Network:
     Arc i runs from ``tails[i]`` to ``heads[i]`` with capacity
     ``capacities[i]``; the three tuples share one length, the arc count.
     At most one arc may join an ordered vertex pair and self-loops are
-    rejected, so arcs are identified by their declaration index.
+    rejected, so arcs are identified by their declaration index.  Any
+    sequences given are stored as tuples, so a caller's later change to
+    its own list cannot reach the network or its cached adjacency, and
+    the network hashes.
     """
 
     vertex_count: int
@@ -81,6 +84,9 @@ class Network:
     capacities: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("tails", "heads", "capacities"):
+            # frozen: write the field the way the generated __init__ does
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         n = self.vertex_count
         if n < 2:
             raise ValueError("a network needs at least a source and a sink")

@@ -24,8 +24,10 @@ and `compose` takes it, is the tuple of its arc indices in walk order.
   (`_support_path`) walks forward arcs only (`out_arcs` and `heads`).
 - `center` sums arc values and `round_flow` rounds the mean half-up in
   integer arithmetic, so no rational number is ever built.
-- `compose` checks capacity on a unit path's own arcs only, and scans
-  each list once in one random order drawn per call.
+- `compose` checks capacity on a unit path's own arcs only, against a
+  count of the room left on each arc, and scans each list once in one
+  random order drawn per call.  Once all F unit paths are placed their
+  sum is the flow, returned without entering the augmenting loop.
 - `perturb` and `harmonize` read `Network.residual_adjacency` too, and
   filter a vertex's moves only when the cycle search expands it.
 - The negative-cycle kernel of the descent (`cost_reduce`) builds no
@@ -53,6 +55,7 @@ from __future__ import annotations
 import math
 from functools import partial
 from heapq import heappop, heappush
+from operator import sub
 from typing import Sequence
 
 from .core import ConservationViolation, Network, RmcifError, check_arc_values, flow_value_of
@@ -310,13 +313,15 @@ def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence
     unused elements, as one fresh order per pick would make it.
     A list with no acceptable element left passes its turn to the other;
     once both stall the partial sum is repaired by augmentation up to
-    value F.
+    value F.  The room left on each arc is counted down as paths are
+    placed, and a path fits while none of its arcs reads 0.  F placed
+    unit paths already make a flow of value F, returned as it is.
     """
     target = len(first)
     if target < 1 or len(second) != target:
         raise ValueError("expected two unit-path lists of equal positive length")
     caps = network.capacities
-    totals = [0] * network.arc_count
+    room = list(caps)
     active = int(rng.integers(0, 2))
     lists = (first, second)
     orders = (rng.permutation(target).tolist(), rng.permutation(target).tolist())
@@ -326,7 +331,7 @@ def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence
     while picked < target and stalls < 2:
         units, order = lists[active], orders[active]
         j = cursors[active]
-        while j < target and not all(totals[i] < caps[i] for i in units[order[j]]):
+        while j < target and 0 in map(room.__getitem__, units[order[j]]):
             j += 1
         cursors[active] = j + 1
         if j >= target:
@@ -334,10 +339,13 @@ def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence
             active = 1 - active
             continue
         for i in units[order[j]]:
-            totals[i] += 1
+            room[i] -= 1
         picked += 1
         stalls = 0
         active = 1 - active
+    totals = tuple(map(sub, caps, room))
+    if picked == target:
+        return totals
     return _augment_to_value(network, totals, target, partial(fewest_arc_path, network))
 
 

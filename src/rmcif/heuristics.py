@@ -25,6 +25,16 @@ cancellations build feasible flows of value F by construction, so no
 derived flow is validated; before a solver returns, the fresh scenario
 costs of its flow must equal the whole vector carried with it, from
 which its robust cost was scored.
+
+The carried vector also says when a flow is optimal for a scenario: its
+cost there equals the scenario optimum, which holds exactly when no
+negative residual cycle is left under that scenario's costs (Ahuja,
+Magnanti & Orlin, *Network Flows*, 1993, Thm 9.1).  A neighborhood's
+chain for scenario s ends when its carried cost for s reaches the
+optimum, and the cost-reduce mutation (ec2, ec5, ec8) returns a member
+already optimal for its drawn scenario as it is, so `cost_reduce` is
+only called where it finds a cycle.  `local_search` (ls1 included) and
+`evolutionary` fetch the optima once per call and pass them down.
 The loop also tracks the index and cost of its best member as members
 are replaced, instead of scanning for it.
 
@@ -44,8 +54,10 @@ dropped once the population is full.  The mutations of the generation
 loop and `local_search` build every neighborhood afresh.
 
 The loop's frequent draws are cheap ones: a tournament draws its sample
-from one ``rng.random(size)`` call (Floyd's algorithm), and the
-per-generation mutation coin is one ``rng.random()``.
+from one ``rng.random(size)`` call (Floyd's algorithm) and maps the
+positions past the excluded indices without building a candidate list,
+and the per-generation mutation coin is one ``rng.random()``.
+`insert_child` compares cost gaps with one integer band per call.
 
 Every solver is deterministic for a fixed (instance, variant, parameters,
 seed): randomness comes from one counter-based generator created from the
@@ -56,7 +68,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import compress
-from operator import ne
+from operator import gt, lt, ne
 
 import numpy as np
 
@@ -137,7 +149,11 @@ def _advance(rows, costs: tuple[int, ...], changes) -> tuple[int, ...]:
 
 
 def _neighborhood(
-    instance: Instance, flow: tuple[int, ...], costs: tuple[int, ...], size: int
+    instance: Instance,
+    flow: tuple[int, ...],
+    costs: tuple[int, ...],
+    optimum: tuple[int, ...],
+    size: int,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Iterated cost reduction around a flow, spread evenly over scenarios.
 
@@ -152,6 +168,10 @@ def _neighborhood(
     it cancelled; the two flows are never compared.  A push around a
     residual cycle keeps a feasible flow feasible, so the neighbors are not
     validated again.
+
+    `optimum` holds the scenario optima (`compute_optima(instance).costs`).
+    Scenario s's chain ends when its carried cost for s reaches
+    ``optimum[s]``, where `cost_reduce` would find no cycle.
     """
     network = instance.network
     rows = instance.scenarios.costs
@@ -163,10 +183,10 @@ def _neighborhood(
             if done[s]:
                 continue
             prev, prev_costs = working[s]
-            nxt, optimal, changes = cost_reduce(network, row, prev)
-            if optimal:
+            if prev_costs[s] == optimum[s]:
                 done[s] = True
                 continue
+            nxt, _, changes = cost_reduce(network, row, prev)
             working[s] = (nxt, _advance(rows, prev_costs, changes))
             found.append(working[s])
             if len(found) >= size:
@@ -179,6 +199,7 @@ def _descend(
     criterion: Criterion,
     start: tuple[int, ...],
     start_costs: tuple[int, ...],
+    optimum: tuple[int, ...],
     params: SearchParams,
     iteration_limit: int | None,
     on_move=None,
@@ -194,11 +215,12 @@ def _descend(
 
     `start_costs` must be the start flow's `scenario_costs`; the start is
     not validated here.  From there each candidate's scenario cost vector
-    is carried along the cancelled cycles (see `_neighborhood`), and
-    `criterion` scores the carried vector.  `memo`, when given, maps a
-    flow to its `_neighborhood` list and is read before one is built and
-    filled after; every neighbor is still scored, so the evaluation count
-    does not depend on it.
+    is carried along the cancelled cycles (see `_neighborhood`, which
+    ends each scenario's chain at `optimum`), and `criterion` scores the
+    carried vector.  `memo`, when given, maps a flow to its
+    `_neighborhood` list and is read before one is built and filled
+    after; every neighbor is still scored, so the evaluation count does
+    not depend on it.
     """
     current = start
     current_costs = start_costs
@@ -209,7 +231,9 @@ def _descend(
         best_cost = None
         neighbors = None if memo is None else memo.get(current)
         if neighbors is None:
-            neighbors = _neighborhood(instance, current, current_costs, params.neighborhood_size)
+            neighbors = _neighborhood(
+                instance, current, current_costs, optimum, params.neighborhood_size
+            )
             if memo is not None:
                 memo[current] = neighbors
         for cand in neighbors:
@@ -273,12 +297,13 @@ def local_search(
     if instance.flow_value == 0:
         return _zero_flow_record(instance, criterion, variant, solver, seed, t0)
 
+    # every descent ends its scenario chains at the optima, ls1's too
+    optima = compute_optima(instance)
     # (start flow, its scenario costs) for each descent
     if solver == "ls1":
         start = find_flow(instance.network, instance.flow_value)
         starts = [(start, scenario_costs(instance, start))]
     else:
-        optima = compute_optima(instance)
         pairs = list(zip(optima.flows, optima.vectors))
         if solver == "ls2":
             starts = [min(pairs, key=lambda pair: criterion.evaluate(*pair))]
@@ -292,7 +317,14 @@ def local_search(
     best_flow = best_costs = best_cost = None
     for start, start_costs in starts:
         flow, costs, cost, _ = _descend(
-            instance, criterion, start, start_costs, params, params.iteration_limit, on_move
+            instance,
+            criterion,
+            start,
+            start_costs,
+            optima.costs,
+            params,
+            params.iteration_limit,
+            on_move,
         )
         if best_cost is None or cost < best_cost:
             best_flow, best_costs, best_cost = flow, costs, cost
@@ -303,37 +335,40 @@ def local_search(
 def tournament_select(population, mode: str, sample_size: int, rng, exclude=()):
     """Index of the best (or worst) member of a random distinct sample.
 
-    The sample is uniform over the subsets of its size, drawn by Floyd's
-    algorithm from one ``rng.random(size)`` call: step j takes a uniform
-    position in 0..j, or j itself when that one is already taken.  Ties go
-    to the lower member index.  Returns None when `exclude` leaves nothing
-    to sample.
+    The sample is uniform over the subsets of its size among the members
+    not in `exclude`, drawn by Floyd's algorithm from one
+    ``rng.random(size)`` call: step j takes a uniform position in 0..j, or
+    j itself when that one is already taken.  Position p is the p-th
+    member not excluded, found by stepping past the sorted excluded
+    indices.  Ties go to the lower member index.  Returns None when
+    `exclude` leaves nothing to sample.
     """
-    candidates = [i for i in range(len(population)) if i not in exclude]
-    if not candidates:
+    count = len(population)
+    skip = sorted({e for e in exclude if 0 <= e < count}) if exclude else ()
+    n = count - len(skip)
+    if n <= 0:
         return None
-    n = len(candidates)
+    if mode == "best":
+        better = lt
+    elif mode == "worst":
+        better = gt
+    else:
+        raise ValueError(f"unknown tournament mode {mode!r}")
     size = min(sample_size, n)
     picked: set[int] = set()
     for j, u in zip(range(n - size, n), rng.random(size).tolist()):
         t = int(u * (j + 1))
         picked.add(j if t in picked else t)
-    sampled = [candidates[p] for p in sorted(picked)]
-    if mode == "best":
-        return min(sampled, key=lambda i: (population[i][1], i))
-    if mode == "worst":
-        return max(sampled, key=lambda i: (population[i][1], -i))
-    raise ValueError(f"unknown tournament mode {mode!r}")
-
-
-def _similar(cost_a: int, cost_b: int, base: int, threshold: int) -> bool:
-    """Costs within `threshold` percent of the population's best cost.
-
-    Integer arithmetic throughout; a zero base degenerates to equality.
-    """
-    if base == 0:
-        return cost_a == cost_b
-    return 100 * abs(cost_a - cost_b) <= threshold * base
+    chosen = chosen_cost = None
+    for i in sorted(picked):
+        for e in skip:
+            if e > i:
+                break
+            i += 1
+        cost = population[i][1]
+        if chosen is None or better(cost, chosen_cost):
+            chosen, chosen_cost = i, cost
+    return chosen
 
 
 def insert_child(
@@ -351,17 +386,21 @@ def insert_child(
     Members are ``(flow, robust cost, scenario costs)``.  If some member's
     cost lies within the similarity band of the child's, the better of the
     two twins survives (the incumbent on ties; the first such member by
-    index is the twin).  Otherwise the child replaces a worst-of-tournament
-    member, with the population best shielded.  `best_index` must be the
-    index of the lowest-cost member (the lowest index on ties).
+    index is the twin).  The band is `similarity_threshold` percent of the
+    population's best cost, rounded down: costs are integers, so a gap
+    within that percentage is within its floor, and a zero base leaves
+    only equal costs similar.  Otherwise the child replaces a
+    worst-of-tournament member, with the population best shielded.
+    `best_index` must be the index of the lowest-cost member (the lowest
+    index on ties).
 
     Returns the updated member list; a member the child took reads
     ``(child, child_cost, child_costs)``.
     """
-    base = population[best_index][1]
+    band = similarity_threshold * population[best_index][1] // 100
     member = (child, child_cost, child_costs)
     for i, twin in enumerate(population):
-        if _similar(twin[1], child_cost, base, similarity_threshold):
+        if abs(twin[1] - child_cost) <= band:
             updated = list(population)
             if child_cost < twin[1]:
                 updated[i] = member
@@ -408,6 +447,7 @@ def evolutionary(
 
     network = instance.network
     cost_rows = instance.scenarios.costs
+    optima = compute_optima(instance)
     # parent flow -> its unit paths; pruned to the live members when full
     unit_paths: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
 
@@ -439,19 +479,23 @@ def evolutionary(
         """Member i's mutant, and its scenario costs."""
         flow, _, costs = population[i]
         if mut_kind == 2:
-            return _descend(instance, criterion, flow, costs, params, limit, on_move, memo)[:2]
+            return _descend(
+                instance, criterion, flow, costs, optima.costs, params, limit, on_move, memo
+            )[:2]
         if mut_kind == 0:
             mutant = perturb(network, flow, rng)
             changes = _changes(flow, mutant)
         else:
             s = int(rng.integers(0, len(cost_rows)))
+            if costs[s] == optima.costs[s]:
+                # already optimal for s: cost_reduce would find no cycle
+                return flow, costs
             mutant, _, changes = cost_reduce(network, cost_rows[s], flow)
         return mutant, _advance(cost_rows, costs, changes)
 
     # A member is (flow, robust cost, scenario costs).  The scenario costs
     # are carried from the optima through every descent, crossover and
     # mutation, so no member is validated or summed in full again.
-    optima = compute_optima(instance)
     population = [
         (f, criterion.evaluate(f, costs), costs) for f, costs in zip(optima.flows, optima.vectors)
     ]

@@ -883,3 +883,58 @@ def prefix_cost_optimum(instance: Instance, variant: str, node_budget: int):
     except _OracleOptimumHit:
         pass
     return search.best_cost, search.best_values, search.explored
+
+
+def tournament_select_by_candidates(population, mode: str, sample_size: int, rng, exclude=()):
+    """Tournament selection over an explicit list of the members not excluded.
+
+    Floyd's algorithm draws positions into that list from one
+    ``rng.random(size)`` call, and a keyed `min` or `max` over the sampled
+    members breaks ties toward the lower index.
+    """
+    candidates = [i for i in range(len(population)) if i not in exclude]
+    if not candidates:
+        return None
+    n = len(candidates)
+    size = min(sample_size, n)
+    picked: set[int] = set()
+    for j, u in zip(range(n - size, n), rng.random(size).tolist()):
+        t = int(u * (j + 1))
+        picked.add(j if t in picked else t)
+    sampled = [candidates[p] for p in sorted(picked)]
+    if mode == "best":
+        return min(sampled, key=lambda i: (population[i][1], i))
+    if mode == "worst":
+        return max(sampled, key=lambda i: (population[i][1], -i))
+    raise ValueError(f"unknown tournament mode {mode!r}")
+
+
+def similar_costs(cost_a: int, cost_b: int, base: int, threshold: int) -> bool:
+    """Costs within `threshold` percent of `base`; a zero base means equality."""
+    if base == 0:
+        return cost_a == cost_b
+    return 100 * abs(cost_a - cost_b) <= threshold * base
+
+
+def insert_child_by_similarity(
+    population, child, child_cost, similarity_threshold, tournament_size, rng, best_index, child_costs
+):
+    """The first member similar to the child (by `similar_costs` against the
+    best member's cost) keeps the better of the two, the incumbent on ties;
+    with no such member the child replaces a worst-of-tournament member
+    other than the best."""
+    base = population[best_index][1]
+    member = (child, child_cost, child_costs)
+    for i, twin in enumerate(population):
+        if similar_costs(twin[1], child_cost, base, similarity_threshold):
+            updated = list(population)
+            if child_cost < twin[1]:
+                updated[i] = member
+            return updated
+    victim = tournament_select_by_candidates(
+        population, "worst", tournament_size, rng, exclude=(best_index,)
+    )
+    updated = list(population)
+    if victim is not None:
+        updated[victim] = member
+    return updated

@@ -73,6 +73,19 @@ class TestNetworkValidation:
         with pytest.raises(ValueError, match=message):
             Network(3, tails, heads, capacities)
 
+    def test_list_arguments_are_stored_as_tuples(self):
+        tails, heads, capacities = [1, 2], [2, 3], [1, 1]
+        net = Network(3, tails, heads, capacities)
+        assert (net.tails, net.heads, net.capacities) == ((1, 2), (2, 3), (1, 1))
+        assert net.out_arcs[1] == (0,)
+        tails.append(1)
+        heads.append(3)
+        capacities.append(1)
+        assert net.arc_count == 2
+        assert net.out_arcs[1] == (0,)
+        assert Network(3, (1, 2), (2, 3), (1, 1)).out_arcs == net.out_arcs
+        assert hash(net) == hash(Network(3, (1, 2), (2, 3), (1, 1)))
+
 
 class TestScenarioSet:
     def test_empty(self):

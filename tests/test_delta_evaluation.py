@@ -11,7 +11,10 @@ carried score the fresh objective.  The solvers' evaluation counts are
 pinned, and a corrupted vector, even in an entry below the worst one,
 must trip the closing comparison with the fresh scenario costs.  Along
 whole `cost_reduce` chains the arc changes it hands back must turn each
-input into its output and advance the carried vector to the fresh one.
+input into its output and advance the carried vector to the fresh one,
+and a step must be optimal exactly when the carried cost for its
+scenario equals the scenario optimum; the solvers rely on that rule and
+never call `cost_reduce` on an optimal flow.
 A flow is costed in full only where it is constructed: the scenario
 optima, ls1's and ls3's starts, and each solver's closing check.
 """
@@ -44,6 +47,7 @@ from rmcif.heuristics import SearchParams, _descend, _neighborhood, evolutionary
 from rmcif.objectives import Criterion, make_criterion, scenario_costs
 
 seeds = st.integers(0, 2_000)
+CYC = Path(__file__).parent / "data" / "cyc.rmcif"
 
 
 @st.composite
@@ -83,7 +87,9 @@ variants = st.sampled_from((ABSOLUTE, DEVIATION))
 def test_neighborhood_vectors_equal_fresh_costs(case, variant, size):
     instance, start = case
     criterion = make_criterion(instance, variant)
-    for flow, costs in _neighborhood(instance, start, scenario_costs(instance, start), size):
+    optimum = compute_optima(instance).costs
+    start_costs = scenario_costs(instance, start)
+    for flow, costs in _neighborhood(instance, start, start_costs, optimum, size):
         assert validate_flow(instance, flow) == instance.flow_value
         assert costs == fresh_costs(instance, flow)
         assert criterion.evaluate(flow, costs) == fresh_score(instance, variant, flow)
@@ -107,7 +113,8 @@ def test_descent_scores_equal_fresh_evaluations(case, variant):
     criterion.evaluate = checked
     params = SearchParams(neighborhood_size=8)
     start_costs = fresh_costs(instance, start)
-    flow, costs, cost, _ = _descend(instance, criterion, start, start_costs, params, None)
+    optimum = compute_optima(instance).costs
+    flow, costs, cost, _ = _descend(instance, criterion, start, start_costs, optimum, params, None)
     assert scored and criterion.evaluations == len(scored)
     for seen, seen_cost in scored:
         assert seen_cost == fresh_score(instance, variant, seen)
@@ -121,14 +128,19 @@ def walk_cost_reduce_chains(instance, start):
     At each step the returned changes must turn the input into the returned
     flow, be empty exactly when the step is optimal (and then the flow is
     the input object), and advance the carried vector to the fresh
-    scenario costs.  Returns the number of cancellations.
+    scenario costs.  A step must be optimal exactly when the carried cost
+    for its scenario equals that scenario's optimum: the rule by which the
+    solvers end a chain without calling `cost_reduce`.  Returns the number
+    of cancellations.
     """
     network, rows = instance.network, instance.scenarios.costs
+    optimum = compute_optima(instance).costs
     steps = 0
-    for row in rows:
+    for s, row in enumerate(rows):
         flow, costs = start, scenario_costs(instance, start)
         while True:
             nxt, optimal, changes = cost_reduce(network, row, flow)
+            assert optimal == (costs[s] == optimum[s])
             # a list: per-call tuples of varying length fill the
             # interpreter's tuple free lists
             assert type(changes) is list
@@ -165,6 +177,34 @@ def test_cost_reduce_changes_along_long_chains(seed):
     instance = gen(seed, widths=(6, 6, 6), scenarios=5, caps=(1, 20), costs=(0, 99))
     start = scrambled_flow(instance.network, instance.flow_value, seed)
     assert walk_cost_reduce_chains(instance, start) > 5 * instance.scenarios.scenario_count
+
+
+@pytest.mark.parametrize("solver", HEURISTIC_SOLVERS)
+def test_solvers_never_call_cost_reduce_on_an_optimal_flow(monkeypatch, solver):
+    """Every chain ends when its carried cost reaches the scenario optimum,
+    and a cost-reduce mutation of a member already optimal for its drawn
+    scenario is the member itself, so no call proves optimality."""
+    calls = []
+
+    def checked(network, costs, flow):
+        result = cost_reduce(network, costs, flow)
+        assert result[1] is False, "cost_reduce was called on an optimal flow"
+        calls.append(flow)
+        return result
+
+    monkeypatch.setattr(heuristics, "cost_reduce", checked)
+    instances = [gen(seed, widths=(4, 4), scenarios=4, caps=(1, 5)) for seed in (1, 2)]
+    instances.append(parse_instance(CYC.read_text()))
+    # a fill after the K optima, and a mutation in most generations
+    params = SearchParams(population_size=8, generation_limit=20, mutation_threshold=60)
+    for instance in instances:
+        for variant in VARIANTS:
+            if solver in EC_SOLVERS:
+                evolutionary(instance, variant, solver, params, seed=1)
+            else:
+                local_search(instance, variant, solver, params, seed=1)
+    # ec1, ec4 and ec7 perturb; every other solver cancels cycles
+    assert bool(calls) == (solver not in ("ec1", "ec4", "ec7"))
 
 
 # A mutation in most generations, so its carried vectors are scored too.
@@ -306,7 +346,6 @@ def test_evaluation_count_unchanged(instances, monkeypatch, seed, variant, solve
     assert [c.evaluations for c in made] == [EVALUATIONS[seed, variant, solver]]
 
 
-CYC = Path(__file__).parent / "data" / "cyc.rmcif"
 # ls1 and ls3 cost the start they construct; every solver's closing check
 # costs its result.  Every other vector is carried.
 FULL_COSTINGS = {"ls1": 2, "ls3": 2, **{solver: 1 for solver in ("ls2", "ls4", *EC_SOLVERS)}}

@@ -31,6 +31,8 @@ from rmcif.heuristics import _neighborhood, insert_child, tournament_select
 
 UPPER = (1, 0, 1, 0)
 LOWER = (0, 1, 0, 1)
+# the diamond's scenario optima, met by UPPER and LOWER respectively
+OPTIMUM = (2, 2)
 
 FAST = SearchParams(
     neighborhood_size=10,
@@ -93,14 +95,14 @@ class TestRng:
 
 class TestNeighborhood:
     def test_chains_collect_intermediate_flows(self, diamond):
-        neighbors = _neighborhood(diamond, LOWER, scenario_costs(diamond, LOWER), 30)
+        neighbors = _neighborhood(diamond, LOWER, scenario_costs(diamond, LOWER), OPTIMUM, 30)
         assert neighbors == [(UPPER, (2, 4))]
 
     def test_size_cap(self, diamond):
-        assert len(_neighborhood(diamond, LOWER, scenario_costs(diamond, LOWER), 1)) <= 1
+        assert len(_neighborhood(diamond, LOWER, scenario_costs(diamond, LOWER), OPTIMUM, 1)) <= 1
 
     def test_exhausts_when_all_chains_hit_optima(self, diamond):
-        neighbors = _neighborhood(diamond, UPPER, scenario_costs(diamond, UPPER), 30)
+        neighbors = _neighborhood(diamond, UPPER, scenario_costs(diamond, UPPER), OPTIMUM, 30)
         assert neighbors == [(LOWER, (4, 2))]
 
 

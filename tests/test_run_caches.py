@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import cyclic_instances, gen, scrambled_flow
 from rmcif import DEVIATION, VARIANTS, SearchParams, evolutionary, flow_ops, heuristics
 from rmcif.heuristics import _descend, _neighborhood, tournament_select
-from rmcif.objectives import make_criterion, scenario_costs
+from rmcif.objectives import compute_optima, make_criterion, scenario_costs
 
 CROSSOVER_SOLVERS = ("ec7", "ec8", "ec9")
 
@@ -113,12 +113,15 @@ def test_descent_with_a_memo_follows_the_one_without(instance, variant, seed):
     params = SearchParams(neighborhood_size=5)
     plain = make_criterion(instance, variant)
     start_costs = scenario_costs(instance, start)
-    want = _descend(instance, plain, start, start_costs, params, None)
+    optimum = compute_optima(instance).costs
+    want = _descend(instance, plain, start, start_costs, optimum, params, None)
     memo = {}
     for _ in range(2):  # an empty memo, then the one the first descent filled
         criterion = make_criterion(instance, variant)
-        assert _descend(instance, criterion, start, start_costs, params, None, memo=memo) == want
+        got = _descend(instance, criterion, start, start_costs, optimum, params, None, memo=memo)
+        assert got == want
         assert criterion.evaluations == plain.evaluations
     for flow, neighbors in memo.items():
         size = params.neighborhood_size
-        assert neighbors == _neighborhood(instance, flow, scenario_costs(instance, flow), size)
+        costs = scenario_costs(instance, flow)
+        assert neighbors == _neighborhood(instance, flow, costs, optimum, size)

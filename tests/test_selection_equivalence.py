@@ -1,0 +1,88 @@
+"""The evolutionary loop's selection steps against their plain oracles.
+
+`tournament_select` maps sampled positions past the excluded indices
+instead of building a candidate list, and `insert_child` tests each member
+against the integer band ``threshold * base // 100`` instead of a
+percentage comparison.  On random populations, with ties, zero-cost bests,
+every threshold and exclusions that repeat or fall out of range, both must
+return what the oracles in `tests/oracles.py` return and leave the
+generator where the oracles leave it.
+"""
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from rmcif.heuristics import insert_child, make_rng, tournament_select
+
+seeds = st.integers(0, 10_000)
+# costs from a short range, so ties and zero-cost members are common
+costs = st.integers(0, 12)
+
+
+@st.composite
+def populations(draw, min_size=1):
+    return [("m", c, (c,)) for c in draw(st.lists(costs, min_size=min_size, max_size=12))]
+
+
+@st.composite
+def exclusions(draw, size):
+    """``()``, one index, several, with repeats, or outside the population."""
+    shape = draw(st.sampled_from(("none", "one", "several", "repeated", "out of range")))
+    index = st.integers(0, size - 1)
+    if shape == "none":
+        return ()
+    if shape == "one":
+        return (draw(index),)
+    if shape == "several":
+        return tuple(draw(st.lists(index, min_size=min(2, size), max_size=size, unique=True)))
+    if shape == "repeated":
+        first = draw(index)
+        return tuple(draw(st.permutations([first, first, *draw(st.lists(index, max_size=3))])))
+    return (-1, size, *draw(st.lists(index, max_size=2)))
+
+
+def assert_same_stream(a, b):
+    assert a.random(3).tolist() == b.random(3).tolist()
+
+
+@given(st.data(), populations(), st.sampled_from(("best", "worst")), st.integers(1, 14), seeds)
+@settings(max_examples=400)
+def test_tournament_matches_the_candidate_list(data, population, mode, size, seed):
+    exclude = data.draw(exclusions(len(population)))
+    ours, theirs = make_rng(seed), make_rng(seed)
+    got = tournament_select(population, mode, size, ours, exclude)
+    assert got == oracles.tournament_select_by_candidates(population, mode, size, theirs, exclude)
+    assert_same_stream(ours, theirs)
+
+
+@given(populations(), st.sampled_from(("best", "worst")), st.integers(1, 4), seeds)
+def test_tournament_matches_on_tied_populations(population, mode, size, seed):
+    tied = [(flow, 5, (5,)) for flow, _, _ in population]
+    ours, theirs = make_rng(seed), make_rng(seed)
+    got = tournament_select(tied, mode, size, ours)
+    assert got == oracles.tournament_select_by_candidates(tied, mode, size, theirs)
+    assert_same_stream(ours, theirs)
+
+
+@given(
+    populations(),
+    costs,
+    st.one_of(st.sampled_from((0, 100)), st.integers(0, 100)),
+    st.integers(1, 5),
+    seeds,
+    st.booleans(),
+)
+@settings(max_examples=400)
+def test_insert_child_matches_the_percentage_test(population, cost, threshold, size, seed, zero):
+    if zero:  # a zero-cost best
+        population[len(population) // 2] = ("m", 0, (0,))
+    best = min(range(len(population)), key=lambda i: (population[i][1], i))
+    ours, theirs = make_rng(seed), make_rng(seed)
+    got = insert_child(population, "kid", cost, threshold, size, ours, best, (cost,))
+    want = oracles.insert_child_by_similarity(
+        population, "kid", cost, threshold, size, theirs, best, (cost,)
+    )
+    assert got == want
+    assert_same_stream(ours, theirs)
