@@ -8,9 +8,10 @@ gives an instance and the corpus holds exactly `count` files.
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
-from rmcif import GeneratorSpec, generate, write_instance
+from rmcif import GeneratorSpec, RmcifError, generate, write_instance
 
 
 def int_pair(text: str) -> tuple[int, int]:
@@ -42,18 +43,21 @@ def main() -> None:
     parser.add_argument("--start-seed", type=int, default=0)
     args = parser.parse_args()
 
-    write_corpus(
-        args.out,
-        args.count,
-        args.start_seed,
-        f"{args.widths}_",
-        layer_widths=tuple(int(w) for w in args.widths.split("x")),
-        scenario_count=args.scenarios,
-        capacity_range=args.caps,
-        cost_range=args.costs,
-        density=args.density,
-        flow_fraction=args.flow_fraction,
-    )
+    try:
+        write_corpus(
+            args.out,
+            args.count,
+            args.start_seed,
+            f"{args.widths}_",
+            layer_widths=tuple(int(w) for w in args.widths.split("x")),
+            scenario_count=args.scenarios,
+            capacity_range=args.caps,
+            cost_range=args.costs,
+            density=args.density,
+            flow_fraction=args.flow_fraction,
+        )
+    except RmcifError as exc:
+        sys.exit(f"error: {exc}")
     print(f"wrote {args.count} instances to {args.out}")
 
 

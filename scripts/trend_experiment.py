@@ -13,10 +13,11 @@ Example:
 from __future__ import annotations
 
 import argparse
+import sys
 from pathlib import Path
 
 from make_instances import int_pair, write_corpus
-from rmcif import ABSOLUTE, DEVIATION, SearchParams, run_bench, summary_table
+from rmcif import ABSOLUTE, DEVIATION, RmcifError, SearchParams, run_bench, summary_table
 
 
 def seed_range(text: str) -> tuple[int, ...]:
@@ -41,6 +42,14 @@ def main() -> None:
     parser.add_argument("--exact-budget", type=int, default=100_000_000)
     args = parser.parse_args()
 
+    try:
+        sweep(args)
+    except RmcifError as exc:
+        sys.exit(f"error: {exc}")
+
+
+def sweep(args: argparse.Namespace) -> None:
+    """Generate, bench and summarize each requested shape in turn."""
     solvers = tuple(s.strip() for s in args.solvers.split(","))
     for shape in args.shapes.split(","):
         widths = tuple(int(w) for w in shape.split("x"))

@@ -17,16 +17,19 @@ from __future__ import annotations
 import csv
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
 from typing import Sequence
 
 from .core import (
+    ALL_SOLVERS,
     EC_SOLVERS,
     LS_SOLVERS,
+    VARIANTS,
     Instance,
     InstanceFormatError,
+    InvalidParameter,
     RmcifError,
     SolutionRecord,
     format_solution,
@@ -135,8 +138,9 @@ def run_bench(
     """Run every (instance, variant, solver, seed) cell and aggregate.
 
     `instances` is a directory (all *.rmcif inside, sorted) or a list of
-    file paths.  Every file is parsed once up front, so a broken one ends
-    the call before any cell runs or any output is written.  Then each
+    file paths.  Every variant and solver tag is checked and every file
+    parsed once up front, so an unknown tag or a broken file ends the call
+    before any cell runs or any output is written.  Then each
     instance in turn is parsed again, enumerated, run, written and
     dropped, so memory stays flat in the number of instances.  Exact
     optima are enumerated once per instance and variant when
@@ -154,6 +158,12 @@ def run_bench(
             raise RmcifError(f"no .rmcif instances found under {instances}")
     else:
         paths = [Path(p) for p in instances]
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise InvalidParameter(f"unknown variant {variant!r}")
+    for solver in solvers:
+        if solver not in ALL_SOLVERS:
+            raise InvalidParameter(f"unknown solver tag {solver!r}")
     for path in paths:
         _parse(path)
 
@@ -171,23 +181,26 @@ def run_bench(
             instance = _parse(path)
             compute_optima(instance)
             for variant in variants:
-                # the pair's (cost, seconds, witness), or the error it raised
+                # the pair's one enumeration record, or the error it raised
                 exact = None
                 if compute_exact or "exact" in solvers:
-                    start = time.perf_counter()
                     try:
-                        cost, values = enumerate_optimum(instance, variant, exact_budget)
+                        exact = solve_one(instance, variant, "exact", 0, exact_budget=exact_budget)
                     except RmcifError as exc:
                         exact = exc
                         if compute_exact:
                             report.warnings.append(f"{name}/{variant}: exact solve failed: {exc}")
-                    else:
-                        exact = (cost, time.perf_counter() - start, values)
-                exact_pair = exact[:2] if compute_exact and isinstance(exact, tuple) else None
+                exact_pair = None
+                if compute_exact and isinstance(exact, SolutionRecord):
+                    exact_pair = (exact.robust_cost, exact.elapsed_seconds)
                 for solver, seed in product(solvers, seeds):
                     try:
                         if solver == "exact":
-                            record = _exact_record(variant, seed, exact)
+                            # the enumeration ignores the seed
+                            check_seed(seed)
+                            if isinstance(exact, RmcifError):
+                                raise exact
+                            record = replace(exact, seed=seed)
                         else:
                             record = solve_one(instance, variant, solver, seed, params, exact_budget)
                     except RmcifError as exc:
@@ -226,16 +239,6 @@ def run_bench(
                 )
             )
     return report
-
-
-def _exact_record(variant: str, seed: int, exact) -> SolutionRecord:
-    """An exact cell's record from its pair's one enumeration, which does
-    not depend on the seed; the pair's error is raised again instead."""
-    check_seed(seed)
-    if isinstance(exact, RmcifError):
-        raise exact
-    cost, seconds, values = exact
-    return SolutionRecord(variant, "exact", cost, values, seed, seconds)
 
 
 def _score(name, record, exact_pair, warnings) -> BenchRow:

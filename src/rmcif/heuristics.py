@@ -19,8 +19,8 @@ few arcs, without comparing the two flows.  A crossover child (rounded
 center, harmonized or composed flow) advances from its first parent, and
 a perturbed mutant from its source member, over the arcs where the two
 flows differ (`_changes`).  The descent takes its start's vector and
-hands each accepted move's vector to its callback, so the members that
-the fill harvests carry theirs too.  The crossovers, mutations and cycle
+yields each accepted move with its vector, so the members that the fill
+takes from it carry theirs too.  The crossovers, mutations and cycle
 cancellations build feasible flows of value F by construction, so no
 derived flow is validated; before a solver returns, the fresh scenario
 costs of its flow must equal the whole vector carried with it, from
@@ -55,7 +55,7 @@ loop and `local_search` build every neighborhood afresh.
 
 The loop's frequent draws are cheap ones: a tournament draws its sample
 from one ``rng.random(size)`` call (Floyd's algorithm) and maps the
-positions past the excluded indices without building a candidate list,
+positions past the excluded index without building a candidate list,
 and the per-generation mutation coin is one ``rng.random()``.
 `insert_child` compares cost gaps with one integer band per call.
 
@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice
 from operator import gt, lt, ne
 
 import numpy as np
@@ -200,40 +200,36 @@ def _descend(
     start: tuple[int, ...],
     start_costs: tuple[int, ...],
     optimum: tuple[int, ...],
-    params: SearchParams,
-    iteration_limit: int | None,
-    on_move=None,
+    size: int,
     memo: dict | None = None,
 ):
     """Best-neighbor descent accepting only strict improvements.
 
-    Returns ``(flow, costs, cost, accepted_moves)``, where `costs` is the
-    flow's carried scenario cost vector.  `on_move(flow, cost, costs)` is
-    called on every accepted move.  Costs are nonnegative integers and
-    each move strictly decreases them, so the descent terminates without
-    any limit.
+    Yields ``(flow, cost, costs)``, where `costs` is the flow's carried
+    scenario cost vector: first the start, then each accepted move.  Costs
+    are nonnegative integers and each move strictly decreases them, so the
+    descent ends on its own; a caller that wants fewer moves stops taking
+    them (`itertools.islice`), and no neighborhood is built past the last
+    move taken.
 
     `start_costs` must be the start flow's `scenario_costs`; the start is
     not validated here.  From there each candidate's scenario cost vector
     is carried along the cancelled cycles (see `_neighborhood`, which
-    ends each scenario's chain at `optimum`), and `criterion` scores the
-    carried vector.  `memo`, when given, maps a flow to its
-    `_neighborhood` list and is read before one is built and filled
-    after; every neighbor is still scored, so the evaluation count does
-    not depend on it.
+    builds at most `size` neighbors and ends each scenario's chain at
+    `optimum`), and `criterion` scores the carried vector.  `memo`, when
+    given, maps a flow to its `_neighborhood` list and is read before one
+    is built and filled after; every neighbor is still scored, so the
+    evaluation count does not depend on it.
     """
-    current = start
-    current_costs = start_costs
-    current_cost = criterion.evaluate(start, current_costs)
-    moves = 0
-    while iteration_limit is None or moves < iteration_limit:
+    current, current_costs = start, start_costs
+    current_cost = criterion.evaluate(start, start_costs)
+    yield current, current_cost, current_costs
+    while True:
         best = None
         best_cost = None
         neighbors = None if memo is None else memo.get(current)
         if neighbors is None:
-            neighbors = _neighborhood(
-                instance, current, current_costs, optimum, params.neighborhood_size
-            )
+            neighbors = _neighborhood(instance, current, current_costs, optimum, size)
             if memo is not None:
                 memo[current] = neighbors
         for cand in neighbors:
@@ -241,12 +237,9 @@ def _descend(
             if best_cost is None or cost < best_cost:
                 best, best_cost = cand, cost
         if best is None or best_cost >= current_cost:
-            break
+            return
         (current, current_costs), current_cost = best, best_cost
-        moves += 1
-        if on_move is not None:
-            on_move(current, current_cost, current_costs)
-    return current, current_costs, current_cost, moves
+        yield current, current_cost, current_costs
 
 
 def _confirm_costs(instance: Instance, flow: tuple[int, ...], costs: tuple[int, ...]) -> None:
@@ -313,39 +306,34 @@ def local_search(
         else:
             starts = pairs
 
-    on_move = None if trace is None else lambda flow, cost, _: trace(flow, cost)
     best_flow = best_costs = best_cost = None
     for start, start_costs in starts:
-        flow, costs, cost, _ = _descend(
-            instance,
-            criterion,
-            start,
-            start_costs,
-            optima.costs,
-            params,
-            params.iteration_limit,
-            on_move,
+        descent = _descend(
+            instance, criterion, start, start_costs, optima.costs, params.neighborhood_size
         )
+        # the descent's last flow taken: its start, or its last move
+        flow, cost, costs = next(descent)
+        for flow, cost, costs in islice(descent, params.iteration_limit):
+            if trace is not None:
+                trace(flow, cost)
         if best_cost is None or cost < best_cost:
             best_flow, best_costs, best_cost = flow, costs, cost
     _confirm_costs(instance, best_flow, best_costs)
     return SolutionRecord(variant, solver, best_cost, best_flow, seed, time.perf_counter() - t0)
 
 
-def tournament_select(population, mode: str, sample_size: int, rng, exclude=()):
+def tournament_select(population, mode: str, sample_size: int, rng, exclude: int | None = None):
     """Index of the best (or worst) member of a random distinct sample.
 
     The sample is uniform over the subsets of its size among the members
-    not in `exclude`, drawn by Floyd's algorithm from one
-    ``rng.random(size)`` call: step j takes a uniform position in 0..j, or
-    j itself when that one is already taken.  Position p is the p-th
-    member not excluded, found by stepping past the sorted excluded
-    indices.  Ties go to the lower member index.  Returns None when
-    `exclude` leaves nothing to sample.
+    other than `exclude`, a member index or None, drawn by Floyd's
+    algorithm from one ``rng.random(size)`` call: step j takes a uniform
+    position in 0..j, or j itself when that one is already taken.
+    Position p is member p, or p + 1 from the excluded index on.  Ties go
+    to the lower member index.  Returns None when `exclude` leaves
+    nothing to sample.
     """
-    count = len(population)
-    skip = sorted({e for e in exclude if 0 <= e < count}) if exclude else ()
-    n = count - len(skip)
+    n = len(population) - (exclude is not None)
     if n <= 0:
         return None
     if mode == "best":
@@ -361,10 +349,8 @@ def tournament_select(population, mode: str, sample_size: int, rng, exclude=()):
         picked.add(j if t in picked else t)
     chosen = chosen_cost = None
     for i in sorted(picked):
-        for e in skip:
-            if e > i:
-                break
-            i += 1
+        if exclude is not None:
+            i += i >= exclude
         cost = population[i][1]
         if chosen is None or better(cost, chosen_cost):
             chosen, chosen_cost = i, cost
@@ -405,9 +391,7 @@ def insert_child(
             if child_cost < twin[1]:
                 updated[i] = member
             return updated
-    victim = tournament_select(
-        population, "worst", tournament_size, rng, exclude=(best_index,)
-    )
+    victim = tournament_select(population, "worst", tournament_size, rng, exclude=best_index)
     if victim is None:
         return list(population)
     updated = list(population)
@@ -475,13 +459,18 @@ def evolutionary(
     if params.iteration_limit is not None:
         cap = min(cap, params.iteration_limit)
 
-    def mutate(i: int, limit=cap, on_move=None, memo=None):
+    def descend(i: int, memo=None):
+        """Member i's capped descent: the member, then up to `cap` moves."""
+        flow, _, costs = population[i]
+        size = params.neighborhood_size
+        return islice(_descend(instance, criterion, flow, costs, optima.costs, size, memo), cap + 1)
+
+    def mutate(i: int):
         """Member i's mutant, and its scenario costs."""
         flow, _, costs = population[i]
         if mut_kind == 2:
-            return _descend(
-                instance, criterion, flow, costs, optima.costs, params, limit, on_move, memo
-            )[:2]
+            *_, (mutant, _, costs) = descend(i)
+            return mutant, costs
         if mut_kind == 0:
             mutant = perturb(network, flow, rng)
             changes = _changes(flow, mutant)
@@ -504,19 +493,20 @@ def evolutionary(
         population = [population[i] for i in order[: params.population_size]]
     # The fill's descents mostly start from copies of the same few optima.
     neighborhoods: dict = {}
-
-    def harvest(flow, cost, costs):
-        population.append((flow, cost, costs))
-
     while len(population) < params.population_size:
         source = int(rng.integers(0, len(population)))
-        # each accepted move fills a slot, so a descent past the free slots
-        # is wasted, and one capped at them never overfills the population
-        before = len(population)
-        limit = min(cap, params.population_size - before)
-        mutant, costs = mutate(source, limit, harvest, neighborhoods)
-        if len(population) == before:
-            population.append((mutant, criterion.evaluate(mutant, costs), costs))
+        if mut_kind == 2:
+            # each accepted move fills a slot, and the start one only when
+            # the descent made no move
+            steps = descend(source, neighborhoods)
+            mutant, _, costs = next(steps)
+            moves = list(islice(steps, params.population_size - len(population)))
+            if moves:
+                population += moves
+                continue
+        else:
+            mutant, costs = mutate(source)
+        population.append((mutant, criterion.evaluate(mutant, costs), costs))
     del neighborhoods
 
     # The best member (lowest cost, then lowest index) is tracked as members

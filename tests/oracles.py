@@ -885,14 +885,15 @@ def prefix_cost_optimum(instance: Instance, variant: str, node_budget: int):
     return search.best_cost, search.best_values, search.explored
 
 
-def tournament_select_by_candidates(population, mode: str, sample_size: int, rng, exclude=()):
-    """Tournament selection over an explicit list of the members not excluded.
+def tournament_select_by_candidates(population, mode: str, sample_size: int, rng, exclude=None):
+    """Tournament selection over an explicit list of the members other than
+    `exclude`, a member index or None.
 
     Floyd's algorithm draws positions into that list from one
     ``rng.random(size)`` call, and a keyed `min` or `max` over the sampled
     members breaks ties toward the lower index.
     """
-    candidates = [i for i in range(len(population)) if i not in exclude]
+    candidates = [i for i in range(len(population)) if i != exclude]
     if not candidates:
         return None
     n = len(candidates)
@@ -932,7 +933,7 @@ def insert_child_by_similarity(
                 updated[i] = member
             return updated
     victim = tournament_select_by_candidates(
-        population, "worst", tournament_size, rng, exclude=(best_index,)
+        population, "worst", tournament_size, rng, exclude=best_index
     )
     updated = list(population)
     if victim is not None:

@@ -236,6 +236,23 @@ class TestRunBench:
         assert report.warnings == warnings
         assert report.rows == rows
 
+    @pytest.mark.parametrize(
+        "variants, solvers, message",
+        [
+            ((ABSOLUTE,), ("ls1", "ls9"), "unknown solver tag 'ls9'"),
+            (("abs",), ("ls1",), "unknown variant 'abs'"),
+        ],
+        ids=["solver", "variant"],
+    )
+    def test_unknown_tags_rejected_before_any_cell(
+        self, bench_dir, tmp_path, enumerations, variants, solvers, message
+    ):
+        out_csv = tmp_path / "tags.csv"
+        with pytest.raises(InvalidParameter, match=message):
+            run_bench(bench_dir, variants, solvers, (0,), FAST, out_csv=out_csv)
+        assert not out_csv.exists()
+        assert enumerations == []
+
     def test_explicit_path_list(self, bench_dir):
         paths = sorted(bench_dir.glob("*.rmcif"))[:1]
         report = run_bench(paths, (ABSOLUTE,), ("ls1",), (0,), params=FAST)

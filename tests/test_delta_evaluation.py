@@ -111,10 +111,9 @@ def test_descent_scores_equal_fresh_evaluations(case, variant):
         return cost
 
     criterion.evaluate = checked
-    params = SearchParams(neighborhood_size=8)
     start_costs = fresh_costs(instance, start)
     optimum = compute_optima(instance).costs
-    flow, costs, cost, _ = _descend(instance, criterion, start, start_costs, optimum, params, None)
+    *_, (flow, cost, costs) = _descend(instance, criterion, start, start_costs, optimum, 8)
     assert scored and criterion.evaluations == len(scored)
     for seen, seen_cost in scored:
         assert seen_cost == fresh_score(instance, variant, seen)

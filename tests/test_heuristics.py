@@ -120,11 +120,11 @@ class TestTournament:
         assert tournament_select(tied, "worst", 2, make_rng(0)) == 0
 
     def test_exclude_narrows_candidates(self):
-        got = tournament_select(self.population, "best", 5, make_rng(0), exclude=(1, 3))
-        assert got == 0
+        got = tournament_select(self.population, "best", 5, make_rng(0), exclude=1)
+        assert got == 3
 
     def test_exclude_everything(self):
-        assert tournament_select([(None, 1)], "best", 3, make_rng(0), exclude=(0,)) is None
+        assert tournament_select([(None, 1)], "best", 3, make_rng(0), exclude=0) is None
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="mode"):
@@ -132,20 +132,21 @@ class TestTournament:
 
     @given(st.integers(0, 300))
     def test_sample_respects_exclusion(self, seed):
-        got = tournament_select(self.population, "worst", 2, make_rng(seed), exclude=(4,))
+        got = tournament_select(self.population, "worst", 2, make_rng(seed), exclude=4)
         assert got in (0, 1, 2, 3)
 
     @staticmethod
     def sample(seed, exclude=()):
         """The members that a size-3 tournament over five members samples with `seed`.
 
+        `exclude` holds no member or one, passed on as the optional index.
         The draw is replayed once per member j, with j the only member of
         cost 0, so the "best" pick is j exactly when j was sampled.
         """
         return frozenset(
             j for j in range(5)
             if tournament_select(
-                [(None, int(i != j)) for i in range(5)], "best", 3, make_rng(seed), exclude
+                [(None, int(i != j)) for i in range(5)], "best", 3, make_rng(seed), *exclude
             ) == j
         )
 
@@ -321,6 +322,33 @@ class TestLocalSearch:
         )
         free = local_search(instance, ABSOLUTE, "ls1")
         assert capped.robust_cost >= free.robust_cost
+
+    @pytest.mark.parametrize("limit", [None, 1, 2, 3])
+    @pytest.mark.parametrize("seed", range(6))
+    def test_iteration_limit_stops_before_the_next_neighborhood(self, monkeypatch, seed, limit):
+        # A descent capped at k moves builds one neighborhood per move and
+        # none after the k-th; one that ends on its own also builds the
+        # neighborhood that offers no improvement.
+        instance = gen(seed, widths=(3, 3), scenarios=3, caps=(1, 4), density=0.8)
+        built = []
+        neighborhood = heuristics._neighborhood
+
+        def counted(*args):
+            built.append(args[1])
+            return neighborhood(*args)
+
+        monkeypatch.setattr(heuristics, "_neighborhood", counted)
+        moves = []
+        local_search(
+            instance,
+            ABSOLUTE,
+            "ls1",
+            params=SearchParams(iteration_limit=limit),
+            trace=lambda flow, cost: moves.append(flow),
+        )
+        if limit is not None:
+            assert len(moves) <= limit
+        assert len(built) == (len(moves) if len(moves) == limit else len(moves) + 1)
 
 
 class TestEvolutionary:

@@ -110,18 +110,17 @@ def test_kept_paths_never_outnumber_the_population(monkeypatch):
 @settings(max_examples=40)
 def test_descent_with_a_memo_follows_the_one_without(instance, variant, seed):
     start = scrambled_flow(instance.network, instance.flow_value, seed)
-    params = SearchParams(neighborhood_size=5)
+    size = 5
     plain = make_criterion(instance, variant)
     start_costs = scenario_costs(instance, start)
     optimum = compute_optima(instance).costs
-    want = _descend(instance, plain, start, start_costs, optimum, params, None)
+    want = list(_descend(instance, plain, start, start_costs, optimum, size))
     memo = {}
     for _ in range(2):  # an empty memo, then the one the first descent filled
         criterion = make_criterion(instance, variant)
-        got = _descend(instance, criterion, start, start_costs, optimum, params, None, memo=memo)
+        got = list(_descend(instance, criterion, start, start_costs, optimum, size, memo=memo))
         assert got == want
         assert criterion.evaluations == plain.evaluations
     for flow, neighbors in memo.items():
-        size = params.neighborhood_size
         costs = scenario_costs(instance, flow)
         assert neighbors == _neighborhood(instance, flow, costs, optimum, size)
