@@ -35,7 +35,7 @@ from .core import (
     format_solution,
     parse_instance,
 )
-from .exact import enumerate_optimum
+from .exact import DEFAULT_NODE_BUDGET, check_budget, enumerate_optimum
 from .heuristics import SearchParams, check_seed, evolutionary, local_search
 from .objectives import compute_optima
 
@@ -58,7 +58,7 @@ def solve_one(
     solver: str,
     seed: int = 0,
     params: SearchParams | None = None,
-    exact_budget: int = 100_000_000,
+    exact_budget: int = DEFAULT_NODE_BUDGET,
 ) -> SolutionRecord:
     """Run a single solver tag (ls*, ec*, or exact) on one instance.
 
@@ -133,14 +133,15 @@ def run_bench(
     out_csv: str | Path | None = None,
     sol_dir: str | Path | None = None,
     compute_exact: bool = True,
-    exact_budget: int = 100_000_000,
+    exact_budget: int = DEFAULT_NODE_BUDGET,
 ) -> BenchReport:
     """Run every (instance, variant, solver, seed) cell and aggregate.
 
     `instances` is a directory (all *.rmcif inside, sorted) or a list of
-    file paths.  Every variant and solver tag is checked and every file
-    parsed once up front, so an unknown tag or a broken file ends the call
-    before any cell runs or any output is written.  Then each
+    file paths.  Every variant and solver tag, seed and the budget is
+    checked and every file parsed once up front, so an unknown tag, a
+    negative seed or budget, or a broken file ends the call before any
+    cell runs or any output is written.  Then each
     instance in turn is parsed again, enumerated, run, written and
     dropped, so memory stays flat in the number of instances.  Exact
     optima are enumerated once per instance and variant when
@@ -164,6 +165,9 @@ def run_bench(
     for solver in solvers:
         if solver not in ALL_SOLVERS:
             raise InvalidParameter(f"unknown solver tag {solver!r}")
+    for seed in seeds:
+        check_seed(seed)
+    exact_budget = check_budget(exact_budget)
     for path in paths:
         _parse(path)
 
@@ -197,7 +201,6 @@ def run_bench(
                     try:
                         if solver == "exact":
                             # the enumeration ignores the seed
-                            check_seed(seed)
                             if isinstance(exact, RmcifError):
                                 raise exact
                             record = replace(exact, seed=seed)

@@ -1,4 +1,9 @@
-"""Command-line front end: generate, solve, export-lp, bench."""
+"""Command-line front end: generate, solve, export-lp, bench, corpus, sweep.
+
+`corpus` writes a seeded family of instances from `generate`'s flags, and
+`sweep` writes one such family per layer shape and benches each with
+`bench`'s flags.  Every input is checked before the first file is written.
+"""
 from __future__ import annotations
 
 import argparse
@@ -7,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import run_bench, solve_one, summary_table
+from .bench import BenchReport, run_bench, solve_one, summary_table
 from .core import (
     ABSOLUTE,
     ALL_SOLVERS,
@@ -19,7 +24,7 @@ from .core import (
     parse_instance,
     write_instance,
 )
-from .exact import check_budget, export_lp
+from .exact import DEFAULT_NODE_BUDGET, check_budget, export_lp
 from .generator import GeneratorSpec, generate
 from .heuristics import SearchParams, check_seed
 
@@ -71,6 +76,15 @@ def _widths(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
+        ) from None
+
+
+def _shapes(text: str) -> tuple[tuple[int, ...], ...]:
+    try:
+        return tuple(tuple(int(w) for w in shape.split("x")) for shape in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated shapes such as 2x2,4x4x2, got {text!r}"
         ) from None
 
 
@@ -158,6 +172,37 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", help="JSON file of search parameter overrides")
 
 
+def _add_generator_flags(sub: argparse.ArgumentParser, shapes: bool = False) -> None:
+    """`generate`'s instance flags; with `shapes`, --shapes replaces --width and --layers."""
+    if shapes:
+        sub.add_argument("--shapes", type=_shapes, default="2x2,3x3",
+                         help="comma-separated layer shapes, e.g. 2x2,4x4x2")
+    else:
+        sub.add_argument("--layers", type=int, help="layer count (with a single --width)")
+        sub.add_argument("--width", type=_widths, required=True,
+                         help="layer width, or comma-separated per-layer widths")
+    sub.add_argument("--scenarios", type=int, required=True, help="scenario count")
+    sub.add_argument("--density", type=float, default=1.0)
+    sub.add_argument("--cap", type=_int_range, default=(0, 99), metavar="LO:HI")
+    sub.add_argument("--cost", type=_int_range, default=(0, 99), metavar="LO:HI")
+    sub.add_argument("--flow", type=int, help="required flow value (retries the draw)")
+    sub.add_argument("--flow-frac", type=float, default=0.5,
+                     help="required value as a fraction of max-flow (ignored with --flow)")
+    sub.add_argument("--seed", type=int, default=0, help="seed of the first instance")
+    sub.add_argument("--retries", type=int, default=20)
+
+
+def _add_bench_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--solvers", type=_solver_list, default=HEURISTIC_SOLVERS,
+                     help="'all' or a comma-separated list")
+    sub.add_argument("--seeds", default="0",
+                     help="'lo:hi' or comma-separated seeds")
+    sub.add_argument("--no-exact", action="store_true",
+                     help="skip exact scoring (no error/speedup columns)")
+    sub.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
+                     help="node budget for the exact solver")
+
+
 def _make_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rmcif",
@@ -166,26 +211,7 @@ def _make_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     gen = commands.add_parser("generate", help="write a seeded layered instance")
-    gen.add_argument("--layers", type=int, help="layer count (with a single --width)")
-    gen.add_argument(
-        "--width",
-        type=_widths,
-        required=True,
-        help="layer width, or comma-separated per-layer widths",
-    )
-    gen.add_argument("--scenarios", type=int, required=True, help="scenario count")
-    gen.add_argument("--density", type=float, default=1.0)
-    gen.add_argument("--cap", type=_int_range, default=(0, 99), metavar="LO:HI")
-    gen.add_argument("--cost", type=_int_range, default=(0, 99), metavar="LO:HI")
-    gen.add_argument("--flow", type=int, help="required flow value (retries the draw)")
-    gen.add_argument(
-        "--flow-frac",
-        type=float,
-        default=0.5,
-        help="required value as a fraction of max-flow (ignored with --flow)",
-    )
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--retries", type=int, default=20)
+    _add_generator_flags(gen)
     gen.add_argument("-o", "--output", help="output path (default: stdout)")
 
     solve = commands.add_parser("solve", help="run one solver on one instance")
@@ -193,7 +219,7 @@ def _make_parser() -> argparse.ArgumentParser:
     solve.add_argument("--variant", type=_variant, required=True)
     solve.add_argument("--solver", required=True, choices=ALL_SOLVERS)
     solve.add_argument("--seed", type=int, default=0)
-    solve.add_argument("--budget", type=int, default=100_000_000,
+    solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                        help="node budget for the exact solver")
     _add_param_flags(solve)
     solve.add_argument("-o", "--output", help="solution path (default: stdout)")
@@ -207,38 +233,73 @@ def _make_parser() -> argparse.ArgumentParser:
     bench.add_argument("--dir", required=True, help="directory of .rmcif instances")
     bench.add_argument("--variants", default="abs,dev",
                        help="comma-separated variant tags")
-    bench.add_argument("--solvers", type=_solver_list, default=HEURISTIC_SOLVERS,
-                       help="'all' or a comma-separated list")
-    bench.add_argument("--seeds", default="0",
-                       help="'lo:hi' or comma-separated seeds")
     bench.add_argument("--out", required=True, help="CSV output path")
     bench.add_argument("--sol-dir", help="directory for per-run .sol files")
-    bench.add_argument("--no-exact", action="store_true",
-                       help="skip exact scoring (no error/speedup columns)")
-    bench.add_argument("--budget", type=int, default=100_000_000)
+    _add_bench_flags(bench)
     _add_param_flags(bench)
+
+    corpus = commands.add_parser("corpus", help="write a seeded family of instances")
+    corpus.add_argument("dir", help="directory for <shape>_s<seed>.rmcif files")
+    corpus.add_argument("--count", type=int, default=20, help="instance count")
+    _add_generator_flags(corpus)
+
+    sweep = commands.add_parser("sweep", help="write and bench one family per shape")
+    sweep.add_argument("dir", help="directory for the families, CSVs and solutions")
+    sweep.add_argument("--count", type=int, default=10, help="instances per shape")
+    _add_generator_flags(sweep, shapes=True)
+    _add_bench_flags(sweep)
     return parser
 
 
+def _specs(args, count: int, widths: tuple[int, ...] | None = None) -> list[GeneratorSpec]:
+    """Checked specs for seeds --seed .. --seed + count - 1; `widths`
+    defaults to --width, repeated --layers times when it is one number."""
+    if widths is None:
+        widths = args.width
+        if len(widths) == 1:
+            if args.layers is None:
+                raise RmcifError("a single --width needs --layers")
+            widths = widths * args.layers
+        elif args.layers is not None and args.layers != len(widths):
+            raise RmcifError("--layers disagrees with the number of --width entries")
+    if count < 1:
+        raise InvalidParameter(f"instance count must be positive, got {count}")
+    return [
+        GeneratorSpec(
+            layer_widths=widths,
+            scenario_count=args.scenarios,
+            capacity_range=args.cap,
+            cost_range=args.cost,
+            density=args.density,
+            flow_value=args.flow,
+            flow_fraction=args.flow_frac,
+            seed=args.seed + k,
+            max_retries=args.retries,
+        )
+        for k in range(count)
+    ]
+
+
+def _shape_name(spec: GeneratorSpec) -> str:
+    return "x".join(map(str, spec.layer_widths))
+
+
+def _write_family(directory: Path, specs: list[GeneratorSpec], prefix: str = "") -> list[Path]:
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = [directory / f"{prefix}s{spec.seed:04d}.rmcif" for spec in specs]
+    for path, spec in zip(paths, specs):
+        path.write_text(write_instance(generate(spec)))
+    return paths
+
+
+def _print_report(report: BenchReport) -> None:
+    print(summary_table(report))
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 def _cmd_generate(args) -> int:
-    widths = args.width
-    if len(widths) == 1:
-        if args.layers is None:
-            raise RmcifError("a single --width needs --layers")
-        widths = widths * args.layers
-    elif args.layers is not None and args.layers != len(widths):
-        raise RmcifError("--layers disagrees with the number of --width entries")
-    spec = GeneratorSpec(
-        layer_widths=widths,
-        scenario_count=args.scenarios,
-        capacity_range=args.cap,
-        cost_range=args.cost,
-        density=args.density,
-        flow_value=args.flow,
-        flow_fraction=args.flow_frac,
-        seed=args.seed,
-        max_retries=args.retries,
-    )
+    (spec,) = _specs(args, 1)
     _emit(write_instance(generate(spec)), args.output)
     return 0
 
@@ -278,9 +339,36 @@ def _cmd_bench(args) -> int:
         compute_exact=not args.no_exact,
         exact_budget=check_budget(args.budget),
     )
-    print(summary_table(report))
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _print_report(report)
+    return 0
+
+
+def _cmd_corpus(args) -> int:
+    specs = _specs(args, args.count)
+    _write_family(Path(args.dir), specs, f"{_shape_name(specs[0])}_")
+    print(f"wrote {args.count} instances to {args.dir}")
+    return 0
+
+
+def _cmd_sweep(args) -> int:
+    families = [_specs(args, args.count, widths) for widths in args.shapes]
+    seeds = _seeds(args.seeds)
+    budget = check_budget(args.budget)
+    for specs in families:
+        shape = _shape_name(specs[0])
+        directory = Path(args.dir) / shape
+        report = run_bench(
+            _write_family(directory, specs),
+            (ABSOLUTE, DEVIATION),
+            args.solvers,
+            seeds,
+            out_csv=Path(args.dir) / f"{shape}.csv",
+            sol_dir=directory / "solutions",
+            compute_exact=not args.no_exact,
+            exact_budget=budget,
+        )
+        print(f"\n== shape {shape} ({args.count} instances) ==")
+        _print_report(report)
     return 0
 
 
@@ -292,6 +380,8 @@ def main(argv=None) -> int:
         "solve": _cmd_solve,
         "export-lp": _cmd_export_lp,
         "bench": _cmd_bench,
+        "corpus": _cmd_corpus,
+        "sweep": _cmd_sweep,
     }
     try:
         args = _make_parser().parse_args(argv)

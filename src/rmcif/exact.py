@@ -23,6 +23,10 @@ from .core import Instance, InvalidParameter, Network, RmcifError
 from .objectives import compute_optima, make_criterion
 
 
+# Arc assignments an enumeration may explore before it gives up.
+DEFAULT_NODE_BUDGET = 100_000_000
+
+
 class BudgetExceeded(RmcifError):
     """Enumeration gave up after exploring too many assignment nodes."""
 
@@ -186,7 +190,7 @@ def check_budget(node_budget: int) -> int:
 
 
 def enumerate_optimum(
-    instance: Instance, variant: str, node_budget: int = 100_000_000
+    instance: Instance, variant: str, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
     """True optimum and a witness flow (its arc values), by branch and bound.
 

@@ -24,6 +24,7 @@ from rmcif import (
 )
 from rmcif import bench
 from rmcif.bench import CSV_COLUMNS, _score, summary_table
+from rmcif.exact import DEFAULT_NODE_BUDGET
 
 FAST = SearchParams(population_size=4, generation_limit=8, no_improvement_limit=8)
 
@@ -250,6 +251,26 @@ class TestRunBench:
         out_csv = tmp_path / "tags.csv"
         with pytest.raises(InvalidParameter, match=message):
             run_bench(bench_dir, variants, solvers, (0,), FAST, out_csv=out_csv)
+        assert not out_csv.exists()
+        assert enumerations == []
+
+    @pytest.mark.parametrize(
+        "seeds, budget, message",
+        [
+            ((0, -1), DEFAULT_NODE_BUDGET, "seed must be nonnegative, got -1"),
+            ((0,), -1, "node budget must be nonnegative, got -1"),
+        ],
+        ids=["seed", "budget"],
+    )
+    def test_negative_seed_or_budget_rejected_before_any_cell(
+        self, bench_dir, tmp_path, enumerations, seeds, budget, message
+    ):
+        out_csv = tmp_path / "negative.csv"
+        with pytest.raises(InvalidParameter, match=message):
+            run_bench(
+                bench_dir, (ABSOLUTE,), ("ls1", "exact"), seeds, FAST,
+                out_csv=out_csv, exact_budget=budget,
+            )
         assert not out_csv.exists()
         assert enumerations == []
 

@@ -1,6 +1,7 @@
 """Command-line interface, driven through main(argv)."""
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
@@ -8,12 +9,15 @@ import pytest
 from conftest import DIAMOND_TEXT
 from rmcif import (
     ABSOLUTE,
+    GeneratorSpec,
     InvalidParameter,
     SearchParams,
     SolutionRecord,
     enumerate_optimum,
     format_solution,
+    generate,
     parse_instance,
+    write_instance,
 )
 from rmcif.cli import _build_params, _seeds, _solver_list, _widths, main
 
@@ -319,6 +323,110 @@ class TestBench:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "e.rmcif" in lines[0]
         assert not out_csv.exists()
+
+
+def _family(widths, seeds):
+    """Instance bytes by seed, as `corpus` and `sweep` draw them with
+    ``--scenarios 2 --cap 1:3 --cost 0:9``."""
+    return {
+        seed: write_instance(generate(GeneratorSpec(
+            layer_widths=widths, scenario_count=2, capacity_range=(1, 3),
+            cost_range=(0, 9), seed=seed,
+        ))).encode()
+        for seed in seeds
+    }
+
+
+GENERATOR_ARGS = ["--scenarios", "2", "--cap", "1:3", "--cost", "0:9"]
+
+
+class TestCorpus:
+    def test_files_are_the_generated_instances(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        argv = ["corpus", str(out), "--count", "3", "--width", "2,3", "--seed", "4"]
+        assert main(argv + GENERATOR_ARGS) == 0
+        assert capsys.readouterr().out == f"wrote 3 instances to {out}\n"
+        family = _family((2, 3), (4, 5, 6))
+        assert sorted(p.name for p in out.iterdir()) == [
+            f"2x3_s{seed:04d}.rmcif" for seed in family
+        ]
+        for seed, data in family.items():
+            assert (out / f"2x3_s{seed:04d}.rmcif").read_bytes() == data
+
+    def test_single_width_repeats_over_layers(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        argv = ["corpus", str(out), "--count", "1", "--width", "2", "--layers", "3"]
+        assert main(argv + GENERATOR_ARGS) == 0
+        assert (out / "2x2x2_s0000.rmcif").read_bytes() == _family((2, 2, 2), (0,))[0]
+
+
+class TestSweep:
+    def test_each_shape_is_written_and_benched(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", str(out), "--shapes", "2x2,3x2", "--count", "2",
+                "--solvers", "ls1", "--seeds", "0:1"]
+        assert main(argv + GENERATOR_ARGS) == 0
+        printed = capsys.readouterr().out
+        for shape, widths in (("2x2", (2, 2)), ("3x2", (3, 2))):
+            assert f"== shape {shape} (2 instances) ==" in printed
+            family = out / shape
+            for seed, data in _family(widths, (0, 1)).items():
+                assert (family / f"s{seed:04d}.rmcif").read_bytes() == data
+            with open(out / f"{shape}.csv") as handle:
+                rows = list(csv.reader(handle))[1:]
+            # 2 instances x 2 variants x 1 solver x 2 seeds
+            assert len(rows) == 8
+            bench_csv, bench_sols = tmp_path / f"{shape}.csv", tmp_path / f"{shape}-sols"
+            main(["bench", "--dir", str(family), "--solvers", "ls1", "--seeds", "0:1",
+                  "--out", str(bench_csv), "--sol-dir", str(bench_sols)])
+            sols = sorted(p.name for p in (family / "solutions").iterdir())
+            assert len(sols) == 8
+            assert sols == sorted(p.name for p in bench_sols.iterdir())
+            for name in sols:
+                assert (family / "solutions" / name).read_bytes() == (bench_sols / name).read_bytes()
+        capsys.readouterr()
+
+    def test_benches_only_the_family_it_wrote(self, tmp_path, capsys):
+        out = tmp_path / "sweep"
+        argv = ["sweep", str(out), "--shapes", "2x2", "--solvers", "ls1"] + GENERATOR_ARGS
+        assert main(argv + ["--count", "3"]) == 0
+        assert main(argv + ["--count", "2"]) == 0
+        capsys.readouterr()
+        with open(out / "2x2.csv") as handle:
+            names = {row[0] for row in list(csv.reader(handle))[1:]}
+        assert names == {"s0000", "s0001"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corpus", "{out}", "--width", "3,a"],
+            ["corpus", "{out}", "--width", "3,3", "--count", "0"],
+            ["corpus", "{out}", "--width", "3,3", "--count", "-2"],
+            ["corpus", "{out}", "--width", "0,3"],
+            ["corpus", "{out}", "--width", "3,3", "--seed", "-1"],
+            ["corpus", "{out}", "--width", "3"],
+            ["sweep", "{out}", "--solvers", "ls9"],
+            ["sweep", "{out}", "--shapes", "2xq"],
+            ["sweep", "{out}", "--seeds", "0:x"],
+            ["sweep", "{out}", "--seeds", "0,-1"],
+            ["sweep", "{out}", "--budget", "-1"],
+            ["sweep", "{out}", "--shapes", "2x2,0x1"],
+            ["sweep", "{out}", "--count", "0"],
+        ],
+        ids=["non-integer-width", "zero-count", "negative-count", "zero-width",
+             "negative-seed", "width-without-layers", "unknown-solver",
+             "non-integer-shape", "malformed-seeds", "negative-seeds", "negative-budget",
+             "zero-width-shape", "sweep-zero-count"],
+    )
+    def test_bad_input_writes_nothing(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main([arg.format(out=out) for arg in argv] + GENERATOR_ARGS)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
 
 
 def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsys):
