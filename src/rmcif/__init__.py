@@ -8,7 +8,6 @@ scenario's own optimum (deviation, min-max regret).
 """
 from .bench import (
     BenchReport,
-    BenchRow,
     SolverSummary,
     run_bench,
     solve_one,
@@ -72,7 +71,6 @@ __all__ = [
     "LS_SOLVERS",
     "VARIANTS",
     "BenchReport",
-    "BenchRow",
     "BudgetExceeded",
     "CapacityViolation",
     "ConservationViolation",

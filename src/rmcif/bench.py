@@ -9,8 +9,9 @@ stays flat in the number of instances.  The enumerator ignores the seed,
 so every ``exact`` cell of a pair reports that one enumeration: its cost,
 witness and seconds, or its error.  Shared per-scenario optima are
 computed before any clock starts, so solvers are timed on search alone.
-Failing cells are recorded with their error message, reported as warnings,
-and left out of the CSV and the averages.
+Each written cell is folded into running (variant, solver) totals, so
+memory stays flat in the number of cells too.  Failing cells are reported
+as warnings and left out of the CSV and the averages.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import csv
 import time
 from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import product, takewhile
 from pathlib import Path
 from typing import Sequence
 
@@ -79,22 +80,6 @@ def solve_one(
 
 
 @dataclass(frozen=True)
-class BenchRow:
-    """One benchmark cell; `error` is set instead of results when it failed."""
-
-    instance: str
-    variant: str
-    solver: str
-    seed: int
-    robust_cost: int | None = None
-    exact_cost: int | None = None
-    rel_error_pct: float | None = None
-    seconds: float | None = None
-    speedup: float | None = None
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class SolverSummary:
     """Averages for one (variant, solver) pair over its successful cells."""
 
@@ -108,13 +93,13 @@ class SolverSummary:
 
 @dataclass
 class BenchReport:
-    rows: list[BenchRow] = field(default_factory=list)
     summaries: list[SolverSummary] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
 
-def _mean(values: list[float]) -> float | None:
-    return sum(values) / len(values) if values else None
+def _mean(total: list) -> float | None:
+    """The mean of a running ``[sum, count]``, or None when it counted nothing."""
+    return total[0] / total[1] if total[1] else None
 
 
 def _parse(path: Path) -> Instance:
@@ -122,6 +107,29 @@ def _parse(path: Path) -> Instance:
         return parse_instance(path.read_bytes())
     except InstanceFormatError as exc:
         raise InstanceFormatError(f"{path}: {exc}") from None
+
+
+def _check_distinct(kind: str, items) -> None:
+    seen = set()
+    for item in items:
+        if item in seen:
+            raise InvalidParameter(f"repeated {kind} {item!r}")
+        seen.add(item)
+
+
+def check_grid(variants: Sequence[str], solvers: Sequence[str], seeds: Sequence[int]) -> None:
+    """Raise `InvalidParameter` for an unknown variant or solver tag, a
+    negative seed, or any of them repeated, which would run cells twice."""
+    for variant in variants:
+        if variant not in VARIANTS:
+            raise InvalidParameter(f"unknown variant {variant!r}")
+    for solver in solvers:
+        if solver not in ALL_SOLVERS:
+            raise InvalidParameter(f"unknown solver tag {solver!r}")
+    for seed in seeds:
+        check_seed(seed)
+    for kind, items in (("variant", variants), ("solver tag", solvers), ("seed", seeds)):
+        _check_distinct(kind, items)
 
 
 def run_bench(
@@ -138,13 +146,15 @@ def run_bench(
     """Run every (instance, variant, solver, seed) cell and aggregate.
 
     `instances` is a directory (all *.rmcif inside, sorted) or a list of
-    file paths.  Every variant and solver tag, seed and the budget is
-    checked and every file parsed once up front, so an unknown tag, a
-    negative seed or budget, or a broken file ends the call before any
-    cell runs or any output is written.  Then each
+    file paths.  The tags and seeds (see `check_grid`), the instance
+    names and the budget are checked and every file parsed once up front,
+    so a bad or repeated input or a broken file ends the call before any
+    cell runs or any output is written; output directories made for
+    `sol_dir` are removed again if `out_csv` cannot be opened.  Then each
     instance in turn is parsed again, enumerated, run, written and
-    dropped, so memory stays flat in the number of instances.  Exact
-    optima are enumerated once per instance and variant when
+    dropped, and each cell is folded into its (variant, solver) totals as
+    it is written, so memory stays flat in the number of instances and of
+    cells.  Exact optima are enumerated once per instance and variant when
     `compute_exact` is set (for errors and speedups) or when ``exact`` is
     among the solvers, whose cells all reuse that enumeration.  An
     exhausted enumeration budget downgrades the pair to cost-only
@@ -159,26 +169,31 @@ def run_bench(
             raise RmcifError(f"no .rmcif instances found under {instances}")
     else:
         paths = [Path(p) for p in instances]
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise InvalidParameter(f"unknown variant {variant!r}")
-    for solver in solvers:
-        if solver not in ALL_SOLVERS:
-            raise InvalidParameter(f"unknown solver tag {solver!r}")
-    for seed in seeds:
-        check_seed(seed)
+    check_grid(variants, solvers, seeds)
+    # a cell's .sol file is named after its instance's stem
+    _check_distinct("instance name", [path.stem for path in paths])
     exact_budget = check_budget(exact_budget)
     for path in paths:
         _parse(path)
 
     report = BenchReport()
+    # running [sum, count] of seconds, err% and speedup per (variant, solver)
+    totals = {pair: ([0.0, 0], [0.0, 0], [0.0, 0]) for pair in product(variants, solvers)}
     sol_path = Path(sol_dir) if sol_dir is not None else None
-    if sol_path is not None:
-        sol_path.mkdir(parents=True, exist_ok=True)
     with ExitStack() as stack:
+        made = []
+        if sol_path is not None:
+            made = list(takewhile(lambda p: not p.exists(), (sol_path, *sol_path.parents)))
+            sol_path.mkdir(parents=True, exist_ok=True)
         writer = None
         if out_csv is not None:
-            writer = csv.writer(stack.enter_context(open(out_csv, "w", newline="")))
+            try:
+                handle = open(out_csv, "w", newline="")
+            except OSError:
+                for directory in made:
+                    directory.rmdir()
+                raise
+            writer = csv.writer(stack.enter_context(handle))
             writer.writerow(CSV_COLUMNS)
         for path in paths:
             name = path.stem
@@ -210,44 +225,33 @@ def run_bench(
                         report.warnings.append(
                             f"{name}/{variant}/{solver}/seed {seed} failed: {exc}"
                         )
-                        report.rows.append(
-                            BenchRow(name, variant, solver, seed, error=str(exc))
-                        )
                         continue
-                    row = _score(name, record, exact_pair, report.warnings)
-                    report.rows.append(row)
+                    fields, error, speedup = _score(name, record, exact_pair, report.warnings)
                     if writer is not None:
-                        writer.writerow(_csv_fields(row))
+                        writer.writerow(fields)
                     if sol_path is not None:
                         out = sol_path / f"{name}_{variant}_{solver}_s{seed}.sol"
                         out.write_text(format_solution(record, instance))
+                    values = (record.elapsed_seconds, error, speedup)
+                    for total, value in zip(totals[variant, solver], values):
+                        if value is not None:
+                            total[0] += value
+                            total[1] += 1
 
-    for variant in variants:
-        for solver in solvers:
-            cells = [
-                r
-                for r in report.rows
-                if r.variant == variant and r.solver == solver and r.error is None
-            ]
-            if not cells:
-                continue
+    for (variant, solver), (seconds, errors, speedups) in totals.items():
+        if seconds[1]:
             report.summaries.append(
                 SolverSummary(
-                    variant,
-                    solver,
-                    len(cells),
-                    _mean([r.rel_error_pct for r in cells if r.rel_error_pct is not None]),
-                    _mean([r.speedup for r in cells if r.speedup is not None]),
-                    _mean([r.seconds for r in cells]),
+                    variant, solver, seconds[1], _mean(errors), _mean(speedups), _mean(seconds)
                 )
             )
     return report
 
 
-def _score(name, record, exact_pair, warnings) -> BenchRow:
-    exact_cost = None
-    rel_error = None
-    speedup = None
+def _score(name, record, exact_pair, warnings) -> tuple[list, float | None, float | None]:
+    """A successful cell's CSV line, in `CSV_COLUMNS` order, and its
+    relative error and speedup against the pair's exact (cost, seconds)."""
+    exact_cost = rel_error = speedup = None
     if exact_pair is not None:
         exact_cost, exact_seconds = exact_pair
         if exact_cost > 0:
@@ -261,32 +265,18 @@ def _score(name, record, exact_pair, warnings) -> BenchRow:
             )
         if record.elapsed_seconds > 0:
             speedup = exact_seconds / record.elapsed_seconds
-    return BenchRow(
+    fields = [
         name,
         record.variant,
         record.solver,
         record.seed,
         record.robust_cost,
-        exact_cost,
-        rel_error,
-        record.elapsed_seconds,
-        speedup,
-    )
-
-
-def _csv_fields(row: BenchRow) -> list:
-    """A successful cell's CSV line, in `CSV_COLUMNS` order."""
-    return [
-        row.instance,
-        row.variant,
-        row.solver,
-        row.seed,
-        row.robust_cost,
-        "" if row.exact_cost is None else row.exact_cost,
-        "" if row.rel_error_pct is None else f"{row.rel_error_pct:.4f}",
-        f"{row.seconds:.6f}",
-        "" if row.speedup is None else f"{row.speedup:.4f}",
+        "" if exact_cost is None else exact_cost,
+        "" if rel_error is None else f"{rel_error:.4f}",
+        f"{record.elapsed_seconds:.6f}",
+        "" if speedup is None else f"{speedup:.4f}",
     ]
+    return fields, rel_error, speedup
 
 
 def summary_table(report: BenchReport) -> str:

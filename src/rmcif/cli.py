@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import BenchReport, run_bench, solve_one, summary_table
+from .bench import BenchReport, check_grid, run_bench, solve_one, summary_table
 from .core import (
     ABSOLUTE,
     ALL_SOLVERS,
@@ -353,6 +353,7 @@ def _cmd_corpus(args) -> int:
 def _cmd_sweep(args) -> int:
     families = [_specs(args, args.count, widths) for widths in args.shapes]
     seeds = _seeds(args.seeds)
+    check_grid((ABSOLUTE, DEVIATION), args.solvers, seeds)
     budget = check_budget(args.budget)
     for specs in families:
         shape = _shape_name(specs[0])

@@ -29,6 +29,12 @@ from rmcif.exact import DEFAULT_NODE_BUDGET
 FAST = SearchParams(population_size=4, generation_limit=8, no_improvement_limit=8)
 
 
+def read_rows(path):
+    """A bench CSV's cells, as dicts keyed by `CSV_COLUMNS`."""
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
 @pytest.fixture()
 def bench_dir(tmp_path):
     # Both seeds leave a gap between the absolute optimum and the scenario
@@ -73,34 +79,34 @@ class TestScore:
 
     def test_zero_exact_zero_cost(self):
         warnings = []
-        row = _score("i", self.record, (0, 1.0), warnings)
-        assert row.rel_error_pct == 0.0
+        fields, error, _ = _score("i", self.record, (0, 1.0), warnings)
+        assert error == 0.0 and fields[6] == "0.0000"
         assert warnings == []
 
     def test_zero_exact_positive_cost_excluded(self):
         warnings = []
         record = SolutionRecord(ABSOLUTE, "ls1", 3, (1,), 0, 0.5)
-        row = _score("i", record, (0, 1.0), warnings)
-        assert row.rel_error_pct is None
+        fields, error, _ = _score("i", record, (0, 1.0), warnings)
+        assert error is None and fields[6] == ""
         assert len(warnings) == 1 and "undefined" in warnings[0]
 
     def test_zero_elapsed_has_no_speedup(self):
         record = SolutionRecord(ABSOLUTE, "ls1", 4, (1,), 0, 0.0)
-        row = _score("i", record, (4, 1.0), [])
-        assert row.speedup is None
-        assert row.rel_error_pct == 0.0
+        fields, error, speedup = _score("i", record, (4, 1.0), [])
+        assert speedup is None and fields[8] == ""
+        assert error == 0.0
 
     def test_positive_case(self):
         record = SolutionRecord(ABSOLUTE, "ls1", 6, (1,), 0, 0.5)
-        row = _score("i", record, (4, 1.0), [])
-        assert row.rel_error_pct == pytest.approx(50.0)
-        assert row.speedup == pytest.approx(2.0)
-        assert row.exact_cost == 4
+        fields, error, speedup = _score("i", record, (4, 1.0), [])
+        assert error == pytest.approx(50.0)
+        assert speedup == pytest.approx(2.0)
+        assert fields == ["i", ABSOLUTE, "ls1", 0, 6, 4, "50.0000", "0.500000", "2.0000"]
 
     def test_without_exact_everything_is_bare(self):
-        row = _score("i", self.record, None, [])
-        assert (row.exact_cost, row.rel_error_pct, row.speedup) == (None, None, None)
-        assert row.robust_cost == 0
+        fields, error, speedup = _score("i", self.record, None, [])
+        assert (error, speedup) == (None, None)
+        assert fields == ["i", ABSOLUTE, "ls1", 0, 0, "", "", "0.500000", ""]
 
 
 class TestRunBench:
@@ -116,22 +122,19 @@ class TestRunBench:
             out_csv=out_csv,
             sol_dir=sol_dir,
         )
-        assert len(report.rows) == 2 * 2 * 3 * 2
-        assert all(row.error is None for row in report.rows)
         assert report.warnings == []
-
-        for row in report.rows:
-            assert row.rel_error_pct is not None and row.rel_error_pct >= 0
-            if row.solver == "exact":
-                assert row.rel_error_pct == 0.0
-
         with open(out_csv) as handle:
-            lines = list(csv.reader(handle))
-        assert lines[0] == list(CSV_COLUMNS)
-        assert len(lines) == 1 + len(report.rows)
+            assert next(csv.reader(handle)) == list(CSV_COLUMNS)
+        rows = read_rows(out_csv)
+        assert len(rows) == 2 * 2 * 3 * 2
+
+        for row in rows:
+            assert row["rel_error_pct"] != "" and float(row["rel_error_pct"]) >= 0
+            if row["solver"] == "exact":
+                assert row["rel_error_pct"] == "0.0000"
 
         sol_files = sorted(p.name for p in sol_dir.glob("*.sol"))
-        assert len(sol_files) == len(report.rows)
+        assert len(sol_files) == len(rows)
         assert "inst0_absolute_ls1_s0.sol" in sol_files
 
         assert len(report.summaries) == 2 * 3
@@ -150,21 +153,27 @@ class TestRunBench:
         assert written == format_solution(record, instance)
         assert written.startswith(f"o absolute ls2 {record.robust_cost} 3\n")
 
-    def test_without_exact(self, bench_dir):
+    def test_without_exact(self, bench_dir, tmp_path):
+        out_csv = tmp_path / "r.csv"
         report = run_bench(
-            bench_dir, (ABSOLUTE,), ("ls1",), (0,), params=FAST, compute_exact=False
+            bench_dir, (ABSOLUTE,), ("ls1",), (0,), params=FAST, out_csv=out_csv,
+            compute_exact=False,
         )
-        assert all(row.exact_cost is None for row in report.rows)
-        assert all(row.rel_error_pct is None for row in report.rows)
+        rows = read_rows(out_csv)
+        assert len(rows) == 2
+        assert all(row["exact_cost"] == row["rel_error_pct"] == "" for row in rows)
         assert report.summaries[0].mean_error_pct is None
 
-    def test_exhausted_budget_becomes_warning(self, bench_dir):
+    def test_exhausted_budget_becomes_warning(self, bench_dir, tmp_path):
+        out_csv = tmp_path / "r.csv"
         report = run_bench(
-            bench_dir, (ABSOLUTE,), ("ls1",), (0,), params=FAST, exact_budget=1
+            bench_dir, (ABSOLUTE,), ("ls1",), (0,), params=FAST, out_csv=out_csv,
+            exact_budget=1,
         )
         assert len(report.warnings) == 2
         assert all("exact solve failed" in w for w in report.warnings)
-        assert all(row.exact_cost is None and row.error is None for row in report.rows)
+        rows = read_rows(out_csv)
+        assert len(rows) == 2 and all(row["exact_cost"] == "" for row in rows)
 
     def test_failed_cells_marked_and_kept_out_of_csv(self, bench_dir, tmp_path):
         out_csv = tmp_path / "r.csv"
@@ -177,8 +186,10 @@ class TestRunBench:
             exact_budget=1,
             out_csv=out_csv,
         )
-        assert all(row.error is not None for row in report.rows)
-        assert len(report.warnings) == len(report.rows) == 2
+        assert [w.split(": ")[0] for w in report.warnings] == [
+            "inst0/absolute/exact/seed 0 failed",
+            "inst1/absolute/exact/seed 0 failed",
+        ]
         assert report.summaries == []
         with open(out_csv) as handle:
             assert len(list(csv.reader(handle))) == 1
@@ -196,13 +207,16 @@ class TestRunBench:
         return calls
 
     def test_exact_cells_reuse_the_pair_enumeration(self, bench_dir, tmp_path, enumerations):
-        sol_dir = tmp_path / "sols"
-        report = run_bench(bench_dir, (ABSOLUTE,), ("exact",), (0, 1, 2), sol_dir=sol_dir)
+        sol_dir, out_csv = tmp_path / "sols", tmp_path / "r.csv"
+        report = run_bench(
+            bench_dir, (ABSOLUTE,), ("exact",), (0, 1, 2), out_csv=out_csv, sol_dir=sol_dir
+        )
         assert len(enumerations) == 2
-        assert len(report.rows) == 6 and report.warnings == []
-        for row in report.rows:
-            assert row.speedup == 1.0 and row.rel_error_pct == 0.0
-            assert row.robust_cost == row.exact_cost
+        rows = read_rows(out_csv)
+        assert len(rows) == 6 and report.warnings == []
+        for row in rows:
+            assert row["speedup"] == "1.0000" and row["rel_error_pct"] == "0.0000"
+            assert row["robust_cost"] == row["exact_cost"]
         for name in ("inst0", "inst1"):
             instance = parse_instance((bench_dir / f"{name}.rmcif").read_bytes())
             cost, values = enumerate_optimum(instance, ABSOLUTE)
@@ -213,19 +227,27 @@ class TestRunBench:
 
     @pytest.mark.parametrize("solvers, calls", [(("exact", "ls1"), 2), (("ls1",), 0)])
     def test_without_exact_enumerates_only_for_exact_cells(
-        self, bench_dir, enumerations, solvers, calls
+        self, bench_dir, tmp_path, enumerations, solvers, calls
     ):
-        report = run_bench(bench_dir, (ABSOLUTE,), solvers, (0, 1), FAST, compute_exact=False)
+        out_csv = tmp_path / "r.csv"
+        report = run_bench(
+            bench_dir, (ABSOLUTE,), solvers, (0, 1), FAST, out_csv=out_csv, compute_exact=False
+        )
         assert len(enumerations) == calls
-        assert all(row.error is None and row.speedup is None for row in report.rows)
+        assert report.warnings == []
+        rows = read_rows(out_csv)
+        assert len(rows) == 2 * len(solvers) * 2
+        assert all(row["speedup"] == "" for row in rows)
 
     def test_exhausted_budget_fails_every_exact_cell_once_enumerated(
-        self, bench_dir, enumerations
+        self, bench_dir, tmp_path, enumerations
     ):
-        seeds = (0, 1, 2)
-        report = run_bench(bench_dir, (ABSOLUTE,), ("exact",), seeds, exact_budget=1)
+        seeds, out_csv = (0, 1, 2), tmp_path / "r.csv"
+        report = run_bench(
+            bench_dir, (ABSOLUTE,), ("exact",), seeds, out_csv=out_csv, exact_budget=1
+        )
         assert len(enumerations) == 2
-        warnings, rows = [], []
+        warnings = []
         for name in ("inst0", "inst1"):
             instance = parse_instance((bench_dir / f"{name}.rmcif").read_bytes())
             with pytest.raises(RmcifError) as err:
@@ -233,17 +255,19 @@ class TestRunBench:
             warnings.append(f"{name}/absolute: exact solve failed: {err.value}")
             for seed in seeds:
                 warnings.append(f"{name}/absolute/exact/seed {seed} failed: {err.value}")
-                rows.append(bench.BenchRow(name, ABSOLUTE, "exact", seed, error=str(err.value)))
         assert report.warnings == warnings
-        assert report.rows == rows
+        assert read_rows(out_csv) == [] and report.summaries == []
 
     @pytest.mark.parametrize(
         "variants, solvers, message",
         [
             ((ABSOLUTE,), ("ls1", "ls9"), "unknown solver tag 'ls9'"),
             (("abs",), ("ls1",), "unknown variant 'abs'"),
+            # a repeat would run, write and total the same cells twice
+            ((ABSOLUTE, DEVIATION, ABSOLUTE), ("ls1",), "repeated variant 'absolute'"),
+            ((ABSOLUTE,), ("ls1", "exact", "ls1"), "repeated solver tag 'ls1'"),
         ],
-        ids=["solver", "variant"],
+        ids=["solver", "variant", "repeated-variant", "repeated-solver"],
     )
     def test_unknown_tags_rejected_before_any_cell(
         self, bench_dir, tmp_path, enumerations, variants, solvers, message
@@ -259,8 +283,9 @@ class TestRunBench:
         [
             ((0, -1), DEFAULT_NODE_BUDGET, "seed must be nonnegative, got -1"),
             ((0,), -1, "node budget must be nonnegative, got -1"),
+            ((0, 1, 0), DEFAULT_NODE_BUDGET, "repeated seed 0"),
         ],
-        ids=["seed", "budget"],
+        ids=["seed", "budget", "repeated-seed"],
     )
     def test_negative_seed_or_budget_rejected_before_any_cell(
         self, bench_dir, tmp_path, enumerations, seeds, budget, message
@@ -274,22 +299,36 @@ class TestRunBench:
         assert not out_csv.exists()
         assert enumerations == []
 
-    def test_explicit_path_list(self, bench_dir):
+    def test_instances_sharing_a_name_rejected_before_any_cell(
+        self, bench_dir, tmp_path, enumerations
+    ):
+        # Their cells' .sol files would have the same names.
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / "inst0.rmcif").write_bytes((bench_dir / "inst1.rmcif").read_bytes())
+        out_csv, sol_dir = tmp_path / "names.csv", tmp_path / "sols"
+        with pytest.raises(InvalidParameter, match="repeated instance name 'inst0'"):
+            run_bench(
+                [bench_dir / "inst0.rmcif", other / "inst0.rmcif"], (ABSOLUTE,), ("ls1",), (0,),
+                FAST, out_csv=out_csv, sol_dir=sol_dir,
+            )
+        assert not out_csv.exists() and not sol_dir.exists()
+        assert enumerations == []
+
+    def test_explicit_path_list(self, bench_dir, tmp_path):
         paths = sorted(bench_dir.glob("*.rmcif"))[:1]
-        report = run_bench(paths, (ABSOLUTE,), ("ls1",), (0,), params=FAST)
-        assert {row.instance for row in report.rows} == {"inst0"}
+        out_csv = tmp_path / "r.csv"
+        run_bench(paths, (ABSOLUTE,), ("ls1",), (0,), params=FAST, out_csv=out_csv)
+        assert [row["instance"] for row in read_rows(out_csv)] == ["inst0"]
 
     def test_cells_run_instance_major(self, bench_dir, tmp_path):
         out_csv = tmp_path / "order.csv"
         variants, solvers, seeds = (ABSOLUTE, DEVIATION), ("ls1", "ec1"), (1, 0)
-        report = run_bench(
-            bench_dir, variants, solvers, seeds, params=FAST, out_csv=out_csv
-        )
+        run_bench(bench_dir, variants, solvers, seeds, params=FAST, out_csv=out_csv)
         expected = [
             [name, variant, solver, str(seed)]
             for name, variant, solver, seed in product(("inst0", "inst1"), variants, solvers, seeds)
         ]
-        assert [[r.instance, r.variant, r.solver, str(r.seed)] for r in report.rows] == expected
         with open(out_csv) as handle:
             assert [line[:4] for line in list(csv.reader(handle))[1:]] == expected
 
@@ -337,6 +376,79 @@ class TestRunBench:
         finally:
             tracemalloc.stop()
         assert double_peak <= single_peak * 1.25, (single_peak, double_peak)
+
+    def test_memory_flat_in_cell_count(self, tmp_path):
+        # Each cell is folded into its pair's totals as it is written, so
+        # the report left after the call keeps nothing per cell.
+        directory = tmp_path / "one"
+        directory.mkdir()
+        instance = gen(0, widths=(2, 2), scenarios=2, caps=(1, 3), density=0.9)
+        (directory / "i.rmcif").write_text(write_instance(instance))
+        params = SearchParams(iteration_limit=1)
+
+        def retained(count):
+            base = tracemalloc.get_traced_memory()[0]
+            report = run_bench(
+                directory, (ABSOLUTE,), ("ls1",), range(count), params, compute_exact=False
+            )
+            assert report.summaries[0].runs == count
+            return tracemalloc.get_traced_memory()[0] - base
+
+        count = 400
+        tracemalloc.start()
+        try:
+            for _ in range(2):
+                retained(2 * count)
+            single, double = retained(count), retained(2 * count)
+        finally:
+            tracemalloc.stop()
+        # One kept record per cell would add well over 100 bytes a cell.
+        assert double - single < 8 * count, (single, double)
+
+    def test_summaries_fold_successful_cells(self, bench_dir, monkeypatch):
+        # (variant, solver, seed) -> (robust cost, seconds), or None for a run that fails
+        runs = {
+            (ABSOLUTE, "exact", 0): (10, 2.0),
+            (DEVIATION, "exact", 0): None,
+            (ABSOLUTE, "ls1", 0): (10, 0.5),
+            (ABSOLUTE, "ls1", 1): (15, 1.0),
+            (ABSOLUTE, "ls2", 0): None,
+            (ABSOLUTE, "ls2", 1): (12, 0.25),
+            (DEVIATION, "ls1", 0): (3, 0.5),
+            (DEVIATION, "ls1", 1): (4, 1.5),
+            (DEVIATION, "ls2", 0): None,
+            (DEVIATION, "ls2", 1): None,
+        }
+
+        def solve(instance, variant, solver, seed, params=None, exact_budget=None):
+            if runs[variant, solver, seed] is None:
+                raise RmcifError("no luck")
+            cost, seconds = runs[variant, solver, seed]
+            return SolutionRecord(variant, solver, cost, (), seed, seconds)
+
+        monkeypatch.setattr(bench, "solve_one", solve)
+        report = run_bench(
+            [bench_dir / "inst0.rmcif"], (ABSOLUTE, DEVIATION), ("ls1", "ls2"), (0, 1)
+        )
+        # absolute ls1: errors 0 and 50%, speedups 4 and 2; deviation has no
+        # exact cost; deviation ls2 never succeeds, so it has no summary.
+        assert report.summaries == [
+            bench.SolverSummary(ABSOLUTE, "ls1", 2, 25.0, 3.0, 0.75),
+            bench.SolverSummary(ABSOLUTE, "ls2", 1, 20.0, 8.0, 0.25),
+            bench.SolverSummary(DEVIATION, "ls1", 2, None, None, 1.0),
+        ]
+        assert report.warnings == [
+            "inst0/absolute/ls2/seed 0 failed: no luck",
+            "inst0/deviation: exact solve failed: no luck",
+            "inst0/deviation/ls2/seed 0 failed: no luck",
+            "inst0/deviation/ls2/seed 1 failed: no luck",
+        ]
+        rows = [line.split() for line in summary_table(report).splitlines()[2:]]
+        assert rows == [
+            ["absolute", "ls1", "2", "25.00", "3.00", "0.7500"],
+            ["absolute", "ls2", "1", "20.00", "8.00", "0.2500"],
+            ["deviation", "ls1", "2", "-", "-", "1.0000"],
+        ]
 
     def test_empty_directory(self, tmp_path):
         empty = tmp_path / "none"

@@ -324,6 +324,28 @@ class TestBench:
         assert "e.rmcif" in lines[0]
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize(
+        "outputs",
+        [["--out", "{tmp}/nodir/x.csv", "--sol-dir", "{tmp}/made/sols"],
+         ["--out", "{tmp}/r.csv", "--sol-dir", "{tmp}/taken"]],
+        ids=["csv-in-missing-directory", "sol-dir-is-a-file"],
+    )
+    def test_rejected_output_path_writes_nothing(self, outputs, tmp_path, capsys):
+        # Neither output is left behind when the other cannot be made.
+        instances = tmp_path / "set"
+        instances.mkdir()
+        (instances / "d.rmcif").write_text(DIAMOND_TEXT)
+        (tmp_path / "taken").write_text("")
+        argv = ["bench", "--dir", str(instances), "--solvers", "ls1"]
+        code = main(argv + [arg.format(tmp=tmp_path) for arg in outputs])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["set", "taken"]
+        assert (tmp_path / "taken").read_text() == ""
+
 
 def _family(widths, seeds):
     """Instance bytes by seed, as `corpus` and `sweep` draw them with
@@ -412,11 +434,13 @@ class TestSweep:
             ["sweep", "{out}", "--budget", "-1"],
             ["sweep", "{out}", "--shapes", "2x2,0x1"],
             ["sweep", "{out}", "--count", "0"],
+            ["sweep", "{out}", "--solvers", "ls1,ls1"],
+            ["sweep", "{out}", "--seeds", "0,0"],
         ],
         ids=["non-integer-width", "zero-count", "negative-count", "zero-width",
              "negative-seed", "width-without-layers", "unknown-solver",
              "non-integer-shape", "malformed-seeds", "negative-seeds", "negative-budget",
-             "zero-width-shape", "sweep-zero-count"],
+             "zero-width-shape", "sweep-zero-count", "repeated-solver", "repeated-seed"],
     )
     def test_bad_input_writes_nothing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
