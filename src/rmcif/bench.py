@@ -21,7 +21,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from itertools import product, takewhile
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable
 
 from .core import (
     ALL_SOLVERS,
@@ -63,20 +63,21 @@ def solve_one(
 ) -> SolutionRecord:
     """Run a single solver tag (ls*, ec*, or exact) on one instance.
 
-    Per-scenario optima are warmed up front so their one-time cost never
-    lands in any solver's measured time.
+    The cell is judged by `check_grid` and the budget by `check_budget`,
+    so a bad input raises `InvalidParameter` before any work.  Per-scenario
+    optima are warmed up front so their one-time cost never lands in any
+    solver's measured time.
     """
+    check_grid((variant,), (solver,), (seed,))
+    check_budget(exact_budget)
     compute_optima(instance)
     if solver in LS_SOLVERS:
         return local_search(instance, variant, solver, params, seed)
     if solver in EC_SOLVERS:
         return evolutionary(instance, variant, solver, params, seed)
-    if solver == "exact":
-        check_seed(seed)
-        start = time.perf_counter()
-        cost, values = enumerate_optimum(instance, variant, exact_budget)
-        return SolutionRecord(variant, solver, cost, values, seed, time.perf_counter() - start)
-    raise ValueError(f"unknown solver tag {solver!r}")
+    start = time.perf_counter()
+    cost, values = enumerate_optimum(instance, variant, exact_budget)
+    return SolutionRecord(variant, solver, cost, values, seed, time.perf_counter() - start)
 
 
 @dataclass(frozen=True)
@@ -117,26 +118,32 @@ def _check_distinct(kind: str, items) -> None:
         seen.add(item)
 
 
-def check_grid(variants: Sequence[str], solvers: Sequence[str], seeds: Sequence[int]) -> None:
-    """Raise `InvalidParameter` for an unknown variant or solver tag, a
-    negative seed, or any of them repeated, which would run cells twice."""
-    for variant in variants:
-        if variant not in VARIANTS:
-            raise InvalidParameter(f"unknown variant {variant!r}")
-    for solver in solvers:
-        if solver not in ALL_SOLVERS:
-            raise InvalidParameter(f"unknown solver tag {solver!r}")
-    for seed in seeds:
-        check_seed(seed)
-    for kind, items in (("variant", variants), ("solver tag", solvers), ("seed", seeds)):
+def check_grid(
+    variants: Iterable[str], solvers: Iterable[str], seeds: Iterable[int]
+) -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]:
+    """The variants, solver tags and seeds as tuples, so one-shot iterators
+    can be run over more than once.  Raise `InvalidParameter` for an empty
+    list, an unknown variant or solver tag, a negative seed, or any of them
+    repeated, which would run cells twice."""
+    grid = (tuple(variants), tuple(solvers), tuple(seeds))
+    kinds = (("variant", VARIANTS), ("solver tag", ALL_SOLVERS), ("seed", None))
+    for (kind, known), items in zip(kinds, grid):
+        if not items:
+            raise InvalidParameter(f"no {kind}s given")
+        for item in items:
+            if known is None:
+                check_seed(item)
+            elif item not in known:
+                raise InvalidParameter(f"unknown {kind} {item!r}")
         _check_distinct(kind, items)
+    return grid
 
 
 def run_bench(
     instances,
-    variants: Sequence[str],
-    solvers: Sequence[str],
-    seeds: Sequence[int],
+    variants: Iterable[str],
+    solvers: Iterable[str],
+    seeds: Iterable[int],
     params: SearchParams | None = None,
     out_csv: str | Path | None = None,
     sol_dir: str | Path | None = None,
@@ -146,11 +153,11 @@ def run_bench(
     """Run every (instance, variant, solver, seed) cell and aggregate.
 
     `instances` is a directory (all *.rmcif inside, sorted) or a list of
-    file paths.  The tags and seeds (see `check_grid`), the instance
-    names and the budget are checked and every file parsed once up front,
-    so a bad or repeated input or a broken file ends the call before any
-    cell runs or any output is written; output directories made for
-    `sol_dir` are removed again if `out_csv` cannot be opened.  Then each
+    file paths.  The tags and seeds, any iterables (see `check_grid`), the
+    instance names and the budget are checked and every file parsed once up
+    front, so a bad, empty or repeated input or a broken file ends the call
+    before any cell runs or any output is written; output directories made
+    for `sol_dir` are removed again if `out_csv` cannot be opened.  Then each
     instance in turn is parsed again, enumerated, run, written and
     dropped, and each cell is folded into its (variant, solver) totals as
     it is written, so memory stays flat in the number of instances and of
@@ -169,7 +176,7 @@ def run_bench(
             raise RmcifError(f"no .rmcif instances found under {instances}")
     else:
         paths = [Path(p) for p in instances]
-    check_grid(variants, solvers, seeds)
+    variants, solvers, seeds = check_grid(variants, solvers, seeds)
     # a cell's .sol file is named after its instance's stem
     _check_distinct("instance name", [path.stem for path in paths])
     exact_budget = check_budget(exact_budget)

@@ -2,7 +2,10 @@
 
 `corpus` writes a seeded family of instances from `generate`'s flags, and
 `sweep` writes one such family per layer shape and benches each with
-`bench`'s flags.  Every input is checked before the first file is written.
+`bench`'s flags.  The argument types only parse; variants, solver tags,
+seeds and budgets are judged by the library (`bench.check_grid`,
+`exact.check_budget`).  Every input is checked, and every instance drawn,
+before the first file is written.
 """
 from __future__ import annotations
 
@@ -12,10 +15,9 @@ import json
 import sys
 from pathlib import Path
 
-from .bench import BenchReport, check_grid, run_bench, solve_one, summary_table
+from .bench import BenchReport, _check_distinct, check_grid, run_bench, solve_one, summary_table
 from .core import (
     ABSOLUTE,
-    ALL_SOLVERS,
     DEVIATION,
     HEURISTIC_SOLVERS,
     InvalidParameter,
@@ -26,7 +28,7 @@ from .core import (
 )
 from .exact import DEFAULT_NODE_BUDGET, check_budget, export_lp
 from .generator import GeneratorSpec, generate
-from .heuristics import SearchParams, check_seed
+from .heuristics import SearchParams
 
 _VARIANT_ALIASES = {
     "abs": ABSOLUTE,
@@ -39,20 +41,12 @@ _UNBOUNDED_PARAMS = ("iteration_limit", "generation_limit")
 
 
 def _variant(text: str) -> str:
-    try:
-        return _VARIANT_ALIASES[text.lower()]
-    except KeyError:
-        raise argparse.ArgumentTypeError(
-            f"unknown variant {text!r} (expected abs or dev)"
-        ) from None
+    """The variant an alias names; any other text passes through to the library's judge."""
+    return _VARIANT_ALIASES.get(text.lower(), text)
 
 
 def _variants(text: str) -> tuple[str, ...]:
-    """Variants from a comma-separated list; an unknown tag raises `InvalidParameter`."""
-    try:
-        return tuple(_variant(v) for v in text.split(","))
-    except argparse.ArgumentTypeError as exc:
-        raise InvalidParameter(str(exc)) from None
+    return tuple(_variant(v) for v in text.split(","))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -89,30 +83,22 @@ def _shapes(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def _seeds(text: str) -> tuple[int, ...]:
-    """Seeds from 'lo:hi' or a comma-separated list; bad input raises `InvalidParameter`."""
+    """Seeds from 'lo:hi' or a comma-separated list."""
     lo, sep, hi = text.partition(":")
     try:
         if sep:
-            seeds = tuple(range(int(lo), int(hi) + 1))
-        else:
-            seeds = tuple(int(s) for s in text.split(","))
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(s) for s in text.split(","))
     except ValueError:
-        raise InvalidParameter(f"expected 'lo:hi' or comma-separated seeds, got {text!r}") from None
-    if not seeds:
-        raise InvalidParameter(f"seed range {text!r} is empty")
-    for seed in seeds:
-        check_seed(seed)
-    return seeds
+        raise argparse.ArgumentTypeError(
+            f"expected 'lo:hi' or comma-separated seeds, got {text!r}"
+        ) from None
 
 
 def _solver_list(text: str) -> tuple[str, ...]:
     if text == "all":
         return HEURISTIC_SOLVERS
-    solvers = tuple(s.strip() for s in text.split(","))
-    for s in solvers:
-        if s not in ALL_SOLVERS:
-            raise argparse.ArgumentTypeError(f"unknown solver tag {s!r}")
-    return solvers
+    return tuple(s.strip() for s in text.split(","))
 
 
 def _coerce_param(name: str, value) -> object:
@@ -195,7 +181,7 @@ def _add_generator_flags(sub: argparse.ArgumentParser, shapes: bool = False) -> 
 def _add_bench_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--solvers", type=_solver_list, default=HEURISTIC_SOLVERS,
                      help="'all' or a comma-separated list")
-    sub.add_argument("--seeds", default="0",
+    sub.add_argument("--seeds", type=_seeds, default="0",
                      help="'lo:hi' or comma-separated seeds")
     sub.add_argument("--no-exact", action="store_true",
                      help="skip exact scoring (no error/speedup columns)")
@@ -217,7 +203,7 @@ def _make_parser() -> argparse.ArgumentParser:
     solve = commands.add_parser("solve", help="run one solver on one instance")
     solve.add_argument("--instance", required=True)
     solve.add_argument("--variant", type=_variant, required=True)
-    solve.add_argument("--solver", required=True, choices=ALL_SOLVERS)
+    solve.add_argument("--solver", required=True, help="ls1..ls4, ec1..ec9 or exact")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--budget", type=int, default=DEFAULT_NODE_BUDGET,
                        help="node budget for the exact solver")
@@ -231,7 +217,7 @@ def _make_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser("bench", help="run a solver battery over a directory")
     bench.add_argument("--dir", required=True, help="directory of .rmcif instances")
-    bench.add_argument("--variants", default="abs,dev",
+    bench.add_argument("--variants", type=_variants, default="abs,dev",
                        help="comma-separated variant tags")
     bench.add_argument("--out", required=True, help="CSV output path")
     bench.add_argument("--sol-dir", help="directory for per-run .sol files")
@@ -280,16 +266,21 @@ def _specs(args, count: int, widths: tuple[int, ...] | None = None) -> list[Gene
     ]
 
 
-def _shape_name(spec: GeneratorSpec) -> str:
-    return "x".join(map(str, spec.layer_widths))
+def _shape_name(widths: tuple[int, ...]) -> str:
+    return "x".join(map(str, widths))
 
 
-def _write_family(directory: Path, specs: list[GeneratorSpec], prefix: str = "") -> list[Path]:
+def _draw(specs: list[GeneratorSpec], prefix: str = "") -> dict[str, str]:
+    """Each spec's file name and instance text, so that a failed draw
+    ends the command before any file is written."""
+    return {f"{prefix}s{spec.seed:04d}.rmcif": write_instance(generate(spec)) for spec in specs}
+
+
+def _write_family(directory: Path, files: dict[str, str]) -> list[Path]:
     directory.mkdir(parents=True, exist_ok=True)
-    paths = [directory / f"{prefix}s{spec.seed:04d}.rmcif" for spec in specs]
-    for path, spec in zip(paths, specs):
-        path.write_text(write_instance(generate(spec)))
-    return paths
+    for name, text in files.items():
+        (directory / name).write_text(text)
+    return [directory / name for name in files]
 
 
 def _print_report(report: BenchReport) -> None:
@@ -308,8 +299,7 @@ def _cmd_solve(args) -> int:
     instance = parse_instance(Path(args.instance).read_bytes())
     params = _build_params(args.config, args.param)
     record = solve_one(
-        instance, args.variant, args.solver, args.seed, params,
-        exact_budget=check_budget(args.budget),
+        instance, args.variant, args.solver, args.seed, params, exact_budget=args.budget
     )
     _emit(format_solution(record, instance), args.output)
     if args.output is not None:
@@ -329,15 +319,9 @@ def _cmd_export_lp(args) -> int:
 def _cmd_bench(args) -> int:
     params = _build_params(args.config, args.param)
     report = run_bench(
-        args.dir,
-        _variants(args.variants),
-        args.solvers,
-        _seeds(args.seeds),
-        params,
-        out_csv=args.out,
-        sol_dir=args.sol_dir,
-        compute_exact=not args.no_exact,
-        exact_budget=check_budget(args.budget),
+        args.dir, args.variants, args.solvers, args.seeds, params,
+        out_csv=args.out, sol_dir=args.sol_dir,
+        compute_exact=not args.no_exact, exact_budget=args.budget,
     )
     _print_report(report)
     return 0
@@ -345,24 +329,23 @@ def _cmd_bench(args) -> int:
 
 def _cmd_corpus(args) -> int:
     specs = _specs(args, args.count)
-    _write_family(Path(args.dir), specs, f"{_shape_name(specs[0])}_")
+    _write_family(Path(args.dir), _draw(specs, f"{_shape_name(specs[0].layer_widths)}_"))
     print(f"wrote {args.count} instances to {args.dir}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    families = [_specs(args, args.count, widths) for widths in args.shapes]
-    seeds = _seeds(args.seeds)
-    check_grid((ABSOLUTE, DEVIATION), args.solvers, seeds)
+    shapes = [_shape_name(widths) for widths in args.shapes]
+    _check_distinct("shape", shapes)
+    specs = [_specs(args, args.count, widths) for widths in args.shapes]
+    grid = check_grid((ABSOLUTE, DEVIATION), args.solvers, args.seeds)
     budget = check_budget(args.budget)
-    for specs in families:
-        shape = _shape_name(specs[0])
+    families = [_draw(family) for family in specs]
+    for shape, files in zip(shapes, families):
         directory = Path(args.dir) / shape
         report = run_bench(
-            _write_family(directory, specs),
-            (ABSOLUTE, DEVIATION),
-            args.solvers,
-            seeds,
+            _write_family(directory, files),
+            *grid,
             out_csv=Path(args.dir) / f"{shape}.csv",
             sol_dir=directory / "solutions",
             compute_exact=not args.no_exact,

@@ -89,20 +89,20 @@ class Network:
             object.__setattr__(self, name, tuple(getattr(self, name)))
         n = self.vertex_count
         if n < 2:
-            raise ValueError("a network needs at least a source and a sink")
+            raise InvalidParameter("a network needs at least a source and a sink")
         if not len(self.tails) == len(self.heads) == len(self.capacities):
-            raise ValueError("tails, heads and capacities must have the same length")
+            raise InvalidParameter("tails, heads and capacities must have the same length")
         seen: set[tuple[int, int]] = set()
         for i, (tail, head, capacity) in enumerate(zip(self.tails, self.heads, self.capacities)):
             if not (1 <= tail <= n and 1 <= head <= n):
-                raise ValueError(f"arc {i + 1}: vertex index out of range")
+                raise InvalidParameter(f"arc {i + 1}: vertex index out of range")
             if tail == head:
-                raise ValueError(f"arc {i + 1}: self-loops are not allowed")
+                raise InvalidParameter(f"arc {i + 1}: self-loops are not allowed")
             if (tail, head) in seen:
-                raise ValueError(f"arc {i + 1}: duplicate arc {tail}->{head}")
+                raise InvalidParameter(f"arc {i + 1}: duplicate arc {tail}->{head}")
             seen.add((tail, head))
             if not isinstance(capacity, int) or capacity < 0:
-                raise ValueError(f"arc {i + 1}: capacity must be a nonnegative integer")
+                raise InvalidParameter(f"arc {i + 1}: capacity must be a nonnegative integer")
 
     @property
     def source(self) -> int:
@@ -155,14 +155,14 @@ class ScenarioSet:
 
     def __post_init__(self):
         if not self.costs:
-            raise ValueError("at least one scenario is required")
+            raise InvalidParameter("at least one scenario is required")
         width = len(self.costs[0])
         for k, row in enumerate(self.costs, start=1):
             if len(row) != width:
-                raise ValueError(f"scenario {k}: cost vector length mismatch")
+                raise InvalidParameter(f"scenario {k}: cost vector length mismatch")
             for c in row:
                 if not isinstance(c, int) or c < 0:
-                    raise ValueError(f"scenario {k}: costs must be nonnegative integers")
+                    raise InvalidParameter(f"scenario {k}: costs must be nonnegative integers")
 
     @property
     def scenario_count(self) -> int:
@@ -183,14 +183,14 @@ class Instance:
 
     def __post_init__(self):
         if len(self.scenarios.costs[0]) != self.network.arc_count:
-            raise ValueError("scenario cost vectors must have one entry per arc")
+            raise InvalidParameter("scenario cost vectors must have one entry per arc")
         if not isinstance(self.flow_value, int) or self.flow_value < 0:
-            raise ValueError("flow value must be a nonnegative integer")
+            raise InvalidParameter("flow value must be a nonnegative integer")
         # deferred import: flow_ops depends on the types defined above
         from .flow_ops import max_flow_value
 
         if self.flow_value > max_flow_value(self.network):
-            raise ValueError("F exceeds maximum flow")
+            raise InvalidParameter("F exceeds maximum flow")
 
 
 def flow_value_of(network: Network, values: Sequence[int]) -> int:
@@ -204,7 +204,7 @@ def flow_value_of(network: Network, values: Sequence[int]) -> int:
 def check_arc_values(network: Network, values: Sequence[int]) -> list[int]:
     """Check capacity bounds and return the per-vertex balance vector."""
     if len(values) != network.arc_count:
-        raise ValueError("value vector length differs from the arc count")
+        raise InvalidParameter("value vector length differs from the arc count")
     balance: list[int] = [0] * (network.vertex_count + 1)
     arcs = zip(network.tails, network.heads, network.capacities, values)
     for i, (tail, head, capacity, v) in enumerate(arcs):
@@ -402,9 +402,9 @@ def format_solution(record: SolutionRecord, instance: Instance) -> str:
     (instance, variant, solver, seed) run reproduces the file exactly.
     """
     if record.variant not in VARIANTS:
-        raise ValueError(f"unknown variant tag {record.variant!r}")
+        raise InvalidParameter(f"unknown variant tag {record.variant!r}")
     if record.solver not in ALL_SOLVERS:
-        raise ValueError(f"unknown solver tag {record.solver!r}")
+        raise InvalidParameter(f"unknown solver tag {record.solver!r}")
     value = validate_flow(instance, record.values)
     if value != instance.flow_value:
         raise WrongFlowValue(

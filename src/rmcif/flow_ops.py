@@ -58,7 +58,14 @@ from heapq import heappop, heappush
 from operator import sub
 from typing import Sequence
 
-from .core import ConservationViolation, Network, RmcifError, check_arc_values, flow_value_of
+from .core import (
+    ConservationViolation,
+    InvalidParameter,
+    Network,
+    RmcifError,
+    check_arc_values,
+    flow_value_of,
+)
 
 
 class TargetUnreachable(RmcifError):
@@ -275,11 +282,11 @@ def center(network: Network, flows: Sequence[tuple[int, ...]]) -> tuple[tuple[in
     The arc-wise mean is ``totals / count``; `round_flow` rounds it.
     """
     if not flows:
-        raise ValueError("cannot center an empty list of flows")
+        raise InvalidParameter("cannot center an empty list of flows")
     first = flow_value_of(network, flows[0])
     for f in flows[1:]:
         if flow_value_of(network, f) != first:
-            raise ValueError("flows must share the same value")
+            raise InvalidParameter("flows must share the same value")
     return tuple(map(sum, zip(*flows))), len(flows)
 
 
@@ -319,7 +326,7 @@ def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence
     """
     target = len(first)
     if target < 1 or len(second) != target:
-        raise ValueError("expected two unit-path lists of equal positive length")
+        raise InvalidParameter("expected two unit-path lists of equal positive length")
     caps = network.capacities
     room = list(caps)
     active = int(rng.integers(0, 2))
@@ -548,7 +555,7 @@ def min_cost_flow(network: Network, costs: Sequence[int], value: int) -> tuple[i
     negative cost.
     """
     if any(c < 0 for c in costs):
-        raise ValueError("min_cost_flow needs nonnegative costs")
+        raise InvalidParameter("min_cost_flow needs nonnegative costs")
     potential = [0] * (network.vertex_count + 1)
     return _augment_to_value(
         network, [0] * network.arc_count, value, partial(_cheapest_path, network, costs, potential)

@@ -281,7 +281,7 @@ def local_search(
     (so ls4 restarts the sequence for each of its starts).
     """
     if solver not in LS_SOLVERS:
-        raise ValueError(f"unknown local-search solver {solver!r}")
+        raise InvalidParameter(f"unknown local-search solver {solver!r}")
     check_seed(seed)
     if params is None:
         params = SearchParams()
@@ -341,7 +341,7 @@ def tournament_select(population, mode: str, sample_size: int, rng, exclude: int
     elif mode == "worst":
         better = gt
     else:
-        raise ValueError(f"unknown tournament mode {mode!r}")
+        raise InvalidParameter(f"unknown tournament mode {mode!r}")
     size = min(sample_size, n)
     picked: set[int] = set()
     for j, u in zip(range(n - size, n), rng.random(size).tolist()):
@@ -418,7 +418,7 @@ def evolutionary(
     `trace(generation, best_cost)` fires after every generation.
     """
     if solver not in EC_SOLVERS:
-        raise ValueError(f"unknown evolutionary solver {solver!r}")
+        raise InvalidParameter(f"unknown evolutionary solver {solver!r}")
     if params is None:
         params = SearchParams()
     kind = EC_SOLVERS.index(solver)

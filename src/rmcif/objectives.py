@@ -26,6 +26,7 @@ from .core import (
     ABSOLUTE,
     DEVIATION,
     Instance,
+    InvalidParameter,
     WrongFlowValue,
     validate_flow,
 )
@@ -117,4 +118,4 @@ def make_criterion(instance: Instance, variant: str) -> Criterion:
         return Criterion(instance, (0,) * instance.scenarios.scenario_count)
     if variant == DEVIATION:
         return Criterion(instance, compute_optima(instance).costs)
-    raise ValueError(f"unknown variant {variant!r}")
+    raise InvalidParameter(f"unknown variant {variant!r}")

@@ -63,6 +63,25 @@ class TestSolveOne:
         with pytest.raises(InvalidParameter, match="seed"):
             solve_one(diamond, ABSOLUTE, solver, seed=-1, params=FAST)
 
+    @pytest.mark.parametrize(
+        "variant, solver, seed, budget, message",
+        [
+            ("abs", "ls1", 0, DEFAULT_NODE_BUDGET, "unknown variant 'abs'"),
+            (ABSOLUTE, "ls9", 0, DEFAULT_NODE_BUDGET, "unknown solver tag 'ls9'"),
+            (ABSOLUTE, "ls1", -1, DEFAULT_NODE_BUDGET, "seed must be nonnegative, got -1"),
+            (ABSOLUTE, "ls1", 0, -1, "node budget must be nonnegative, got -1"),
+        ],
+        ids=["variant", "solver", "seed", "budget"],
+    )
+    def test_bad_cell_rejected_before_any_work(
+        self, diamond, monkeypatch, variant, solver, seed, budget, message
+    ):
+        calls = []
+        monkeypatch.setattr(bench, "compute_optima", calls.append)
+        with pytest.raises(InvalidParameter, match=message):
+            solve_one(diamond, variant, solver, seed, FAST, exact_budget=budget)
+        assert calls == []
+
     def test_exact_tag_matches_enumerator(self, diamond):
         record = solve_one(diamond, DEVIATION, "exact")
         cost, _ = enumerate_optimum(diamond, DEVIATION)
@@ -298,6 +317,41 @@ class TestRunBench:
             )
         assert not out_csv.exists()
         assert enumerations == []
+
+    @pytest.mark.parametrize(
+        "variants, solvers, seeds, message",
+        [
+            ((), ("ls1",), (0,), "no variants given"),
+            ((ABSOLUTE,), (), (0,), "no solver tags given"),
+            ((ABSOLUTE,), ("ls1",), range(3, 1), "no seeds given"),
+        ],
+        ids=["variants", "solvers", "seeds"],
+    )
+    def test_empty_grid_rejected_before_any_cell(
+        self, bench_dir, tmp_path, enumerations, variants, solvers, seeds, message
+    ):
+        out_csv = tmp_path / "empty.csv"
+        with pytest.raises(InvalidParameter, match=message):
+            run_bench(bench_dir, variants, solvers, seeds, FAST, out_csv=out_csv)
+        assert not out_csv.exists()
+        assert enumerations == []
+
+    def test_one_shot_iterators_run_every_cell(self, bench_dir, tmp_path):
+        grid = ((ABSOLUTE, DEVIATION), ("ls1", "exact"), (0, 1))
+        tuples, once = tmp_path / "tuples.csv", tmp_path / "once.csv"
+        expected = run_bench(bench_dir, *grid, FAST, out_csv=tuples)
+        report = run_bench(
+            bench_dir, iter(grid[0]), (s for s in grid[1]), iter(grid[2]), FAST, out_csv=once
+        )
+        rows = read_rows(once)
+        assert len(rows) == 2 * 2 * 2 * 2
+        drop_timing = ("seconds", "speedup")
+        assert [{k: v for k, v in row.items() if k not in drop_timing} for row in rows] == [
+            {k: v for k, v in row.items() if k not in drop_timing} for row in read_rows(tuples)
+        ]
+        assert [(s.variant, s.solver, s.runs) for s in report.summaries] == [
+            (s.variant, s.solver, s.runs) for s in expected.summaries
+        ]
 
     def test_instances_sharing_a_name_rejected_before_any_cell(
         self, bench_dir, tmp_path, enumerations

@@ -1,6 +1,7 @@
 """Command-line interface, driven through main(argv)."""
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 
@@ -19,6 +20,7 @@ from rmcif import (
     parse_instance,
     write_instance,
 )
+from rmcif.bench import check_grid
 from rmcif.cli import _build_params, _seeds, _solver_list, _widths, main
 
 
@@ -39,16 +41,34 @@ class TestArgumentHelpers:
         assert _seeds("5,7") == (5, 7)
         assert _seeds("4") == (4,)
 
-    @pytest.mark.parametrize("text", ["3:1", "-1", "0,-2", "-2:0", "x", "1:"])
-    def test_bad_seeds(self, text):
-        with pytest.raises(InvalidParameter):
-            _seeds(text)
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            ("3:1", "no seeds given"),
+            ("-1", "seed must be nonnegative, got -1"),
+            ("0,-2", "seed must be nonnegative, got -2"),
+            ("-2:0", "seed must be nonnegative, got -2"),
+            ("x", None),
+            ("1:", None),
+        ],
+        ids=["3:1", "-1", "0,-2", "-2:0", "x", "1:"],
+    )
+    def test_bad_seeds(self, text, error):
+        # `_seeds` only parses: a syntax error is its own, a seed list that
+        # parses is judged by `check_grid`
+        if error is None:
+            with pytest.raises(argparse.ArgumentTypeError):
+                _seeds(text)
+        else:
+            with pytest.raises(InvalidParameter, match=error):
+                check_grid((ABSOLUTE,), ("ls1",), _seeds(text))
 
     def test_solver_list(self):
         assert len(_solver_list("all")) == 13
         assert _solver_list("ls1,ec9") == ("ls1", "ec9")
-        with pytest.raises(Exception, match="unknown solver"):
-            _solver_list("ls9")
+        assert _solver_list("ls9") == ("ls9",)
+        with pytest.raises(InvalidParameter, match="unknown solver tag 'ls9'"):
+            check_grid((ABSOLUTE,), _solver_list("ls9"), (0,))
 
     def test_build_params_overrides(self):
         params = _build_params(None, ["population_size=7", "generation_limit=none"])
@@ -436,15 +456,27 @@ class TestSweep:
             ["sweep", "{out}", "--count", "0"],
             ["sweep", "{out}", "--solvers", "ls1,ls1"],
             ["sweep", "{out}", "--seeds", "0,0"],
+            ["sweep", "{out}", "--seeds", "3:1"],
+            ["sweep", "{out}", "--seeds", "-1"],
+            ["sweep", "{out}", "--seeds=-2:0"],
+            ["sweep", "{out}", "--shapes", "2x2,2x2"],
+            ["corpus", "{out}", "--count", "3", "--width", "2,2", "--flow", "100000"],
+            # the 3x3 family can be drawn, the 2x2 one cannot carry 3 units
+            ["sweep", "{out}", "--shapes", "3x3,2x2", "--solvers", "ls1", "--count", "1",
+             "--seeds", "0", "--cap", "1:1", "--flow", "3", "--retries", "2"],
         ],
         ids=["non-integer-width", "zero-count", "negative-count", "zero-width",
              "negative-seed", "width-without-layers", "unknown-solver",
              "non-integer-shape", "malformed-seeds", "negative-seeds", "negative-budget",
-             "zero-width-shape", "sweep-zero-count", "repeated-solver", "repeated-seed"],
+             "zero-width-shape", "sweep-zero-count", "repeated-solver", "repeated-seed",
+             "empty-seed-range", "negative-seed-list", "negative-seed-range",
+             "repeated-shape", "corpus-failed-draw", "sweep-failed-draw"],
     )
     def test_bad_input_writes_nothing(self, argv, tmp_path, capsys):
         out = tmp_path / "out"
-        code = main([arg.format(out=out) for arg in argv] + GENERATOR_ARGS)
+        argv = [arg.format(out=out) for arg in argv]
+        # the shared flags go first, so a case's own flags override them
+        code = main(argv[:2] + GENERATOR_ARGS + argv[2:])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -513,6 +545,12 @@ def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsy
         ["solve", "--instance", "{sparse}", "--variant", "abs", "--solver", "ls1"],
         ["export-lp", "--instance", "{sparse}", "--variant", "abs"],
         ["bench", "--dir", "{sparse_dir}", "--out", "{csv}"],
+        ["bench", "--dir", "{dir}", "--seeds", "-1", "--out", "{csv}"],
+        ["bench", "--dir", "{dir}", "--seeds", "0,-2", "--out", "{csv}"],
+        ["bench", "--dir", "{dir}", "--seeds=-2:0", "--out", "{csv}"],
+        ["bench", "--dir", "{dir}", "--seeds", "x", "--out", "{csv}"],
+        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls9"],
+        ["export-lp", "--instance", "{diamond}", "--variant", "worst"],
     ],
     ids=["missing-instance", "non-integer-param", "zero-param", "zero-scenarios", "density",
          "config-not-json", "generate-negative-seed", "ec-negative-seed", "ls-negative-seed",
@@ -521,7 +559,9 @@ def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsy
          "config-not-utf8", "config-float", "config-bool", "generate-oversized-cap",
          "generate-non-integer-cap", "generate-non-integer-width", "bench-unknown-solver",
          "solve-missing-variant", "no-command", "solve-sparse-header",
-         "export-lp-sparse-header", "bench-sparse-header"],
+         "export-lp-sparse-header", "bench-sparse-header", "bench-negative-seed",
+         "bench-negative-seed-list", "bench-negative-seed-range", "bench-malformed-seeds",
+         "solve-unknown-solver", "export-lp-unknown-variant"],
 )
 def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
     config = tmp_path / "params.json"

@@ -1,0 +1,83 @@
+"""Every rejected argument raises an `RmcifError`, the package's one base class.
+
+Each case reaches one guard; the message fragment pins which one.
+`InvalidParameter` also subclasses `ValueError`, so callers that catch
+`ValueError` keep working.
+"""
+from __future__ import annotations
+
+import pytest
+
+from conftest import DIAMOND_TEXT
+from rmcif import (
+    ABSOLUTE,
+    InvalidParameter,
+    Network,
+    RmcifError,
+    ScenarioSet,
+    SolutionRecord,
+    check_arc_values,
+    format_solution,
+    parse_instance,
+)
+from rmcif.core import Instance
+from rmcif.flow_ops import center, compose, min_cost_flow
+from rmcif.heuristics import evolutionary, local_search, make_rng, tournament_select
+from rmcif.objectives import make_criterion
+
+ARC = Network(2, (1,), (2,), (1,))
+FLOW = (1, 0, 1, 0)
+
+
+def _diamond():
+    return parse_instance(DIAMOND_TEXT)
+
+
+CASES = {
+    "network-size": (lambda: Network(1, (), (), ()), "source and a sink"),
+    "network-lengths": (lambda: Network(2, (1,), (), ()), "same length"),
+    "network-vertex": (lambda: Network(2, (1,), (3,), (1,)), "out of range"),
+    "network-self-loop": (lambda: Network(2, (1,), (1,), (1,)), "self-loops"),
+    "network-duplicate": (lambda: Network(2, (1, 1), (2, 2), (1, 1)), "duplicate arc 1->2"),
+    "network-capacity": (lambda: Network(2, (1,), (2,), (-1,)), "capacity"),
+    "scenarios-none": (lambda: ScenarioSet(()), "at least one scenario"),
+    "scenarios-lengths": (lambda: ScenarioSet(((1,), (1, 2))), "length mismatch"),
+    "scenarios-cost": (lambda: ScenarioSet(((-1,),)), "nonnegative integers"),
+    "instance-costs": (lambda: Instance(ARC, ScenarioSet(((1, 2),)), 0), "one entry per arc"),
+    "instance-value": (lambda: Instance(ARC, ScenarioSet(((1,),)), -1), "nonnegative integer"),
+    "instance-max-flow": (lambda: Instance(ARC, ScenarioSet(((1,),)), 2), "maximum flow"),
+    "arc-values": (lambda: check_arc_values(ARC, (1, 1)), "arc count"),
+    "solution-variant": (
+        lambda: format_solution(SolutionRecord("worst", "ls1", 4, FLOW, 0), _diamond()),
+        "unknown variant tag",
+    ),
+    "solution-solver": (
+        lambda: format_solution(SolutionRecord(ABSOLUTE, "lp", 4, FLOW, 0), _diamond()),
+        "unknown solver tag",
+    ),
+    "center-empty": (lambda: center(ARC, []), "empty list"),
+    "center-values": (lambda: center(ARC, [(0,), (1,)]), "same value"),
+    "compose-lengths": (lambda: compose(ARC, [], [], make_rng(0)), "equal positive length"),
+    "min-cost-flow-costs": (lambda: min_cost_flow(ARC, (-1,), 1), "nonnegative costs"),
+    "tournament-mode": (
+        lambda: tournament_select([(FLOW, 4)] * 3, "median", 2, make_rng(0)),
+        "unknown tournament mode",
+    ),
+    "criterion-variant": (lambda: make_criterion(_diamond(), "worst"), "unknown variant"),
+    "local-search-solver": (
+        lambda: local_search(_diamond(), ABSOLUTE, "ec1"),
+        "unknown local-search solver",
+    ),
+    "evolutionary-solver": (
+        lambda: evolutionary(_diamond(), ABSOLUTE, "ls1"),
+        "unknown evolutionary solver",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_rejected_argument_raises_an_rmcif_error(case):
+    call, message = CASES[case]
+    with pytest.raises(RmcifError, match=message) as err:
+        call()
+    assert isinstance(err.value, InvalidParameter) and isinstance(err.value, ValueError)
