@@ -33,11 +33,12 @@ from .core import (
     InvalidParameter,
     RmcifError,
     SolutionRecord,
+    check_integer,
     format_solution,
     parse_instance,
 )
-from .exact import DEFAULT_NODE_BUDGET, check_budget, enumerate_optimum
-from .heuristics import SearchParams, check_seed, evolutionary, local_search
+from .exact import DEFAULT_NODE_BUDGET, enumerate_optimum
+from .heuristics import SearchParams, evolutionary, local_search
 from .objectives import compute_optima
 
 CSV_COLUMNS = (
@@ -63,13 +64,13 @@ def solve_one(
 ) -> SolutionRecord:
     """Run a single solver tag (ls*, ec*, or exact) on one instance.
 
-    The cell is judged by `check_grid` and the budget by `check_budget`,
+    The cell is judged by `check_grid` and the budget by `check_integer`,
     so a bad input raises `InvalidParameter` before any work.  Per-scenario
     optima are warmed up front so their one-time cost never lands in any
     solver's measured time.
     """
-    check_grid((variant,), (solver,), (seed,))
-    check_budget(exact_budget)
+    (variant,), (solver,), (seed,) = check_grid((variant,), (solver,), (seed,))
+    exact_budget = check_integer(exact_budget, "node budget")
     compute_optima(instance)
     if solver in LS_SOLVERS:
         return local_search(instance, variant, solver, params, seed)
@@ -122,18 +123,16 @@ def check_grid(
     variants: Iterable[str], solvers: Iterable[str], seeds: Iterable[int]
 ) -> tuple[tuple[str, ...], tuple[str, ...], tuple[int, ...]]:
     """The variants, solver tags and seeds as tuples, so one-shot iterators
-    can be run over more than once.  Raise `InvalidParameter` for an empty
-    list, an unknown variant or solver tag, a negative seed, or any of them
-    repeated, which would run cells twice."""
-    grid = (tuple(variants), tuple(solvers), tuple(seeds))
+    can be run over more than once, with each seed a plain int.  Raise
+    `InvalidParameter` for an empty list, an unknown variant or solver tag,
+    a seed that is not a nonnegative integer, or any of them repeated."""
+    grid = (tuple(variants), tuple(solvers), tuple(check_integer(s, "seed") for s in seeds))
     kinds = (("variant", VARIANTS), ("solver tag", ALL_SOLVERS), ("seed", None))
     for (kind, known), items in zip(kinds, grid):
         if not items:
             raise InvalidParameter(f"no {kind}s given")
         for item in items:
-            if known is None:
-                check_seed(item)
-            elif item not in known:
+            if known is not None and item not in known:
                 raise InvalidParameter(f"unknown {kind} {item!r}")
         _check_distinct(kind, items)
     return grid
@@ -176,10 +175,12 @@ def run_bench(
             raise RmcifError(f"no .rmcif instances found under {instances}")
     else:
         paths = [Path(p) for p in instances]
+        if not paths:
+            raise InvalidParameter("no instances given")
     variants, solvers, seeds = check_grid(variants, solvers, seeds)
     # a cell's .sol file is named after its instance's stem
     _check_distinct("instance name", [path.stem for path in paths])
-    exact_budget = check_budget(exact_budget)
+    exact_budget = check_integer(exact_budget, "node budget")
     for path in paths:
         _parse(path)
 

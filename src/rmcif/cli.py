@@ -3,8 +3,8 @@
 `corpus` writes a seeded family of instances from `generate`'s flags, and
 `sweep` writes one such family per layer shape and benches each with
 `bench`'s flags.  The argument types only parse; variants, solver tags,
-seeds and budgets are judged by the library (`bench.check_grid`,
-`exact.check_budget`).  Every input is checked, and every instance drawn,
+seeds, budgets and counts are judged by the library (`bench.check_grid`,
+`core.check_integer`).  Every input is checked, and every instance drawn,
 before the first file is written.
 """
 from __future__ import annotations
@@ -20,13 +20,13 @@ from .core import (
     ABSOLUTE,
     DEVIATION,
     HEURISTIC_SOLVERS,
-    InvalidParameter,
     RmcifError,
+    check_integer,
     format_solution,
     parse_instance,
     write_instance,
 )
-from .exact import DEFAULT_NODE_BUDGET, check_budget, export_lp
+from .exact import DEFAULT_NODE_BUDGET, export_lp
 from .generator import GeneratorSpec, generate
 from .heuristics import SearchParams
 
@@ -102,17 +102,15 @@ def _solver_list(text: str) -> tuple[str, ...]:
 
 
 def _coerce_param(name: str, value) -> object:
-    """An integer from a ``--param`` string or a JSON integer (or integral float)."""
+    """A ``--param`` string or JSON value parsed for `SearchParams`, which judges it."""
     if name in _UNBOUNDED_PARAMS and str(value).lower() in ("none", "inf", "unbounded"):
         return None
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    raise RmcifError(f"parameter {name}: expected an integer, got {value!r}")
+    try:
+        return int(value) if isinstance(value, str) else value
+    except ValueError:
+        raise RmcifError(f"parameter {name}: expected an integer, got {value!r}") from None
 
 
 def _build_params(config_path: str | None, overrides: list[str]) -> SearchParams:
@@ -248,8 +246,7 @@ def _specs(args, count: int, widths: tuple[int, ...] | None = None) -> list[Gene
             widths = widths * args.layers
         elif args.layers is not None and args.layers != len(widths):
             raise RmcifError("--layers disagrees with the number of --width entries")
-    if count < 1:
-        raise InvalidParameter(f"instance count must be positive, got {count}")
+    count = check_integer(count, "instance count", 1)
     return [
         GeneratorSpec(
             layer_widths=widths,
@@ -339,7 +336,7 @@ def _cmd_sweep(args) -> int:
     _check_distinct("shape", shapes)
     specs = [_specs(args, args.count, widths) for widths in args.shapes]
     grid = check_grid((ABSOLUTE, DEVIATION), args.solvers, args.seeds)
-    budget = check_budget(args.budget)
+    budget = check_integer(args.budget, "node budget")
     families = [_draw(family) for family in specs]
     for shape, files in zip(shapes, families):
         directory = Path(args.dir) / shape

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import index
 from typing import Sequence
 
 ABSOLUTE = "absolute"
@@ -63,6 +64,26 @@ class ConservationViolation(RmcifError):
 
 class WrongFlowValue(RmcifError):
     """A conserving flow whose value differs from the instance requirement."""
+
+
+def check_integer(value, what: str, low: int = 0, high: int | None = None) -> int:
+    """`value` as a plain int in ``low..high`` (unbounded above if `high` is None).
+
+    Numpy integers pass; a bool, float or string raises `InvalidParameter`,
+    as does a value out of range.
+    """
+    try:
+        number = None if isinstance(value, bool) else int(index(value))
+    except TypeError:
+        number = None
+    if number is None:
+        raise InvalidParameter(f"{what} must be an integer, got {value!r}")
+    if high is not None and not low <= number <= high:
+        raise InvalidParameter(f"{what} must lie in {low}..{high}, got {number}")
+    if number < low:
+        sign = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
+        raise InvalidParameter(f"{what} must be {sign}, got {number}")
+    return number
 
 
 @dataclass(frozen=True)

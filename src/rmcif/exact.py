@@ -19,7 +19,7 @@ from __future__ import annotations
 import heapq
 from operator import sub
 
-from .core import Instance, InvalidParameter, Network, RmcifError
+from .core import Instance, Network, RmcifError, check_integer
 from .objectives import compute_optima, make_criterion
 
 
@@ -182,13 +182,6 @@ def _walk(
     return best_cost, best_values, explored
 
 
-def check_budget(node_budget: int) -> int:
-    """The node budget as an int; `InvalidParameter` if it is negative."""
-    if node_budget < 0:
-        raise InvalidParameter(f"node budget must be nonnegative, got {node_budget}")
-    return int(node_budget)
-
-
 def enumerate_optimum(
     instance: Instance, variant: str, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> tuple[int, tuple[int, ...]]:
@@ -204,11 +197,11 @@ def enumerate_optimum(
     its arcs are assigned.  The walk runs on an explicit stack, so large
     networks end in `BudgetExceeded`, not `RecursionError`.  Raises
     `BudgetExceeded` when more than `node_budget` arc assignments get
-    explored, and `InvalidParameter` for a negative budget.
+    explored, and `InvalidParameter` unless it is a nonnegative integer.
     """
     criterion = make_criterion(instance, variant)
     shift = criterion.shift
-    node_budget = check_budget(node_budget)
+    node_budget = check_integer(node_budget, "node budget")
     optima = compute_optima(instance)
     lower = max(map(sub, optima.costs, shift))
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import Instance, InvalidParameter, Network, RmcifError, ScenarioSet
+from .core import Instance, InvalidParameter, Network, RmcifError, ScenarioSet, check_integer
 from .flow_ops import max_flow_value
-from .heuristics import check_seed, make_rng
+from .heuristics import make_rng
 
 
 class GenerationError(RmcifError):
@@ -46,23 +46,26 @@ class GeneratorSpec:
     max_retries: int = 20
 
     def __post_init__(self):
-        if not self.layer_widths or any(w < 1 for w in self.layer_widths):
-            raise InvalidParameter("layer widths must be positive")
-        if self.scenario_count < 1:
-            raise InvalidParameter("scenario count must be positive")
+        if not self.layer_widths:
+            raise InvalidParameter("no layer widths given")
+        judged = {
+            "layer_widths": tuple(check_integer(w, "layer widths", 1) for w in self.layer_widths),
+            "scenario_count": check_integer(self.scenario_count, "scenario count", 1),
+            "max_retries": check_integer(self.max_retries, "retry budget", 1),
+            "seed": check_integer(self.seed, "seed"),
+        }
+        if self.flow_value is not None:
+            judged["flow_value"] = check_integer(self.flow_value, "flow value")
         for name in ("capacity_range", "cost_range"):
             lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo or hi > _DRAW_MAX:
-                raise InvalidParameter(f"{name} must satisfy 0 <= lo <= hi <= {_DRAW_MAX}")
+            lo = check_integer(lo, f"{name} lower end", 0, _DRAW_MAX)
+            judged[name] = (lo, check_integer(hi, f"{name} upper end", lo, _DRAW_MAX))
         if not 0 < self.density <= 1:
             raise InvalidParameter("density must lie in (0, 1]")
-        if self.flow_value is not None and self.flow_value < 0:
-            raise InvalidParameter("flow value must be nonnegative")
         if not 0 <= self.flow_fraction <= 1:
             raise InvalidParameter("flow fraction must lie in [0, 1]")
-        if self.max_retries < 1:
-            raise InvalidParameter("retry budget must be positive")
-        check_seed(self.seed)
+        for name, value in judged.items():
+            object.__setattr__(self, name, value)  # frozen: as the generated __init__ does
 
 
 def _layer_vertices(widths: tuple[int, ...]) -> list[list[int]]:

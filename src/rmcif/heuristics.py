@@ -35,8 +35,8 @@ optimum, and the cost-reduce mutation (ec2, ec5, ec8) returns a member
 already optimal for its drawn scenario as it is, so `cost_reduce` is
 only called where it finds a cycle.  `local_search` (ls1 included) and
 `evolutionary` fetch the optima once per call and pass them down.
-The loop also tracks the index and cost of its best member as members
-are replaced, instead of scanning for it.
+`insert_child` writes the child's slot in place.  The loop tracks its
+best member, and scans for it again only when a child costs no more.
 
 One `evolutionary` run remembers two results of pure functions, so
 neither changes a flow, an RNG draw or an evaluation count.  Each
@@ -66,13 +66,13 @@ seed, and every tie is broken by position.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress, islice
 from operator import gt, lt, ne
 
 import numpy as np
 
-from .core import EC_SOLVERS, LS_SOLVERS, Instance, InvalidParameter, SolutionRecord
+from .core import EC_SOLVERS, LS_SOLVERS, Instance, InvalidParameter, SolutionRecord, check_integer
 from .flow_ops import (
     center,
     compose,
@@ -106,28 +106,18 @@ class SearchParams:
     tournament_size: int = 3
 
     def __post_init__(self):
-        for name in ("neighborhood_size", "population_size", "no_improvement_limit", "tournament_size"):
-            if getattr(self, name) < 1:
-                raise InvalidParameter(f"{name} must be positive")
-        for name in ("iteration_limit", "generation_limit"):
-            bound = getattr(self, name)
-            if bound is not None and bound < 1:
-                raise InvalidParameter(f"{name} must be positive or None")
-        for name in ("similarity_threshold", "mutation_threshold"):
-            if not 0 <= getattr(self, name) <= 100:
-                raise InvalidParameter(f"{name} must lie in 0..100")
-
-
-def check_seed(seed: int) -> int:
-    """The seed as an int; `InvalidParameter` if it is negative."""
-    if seed < 0:
-        raise InvalidParameter(f"seed must be nonnegative, got {seed}")
-    return int(seed)
+        for name in (f.name for f in fields(self)):
+            value = getattr(self, name)
+            if value is None and name in ("iteration_limit", "generation_limit"):
+                continue
+            high = 100 if name.endswith("_threshold") else None
+            # frozen: write the field the way the generated __init__ does
+            object.__setattr__(self, name, check_integer(value, name, 0 if high else 1, high))
 
 
 def make_rng(seed: int) -> np.random.Generator:
     """Counter-based generator; the same seed reproduces the same stream anywhere."""
-    return np.random.Generator(np.random.Philox(check_seed(seed)))
+    return np.random.Generator(np.random.Philox(check_integer(seed, "seed")))
 
 
 def _changes(old: tuple[int, ...], new: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -282,7 +272,7 @@ def local_search(
     """
     if solver not in LS_SOLVERS:
         raise InvalidParameter(f"unknown local-search solver {solver!r}")
-    check_seed(seed)
+    seed = check_integer(seed, "seed")
     if params is None:
         params = SearchParams()
     t0 = time.perf_counter()
@@ -380,23 +370,19 @@ def insert_child(
     `best_index` must be the index of the lowest-cost member (the lowest
     index on ties).
 
-    Returns the updated member list; a member the child took reads
+    Returns `population` itself, where a slot the child took now reads
     ``(child, child_cost, child_costs)``.
     """
     band = similarity_threshold * population[best_index][1] // 100
-    member = (child, child_cost, child_costs)
     for i, twin in enumerate(population):
         if abs(twin[1] - child_cost) <= band:
-            updated = list(population)
             if child_cost < twin[1]:
-                updated[i] = member
-            return updated
+                population[i] = (child, child_cost, child_costs)
+            return population
     victim = tournament_select(population, "worst", tournament_size, rng, exclude=best_index)
-    if victim is None:
-        return list(population)
-    updated = list(population)
-    updated[victim] = member
-    return updated
+    if victim is not None:
+        population[victim] = (child, child_cost, child_costs)
+    return population
 
 
 def evolutionary(
@@ -423,6 +409,7 @@ def evolutionary(
         params = SearchParams()
     kind = EC_SOLVERS.index(solver)
     cross_kind, mut_kind = divmod(kind, 3)
+    seed = check_integer(seed, "seed")
     rng = make_rng(seed)
     t0 = time.perf_counter()
     criterion = make_criterion(instance, variant)
@@ -509,11 +496,12 @@ def evolutionary(
         population.append((mutant, criterion.evaluate(mutant, costs), costs))
     del neighborhoods
 
-    # The best member (lowest cost, then lowest index) is tracked as members
-    # are replaced.  The best is never replaced by a worse member, so its
-    # cost only falls, and a generation improves when it falls.
-    best = min(range(len(population)), key=lambda i: (population[i][1], i))
-    best_cost = population[best][1]
+    # The best member (lowest cost, then lowest index) is never replaced by a
+    # worse one, and a generation improves when its cost falls.  A child takes
+    # one slot at most, so only one costing no more than the best can move it.
+    costs = [member[1] for member in population]
+    best_cost = min(costs)
+    best = costs.index(best_cost)
     generations = 0
     stagnant = 0
     while (
@@ -524,9 +512,8 @@ def evolutionary(
         second = tournament_select(population, "best", params.tournament_size, rng)
         child, child_costs = crossover(first, second)
         child_cost = criterion.evaluate(child, child_costs)
-        prior = population
         population = insert_child(
-            prior,
+            population,
             child,
             child_cost,
             params.similarity_threshold,
@@ -536,12 +523,9 @@ def evolutionary(
             child_costs,
         )
         if child_cost <= best_cost:
-            # insert_child copies the list and replaces at most one member
-            for slot, (old, new) in enumerate(zip(prior, population)):
-                if old is not new:
-                    if (child_cost, slot) < (best_cost, best):
-                        best, best_cost = slot, child_cost
-                    break
+            costs = [member[1] for member in population]
+            best_cost = min(costs)
+            best = costs.index(best_cost)
         if rng.random() * 100 < params.mutation_threshold and len(population) > 1:
             target = int(rng.integers(0, len(population) - 1))
             target += target >= best  # any member but the best

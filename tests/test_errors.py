@@ -20,9 +20,12 @@ from rmcif import (
     format_solution,
     parse_instance,
 )
+from rmcif.bench import check_grid, solve_one
 from rmcif.core import Instance
+from rmcif.exact import enumerate_optimum
 from rmcif.flow_ops import center, compose, min_cost_flow
-from rmcif.heuristics import evolutionary, local_search, make_rng, tournament_select
+from rmcif.generator import GeneratorSpec
+from rmcif.heuristics import SearchParams, evolutionary, local_search, make_rng, tournament_select
 from rmcif.objectives import make_criterion
 
 ARC = Network(2, (1,), (2,), (1,))
@@ -71,6 +74,62 @@ CASES = {
     "evolutionary-solver": (
         lambda: evolutionary(_diamond(), ABSOLUTE, "ls1"),
         "unknown evolutionary solver",
+    ),
+    # every integer parameter is judged by `core.check_integer`, which
+    # takes integers of any type and nothing else
+    "solve-one-seed": (
+        lambda: solve_one(_diamond(), ABSOLUTE, "ec1", seed=1.5),
+        "seed must be an integer, got 1.5",
+    ),
+    "solve-one-bool-seed": (
+        lambda: solve_one(_diamond(), ABSOLUTE, "ls1", seed=True),
+        "seed must be an integer, got True",
+    ),
+    "make-rng-seed": (lambda: make_rng(1.5), "seed must be an integer, got 1.5"),
+    "local-search-seed": (
+        lambda: local_search(_diamond(), ABSOLUTE, "ls1", seed=1.5),
+        "seed must be an integer, got 1.5",
+    ),
+    "evolutionary-seed": (
+        lambda: evolutionary(_diamond(), ABSOLUTE, "ec1", seed=1.5),
+        "seed must be an integer, got 1.5",
+    ),
+    "check-grid-seed": (
+        lambda: check_grid((ABSOLUTE,), ("ls1",), (0, 1.5)),
+        "seed must be an integer, got 1.5",
+    ),
+    "solve-one-budget": (
+        lambda: solve_one(_diamond(), ABSOLUTE, "exact", exact_budget=2.5),
+        "node budget must be an integer, got 2.5",
+    ),
+    "enumerate-budget": (
+        lambda: enumerate_optimum(_diamond(), ABSOLUTE, 2.5),
+        "node budget must be an integer, got 2.5",
+    ),
+    "params-tournament-size": (
+        lambda: SearchParams(tournament_size=2.5),
+        "tournament_size must be an integer, got 2.5",
+    ),
+    "params-iteration-limit": (
+        lambda: SearchParams(iteration_limit=2.5),
+        "iteration_limit must be an integer, got 2.5",
+    ),
+    "params-population-size": (
+        lambda: SearchParams(population_size="30"),
+        "population_size must be an integer, got '30'",
+    ),
+    "spec-widths": (
+        lambda: GeneratorSpec((2.5, 2), 2),
+        "layer widths must be an integer, got 2.5",
+    ),
+    "spec-scenario-count": (
+        lambda: GeneratorSpec((2, 2), 2.0),
+        "scenario count must be an integer, got 2.0",
+    ),
+    "spec-seed": (lambda: GeneratorSpec((2, 2), 2, seed=1.5), "seed must be an integer, got 1.5"),
+    "spec-capacity-range": (
+        lambda: GeneratorSpec((2, 2), 2, capacity_range=(0, 1.5)),
+        "capacity_range upper end must be an integer, got 1.5",
     ),
 }
 

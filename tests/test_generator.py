@@ -1,11 +1,12 @@
 """Layered instance generator: shapes, invariants, determinism."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rmcif import GenerationError, GeneratorSpec, generate, max_flow_value
+from rmcif import GenerationError, GeneratorSpec, generate, max_flow_value, write_instance
 
 
 def layer_of(widths, vertex):
@@ -45,6 +46,15 @@ class TestSpecValidation:
         base.update(kwargs)
         with pytest.raises(ValueError, match=fragment):
             GeneratorSpec(**base)
+
+    def test_numpy_integers_stored_as_ints(self):
+        plain = GeneratorSpec((2, 3), 2, capacity_range=(1, 5), seed=4)
+        spec = GeneratorSpec(
+            [np.int64(2), 3], np.int64(2), capacity_range=(np.int8(1), 5), seed=np.uint16(4)
+        )
+        assert spec == plain
+        assert type(spec.seed) is int and type(spec.layer_widths[0]) is int
+        assert write_instance(generate(spec)) == write_instance(generate(plain))
 
 
 class TestShapes:

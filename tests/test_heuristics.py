@@ -5,6 +5,7 @@ from collections import Counter
 from dataclasses import replace
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -79,6 +80,11 @@ class TestSearchParams:
     def test_unbounded_limits_allowed(self):
         p = SearchParams(iteration_limit=None, generation_limit=None)
         assert p.iteration_limit is None
+
+    def test_numpy_integers_stored_as_ints(self):
+        p = SearchParams(population_size=np.int64(4), generation_limit=np.int32(9))
+        assert p == SearchParams(population_size=4, generation_limit=9)
+        assert type(p.population_size) is int and type(p.generation_limit) is int
 
 
 class TestRng:
@@ -173,11 +179,17 @@ class TestInsertChild:
 
     @staticmethod
     def insert(population, child_cost, threshold, size, seed=0):
-        """Insert "kid" with the lowest-cost member as the given best."""
-        return insert_child(
-            population, "kid", child_cost, threshold, size, make_rng(seed),
-            lowest(population), (child_cost,),
+        """Insert "kid" into a copy, with the lowest-cost member as the given best.
+
+        `insert_child` writes into the list it is given and returns that
+        list, so the shared `base_population` is never handed over.
+        """
+        copy = list(population)
+        got = insert_child(
+            copy, "kid", child_cost, threshold, size, make_rng(seed), lowest(copy), (child_cost,)
         )
+        assert got is copy
+        return got
 
     def test_better_child_replaces_similar_twin(self):
         got = self.insert(self.base_population, 97, 5, 2)

@@ -68,9 +68,12 @@ def test_insert_child_matches_the_percentage_test(population, cost, threshold, s
         population[len(population) // 2] = ("m", 0, (0,))
     best = min(range(len(population)), key=lambda i: (population[i][1], i))
     ours, theirs = make_rng(seed), make_rng(seed)
-    got = insert_child(population, "kid", cost, threshold, size, ours, best, (cost,))
+    # insert_child writes into the list it is given, so the oracle sees the original
+    copy = list(population)
+    got = insert_child(copy, "kid", cost, threshold, size, ours, best, (cost,))
     want = oracles.insert_child_by_similarity(
         population, "kid", cost, threshold, size, theirs, best, (cost,)
     )
+    assert got is copy
     assert got == want
     assert_same_stream(ours, theirs)
