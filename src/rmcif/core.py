@@ -81,7 +81,7 @@ def check_integer(value, what: str, low: int = 0, high: int | None = None) -> in
     if high is not None and not low <= number <= high:
         raise InvalidParameter(f"{what} must lie in {low}..{high}, got {number}")
     if number < low:
-        sign = {0: "nonnegative", 1: "positive"}.get(low, f"at least {low}")
+        sign = "nonnegative" if low == 0 else "positive"
         raise InvalidParameter(f"{what} must be {sign}, got {number}")
     return number
 

@@ -499,9 +499,9 @@ def evolutionary(
     # The best member (lowest cost, then lowest index) is never replaced by a
     # worse one, and a generation improves when its cost falls.  A child takes
     # one slot at most, so only one costing no more than the best can move it.
-    costs = [member[1] for member in population]
-    best_cost = min(costs)
-    best = costs.index(best_cost)
+    robust = [member[1] for member in population]
+    best_cost = min(robust)
+    best = robust.index(best_cost)
     generations = 0
     stagnant = 0
     while (
@@ -523,9 +523,9 @@ def evolutionary(
             child_costs,
         )
         if child_cost <= best_cost:
-            costs = [member[1] for member in population]
-            best_cost = min(costs)
-            best = costs.index(best_cost)
+            robust = [member[1] for member in population]
+            best_cost = min(robust)
+            best = robust.index(best_cost)
         if rng.random() * 100 < params.mutation_threshold and len(population) > 1:
             target = int(rng.integers(0, len(population) - 1))
             target += target >= best  # any member but the best

@@ -377,11 +377,6 @@ class TestRunBench:
                 FAST, out_csv=out_csv, sol_dir=sol_dir,
             )
         assert not out_csv.exists() and not sol_dir.exists()
-
-    def test_grid_seeds_come_back_as_ints(self):
-        # run_bench and sweep write these seeds into CSV rows and .sol names
-        seeds = check_grid((ABSOLUTE,), ("ls1",), np.arange(2))[2]
-        assert seeds == (0, 1) and all(type(seed) is int for seed in seeds)
         assert enumerations == []
 
     def test_explicit_path_list(self, bench_dir, tmp_path):
