@@ -56,43 +56,31 @@ class _Parser(argparse.ArgumentParser):
         raise RmcifError(message)
 
 
-def _int_range(text: str) -> tuple[int, int]:
+def _integers(tokens, text: str, expected: str) -> tuple[int, ...]:
     try:
-        lo, hi = (int(t) for t in text.split(":"))
+        return tuple(map(int, tokens))
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected integers lo:hi, got {text!r}") from None
-    return lo, hi
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}") from None
+
+
+def _int_range(text: str) -> tuple[int, int]:
+    return _integers(text.partition(":")[::2], text, "integers lo:hi")
 
 
 def _widths(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(w) for w in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+    return _integers(text.split(","), text, "comma-separated integers")
 
 
 def _shapes(text: str) -> tuple[tuple[int, ...], ...]:
-    try:
-        return tuple(tuple(int(w) for w in shape.split("x")) for shape in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated shapes such as 2x2,4x4x2, got {text!r}"
-        ) from None
+    expected = "comma-separated shapes such as 2x2,4x4x2"
+    return tuple(_integers(shape.split("x"), text, expected) for shape in text.split(","))
 
 
 def _seeds(text: str) -> tuple[int, ...]:
     """Seeds from 'lo:hi' or a comma-separated list."""
     lo, sep, hi = text.partition(":")
-    try:
-        if sep:
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(s) for s in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected 'lo:hi' or comma-separated seeds, got {text!r}"
-        ) from None
+    ints = _integers((lo, hi) if sep else text.split(","), text, "'lo:hi' or comma-separated seeds")
+    return tuple(range(ints[0], ints[1] + 1)) if sep else ints
 
 
 def _solver_list(text: str) -> tuple[str, ...]:

@@ -86,6 +86,40 @@ def check_integer(value, what: str, low: int = 0, high: int | None = None) -> in
     return number
 
 
+def check_arc(vertex_count: int, tail, head, capacity, seen: set) -> tuple[int, int, int]:
+    """One arc as plain ints, judged as by `check_integer`: distinct ends in
+    ``1..vertex_count``, capacity at least 0, a pair not in `seen`, which then gains it."""
+    if not type(tail) is type(head) is type(capacity) is int:
+        names = ("tail", "head", "capacity")
+        tail, head, capacity = map(check_integer, (tail, head, capacity), names)
+    if not (1 <= tail <= vertex_count and 1 <= head <= vertex_count):
+        raise InvalidParameter("vertex index out of range")
+    if tail == head:
+        raise InvalidParameter("self-loops are not allowed")
+    if (tail, head) in seen:
+        raise InvalidParameter(f"duplicate arc {tail}->{head}")
+    if capacity < 0:
+        check_integer(capacity, "capacity")
+    seen.add((tail, head))
+    return tail, head, capacity
+
+
+def check_costs(row, width: int | None) -> tuple[int, ...]:
+    """A scenario's costs as plain ints in a tuple, judged as by `check_integer` (which
+    runs only on a bad row); `width` of them, any number if `width` is None."""
+    try:
+        costs = tuple(row)
+    except TypeError:
+        raise InvalidParameter(f"costs must be a sequence of integers, got {row!r}") from None
+    for cost in costs:
+        if type(cost) is not int or cost < 0:  # judge them all: raise, or make numpy ints plain
+            costs = tuple(check_integer(c, "cost") for c in costs)
+            break
+    if width is not None and len(costs) != width:
+        raise InvalidParameter(f"length mismatch: expected {width} costs, found {len(costs)}")
+    return costs
+
+
 @dataclass(frozen=True)
 class Network:
     """Directed graph with integer arc capacities, source 1 and sink n.
@@ -93,10 +127,10 @@ class Network:
     Arc i runs from ``tails[i]`` to ``heads[i]`` with capacity
     ``capacities[i]``; the three tuples share one length, the arc count.
     At most one arc may join an ordered vertex pair and self-loops are
-    rejected, so arcs are identified by their declaration index.  Any
-    sequences given are stored as tuples, so a caller's later change to
-    its own list cannot reach the network or its cached adjacency, and
-    the network hashes.
+    rejected, so arcs are identified by their declaration index.  Each arc
+    is judged by `check_arc` and stored as plain ints in tuples, so a
+    caller's later change to its own list cannot reach the network or its
+    cached adjacency, and the network hashes.
     """
 
     vertex_count: int
@@ -105,25 +139,20 @@ class Network:
     capacities: tuple[int, ...]
 
     def __post_init__(self):
-        for name in ("tails", "heads", "capacities"):
-            # frozen: write the field the way the generated __init__ does
-            object.__setattr__(self, name, tuple(getattr(self, name)))
-        n = self.vertex_count
+        n = check_integer(self.vertex_count, "vertex count")
         if n < 2:
             raise InvalidParameter("a network needs at least a source and a sink")
-        if not len(self.tails) == len(self.heads) == len(self.capacities):
+        columns = (tuple(self.tails), tuple(self.heads), tuple(self.capacities))
+        if not len(columns[0]) == len(columns[1]) == len(columns[2]):
             raise InvalidParameter("tails, heads and capacities must have the same length")
         seen: set[tuple[int, int]] = set()
-        for i, (tail, head, capacity) in enumerate(zip(self.tails, self.heads, self.capacities)):
-            if not (1 <= tail <= n and 1 <= head <= n):
-                raise InvalidParameter(f"arc {i + 1}: vertex index out of range")
-            if tail == head:
-                raise InvalidParameter(f"arc {i + 1}: self-loops are not allowed")
-            if (tail, head) in seen:
-                raise InvalidParameter(f"arc {i + 1}: duplicate arc {tail}->{head}")
-            seen.add((tail, head))
-            if not isinstance(capacity, int) or capacity < 0:
-                raise InvalidParameter(f"arc {i + 1}: capacity must be a nonnegative integer")
+        try:
+            judged = [check_arc(n, t, h, c, seen) for t, h, c in zip(*columns)]
+        except InvalidParameter as exc:
+            raise InvalidParameter(f"arc {len(seen) + 1}: {exc}") from None  # seen: arcs before it
+        for name, value in zip(("vertex_count", "tails", "heads", "capacities"),
+                               (n, *(zip(*judged) if judged else columns))):
+            object.__setattr__(self, name, value)  # frozen: as the generated __init__ does
 
     @property
     def source(self) -> int:
@@ -170,20 +199,22 @@ class Network:
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """Per-scenario arc unit costs, each vector in arc declaration order."""
+    """Per-scenario arc unit costs, each a tuple of plain ints in arc declaration order."""
 
     costs: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        if not self.costs:
+        costs: list[tuple[int, ...]] = []
+        try:
+            for row in self.costs:
+                costs.append(check_costs(row, len(costs[0]) if costs else None))
+        except TypeError:
+            raise InvalidParameter(f"costs must be rows of integers, got {self.costs!r}") from None
+        except InvalidParameter as exc:
+            raise InvalidParameter(f"scenario {len(costs) + 1}: {exc}") from None
+        if not costs:
             raise InvalidParameter("at least one scenario is required")
-        width = len(self.costs[0])
-        for k, row in enumerate(self.costs, start=1):
-            if len(row) != width:
-                raise InvalidParameter(f"scenario {k}: cost vector length mismatch")
-            for c in row:
-                if not isinstance(c, int) or c < 0:
-                    raise InvalidParameter(f"scenario {k}: costs must be nonnegative integers")
+        object.__setattr__(self, "costs", tuple(costs))  # frozen: as in `Network`
 
     @property
     def scenario_count(self) -> int:
@@ -194,8 +225,8 @@ class ScenarioSet:
 class Instance:
     """A network, its cost scenarios, and the required flow value.
 
-    The flow value is checked against the maximum source-to-sink flow at
-    construction time; an unreachable requirement is a hard error.
+    The flow value, judged by `check_integer`, is checked against the
+    maximum source-to-sink flow at construction time too.
     """
 
     network: Network
@@ -205,8 +236,7 @@ class Instance:
     def __post_init__(self):
         if len(self.scenarios.costs[0]) != self.network.arc_count:
             raise InvalidParameter("scenario cost vectors must have one entry per arc")
-        if not isinstance(self.flow_value, int) or self.flow_value < 0:
-            raise InvalidParameter("flow value must be a nonnegative integer")
+        object.__setattr__(self, "flow_value", check_integer(self.flow_value, "flow value"))
         # deferred import: flow_ops depends on the types defined above
         from .flow_ops import max_flow_value
 
@@ -263,6 +293,13 @@ def _int_token(token: str, what: str, line: int) -> int:
         raise InstanceFormatError(f"{what} is not an integer: {token!r}", line) from None
 
 
+def _int_tokens(tokens: list[str], what: str, line: int) -> list[int]:
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        return [_int_token(token, what, line) for token in tokens]
+
+
 def _ascii(text: str | bytes) -> str:
     """Instance text as a str; bytes that are not ASCII raise
     `InstanceFormatError` on the line that holds the first such byte."""
@@ -285,104 +322,75 @@ def parse_instance(text: str | bytes) -> Instance:
         a <tail> <head> <capacity>     exactly m lines, declaration order
         s <k> <c_1> ... <c_m>          exactly K lines, k ascending from 1
 
-    The vertex count may not exceed what m arcs plus source and sink can
-    touch, ``n <= 2m + 2``; the problem line is checked for it before any
-    per-vertex list is built.  Errors carry the offending line number.
+    Only the grammar is checked here, and ``n <= 2m + 2``, what m arcs plus
+    source and sink can touch, before any per-vertex list is built.  The
+    model is judged by `check_arc` and `check_costs` on each arc and
+    scenario line and by the constructors; errors carry the line number.
     """
     text = _ascii(text)
-    header: tuple[int, int, int, int] | None = None
-    header_line = 0
-    tails: list[int] = []
-    heads: list[int] = []
-    capacities: list[int] = []
+    header_line = lineno = 0  # header_line 0: no problem line yet
+    arcs: list[tuple[int, int, int]] = []
     pairs: set[tuple[int, int]] = set()
     rows: list[tuple[int, ...]] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        parts = raw.split()
-        if not parts or parts[0] == "c":
-            continue
-        tag = parts[0]
-        if tag == "p":
-            if header is not None:
-                raise InstanceFormatError("duplicate problem line", lineno)
-            if len(parts) != 6 or parts[1] != "rmcif":
-                raise InstanceFormatError("malformed problem line", lineno)
-            n, m, k, f = (_int_token(t, "problem field", lineno) for t in parts[2:])
-            if n < 2:
-                raise InstanceFormatError("vertex count must be at least 2", lineno)
-            if m < 0 or k < 1 or f < 0:
-                raise InstanceFormatError("problem counts out of range", lineno)
-            if n > 2 * m + 2:
-                raise InstanceFormatError(
-                    f"more vertices than {m} arcs can touch"
-                    f" (n must be at most 2m + 2 = {2 * m + 2})",
-                    lineno,
-                )
-            header = (n, m, k, f)
-            header_line = lineno
-        elif tag == "a":
-            if header is None:
-                raise InstanceFormatError("arc line before problem line", lineno)
-            if rows:
-                raise InstanceFormatError("arc line after scenario lines", lineno)
-            n, m, _, _ = header
-            if len(tails) >= m:
-                raise InstanceFormatError(f"more than {m} arc lines", lineno)
-            if len(parts) != 4:
-                raise InstanceFormatError("malformed arc line", lineno)
-            tail, head, cap = (_int_token(t, "arc field", lineno) for t in parts[1:])
-            if not (1 <= tail <= n and 1 <= head <= n):
-                raise InstanceFormatError("vertex index out of range", lineno)
-            if tail == head:
-                raise InstanceFormatError("self-loop arc", lineno)
-            if (tail, head) in pairs:
-                raise InstanceFormatError(f"duplicate arc {tail}->{head}", lineno)
-            if cap < 0:
-                raise InstanceFormatError("negative capacity", lineno)
-            pairs.add((tail, head))
-            tails.append(tail)
-            heads.append(head)
-            capacities.append(cap)
-        elif tag == "s":
-            if header is None:
-                raise InstanceFormatError("scenario line before problem line", lineno)
-            n, m, k, _ = header
-            if len(tails) != m:
-                raise InstanceFormatError("scenario line before all arcs are declared", lineno)
-            if len(rows) >= k:
-                raise InstanceFormatError(f"more than {k} scenario lines", lineno)
-            if len(parts) < 2:
-                raise InstanceFormatError("malformed scenario line", lineno)
-            index = _int_token(parts[1], "scenario index", lineno)
-            if index != len(rows) + 1:
-                raise InstanceFormatError(
-                    f"scenario index {index} out of order (expected {len(rows) + 1})", lineno
-                )
-            costs = tuple(_int_token(t, "cost", lineno) for t in parts[2:])
-            if len(costs) != m:
-                raise InstanceFormatError(
-                    f"scenario length mismatch: expected {m} costs, found {len(costs)}", lineno
-                )
-            if any(c < 0 for c in costs):
-                raise InstanceFormatError("negative cost", lineno)
-            rows.append(costs)
-        else:
-            raise InstanceFormatError(f"unknown line tag {tag!r}", lineno)
-
-    if header is None:
-        raise InstanceFormatError("missing problem line")
-    n, m, k, f = header
-    if len(tails) != m:
-        raise InstanceFormatError(f"expected {m} arc lines, found {len(tails)}", header_line)
-    if len(rows) != k:
-        raise InstanceFormatError(f"expected {k} scenario lines, found {len(rows)}", header_line)
-
     try:
-        network = Network(n, tuple(tails), tuple(heads), tuple(capacities))
-        return Instance(network, ScenarioSet(tuple(rows)), f)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc), header_line) from None
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            parts = raw.split()
+            if not parts or parts[0] == "c":
+                continue
+            tag = parts[0]
+            if tag == "p":
+                if header_line:
+                    raise InstanceFormatError("duplicate problem line", lineno)
+                if len(parts) != 6 or parts[1] != "rmcif":
+                    raise InstanceFormatError("malformed problem line", lineno)
+                n, m, k, f = _int_tokens(parts[2:], "problem field", lineno)
+                m, k = check_integer(m, "arc count"), check_integer(k, "scenario count")
+                if n > 2 * m + 2:
+                    raise InstanceFormatError(
+                        f"more vertices than {m} arcs can touch"
+                        f" (n must be at most 2m + 2 = {2 * m + 2})",
+                        lineno,
+                    )
+                header_line = lineno
+            elif tag == "a":
+                if not header_line:
+                    raise InstanceFormatError("arc line before problem line", lineno)
+                if rows:
+                    raise InstanceFormatError("arc line after scenario lines", lineno)
+                if len(arcs) >= m:
+                    raise InstanceFormatError(f"more than {m} arc lines", lineno)
+                if len(parts) != 4:
+                    raise InstanceFormatError("malformed arc line", lineno)
+                arcs.append(check_arc(n, *_int_tokens(parts[1:], "arc field", lineno), pairs))
+            elif tag == "s":
+                if not header_line:
+                    raise InstanceFormatError("scenario line before problem line", lineno)
+                if len(arcs) != m:
+                    raise InstanceFormatError("scenario line before all arcs are declared", lineno)
+                if len(rows) >= k:
+                    raise InstanceFormatError(f"more than {k} scenario lines", lineno)
+                if len(parts) < 2:
+                    raise InstanceFormatError("malformed scenario line", lineno)
+                index = _int_token(parts[1], "scenario index", lineno)
+                if index != len(rows) + 1:
+                    raise InstanceFormatError(
+                        f"scenario index {index} out of order (expected {len(rows) + 1})", lineno
+                    )
+                rows.append(check_costs(_int_tokens(parts[2:], "cost", lineno), m))
+            else:
+                raise InstanceFormatError(f"unknown line tag {tag!r}", lineno)
+
+        if not header_line:
+            raise InstanceFormatError("missing problem line")
+        lineno = header_line
+        if len(arcs) != m:
+            raise InstanceFormatError(f"expected {m} arc lines, found {len(arcs)}", lineno)
+        if len(rows) != k:
+            raise InstanceFormatError(f"expected {k} scenario lines, found {len(rows)}", lineno)
+        return Instance(Network(n, *(zip(*arcs) if arcs else ((), (), ()))), ScenarioSet(rows), f)
+    except InvalidParameter as exc:  # a judge's verdict on line `lineno`
+        raise InstanceFormatError(str(exc), lineno) from None
 
 
 def write_instance(instance: Instance) -> str:

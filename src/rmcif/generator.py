@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 from .core import Instance, InvalidParameter, Network, RmcifError, ScenarioSet, check_integer
 from .flow_ops import max_flow_value
@@ -57,13 +58,16 @@ class GeneratorSpec:
         if self.flow_value is not None:
             judged["flow_value"] = check_integer(self.flow_value, "flow value")
         for name in ("capacity_range", "cost_range"):
-            lo, hi = getattr(self, name)
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                raise InvalidParameter(f"{name} must be a pair of integers") from None
             lo = check_integer(lo, f"{name} lower end", 0, _DRAW_MAX)
             judged[name] = (lo, check_integer(hi, f"{name} upper end", lo, _DRAW_MAX))
-        if not 0 < self.density <= 1:
-            raise InvalidParameter("density must lie in (0, 1]")
-        if not 0 <= self.flow_fraction <= 1:
-            raise InvalidParameter("flow fraction must lie in [0, 1]")
+        if not isinstance(self.density, Real) or not 0 < self.density <= 1:
+            raise InvalidParameter(f"density must lie in (0, 1], got {self.density!r}")
+        if not isinstance(self.flow_fraction, Real) or not 0 <= self.flow_fraction <= 1:
+            raise InvalidParameter(f"flow fraction must lie in [0, 1], got {self.flow_fraction!r}")
         for name, value in judged.items():
             object.__setattr__(self, name, value)  # frozen: as the generated __init__ does
 

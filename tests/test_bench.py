@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import tracemalloc
 from itertools import product
 
@@ -451,11 +452,15 @@ class TestRunBench:
         params = SearchParams(iteration_limit=1)
 
         def retained(count):
+            # a full collection also empties the interpreter's free lists,
+            # whose fill (freed tuples kept for reuse) would read as retained
+            gc.collect()
             base = tracemalloc.get_traced_memory()[0]
             report = run_bench(
                 directory, (ABSOLUTE,), ("ls1",), range(count), params, compute_exact=False
             )
             assert report.summaries[0].runs == count
+            gc.collect()
             return tracemalloc.get_traced_memory()[0] - base
 
         count = 400

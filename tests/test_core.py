@@ -1,6 +1,7 @@
 """Domain model: validation, costs, and both file formats."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from rmcif import (
     ScenarioSet,
     SolutionRecord,
     WrongFlowValue,
+    compute_optima,
     flow_value_of,
     format_solution,
     parse_instance,
@@ -103,6 +105,18 @@ class TestScenarioSet:
     def test_zero_costs_allowed(self):
         assert ScenarioSet(((0, 0),)).scenario_count == 1
 
+    def test_rows_are_stored_as_tuples(self):
+        rows = [[1, 1, 5], [5, 5, 1]]
+        network = network_of(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
+        instance = Instance(network, ScenarioSet(rows), 1)
+        assert instance.scenarios.costs == ((1, 1, 5), (5, 5, 1))
+        assert compute_optima(instance).costs == (2, 1)
+        rows[0][2] = 0
+        fresh = Instance(network, ScenarioSet(((1, 1, 5), (5, 5, 1))), 1)
+        assert instance.scenarios.costs == fresh.scenarios.costs
+        assert hash(instance) == hash(fresh)
+        assert compute_optima(instance) == compute_optima(fresh)
+
 
 class TestInstanceValidation:
     def test_row_width(self):
@@ -118,6 +132,22 @@ class TestInstanceValidation:
     def test_zero_flow_value(self):
         inst = chain_instance(3, 2, 0)
         assert inst.flow_value == 0
+
+    def test_numpy_integers_are_stored_as_ints(self, diamond):
+        network = diamond.network
+        columns = (network.tails, network.heads, network.capacities)
+        judged = Instance(
+            Network(np.int64(network.vertex_count), *map(np.array, columns)),
+            ScenarioSet(np.array(diamond.scenarios.costs)),
+            np.int64(diamond.flow_value),
+        )
+        assert judged == diamond
+        network = judged.network
+        values = [network.vertex_count, judged.flow_value]
+        for column in (network.tails, network.heads, network.capacities, *judged.scenarios.costs):
+            values += column
+        assert {type(value) for value in values} == {int}
+        assert write_instance(judged) == write_instance(diamond)
 
 
 class TestFlowChecks:
@@ -171,9 +201,10 @@ class TestInstanceFormat:
             (lambda t: t.replace("a 1 3 1", "a 1 9 1"), "out of range"),
             (lambda t: t.replace("a 1 3 1", "a 3 3 1"), "self-loop"),
             (lambda t: t.replace("a 1 3 1", "a 1 2 1"), "duplicate arc"),
-            (lambda t: t.replace("a 1 3 1", "a 1 3 -1"), "negative capacity"),
+            (lambda t: t.replace("a 1 3 1", "a 1 3 -1"), "capacity must be nonnegative"),
             (lambda t: t.replace("s 1 1 2 1 2", "s 2 1 2 1 2"), "out of order"),
             (lambda t: t.replace("s 1 1 2 1 2", "s 1 1 2 1"), "length mismatch"),
+            (lambda t: t.replace("s 1 1 2 1 2", "s 1 1 2 -1 2"), "cost must be nonnegative"),
             (lambda t: t.replace("s 2 2 1 2 1\n", ""), "expected 2 scenario lines"),
             (lambda t: t.replace("a 1 2 1", "a 1 2 x"), "not an integer"),
             (lambda t: t.replace("s 1", "q 1"), "unknown line tag"),
@@ -193,6 +224,16 @@ class TestInstanceFormat:
             parse_instance(broken)
         assert err.value.line == 3
         assert str(err.value).startswith("line 3:")
+
+    @pytest.mark.parametrize("row, message", [
+        ("s 1 1 2 1", "length mismatch: expected 4 costs, found 3"),
+        ("s 1 1 2 -1 2", "cost must be nonnegative, got -1"),
+    ])
+    def test_scenario_error_carries_line_number(self, row, message):
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(DIAMOND_TEXT.replace("s 1 1 2 1 2", row))
+        assert err.value.line == 6
+        assert str(err.value) == f"line 6: {message}"
 
     def test_vertex_count_bound(self):
         text = "p rmcif {} 1 1 0\na 1 {} 1\ns 1 5\n"

@@ -45,10 +45,37 @@ CASES = {
     "network-capacity": (lambda: Network(2, (1,), (2,), (-1,)), "capacity"),
     "scenarios-none": (lambda: ScenarioSet(()), "at least one scenario"),
     "scenarios-lengths": (lambda: ScenarioSet(((1,), (1, 2))), "length mismatch"),
-    "scenarios-cost": (lambda: ScenarioSet(((-1,),)), "nonnegative integers"),
+    "scenarios-cost": (lambda: ScenarioSet(((-1,),)), "cost must be nonnegative"),
     "instance-costs": (lambda: Instance(ARC, ScenarioSet(((1, 2),)), 0), "one entry per arc"),
-    "instance-value": (lambda: Instance(ARC, ScenarioSet(((1,),)), -1), "nonnegative integer"),
+    "instance-value": (
+        lambda: Instance(ARC, ScenarioSet(((1,),)), -1), "flow value must be nonnegative"
+    ),
     "instance-max-flow": (lambda: Instance(ARC, ScenarioSet(((1,),)), 2), "maximum flow"),
+    # every value of the model is judged by `check_arc`, `check_costs` or
+    # `check_integer`, which take integers of any type and nothing else
+    "network-bool-capacity": (
+        lambda: Network(3, (1, 2), (2, 3), (True, 1)),
+        "arc 1: capacity must be an integer, got True",
+    ),
+    "network-float-tail": (
+        lambda: Network(2, (1.0,), (2,), (1,)), "arc 1: tail must be an integer, got 1.0"
+    ),
+    "network-none-tail": (
+        lambda: Network(3, (1, None), (2, 3), (1, 1)), "arc 2: tail must be an integer, got None"
+    ),
+    "network-string-size": (
+        lambda: Network("3", (1,), (2,), (1,)), "vertex count must be an integer, got '3'"
+    ),
+    "scenarios-bool-cost": (
+        lambda: ScenarioSet(((True,),)), "scenario 1: cost must be an integer, got True"
+    ),
+    "scenarios-not-rows": (lambda: ScenarioSet(5), "costs must be rows of integers, got 5"),
+    "scenarios-row": (
+        lambda: ScenarioSet(((1,), 5)), "scenario 2: costs must be a sequence of integers, got 5"
+    ),
+    "instance-bool-value": (
+        lambda: Instance(ARC, ScenarioSet(((1,),)), True), "flow value must be an integer, got True"
+    ),
     "arc-values": (lambda: check_arc_values(ARC, (1, 1)), "arc count"),
     "solution-variant": (
         lambda: format_solution(SolutionRecord("worst", "ls1", 4, FLOW, 0), _diamond()),
@@ -130,6 +157,21 @@ CASES = {
     "spec-capacity-range": (
         lambda: GeneratorSpec((2, 2), 2, capacity_range=(0, 1.5)),
         "capacity_range upper end must be an integer, got 1.5",
+    ),
+    "spec-capacity-range-int": (
+        lambda: GeneratorSpec((2, 2), 2, capacity_range=5),
+        "capacity_range must be a pair of integers",
+    ),
+    "spec-capacity-range-triple": (
+        lambda: GeneratorSpec((2, 2), 2, capacity_range=(1, 2, 3)),
+        "capacity_range must be a pair of integers",
+    ),
+    "spec-density": (
+        lambda: GeneratorSpec((2, 2), 2, density="x"), r"density must lie in \(0, 1\], got 'x'"
+    ),
+    "spec-flow-fraction": (
+        lambda: GeneratorSpec((2, 2), 2, flow_fraction=None),
+        r"flow fraction must lie in \[0, 1\], got None",
     ),
 }
 
