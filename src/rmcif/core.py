@@ -104,13 +104,18 @@ def check_arc(vertex_count: int, tail, head, capacity, seen: set) -> tuple[int, 
     return tail, head, capacity
 
 
+def check_sequence(value, what: str) -> tuple:
+    """`value` as a tuple; a value that is not iterable raises `InvalidParameter`."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise InvalidParameter(f"{what} must be a sequence of integers, got {value!r}") from None
+
+
 def check_costs(row, width: int | None) -> tuple[int, ...]:
     """A scenario's costs as plain ints in a tuple, judged as by `check_integer` (which
     runs only on a bad row); `width` of them, any number if `width` is None."""
-    try:
-        costs = tuple(row)
-    except TypeError:
-        raise InvalidParameter(f"costs must be a sequence of integers, got {row!r}") from None
+    costs = check_sequence(row, "costs")
     for cost in costs:
         if type(cost) is not int or cost < 0:  # judge them all: raise, or make numpy ints plain
             costs = tuple(check_integer(c, "cost") for c in costs)
@@ -127,8 +132,9 @@ class Network:
     Arc i runs from ``tails[i]`` to ``heads[i]`` with capacity
     ``capacities[i]``; the three tuples share one length, the arc count.
     At most one arc may join an ordered vertex pair and self-loops are
-    rejected, so arcs are identified by their declaration index.  Each arc
-    is judged by `check_arc` and stored as plain ints in tuples, so a
+    rejected, so arcs are identified by their declaration index.  Each
+    column must be iterable (`check_sequence`), each arc is judged by
+    `check_arc`, and the arcs are stored as plain ints in tuples, so a
     caller's later change to its own list cannot reach the network or its
     cached adjacency, and the network hashes.
     """
@@ -142,7 +148,8 @@ class Network:
         n = check_integer(self.vertex_count, "vertex count")
         if n < 2:
             raise InvalidParameter("a network needs at least a source and a sink")
-        columns = (tuple(self.tails), tuple(self.heads), tuple(self.capacities))
+        names = ("tails", "heads", "capacities")
+        columns = tuple(check_sequence(getattr(self, name), name) for name in names)
         if not len(columns[0]) == len(columns[1]) == len(columns[2]):
             raise InvalidParameter("tails, heads and capacities must have the same length")
         seen: set[tuple[int, int]] = set()
@@ -150,8 +157,8 @@ class Network:
             judged = [check_arc(n, t, h, c, seen) for t, h, c in zip(*columns)]
         except InvalidParameter as exc:
             raise InvalidParameter(f"arc {len(seen) + 1}: {exc}") from None  # seen: arcs before it
-        for name, value in zip(("vertex_count", "tails", "heads", "capacities"),
-                               (n, *(zip(*judged) if judged else columns))):
+        values = (n, *(zip(*judged) if judged else columns))
+        for name, value in zip(("vertex_count", *names), values):
             object.__setattr__(self, name, value)  # frozen: as the generated __init__ does
 
     @property
@@ -165,6 +172,12 @@ class Network:
     @property
     def arc_count(self) -> int:
         return len(self.tails)
+
+    @cached_property
+    def arc_rows(self) -> tuple[tuple[int, int, int, int], ...]:
+        """One ``(arc index, tail, head, capacity)`` record per arc, in declaration
+        order: what each pass of the negative-cycle kernel reads of an arc."""
+        return tuple(zip(range(self.arc_count), self.tails, self.heads, self.capacities))
 
     @cached_property
     def out_arcs(self) -> tuple[tuple[int, ...], ...]:
@@ -225,6 +238,7 @@ class ScenarioSet:
 class Instance:
     """A network, its cost scenarios, and the required flow value.
 
+    The network and the scenarios must be a `Network` and a `ScenarioSet`.
     The flow value, judged by `check_integer`, is checked against the
     maximum source-to-sink flow at construction time too.
     """
@@ -234,6 +248,10 @@ class Instance:
     flow_value: int
 
     def __post_init__(self):
+        for name, kind in (("network", Network), ("scenarios", ScenarioSet)):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise InvalidParameter(f"{name} must be a {kind.__name__}, got {value!r}")
         if len(self.scenarios.costs[0]) != self.network.arc_count:
             raise InvalidParameter("scenario cost vectors must have one entry per arc")
         object.__setattr__(self, "flow_value", check_integer(self.flow_value, "flow value"))

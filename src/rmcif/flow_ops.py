@@ -31,9 +31,10 @@ and `compose` takes it, is the tuple of its arc indices in walk order.
 - `perturb` and `harmonize` read `Network.residual_adjacency` too, and
   filter a vertex's moves only when the cycle search expands it.
 - The negative-cycle kernel of the descent (`cost_reduce`) builds no
-  residual edge list: each Bellman-Ford pass relaxes every arc's forward
-  and backward move straight off the `Network` fields `tails`, `heads` and
-  `capacities` and the flow's values, and ``(arc index, forward, room)``
+  residual edge list: each Bellman-Ford pass reads one cached ``(arc
+  index, tail, head, capacity)`` record per arc (`Network.arc_rows`)
+  next to the flow's value and the arc's cost, and relaxes the arc's
+  forward and backward moves from them; ``(arc index, forward, room)``
   triples are made only for the cycle it returns.  It stops at the first
   pass whose predecessor graph closes a cycle (Cherkassky & Goldberg,
   "Negative-cycle detection algorithms", Math. Prog. 85, 1999) instead
@@ -381,10 +382,11 @@ def negative_cycle(network: Network, values: Sequence[int], costs: Sequence[int]
 
     The cycle comes back as ``(arc index, forward, room)`` triples, in the
     order they are walked.  Bellman-Ford runs from an implicit super-source
-    (all distances start at 0) and relaxes straight off the arc arrays
-    (`Network.tails`, `heads`, `capacities`): each pass takes the arcs in
-    declaration order and tries an arc's forward move when it has spare
-    capacity, then its backward move when it carries flow.  No residual
+    (all distances start at 0).  Each pass walks `Network.arc_rows`, one
+    ``(arc index, tail, head, capacity)`` record per arc in declaration
+    order, alongside `values` and `costs`, and tries an arc's forward move
+    when it has spare capacity, then its backward move when it carries
+    flow; every relaxation is a strict improvement.  No residual
     edge list is built; a vertex's predecessor is a signed arc code (``i``
     forward, ``~i`` backward), and triples are made only for the returned
     cycle.  After every pass that lowers a distance the predecessor graph
@@ -396,14 +398,13 @@ def negative_cycle(network: Network, values: Sequence[int], costs: Sequence[int]
     updates certifies that no negative cycle exists.
     """
     n = network.vertex_count
-    tails, heads, caps = network.tails, network.heads, network.capacities
-    codes = range(network.arc_count)
+    rows, caps = network.arc_rows, network.capacities
     dist = [0] * (n + 1)
     pred = [0] * (n + 1)
     pred_vertex = [0] * (n + 1)
     while True:
         changed = False
-        for i, t, h, cap, x, c in zip(codes, tails, heads, caps, values, costs):
+        for (i, t, h, cap), x, c in zip(rows, values, costs):
             if x < cap:
                 nd = dist[t] + c
                 if nd < dist[h]:
@@ -551,7 +552,7 @@ def min_cost_flow(network: Network, costs: Sequence[int], value: int) -> tuple[i
     network included.  Each path is a cheapest one, so the flow of every
     value reached is a cheapest one (no negative residual cycle ever
     forms), and the witness is deterministic.  Raises `TargetUnreachable`
-    when `value` exceeds the maximum flow value and `ValueError` on a
+    when `value` exceeds the maximum flow value and `InvalidParameter` on a
     negative cost.
     """
     if any(c < 0 for c in costs):

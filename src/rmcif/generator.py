@@ -14,7 +14,15 @@ import math
 from dataclasses import dataclass
 from numbers import Real
 
-from .core import Instance, InvalidParameter, Network, RmcifError, ScenarioSet, check_integer
+from .core import (
+    Instance,
+    InvalidParameter,
+    Network,
+    RmcifError,
+    ScenarioSet,
+    check_integer,
+    check_sequence,
+)
 from .flow_ops import max_flow_value
 from .heuristics import make_rng
 
@@ -47,10 +55,11 @@ class GeneratorSpec:
     max_retries: int = 20
 
     def __post_init__(self):
-        if not self.layer_widths:
+        widths = check_sequence(self.layer_widths, "layer widths")
+        if not widths:
             raise InvalidParameter("no layer widths given")
         judged = {
-            "layer_widths": tuple(check_integer(w, "layer widths", 1) for w in self.layer_widths),
+            "layer_widths": tuple(check_integer(w, "layer widths", 1) for w in widths),
             "scenario_count": check_integer(self.scenario_count, "scenario count", 1),
             "max_retries": check_integer(self.max_retries, "retry budget", 1),
             "seed": check_integer(self.seed, "seed"),

@@ -133,9 +133,15 @@ def _advance(rows, costs: tuple[int, ...], changes) -> tuple[int, ...]:
     `_changes` of the two flows.  Each scenario's row is summed over those
     arcs only, so after a cancellation the work is K times the cycle's
     length, and after a crossover K times the arcs where the child leaves
-    its parent.
+    its parent.  Plain loops, without a generator per scenario, take about
+    half the time of ``tuple(c + sum(...) for ...)`` on a descent's cycles.
     """
-    return tuple(c + sum(row[i] * d for i, d in changes) for c, row in zip(costs, rows))
+    advanced = []
+    for c, row in zip(costs, rows):
+        for i, d in changes:
+            c += row[i] * d
+        advanced.append(c)
+    return tuple(advanced)
 
 
 def _neighborhood(

@@ -64,6 +64,9 @@ class TestNetworkValidation:
             (0, False, 3), (1, True, 2), (3, True, 3), (4, False, 2)
         )
         assert net.residual_adjacency[2] == ((1, False, 1), (2, True, 3), (4, True, 1))
+        assert net.arc_rows == (
+            (0, 3, 1, 1), (1, 1, 2, 1), (2, 2, 3, 1), (3, 1, 3, 1), (4, 2, 1, 0)
+        )
 
     @pytest.mark.parametrize("tails, heads, capacities", [
         ((1,), (2, 3), (1, 1)),
@@ -85,6 +88,7 @@ class TestNetworkValidation:
         capacities.append(1)
         assert net.arc_count == 2
         assert net.out_arcs[1] == (0,)
+        assert net.arc_rows == ((0, 1, 2, 1), (1, 2, 3, 1))
         assert Network(3, (1, 2), (2, 3), (1, 1)).out_arcs == net.out_arcs
         assert hash(net) == hash(Network(3, (1, 2), (2, 3), (1, 1)))
 

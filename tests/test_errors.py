@@ -73,6 +73,22 @@ CASES = {
     "scenarios-row": (
         lambda: ScenarioSet(((1,), 5)), "scenario 2: costs must be a sequence of integers, got 5"
     ),
+    # a container of the wrong kind names its field
+    "network-int-tails": (
+        lambda: Network(3, 5, (2,), (1,)), "tails must be a sequence of integers, got 5"
+    ),
+    "network-none-capacities": (
+        lambda: Network(2, (1,), (2,), None), "capacities must be a sequence of integers, got None"
+    ),
+    "instance-scenario-rows": (
+        lambda: Instance(ARC, ((1,),), 1), r"scenarios must be a ScenarioSet, got \(\(1,\),\)"
+    ),
+    "instance-network-int": (
+        lambda: Instance(5, ScenarioSet(((1,),)), 1), "network must be a Network, got 5"
+    ),
+    "spec-widths-int": (
+        lambda: GeneratorSpec(5, 2), "layer widths must be a sequence of integers, got 5"
+    ),
     "instance-bool-value": (
         lambda: Instance(ARC, ScenarioSet(((1,),)), True), "flow value must be an integer, got True"
     ),

@@ -1,6 +1,8 @@
 """Flow constructors, displacement network, and cycle machinery."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,7 @@ from rmcif import (
     harmonize,
     max_flow_value,
     min_cost_flow,
+    parse_instance,
     perturb,
     round_flow,
 )
@@ -41,6 +44,8 @@ from rmcif.heuristics import make_rng
 UPPER = (1, 0, 1, 0)
 LOWER = (0, 1, 0, 1)
 FULL = (1, 1, 1, 1)
+
+CYC = Path(__file__).parent / "data" / "cyc.rmcif"
 
 small_seeds = st.integers(0, 2_000)
 
@@ -443,7 +448,19 @@ class TestNegativeCycleAgainstEdgeList:
 
     @pytest.mark.parametrize(
         "seed, instance",
-        [*seeded_instances(2, **L_SHAPE), *seeded_instances(10, **S_SHAPE)],
+        [
+            *seeded_instances(2, **L_SHAPE),
+            *seeded_instances(10, **S_SHAPE),
+            # arcs both ways between most vertex pairs, four of them with
+            # capacity 0, declared in no topological order
+            *((seed, parse_instance(CYC.read_text())) for seed in (0, 1, 2)),
+            # a directed cycle 2 -> 3 -> 2 and a zero-capacity shortcut 1 -> 4
+            (0, Instance(
+                network_of(4, [(1, 2, 3), (2, 3, 2), (3, 2, 2), (3, 4, 2), (2, 4, 3), (1, 4, 0)]),
+                ScenarioSet(((1, 0, 0, 1, 5, 0), (1, 9, 0, 9, 1, 0))),
+                3,
+            )),
+        ],
     )
     def test_same_cycles_along_cancellation_chains(self, seed, instance):
         network = instance.network
