@@ -38,7 +38,7 @@ from .core import (
     parse_instance,
 )
 from .exact import DEFAULT_NODE_BUDGET, enumerate_optimum
-from .heuristics import SearchParams, evolutionary, local_search
+from .heuristics import SearchParams, check_params, evolutionary, local_search
 from .objectives import compute_optima
 
 CSV_COLUMNS = (
@@ -64,13 +64,14 @@ def solve_one(
 ) -> SolutionRecord:
     """Run a single solver tag (ls*, ec*, or exact) on one instance.
 
-    The cell is judged by `check_grid` and the budget by `check_integer`,
-    so a bad input raises `InvalidParameter` before any work.  Per-scenario
-    optima are warmed up front so their one-time cost never lands in any
-    solver's measured time.
+    The cell is judged by `check_grid`, the budget by `check_integer` and
+    `params` by `check_params`, so a bad input raises `InvalidParameter`
+    before any work.  Per-scenario optima are warmed up front so their
+    one-time cost never lands in any solver's measured time.
     """
     (variant,), (solver,), (seed,) = check_grid((variant,), (solver,), (seed,))
     exact_budget = check_integer(exact_budget, "node budget")
+    params = check_params(params)
     compute_optima(instance)
     if solver in LS_SOLVERS:
         return local_search(instance, variant, solver, params, seed)
@@ -153,18 +154,18 @@ def run_bench(
 
     `instances` is a directory (all *.rmcif inside, sorted) or a list of
     file paths.  The tags and seeds, any iterables (see `check_grid`), the
-    instance names and the budget are checked and every file parsed once up
-    front, so a bad, empty or repeated input or a broken file ends the call
-    before any cell runs or any output is written; output directories made
-    for `sol_dir` are removed again if `out_csv` cannot be opened.  Then each
-    instance in turn is parsed again, enumerated, run, written and
-    dropped, and each cell is folded into its (variant, solver) totals as
-    it is written, so memory stays flat in the number of instances and of
-    cells.  Exact optima are enumerated once per instance and variant when
-    `compute_exact` is set (for errors and speedups) or when ``exact`` is
-    among the solvers, whose cells all reuse that enumeration.  An
-    exhausted enumeration budget downgrades the pair to cost-only
-    reporting and fails its ``exact`` cells.
+    instance names, the budget and `params` are checked and every file
+    parsed once up front, so a bad, empty or repeated input or a broken
+    file ends the call before any cell runs or any output is written;
+    output directories made for `sol_dir` are removed again if `out_csv`
+    cannot be opened.  Then each instance in turn is parsed again,
+    enumerated, run, written and dropped, and each cell is folded into its
+    (variant, solver) totals as it is written, so memory stays flat in the
+    number of instances and of cells.  Exact optima are enumerated once per
+    instance and variant when `compute_exact` is set (for errors and
+    speedups) or when ``exact`` is among the solvers, whose cells all reuse
+    that enumeration.  An exhausted enumeration budget downgrades the pair
+    to cost-only reporting and fails its ``exact`` cells.
     """
     if isinstance(instances, (str, Path)):
         base = Path(instances)
@@ -181,6 +182,7 @@ def run_bench(
     # a cell's .sol file is named after its instance's stem
     _check_distinct("instance name", [path.stem for path in paths])
     exact_budget = check_integer(exact_budget, "node budget")
+    params = check_params(params)
     for path in paths:
         _parse(path)
 

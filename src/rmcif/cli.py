@@ -4,8 +4,9 @@
 `sweep` writes one such family per layer shape and benches each with
 `bench`'s flags.  The argument types only parse; variants, solver tags,
 seeds, budgets and counts are judged by the library (`bench.check_grid`,
-`core.check_integer`).  Every input is checked, and every instance drawn,
-before the first file is written.
+`core.check_integer`).  Every input is checked before the first file is
+written.  Each instance is written as it is drawn; with `--flow`, the one
+case where a draw can fail, all are drawn once before the first write too.
 """
 from __future__ import annotations
 
@@ -36,9 +37,6 @@ _VARIANT_ALIASES = {
     "dev": DEVIATION,
     "deviation": DEVIATION,
 }
-
-_UNBOUNDED_PARAMS = ("iteration_limit", "generation_limit")
-
 
 def _variant(text: str) -> str:
     """The variant an alias names; any other text passes through to the library's judge."""
@@ -89,9 +87,10 @@ def _solver_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(","))
 
 
-def _coerce_param(name: str, value) -> object:
-    """A ``--param`` string or JSON value parsed for `SearchParams`, which judges it."""
-    if name in _UNBOUNDED_PARAMS and str(value).lower() in ("none", "inf", "unbounded"):
+def _coerce_param(name: str, value, default) -> object:
+    """A ``--param`` string or JSON value parsed for `SearchParams`, which judges it;
+    'none' gives None for a limit whose `default` is None, which may be unbounded."""
+    if default is None and str(value).lower() in ("none", "inf", "unbounded"):
         return None
     if isinstance(value, float) and value.is_integer():
         return int(value)
@@ -102,7 +101,7 @@ def _coerce_param(name: str, value) -> object:
 
 
 def _build_params(config_path: str | None, overrides: list[str]) -> SearchParams:
-    known = {f.name for f in dataclasses.fields(SearchParams)}
+    defaults = {f.name: f.default for f in dataclasses.fields(SearchParams)}
     settings: dict[str, object] = {}
     if config_path:
         try:
@@ -119,10 +118,10 @@ def _build_params(config_path: str | None, overrides: list[str]) -> SearchParams
         if not sep:
             raise RmcifError(f"expected name=value, got {item!r}")
         settings[name] = value
-    unknown = set(settings) - known
+    unknown = set(settings) - defaults.keys()
     if unknown:
         raise RmcifError(f"unknown parameter names: {', '.join(sorted(unknown))}")
-    coerced = {name: _coerce_param(name, value) for name, value in settings.items()}
+    coerced = {name: _coerce_param(name, value, defaults[name]) for name, value in settings.items()}
     return SearchParams(**coerced)
 
 
@@ -255,17 +254,22 @@ def _shape_name(widths: tuple[int, ...]) -> str:
     return "x".join(map(str, widths))
 
 
-def _draw(specs: list[GeneratorSpec], prefix: str = "") -> dict[str, str]:
-    """Each spec's file name and instance text, so that a failed draw
-    ends the command before any file is written."""
-    return {f"{prefix}s{spec.seed:04d}.rmcif": write_instance(generate(spec)) for spec in specs}
+def _check_draws(specs: list[GeneratorSpec]) -> None:
+    """Draw and drop each instance that asks for a flow value: `generate`
+    fails only when no draw reaches it, so a failure ends the command
+    before any file is written."""
+    for spec in specs:
+        if spec.flow_value is not None:
+            generate(spec)
 
 
-def _write_family(directory: Path, files: dict[str, str]) -> list[Path]:
+def _write_family(directory: Path, specs: list[GeneratorSpec], prefix: str = "") -> list[Path]:
+    """Each spec's instance, written as it is drawn, so one text is held at a time."""
     directory.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        (directory / name).write_text(text)
-    return [directory / name for name in files]
+    paths = [directory / f"{prefix}s{spec.seed:04d}.rmcif" for spec in specs]
+    for path, spec in zip(paths, specs):
+        path.write_text(write_instance(generate(spec)))
+    return paths
 
 
 def _print_report(report: BenchReport) -> None:
@@ -314,7 +318,8 @@ def _cmd_bench(args) -> int:
 
 def _cmd_corpus(args) -> int:
     specs = _specs(args, args.count)
-    _write_family(Path(args.dir), _draw(specs, f"{_shape_name(specs[0].layer_widths)}_"))
+    _check_draws(specs)
+    _write_family(Path(args.dir), specs, f"{_shape_name(specs[0].layer_widths)}_")
     print(f"wrote {args.count} instances to {args.dir}")
     return 0
 
@@ -325,11 +330,11 @@ def _cmd_sweep(args) -> int:
     specs = [_specs(args, args.count, widths) for widths in args.shapes]
     grid = check_grid((ABSOLUTE, DEVIATION), args.solvers, args.seeds)
     budget = check_integer(args.budget, "node budget")
-    families = [_draw(family) for family in specs]
-    for shape, files in zip(shapes, families):
+    _check_draws([spec for family in specs for spec in family])
+    for shape, family in zip(shapes, specs):
         directory = Path(args.dir) / shape
         report = run_bench(
-            _write_family(directory, files),
+            _write_family(directory, family),
             *grid,
             out_csv=Path(args.dir) / f"{shape}.csv",
             sol_dir=directory / "solutions",

@@ -181,18 +181,11 @@ class Network:
 
     @cached_property
     def out_arcs(self) -> tuple[tuple[int, ...], ...]:
-        """Arc indices grouped by tail vertex; slot 0 is unused."""
+        """Arc indices grouped by tail vertex, for the unit-path peel; slot 0 is unused."""
         out: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
         for i, tail in enumerate(self.tails):
             out[tail].append(i)
         return tuple(tuple(lst) for lst in out)
-
-    @cached_property
-    def in_arcs(self) -> tuple[tuple[int, ...], ...]:
-        inc: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
-        for i, head in enumerate(self.heads):
-            inc[head].append(i)
-        return tuple(tuple(lst) for lst in inc)
 
     @cached_property
     def residual_adjacency(self) -> tuple[tuple[tuple[int, bool, int], ...], ...]:
@@ -263,11 +256,9 @@ class Instance:
 
 
 def flow_value_of(network: Network, values: Sequence[int]) -> int:
-    """Net outflow at the source."""
-    source = network.source
-    return sum(values[i] for i in network.out_arcs[source]) - sum(
-        values[i] for i in network.in_arcs[source]
-    )
+    """Net outflow at the source: its forward residual moves less its backward ones."""
+    moves = network.residual_adjacency[network.source]
+    return sum(values[i] if forward else -values[i] for i, forward, _ in moves)
 
 
 def check_arc_values(network: Network, values: Sequence[int]) -> list[int]:

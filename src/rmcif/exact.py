@@ -5,14 +5,15 @@ play: a branch and bound over the integer flows of the required value,
 so heuristic output can be scored against true optima.  One function,
 `_walk`, holds the whole search: a depth-first walk, on an explicit
 stack, that assigns the arcs in a single order: by the tail's
-topological position on a DAG (a vertex's out-arcs in `out_arcs`
-order), in declaration order otherwise.  Each arc is tried only at the
-amounts that leave both of its endpoints closable by the arcs still
-unassigned, a branch is pruned once a reduced-cost completion bound (the
-cost of the fixed arcs plus the least the rest of the flow must still
-cost, per scenario) reaches the incumbent, and the walk stops at the
-first leaf that meets the variant's lower bound.  `export_lp` writes the
-equivalent linearized model for anyone who prefers a real solver.
+topological position on a DAG (a vertex's out-arcs in the order of its
+forward moves in `residual_adjacency`), in declaration order otherwise.
+Each arc is tried only at the amounts that leave both of its endpoints
+closable by the arcs still unassigned, a branch is pruned once a
+reduced-cost completion bound (the cost of the fixed arcs plus the least
+the rest of the flow must still cost, per scenario) reaches the
+incumbent, and the walk stops at the first leaf that meets the variant's
+lower bound.  `export_lp` writes the equivalent linearized model for
+anyone who prefers a real solver.
 """
 from __future__ import annotations
 
@@ -37,18 +38,19 @@ class BudgetExceeded(RmcifError):
 
 def _topological_order(network: Network) -> list[int] | None:
     """Vertices in topological order (smallest index first), None on a cycle."""
-    indegree = [len(inc) for inc in network.in_arcs]
+    adjacency = network.residual_adjacency
+    indegree = [sum(not forward for _, forward, _ in moves) for moves in adjacency]
     ready = [v for v in range(1, network.vertex_count + 1) if indegree[v] == 0]
     heapq.heapify(ready)
     order: list[int] = []
     while ready:
         v = heapq.heappop(ready)
         order.append(v)
-        for i in network.out_arcs[v]:
-            head = network.heads[i]
-            indegree[head] -= 1
-            if indegree[head] == 0:
-                heapq.heappush(ready, head)
+        for _, forward, head in adjacency[v]:
+            if forward:
+                indegree[head] -= 1
+                if indegree[head] == 0:
+                    heapq.heappush(ready, head)
     return order if len(order) == network.vertex_count else None
 
 
@@ -62,13 +64,13 @@ def _balances(instance: Instance) -> list[int]:
 def _sink_distances(network: Network, row) -> list[int]:
     """Cheapest cost from every vertex to the sink under one cost row.
 
-    One reverse Dijkstra over `in_arcs`.  Every arc counts, zero-capacity
-    arcs too, and costs are nonnegative.  A vertex that cannot reach the
-    sink takes the largest finite distance, which keeps the reduced cost
-    ``row[i] + d[head] - d[tail]`` of every arc nonnegative.  Index 0 is
-    unused.
+    One reverse Dijkstra over the backward moves of `residual_adjacency`.
+    Every arc counts, zero-capacity arcs too, and costs are nonnegative.
+    A vertex that cannot reach the sink takes the largest finite distance,
+    which keeps the reduced cost ``row[i] + d[head] - d[tail]`` of every
+    arc nonnegative.  Index 0 is unused.
     """
-    tails = network.tails
+    adjacency = network.residual_adjacency
     dist: list[int | None] = [None] * (network.vertex_count + 1)
     heap = [(0, network.sink)]
     while heap:
@@ -76,9 +78,8 @@ def _sink_distances(network: Network, row) -> list[int]:
         if dist[v] is not None:
             continue
         dist[v] = d
-        for i in network.in_arcs[v]:
-            tail = tails[i]
-            if dist[tail] is None:
+        for i, forward, tail in adjacency[v]:
+            if not forward and dist[tail] is None:
                 heapq.heappush(heap, (d + row[i], tail))
     far = max(d for d in dist if d is not None)
     return [far if d is None else d for d in dist]
@@ -134,8 +135,9 @@ def _walk(
     tails, heads, caps = network.tails, network.heads, network.capacities
     values = [0] * network.arc_count
     need = _balances(instance)
-    rem_out = [sum(caps[i] for i in out) for out in network.out_arcs]
-    rem_in = [sum(caps[i] for i in inc) for inc in network.in_arcs]
+    adjacency = network.residual_adjacency
+    rem_out = [sum(caps[i] for i, forward, _ in moves if forward) for moves in adjacency]
+    rem_in = [sum(caps[i] for i, forward, _ in moves if not forward) for moves in adjacency]
     explored = 0
     stack: list[list[int]] = []
     grow = True
@@ -220,7 +222,7 @@ def enumerate_optimum(
     if topo is None:
         order = list(range(network.arc_count))
     else:
-        order = [i for v in topo for i in network.out_arcs[v]]
+        order = [i for v in topo for i, forward, _ in network.residual_adjacency[v] if forward]
     cost, values, _ = _walk(
         instance, order, topo is None, shift, lower, best_cost, best_values, node_budget
     )

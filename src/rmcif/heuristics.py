@@ -93,7 +93,8 @@ MUTATION_SEARCH_CAP = 50
 class SearchParams:
     """Tunable knobs shared by all heuristic solvers.
 
-    `None` for a limit means unbounded.  Thresholds are percentages.
+    `None` for a limit whose default is None means unbounded.  Thresholds
+    are percentages.
     """
 
     neighborhood_size: int = 30
@@ -106,13 +107,23 @@ class SearchParams:
     tournament_size: int = 3
 
     def __post_init__(self):
-        for name in (f.name for f in fields(self)):
-            value = getattr(self, name)
-            if value is None and name in ("iteration_limit", "generation_limit"):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None and f.default is None:  # a limit that may be unbounded
                 continue
-            high = 100 if name.endswith("_threshold") else None
+            high = 100 if f.name.endswith("_threshold") else None
             # frozen: write the field the way the generated __init__ does
-            object.__setattr__(self, name, check_integer(value, name, 0 if high else 1, high))
+            object.__setattr__(self, f.name, check_integer(value, f.name, 0 if high else 1, high))
+
+
+def check_params(params) -> SearchParams:
+    """`params` itself, or the defaults for None; any other value that is
+    not a `SearchParams` raises `InvalidParameter`."""
+    if params is None:
+        return SearchParams()
+    if not isinstance(params, SearchParams):
+        raise InvalidParameter(f"params must be a SearchParams or None, got {params!r}")
+    return params
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -250,14 +261,6 @@ def _confirm_costs(instance: Instance, flow: tuple[int, ...], costs: tuple[int, 
         raise AssertionError(f"carried scenario costs {costs} differ from the fresh costs {fresh}")
 
 
-def _zero_flow_record(
-    instance: Instance, criterion: Criterion, variant: str, solver: str, seed: int, t0: float
-) -> SolutionRecord:
-    zero = (0,) * instance.network.arc_count
-    cost = criterion.evaluate(zero)
-    return SolutionRecord(variant, solver, cost, zero, seed, time.perf_counter() - t0)
-
-
 def local_search(
     instance: Instance,
     variant: str,
@@ -279,13 +282,9 @@ def local_search(
     if solver not in LS_SOLVERS:
         raise InvalidParameter(f"unknown local-search solver {solver!r}")
     seed = check_integer(seed, "seed")
-    if params is None:
-        params = SearchParams()
+    params = check_params(params)
     t0 = time.perf_counter()
     criterion = make_criterion(instance, variant)
-    if instance.flow_value == 0:
-        return _zero_flow_record(instance, criterion, variant, solver, seed, t0)
-
     # every descent ends its scenario chains at the optima, ls1's too
     optima = compute_optima(instance)
     # (start flow, its scenario costs) for each descent
@@ -411,18 +410,20 @@ def evolutionary(
     """
     if solver not in EC_SOLVERS:
         raise InvalidParameter(f"unknown evolutionary solver {solver!r}")
-    if params is None:
-        params = SearchParams()
+    params = check_params(params)
     kind = EC_SOLVERS.index(solver)
     cross_kind, mut_kind = divmod(kind, 3)
     seed = check_integer(seed, "seed")
     rng = make_rng(seed)
     t0 = time.perf_counter()
     criterion = make_criterion(instance, variant)
-    if instance.flow_value == 0:
-        return _zero_flow_record(instance, criterion, variant, solver, seed, t0)
-
     network = instance.network
+    if instance.flow_value == 0:
+        # the zero flow costs 0, the least any can; `compose` rejects its empty unit paths
+        zero = (0,) * network.arc_count
+        cost = criterion.evaluate(zero, scenario_costs(instance, zero))
+        return SolutionRecord(variant, solver, cost, zero, seed, time.perf_counter() - t0)
+
     cost_rows = instance.scenarios.costs
     optima = compute_optima(instance)
     # parent flow -> its unit paths; pruned to the live members when full

@@ -11,11 +11,11 @@ A flow is a plain tuple of arc values in arc declaration order.  Both
 objectives are a maximum over the per-scenario cost vector that
 `scenario_costs` returns, less the criterion's `shift`: zero for every
 scenario, or the scenario optima.  `make_criterion` picks the shift, and
-nothing downstream branches on the variant again.  A caller that
-already holds a flow's vector, such as the descent, which carries it
-along each cancelled cycle, or the evolutionary loop, which carries it
-through every crossover and mutation, hands it to `Criterion.evaluate`
-and skips the validation and the K dot products.
+nothing downstream branches on the variant again.  `Criterion.evaluate`
+scores a vector its caller already holds: the descent carries one along
+each cancelled cycle, the evolutionary loop through every crossover and
+mutation, and a flow that is built afresh is costed once by
+`scenario_costs`, which validates it.
 """
 from __future__ import annotations
 
@@ -87,24 +87,20 @@ class Criterion:
 
     Heuristics rank candidate flows through one of these; the counter
     supports search-effort accounting in experiments.  Every call counts
-    once, whether it scores a fresh flow or a carried cost vector.  The
-    robust cost is the largest of the scenario costs, each less its
-    `shift` entry.
+    once.  The robust cost is the largest of the scenario costs, each less
+    its `shift` entry.
     """
 
-    instance: Instance
     shift: tuple[int, ...]
     evaluations: int = field(default=0)
 
-    def evaluate(self, flow, costs: tuple[int, ...] | None = None) -> int:
-        """Robust cost of `flow`.
+    def evaluate(self, flow, costs: tuple[int, ...]) -> int:
+        """Robust cost of `flow`, whose `scenario_costs` are `costs`.
 
-        `costs`, when given, must be the flow's `scenario_costs`; the flow
-        is then neither validated nor re-summed.
+        Only `costs` is read: the flow is neither validated nor summed
+        here, and is passed so that a wrapper can check the two agree.
         """
         self.evaluations += 1
-        if costs is None:
-            costs = scenario_costs(self.instance, flow)
         return max(map(sub, costs, self.shift))
 
 
@@ -115,7 +111,7 @@ def make_criterion(instance: Instance, variant: str) -> Criterion:
     variant by that scenario's optimum.
     """
     if variant == ABSOLUTE:
-        return Criterion(instance, (0,) * instance.scenarios.scenario_count)
+        return Criterion((0,) * instance.scenarios.scenario_count)
     if variant == DEVIATION:
-        return Criterion(instance, compute_optima(instance).costs)
+        return Criterion(compute_optima(instance).costs)
     raise InvalidParameter(f"unknown variant {variant!r}")

@@ -347,6 +347,20 @@ class TestRunBench:
         assert not out_csv.exists()
         assert enumerations == []
 
+    @pytest.mark.parametrize("params", [{"neighborhood_size": 3}, 5], ids=["dict", "int"])
+    def test_bad_params_rejected_before_any_output(
+        self, bench_dir, tmp_path, enumerations, params
+    ):
+        out_csv, sol_dir = tmp_path / "params.csv", tmp_path / "sols" / "params"
+        with pytest.raises(InvalidParameter, match="params must be a SearchParams or None"):
+            run_bench(
+                bench_dir, (ABSOLUTE,), ("ls1", "exact"), (0,), params,
+                out_csv=out_csv, sol_dir=sol_dir,
+            )
+        assert not out_csv.exists()
+        assert not (tmp_path / "sols").exists()
+        assert enumerations == []
+
     def test_one_shot_iterators_run_every_cell(self, bench_dir, tmp_path):
         grid = ((ABSOLUTE, DEVIATION), ("ls1", "exact"), (0, 1))
         tuples, once = tmp_path / "tuples.csv", tmp_path / "once.csv"

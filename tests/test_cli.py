@@ -20,6 +20,7 @@ from rmcif import (
     parse_instance,
     write_instance,
 )
+from rmcif import cli
 from rmcif.bench import check_grid
 from rmcif.cli import _build_params, _seeds, _solver_list, _widths, main
 
@@ -74,6 +75,16 @@ class TestArgumentHelpers:
         params = _build_params(None, ["population_size=7", "generation_limit=none"])
         assert params.population_size == 7
         assert params.generation_limit is None
+
+    def test_only_limits_defaulting_to_none_may_be_unbounded(self, diamond_file, capsys):
+        params = _build_params(None, ["iteration_limit=None", "generation_limit=inf"])
+        assert params.iteration_limit is None and params.generation_limit is None
+        argv = ["solve", "--instance", str(diamond_file), "--variant", "abs", "--solver", "ls1",
+                "--param", "population_size=none"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: parameter population_size: expected an integer, got 'none'\n"
 
     def test_build_params_config_file(self, tmp_path):
         config = tmp_path / "params.json"
@@ -394,6 +405,39 @@ class TestCorpus:
         ]
         for seed, data in family.items():
             assert (out / f"2x3_s{seed:04d}.rmcif").read_bytes() == data
+
+    def test_late_failed_draw_writes_nothing(self, tmp_path, capsys):
+        # the draws of seeds 1..4 reach flow value 5 in one attempt, seed 5's does not
+        argv = ["--width", "3,3", "--scenarios", "2", "--cap", "1:3", "--seed", "1",
+                "--flow", "5", "--retries", "1"]
+        out = tmp_path / "four"
+        assert main(["corpus", str(out), "--count", "4"] + argv) == 0
+        assert len(list(out.iterdir())) == 4
+        capsys.readouterr()
+        out = tmp_path / "five"
+        assert main(["corpus", str(out), "--count", "5"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no draw reached flow value 5 within 1 attempts (seed 5)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flow", [[], ["--flow", "1"]], ids=["fraction", "flow"])
+    def test_each_file_is_written_before_the_next_draw(self, flow, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "corpus"
+        drawn = []
+
+        def checked(spec):
+            on_disk = sorted(p.name for p in out.iterdir()) if out.exists() else []
+            # with --flow, every instance is drawn and dropped before the first write
+            written = drawn[3:] if flow else drawn
+            assert on_disk == [f"2x2_s{seed:04d}.rmcif" for seed in written]
+            drawn.append(spec.seed)
+            return generate(spec)
+
+        monkeypatch.setattr(cli, "generate", checked)
+        argv = ["corpus", str(out), "--count", "3", "--width", "2,2"] + GENERATOR_ARGS + flow
+        assert main(argv) == 0
+        assert drawn == [0, 1, 2] * (2 if flow else 1)
 
     def test_single_width_repeats_over_layers(self, tmp_path, capsys):
         out = tmp_path / "corpus"

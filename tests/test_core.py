@@ -1,12 +1,15 @@
 """Domain model: validation, costs, and both file formats."""
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DIAMOND_TEXT, chain_instance, gen, network_of
+import oracles
+from conftest import DIAMOND_TEXT, chain_instance, gen, network_of, routed_networks, scrambled_flow
 from rmcif import (
     ABSOLUTE,
     CapacityViolation,
@@ -54,7 +57,7 @@ class TestNetworkValidation:
     def test_adjacency_indices(self):
         net = network_of(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
         assert net.out_arcs[1] == (0, 2)
-        assert net.in_arcs[3] == (1, 2)
+        assert [i for i, forward, _ in net.residual_adjacency[3] if not forward] == [1, 2]
         assert net.source == 1 and net.sink == 3
 
     def test_tails_follow_declaration_order(self):
@@ -158,6 +161,23 @@ class TestFlowChecks:
     def test_flow_value_counts_returning_arcs(self):
         net = network_of(3, [(1, 2, 2), (2, 1, 2), (2, 3, 2)])
         assert flow_value_of(net, (2, 1, 1)) == 1
+
+    @given(routed_networks(), st.integers(0, 2_000), st.data())
+    @settings(max_examples=80)
+    def test_flow_value_of_equals_validate_flow(self, network, seed, data):
+        value = data.draw(st.integers(0, oracles.max_flow(network)))
+        values = scrambled_flow(network, value, seed)
+        instance = Instance(network, ScenarioSet(((0,) * network.arc_count,)), value)
+        assert flow_value_of(network, values) == validate_flow(instance, values) == value
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_flow_value_of_on_flow_into_the_source(self, seed):
+        instance = parse_instance((Path(__file__).parent / "data" / "cyc.rmcif").read_text())
+        network = instance.network
+        values = scrambled_flow(network, instance.flow_value, seed)
+        # cyc.rmcif's source has in-arcs, and each of these flows uses one
+        assert any(values[i] for i, forward, _ in network.residual_adjacency[1] if not forward)
+        assert flow_value_of(network, values) == validate_flow(instance, values) == 5
 
     def test_validate_flow_value(self, diamond):
         assert validate_flow(diamond, (1, 0, 1, 0)) == 1

@@ -103,9 +103,8 @@ def test_descent_scores_equal_fresh_evaluations(case, variant):
     evaluate = criterion.evaluate
     scored = []
 
-    def checked(flow, costs=None):
-        if costs is not None:
-            assert costs == fresh_costs(instance, flow)
+    def checked(flow, costs):
+        assert costs == fresh_costs(instance, flow)
         cost = evaluate(flow, costs)
         scored.append((flow, cost))
         return cost
@@ -211,20 +210,13 @@ CARRY = SearchParams(population_size=8, generation_limit=15, mutation_threshold=
 
 
 def run_checked(instance, variant, solver, seed):
-    """Run `solver`; every vector `Criterion.evaluate` receives must be fresh.
-
-    With a positive flow value every evaluation must come with a vector:
-    the loop never falls back on validating and summing a flow.
-    """
+    """Run `solver`; every vector `Criterion.evaluate` receives must be fresh."""
     evaluate = Criterion.evaluate
     received = []
 
-    def checked(self, flow, costs=None):
-        if instance.flow_value:
-            assert costs is not None
-        if costs is not None:
-            assert costs == scenario_costs(instance, flow)
-            received.append(costs)
+    def checked(self, flow, costs):
+        assert costs == scenario_costs(instance, flow)
+        received.append(costs)
         return evaluate(self, flow, costs)
 
     with pytest.MonkeyPatch.context() as monkeypatch:

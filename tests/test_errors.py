@@ -189,6 +189,23 @@ CASES = {
         lambda: GeneratorSpec((2, 2), 2, flow_fraction=None),
         r"flow fraction must lie in \[0, 1\], got None",
     ),
+    # `params` is a `SearchParams` or None; a dict, number or string is not
+    "params-dict": (
+        lambda: local_search(_diamond(), ABSOLUTE, "ls1", params={"neighborhood_size": 3}),
+        r"params must be a SearchParams or None, got \{'neighborhood_size': 3\}",
+    ),
+    "params-number": (
+        lambda: evolutionary(_diamond(), ABSOLUTE, "ec1", params=5),
+        "params must be a SearchParams or None, got 5",
+    ),
+    "params-string": (
+        lambda: solve_one(_diamond(), ABSOLUTE, "ls1", params="x"),
+        "params must be a SearchParams or None, got 'x'",
+    ),
+    "params-string-exact": (
+        lambda: solve_one(_diamond(), ABSOLUTE, "exact", params="x"),
+        "params must be a SearchParams or None, got 'x'",
+    ),
 }
 
 

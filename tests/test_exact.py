@@ -22,6 +22,7 @@ from rmcif import (
     make_criterion,
     validate_flow,
 )
+from rmcif.objectives import scenario_costs
 
 DIAMOND_LP = """\
 \\ robust minimum-cost flow model, absolute variant
@@ -57,7 +58,8 @@ class TestEnumerate:
         cost, witness = enumerate_optimum(diamond, variant)
         assert cost == optimum
         assert validate_flow(diamond, witness) == 1
-        assert make_criterion(diamond, variant).evaluate(witness) == cost
+        fresh = scenario_costs(diamond, witness)
+        assert make_criterion(diamond, variant).evaluate(witness, fresh) == cost
 
     def test_zero_flow_value(self):
         instance = chain_instance(4, 3, 0)
@@ -104,7 +106,8 @@ class TestEnumerate:
             cost, witness = enumerate_optimum(instance, variant)
             assert cost == brute_robust_optimum(instance, variant)
             assert validate_flow(instance, witness) == instance.flow_value
-            assert make_criterion(instance, variant).evaluate(witness) == cost
+            fresh = scenario_costs(instance, witness)
+            assert make_criterion(instance, variant).evaluate(witness, fresh) == cost
 
     @given(st.integers(0, 500))
     @settings(max_examples=25)

@@ -142,7 +142,8 @@ def test_structural_invariants(seed):
         assert layer_of(widths, head) == layer_of(widths, tail) + 1
         assert 0 <= capacity <= 9
     for vertex in range(2, net.vertex_count):
-        assert net.in_arcs[vertex], f"vertex {vertex} has no entry"
+        entries = [i for i, forward, _ in net.residual_adjacency[vertex] if not forward]
+        assert entries, f"vertex {vertex} has no entry"
         assert net.out_arcs[vertex], f"vertex {vertex} has no exit"
     for row in instance.scenarios.costs:
         assert all(2 <= c <= 7 for c in row)

@@ -4,6 +4,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,12 +19,14 @@ from rmcif import (
     EC_SOLVERS,
     HEURISTIC_SOLVERS,
     LS_SOLVERS,
+    VARIANTS,
     InvalidParameter,
     SearchParams,
     evolutionary,
     local_search,
     make_criterion,
     make_rng,
+    parse_instance,
     validate_flow,
 )
 from rmcif import heuristics, objectives
@@ -298,11 +301,21 @@ class TestLocalSearch:
         with pytest.raises(InvalidParameter, match="seed"):
             make_rng(-1)
 
-    def test_zero_flow_instance(self):
-        instance = chain_instance(3, 2, 0)
-        record = local_search(instance, ABSOLUTE, "ls1")
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize("solver", LS_SOLVERS)
+    @pytest.mark.parametrize("network", ["chain", "cyc"])
+    def test_zero_flow_instance(self, monkeypatch, network, solver, variant):
+        # F = 0 takes the ordinary path: each descent stops at the zero flow,
+        # which is optimal for every scenario, before any cycle search
+        monkeypatch.setattr(heuristics, "cost_reduce", None)
+        if network == "chain":
+            instance = chain_instance(3, 2, 0)
+        else:
+            cyc = parse_instance((Path(__file__).parent / "data" / "cyc.rmcif").read_text())
+            instance = replace(cyc, flow_value=0)
+        record = local_search(instance, variant, solver)
         assert record.robust_cost == 0
-        assert record.values == (0, 0)
+        assert record.values == (0,) * instance.network.arc_count
 
     @given(run_seeds)
     @settings(max_examples=30)

@@ -110,8 +110,8 @@ class TestCriterion:
     def test_counts_evaluations(self, diamond):
         crit = make_criterion(diamond, ABSOLUTE)
         assert crit.evaluations == 0
-        crit.evaluate(UPPER)
-        crit.evaluate(LOWER)
+        for flow in (UPPER, LOWER):
+            crit.evaluate(flow, objectives.scenario_costs(diamond, flow))
         assert crit.evaluations == 2
 
     def test_shift_is_zero_or_the_scenario_optima(self, diamond):
