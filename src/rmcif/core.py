@@ -202,6 +202,20 @@ class Network:
             adjacency[head].append((i, False, tail))
         return tuple(tuple(lst) for lst in adjacency)
 
+    @cached_property
+    def into_sink(self) -> tuple[tuple[tuple[int, bool], ...], ...]:
+        """Per-vertex ``(arc index, forward)`` moves into the sink, in
+        `residual_adjacency` order: for vertex v, the forward move on an arc
+        v -> sink and the backward move on an arc sink -> v, each if
+        present.  The fewest-arc searches test a vertex against it when they
+        reach it.  Slot 0 is unused.
+        """
+        sink = self.sink
+        return tuple(
+            tuple((i, forward) for i, forward, h in moves if h == sink)
+            for moves in self.residual_adjacency
+        )
+
 
 @dataclass(frozen=True)
 class ScenarioSet:

@@ -17,11 +17,21 @@ and `compose` takes it, is the tuple of its arc indices in walk order.
   `min_cost_flow` and the repair step of `round_flow` and `compose`; it
   also sums `max_flow_value` and peels paths out of a flow in `decompose`
   and `round_flow` (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 3).
-- Its path searches share one read-back (`_path_to`).  The fewest-arc
-  search (`fewest_arc_path`) and `min_cost_flow`'s Dijkstra search over
-  reduced costs with node potentials (`_cheapest_path`, Ahuja, Magnanti &
-  Orlin 1993, §9.7) walk `Network.residual_adjacency`; the peel's search
-  (`_support_path`) walks forward arcs only (`out_arcs` and `heads`).
+- A search records, for each vertex it reaches, only the signed code of
+  the move that reached it (``i`` forward, ``~i`` backward); the residual
+  searches share one read-back (`_path_to`) that turns the codes into
+  triples.  The fewest-arc search (`fewest_arc_path`) and
+  `min_cost_flow`'s Dijkstra search over reduced costs with node
+  potentials (`_cheapest_path`, Ahuja, Magnanti & Orlin 1993, §9.7) walk
+  `Network.residual_adjacency`; the peel's search (`_support_path`)
+  walks forward arcs only (`out_arcs` and `heads`).
+- Both fewest-arc searches test for the sink when they reach a vertex,
+  not when they expand it (Russell & Norvig, *AIMA*, §3.4.1): they stop
+  at the first reached vertex with a move into the sink that has room
+  (`Network.into_sink`), the source included.  Breadth-first search
+  expands vertices in the order it reaches them, so a search that went
+  on would reach the sink from that vertex, by its first such move: the
+  path is the same, and the rest of that vertex's level goes unscanned.
 - `center` sums arc values and `round_flow` rounds the mean half-up in
   integer arithmetic, so no rational number is ever built.
 - `compose` checks capacity on a unit path's own arcs only, against a
@@ -73,15 +83,25 @@ class TargetUnreachable(RmcifError):
     """Augmentation cannot raise the flow value to the requested target."""
 
 
-def _path_to(via, source: int, sink: int) -> list[tuple[int, bool, int]]:
-    """The path back from `sink` to `source` along a search's `via` records,
-    ``(tail, arc index, forward, room)`` per reached vertex, as ``(arc
-    index, forward, room)`` triples in walk order."""
+def _path_to(network: Network, via, values: Sequence[int], v: int) -> list[tuple[int, bool, int]]:
+    """The residual path of `values` from the source to `v` along a search's
+    `via` records, as ``(arc index, forward, room)`` triples in walk order.
+
+    A reached vertex's record is the signed code of the move that reached
+    it: ``i`` for the forward move on arc ``i``, ``~i`` for the backward
+    one.  Rooms are read off `values`, which the search did not change.
+    """
+    tails, heads, caps = network.tails, network.heads, network.capacities
     path = []
-    h = sink
-    while h != source:
-        h, i, forward, room = via[h]
-        path.append((i, forward, room))
+    while v != network.source:
+        i = via[v]
+        if i >= 0:
+            path.append((i, True, caps[i] - values[i]))
+            v = tails[i]
+        else:
+            i = ~i
+            path.append((i, False, values[i]))
+            v = heads[i]
     path.reverse()
     return path
 
@@ -94,24 +114,34 @@ def fewest_arc_path(network: Network, values: Sequence[int]):
     comes back as ``(arc index, forward, room)`` triples.  First-reached
     wins, with `Network.residual_adjacency` scanned in order, so the result
     is deterministic and depends only on which moves have room.
+
+    The sink is tested for when a vertex is reached, not when it is
+    expanded: the search returns as soon as it reaches a vertex with a
+    move into the sink that has room (`Network.into_sink`), and takes the
+    first such move.  Vertices are expanded in the order they are reached,
+    so a search that went on would reach the sink first from that vertex,
+    by that move: the path is the same, and the rest of the vertex's level
+    is never scanned (Russell & Norvig, *AIMA*, §3.4.1).
     """
-    adjacency, caps = network.residual_adjacency, network.capacities
+    adjacency, into_sink, caps = network.residual_adjacency, network.into_sink, network.capacities
     source, sink = network.source, network.sink
-    via: list[tuple[int, int, bool, int] | None] = [None] * len(adjacency)
-    reached = [False] * len(adjacency)
-    reached[source] = True
+    via: list[int | None] = [None] * len(adjacency)
+    via[source] = -1  # marks the source reached; never read back
+    for j, last in into_sink[source]:
+        if (caps[j] - values[j] if last else values[j]) > 0:
+            via[sink] = j if last else ~j
+            return _path_to(network, via, values, sink)
     queue = [source]
     for v in queue:
+        # v was tested when reached: none of its moves into the sink has room
         for i, forward, h in adjacency[v]:
-            if reached[h]:
+            if via[h] is not None or (caps[i] - values[i] if forward else values[i]) <= 0:
                 continue
-            room = caps[i] - values[i] if forward else values[i]
-            if room <= 0:
-                continue
-            reached[h] = True
-            via[h] = (v, i, forward, room)
-            if h == sink:
-                return _path_to(via, source, sink)
+            via[h] = i if forward else ~i
+            for j, last in into_sink[h]:
+                if (caps[j] - values[j] if last else values[j]) > 0:
+                    via[sink] = j if last else ~j
+                    return _path_to(network, via, values, sink)
             queue.append(h)
     return None
 
@@ -121,27 +151,38 @@ def _support_path(network: Network, remaining: Sequence[int]):
 
     Arcs are scanned in `out_arcs` order and the first vertex reached
     wins, so this is `fewest_arc_path` at the zero flow of a network whose
-    capacities are `remaining`, where no backward move has room.  Peeling
-    calls it again after each bottleneck, and it sees the same support
-    until some arc on the path runs out: the path's smallest remaining
-    value, capped by the units still wanted, is how many times in a row a
-    one-unit-at-a-time extraction would return this path.
+    capacities are `remaining`, where no backward move has room.  It tests
+    for the sink in the same way, when a vertex is reached: the first
+    reached vertex whose arc into the sink has positive `remaining` is the
+    one a search that went on would reach the sink from, by that arc.
+    Peeling calls it again after each bottleneck, and it sees the same
+    support until some arc on the path runs out: the path's smallest
+    remaining value, capped by the units still wanted, is how many times
+    in a row a one-unit-at-a-time extraction would return this path.
     """
-    out_arcs, heads = network.out_arcs, network.heads
-    source, sink = network.source, network.sink
-    via: list[tuple[int, int, bool, int] | None] = [None] * len(out_arcs)
-    reached = [False] * len(out_arcs)
-    reached[source] = True
+    out_arcs, tails, heads, into_sink = network.out_arcs, network.tails, network.heads, network.into_sink
+    source = network.source
+    for i, forward in into_sink[source]:
+        if forward and remaining[i] > 0:
+            return [(i, True, remaining[i])]
+    via: list[int | None] = [None] * len(out_arcs)  # the arc that reached each vertex
+    via[source] = -1  # marks the source reached; never read back
     queue = [source]
     for v in queue:
         for i in out_arcs[v]:
             h = heads[i]
-            if reached[h] or remaining[i] <= 0:
+            if via[h] is not None or remaining[i] <= 0:
                 continue
-            reached[h] = True
-            via[h] = (v, i, True, remaining[i])
-            if h == sink:
-                return _path_to(via, source, sink)
+            via[h] = i
+            for j, forward in into_sink[h]:
+                if forward and remaining[j] > 0:
+                    path = [(j, True, remaining[j])]
+                    while h != source:
+                        i = via[h]
+                        path.append((i, True, remaining[i]))
+                        h = tails[i]
+                    path.reverse()
+                    return path
             queue.append(h)
     return None
 
@@ -158,7 +199,7 @@ def _cheapest_path(network: Network, costs: Sequence[int], potential: list, valu
     adjacency, caps = network.residual_adjacency, network.capacities
     source, sink = network.source, network.sink
     dist = [math.inf] * len(adjacency)
-    via: list[tuple[int, int, bool, int] | None] = [None] * len(adjacency)
+    via: list[int | None] = [None] * len(adjacency)
     settled = [False] * len(adjacency)
     dist[source] = 0
     heap = [(0, source)]
@@ -182,13 +223,13 @@ def _cheapest_path(network: Network, costs: Sequence[int], potential: list, valu
             nd = base + step - potential[h]
             if nd < dist[h]:
                 dist[h] = nd
-                via[h] = (v, i, forward, room)
+                via[h] = i if forward else ~i
                 heappush(heap, (nd, h))
     if not settled[sink]:
         return None
     reach = dist[sink]
     potential[:] = [p + min(d, reach) for p, d in zip(potential, dist)]
-    return _path_to(via, source, sink)
+    return _path_to(network, via, values, sink)
 
 
 def _push(values: list[int], path, amount: int) -> None:
@@ -469,7 +510,8 @@ def dfs_cycle(network: Network, values: Sequence[int], rng, target: Sequence[int
     immediately reverses the arc just traversed is skipped: pushing along
     it would not move any flow.  The cycle comes back as ``(arc index,
     forward, room)`` triples, in the order they are walked, or None if
-    there is none.
+    there is none.  A list of fewer than two moves is kept as it is: a
+    permutation of it draws nothing from `rng`, so the stream is the same.
     """
     white, gray, black = 0, 1, 2
     color = [white] * (network.vertex_count + 1)
@@ -481,6 +523,8 @@ def dfs_cycle(network: Network, values: Sequence[int], rng, target: Sequence[int
             room = caps[i] - values[i] if forward else values[i]
             if room > 0 and (target is None or (target[i] > 0) == forward):
                 moves.append((i, forward, room, h))
+        if len(moves) < 2:
+            return moves
         return [moves[j] for j in rng.permutation(len(moves)).tolist()]
 
     for s in (i + 1 for i in rng.permutation(network.vertex_count).tolist()):

@@ -459,6 +459,27 @@ def residual_moves(network: Network, values):
     return out
 
 
+def _triples(path):
+    """A move path as the ``(arc index, forward, room)`` triples the package returns."""
+    return None if path is None else [(i, forward, room) for _, _, room, i, forward in path]
+
+
+def fewest_arc_path(network: Network, values):
+    """Fewest-arc residual path of `values`, or None.
+
+    A plain breadth-first search over rebuilt move lists that stops only
+    when it reaches the sink itself, scanning each vertex's moves in arc
+    declaration order.
+    """
+    return _triples(_bfs_moves(residual_moves(network, values), network.source, network.sink))
+
+
+def support_path(network: Network, remaining):
+    """Fewest-arc path over the arcs with positive `remaining`, or None, by
+    the same plain search as `fewest_arc_path`."""
+    return _triples(_bfs_moves(_support_moves(network, remaining), network.source, network.sink))
+
+
 def _push(values: list, path, amount: int) -> None:
     for _, _, _, i, forward in path:
         values[i] += amount if forward else -amount

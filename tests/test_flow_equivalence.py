@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from rmcif import (
     flow_value_of,
     harmonize,
     max_flow_value,
+    parse_instance,
     perturb,
     round_flow,
 )
@@ -97,6 +99,85 @@ def unit_pairs(network, values):
 def oracle_units(network, paths):
     """Unit paths as the value-1 flows `oracles.compose_units` reads."""
     return [unit_flow(network, path) for path in paths]
+
+
+CYC = Path(__file__).parent / "data" / "cyc.rmcif"
+
+
+def arc_values(network, top):
+    """A strategy for one value in ``[0, top(capacity)]`` per arc."""
+    return st.tuples(*[st.integers(0, top(c)) for c in network.capacities])
+
+
+class TestPathSearches:
+    """Both fewest-arc searches against the oracle's plain breadth-first search,
+    which tests for the sink only when it reaches the sink itself."""
+
+    @given(routed_networks(), st.data())
+    @settings(max_examples=80)
+    def test_fewest_arc_path_on_random_values(self, network, data):
+        values = data.draw(arc_values(network, lambda c: c))
+        assert fewest_arc_path(network, values) == oracles.fewest_arc_path(network, values)
+
+    @given(flows())
+    @settings(max_examples=40)
+    def test_fewest_arc_path_on_scrambled_flows(self, case):
+        network, (values,) = case
+        assert fewest_arc_path(network, values) == oracles.fewest_arc_path(network, values)
+
+    @given(routed_networks(), st.data())
+    @settings(max_examples=80)
+    def test_support_path_on_random_remaining(self, network, data):
+        remaining = data.draw(arc_values(network, lambda c: 3))
+        assert _support_path(network, remaining) == oracles.support_path(network, remaining)
+
+    @pytest.mark.parametrize("values, want", [
+        ((0, 0, 0), [(2, True, 3)]),
+        ((0, 0, 3), [(0, True, 1), (1, True, 1)]),
+        ((1, 1, 3), None),
+    ])
+    def test_direct_source_to_sink_arc(self, values, want):
+        # The direct arc is declared last: the source is tested before any
+        # other vertex is reached, as the plain search reaches the sink
+        # from the source before it expands vertex 2.
+        net = network_of(3, [(1, 2, 1), (2, 3, 1), (1, 3, 3)])
+        remaining = [c - x for c, x in zip(net.capacities, values)]
+        assert fewest_arc_path(net, values) == oracles.fewest_arc_path(net, values) == want
+        assert _support_path(net, remaining) == oracles.support_path(net, remaining) == want
+
+    @pytest.mark.parametrize("triples, values, want", [
+        # sink -> 2 declared before 2 -> sink: its backward move comes first
+        ([(1, 2, 2), (3, 2, 1), (2, 3, 2)], (0, 1, 1), [(0, True, 2), (1, False, 1)]),
+        ([(1, 2, 2), (3, 2, 1), (2, 3, 2)], (0, 0, 1), [(0, True, 2), (2, True, 1)]),
+        # 2 -> sink declared first: its forward move comes first
+        ([(1, 2, 2), (2, 3, 2), (3, 2, 1)], (0, 1, 1), [(0, True, 2), (1, True, 1)]),
+        ([(1, 2, 2), (2, 3, 2), (3, 2, 1)], (0, 2, 1), [(0, True, 2), (2, False, 1)]),
+    ])
+    def test_vertex_with_moves_both_ways_to_the_sink(self, triples, values, want):
+        net = network_of(3, triples)
+        assert fewest_arc_path(net, values) == oracles.fewest_arc_path(net, values) == want
+
+    def test_first_reached_vertex_has_a_dry_sink_arc(self):
+        # Vertex 2 is reached first, but its arc into the sink is full.
+        net = network_of(4, [(1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1)])
+        values, remaining = (0, 0, 1, 0), (1, 1, 0, 1)
+        want = [(1, True, 1), (3, True, 1)]
+        assert fewest_arc_path(net, values) == oracles.fewest_arc_path(net, values) == want
+        assert _support_path(net, remaining) == oracles.support_path(net, remaining) == want
+
+    def test_cyclic_reproducer(self):
+        # Its source has both an arc into the sink and one out of it.
+        network = parse_instance(CYC.read_text()).network
+        top = oracles.max_flow(network)
+        for value in range(top + 1):
+            for seed in range(5):
+                values = scrambled_flow(network, value, seed)
+                assert fewest_arc_path(network, values) == oracles.fewest_arc_path(network, values)
+                assert _support_path(network, values) == oracles.support_path(network, values)
+        # the source's backward move into the sink has room, its forward one none
+        values = [0] * network.arc_count
+        values[2], values[11] = 1, network.capacities[11]
+        assert fewest_arc_path(network, values) == oracles.fewest_arc_path(network, values) == [(2, False, 1)]
 
 
 class TestDecompose:

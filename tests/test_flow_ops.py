@@ -647,3 +647,11 @@ class TestDfsCycle:
         tails = [tail for tail, _ in arcs]
         assert len(tails) == len(set(tails))
         assert arcs[-1][1] == arcs[0][0]
+
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_permuting_fewer_than_two_items_draws_nothing(self, size):
+        # dfs_cycle keeps a list of 0 or 1 moves as it is instead of permuting
+        # it; that leaves the stream as it was only while numpy draws nothing here.
+        rng, fresh = make_rng(7), make_rng(7)
+        assert rng.permutation(size).tolist() == list(range(size))
+        assert rng.random(4).tolist() == fresh.random(4).tolist()
