@@ -18,13 +18,16 @@ and `compose` takes it, is the tuple of its arc indices in walk order.
   also sums `max_flow_value` and peels paths out of a flow in `decompose`
   and `round_flow` (Ahuja, Magnanti & Orlin, *Network Flows*, 1993, ch. 3).
 - A search records, for each vertex it reaches, only the signed code of
-  the move that reached it (``i`` forward, ``~i`` backward); the residual
-  searches share one read-back (`_path_to`) that turns the codes into
-  triples.  The fewest-arc search (`fewest_arc_path`) and
-  `min_cost_flow`'s Dijkstra search over reduced costs with node
-  potentials (`_cheapest_path`, Ahuja, Magnanti & Orlin 1993, §9.7) walk
-  `Network.residual_adjacency`; the peel's search (`_support_path`)
-  walks forward arcs only (`out_arcs` and `heads`).
+  the move that reached it (``i`` forward, ``~i`` backward; Ahuja,
+  Magnanti & Orlin 1993, §4.3).  Every residual search reads its walk
+  back through one function, `_path_to`, which turns the codes into
+  triples: from the sink to the source for a path, and once around for a
+  cycle.  The fewest-arc search (`fewest_arc_path`), `min_cost_flow`'s
+  Dijkstra search over reduced costs with node potentials
+  (`_cheapest_path`, §9.7), the negative-cycle kernel and the random
+  cycle search (`dfs_cycle`) walk `Network.residual_adjacency` or its
+  arc records; the peel's search (`_support_path`) walks forward arcs
+  only (`out_arcs` and `heads`) and reads its path back inline.
 - Both fewest-arc searches test for the sink when they reach a vertex,
   not when they expand it (Russell & Norvig, *AIMA*, §3.4.1): they stop
   at the first reached vertex with a move into the sink that has room
@@ -38,17 +41,19 @@ and `compose` takes it, is the tuple of its arc indices in walk order.
   count of the room left on each arc, and scans each list once in one
   random order drawn per call.  Once all F unit paths are placed their
   sum is the flow, returned without entering the augmenting loop.
-- `perturb` and `harmonize` read `Network.residual_adjacency` too, and
-  filter a vertex's moves only when the cycle search expands it.
+- `perturb` and `harmonize` push around the cycle of a randomized
+  depth-first search that keeps, besides the codes, one mark per vertex
+  (on the walk, or finished) and filters a vertex's moves only when it
+  expands the vertex.
 - The negative-cycle kernel of the descent (`cost_reduce`) builds no
   residual edge list: each Bellman-Ford pass reads one cached ``(arc
   index, tail, head, capacity)`` record per arc (`Network.arc_rows`)
   next to the flow's value and the arc's cost, and relaxes the arc's
-  forward and backward moves from them; ``(arc index, forward, room)``
-  triples are made only for the cycle it returns.  It stops at the first
-  pass whose predecessor graph closes a cycle (Cherkassky & Goldberg,
-  "Negative-cycle detection algorithms", Math. Prog. 85, 1999) instead
-  of running all n passes.  `cost_reduce` hands back the arc changes of
+  forward and backward moves from them; `_path_to` makes ``(arc index,
+  forward, room)`` triples only for the cycle it returns.  It stops at
+  the first pass whose predecessor graph closes a cycle (Cherkassky &
+  Goldberg, "Negative-cycle detection algorithms", Math. Prog. 85, 1999)
+  instead of running all n passes.  `cost_reduce` hands back the arc changes of
   the cycle it cancels next to the new flow (Ahuja, Magnanti & Orlin
   1993, §9.6), so a caller that carries a per-scenario cost vector
   advances it over those few arcs instead of comparing whole flows.
@@ -75,6 +80,7 @@ from .core import (
     Network,
     RmcifError,
     check_arc_values,
+    check_costs,
     flow_value_of,
 )
 
@@ -83,17 +89,21 @@ class TargetUnreachable(RmcifError):
     """Augmentation cannot raise the flow value to the requested target."""
 
 
-def _path_to(network: Network, via, values: Sequence[int], v: int) -> list[tuple[int, bool, int]]:
-    """The residual path of `values` from the source to `v` along a search's
-    `via` records, as ``(arc index, forward, room)`` triples in walk order.
+def _path_to(network: Network, via, values: Sequence[int], v: int, start: int) -> list[tuple[int, bool, int]]:
+    """The residual walk of `values` that a search's `via` records lead back
+    from `v` to `start`, as ``(arc index, forward, room)`` triples in walk
+    order.
 
     A reached vertex's record is the signed code of the move that reached
     it: ``i`` for the forward move on arc ``i``, ``~i`` for the backward
-    one.  Rooms are read off `values`, which the search did not change.
+    one.  At least one move is read, and reading stops on reaching `start`:
+    with `start` the source it is the path to `v`, with `start` equal to
+    `v` the cycle through `v` whose records close on it.  Rooms are read
+    off `values`, which the search did not change.
     """
     tails, heads, caps = network.tails, network.heads, network.capacities
     path = []
-    while v != network.source:
+    while True:
         i = via[v]
         if i >= 0:
             path.append((i, True, caps[i] - values[i]))
@@ -102,6 +112,8 @@ def _path_to(network: Network, via, values: Sequence[int], v: int) -> list[tuple
             i = ~i
             path.append((i, False, values[i]))
             v = heads[i]
+        if v == start:
+            break
     path.reverse()
     return path
 
@@ -130,7 +142,7 @@ def fewest_arc_path(network: Network, values: Sequence[int]):
     for j, last in into_sink[source]:
         if (caps[j] - values[j] if last else values[j]) > 0:
             via[sink] = j if last else ~j
-            return _path_to(network, via, values, sink)
+            return _path_to(network, via, values, sink, source)
     queue = [source]
     for v in queue:
         # v was tested when reached: none of its moves into the sink has room
@@ -141,7 +153,7 @@ def fewest_arc_path(network: Network, values: Sequence[int]):
             for j, last in into_sink[h]:
                 if (caps[j] - values[j] if last else values[j]) > 0:
                     via[sink] = j if last else ~j
-                    return _path_to(network, via, values, sink)
+                    return _path_to(network, via, values, sink, source)
             queue.append(h)
     return None
 
@@ -192,27 +204,30 @@ def _cheapest_path(network: Network, costs: Sequence[int], potential: list, valu
 
     Dijkstra's search over nonnegative reduced costs ``cost +
     potential[tail] - potential[head]``, stopped once it settles the sink,
-    with ties broken by vertex number and adjacency order.  Each potential
-    then grows in place by its vertex's distance capped at the sink's,
-    which keeps every reduced cost nonnegative and those on the path zero.
+    with ties broken by vertex number and adjacency order.  Every reduced
+    cost on a move with room is nonnegative, so no vertex at a distance up
+    to the expanded one's can improve: its moves in are skipped, a heap
+    entry above its vertex's distance is stale and skipped too, and the
+    sink is unreachable exactly when its distance stays infinite.  Each
+    potential then grows in place by its vertex's distance capped at the
+    sink's, which keeps every reduced cost nonnegative and those on the
+    path zero.
     """
     adjacency, caps = network.residual_adjacency, network.capacities
     source, sink = network.source, network.sink
     dist = [math.inf] * len(adjacency)
     via: list[int | None] = [None] * len(adjacency)
-    settled = [False] * len(adjacency)
     dist[source] = 0
     heap = [(0, source)]
     while heap:
         d, v = heappop(heap)
-        if settled[v]:
+        if d > dist[v]:
             continue
-        settled[v] = True
         if v == sink:
             break
         base = d + potential[v]
         for i, forward, h in adjacency[v]:
-            if settled[h]:
+            if dist[h] <= d:
                 continue
             if forward:
                 room, step = caps[i] - values[i], costs[i]
@@ -225,11 +240,11 @@ def _cheapest_path(network: Network, costs: Sequence[int], potential: list, valu
                 dist[h] = nd
                 via[h] = i if forward else ~i
                 heappush(heap, (nd, h))
-    if not settled[sink]:
-        return None
     reach = dist[sink]
+    if reach == math.inf:
+        return None
     potential[:] = [p + min(d, reach) for p, d in zip(potential, dist)]
-    return _path_to(network, via, values, sink)
+    return _path_to(network, via, values, sink, source)
 
 
 def _push(values: list[int], path, amount: int) -> None:
@@ -238,8 +253,11 @@ def _push(values: list[int], path, amount: int) -> None:
         values[i] += amount if forward else -amount
 
 
-def _push_room(values: Sequence[int], path) -> tuple[int, ...]:
-    """The flow `values` with the smallest room of `path` pushed along it."""
+def _push_room(values: Sequence[int], path):
+    """The flow `values` with the smallest room of `path` pushed along it, as
+    a tuple; `values` itself when `path` is None."""
+    if path is None:
+        return values
     vals = list(values)
     _push(vals, path, min(room for _, _, room in path))
     return tuple(vals)
@@ -429,17 +447,23 @@ def negative_cycle(network: Network, values: Sequence[int], costs: Sequence[int]
     when it has spare capacity, then its backward move when it carries
     flow; every relaxation is a strict improvement.  No residual
     edge list is built; a vertex's predecessor is a signed arc code (``i``
-    forward, ``~i`` backward), and triples are made only for the returned
-    cycle.  After every pass that lowers a distance the predecessor graph
-    is searched for a cycle, and the search stops at the first one
-    (Cherkassky & Goldberg, "Negative-cycle detection algorithms", Math.
-    Prog. 85, 1999).  Such a cycle is always negative, and while the graph
+    forward, ``~i`` backward), and `_path_to` makes triples only for the
+    returned cycle.  After every pass that lowers a distance the
+    predecessor graph is searched for a cycle, and the search stops at the
+    first one (Cherkassky & Goldberg, "Negative-cycle detection
+    algorithms", Math. Prog. 85, 1999).  Such a cycle is always negative, and while the graph
     has a negative cycle distances keep falling until one closes, since an
     acyclic predecessor graph bounds them from below.  A pass without
-    updates certifies that no negative cycle exists.
+    updates certifies that no negative cycle exists.  `values` and `costs`
+    must hold one entry per arc, or `InvalidParameter` is raised: the pass
+    zips them with the arcs and would stop at the shortest.
     """
-    n = network.vertex_count
-    rows, caps = network.arc_rows, network.capacities
+    n, m = network.vertex_count, network.arc_count
+    if len(costs) != m:
+        raise InvalidParameter(f"length mismatch: expected {m} costs, found {len(costs)}")
+    if len(values) != m:
+        raise InvalidParameter(f"length mismatch: expected {m} flow values, found {len(values)}")
+    rows = network.arc_rows
     dist = [0] * (n + 1)
     pred = [0] * (n + 1)
     pred_vertex = [0] * (n + 1)
@@ -465,15 +489,7 @@ def negative_cycle(network: Network, values: Sequence[int], costs: Sequence[int]
         on_cycle = _predecessor_cycle(pred_vertex, n)
         if on_cycle > 0:
             break
-    cycle = []
-    v = on_cycle
-    while True:
-        i = pred[v]
-        cycle.append((i, True, caps[i] - values[i]) if i >= 0 else (~i, False, values[~i]))
-        v = pred_vertex[v]
-        if v == on_cycle:
-            break
-    cycle.reverse()
+    cycle = _path_to(network, pred, values, on_cycle, on_cycle)
     if sum(costs[i] if forward else -costs[i] for i, forward, _ in cycle) >= 0:
         raise AssertionError("extracted cycle is not negative")
     return cycle
@@ -489,6 +505,8 @@ def cost_reduce(network: Network, costs: Sequence[int], flow: tuple[int, ...]):
     move, its negation on a backward one.  Adding each amount to its arc of
     the input gives the returned flow.  When no negative residual cycle
     remains, it returns the input object itself, True and an empty list.
+    A cost row or flow that is not one entry per arc raises
+    `InvalidParameter` (see `negative_cycle`).
     """
     cycle = negative_cycle(network, flow, costs)
     if cycle is None:
@@ -512,52 +530,49 @@ def dfs_cycle(network: Network, values: Sequence[int], rng, target: Sequence[int
     forward, room)`` triples, in the order they are walked, or None if
     there is none.  A list of fewer than two moves is kept as it is: a
     permutation of it draws nothing from `rng`, so the stream is the same.
+
+    The search keeps one signed move code per reached vertex, as the path
+    searches do, and marks each vertex on the walk or finished (Tarjan,
+    "Depth-first search and linear graph algorithms", SIAM J. Comput.
+    1972).  A move onto a vertex still on the walk closes a cycle: it
+    becomes that vertex's code, and `_path_to` reads the cycle back.
     """
-    white, gray, black = 0, 1, 2
-    color = [white] * (network.vertex_count + 1)
     adjacency, caps = network.residual_adjacency, network.capacities
+    via = [0] * (network.vertex_count + 1)  # the signed code of the move that reached a vertex
+    on_walk: list[bool | None] = [None] * (network.vertex_count + 1)  # False once finished
 
     def shuffled(v):
         moves = []
-        for i, forward, h in adjacency[v]:
+        for move in adjacency[v]:
+            i, forward, _ = move
             room = caps[i] - values[i] if forward else values[i]
             if room > 0 and (target is None or (target[i] > 0) == forward):
-                moves.append((i, forward, room, h))
+                moves.append(move)
         if len(moves) < 2:
-            return moves
-        return [moves[j] for j in rng.permutation(len(moves)).tolist()]
+            return iter(moves)
+        return iter([moves[j] for j in rng.permutation(len(moves)).tolist()])
 
     for s in (i + 1 for i in rng.permutation(network.vertex_count).tolist()):
-        if color[s] != white:
+        if on_walk[s] is not None:
             continue
-        color[s] = gray
-        depth = {s: 0}
-        # moves from s to the vertex on top of the stack
-        path: list[tuple[int, bool, int, int]] = []
-        stack: list[tuple[int, object, int]] = [(s, iter(shuffled(s)), -1)]
+        on_walk[s] = True
+        stack = [(s, shuffled(s), -1)]  # a vertex on the walk, its unread moves, its entry arc
         while stack:
-            v, move_iter, entry = stack[-1]
-            advanced = False
-            for move in move_iter:
-                i, h = move[0], move[3]
-                # a vertex lists each arc at most once, so this is the
-                # entry arc taken back
-                if i == entry:
+            v, moves, entry = stack[-1]
+            for i, forward, h in moves:
+                # a vertex lists each arc at most once, so arc `entry` is
+                # the entry arc taken back
+                if i == entry or on_walk[h] is False:
                     continue
-                if color[h] == gray:
-                    return [m[:3] for m in path[depth[h]:] + [move]]
-                if color[h] == white:
-                    color[h] = gray
-                    depth[h] = len(path) + 1
-                    path.append(move)
-                    stack.append((h, iter(shuffled(h)), i))
-                    advanced = True
-                    break
-            if not advanced:
+                via[h] = i if forward else ~i
+                if on_walk[h]:
+                    return _path_to(network, via, values, h, h)
+                on_walk[h] = True
+                stack.append((h, shuffled(h), i))
+                break
+            else:
                 stack.pop()
-                color[v] = black
-                if path:
-                    path.pop()
+                on_walk[v] = False
     return None
 
 
@@ -566,10 +581,7 @@ def perturb(network: Network, flow: tuple[int, ...], rng) -> tuple[int, ...]:
 
     Returns the input object itself when the residual network is acyclic.
     """
-    cycle = dfs_cycle(network, flow, rng)
-    if cycle is None:
-        return flow
-    return _push_room(flow, cycle)
+    return _push_room(flow, dfs_cycle(network, flow, rng))
 
 
 def harmonize(network: Network, flow: tuple[int, ...], target, rng) -> tuple[int, ...]:
@@ -580,10 +592,7 @@ def harmonize(network: Network, flow: tuple[int, ...], target, rng) -> tuple[int
     where it does not, so a push never reduces support agreement.  Returns
     the input object itself when no such cycle exists.
     """
-    cycle = dfs_cycle(network, flow, rng, target)
-    if cycle is None:
-        return flow
-    return _push_room(flow, cycle)
+    return _push_room(flow, dfs_cycle(network, flow, rng, target))
 
 
 def min_cost_flow(network: Network, costs: Sequence[int], value: int) -> tuple[int, ...]:
@@ -597,10 +606,10 @@ def min_cost_flow(network: Network, costs: Sequence[int], value: int) -> tuple[i
     value reached is a cheapest one (no negative residual cycle ever
     forms), and the witness is deterministic.  Raises `TargetUnreachable`
     when `value` exceeds the maximum flow value and `InvalidParameter` on a
-    negative cost.
+    row that `check_costs` rejects: a cost that is negative or not an
+    integer, or not one cost per arc.
     """
-    if any(c < 0 for c in costs):
-        raise InvalidParameter("min_cost_flow needs nonnegative costs")
+    costs = check_costs(costs, network.arc_count)
     potential = [0] * (network.vertex_count + 1)
     return _augment_to_value(
         network, [0] * network.arc_count, value, partial(_cheapest_path, network, costs, potential)

@@ -542,6 +542,69 @@ def max_flow(network: Network) -> int:
         total += push
 
 
+def _cheapest_moves(network: Network, costs, potential: list, values):
+    """Cheapest residual path of `values` under `costs` as moves, or None.
+
+    Dijkstra's search over reduced costs ``cost + potential[tail] -
+    potential[head]`` on rebuilt move lists, as `min_cost_flow` first ran
+    it: a popped vertex is marked settled, later heap entries for it and
+    moves into it are skipped, and the search stops once it settles the
+    sink.  Ties go by distance, then vertex number, then arc declaration
+    order.  The potentials then grow in place by each vertex's distance
+    capped at the sink's.
+    """
+    out = residual_moves(network, values)
+    source, sink = network.source, network.sink
+    dist = [math.inf] * (network.vertex_count + 1)
+    parent = [None] * (network.vertex_count + 1)
+    settled = [False] * (network.vertex_count + 1)
+    dist[source] = 0
+    heap = [(0, source)]
+    while heap:
+        d, v = heapq.heappop(heap)
+        if settled[v]:
+            continue
+        settled[v] = True
+        if v == sink:
+            break
+        for move in out[v]:
+            _, h, _, i, forward = move
+            if settled[h]:
+                continue
+            nd = d + potential[v] + (costs[i] if forward else -costs[i]) - potential[h]
+            if nd < dist[h]:
+                dist[h] = nd
+                parent[h] = move
+                heapq.heappush(heap, (nd, h))
+    if not settled[sink]:
+        return None
+    reach = dist[sink]
+    potential[:] = [p + min(d, reach) for p, d in zip(potential, dist)]
+    path = []
+    v = sink
+    while v != source:
+        path.append(parent[v])
+        v = parent[v][0]
+    return path[::-1]
+
+
+def min_cost_flow_settled(network: Network, costs, value: int) -> tuple[int, ...]:
+    """Successive shortest paths from the zero flow along `_cheapest_moves`,
+    each path's bottleneck capped by the value still missing: the witness
+    `flow_ops.min_cost_flow` must keep."""
+    vals = [0] * network.arc_count
+    potential = [0] * (network.vertex_count + 1)
+    current = 0
+    while current < value:
+        path = _cheapest_moves(network, costs, potential, vals)
+        if path is None:
+            raise OracleUnreachable(f"stuck at {current} (target {value})")
+        push = min(min(m[2] for m in path), value - current)
+        _push(vals, path, push)
+        current += push
+    return tuple(vals)
+
+
 def round_to_integer(network: Network, values) -> tuple[int, ...]:
     """Half-up rounding, one unit path extracted per search, then augmentation."""
     half = Fraction(1, 2)

@@ -23,12 +23,14 @@ from rmcif import (
 from rmcif.bench import check_grid, solve_one
 from rmcif.core import Instance
 from rmcif.exact import enumerate_optimum
-from rmcif.flow_ops import center, compose, min_cost_flow
+from rmcif.flow_ops import center, compose, cost_reduce, min_cost_flow
 from rmcif.generator import GeneratorSpec
 from rmcif.heuristics import SearchParams, evolutionary, local_search, make_rng, tournament_select
 from rmcif.objectives import make_criterion
 
 ARC = Network(2, (1,), (2,), (1,))
+# 1 -> 2 -> 3 and a direct 1 -> 3: the full row (5, 5, 1) finds a cycle at (1, 1, 0)
+FORK = Network(3, (1, 2, 1), (2, 3, 3), (2, 2, 1))
 FLOW = (1, 0, 1, 0)
 
 
@@ -104,7 +106,24 @@ CASES = {
     "center-empty": (lambda: center(ARC, []), "empty list"),
     "center-values": (lambda: center(ARC, [(0,), (1,)]), "same value"),
     "compose-lengths": (lambda: compose(ARC, [], [], make_rng(0)), "equal positive length"),
-    "min-cost-flow-costs": (lambda: min_cost_flow(ARC, (-1,), 1), "nonnegative costs"),
+    "min-cost-flow-costs": (
+        lambda: min_cost_flow(ARC, (-1,), 1), "cost must be nonnegative, got -1"
+    ),
+    # a row or flow of the wrong length is judged as `check_costs` judges a
+    # scenario, not cut short by a zip or met by an IndexError
+    "min-cost-flow-short-row": (
+        lambda: min_cost_flow(FORK, (1, 1), 1), "length mismatch: expected 3 costs, found 2"
+    ),
+    "min-cost-flow-long-row": (
+        lambda: min_cost_flow(FORK, (1, 1, 1, 1), 1), "length mismatch: expected 3 costs, found 4"
+    ),
+    "cost-reduce-short-row": (
+        lambda: cost_reduce(FORK, (5,), (1, 1, 0)), "length mismatch: expected 3 costs, found 1"
+    ),
+    "cost-reduce-short-flow": (
+        lambda: cost_reduce(FORK, (5, 5, 1), (1, 1)),
+        "length mismatch: expected 3 flow values, found 2",
+    ),
     "tournament-mode": (
         lambda: tournament_select([(FLOW, 4)] * 3, "median", 2, make_rng(0)),
         "unknown tournament mode",

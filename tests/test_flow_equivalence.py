@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import (
+    cyclic_networks,
     gen,
     network_of,
     routed_networks,
@@ -38,6 +39,7 @@ from rmcif import (
     flow_value_of,
     harmonize,
     max_flow_value,
+    min_cost_flow,
     parse_instance,
     perturb,
     round_flow,
@@ -313,6 +315,51 @@ def test_compose_keeps_the_per_pick_distribution():
     assert set(got) == set(want) and len(got) > 2
     for flow in want:
         assert abs(got[flow] - want[flow]) <= 0.05 * len(seeds)
+
+
+@st.composite
+def cost_rows(draw, network):
+    """1..3 cost rows for `network`, about half their costs 0, so zero-cost
+    cycles and ties between equally cheap paths are common."""
+    row = st.tuples(*[st.sampled_from((0, 0, 0, 1, 2, 9))] * network.arc_count)
+    return draw(st.lists(row, min_size=1, max_size=3))
+
+
+class TestMinCostFlowWitness:
+    """`min_cost_flow` returns the same flow, not only the same cost, as the
+    settled-array search it replaced, at every value up to the maximum and
+    one past it.  The witness sets every solver's trajectory."""
+
+    @staticmethod
+    def check(network, rows):
+        top = oracles.max_flow(network)
+        for costs in rows:
+            for value in range(top + 2):
+                assert outcome(min_cost_flow, network, costs, value) == outcome(
+                    oracles.min_cost_flow_settled, network, costs, value
+                )
+
+    @given(st.one_of(cyclic_networks(), routed_networks()), st.data())
+    @settings(max_examples=80)
+    def test_cyclic_networks(self, network, data):
+        # zero-capacity arcs, vertices no search reaches and, in
+        # `cyclic_networks`, a sink the source may not reach at all
+        self.check(network, data.draw(cost_rows(network)))
+
+    @given(seeds, st.data())
+    @settings(max_examples=20)
+    def test_layered_networks(self, seed, data):
+        network = gen(seed, widths=(3, 3), caps=(0, 3), density=0.8).network
+        self.check(network, data.draw(cost_rows(network)))
+
+    def test_zero_cost_cycle_beside_a_dry_shortcut(self):
+        # a zero-cost cycle 2 -> 3 -> 2 on the cheapest route, a
+        # zero-capacity shortcut 1 -> 4, a dearer route 2 -> 4, and a
+        # vertex 5 no search reaches, with a free arc into the route
+        network = network_of(6, [
+            (1, 2, 3), (2, 3, 2), (3, 2, 2), (3, 4, 2), (2, 4, 3), (1, 4, 0), (4, 6, 3), (5, 4, 2),
+        ])
+        self.check(network, [(1, 0, 0, 1, 5, 0, 0, 0), (1, 0, 0, 9, 1, 0, 0, 0), (0,) * 8])
 
 
 class TestCycleWalks:
