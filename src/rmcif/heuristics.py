@@ -69,8 +69,7 @@ import time
 from dataclasses import dataclass, fields
 from itertools import compress, islice
 from operator import gt, lt, ne
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import EC_SOLVERS, LS_SOLVERS, Instance, InvalidParameter, SolutionRecord, check_integer
 from .flow_ops import (
@@ -84,6 +83,9 @@ from .flow_ops import (
     round_flow,
 )
 from .objectives import Criterion, compute_optima, make_criterion, scenario_costs
+
+if TYPE_CHECKING:
+    from numpy.random import Generator
 
 # Iteration ceiling for local search used as a mutation operator.
 MUTATION_SEARCH_CAP = 50
@@ -126,9 +128,19 @@ def check_params(params) -> SearchParams:
     return params
 
 
-def make_rng(seed: int) -> np.random.Generator:
-    """Counter-based generator; the same seed reproduces the same stream anywhere."""
-    return np.random.Generator(np.random.Philox(check_integer(seed, "seed")))
+def make_rng(seed: int) -> Generator:
+    """Counter-based generator; the same seed reproduces the same stream anywhere.
+
+    numpy is imported here, on the first call, and nowhere else in the
+    package: ls1..ls4, `exact`, `export_lp` and the parser never draw, so
+    ``import rmcif`` and those paths run without loading it.  The seed is
+    judged before the import, and the stream does not depend on when
+    numpy was loaded.
+    """
+    seed = check_integer(seed, "seed")
+    from numpy.random import Generator, Philox
+
+    return Generator(Philox(seed))
 
 
 def _changes(old: tuple[int, ...], new: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -197,6 +197,14 @@ def cyclic(instances):
     }
 
 
+def test_rev_fixture_file_is_the_built_instance(cyclic):
+    # CI's cyclic smoke runs the solvers on data/rev.rmcif; it must stay
+    # the instance whose digests MORE_GOLDEN records under "rev"
+    text = (Path(__file__).parent / "data" / "rev.rmcif").read_text()
+    assert parse_instance(text) == cyclic["rev"]
+    assert text == write_instance(cyclic["rev"])
+
+
 @pytest.mark.parametrize("name, seed, variant, solver", sorted(MORE_GOLDEN))
 def test_more_solution_bytes_unchanged(instances, cyclic, name, seed, variant, solver):
     instance = instances[seed] if name == "gen" else cyclic[name]
