@@ -28,7 +28,6 @@ from .core import (
     InvalidParameter,
     Network,
     RmcifError,
-    ScenarioSet,
     SolutionRecord,
     WrongFlowValue,
     check_arc_values,
@@ -82,7 +81,6 @@ __all__ = [
     "Network",
     "RmcifError",
     "ScenarioOptima",
-    "ScenarioSet",
     "SearchParams",
     "SolutionRecord",
     "SolverSummary",

@@ -112,16 +112,21 @@ def check_sequence(value, what: str) -> tuple:
         raise InvalidParameter(f"{what} must be a sequence of integers, got {value!r}") from None
 
 
-def check_costs(row, width: int | None) -> tuple[int, ...]:
-    """A scenario's costs as plain ints in a tuple, judged as by `check_integer` (which
-    runs only on a bad row); `width` of them, any number if `width` is None."""
+def check_length(values, width: int, what: str) -> None:
+    """Raise `InvalidParameter` unless `values` holds `width` entries."""
+    if len(values) != width:
+        raise InvalidParameter(f"length mismatch: expected {width} {what}, found {len(values)}")
+
+
+def check_costs(row, width: int) -> tuple[int, ...]:
+    """A scenario's costs as plain ints in a tuple, `width` of them (one per arc),
+    judged as by `check_integer`, which runs only on a bad row."""
     costs = check_sequence(row, "costs")
     for cost in costs:
         if type(cost) is not int or cost < 0:  # judge them all: raise, or make numpy ints plain
             costs = tuple(check_integer(c, "cost") for c in costs)
             break
-    if width is not None and len(costs) != width:
-        raise InvalidParameter(f"length mismatch: expected {width} costs, found {len(costs)}")
+    check_length(costs, width, "costs")
     return costs
 
 
@@ -218,49 +223,35 @@ class Network:
 
 
 @dataclass(frozen=True)
-class ScenarioSet:
-    """Per-scenario arc unit costs, each a tuple of plain ints in arc declaration order."""
-
-    costs: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        costs: list[tuple[int, ...]] = []
-        try:
-            for row in self.costs:
-                costs.append(check_costs(row, len(costs[0]) if costs else None))
-        except TypeError:
-            raise InvalidParameter(f"costs must be rows of integers, got {self.costs!r}") from None
-        except InvalidParameter as exc:
-            raise InvalidParameter(f"scenario {len(costs) + 1}: {exc}") from None
-        if not costs:
-            raise InvalidParameter("at least one scenario is required")
-        object.__setattr__(self, "costs", tuple(costs))  # frozen: as in `Network`
-
-    @property
-    def scenario_count(self) -> int:
-        return len(self.costs)
-
-
-@dataclass(frozen=True)
 class Instance:
     """A network, its cost scenarios, and the required flow value.
 
-    The network and the scenarios must be a `Network` and a `ScenarioSet`.
-    The flow value, judged by `check_integer`, is checked against the
-    maximum source-to-sink flow at construction time too.
+    `costs` holds one row of arc unit costs per scenario, in arc
+    declaration order.  Each row is judged by `check_costs` against the
+    network's arc count, and the rows are stored as plain ints in a tuple
+    of tuples, so a caller's later edit to its own list cannot reach the
+    instance.  The flow value, judged by `check_integer`, is checked
+    against the maximum source-to-sink flow at construction time too.
     """
 
     network: Network
-    scenarios: ScenarioSet
+    costs: tuple[tuple[int, ...], ...]
     flow_value: int
 
     def __post_init__(self):
-        for name, kind in (("network", Network), ("scenarios", ScenarioSet)):
-            value = getattr(self, name)
-            if not isinstance(value, kind):
-                raise InvalidParameter(f"{name} must be a {kind.__name__}, got {value!r}")
-        if len(self.scenarios.costs[0]) != self.network.arc_count:
-            raise InvalidParameter("scenario cost vectors must have one entry per arc")
+        if not isinstance(self.network, Network):
+            raise InvalidParameter(f"network must be a Network, got {self.network!r}")
+        rows: list[tuple[int, ...]] = []
+        try:
+            for row in self.costs:
+                rows.append(check_costs(row, self.network.arc_count))
+        except TypeError:
+            raise InvalidParameter(f"costs must be rows of integers, got {self.costs!r}") from None
+        except InvalidParameter as exc:
+            raise InvalidParameter(f"scenario {len(rows) + 1}: {exc}") from None
+        if not rows:
+            raise InvalidParameter("at least one scenario is required")
+        object.__setattr__(self, "costs", tuple(rows))  # frozen: as in `Network`
         object.__setattr__(self, "flow_value", check_integer(self.flow_value, "flow value"))
         # deferred import: flow_ops depends on the types defined above
         from .flow_ops import max_flow_value
@@ -411,7 +402,7 @@ def parse_instance(text: str | bytes) -> Instance:
             raise InstanceFormatError(f"expected {m} arc lines, found {len(arcs)}", lineno)
         if len(rows) != k:
             raise InstanceFormatError(f"expected {k} scenario lines, found {len(rows)}", lineno)
-        return Instance(Network(n, *(zip(*arcs) if arcs else ((), (), ()))), ScenarioSet(rows), f)
+        return Instance(Network(n, *(zip(*arcs) if arcs else ((), (), ()))), rows, f)
     except InvalidParameter as exc:  # a judge's verdict on line `lineno`
         raise InstanceFormatError(str(exc), lineno) from None
 
@@ -421,11 +412,11 @@ def write_instance(instance: Instance) -> str:
     network = instance.network
     lines = [
         f"p rmcif {network.vertex_count} {network.arc_count}"
-        f" {instance.scenarios.scenario_count} {instance.flow_value}"
+        f" {len(instance.costs)} {instance.flow_value}"
     ]
     for tail, head, capacity in zip(network.tails, network.heads, network.capacities):
         lines.append(f"a {tail} {head} {capacity}")
-    for k, row in enumerate(instance.scenarios.costs, start=1):
+    for k, row in enumerate(instance.costs, start=1):
         lines.append(f"s {k} " + " ".join(str(c) for c in row))
     return "\n".join(lines) + "\n"
 

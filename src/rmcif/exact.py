@@ -124,12 +124,12 @@ def _walk(
     """
     network = instance.network
     rows, partial = [], []
-    for row, z in zip(instance.scenarios.costs, shift):
+    for row, z in zip(instance.costs, shift):
         d = _sink_distances(network, row)
         rows.append([c + d[h] - d[t] for c, t, h in zip(row, network.tails, network.heads)])
         partial.append(instance.flow_value * d[network.source] - z)
     if keep_costs:
-        rows.extend(instance.scenarios.costs)
+        rows.extend(instance.costs)
         partial.extend(-z for z in shift)
     columns = list(zip(*rows))
     tails, heads, caps = network.tails, network.heads, network.capacities
@@ -201,9 +201,9 @@ def enumerate_optimum(
     `BudgetExceeded` when more than `node_budget` arc assignments get
     explored, and `InvalidParameter` unless it is a nonnegative integer.
     """
+    node_budget = check_integer(node_budget, "node budget")
     criterion = make_criterion(instance, variant)
     shift = criterion.shift
-    node_budget = check_integer(node_budget, "node budget")
     optima = compute_optima(instance)
     lower = max(map(sub, optima.costs, shift))
 
@@ -272,7 +272,7 @@ def export_lp(instance: Instance, variant: str) -> str:
     lines.append("Minimize")
     lines.append(" obj: y")
     lines.append("Subject To")
-    for s, row in enumerate(instance.scenarios.costs):
+    for s, row in enumerate(instance.costs):
         terms = [_term(c, names[i]) for i, c in enumerate(row) if c != 0]
         terms.append("- y")
         lines.extend(_lp_rows(f"rob_{s + 1}", terms, f"<= {shift[s]}"))

@@ -60,11 +60,14 @@ and `compose` takes it, is the tuple of its arc indices in walk order.
 
 A flow is a plain tuple of integer arc values in arc declaration order,
 the shape of `Network.capacities`, and every procedure here takes and
-returns flows as such tuples.  All procedures are pure: they return new
-flows and never mutate their inputs.  Randomized ones take an explicit
-numpy Generator.  Deterministic tie-breaking follows arc declaration
-order throughout (adjacency lists, scan orders and breadth-first
-expansions are all built in that order).
+returns flows as such tuples.  An exported procedure raises
+`InvalidParameter` on a flow, cost row, totals or target vector whose
+length is not the arc count (`check_length`), rather than let a zip cut
+it short.  All procedures are pure: they return new flows and never
+mutate their inputs.  Randomized ones take an explicit numpy Generator.
+Deterministic tie-breaking follows arc declaration order throughout
+(adjacency lists, scan orders and breadth-first expansions are all built
+in that order).
 """
 from __future__ import annotations
 
@@ -81,6 +84,8 @@ from .core import (
     RmcifError,
     check_arc_values,
     check_costs,
+    check_integer,
+    check_length,
     flow_value_of,
 )
 
@@ -302,7 +307,9 @@ def max_flow_value(network: Network) -> int:
 
 
 def find_flow(network: Network, value: int) -> tuple[int, ...]:
-    """An arbitrary feasible flow of the given value, built without cost data."""
+    """An arbitrary feasible flow of the given value, built without cost data;
+    `value` is judged by `check_integer`."""
+    value = check_integer(value, "flow value")
     zeros = [0] * network.arc_count
     return _augment_to_value(network, zeros, value, partial(fewest_arc_path, network))
 
@@ -322,6 +329,7 @@ def decompose(network: Network, flow: tuple[int, ...]) -> list[tuple[int, ...]]:
     what is left: were what is left conserving, its positive value would
     still hold a source-to-sink path.
     """
+    check_length(flow, network.arc_count, "flow values")
     remaining = list(flow)
     total = flow_value_of(network, remaining)
     pieces: list[tuple[int, ...]] = []
@@ -343,10 +351,10 @@ def center(network: Network, flows: Sequence[tuple[int, ...]]) -> tuple[tuple[in
     """
     if not flows:
         raise InvalidParameter("cannot center an empty list of flows")
-    first = flow_value_of(network, flows[0])
-    for f in flows[1:]:
-        if flow_value_of(network, f) != first:
-            raise InvalidParameter("flows must share the same value")
+    for f in flows:
+        check_length(f, network.arc_count, "flow values")
+    if len({flow_value_of(network, f) for f in flows}) > 1:
+        raise InvalidParameter("flows must share the same value")
     return tuple(map(sum, zip(*flows))), len(flows)
 
 
@@ -358,8 +366,10 @@ def round_flow(network: Network, totals: Sequence[int], count: int) -> tuple[int
     in integer arithmetic.  Unit paths are then peeled from the rounded
     vector, whole bottlenecks at a time (see `_support_path`), until the
     target is met or its support disconnects, and any shortfall is closed
-    by augmentation.
+    by augmentation.  `count` must be a positive integer (`check_integer`).
     """
+    check_length(totals, network.arc_count, "totals")
+    count = check_integer(count, "count", 1)
     target = (2 * flow_value_of(network, totals) + count) // (2 * count)
     rounded = [(2 * t + count) // (2 * count) for t in totals]
     extracted = [0] * network.arc_count
@@ -454,15 +464,11 @@ def negative_cycle(network: Network, values: Sequence[int], costs: Sequence[int]
     algorithms", Math. Prog. 85, 1999).  Such a cycle is always negative, and while the graph
     has a negative cycle distances keep falling until one closes, since an
     acyclic predecessor graph bounds them from below.  A pass without
-    updates certifies that no negative cycle exists.  `values` and `costs`
-    must hold one entry per arc, or `InvalidParameter` is raised: the pass
-    zips them with the arcs and would stop at the shortest.
+    updates certifies that no negative cycle exists.
     """
-    n, m = network.vertex_count, network.arc_count
-    if len(costs) != m:
-        raise InvalidParameter(f"length mismatch: expected {m} costs, found {len(costs)}")
-    if len(values) != m:
-        raise InvalidParameter(f"length mismatch: expected {m} flow values, found {len(values)}")
+    n = network.vertex_count
+    check_length(costs, network.arc_count, "costs")
+    check_length(values, network.arc_count, "flow values")
     rows = network.arc_rows
     dist = [0] * (n + 1)
     pred = [0] * (n + 1)
@@ -505,8 +511,6 @@ def cost_reduce(network: Network, costs: Sequence[int], flow: tuple[int, ...]):
     move, its negation on a backward one.  Adding each amount to its arc of
     the input gives the returned flow.  When no negative residual cycle
     remains, it returns the input object itself, True and an empty list.
-    A cost row or flow that is not one entry per arc raises
-    `InvalidParameter` (see `negative_cycle`).
     """
     cycle = negative_cycle(network, flow, costs)
     if cycle is None:
@@ -581,6 +585,7 @@ def perturb(network: Network, flow: tuple[int, ...], rng) -> tuple[int, ...]:
 
     Returns the input object itself when the residual network is acyclic.
     """
+    check_length(flow, network.arc_count, "flow values")
     return _push_room(flow, dfs_cycle(network, flow, rng))
 
 
@@ -592,6 +597,7 @@ def harmonize(network: Network, flow: tuple[int, ...], target, rng) -> tuple[int
     where it does not, so a push never reduces support agreement.  Returns
     the input object itself when no such cycle exists.
     """
+    check_length(target, network.arc_count, "target values")
     return _push_room(flow, dfs_cycle(network, flow, rng, target))
 
 
@@ -606,10 +612,11 @@ def min_cost_flow(network: Network, costs: Sequence[int], value: int) -> tuple[i
     value reached is a cheapest one (no negative residual cycle ever
     forms), and the witness is deterministic.  Raises `TargetUnreachable`
     when `value` exceeds the maximum flow value and `InvalidParameter` on a
-    row that `check_costs` rejects: a cost that is negative or not an
-    integer, or not one cost per arc.
+    row that `check_costs` rejects (a cost that is negative or not an
+    integer, or not one cost per arc) or a `value` that `check_integer` does.
     """
     costs = check_costs(costs, network.arc_count)
+    value = check_integer(value, "flow value")
     potential = [0] * (network.vertex_count + 1)
     return _augment_to_value(
         network, [0] * network.arc_count, value, partial(_cheapest_path, network, costs, potential)

@@ -19,7 +19,6 @@ from .core import (
     InvalidParameter,
     Network,
     RmcifError,
-    ScenarioSet,
     check_integer,
     check_sequence,
 )
@@ -145,7 +144,7 @@ def generate(spec: GeneratorSpec) -> Instance:
             flow_value = spec.flow_value
         else:
             flow_value = math.floor(spec.flow_fraction * capacity + 0.5)
-        return Instance(network, ScenarioSet(rows), flow_value)
+        return Instance(network, rows, flow_value)
     raise GenerationError(
         f"no draw reached flow value {spec.flow_value} within"
         f" {spec.max_retries} attempts (seed {spec.seed})"

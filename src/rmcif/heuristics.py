@@ -193,7 +193,7 @@ def _neighborhood(
     ``optimum[s]``, where `cost_reduce` would find no cycle.
     """
     network = instance.network
-    rows = instance.scenarios.costs
+    rows = instance.costs
     working = [(flow, costs)] * len(rows)
     done = [False] * len(rows)
     found: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -436,7 +436,7 @@ def evolutionary(
         cost = criterion.evaluate(zero, scenario_costs(instance, zero))
         return SolutionRecord(variant, solver, cost, zero, seed, time.perf_counter() - t0)
 
-    cost_rows = instance.scenarios.costs
+    cost_rows = instance.costs
     optima = compute_optima(instance)
     # parent flow -> its unit paths; pruned to the live members when full
     unit_paths: dict[tuple[int, ...], list[tuple[int, ...]]] = {}

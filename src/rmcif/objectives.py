@@ -56,7 +56,7 @@ def compute_optima(instance: Instance) -> ScenarioOptima:
     cache = vars(instance)
     optima = cache.get("scenario_optima")
     if optima is None:
-        rows = instance.scenarios.costs
+        rows = instance.costs
         flows = tuple(min_cost_flow(instance.network, row, instance.flow_value) for row in rows)
         vectors = tuple(scenario_costs(instance, flow) for flow in flows)
         costs = tuple(vector[s] for s, vector in enumerate(vectors))
@@ -78,7 +78,7 @@ def scenario_costs(instance: Instance, flow) -> tuple[int, ...]:
     Raises like `validate_flow`, or `WrongFlowValue`.
     """
     _require_feasible(instance, flow)
-    return tuple(sum(map(mul, row, flow)) for row in instance.scenarios.costs)
+    return tuple(sum(map(mul, row, flow)) for row in instance.costs)
 
 
 @dataclass
@@ -111,7 +111,7 @@ def make_criterion(instance: Instance, variant: str) -> Criterion:
     variant by that scenario's optimum.
     """
     if variant == ABSOLUTE:
-        return Criterion((0,) * instance.scenarios.scenario_count)
+        return Criterion((0,) * len(instance.costs))
     if variant == DEVIATION:
         return Criterion(compute_optima(instance).costs)
     raise InvalidParameter(f"unknown variant {variant!r}")

@@ -12,7 +12,6 @@ from rmcif import (
     GeneratorSpec,
     Instance,
     Network,
-    ScenarioSet,
     generate,
     make_rng,
     parse_instance,
@@ -65,7 +64,7 @@ def chain_instance(
     arcs = [(v, v + 1, capacity) for v in range(1, vertices)]
     if cost_rows is None:
         cost_rows = ((1,) * len(arcs),)
-    return Instance(network_of(vertices, arcs), ScenarioSet(tuple(cost_rows)), flow_value)
+    return Instance(network_of(vertices, arcs), cost_rows, flow_value)
 
 
 def gen(seed: int, widths=(2, 2), scenarios=2, caps=(1, 3), costs=(0, 9),
@@ -137,7 +136,7 @@ def cyclic_instances(draw):
     rows = draw(st.lists(row, min_size=k, max_size=k))
     top = oracles.max_flow(network)
     value = draw(st.sampled_from((top, draw(st.integers(1, top)), 0)))
-    return Instance(network, ScenarioSet(tuple(rows)), value)
+    return Instance(network, rows, value)
 
 
 def scrambled_flow(network, value, seed, steps=3):

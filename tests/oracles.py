@@ -94,7 +94,7 @@ def sum_flows(network: Network, flows) -> tuple[int, ...]:
 
 
 def scenario_cost(instance: Instance, values, scenario: int) -> int:
-    return sum(c * x for c, x in zip(instance.scenarios.costs[scenario], values))
+    return sum(c * x for c, x in zip(instance.costs[scenario], values))
 
 
 def eval_absolute(instance: Instance, flow) -> int:
@@ -120,7 +120,7 @@ def brute_min_cost(instance: Instance, scenario: int) -> int:
 def brute_robust_optimum(instance: Instance, variant: str) -> int:
     """Robust optimum by scanning every feasible flow, shifts included."""
     flows = enumerate_feasible_flows(instance.network, instance.flow_value)
-    K = instance.scenarios.scenario_count
+    K = len(instance.costs)
     if variant == DEVIATION:
         shift = [min(scenario_cost(instance, f, s) for f in flows) for s in range(K)]
     else:
@@ -255,10 +255,10 @@ def robust_path_optimum(instance: Instance, variant: str) -> int:
     assert instance.flow_value == 1
     paths = simple_paths(instance.network)
     assert paths, "no source-sink path despite flow value 1"
-    K = instance.scenarios.scenario_count
+    K = len(instance.costs)
 
     def cost(path: list[int], s: int) -> int:
-        return sum(instance.scenarios.costs[s][i] for i in path)
+        return sum(instance.costs[s][i] for i in path)
 
     if variant == DEVIATION:
         shift = [min(cost(p, s) for p in paths) for s in range(K)]
@@ -799,7 +799,7 @@ class PrefixCostSearch:
     def __init__(self, instance: Instance, shift, lower: int, node_budget: int,
                  best_cost: int, best_values):
         self.network = instance.network
-        self.rows = instance.scenarios.costs
+        self.rows = instance.costs
         self.shift = shift
         self.lower = lower
         self.node_budget = node_budget
@@ -947,7 +947,7 @@ def prefix_cost_optimum(instance: Instance, variant: str, node_budget: int):
     if variant == DEVIATION:
         shift, lower = optima.costs, 0
     else:
-        shift, lower = (0,) * instance.scenarios.scenario_count, max(optima.costs)
+        shift, lower = (0,) * len(instance.costs), max(optima.costs)
     best_cost = best_values = None
     for flow in optima.flows:
         cost = max(

@@ -159,7 +159,7 @@ def test_criterion_04_min_cost_oracle_agreement(announce):
             100, widths=(2, 2), scenarios=3, caps=(0, 3), density=0.8
         ):
             assert instance.network.vertex_count <= 10
-            for s, row in enumerate(instance.scenarios.costs):
+            for s, row in enumerate(instance.costs):
                 flow = min_cost_flow(instance.network, row, instance.flow_value)
                 cost = sum(c * v for c, v in zip(row, flow))
                 assert cost == brute_min_cost(instance, s)
@@ -222,8 +222,8 @@ def test_criterion_06_feasibility_closure(announce):
                         a = harmonize(network, a, b, rng)
                         assert validate_flow(instance, a) == value
                     elif roll == 3:
-                        s = applications % instance.scenarios.scenario_count
-                        a, _, _ = cost_reduce(network, instance.scenarios.costs[s], a)
+                        s = applications % len(instance.costs)
+                        a, _, _ = cost_reduce(network, instance.costs[s], a)
                         assert validate_flow(instance, a) == value
                     elif roll == 4:
                         rounded = round_flow(network, *center(network, [a, b]))

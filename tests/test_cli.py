@@ -125,7 +125,7 @@ class TestGenerate:
         assert code == 0
         instance = parse_instance(out.read_text())
         assert instance.network.vertex_count == 7
-        assert instance.scenarios.scenario_count == 2
+        assert len(instance.costs) == 2
 
     def test_stdout_default(self, capsys):
         assert main(["generate", "--width", "2", "--layers", "2", "--scenarios", "1"]) == 0

@@ -1,6 +1,7 @@
 """Domain model: validation, costs, and both file formats."""
 from __future__ import annotations
 
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,6 @@ from rmcif import (
     Instance,
     InstanceFormatError,
     Network,
-    ScenarioSet,
     SolutionRecord,
     WrongFlowValue,
     compute_optima,
@@ -97,30 +97,40 @@ class TestNetworkValidation:
 
 
 class TestScenarioSet:
+    """The instance's cost rows: one per scenario, each judged against the arc count."""
+
+    TWO_ARCS = Network(3, (1, 2), (2, 3), (1, 1))
+
     def test_empty(self):
-        with pytest.raises(ValueError, match="at least one"):
-            ScenarioSet(())
+        with pytest.raises(ValueError, match="^at least one scenario is required$"):
+            Instance(self.TWO_ARCS, (), 1)
 
     def test_ragged(self):
-        with pytest.raises(ValueError, match="scenario 2"):
-            ScenarioSet(((1, 2), (1,)))
+        message = "^scenario 2: length mismatch: expected 2 costs, found 1$"
+        with pytest.raises(ValueError, match=message):
+            Instance(self.TWO_ARCS, ((1, 2), (1,)), 1)
 
     def test_negative_cost(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ScenarioSet(((1, -2),))
+        with pytest.raises(ValueError, match="^scenario 1: cost must be nonnegative, got -2$"):
+            Instance(self.TWO_ARCS, ((1, -2),), 1)
 
     def test_zero_costs_allowed(self):
-        assert ScenarioSet(((0, 0),)).scenario_count == 1
+        assert Instance(self.TWO_ARCS, ((0, 0),), 1).costs == ((0, 0),)
+
+    def test_plain_rows_accepted(self):
+        instance = Instance(Network(2, (1,), (2,), (1,)), ((1,),), 1)
+        assert instance.costs == ((1,),)
+        assert [field.name for field in fields(Instance)] == ["network", "costs", "flow_value"]
 
     def test_rows_are_stored_as_tuples(self):
         rows = [[1, 1, 5], [5, 5, 1]]
         network = network_of(3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)])
-        instance = Instance(network, ScenarioSet(rows), 1)
-        assert instance.scenarios.costs == ((1, 1, 5), (5, 5, 1))
+        instance = Instance(network, rows, 1)
+        assert instance.costs == ((1, 1, 5), (5, 5, 1))
         assert compute_optima(instance).costs == (2, 1)
         rows[0][2] = 0
-        fresh = Instance(network, ScenarioSet(((1, 1, 5), (5, 5, 1))), 1)
-        assert instance.scenarios.costs == fresh.scenarios.costs
+        fresh = Instance(network, ((1, 1, 5), (5, 5, 1)), 1)
+        assert instance.costs == fresh.costs
         assert hash(instance) == hash(fresh)
         assert compute_optima(instance) == compute_optima(fresh)
 
@@ -128,13 +138,14 @@ class TestScenarioSet:
 class TestInstanceValidation:
     def test_row_width(self):
         net = network_of(2, [(1, 2, 1)])
-        with pytest.raises(ValueError, match="one entry per arc"):
-            Instance(net, ScenarioSet(((1, 2),)), 1)
+        message = "^scenario 1: length mismatch: expected 1 costs, found 2$"
+        with pytest.raises(ValueError, match=message):
+            Instance(net, ((1, 2),), 1)
 
     def test_flow_value_exceeds_max_flow(self):
         net = network_of(2, [(1, 2, 3)])
         with pytest.raises(ValueError, match="maximum flow"):
-            Instance(net, ScenarioSet(((1,),)), 4)
+            Instance(net, ((1,),), 4)
 
     def test_zero_flow_value(self):
         inst = chain_instance(3, 2, 0)
@@ -145,13 +156,13 @@ class TestInstanceValidation:
         columns = (network.tails, network.heads, network.capacities)
         judged = Instance(
             Network(np.int64(network.vertex_count), *map(np.array, columns)),
-            ScenarioSet(np.array(diamond.scenarios.costs)),
+            np.array(diamond.costs),
             np.int64(diamond.flow_value),
         )
         assert judged == diamond
         network = judged.network
         values = [network.vertex_count, judged.flow_value]
-        for column in (network.tails, network.heads, network.capacities, *judged.scenarios.costs):
+        for column in (network.tails, network.heads, network.capacities, *judged.costs):
             values += column
         assert {type(value) for value in values} == {int}
         assert write_instance(judged) == write_instance(diamond)
@@ -167,7 +178,7 @@ class TestFlowChecks:
     def test_flow_value_of_equals_validate_flow(self, network, seed, data):
         value = data.draw(st.integers(0, oracles.max_flow(network)))
         values = scrambled_flow(network, value, seed)
-        instance = Instance(network, ScenarioSet(((0,) * network.arc_count,)), value)
+        instance = Instance(network, ((0,) * network.arc_count,), value)
         assert flow_value_of(network, values) == validate_flow(instance, values) == value
 
     @pytest.mark.parametrize("seed", range(4))

@@ -35,7 +35,6 @@ from rmcif import (
     HEURISTIC_SOLVERS,
     VARIANTS,
     Instance,
-    ScenarioSet,
     compute_optima,
     cost_reduce,
     heuristics,
@@ -61,7 +60,7 @@ def started_instances(draw):
             min_size=k, max_size=k,
         ))
         value = draw(st.integers(0, oracles.max_flow(network)))
-        instance = Instance(network, ScenarioSet(tuple(tuple(r) for r in rows)), value)
+        instance = Instance(network, rows, value)
     else:
         instance = gen(draw(seeds), widths=(3, 3), scenarios=3, caps=(0, 4), density=0.8)
     start = scrambled_flow(instance.network, instance.flow_value, draw(seeds))
@@ -69,7 +68,7 @@ def started_instances(draw):
 
 
 def fresh_costs(instance, flow):
-    K = instance.scenarios.scenario_count
+    K = len(instance.costs)
     return tuple(oracles.scenario_cost(instance, flow, s) for s in range(K))
 
 
@@ -131,7 +130,7 @@ def walk_cost_reduce_chains(instance, start):
     solvers end a chain without calling `cost_reduce`.  Returns the number
     of cancellations.
     """
-    network, rows = instance.network, instance.scenarios.costs
+    network, rows = instance.network, instance.costs
     optimum = compute_optima(instance).costs
     steps = 0
     for s, row in enumerate(rows):
@@ -174,7 +173,7 @@ def test_cost_reduce_changes_advance_to_fresh_costs_on_cyclic_networks(instance,
 def test_cost_reduce_changes_along_long_chains(seed):
     instance = gen(seed, widths=(6, 6, 6), scenarios=5, caps=(1, 20), costs=(0, 99))
     start = scrambled_flow(instance.network, instance.flow_value, seed)
-    assert walk_cost_reduce_chains(instance, start) > 5 * instance.scenarios.scenario_count
+    assert walk_cost_reduce_chains(instance, start) > 5 * len(instance.costs)
 
 
 @pytest.mark.parametrize("solver", HEURISTIC_SOLVERS)

@@ -14,7 +14,6 @@ from rmcif import (
     InvalidParameter,
     Network,
     RmcifError,
-    ScenarioSet,
     SolutionRecord,
     check_arc_values,
     format_solution,
@@ -23,7 +22,17 @@ from rmcif import (
 from rmcif.bench import check_grid, solve_one
 from rmcif.core import Instance
 from rmcif.exact import enumerate_optimum
-from rmcif.flow_ops import center, compose, cost_reduce, min_cost_flow
+from rmcif.flow_ops import (
+    center,
+    compose,
+    cost_reduce,
+    decompose,
+    find_flow,
+    harmonize,
+    min_cost_flow,
+    perturb,
+    round_flow,
+)
 from rmcif.generator import GeneratorSpec
 from rmcif.heuristics import SearchParams, evolutionary, local_search, make_rng, tournament_select
 from rmcif.objectives import make_criterion
@@ -45,14 +54,20 @@ CASES = {
     "network-self-loop": (lambda: Network(2, (1,), (1,), (1,)), "self-loops"),
     "network-duplicate": (lambda: Network(2, (1, 1), (2, 2), (1, 1)), "duplicate arc 1->2"),
     "network-capacity": (lambda: Network(2, (1,), (2,), (-1,)), "capacity"),
-    "scenarios-none": (lambda: ScenarioSet(()), "at least one scenario"),
-    "scenarios-lengths": (lambda: ScenarioSet(((1,), (1, 2))), "length mismatch"),
-    "scenarios-cost": (lambda: ScenarioSet(((-1,),)), "cost must be nonnegative"),
-    "instance-costs": (lambda: Instance(ARC, ScenarioSet(((1, 2),)), 0), "one entry per arc"),
-    "instance-value": (
-        lambda: Instance(ARC, ScenarioSet(((1,),)), -1), "flow value must be nonnegative"
+    "scenarios-none": (lambda: Instance(ARC, (), 1), "^at least one scenario is required$"),
+    "scenarios-lengths": (
+        lambda: Instance(ARC, ((1,), (1, 2)), 1),
+        "^scenario 2: length mismatch: expected 1 costs, found 2$",
     ),
-    "instance-max-flow": (lambda: Instance(ARC, ScenarioSet(((1,),)), 2), "maximum flow"),
+    "scenarios-cost": (
+        lambda: Instance(ARC, ((-1,),), 1), "^scenario 1: cost must be nonnegative, got -1$"
+    ),
+    "instance-costs": (
+        lambda: Instance(ARC, ((1, 2),), 0),
+        "^scenario 1: length mismatch: expected 1 costs, found 2$",
+    ),
+    "instance-value": (lambda: Instance(ARC, ((1,),), -1), "flow value must be nonnegative"),
+    "instance-max-flow": (lambda: Instance(ARC, ((1,),), 2), "maximum flow"),
     # every value of the model is judged by `check_arc`, `check_costs` or
     # `check_integer`, which take integers of any type and nothing else
     "network-bool-capacity": (
@@ -69,11 +84,14 @@ CASES = {
         lambda: Network("3", (1,), (2,), (1,)), "vertex count must be an integer, got '3'"
     ),
     "scenarios-bool-cost": (
-        lambda: ScenarioSet(((True,),)), "scenario 1: cost must be an integer, got True"
+        lambda: Instance(ARC, ((True,),), 1), "^scenario 1: cost must be an integer, got True$"
     ),
-    "scenarios-not-rows": (lambda: ScenarioSet(5), "costs must be rows of integers, got 5"),
+    "scenarios-not-rows": (
+        lambda: Instance(ARC, 5, 1), "^costs must be rows of integers, got 5$"
+    ),
     "scenarios-row": (
-        lambda: ScenarioSet(((1,), 5)), "scenario 2: costs must be a sequence of integers, got 5"
+        lambda: Instance(ARC, ((1,), 5), 1),
+        "^scenario 2: costs must be a sequence of integers, got 5$",
     ),
     # a container of the wrong kind names its field
     "network-int-tails": (
@@ -82,17 +100,28 @@ CASES = {
     "network-none-capacities": (
         lambda: Network(2, (1,), (2,), None), "capacities must be a sequence of integers, got None"
     ),
-    "instance-scenario-rows": (
-        lambda: Instance(ARC, ((1,),), 1), r"scenarios must be a ScenarioSet, got \(\(1,\),\)"
-    ),
-    "instance-network-int": (
-        lambda: Instance(5, ScenarioSet(((1,),)), 1), "network must be a Network, got 5"
-    ),
+    "instance-network-int": (lambda: Instance(5, ((1,),), 1), "network must be a Network, got 5"),
     "spec-widths-int": (
         lambda: GeneratorSpec(5, 2), "layer widths must be a sequence of integers, got 5"
     ),
     "instance-bool-value": (
-        lambda: Instance(ARC, ScenarioSet(((1,),)), True), "flow value must be an integer, got True"
+        lambda: Instance(ARC, ((1,),), True), "flow value must be an integer, got True"
+    ),
+    # the flow value and count the toolbox takes are judged by `check_integer`
+    "find-flow-float-value": (
+        lambda: find_flow(FORK, 1.5), "^flow value must be an integer, got 1.5$"
+    ),
+    "find-flow-negative-value": (
+        lambda: find_flow(FORK, -1), "^flow value must be nonnegative, got -1$"
+    ),
+    "min-cost-flow-negative-value": (
+        lambda: min_cost_flow(FORK, (1, 1, 1), -1), "^flow value must be nonnegative, got -1$"
+    ),
+    "round-flow-zero-count": (
+        lambda: round_flow(FORK, (2, 2, 0), 0), "^count must be positive, got 0$"
+    ),
+    "round-flow-negative-count": (
+        lambda: round_flow(FORK, (2, 2, 0), -1), "^count must be positive, got -1$"
     ),
     "arc-values": (lambda: check_arc_values(ARC, (1, 1)), "arc count"),
     "solution-variant": (
@@ -123,6 +152,24 @@ CASES = {
     "cost-reduce-short-flow": (
         lambda: cost_reduce(FORK, (5, 5, 1), (1, 1)),
         "length mismatch: expected 3 flow values, found 2",
+    ),
+    "center-long-flow": (
+        lambda: center(FORK, [(1, 1, 0), (1, 1, 0, 5)]),
+        "^length mismatch: expected 3 flow values, found 4$",
+    ),
+    "round-flow-short-totals": (
+        lambda: round_flow(FORK, (2, 2), 2), "^length mismatch: expected 3 totals, found 2$"
+    ),
+    "decompose-short-flow": (
+        lambda: decompose(FORK, (1, 1)), "^length mismatch: expected 3 flow values, found 2$"
+    ),
+    "perturb-short-flow": (
+        lambda: perturb(FORK, (1, 1), make_rng(0)),
+        "^length mismatch: expected 3 flow values, found 2$",
+    ),
+    "harmonize-short-target": (
+        lambda: harmonize(FORK, (1, 1, 0), (0, 0), make_rng(0)),
+        "^length mismatch: expected 3 target values, found 2$",
     ),
     "tournament-mode": (
         lambda: tournament_select([(FLOW, 4)] * 3, "median", 2, make_rng(0)),

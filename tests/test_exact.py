@@ -14,7 +14,6 @@ from rmcif import (
     GeneratorSpec,
     Instance,
     InvalidParameter,
-    ScenarioSet,
     compute_optima,
     enumerate_optimum,
     export_lp,
@@ -22,6 +21,7 @@ from rmcif import (
     make_criterion,
     validate_flow,
 )
+from rmcif import exact, objectives
 from rmcif.objectives import scenario_costs
 
 DIAMOND_LP = """\
@@ -49,7 +49,7 @@ End
 def cyclic_instance():
     """A network whose middle vertices form a directed cycle."""
     net = network_of(4, [(1, 2, 2), (2, 3, 1), (3, 2, 1), (2, 4, 2)])
-    return Instance(net, ScenarioSet(((1, 5, 5, 1), (2, 1, 1, 2))), 1)
+    return Instance(net, ((1, 5, 5, 1), (2, 1, 1, 2)), 1)
 
 
 class TestEnumerate:
@@ -81,6 +81,16 @@ class TestEnumerate:
     def test_negative_budget(self, diamond):
         with pytest.raises(InvalidParameter, match="node budget"):
             enumerate_optimum(diamond, ABSOLUTE, node_budget=-1)
+
+    @pytest.mark.parametrize("budget", [-1, 2.5])
+    def test_bad_budget_rejected_before_any_work(self, diamond, monkeypatch, budget):
+        # the deviation criterion needs the scenario optima: none may be computed
+        calls = []
+        monkeypatch.setattr(objectives, "compute_optima", calls.append)
+        monkeypatch.setattr(exact, "compute_optima", calls.append)
+        with pytest.raises(InvalidParameter, match="node budget"):
+            enumerate_optimum(diamond, DEVIATION, budget)
+        assert calls == []
 
     def test_deep_network_ends_in_budget(self):
         # 1,860 arcs: a search that recursed once per arc would overflow
@@ -134,14 +144,14 @@ class TestExportLp:
 
     def test_zero_cost_terms_skipped(self):
         net = network_of(3, [(1, 2, 1), (2, 3, 1)])
-        instance = Instance(net, ScenarioSet(((0, 3), (0, 0))), 1)
+        instance = Instance(net, ((0, 3), (0, 0)), 1)
         text = export_lp(instance, ABSOLUTE)
         assert " rob_1: 3 x_2_3 - y <= 0" in text
         assert " rob_2: - y <= 0" in text
 
     def test_isolated_vertex_row(self):
         net = network_of(3, [(1, 3, 2)])
-        instance = Instance(net, ScenarioSet(((1,),)), 1)
+        instance = Instance(net, ((1,),), 1)
         text = export_lp(instance, ABSOLUTE)
         assert " cons_2: 0 y = 0" in text
 

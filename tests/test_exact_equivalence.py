@@ -25,7 +25,6 @@ from rmcif import (
     BudgetExceeded,
     GenerationError,
     Instance,
-    ScenarioSet,
     enumerate_optimum,
 )
 from rmcif import exact
@@ -65,16 +64,16 @@ def cyclic_instances(draw):
             max_size=k,
         )
     )
-    return Instance(network, ScenarioSet(tuple(map(tuple, rows))), value)
+    return Instance(network, rows, value)
 
 
 def redeclared(instance: Instance, order) -> Instance:
     """The same instance with its arcs, and cost columns, declared in `order`."""
     network = instance.network
     arcs = list(zip(network.tails, network.heads, network.capacities))
-    rows = tuple(tuple(row[i] for i in order) for row in instance.scenarios.costs)
+    rows = tuple(tuple(row[i] for i in order) for row in instance.costs)
     redeclared_network = network_of(network.vertex_count, [arcs[i] for i in order])
-    return Instance(redeclared_network, ScenarioSet(rows), instance.flow_value)
+    return Instance(redeclared_network, rows, instance.flow_value)
 
 
 @st.composite
@@ -102,7 +101,7 @@ def seeded_cyclic_instance(seed: int) -> Instance | None:
     rows = tuple(
         tuple(rng.randint(0, 9) for _ in chosen) for _ in range(rng.randint(2, 4))
     )
-    return Instance(network, ScenarioSet(rows), rng.randint(1, top))
+    return Instance(network, rows, rng.randint(1, top))
 
 
 def counted(instance, variant, node_budget):

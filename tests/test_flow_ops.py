@@ -23,7 +23,6 @@ from rmcif import (
     CapacityViolation,
     ConservationViolation,
     Instance,
-    ScenarioSet,
     TargetUnreachable,
     center,
     check_arc_values,
@@ -127,7 +126,7 @@ class TestResidualNetwork:
         assert network_of(3, [(1, 2, 5), (2, 3, 0)]).capacities == (5, 0)
 
     def test_residual_cost_sign(self, diamond):
-        costs = diamond.scenarios.costs[0]
+        costs = diamond.costs[0]
         moves = {t: (i, forward, room) for t, _, room, i, forward in residual_moves(
             diamond.network, UPPER
         )}
@@ -195,7 +194,7 @@ class TestMaxFlowAndFind:
     def test_one_unit_past_the_maximum_fails_alike(self, seed):
         # Both raise from the one augment-to-target step, naming the maximum reached.
         instance = gen(seed, widths=(2, 2), scenarios=1, caps=(0, 4), density=0.6)
-        network, costs = instance.network, instance.scenarios.costs[0]
+        network, costs = instance.network, instance.costs[0]
         top = min_cut_value(network)
         messages = []
         for build, args in ((find_flow, ()), (min_cost_flow, (costs,))):
@@ -324,7 +323,7 @@ class TestCompose:
 
 class TestNegativeCycle:
     def test_finds_the_improving_cycle(self, diamond):
-        costs = diamond.scenarios.costs[0]
+        costs = diamond.costs[0]
         cyc = negative_cycle(diamond.network, LOWER, costs)
         assert cyc is not None
         assert bottleneck(cyc) == 1
@@ -333,11 +332,11 @@ class TestNegativeCycle:
         assert oracles.scenario_cost(diamond, improved, 0) < oracles.scenario_cost(diamond, LOWER, 0)
 
     def test_none_at_optimum(self, diamond):
-        costs = diamond.scenarios.costs[0]
+        costs = diamond.costs[0]
         assert negative_cycle(diamond.network, UPPER, costs) is None
 
     def test_cycle_is_closed(self, diamond):
-        cyc = negative_cycle(diamond.network, LOWER, diamond.scenarios.costs[0])
+        cyc = negative_cycle(diamond.network, LOWER, diamond.costs[0])
         arcs = [endpoints(diamond.network, move) for move in cyc]
         assert arcs[-1][1] == arcs[0][0]
         for prev, nxt in zip(arcs, arcs[1:]):
@@ -348,7 +347,7 @@ class TestNegativeCycle:
     def test_agrees_with_floyd_warshall(self, seed, scenario):
         instance = gen(seed, widths=(2, 2), scenarios=4, caps=(0, 3), density=0.7)
         flow = random_feasible_flow(instance, seed)
-        costs = instance.scenarios.costs[scenario]
+        costs = instance.costs[scenario]
         cyc = negative_cycle(instance.network, flow, costs)
         assert (cyc is not None) == has_negative_cycle_floyd_warshall(
             instance.network, flow, costs
@@ -373,7 +372,7 @@ class TestNegativeCycleKernel:
     def case(seed, scenario):
         instance = gen(seed, widths=(3, 3), scenarios=3, caps=(1, 4), density=0.8)
         flow = random_feasible_flow(instance, seed)
-        return instance, flow, instance.scenarios.costs[scenario]
+        return instance, flow, instance.costs[scenario]
 
     @given(small_seeds, st.integers(0, 2))
     @settings(max_examples=60)
@@ -457,7 +456,7 @@ class TestNegativeCycleAgainstEdgeList:
             # a directed cycle 2 -> 3 -> 2 and a zero-capacity shortcut 1 -> 4
             (0, Instance(
                 network_of(4, [(1, 2, 3), (2, 3, 2), (3, 2, 2), (3, 4, 2), (2, 4, 3), (1, 4, 0)]),
-                ScenarioSet(((1, 0, 0, 1, 5, 0), (1, 9, 0, 9, 1, 0))),
+                ((1, 0, 0, 1, 5, 0), (1, 9, 0, 9, 1, 0)),
                 3,
             )),
         ],
@@ -466,7 +465,7 @@ class TestNegativeCycleAgainstEdgeList:
         network = instance.network
         start = random_feasible_flow(instance, seed)
         calls = 0
-        for costs in instance.scenarios.costs:
+        for costs in instance.costs:
             flow = start
             while True:
                 cycle = negative_cycle(network, flow, costs)
@@ -475,12 +474,12 @@ class TestNegativeCycleAgainstEdgeList:
                 if cycle is None:
                     break
                 flow = _push_room(flow, cycle)
-        assert calls > instance.scenarios.scenario_count
+        assert calls > len(instance.costs)
 
 
 class TestCostReduce:
     def test_single_step(self, diamond):
-        costs = diamond.scenarios.costs[0]
+        costs = diamond.costs[0]
         flow, optimal, _ = cost_reduce(diamond.network, costs, LOWER)
         assert not optimal
         assert flow == UPPER
@@ -492,7 +491,7 @@ class TestCostReduce:
     @settings(max_examples=60)
     def test_min_cost_flow_matches_enumeration(self, seed):
         instance = gen(seed, widths=(2,), scenarios=1, caps=(0, 2), density=0.9)
-        costs = instance.scenarios.costs[0]
+        costs = instance.costs[0]
         flow = min_cost_flow(instance.network, costs, instance.flow_value)
         assert feasible_value(instance.network, flow) == instance.flow_value
         got = sum(c * v for c, v in zip(costs, flow))
@@ -502,7 +501,7 @@ class TestCostReduce:
     # shortcut 1 -> 4 and a dearer parallel route 2 -> 4.
     @example(Instance(
         network_of(4, [(1, 2, 3), (2, 3, 2), (3, 2, 2), (3, 4, 2), (2, 4, 3), (1, 4, 0)]),
-        ScenarioSet(((1, 0, 0, 1, 5, 0), (1, 0, 0, 9, 1, 0))),
+        ((1, 0, 0, 1, 5, 0), (1, 0, 0, 9, 1, 0)),
         3,
     ))
     @given(cyclic_instances())
@@ -510,7 +509,7 @@ class TestCostReduce:
     def test_min_cost_flow_on_cyclic_networks(self, instance):
         network = instance.network
         top = oracles.max_flow(network)
-        for s, costs in enumerate(instance.scenarios.costs):
+        for s, costs in enumerate(instance.costs):
             flow = min_cost_flow(network, costs, instance.flow_value)
             assert feasible_value(network, flow) == instance.flow_value
             assert sum(c * v for c, v in zip(costs, flow)) == brute_min_cost(instance, s)
@@ -526,7 +525,7 @@ class TestCostReduce:
         # node potentials keep the search exact for.
         instance = gen(seed, widths=(3, 3), scenarios=3, caps=(1, 3), flow_fraction=1.0)
         network = instance.network
-        for s, costs in enumerate(instance.scenarios.costs):
+        for s, costs in enumerate(instance.costs):
             flow = min_cost_flow(network, costs, instance.flow_value)
             assert feasible_value(network, flow) == instance.flow_value
             assert sum(c * v for c, v in zip(costs, flow)) == brute_min_cost(instance, s)
@@ -560,7 +559,7 @@ class TestMinCostFlowAgainstLinprog:
         supply[network.source - 1] = instance.flow_value
         supply[network.sink - 1] = -instance.flow_value
         bounds = [(0, capacity) for capacity in network.capacities]
-        for costs in instance.scenarios.costs:
+        for costs in instance.costs:
             flow = min_cost_flow(network, costs, instance.flow_value)
             assert feasible_value(network, flow) == instance.flow_value
             lp = linprog(costs, A_eq=incidence, b_eq=supply, bounds=bounds, method="highs")
@@ -624,7 +623,7 @@ def test_crossover_and_mutation_outputs_are_feasible(instance, seed):
         harmonize(network, a, b, rng),
         perturb(network, a, rng),
     ]
-    outputs += [cost_reduce(network, costs, a)[0] for costs in instance.scenarios.costs]
+    outputs += [cost_reduce(network, costs, a)[0] for costs in instance.costs]
     if value:
         outputs.append(compose(network, decompose(network, a), decompose(network, b), rng))
     for flow in outputs:

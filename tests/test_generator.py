@@ -63,7 +63,7 @@ class TestShapes:
         instance = generate(spec)
         assert instance.network.vertex_count == 2 + 3 + 4
         assert instance.network.arc_count == 3 + 3 * 4 + 4
-        assert instance.scenarios.scenario_count == 2
+        assert len(instance.costs) == 2
 
     def test_single_layer(self):
         instance = generate(GeneratorSpec(layer_widths=(5,), scenario_count=1))
@@ -145,6 +145,6 @@ def test_structural_invariants(seed):
         entries = [i for i, forward, _ in net.residual_adjacency[vertex] if not forward]
         assert entries, f"vertex {vertex} has no entry"
         assert net.out_arcs[vertex], f"vertex {vertex} has no exit"
-    for row in instance.scenarios.costs:
+    for row in instance.costs:
         assert all(2 <= c <= 7 for c in row)
     assert 0 <= instance.flow_value <= max_flow_value(net)

@@ -475,4 +475,4 @@ def test_scenario_optima_computed_once_per_instance(monkeypatch, solver, variant
     monkeypatch.setattr(objectives, "min_cost_flow", counting)
     for seed in (0, 1):
         solve(instance, variant, solver, seed=seed)
-    assert len(calls) == instance.scenarios.scenario_count == 3
+    assert len(calls) == len(instance.costs) == 3

@@ -50,7 +50,7 @@ def test_method_and_counted_hooks_exist():
 def test_cost_reduce_outcome_reads_the_optimal_flag(diamond):
     # the tracer's cost_reduce hook counts result[1]
     cost_reduce = _module("flow_ops").cost_reduce
-    costs = diamond.scenarios.costs[0]
+    costs = diamond.costs[0]
     assert cost_reduce(diamond.network, costs, (1, 0, 1, 0))[1] is True
     assert cost_reduce(diamond.network, costs, (0, 1, 0, 1))[1] is False
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from conftest import gen
-from rmcif import Instance, Network, ScenarioSet, format_solution, parse_instance, write_instance
+from rmcif import Instance, Network, format_solution, parse_instance, write_instance
 from rmcif.bench import solve_one
 from rmcif.exact import export_lp
 from rmcif.heuristics import SearchParams
@@ -185,8 +185,8 @@ def with_reversed_inner_arcs(instance):
         net.heads + tuple(net.tails[i] for i in inner),
         net.capacities + tuple(net.capacities[i] for i in inner),
     )
-    rows = tuple(row + tuple(row[i] for i in inner) for row in instance.scenarios.costs)
-    return Instance(network, ScenarioSet(rows), instance.flow_value)
+    rows = tuple(row + tuple(row[i] for i in inner) for row in instance.costs)
+    return Instance(network, rows, instance.flow_value)
 
 
 @pytest.fixture(scope="module")
