@@ -18,10 +18,9 @@ from __future__ import annotations
 import csv
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass, field, replace
 from itertools import product, takewhile
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .core import (
     ALL_SOLVERS,
@@ -31,6 +30,7 @@ from .core import (
     Instance,
     InstanceFormatError,
     InvalidParameter,
+    Record,
     RmcifError,
     SolutionRecord,
     check_integer,
@@ -82,8 +82,7 @@ def solve_one(
     return SolutionRecord(variant, solver, cost, values, seed, time.perf_counter() - start)
 
 
-@dataclass(frozen=True)
-class SolverSummary:
+class SolverSummary(NamedTuple):
     """Averages for one (variant, solver) pair over its successful cells."""
 
     variant: str
@@ -94,10 +93,17 @@ class SolverSummary:
     mean_seconds: float
 
 
-@dataclass
-class BenchReport:
-    summaries: list[SolverSummary] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class BenchReport(Record):
+    """The per-(variant, solver) summaries and the warnings of one bench run;
+    each list is a fresh empty one unless given."""
+
+    _fields = ("summaries", "warnings")
+
+    def __init__(
+        self, summaries: list[SolverSummary] | None = None, warnings: list[str] | None = None
+    ):
+        self.summaries = [] if summaries is None else summaries
+        self.warnings = [] if warnings is None else warnings
 
 
 def _mean(total: list) -> float | None:
@@ -228,7 +234,7 @@ def run_bench(
                             # the enumeration ignores the seed
                             if isinstance(exact, RmcifError):
                                 raise exact
-                            record = replace(exact, seed=seed)
+                            record = exact._replace(seed=seed)
                         else:
                             record = solve_one(instance, variant, solver, seed, params, exact_budget)
                     except RmcifError as exc:

@@ -11,8 +11,6 @@ case where a draw can fail, all are drawn once before the first write too.
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from pathlib import Path
 
@@ -101,9 +99,12 @@ def _coerce_param(name: str, value, default) -> object:
 
 
 def _build_params(config_path: str | None, overrides: list[str]) -> SearchParams:
-    defaults = {f.name: f.default for f in dataclasses.fields(SearchParams)}
+    default = SearchParams()
+    defaults = {name: getattr(default, name) for name in SearchParams._fields}
     settings: dict[str, object] = {}
     if config_path:
+        import json  # only --config reads JSON
+
         try:
             loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
         except UnicodeDecodeError:

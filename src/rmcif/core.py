@@ -15,10 +15,9 @@ scenarios are numbered from 1 in files and error messages.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from operator import index
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 ABSOLUTE = "absolute"
 DEVIATION = "deviation"
@@ -130,8 +129,55 @@ def check_costs(row, width: int) -> tuple[int, ...]:
     return costs
 
 
-@dataclass(frozen=True)
-class Network:
+class Record:
+    """Equality and repr over the attributes that `_fields` names, in order.
+
+    Records of one class are equal when their fields are; a record never
+    equals an object of another class.  A plain record is mutable and has
+    no hash.  The subclasses write their own ``__init__``, so importing the
+    package generates no code at run time.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    __hash__ = None
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A `Record` that hashes by its fields and refuses assignment and deletion.
+
+    ``__init__`` sets each field once through `_set`; `cached_property`
+    writes the instance ``__dict__`` directly, so caches still work.
+    """
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _set(self, **fields) -> None:
+        vars(self).update(fields)
+
+
+class Network(FrozenRecord):
     """Directed graph with integer arc capacities, source 1 and sink n.
 
     Arc i runs from ``tails[i]`` to ``heads[i]`` with capacity
@@ -144,17 +190,19 @@ class Network:
     cached adjacency, and the network hashes.
     """
 
-    vertex_count: int
-    tails: tuple[int, ...]
-    heads: tuple[int, ...]
-    capacities: tuple[int, ...]
+    _fields = ("vertex_count", "tails", "heads", "capacities")
 
-    def __post_init__(self):
-        n = check_integer(self.vertex_count, "vertex count")
+    def __init__(
+        self,
+        vertex_count: int,
+        tails: Sequence[int],
+        heads: Sequence[int],
+        capacities: Sequence[int],
+    ):
+        n = check_integer(vertex_count, "vertex count")
         if n < 2:
             raise InvalidParameter("a network needs at least a source and a sink")
-        names = ("tails", "heads", "capacities")
-        columns = tuple(check_sequence(getattr(self, name), name) for name in names)
+        columns = tuple(map(check_sequence, (tails, heads, capacities), self._fields[1:]))
         if not len(columns[0]) == len(columns[1]) == len(columns[2]):
             raise InvalidParameter("tails, heads and capacities must have the same length")
         seen: set[tuple[int, int]] = set()
@@ -162,9 +210,8 @@ class Network:
             judged = [check_arc(n, t, h, c, seen) for t, h, c in zip(*columns)]
         except InvalidParameter as exc:
             raise InvalidParameter(f"arc {len(seen) + 1}: {exc}") from None  # seen: arcs before it
-        values = (n, *(zip(*judged) if judged else columns))
-        for name, value in zip(("vertex_count", *names), values):
-            object.__setattr__(self, name, value)  # frozen: as the generated __init__ does
+        tails, heads, capacities = zip(*judged) if judged else columns
+        self._set(vertex_count=n, tails=tails, heads=heads, capacities=capacities)
 
     @property
     def source(self) -> int:
@@ -222,42 +269,42 @@ class Network:
         )
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(FrozenRecord):
     """A network, its cost scenarios, and the required flow value.
 
     `costs` holds one row of arc unit costs per scenario, in arc
     declaration order.  Each row is judged by `check_costs` against the
     network's arc count, and the rows are stored as plain ints in a tuple
     of tuples, so a caller's later edit to its own list cannot reach the
-    instance.  The flow value, judged by `check_integer`, is checked
-    against the maximum source-to-sink flow at construction time too.
+    instance.  The flow value, judged by `check_integer`, is checked at
+    construction time too: `find_flow` must reach it, and it augments up to
+    F only, not on to the maximum flow.
     """
 
-    network: Network
-    costs: tuple[tuple[int, ...], ...]
-    flow_value: int
+    _fields = ("network", "costs", "flow_value")
 
-    def __post_init__(self):
-        if not isinstance(self.network, Network):
-            raise InvalidParameter(f"network must be a Network, got {self.network!r}")
+    def __init__(self, network: Network, costs: Sequence[Sequence[int]], flow_value: int):
+        if not isinstance(network, Network):
+            raise InvalidParameter(f"network must be a Network, got {network!r}")
         rows: list[tuple[int, ...]] = []
         try:
-            for row in self.costs:
-                rows.append(check_costs(row, self.network.arc_count))
+            for row in costs:
+                rows.append(check_costs(row, network.arc_count))
         except TypeError:
-            raise InvalidParameter(f"costs must be rows of integers, got {self.costs!r}") from None
+            raise InvalidParameter(f"costs must be rows of integers, got {costs!r}") from None
         except InvalidParameter as exc:
             raise InvalidParameter(f"scenario {len(rows) + 1}: {exc}") from None
         if not rows:
             raise InvalidParameter("at least one scenario is required")
-        object.__setattr__(self, "costs", tuple(rows))  # frozen: as in `Network`
-        object.__setattr__(self, "flow_value", check_integer(self.flow_value, "flow value"))
+        flow_value = check_integer(flow_value, "flow value")
         # deferred import: flow_ops depends on the types defined above
-        from .flow_ops import max_flow_value
+        from .flow_ops import TargetUnreachable, find_flow
 
-        if self.flow_value > max_flow_value(self.network):
-            raise InvalidParameter("F exceeds maximum flow")
+        try:
+            find_flow(network, flow_value)
+        except TargetUnreachable:
+            raise InvalidParameter("F exceeds maximum flow") from None
+        self._set(network=network, costs=tuple(rows), flow_value=flow_value)
 
 
 def flow_value_of(network: Network, values: Sequence[int]) -> int:
@@ -421,8 +468,7 @@ def write_instance(instance: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class SolutionRecord:
+class SolutionRecord(NamedTuple):
     """One solver run: what was solved, by what, and the flow it returned.
 
     Elapsed time is measurement metadata: it is reported in benchmark output

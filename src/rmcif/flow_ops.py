@@ -394,6 +394,8 @@ def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence
     placed, and a path fits while none of its arcs reads 0.  F placed
     unit paths already make a flow of value F, returned as it is.
     """
+    import numpy as np  # loaded already: `rng` is a numpy Generator
+
     target = len(first)
     if target < 1 or len(second) != target:
         raise InvalidParameter("expected two unit-path lists of equal positive length")
@@ -401,7 +403,8 @@ def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence
     room = list(caps)
     active = int(rng.integers(0, 2))
     lists = (first, second)
-    orders = (rng.permutation(target).tolist(), rng.permutation(target).tolist())
+    # both scan orders in one call, the stream of two `rng.permutation(target)`
+    orders = rng.permuted(np.arange(target)[None].repeat(2, 0), axis=1).tolist()
     cursors = [0, 0]
     picked = 0
     stalls = 0

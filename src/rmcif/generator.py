@@ -11,10 +11,10 @@ fixed order, so an instance is a pure function of its spec.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Real
 
 from .core import (
+    FrozenRecord,
     Instance,
     InvalidParameter,
     Network,
@@ -34,8 +34,7 @@ class GenerationError(RmcifError):
 _DRAW_MAX = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(FrozenRecord):
     """Description of one layered instance family member.
 
     `flow_value`, when set, is the required value F and the draw is
@@ -43,41 +42,53 @@ class GeneratorSpec:
     max-flow scaled by `flow_fraction`, rounded half-up.
     """
 
-    layer_widths: tuple[int, ...]
-    scenario_count: int
-    capacity_range: tuple[int, int] = (0, 99)
-    cost_range: tuple[int, int] = (0, 99)
-    density: float = 1.0
-    flow_value: int | None = None
-    flow_fraction: float = 0.5
-    seed: int = 0
-    max_retries: int = 20
+    _fields = (
+        "layer_widths",
+        "scenario_count",
+        "capacity_range",
+        "cost_range",
+        "density",
+        "flow_value",
+        "flow_fraction",
+        "seed",
+        "max_retries",
+    )
 
-    def __post_init__(self):
-        widths = check_sequence(self.layer_widths, "layer widths")
+    def __init__(
+        self,
+        layer_widths: tuple[int, ...],
+        scenario_count: int,
+        capacity_range: tuple[int, int] = (0, 99),
+        cost_range: tuple[int, int] = (0, 99),
+        density: float = 1.0,
+        flow_value: int | None = None,
+        flow_fraction: float = 0.5,
+        seed: int = 0,
+        max_retries: int = 20,
+    ):
+        widths = check_sequence(layer_widths, "layer widths")
         if not widths:
             raise InvalidParameter("no layer widths given")
         judged = {
             "layer_widths": tuple(check_integer(w, "layer widths", 1) for w in widths),
-            "scenario_count": check_integer(self.scenario_count, "scenario count", 1),
-            "max_retries": check_integer(self.max_retries, "retry budget", 1),
-            "seed": check_integer(self.seed, "seed"),
+            "scenario_count": check_integer(scenario_count, "scenario count", 1),
+            "max_retries": check_integer(max_retries, "retry budget", 1),
+            "seed": check_integer(seed, "seed"),
         }
-        if self.flow_value is not None:
-            judged["flow_value"] = check_integer(self.flow_value, "flow value")
-        for name in ("capacity_range", "cost_range"):
+        if flow_value is not None:
+            flow_value = check_integer(flow_value, "flow value")
+        for name, pair in (("capacity_range", capacity_range), ("cost_range", cost_range)):
             try:
-                lo, hi = getattr(self, name)
+                lo, hi = pair
             except (TypeError, ValueError):
                 raise InvalidParameter(f"{name} must be a pair of integers") from None
             lo = check_integer(lo, f"{name} lower end", 0, _DRAW_MAX)
             judged[name] = (lo, check_integer(hi, f"{name} upper end", lo, _DRAW_MAX))
-        if not isinstance(self.density, Real) or not 0 < self.density <= 1:
-            raise InvalidParameter(f"density must lie in (0, 1], got {self.density!r}")
-        if not isinstance(self.flow_fraction, Real) or not 0 <= self.flow_fraction <= 1:
-            raise InvalidParameter(f"flow fraction must lie in [0, 1], got {self.flow_fraction!r}")
-        for name, value in judged.items():
-            object.__setattr__(self, name, value)  # frozen: as the generated __init__ does
+        if not isinstance(density, Real) or not 0 < density <= 1:
+            raise InvalidParameter(f"density must lie in (0, 1], got {density!r}")
+        if not isinstance(flow_fraction, Real) or not 0 <= flow_fraction <= 1:
+            raise InvalidParameter(f"flow fraction must lie in [0, 1], got {flow_fraction!r}")
+        self._set(density=density, flow_value=flow_value, flow_fraction=flow_fraction, **judged)
 
 
 def _layer_vertices(widths: tuple[int, ...]) -> list[list[int]]:

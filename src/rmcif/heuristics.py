@@ -54,8 +54,9 @@ dropped once the population is full.  The mutations of the generation
 loop and `local_search` build every neighborhood afresh.
 
 The loop's frequent draws are cheap ones: a tournament draws its sample
-from one ``rng.random(size)`` call (Floyd's algorithm) and maps the
-positions past the excluded index without building a candidate list,
+from ``size`` uniforms (Floyd's algorithm) and maps the positions past
+the excluded index without building a candidate list, both parents'
+tournaments take their uniforms from one ``rng.random(2 * size)`` call,
 and the per-generation mutation coin is one ``rng.random()``.
 `insert_child` compares cost gaps with one integer band per call.
 
@@ -66,12 +67,19 @@ seed, and every tie is broken by position.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
 from itertools import compress, islice
 from operator import gt, lt, ne
 from typing import TYPE_CHECKING
 
-from .core import EC_SOLVERS, LS_SOLVERS, Instance, InvalidParameter, SolutionRecord, check_integer
+from .core import (
+    EC_SOLVERS,
+    LS_SOLVERS,
+    FrozenRecord,
+    Instance,
+    InvalidParameter,
+    SolutionRecord,
+    check_integer,
+)
 from .flow_ops import (
     center,
     compose,
@@ -91,31 +99,53 @@ if TYPE_CHECKING:
 MUTATION_SEARCH_CAP = 50
 
 
-@dataclass(frozen=True)
-class SearchParams:
+class SearchParams(FrozenRecord):
     """Tunable knobs shared by all heuristic solvers.
 
     `None` for a limit whose default is None means unbounded.  Thresholds
     are percentages.
     """
 
-    neighborhood_size: int = 30
-    iteration_limit: int | None = None
-    population_size: int = 30
-    generation_limit: int | None = None
-    no_improvement_limit: int = 300
-    similarity_threshold: int = 5
-    mutation_threshold: int = 1
-    tournament_size: int = 3
+    _fields = (
+        "neighborhood_size",
+        "iteration_limit",
+        "population_size",
+        "generation_limit",
+        "no_improvement_limit",
+        "similarity_threshold",
+        "mutation_threshold",
+        "tournament_size",
+    )
 
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if value is None and f.default is None:  # a limit that may be unbounded
+    def __init__(
+        self,
+        neighborhood_size: int = 30,
+        iteration_limit: int | None = None,
+        population_size: int = 30,
+        generation_limit: int | None = None,
+        no_improvement_limit: int = 300,
+        similarity_threshold: int = 5,
+        mutation_threshold: int = 1,
+        tournament_size: int = 3,
+    ):
+        values = (
+            neighborhood_size,
+            iteration_limit,
+            population_size,
+            generation_limit,
+            no_improvement_limit,
+            similarity_threshold,
+            mutation_threshold,
+            tournament_size,
+        )
+        judged = {}
+        for name, value in zip(self._fields, values):
+            if value is None and name in ("iteration_limit", "generation_limit"):
+                judged[name] = None  # a limit that may be unbounded
                 continue
-            high = 100 if f.name.endswith("_threshold") else None
-            # frozen: write the field the way the generated __init__ does
-            object.__setattr__(self, f.name, check_integer(value, f.name, 0 if high else 1, high))
+            high = 100 if name.endswith("_threshold") else None
+            judged[name] = check_integer(value, name, 0 if high else 1, high)
+        self._set(**judged)
 
 
 def check_params(params) -> SearchParams:
@@ -334,11 +364,9 @@ def tournament_select(population, mode: str, sample_size: int, rng, exclude: int
 
     The sample is uniform over the subsets of its size among the members
     other than `exclude`, a member index or None, drawn by Floyd's
-    algorithm from one ``rng.random(size)`` call: step j takes a uniform
-    position in 0..j, or j itself when that one is already taken.
-    Position p is member p, or p + 1 from the excluded index on.  Ties go
-    to the lower member index.  Returns None when `exclude` leaves
-    nothing to sample.
+    algorithm from one ``rng.random(size)`` call (see `_tournament`).
+    Ties go to the lower member index.  Returns None when `exclude`
+    leaves nothing to sample.
     """
     n = len(population) - (exclude is not None)
     if n <= 0:
@@ -349,9 +377,21 @@ def tournament_select(population, mode: str, sample_size: int, rng, exclude: int
         better = gt
     else:
         raise InvalidParameter(f"unknown tournament mode {mode!r}")
-    size = min(sample_size, n)
+    return _tournament(population, better, rng.random(min(sample_size, n)).tolist(), exclude)
+
+
+def _tournament(population, better, uniforms: list[float], exclude: int | None = None) -> int:
+    """Index of the member that `better` prefers in the sample `uniforms` draw.
+
+    The sample holds one position per uniform, among the ``n`` members
+    other than `exclude`: step j, for j from ``n - len(uniforms)`` to
+    ``n - 1``, takes a uniform position in 0..j, or j itself when that one
+    is already taken (Floyd's algorithm).  Position p is member p, or
+    p + 1 from the excluded index on.  Ties go to the lower member index.
+    """
+    n = len(population) - (exclude is not None)
     picked: set[int] = set()
-    for j, u in zip(range(n - size, n), rng.random(size).tolist()):
+    for j, u in zip(range(n - len(uniforms), n), uniforms):
         t = int(u * (j + 1))
         picked.add(j if t in picked else t)
     chosen = chosen_cost = None
@@ -527,8 +567,12 @@ def evolutionary(
         params.generation_limit is None or generations < params.generation_limit
     ) and stagnant < params.no_improvement_limit:
         previous = best_cost
-        first = tournament_select(population, "best", params.tournament_size, rng)
-        second = tournament_select(population, "best", params.tournament_size, rng)
+        # both parents' tournaments from one draw: the stream of two
+        # `tournament_select` calls, in one numpy call
+        size = min(params.tournament_size, len(population))
+        uniforms = rng.random(2 * size).tolist()
+        first = _tournament(population, lt, uniforms[:size])
+        second = _tournament(population, lt, uniforms[size:])
         child, child_costs = crossover(first, second)
         child_cost = criterion.evaluate(child, child_costs)
         population = insert_child(

@@ -19,22 +19,22 @@ mutation, and a flow that is built afresh is costed once by
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul, sub
+from typing import NamedTuple
 
 from .core import (
     ABSOLUTE,
     DEVIATION,
     Instance,
     InvalidParameter,
+    Record,
     WrongFlowValue,
     validate_flow,
 )
 from .flow_ops import min_cost_flow
 
 
-@dataclass(frozen=True)
-class ScenarioOptima:
+class ScenarioOptima(NamedTuple):
     """Per-scenario minimum costs, one optimal flow witnessing each, and
     the `scenario_costs` of each such flow, so ``costs[s] == vectors[s][s]``."""
 
@@ -81,8 +81,7 @@ def scenario_costs(instance: Instance, flow) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, flow)) for row in instance.costs)
 
 
-@dataclass
-class Criterion:
+class Criterion(Record):
     """Callable robust objective with an evaluation counter.
 
     Heuristics rank candidate flows through one of these; the counter
@@ -91,8 +90,11 @@ class Criterion:
     its `shift` entry.
     """
 
-    shift: tuple[int, ...]
-    evaluations: int = field(default=0)
+    _fields = ("shift", "evaluations")
+
+    def __init__(self, shift: tuple[int, ...], evaluations: int = 0):
+        self.shift = shift
+        self.evaluations = evaluations
 
     def evaluate(self, flow, costs: tuple[int, ...]) -> int:
         """Robust cost of `flow`, whose `scenario_costs` are `costs`.

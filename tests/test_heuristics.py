@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -20,6 +19,7 @@ from rmcif import (
     HEURISTIC_SOLVERS,
     LS_SOLVERS,
     VARIANTS,
+    Instance,
     InvalidParameter,
     SearchParams,
     evolutionary,
@@ -312,7 +312,7 @@ class TestLocalSearch:
             instance = chain_instance(3, 2, 0)
         else:
             cyc = parse_instance((Path(__file__).parent / "data" / "cyc.rmcif").read_text())
-            instance = replace(cyc, flow_value=0)
+            instance = Instance(cyc.network, cyc.costs, 0)
         record = local_search(instance, variant, solver)
         assert record.robust_cost == 0
         assert record.values == (0,) * instance.network.arc_count
@@ -396,7 +396,7 @@ class TestEvolutionary:
     def test_same_seed_same_record(self, diamond):
         a = evolutionary(diamond, ABSOLUTE, "ec7", params=FAST, seed=9)
         b = evolutionary(diamond, ABSOLUTE, "ec7", params=FAST, seed=9)
-        assert replace(a, elapsed_seconds=0.0) == replace(b, elapsed_seconds=0.0)
+        assert a._replace(elapsed_seconds=0.0) == b._replace(elapsed_seconds=0.0)
 
     def test_stops_after_stagnation(self, diamond):
         generations = []

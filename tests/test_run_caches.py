@@ -11,6 +11,7 @@ A descent with a memo, fresh or filled, must follow the one without.
 from __future__ import annotations
 
 import weakref
+from operator import lt
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import cyclic_instances, gen, scrambled_flow
 from rmcif import DEVIATION, VARIANTS, SearchParams, evolutionary, flow_ops, heuristics
-from rmcif.heuristics import _descend, _neighborhood, tournament_select
+from rmcif.heuristics import _descend, _neighborhood, _tournament
 from rmcif.objectives import compute_optima, make_criterion, scenario_costs
 
 CROSSOVER_SOLVERS = ("ec7", "ec8", "ec9")
@@ -39,13 +40,13 @@ class Watch:
         self.composed = 0
         self.kept = 0  # unit-path lists not yet freed
         self.most_kept = 0
-        monkeypatch.setattr(heuristics, "tournament_select", self.select)
+        monkeypatch.setattr(heuristics, "_tournament", self.select)
         monkeypatch.setattr(heuristics, "decompose", self.decompose)
         monkeypatch.setattr(heuristics, "compose", self.compose)
 
-    def select(self, population, mode, *args, **kwargs):
-        chosen = tournament_select(population, mode, *args, **kwargs)
-        if mode == "best":
+    def select(self, population, better, *args, **kwargs):
+        chosen = _tournament(population, better, *args, **kwargs)
+        if better is lt:  # a parent's "best" tournament, not insert_child's "worst" one
             self.parents.append(population[chosen][0])
             self.live.append({member[0] for member in population})
         return chosen

@@ -1,12 +1,16 @@
-"""numpy is loaded by the first `make_rng` call, never by ``import rmcif``.
+"""Start-up imports only what every command needs.
 
+numpy is loaded by the first `make_rng` call, never by ``import rmcif``:
 ls1..ls4, `exact`, `export-lp` and the parser draw no random number, so
 those paths run without numpy; ec1..ec9 and `generate` load it when they
-make their generator.  The test process has numpy loaded already, so
+make their generator.  No module of the package imports `dataclasses`
+(which pulls in `inspect`), and `json` is imported only to read a
+``--config`` file.  The test process has all of these loaded already, so
 every check runs in a fresh interpreter.
 """
 from __future__ import annotations
 
+import ast
 import json
 import os
 import shutil
@@ -19,19 +23,30 @@ import rmcif
 SRC = Path(rmcif.__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 
-# argv[1] says whether to import numpy before rmcif; argv[2] is a JSON
-# list of command lines for `rmcif.cli.main`.  The last stdout line is
-# whether numpy was loaded after the import, then the exit code and that
-# flag after each command.
-PROBE = """
-import json, sys
+WATCHED = ("numpy", "dataclasses", "inspect", "json")
+
+# argv[1] says whether to import numpy before rmcif; the rest are command
+# lines for `rmcif.cli.main`, separated by ";" tokens.  The probe imports
+# nothing of its own, so what it reports the package loaded.  The last
+# stdout line is the repr of a list: the watched modules loaded after the
+# import, then the exit code and the watched modules loaded after each
+# command.
+PROBE = f"""
+import sys
 if sys.argv[1] == "numpy-first":
     import numpy
 import rmcif, rmcif.cli
-loaded = ["numpy" in sys.modules]
-for argv in json.loads(sys.argv[2]):
-    loaded.append([rmcif.cli.main(argv), "numpy" in sys.modules])
-print(json.dumps(loaded))
+commands = []
+for token in sys.argv[2:]:
+    if token == ";":
+        commands.append([])
+    else:
+        commands[-1].append(token)
+loaded = lambda: sorted(name for name in {WATCHED!r} if name in sys.modules)
+report = [loaded()]
+for argv in commands:
+    report.append([rmcif.cli.main(argv), loaded()])
+print(repr(report))
 """
 
 
@@ -39,18 +54,21 @@ def _probe(commands, numpy_first=False):
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), path))))
     order = "numpy-first" if numpy_first else "rmcif-first"
+    argv = [token for command in commands for token in (";", *command)]
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, order, json.dumps(commands)],
+        [sys.executable, "-c", PROBE, order, *argv],
         capture_output=True, text=True, env=env, timeout=300, check=True,
     )
-    return json.loads(done.stdout.splitlines()[-1])
+    return ast.literal_eval(done.stdout.splitlines()[-1])
 
 
 def test_import_loads_no_numpy():
-    assert _probe([]) == [False]
+    """Nor dataclasses, inspect or json."""
+    assert _probe([]) == [[]]
 
 
 def test_commands_that_never_draw_load_no_numpy(tmp_path):
+    """Nor dataclasses, inspect or json."""
     cyc = str(DATA / "cyc.rmcif")
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -63,8 +81,25 @@ def test_commands_that_never_draw_load_no_numpy(tmp_path):
         ["export-lp", "--instance", cyc, "--variant", "absolute", "-o", str(tmp_path / "cyc.lp")],
         ["bench", "--dir", str(corpus), "--solvers", "ls1,ls4", "--out", str(tmp_path / "bench.csv")],
     ]
-    assert _probe(commands) == [False] + [[0, False]] * len(commands)
+    assert _probe(commands) == [[]] + [[0, []]] * len(commands)
     assert (tmp_path / "bench.csv").stat().st_size > 0
+
+
+def test_config_loads_json_and_reads_the_file(tmp_path):
+    cyc = str(DATA / "cyc.rmcif")
+    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+    good.write_text(json.dumps({"neighborhood_size": 5, "iteration_limit": None}))
+    bad.write_text(json.dumps({"no_such_knob": 1}))
+    solve = ["solve", "--instance", cyc, "--variant", "absolute", "--solver", "ls1"]
+    commands = [
+        [*solve, "-o", str(tmp_path / "plain.sol")],
+        [*solve, "--config", str(good), "-o", str(tmp_path / "good.sol")],
+        [*solve, "--config", str(bad), "-o", str(tmp_path / "bad.sol")],
+    ]
+    # the unknown name fails the third solve: the file was read
+    assert _probe(commands) == [[], [0, []], [0, ["json"]], [1, ["json"]]]
+    assert (tmp_path / "good.sol").exists()
+    assert not (tmp_path / "bad.sol").exists()
 
 
 def test_drawing_commands_load_numpy_with_the_same_bytes(tmp_path):
@@ -79,6 +114,22 @@ def test_drawing_commands_load_numpy_with_the_same_bytes(tmp_path):
             ["generate", "--width", "3,3", "--scenarios", "3", "--seed", "5",
              "-o", str(out / "gen.rmcif")],
         ]
-        assert _probe(commands, numpy_first) == [numpy_first, [0, True], [0, True]]
+        report = _probe(commands, numpy_first)
+        assert [("numpy" in loaded) for loaded in report[:1]] == [numpy_first]
+        assert [(code, "numpy" in loaded) for code, loaded in report[1:]] == [(0, True)] * 2
+        assert not {"dataclasses", "json"} & {name for _, loaded in report[1:] for name in loaded}
         outputs[numpy_first] = [(out / name).read_bytes() for name in ("ec1.sol", "gen.rmcif")]
     assert outputs[False] == outputs[True]
+
+
+def test_no_module_imports_dataclasses():
+    for path in sorted((SRC / "rmcif").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert "dataclasses" not in names, f"{path.name} imports dataclasses"
