@@ -347,6 +347,16 @@ def validate_flow(instance: Instance, values: Sequence[int]) -> int:
     return value
 
 
+def require_feasible(instance: Instance, values: Sequence[int]) -> None:
+    """Check that `values` is a flow of the instance's required value F.
+
+    Raises like `validate_flow`, or `WrongFlowValue`.
+    """
+    value = validate_flow(instance, values)
+    if value != instance.flow_value:
+        raise WrongFlowValue(f"flow value {value} differs from required value {instance.flow_value}")
+
+
 def _int_token(token: str, what: str, line: int) -> int:
     try:
         return int(token)
@@ -494,11 +504,7 @@ def format_solution(record: SolutionRecord, instance: Instance) -> str:
         raise InvalidParameter(f"unknown variant tag {record.variant!r}")
     if record.solver not in ALL_SOLVERS:
         raise InvalidParameter(f"unknown solver tag {record.solver!r}")
-    value = validate_flow(instance, record.values)
-    if value != instance.flow_value:
-        raise WrongFlowValue(
-            f"solution value {value} differs from required {instance.flow_value}"
-        )
+    require_feasible(instance, record.values)
     lines = [f"o {record.variant} {record.solver} {record.robust_cost} {record.seed}"]
     network = instance.network
     for tail, head, v in zip(network.tails, network.heads, record.values):

@@ -161,8 +161,9 @@ def check_params(params) -> SearchParams:
 def make_rng(seed: int) -> Generator:
     """Counter-based generator; the same seed reproduces the same stream anywhere.
 
-    numpy is imported here, on the first call, and nowhere else in the
-    package: ls1..ls4, `exact`, `export_lp` and the parser never draw, so
+    numpy is imported here, on the first call; the only other import is
+    `compose`'s, which takes one of these generators and so finds numpy
+    loaded.  ls1..ls4, `exact`, `export_lp` and the parser never draw, so
     ``import rmcif`` and those paths run without loading it.  The seed is
     judged before the import, and the stream does not depend on when
     numpy was loaded.
@@ -359,35 +360,16 @@ def local_search(
     return SolutionRecord(variant, solver, best_cost, best_flow, seed, time.perf_counter() - t0)
 
 
-def tournament_select(population, mode: str, sample_size: int, rng, exclude: int | None = None):
-    """Index of the best (or worst) member of a random distinct sample.
-
-    The sample is uniform over the subsets of its size among the members
-    other than `exclude`, a member index or None, drawn by Floyd's
-    algorithm from one ``rng.random(size)`` call (see `_tournament`).
-    Ties go to the lower member index.  Returns None when `exclude`
-    leaves nothing to sample.
-    """
-    n = len(population) - (exclude is not None)
-    if n <= 0:
-        return None
-    if mode == "best":
-        better = lt
-    elif mode == "worst":
-        better = gt
-    else:
-        raise InvalidParameter(f"unknown tournament mode {mode!r}")
-    return _tournament(population, better, rng.random(min(sample_size, n)).tolist(), exclude)
-
-
-def _tournament(population, better, uniforms: list[float], exclude: int | None = None) -> int:
+def _tournament(population, better, uniforms: list[float], exclude: int | None = None) -> int | None:
     """Index of the member that `better` prefers in the sample `uniforms` draw.
 
     The sample holds one position per uniform, among the ``n`` members
     other than `exclude`: step j, for j from ``n - len(uniforms)`` to
     ``n - 1``, takes a uniform position in 0..j, or j itself when that one
     is already taken (Floyd's algorithm).  Position p is member p, or
-    p + 1 from the excluded index on.  Ties go to the lower member index.
+    p + 1 from the excluded index on, so ``size`` uniforms from one
+    ``rng.random(size)`` call draw a sample uniform over the subsets of
+    that size.  Ties go to the lower member index; no uniforms pick None.
     """
     n = len(population) - (exclude is not None)
     picked: set[int] = set()
@@ -436,8 +418,9 @@ def insert_child(
             if child_cost < twin[1]:
                 population[i] = (child, child_cost, child_costs)
             return population
-    victim = tournament_select(population, "worst", tournament_size, rng, exclude=best_index)
-    if victim is not None:
+    n = len(population) - 1
+    if n > 0:
+        victim = _tournament(population, gt, rng.random(min(tournament_size, n)).tolist(), best_index)
         population[victim] = (child, child_cost, child_costs)
     return population
 
@@ -568,7 +551,7 @@ def evolutionary(
     ) and stagnant < params.no_improvement_limit:
         previous = best_cost
         # both parents' tournaments from one draw: the stream of two
-        # `tournament_select` calls, in one numpy call
+        # ``rng.random(size)`` calls, in one numpy call
         size = min(params.tournament_size, len(population))
         uniforms = rng.random(2 * size).tolist()
         first = _tournament(population, lt, uniforms[:size])

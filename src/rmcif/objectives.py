@@ -28,8 +28,8 @@ from .core import (
     Instance,
     InvalidParameter,
     Record,
-    WrongFlowValue,
-    validate_flow,
+    require_feasible,
+    validate_flow,  # unused here, but the benchmark's tracer binds it in this module
 )
 from .flow_ops import min_cost_flow
 
@@ -64,20 +64,12 @@ def compute_optima(instance: Instance) -> ScenarioOptima:
     return optima
 
 
-def _require_feasible(instance: Instance, flow) -> None:
-    value = validate_flow(instance, flow)
-    if value != instance.flow_value:
-        raise WrongFlowValue(
-            f"flow value {value} differs from required value {instance.flow_value}"
-        )
-
-
 def scenario_costs(instance: Instance, flow) -> tuple[int, ...]:
     """Costs of a feasible flow of the required value, one per scenario.
 
     Raises like `validate_flow`, or `WrongFlowValue`.
     """
-    _require_feasible(instance, flow)
+    require_feasible(instance, flow)
     return tuple(sum(map(mul, row, flow)) for row in instance.costs)
 
 

@@ -1,5 +1,11 @@
-"""Shared fixtures: tiny hand-built networks and seeded instance streams."""
+"""Shared fixtures: tiny hand-built networks, seeded instance streams and
+the `rmcif` command run in a child interpreter."""
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -7,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+import rmcif
 from rmcif import (
     GenerationError,
     GeneratorSpec,
@@ -21,6 +28,37 @@ settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
+
+SRC = Path(rmcif.__file__).resolve().parents[1]
+
+
+def child_env(**extra: str) -> dict[str, str]:
+    """This process's environment with `src` first on PYTHONPATH, plus `extra`."""
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), path))), **extra)
+
+
+def start_cli(argv, cwd=None, **env: str) -> subprocess.Popen:
+    """``python -m rmcif.cli *argv`` in a child interpreter; `env` adds variables."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "rmcif.cli", *map(str, argv)], cwd=cwd, env=child_env(**env),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def finish_cli(process: subprocess.Popen) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of a `start_cli` child, which must print
+    no Python traceback, whether it succeeds or not."""
+    try:
+        out, err = process.communicate(timeout=300)
+    finally:
+        process.kill()
+    assert "Traceback" not in out + err, err
+    return process.returncode, out, err
+
+
+def run_cli(argv, cwd=None, **env: str) -> tuple[int, str, str]:
+    return finish_cli(start_cli(argv, cwd, **env))
 
 # Two arc-disjoint paths of capacity 1; scenario 1 favors the upper path,
 # scenario 2 the lower.  Every solver question about it can be answered by

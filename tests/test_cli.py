@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from conftest import DIAMOND_TEXT
+from conftest import DIAMOND_TEXT, run_cli
 from rmcif import (
     ABSOLUTE,
     GeneratorSpec,
@@ -548,98 +548,144 @@ def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsy
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["solve", "--instance", "{missing}", "--variant", "abs", "--solver", "ls1"],
-        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
-         "--param", "neighborhood_size=abc"],
-        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
-         "--param", "neighborhood_size=0"],
-        ["generate", "--width", "2", "--layers", "2", "--scenarios", "0"],
-        ["generate", "--width", "2", "--layers", "2", "--scenarios", "1", "--density", "1.5"],
-        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
-         "--config", "{config}"],
-        ["generate", "--width", "2", "--layers", "2", "--scenarios", "1", "--seed", "-1"],
-        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ec1",
-         "--seed", "-1"],
-        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
-         "--seed", "-1"],
-        ["bench", "--dir", "{dir}", "--seeds", "3:1", "--out", "{csv}"],
-        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "exact",
-         "--budget", "-5"],
-        ["bench", "--dir", "{dir}", "--budget", "-1", "--out", "{csv}"],
-        ["bench", "--dir", "{dir}", "--variants", "foo", "--out", "{csv}"],
-        ["solve", "--instance", "{latin}", "--variant", "abs", "--solver", "ls1"],
-        ["export-lp", "--instance", "{latin}", "--variant", "abs"],
-        ["bench", "--dir", "{latin_dir}", "--out", "{csv}"],
-        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
-         "--config", "{config_latin}"],
-        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
-         "--config", "{config_float}"],
-        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
-         "--config", "{config_bool}"],
-        ["generate", "--width", "2", "--layers", "2", "--scenarios", "2",
-         "--cap", "99999999999999999999:99999999999999999999"],
-        ["generate", "--width", "2", "--layers", "2", "--scenarios", "2", "--cap", "1:x"],
-        ["generate", "--width", "2,x", "--layers", "2", "--scenarios", "2"],
-        ["bench", "--dir", "{dir}", "--solvers", "ls9", "--out", "{csv}"],
-        ["solve", "--instance", "{diamond}", "--solver", "ls1"],
-        [],
-        ["solve", "--instance", "{sparse}", "--variant", "abs", "--solver", "ls1"],
-        ["export-lp", "--instance", "{sparse}", "--variant", "abs"],
-        ["bench", "--dir", "{sparse_dir}", "--out", "{csv}"],
-        ["bench", "--dir", "{dir}", "--seeds", "-1", "--out", "{csv}"],
-        ["bench", "--dir", "{dir}", "--seeds", "0,-2", "--out", "{csv}"],
-        ["bench", "--dir", "{dir}", "--seeds=-2:0", "--out", "{csv}"],
-        ["bench", "--dir", "{dir}", "--seeds", "x", "--out", "{csv}"],
-        ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls9"],
-        ["export-lp", "--instance", "{diamond}", "--variant", "worst"],
-    ],
-    ids=["missing-instance", "non-integer-param", "zero-param", "zero-scenarios", "density",
-         "config-not-json", "generate-negative-seed", "ec-negative-seed", "ls-negative-seed",
-         "empty-seed-range", "solve-negative-budget", "bench-negative-budget",
-         "bench-unknown-variant", "solve-non-ascii", "export-lp-non-ascii", "bench-non-ascii",
-         "config-not-utf8", "config-float", "config-bool", "generate-oversized-cap",
-         "generate-non-integer-cap", "generate-non-integer-width", "bench-unknown-solver",
-         "solve-missing-variant", "no-command", "solve-sparse-header",
-         "export-lp-sparse-header", "bench-sparse-header", "bench-negative-seed",
-         "bench-negative-seed-list", "bench-negative-seed-range", "bench-malformed-seeds",
-         "solve-unknown-solver", "export-lp-unknown-variant"],
-)
-def test_bad_input_is_one_error_line(argv, diamond_file, tmp_path, capsys):
-    config = tmp_path / "params.json"
-    config.write_text("{neighborhood_size: 3")
-    config_latin = tmp_path / "latin.json"
-    config_latin.write_bytes(b"\xff{}")
-    config_float = tmp_path / "float.json"
-    config_float.write_text('{"population_size": 2.7}')
-    config_bool = tmp_path / "bool.json"
-    config_bool.write_text('{"neighborhood_size": true}')
-    latin = tmp_path / "latin" / "diamond.rmcif"
-    latin.parent.mkdir()
-    latin.write_bytes(diamond_file.read_bytes().replace(b"s 2", b"c \xff\ns 2"))
-    sparse = tmp_path / "sparse" / "sparse.rmcif"
-    sparse.parent.mkdir()
-    sparse.write_text("p rmcif 2000000 0 1 0\ns 1\n")
-    paths = {
-        "latin": str(latin),
-        "latin_dir": str(latin.parent),
-        "sparse": str(sparse),
-        "sparse_dir": str(sparse.parent),
-        "missing": str(tmp_path / "missing.rmcif"),
-        "diamond": str(diamond_file),
-        "config": str(config),
-        "config_latin": str(config_latin),
-        "config_float": str(config_float),
-        "config_bool": str(config_bool),
-        "dir": str(diamond_file.parent),
-        "csv": str(tmp_path / "bench.csv"),
-    }
-    code = main([arg.format(**paths) for arg in argv])
-    captured = capsys.readouterr()
+# Each bad instance file kind sits in a directory of its own, after a
+# good copy of the diamond, and is read by solve, export-lp and bench.
+# A second item is the error text after the bench's file name.
+BAD_FILES = {
+    "non-ascii": (DIAMOND_TEXT.replace("s 2", "c \xff\ns 2").encode("latin-1"), None),
+    "sparse-header": (b"p rmcif 2000000 0 1 0\ns 1\n", None),
+    "duplicate-arc": (b"p rmcif 3 2 1 1\na 1 2 1\na 1 2 1\ns 1 1 1\n", "line 3: duplicate arc 1->2"),
+    "self-loop": (b"p rmcif 3 2 1 1\na 1 2 1\na 2 2 1\ns 1 1 1\n", None),
+    "negative-capacity": (b"p rmcif 3 2 1 1\na 1 2 -1\na 2 3 1\ns 1 1 1\n", None),
+    "negative-cost": (
+        b"p rmcif 3 2 1 1\na 1 2 1\na 2 3 1\ns 1 1 -1\n", "line 4: cost must be nonnegative, got -1"
+    ),
+    "short-scenario": (
+        b"p rmcif 3 2 1 1\na 1 2 1\na 2 3 1\ns 1 1\n", "line 4: length mismatch: expected 2 costs, found 1"
+    ),
+    "long-scenario": (
+        b"p rmcif 3 2 1 1\na 1 2 1\na 2 3 1\ns 1 1 1 1\n",
+        "line 4: length mismatch: expected 2 costs, found 3",
+    ),
+    "truncated-instance": (
+        "".join(DIAMOND_TEXT.splitlines(True)[:2]).encode(), "line 1: expected 4 arc lines, found 1"
+    ),
+}
+BAD_INPUTS = {
+    "missing-instance": ["solve", "--instance", "{missing}", "--variant", "abs", "--solver", "ls1"],
+    "non-integer-param": ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+                          "--param", "neighborhood_size=abc"],
+    "zero-param": ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+                   "--param", "neighborhood_size=0"],
+    "zero-scenarios": ["generate", "--width", "2", "--layers", "2", "--scenarios", "0"],
+    "density": ["generate", "--width", "2", "--layers", "2", "--scenarios", "1", "--density", "1.5"],
+    "config-not-json": ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+                        "--config", "{config}"],
+    "generate-negative-seed": ["generate", "--width", "2", "--layers", "2", "--scenarios", "1",
+                               "--seed", "-1"],
+    "ec-negative-seed": ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ec1",
+                         "--seed", "-1"],
+    "ls-negative-seed": ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+                         "--seed", "-1"],
+    "empty-seed-range": ["bench", "--dir", "{dir}", "--seeds", "3:1", "--out", "{csv}"],
+    "solve-negative-budget": ["solve", "--instance", "{diamond}", "--variant", "abs",
+                              "--solver", "exact", "--budget", "-5"],
+    "bench-negative-budget": ["bench", "--dir", "{dir}", "--budget", "-1", "--out", "{csv}"],
+    "bench-unknown-variant": ["bench", "--dir", "{dir}", "--variants", "foo", "--out", "{csv}"],
+    "config-not-utf8": ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+                        "--config", "{config_latin}"],
+    "config-float": ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+                     "--config", "{config_float}"],
+    "config-bool": ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls1",
+                    "--config", "{config_bool}"],
+    "generate-oversized-cap": ["generate", "--width", "2", "--layers", "2", "--scenarios", "2",
+                               "--cap", "99999999999999999999:99999999999999999999"],
+    "generate-non-integer-cap": ["generate", "--width", "2", "--layers", "2", "--scenarios", "2",
+                                 "--cap", "1:x"],
+    "generate-non-integer-width": ["generate", "--width", "2,x", "--layers", "2", "--scenarios", "2"],
+    "bench-unknown-solver": ["bench", "--dir", "{dir}", "--solvers", "ls9", "--out", "{csv}"],
+    "solve-missing-variant": ["solve", "--instance", "{diamond}", "--solver", "ls1"],
+    "no-command": [],
+    "bench-negative-seed": ["bench", "--dir", "{dir}", "--seeds", "-1", "--out", "{csv}"],
+    "bench-negative-seed-list": ["bench", "--dir", "{dir}", "--seeds", "0,-2", "--out", "{csv}"],
+    "bench-negative-seed-range": ["bench", "--dir", "{dir}", "--seeds=-2:0", "--out", "{csv}"],
+    "bench-malformed-seeds": ["bench", "--dir", "{dir}", "--seeds", "x", "--out", "{csv}"],
+    "solve-unknown-solver": ["solve", "--instance", "{diamond}", "--variant", "abs", "--solver", "ls9"],
+    "export-lp-unknown-variant": ["export-lp", "--instance", "{diamond}", "--variant", "worst"],
+    "bench-repeated-solver": ["bench", "--dir", "{dir}", "--solvers", "ls1,ls1", "--out", "{csv}"],
+    "bench-csv-in-missing-directory": ["bench", "--dir", "{dir}", "--solvers", "ls1",
+                                       "--out", "{out}/x.csv", "--sol-dir", "{out}-sols"],
+    "corpus-zero-width": ["corpus", "{out}", "--count", "1", "--width", "0,3", "--scenarios", "3"],
+    "corpus-non-integer-width": ["corpus", "{out}", "--count", "1", "--width", "3,a",
+                                 "--scenarios", "3"],
+    "corpus-zero-count": ["corpus", "{out}", "--count", "0", "--width", "3,3", "--scenarios", "3"],
+    "sweep-unknown-solver": ["sweep", "{out}", "--shapes", "2x2", "--solvers", "ls9", "--count", "1",
+                             "--scenarios", "3"],
+    "sweep-malformed-seeds": ["sweep", "{out}", "--shapes", "2x2", "--seeds", "0:x", "--count", "1",
+                              "--scenarios", "3"],
+    "corpus-unreached-flow": ["corpus", "{out}", "--count", "2", "--width", "2,2", "--scenarios", "2",
+                              "--cap", "1:1", "--flow", "3", "--retries", "2"],
+    # the 3x3 family can be drawn, the 2x2 one cannot carry 3 units
+    "sweep-unreached-flow": ["sweep", "{out}", "--shapes", "3x3,2x2", "--solvers", "ls1",
+                             "--count", "1", "--scenarios", "2", "--seeds", "0", "--cap", "1:1",
+                             "--flow", "3", "--retries", "2"],
+    "sweep-repeated-shape": ["sweep", "{out}", "--shapes", "2x2,2x2", "--solvers", "ls1",
+                             "--count", "1", "--scenarios", "2"],
+    # the draws of seeds 1..4 reach flow value 5 in one attempt, seed 5's does not
+    "corpus-late-draw": ["corpus", "{out}", "--count", "5", "--width", "3,3", "--scenarios", "2",
+                         "--cap", "1:3", "--seed", "1", "--flow", "5", "--retries", "1"],
+}
+ERROR_LINES = {"corpus-late-draw": "error: no draw reached flow value 5 within 1 attempts (seed 5)"}
+for kind, (_, text) in BAD_FILES.items():
+    BAD_INPUTS[f"solve-{kind}"] = ["solve", "--instance", f"{{{kind}}}", "--variant", "abs",
+                                   "--solver", "ls1"]
+    BAD_INPUTS[f"export-lp-{kind}"] = ["export-lp", "--instance", f"{{{kind}}}", "--variant", "abs"]
+    BAD_INPUTS[f"bench-{kind}"] = ["bench", "--dir", f"{{{kind}_dir}}", "--out", "{csv}"]
+    if text:
+        ERROR_LINES[f"solve-{kind}"] = ERROR_LINES[f"export-lp-{kind}"] = f"error: {text}"
+        ERROR_LINES[f"bench-{kind}"] = f"error: {{{kind}}}: {text}"
+
+
+def _check_bad_input(case, diamond_file, tmp_path, run):
+    """`run` the case's command line: it must exit 1 after one error line,
+    the exact one where `ERROR_LINES` has it, and write nothing."""
+    paths = {"diamond": str(diamond_file), "dir": str(diamond_file.parent),
+             "missing": str(tmp_path / "missing.rmcif"), "csv": str(tmp_path / "bench.csv"),
+             "out": str(tmp_path / "out")}
+    for name, text in [("config", b"{neighborhood_size: 3"), ("config_latin", b"\xff{}"),
+                       ("config_float", b'{"population_size": 2.7}'),
+                       ("config_bool", b'{"neighborhood_size": true}')]:
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_bytes(text)
+    for kind, (data, _) in BAD_FILES.items():
+        folder = tmp_path / kind
+        folder.mkdir()
+        (folder / "a.rmcif").write_text(DIAMOND_TEXT)
+        (folder / "bad.rmcif").write_bytes(data)
+        paths[kind], paths[f"{kind}_dir"] = str(folder / "bad.rmcif"), str(folder)
+    before = sorted(tmp_path.rglob("*"))
+    code, out, err = run([arg.format(**paths) for arg in BAD_INPUTS[case]])
     assert code == 1
-    assert captured.out == ""
-    assert "Traceback" not in captured.err
-    lines = captured.err.splitlines()
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
+    if case in ERROR_LINES:
+        assert lines[0] == ERROR_LINES[case].format(**paths)
+    # no output file, .sol directory or corpus directory is left behind
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_is_one_error_line(case, diamond_file, tmp_path, capsys):
+    def run(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    _check_bad_input(case, diamond_file, tmp_path, run)
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_is_one_error_line_in_a_process(case, diamond_file, tmp_path):
+    _check_bad_input(case, diamond_file, tmp_path, run_cli)

@@ -34,7 +34,7 @@ from rmcif.flow_ops import (
     round_flow,
 )
 from rmcif.generator import GeneratorSpec
-from rmcif.heuristics import SearchParams, evolutionary, local_search, make_rng, tournament_select
+from rmcif.heuristics import SearchParams, evolutionary, local_search, make_rng
 from rmcif.objectives import make_criterion
 
 ARC = Network(2, (1,), (2,), (1,))
@@ -170,10 +170,6 @@ CASES = {
     "harmonize-short-target": (
         lambda: harmonize(FORK, (1, 1, 0), (0, 0), make_rng(0)),
         "^length mismatch: expected 3 target values, found 2$",
-    ),
-    "tournament-mode": (
-        lambda: tournament_select([(FLOW, 4)] * 3, "median", 2, make_rng(0)),
-        "unknown tournament mode",
     ),
     "criterion-variant": (lambda: make_criterion(_diamond(), "worst"), "unknown variant"),
     "local-search-solver": (

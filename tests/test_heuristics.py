@@ -3,6 +3,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
+from operator import gt, lt
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,7 @@ from rmcif import (
 )
 from rmcif import heuristics, objectives
 from rmcif.objectives import scenario_costs
-from rmcif.heuristics import _neighborhood, insert_child, tournament_select
+from rmcif.heuristics import _neighborhood, _tournament, insert_child
 
 UPPER = (1, 0, 1, 0)
 LOWER = (0, 1, 0, 1)
@@ -118,31 +119,29 @@ class TestNeighborhood:
 class TestTournament:
     population = [(None, 7), (None, 3), (None, 7), (None, 3), (None, 9)]
 
+    @staticmethod
+    def pick(population, better, size, seed, exclude=None):
+        """`_tournament` over a sample of `size` members, drawn with `seed`."""
+        n = len(population) - (exclude is not None)
+        return _tournament(population, better, make_rng(seed).random(min(size, n)).tolist(), exclude)
+
     def test_best_full_sample_breaks_ties_low(self):
-        got = tournament_select(self.population, "best", 5, make_rng(0))
-        assert got == 1
+        assert self.pick(self.population, lt, 5, 0) == 1
 
     def test_worst_full_sample_breaks_ties_low(self):
-        got = tournament_select(self.population, "worst", 5, make_rng(0))
-        assert got == 4
+        assert self.pick(self.population, gt, 5, 0) == 4
         tied = [(None, 5), (None, 5)]
-        assert tournament_select(tied, "worst", 2, make_rng(0)) == 0
+        assert self.pick(tied, gt, 2, 0) == 0
 
     def test_exclude_narrows_candidates(self):
-        got = tournament_select(self.population, "best", 5, make_rng(0), exclude=1)
-        assert got == 3
+        assert self.pick(self.population, lt, 5, 0, exclude=1) == 3
 
     def test_exclude_everything(self):
-        assert tournament_select([(None, 1)], "best", 3, make_rng(0), exclude=0) is None
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError, match="mode"):
-            tournament_select(self.population, "median", 2, make_rng(0))
+        assert self.pick([(None, 1)], lt, 3, 0, exclude=0) is None
 
     @given(st.integers(0, 300))
     def test_sample_respects_exclusion(self, seed):
-        got = tournament_select(self.population, "worst", 2, make_rng(seed), exclude=4)
-        assert got in (0, 1, 2, 3)
+        assert self.pick(self.population, gt, 2, seed, exclude=4) in (0, 1, 2, 3)
 
     @staticmethod
     def sample(seed, exclude=()):
@@ -154,9 +153,7 @@ class TestTournament:
         """
         return frozenset(
             j for j in range(5)
-            if tournament_select(
-                [(None, int(i != j)) for i in range(5)], "best", 3, make_rng(seed), *exclude
-            ) == j
+            if TestTournament.pick([(None, int(i != j)) for i in range(5)], lt, 3, seed, *exclude) == j
         )
 
     @pytest.mark.parametrize("exclude", [(), (2,)])

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rmcif.heuristics import _tournament, make_rng, tournament_select
+from rmcif.heuristics import _tournament, make_rng
 
 
 def assert_same_stream(a, b):
@@ -40,5 +40,5 @@ def test_both_parents_from_one_draw(costs, tournament_size, seed):
     size = min(tournament_size, len(population))
     uniforms = batched.random(2 * size).tolist()
     parents = [_tournament(population, lt, uniforms[:size]), _tournament(population, lt, uniforms[size:])]
-    assert parents == [tournament_select(population, "best", tournament_size, paired) for _ in "ab"]
+    assert parents == [_tournament(population, lt, paired.random(size).tolist()) for _ in "ab"]
     assert_same_stream(batched, paired)

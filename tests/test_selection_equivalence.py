@@ -1,6 +1,6 @@
 """The evolutionary loop's selection steps against their plain oracles.
 
-`tournament_select` maps sampled positions past the excluded index
+`_tournament` maps sampled positions past the excluded index
 instead of building a candidate list, and `insert_child` tests each member
 against the integer band ``threshold * base // 100`` instead of a
 percentage comparison.  On random populations, with ties, zero-cost bests,
@@ -10,11 +10,13 @@ generator where the oracles leave it.
 """
 from __future__ import annotations
 
+from operator import gt, lt
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from rmcif.heuristics import insert_child, make_rng, tournament_select
+from rmcif.heuristics import _tournament, insert_child, make_rng
 
 seeds = st.integers(0, 10_000)
 # costs from a short range, so ties and zero-cost members are common
@@ -35,12 +37,19 @@ def assert_same_stream(a, b):
     assert a.random(3).tolist() == b.random(3).tolist()
 
 
+def tournament(population, mode, size, rng, exclude=None):
+    """`_tournament` over ``min(size, n)`` uniforms from one draw, as the oracle samples."""
+    n = len(population) - (exclude is not None)
+    better = {"best": lt, "worst": gt}[mode]
+    return _tournament(population, better, rng.random(min(size, n)).tolist(), exclude)
+
+
 @given(st.data(), populations(), st.sampled_from(("best", "worst")), st.integers(1, 14), seeds)
 @settings(max_examples=400)
 def test_tournament_matches_the_candidate_list(data, population, mode, size, seed):
     exclude = data.draw(exclusions(len(population)))
     ours, theirs = make_rng(seed), make_rng(seed)
-    got = tournament_select(population, mode, size, ours, exclude)
+    got = tournament(population, mode, size, ours, exclude)
     assert got == oracles.tournament_select_by_candidates(population, mode, size, theirs, exclude)
     assert_same_stream(ours, theirs)
 
@@ -49,7 +58,7 @@ def test_tournament_matches_the_candidate_list(data, population, mode, size, see
 def test_tournament_matches_on_tied_populations(population, mode, size, seed):
     tied = [(flow, 5, (5,)) for flow, _, _ in population]
     ours, theirs = make_rng(seed), make_rng(seed)
-    got = tournament_select(tied, mode, size, ours)
+    got = tournament(tied, mode, size, ours)
     assert got == oracles.tournament_select_by_candidates(tied, mode, size, theirs)
     assert_same_stream(ours, theirs)
 

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import ast
 import json
-import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
-import rmcif
+from conftest import SRC, child_env
 
-SRC = Path(rmcif.__file__).resolve().parents[1]
 DATA = Path(__file__).parent / "data"
 
 WATCHED = ("numpy", "dataclasses", "inspect", "json")
@@ -51,13 +49,11 @@ print(repr(report))
 
 
 def _probe(commands, numpy_first=False):
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), path))))
     order = "numpy-first" if numpy_first else "rmcif-first"
     argv = [token for command in commands for token in (";", *command)]
     done = subprocess.run(
         [sys.executable, "-c", PROBE, order, *argv],
-        capture_output=True, text=True, env=env, timeout=300, check=True,
+        capture_output=True, text=True, env=child_env(), timeout=300, check=True,
     )
     return ast.literal_eval(done.stdout.splitlines()[-1])
 
