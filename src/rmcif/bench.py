@@ -30,7 +30,6 @@ from .core import (
     Instance,
     InstanceFormatError,
     InvalidParameter,
-    Record,
     RmcifError,
     SolutionRecord,
     check_integer,
@@ -93,17 +92,11 @@ class SolverSummary(NamedTuple):
     mean_seconds: float
 
 
-class BenchReport(Record):
-    """The per-(variant, solver) summaries and the warnings of one bench run;
-    each list is a fresh empty one unless given."""
+class BenchReport(NamedTuple):
+    """The per-(variant, solver) summaries and the warnings of one bench run."""
 
-    _fields = ("summaries", "warnings")
-
-    def __init__(
-        self, summaries: list[SolverSummary] | None = None, warnings: list[str] | None = None
-    ):
-        self.summaries = [] if summaries is None else summaries
-        self.warnings = [] if warnings is None else warnings
+    summaries: list[SolverSummary]
+    warnings: list[str]
 
 
 def _mean(total: list) -> float | None:
@@ -192,7 +185,7 @@ def run_bench(
     for path in paths:
         _parse(path)
 
-    report = BenchReport()
+    report = BenchReport([], [])
     # running [sum, count] of seconds, err% and speedup per (variant, solver)
     totals = {pair: ([0.0, 0], [0.0, 0], [0.0, 0]) for pair in product(variants, solvers)}
     sol_path = Path(sol_dir) if sol_dir is not None else None

@@ -80,50 +80,31 @@ def _seeds(text: str) -> tuple[int, ...]:
 
 
 def _solver_list(text: str) -> tuple[str, ...]:
-    if text == "all":
-        return HEURISTIC_SOLVERS
     return tuple(s.strip() for s in text.split(","))
 
 
-def _coerce_param(name: str, value, default) -> object:
-    """A ``--param`` string or JSON value parsed for `SearchParams`, which judges it;
-    'none' gives None for a limit whose `default` is None, which may be unbounded."""
-    if default is None and str(value).lower() in ("none", "inf", "unbounded"):
-        return None
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    try:
-        return int(value) if isinstance(value, str) else value
-    except ValueError:
-        raise RmcifError(f"parameter {name}: expected an integer, got {value!r}") from None
-
-
-def _build_params(config_path: str | None, overrides: list[str]) -> SearchParams:
-    default = SearchParams()
-    defaults = {name: getattr(default, name) for name in SearchParams._fields}
-    settings: dict[str, object] = {}
-    if config_path:
-        import json  # only --config reads JSON
-
-        try:
-            loaded = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        except UnicodeDecodeError:
-            raise RmcifError(f"config file {config_path} is not UTF-8 text") from None
-        except json.JSONDecodeError as exc:
-            raise RmcifError(f"config file {config_path} is not valid JSON: {exc}") from None
-        if not isinstance(loaded, dict):
-            raise RmcifError("config file must hold a JSON object")
-        settings.update(loaded)
+def _build_params(overrides: list[str]) -> SearchParams:
+    """`SearchParams` with each ``name=value`` override parsed, and judged there:
+    'none' gives None for a limit whose default is None, any other value an int."""
+    settings = {}
     for item in overrides:
         name, sep, value = item.partition("=")
         if not sep:
             raise RmcifError(f"expected name=value, got {item!r}")
         settings[name] = value
-    unknown = set(settings) - defaults.keys()
+    unknown = set(settings) - set(SearchParams._fields)
     if unknown:
         raise RmcifError(f"unknown parameter names: {', '.join(sorted(unknown))}")
-    coerced = {name: _coerce_param(name, value, defaults[name]) for name, value in settings.items()}
-    return SearchParams(**coerced)
+    default = SearchParams()
+    for name, value in settings.items():
+        if getattr(default, name) is None and value.lower() == "none":
+            settings[name] = None
+            continue
+        try:
+            settings[name] = int(value)
+        except ValueError:
+            raise RmcifError(f"parameter {name}: expected an integer, got {value!r}") from None
+    return SearchParams(**settings)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -141,32 +122,32 @@ def _add_param_flags(sub: argparse.ArgumentParser) -> None:
         metavar="NAME=VALUE",
         help="override one search parameter (repeatable); limits accept 'none'",
     )
-    sub.add_argument("--config", help="JSON file of search parameter overrides")
 
 
 def _add_generator_flags(sub: argparse.ArgumentParser, shapes: bool = False) -> None:
-    """`generate`'s instance flags; with `shapes`, --shapes replaces --width and --layers."""
+    """`generate`'s instance flags, with `GeneratorSpec`'s defaults; with
+    `shapes`, --shapes replaces --width."""
     if shapes:
         sub.add_argument("--shapes", type=_shapes, default="2x2,3x3",
                          help="comma-separated layer shapes, e.g. 2x2,4x4x2")
     else:
-        sub.add_argument("--layers", type=int, help="layer count (with a single --width)")
         sub.add_argument("--width", type=_widths, required=True,
-                         help="layer width, or comma-separated per-layer widths")
+                         help="comma-separated middle-layer widths")
+    spec = GeneratorSpec((1,), 1)
     sub.add_argument("--scenarios", type=int, required=True, help="scenario count")
-    sub.add_argument("--density", type=float, default=1.0)
-    sub.add_argument("--cap", type=_int_range, default=(0, 99), metavar="LO:HI")
-    sub.add_argument("--cost", type=_int_range, default=(0, 99), metavar="LO:HI")
+    sub.add_argument("--density", type=float, default=spec.density)
+    sub.add_argument("--cap", type=_int_range, default=spec.capacity_range, metavar="LO:HI")
+    sub.add_argument("--cost", type=_int_range, default=spec.cost_range, metavar="LO:HI")
     sub.add_argument("--flow", type=int, help="required flow value (retries the draw)")
-    sub.add_argument("--flow-frac", type=float, default=0.5,
+    sub.add_argument("--flow-frac", type=float, default=spec.flow_fraction,
                      help="required value as a fraction of max-flow (ignored with --flow)")
-    sub.add_argument("--seed", type=int, default=0, help="seed of the first instance")
-    sub.add_argument("--retries", type=int, default=20)
+    sub.add_argument("--seed", type=int, default=spec.seed, help="seed of the first instance")
+    sub.add_argument("--retries", type=int, default=spec.max_retries)
 
 
 def _add_bench_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--solvers", type=_solver_list, default=HEURISTIC_SOLVERS,
-                     help="'all' or a comma-separated list")
+                     help="comma-separated solver tags (default: all heuristics)")
     sub.add_argument("--seeds", type=_seeds, default="0",
                      help="'lo:hi' or comma-separated seeds")
     sub.add_argument("--no-exact", action="store_true",
@@ -223,17 +204,8 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _specs(args, count: int, widths: tuple[int, ...] | None = None) -> list[GeneratorSpec]:
-    """Checked specs for seeds --seed .. --seed + count - 1; `widths`
-    defaults to --width, repeated --layers times when it is one number."""
-    if widths is None:
-        widths = args.width
-        if len(widths) == 1:
-            if args.layers is None:
-                raise RmcifError("a single --width needs --layers")
-            widths = widths * args.layers
-        elif args.layers is not None and args.layers != len(widths):
-            raise RmcifError("--layers disagrees with the number of --width entries")
+def _specs(args, count: int, widths: tuple[int, ...]) -> list[GeneratorSpec]:
+    """Checked specs of `widths` for seeds --seed .. --seed + count - 1."""
     count = check_integer(count, "instance count", 1)
     return [
         GeneratorSpec(
@@ -280,14 +252,14 @@ def _print_report(report: BenchReport) -> None:
 
 
 def _cmd_generate(args) -> int:
-    (spec,) = _specs(args, 1)
+    (spec,) = _specs(args, 1, args.width)
     _emit(write_instance(generate(spec)), args.output)
     return 0
 
 
 def _cmd_solve(args) -> int:
     instance = parse_instance(Path(args.instance).read_bytes())
-    params = _build_params(args.config, args.param)
+    params = _build_params(args.param)
     record = solve_one(
         instance, args.variant, args.solver, args.seed, params, exact_budget=args.budget
     )
@@ -307,7 +279,7 @@ def _cmd_export_lp(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    params = _build_params(args.config, args.param)
+    params = _build_params(args.param)
     report = run_bench(
         args.dir, args.variants, args.solvers, args.seeds, params,
         out_csv=args.out, sol_dir=args.sol_dir,
@@ -318,7 +290,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    specs = _specs(args, args.count)
+    specs = _specs(args, args.count, args.width)
     _check_draws(specs)
     _write_family(Path(args.dir), specs, f"{_shape_name(specs[0].layer_widths)}_")
     print(f"wrote {args.count} instances to {args.dir}")
@@ -349,7 +321,7 @@ def _cmd_sweep(args) -> int:
 
 def main(argv=None) -> int:
     """Run one command; every user error, argument syntax included, is one
-    ``error:`` line on stderr and exit code 1."""
+    ``error:`` line on stderr and exit code 1, and so is running out of memory."""
     handlers = {
         "generate": _cmd_generate,
         "solve": _cmd_solve,
@@ -365,6 +337,8 @@ def main(argv=None) -> int:
         message = str(exc)
     except OSError as exc:
         message = f"{exc.filename}: {exc.strerror}" if exc.filename else str(exc)
+    except MemoryError:
+        message = "out of memory"
     print(f"error: {message}", file=sys.stderr)
     return 1
 

@@ -129,18 +129,19 @@ def check_costs(row, width: int) -> tuple[int, ...]:
     return costs
 
 
-class Record:
-    """Equality and repr over the attributes that `_fields` names, in order.
+class FrozenRecord:
+    """Equality, hash and repr over the attributes that `_fields` names, in
+    order; assignment and deletion are refused.
 
     Records of one class are equal when their fields are; a record never
-    equals an object of another class.  A plain record is mutable and has
-    no hash.  The subclasses write their own ``__init__``, so importing the
-    package generates no code at run time.
+    equals an object of another class.  The subclasses write their own
+    ``__init__``, which sets each field once through `_set`, so importing
+    the package generates no code at run time; `cached_property` writes
+    the instance ``__dict__`` directly, so caches still work.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
-    __hash__ = None
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -153,16 +154,6 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A `Record` that hashes by its fields and refuses assignment and deletion.
-
-    ``__init__`` sets each field once through `_set`; `cached_property`
-    writes the instance ``__dict__`` directly, so caches still work.
-    """
-
-    __slots__ = ()
 
     def __hash__(self) -> int:
         return hash(self._values())

@@ -27,7 +27,6 @@ from .core import (
     DEVIATION,
     Instance,
     InvalidParameter,
-    Record,
     require_feasible,
     validate_flow,  # unused here, but the benchmark's tracer binds it in this module
 )
@@ -73,7 +72,7 @@ def scenario_costs(instance: Instance, flow) -> tuple[int, ...]:
     return tuple(sum(map(mul, row, flow)) for row in instance.costs)
 
 
-class Criterion(Record):
+class Criterion:
     """Callable robust objective with an evaluation counter.
 
     Heuristics rank candidate flows through one of these; the counter
@@ -81,8 +80,6 @@ class Criterion(Record):
     once.  The robust cost is the largest of the scenario costs, each less
     its `shift` entry.
     """
-
-    _fields = ("shift", "evaluations")
 
     def __init__(self, shift: tuple[int, ...], evaluations: int = 0):
         self.shift = shift

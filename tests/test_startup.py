@@ -4,14 +4,12 @@ numpy is loaded by the first `make_rng` call, never by ``import rmcif``:
 ls1..ls4, `exact`, `export-lp` and the parser draw no random number, so
 those paths run without numpy; ec1..ec9 and `generate` load it when they
 make their generator.  No module of the package imports `dataclasses`
-(which pulls in `inspect`), and `json` is imported only to read a
-``--config`` file.  The test process has all of these loaded already, so
-every check runs in a fresh interpreter.
+(which pulls in `inspect`) or `json`.  The test process has all of these
+loaded already, so every run checks a fresh interpreter.
 """
 from __future__ import annotations
 
 import ast
-import json
 import shutil
 import subprocess
 import sys
@@ -81,23 +79,6 @@ def test_commands_that_never_draw_load_no_numpy(tmp_path):
     assert (tmp_path / "bench.csv").stat().st_size > 0
 
 
-def test_config_loads_json_and_reads_the_file(tmp_path):
-    cyc = str(DATA / "cyc.rmcif")
-    good, bad = tmp_path / "good.json", tmp_path / "bad.json"
-    good.write_text(json.dumps({"neighborhood_size": 5, "iteration_limit": None}))
-    bad.write_text(json.dumps({"no_such_knob": 1}))
-    solve = ["solve", "--instance", cyc, "--variant", "absolute", "--solver", "ls1"]
-    commands = [
-        [*solve, "-o", str(tmp_path / "plain.sol")],
-        [*solve, "--config", str(good), "-o", str(tmp_path / "good.sol")],
-        [*solve, "--config", str(bad), "-o", str(tmp_path / "bad.sol")],
-    ]
-    # the unknown name fails the third solve: the file was read
-    assert _probe(commands) == [[], [0, []], [0, ["json"]], [1, ["json"]]]
-    assert (tmp_path / "good.sol").exists()
-    assert not (tmp_path / "bad.sol").exists()
-
-
 def test_drawing_commands_load_numpy_with_the_same_bytes(tmp_path):
     outputs = {}
     for numpy_first in (False, True):
@@ -118,14 +99,21 @@ def test_drawing_commands_load_numpy_with_the_same_bytes(tmp_path):
     assert outputs[False] == outputs[True]
 
 
-def test_no_module_imports_dataclasses():
+def _imported_modules():
+    """(file name, names of the modules each import statement of the package names)."""
     for path in sorted((SRC / "rmcif").glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
+                yield path.name, [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert "dataclasses" not in names, f"{path.name} imports dataclasses"
+                yield path.name, [node.module or ""]
+
+
+def test_no_module_imports_dataclasses():
+    for name, modules in _imported_modules():
+        assert "dataclasses" not in modules, f"{name} imports dataclasses"
+
+
+def test_no_module_imports_json():
+    for name, modules in _imported_modules():
+        assert "json" not in modules, f"{name} imports json"
