@@ -322,11 +322,26 @@ class TestBench:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    # the CSV-in-a-missing-directory case is BAD_INPUTS' bench-csv-in-missing-directory
+    def test_broken_instance_is_named(self, tmp_path, capsys):
+        instances = tmp_path / "set"
+        instances.mkdir()
+        (instances / "d.rmcif").write_text(DIAMOND_TEXT)
+        (instances / "e.rmcif").write_text("".join(DIAMOND_TEXT.splitlines(True)[:2]))
+        out_csv = tmp_path / "r.csv"
+        code = main(["bench", "--dir", str(instances), "--out", str(out_csv)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "e.rmcif" in lines[0]
+        assert not out_csv.exists()
+
     @pytest.mark.parametrize(
         "outputs",
-        [["--out", "{tmp}/r.csv", "--sol-dir", "{tmp}/taken"]],
-        ids=["sol-dir-is-a-file"],
+        [["--out", "{tmp}/nodir/x.csv", "--sol-dir", "{tmp}/made/sols"],
+         ["--out", "{tmp}/r.csv", "--sol-dir", "{tmp}/taken"]],
+        ids=["csv-in-missing-directory", "sol-dir-is-a-file"],
     )
     def test_rejected_output_path_writes_nothing(self, outputs, tmp_path, capsys):
         # Neither output is left behind when the other cannot be made.
@@ -372,6 +387,21 @@ class TestCorpus:
         ]
         for seed, data in family.items():
             assert (out / f"2x3_s{seed:04d}.rmcif").read_bytes() == data
+
+    def test_late_failed_draw_writes_nothing(self, tmp_path, capsys):
+        # the draws of seeds 1..4 reach flow value 5 in one attempt, seed 5's does not
+        argv = ["--width", "3,3", "--scenarios", "2", "--cap", "1:3", "--seed", "1",
+                "--flow", "5", "--retries", "1"]
+        out = tmp_path / "four"
+        assert main(["corpus", str(out), "--count", "4"] + argv) == 0
+        assert len(list(out.iterdir())) == 4
+        capsys.readouterr()
+        out = tmp_path / "five"
+        assert main(["corpus", str(out), "--count", "5"] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no draw reached flow value 5 within 1 attempts (seed 5)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flow", [[], ["--flow", "1"]], ids=["fraction", "flow"])
     def test_each_file_is_written_before_the_next_draw(self, flow, tmp_path, capsys, monkeypatch):
@@ -433,6 +463,36 @@ class TestSweep:
         with open(out / "2x2.csv") as handle:
             names = {row[0] for row in list(csv.reader(handle))[1:]}
         assert names == {"s0000", "s0001"}
+
+    # BAD_INPUTS runs these too, without the shared generator flags
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["corpus", "{out}", "--width", "3,a"],
+            ["corpus", "{out}", "--width", "3,3", "--count", "0"],
+            ["corpus", "{out}", "--width", "0,3"],
+            ["sweep", "{out}", "--solvers", "ls9"],
+            ["sweep", "{out}", "--seeds", "0:x"],
+            ["sweep", "{out}", "--shapes", "2x2,2x2"],
+            ["corpus", "{out}", "--count", "3", "--width", "2,2", "--flow", "100000"],
+            # the 3x3 family can be drawn, the 2x2 one cannot carry 3 units
+            ["sweep", "{out}", "--shapes", "3x3,2x2", "--solvers", "ls1", "--count", "1",
+             "--seeds", "0", "--cap", "1:1", "--flow", "3", "--retries", "2"],
+        ],
+        ids=["non-integer-width", "zero-count", "zero-width", "unknown-solver",
+             "malformed-seeds", "repeated-shape", "corpus-failed-draw", "sweep-failed-draw"],
+    )
+    def test_bad_input_writes_nothing(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = [arg.format(out=out) for arg in argv]
+        # the shared flags go first, so a case's own flags override them
+        code = main(argv[:2] + GENERATOR_ARGS + argv[2:])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not out.exists()
 
 
 def test_repeated_solve_runs_write_identical_files(diamond_file, tmp_path, capsys):
