@@ -37,6 +37,7 @@ from .core import (
     validate_flow,
     write_instance,
 )
+from .draws import make_rng
 from .exact import BudgetExceeded, enumerate_optimum, export_lp
 from .flow_ops import (
     TargetUnreachable,
@@ -52,7 +53,7 @@ from .flow_ops import (
     round_flow,
 )
 from .generator import GenerationError, GeneratorSpec, generate
-from .heuristics import SearchParams, evolutionary, local_search, make_rng
+from .heuristics import SearchParams, evolutionary, local_search
 from .objectives import (
     ScenarioOptima,
     compute_optima,

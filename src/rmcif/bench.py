@@ -177,13 +177,15 @@ def run_bench(
         paths = [Path(p) for p in instances]
         if not paths:
             raise InvalidParameter("no instances given")
+    # plain strings: a `Path` keeps the parts it splits, so make one per use
+    paths = list(map(str, paths))
     variants, solvers, seeds = check_grid(variants, solvers, seeds)
     # a cell's .sol file is named after its instance's stem
-    _check_distinct("instance name", [path.stem for path in paths])
+    _check_distinct("instance name", [Path(path).stem for path in paths])
     exact_budget = check_integer(exact_budget, "node budget")
     params = check_params(params)
     for path in paths:
-        _parse(path)
+        _parse(Path(path))
 
     report = BenchReport([], [])
     # running [sum, count] of seconds, err% and speedup per (variant, solver)
@@ -204,7 +206,7 @@ def run_bench(
                 raise
             writer = csv.writer(stack.enter_context(handle))
             writer.writerow(CSV_COLUMNS)
-        for path in paths:
+        for path in map(Path, paths):
             name = path.stem
             instance = _parse(path)
             compute_optima(instance)

@@ -204,44 +204,58 @@ def _make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _specs(args, count: int, widths: tuple[int, ...]) -> list[GeneratorSpec]:
-    """Checked specs of `widths` for seeds --seed .. --seed + count - 1."""
+def _family(args, count: int, widths: tuple[int, ...]) -> tuple[GeneratorSpec, range]:
+    """The spec of `widths` at --seed, judged, and the family's seeds
+    --seed .. --seed + count - 1, with `count` judged; `_specs` makes the rest."""
     count = check_integer(count, "instance count", 1)
-    return [
-        GeneratorSpec(
-            layer_widths=widths,
-            scenario_count=args.scenarios,
-            capacity_range=args.cap,
-            cost_range=args.cost,
-            density=args.density,
-            flow_value=args.flow,
-            flow_fraction=args.flow_frac,
-            seed=args.seed + k,
-            max_retries=args.retries,
-        )
-        for k in range(count)
-    ]
+    first = GeneratorSpec(
+        layer_widths=widths,
+        scenario_count=args.scenarios,
+        capacity_range=args.cap,
+        cost_range=args.cost,
+        density=args.density,
+        flow_value=args.flow,
+        flow_fraction=args.flow_frac,
+        seed=args.seed,
+        max_retries=args.retries,
+    )
+    return first, range(first.seed, first.seed + count)
+
+
+def _specs(family: tuple[GeneratorSpec, range]):
+    """The family's specs, one at a time: its first spec with each seed in turn.
+
+    Every field but the seed was judged in the first spec, and every seed
+    of the range is a nonnegative integer, so no spec made here is refused.
+    """
+    first, seeds = family
+    fields = dict(zip(first._fields, first._values()))
+    for seed in seeds:
+        fields["seed"] = seed
+        yield GeneratorSpec(**fields)
 
 
 def _shape_name(widths: tuple[int, ...]) -> str:
     return "x".join(map(str, widths))
 
 
-def _check_draws(specs: list[GeneratorSpec]) -> None:
-    """Draw and drop each instance that asks for a flow value: `generate`
-    fails only when no draw reaches it, so a failure ends the command
-    before any file is written."""
-    for spec in specs:
-        if spec.flow_value is not None:
-            generate(spec)
+def _check_draws(families) -> None:
+    """Draw and drop each instance of the families that ask for a flow
+    value: `generate` fails only when no draw reaches it, so a failure
+    ends the command before any file is written."""
+    for family in families:
+        if family[0].flow_value is not None:
+            for spec in _specs(family):
+                generate(spec)
 
 
-def _write_family(directory: Path, specs: list[GeneratorSpec], prefix: str = "") -> list[Path]:
+def _write_family(directory: Path, family, prefix: str = "") -> list[Path]:
     """Each spec's instance, written as it is drawn, so one text is held at a time."""
     directory.mkdir(parents=True, exist_ok=True)
-    paths = [directory / f"{prefix}s{spec.seed:04d}.rmcif" for spec in specs]
-    for path, spec in zip(paths, specs):
-        path.write_text(write_instance(generate(spec)))
+    paths = []
+    for spec in _specs(family):
+        paths.append(directory / f"{prefix}s{spec.seed:04d}.rmcif")
+        paths[-1].write_text(write_instance(generate(spec)))
     return paths
 
 
@@ -252,7 +266,7 @@ def _print_report(report: BenchReport) -> None:
 
 
 def _cmd_generate(args) -> int:
-    (spec,) = _specs(args, 1, args.width)
+    spec, _ = _family(args, 1, args.width)
     _emit(write_instance(generate(spec)), args.output)
     return 0
 
@@ -290,9 +304,9 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_corpus(args) -> int:
-    specs = _specs(args, args.count, args.width)
-    _check_draws(specs)
-    _write_family(Path(args.dir), specs, f"{_shape_name(specs[0].layer_widths)}_")
+    family = _family(args, args.count, args.width)
+    _check_draws([family])
+    _write_family(Path(args.dir), family, f"{_shape_name(family[0].layer_widths)}_")
     print(f"wrote {args.count} instances to {args.dir}")
     return 0
 
@@ -300,11 +314,11 @@ def _cmd_corpus(args) -> int:
 def _cmd_sweep(args) -> int:
     shapes = [_shape_name(widths) for widths in args.shapes]
     _check_distinct("shape", shapes)
-    specs = [_specs(args, args.count, widths) for widths in args.shapes]
+    families = [_family(args, args.count, widths) for widths in args.shapes]
     grid = check_grid((ABSOLUTE, DEVIATION), args.solvers, args.seeds)
     budget = check_integer(args.budget, "node budget")
-    _check_draws([spec for family in specs for spec in family])
-    for shape, family in zip(shapes, specs):
+    _check_draws(families)
+    for shape, family in zip(shapes, families):
         directory = Path(args.dir) / shape
         report = run_bench(
             _write_family(directory, family),

@@ -285,6 +285,13 @@ class Instance(FrozenRecord):
             raise InvalidParameter(f"costs must be rows of integers, got {costs!r}") from None
         except InvalidParameter as exc:
             raise InvalidParameter(f"scenario {len(rows) + 1}: {exc}") from None
+        self._finish(network, tuple(rows), flow_value)
+
+    def _finish(self, network: Network, rows: tuple[tuple[int, ...], ...], flow_value) -> None:
+        """Judge the flow value and set the fields; `rows` are judged already.
+
+        `parse_instance` comes here directly, having judged each row on its
+        own ``s`` line."""
         if not rows:
             raise InvalidParameter("at least one scenario is required")
         flow_value = check_integer(flow_value, "flow value")
@@ -295,7 +302,7 @@ class Instance(FrozenRecord):
             find_flow(network, flow_value)
         except TargetUnreachable:
             raise InvalidParameter("F exceeds maximum flow") from None
-        self._set(network=network, costs=tuple(rows), flow_value=flow_value)
+        self._set(network=network, costs=rows, flow_value=flow_value)
 
 
 def flow_value_of(network: Network, values: Sequence[int]) -> int:
@@ -450,7 +457,9 @@ def parse_instance(text: str | bytes) -> Instance:
             raise InstanceFormatError(f"expected {m} arc lines, found {len(arcs)}", lineno)
         if len(rows) != k:
             raise InstanceFormatError(f"expected {k} scenario lines, found {len(rows)}", lineno)
-        return Instance(Network(n, *(zip(*arcs) if arcs else ((), (), ()))), rows, f)
+        instance = Instance.__new__(Instance)
+        instance._finish(Network(n, *(zip(*arcs) if arcs else ((), (), ()))), tuple(rows), f)
+        return instance
     except InvalidParameter as exc:  # a judge's verdict on line `lineno`
         raise InstanceFormatError(str(exc), lineno) from None
 

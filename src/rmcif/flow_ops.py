@@ -38,9 +38,10 @@ and `compose` takes it, is the tuple of its arc indices in walk order.
 - `center` sums arc values and `round_flow` rounds the mean half-up in
   integer arithmetic, so no rational number is ever built.
 - `compose` checks capacity on a unit path's own arcs only, against a
-  count of the room left on each arc, and scans each list once in one
-  random order drawn per call.  Once all F unit paths are placed their
-  sum is the flow, returned without entering the augmenting loop.
+  count of the room left on each arc, and scans each list once in a
+  random order whose positions are drawn only as the scan reaches them.
+  Once all F unit paths are placed their sum is the flow, returned
+  without entering the augmenting loop.
 - `perturb` and `harmonize` push around the cycle of a randomized
   depth-first search that keeps, besides the codes, one mark per vertex
   (on the walk, or finished) and filters a vertex's moves only when it
@@ -64,7 +65,8 @@ returns flows as such tuples.  An exported procedure raises
 `InvalidParameter` on a flow, cost row, totals or target vector whose
 length is not the arc count (`check_length`), rather than let a zip cut
 it short.  All procedures are pure: they return new flows and never
-mutate their inputs.  Randomized ones take an explicit numpy Generator.
+mutate their inputs.  Randomized ones take an explicit `random.Random`
+(`draws.make_rng`) and draw from its `random()` alone (`draws`).
 Deterministic tie-breaking follows arc declaration order throughout
 (adjacency lists, scan orders and breadth-first expansions are all built
 in that order).
@@ -88,6 +90,7 @@ from .core import (
     check_length,
     flow_value_of,
 )
+from .draws import below, scan
 
 
 class TargetUnreachable(RmcifError):
@@ -382,46 +385,39 @@ def compose(network: Network, first: Sequence[tuple[int, ...]], second: Sequence
     """Feasible flow built from two unit-path lists of a common length F.
 
     Picks alternate between the lists (a coin flip chooses the starting
-    one).  Each list is scanned once, in one seeded random order drawn per
-    call, and the next element whose unit path fits is picked; capacity is
-    checked on the unit path's own arcs.  The running sum only grows, so
-    an element that does not fit never fits later in the call, and the
-    scan skips it for good: each pick is uniform over the acceptable
-    unused elements, as one fresh order per pick would make it.
+    one).  Each list is scanned once, in a random order that `scan` draws
+    one position at a time, as the scan reaches it, and the next element
+    whose unit path fits is picked; capacity is checked on the unit path's
+    own arcs.  The running sum only grows, so an element that does not fit
+    never fits later in the call, and the scan skips it for good: each
+    pick is uniform over the acceptable unused elements, as one fresh
+    order per pick would make it.
     A list with no acceptable element left passes its turn to the other;
     once both stall the partial sum is repaired by augmentation up to
     value F.  The room left on each arc is counted down as paths are
     placed, and a path fits while none of its arcs reads 0.  F placed
     unit paths already make a flow of value F, returned as it is.
     """
-    import numpy as np  # loaded already: `rng` is a numpy Generator
-
     target = len(first)
     if target < 1 or len(second) != target:
         raise InvalidParameter("expected two unit-path lists of equal positive length")
     caps = network.capacities
     room = list(caps)
-    active = int(rng.integers(0, 2))
-    lists = (first, second)
-    # both scan orders in one call, the stream of two `rng.permutation(target)`
-    orders = rng.permuted(np.arange(target)[None].repeat(2, 0), axis=1).tolist()
-    cursors = [0, 0]
+    rand = rng.random
+    active = below(rand, 2)
+    scans = [map(units.__getitem__, scan(rand, target)) for units in (first, second)]
     picked = 0
     stalls = 0
     while picked < target and stalls < 2:
-        units, order = lists[active], orders[active]
-        j = cursors[active]
-        while j < target and 0 in map(room.__getitem__, units[order[j]]):
-            j += 1
-        cursors[active] = j + 1
-        if j >= target:
+        for units in scans[active]:
+            if 0 not in map(room.__getitem__, units):
+                for i in units:
+                    room[i] -= 1
+                picked += 1
+                stalls = 0
+                break
+        else:
             stalls += 1
-            active = 1 - active
-            continue
-        for i in units[order[j]]:
-            room[i] -= 1
-        picked += 1
-        stalls = 0
         active = 1 - active
     totals = tuple(map(sub, caps, room))
     if picked == target:
@@ -531,12 +527,13 @@ def dfs_cycle(network: Network, values: Sequence[int], rng, target: Sequence[int
     search expands it, keeping those with room.  With `target`, only moves
     toward its support are kept: forward ones where `target` carries flow,
     backward ones where it does not.  Start vertices and each vertex's kept
-    moves are shuffled with `rng`.  The degenerate two-arc cycle that
-    immediately reverses the arc just traversed is skipped: pushing along
-    it would not move any flow.  The cycle comes back as ``(arc index,
+    moves are read in random orders (`scan`), each position drawn from
+    `rng` only when the search reaches it, so a search that closes a cycle
+    early draws little, and fewer than two moves draw nothing.  The
+    degenerate two-arc cycle that immediately reverses the arc just
+    traversed is skipped: pushing along it would not move any flow.  The cycle comes back as ``(arc index,
     forward, room)`` triples, in the order they are walked, or None if
-    there is none.  A list of fewer than two moves is kept as it is: a
-    permutation of it draws nothing from `rng`, so the stream is the same.
+    there is none.
 
     The search keeps one signed move code per reached vertex, as the path
     searches do, and marks each vertex on the walk or finished (Tarjan,
@@ -544,7 +541,7 @@ def dfs_cycle(network: Network, values: Sequence[int], rng, target: Sequence[int
     1972).  A move onto a vertex still on the walk closes a cycle: it
     becomes that vertex's code, and `_path_to` reads the cycle back.
     """
-    adjacency, caps = network.residual_adjacency, network.capacities
+    adjacency, caps, rand = network.residual_adjacency, network.capacities, rng.random
     via = [0] * (network.vertex_count + 1)  # the signed code of the move that reached a vertex
     on_walk: list[bool | None] = [None] * (network.vertex_count + 1)  # False once finished
 
@@ -555,11 +552,9 @@ def dfs_cycle(network: Network, values: Sequence[int], rng, target: Sequence[int
             room = caps[i] - values[i] if forward else values[i]
             if room > 0 and (target is None or (target[i] > 0) == forward):
                 moves.append(move)
-        if len(moves) < 2:
-            return iter(moves)
-        return iter([moves[j] for j in rng.permutation(len(moves)).tolist()])
+        return map(moves.__getitem__, scan(rand, len(moves)))
 
-    for s in (i + 1 for i in rng.permutation(network.vertex_count).tolist()):
+    for s in (i + 1 for i in scan(rand, network.vertex_count)):
         if on_walk[s] is not None:
             continue
         on_walk[s] = True

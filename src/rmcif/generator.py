@@ -22,15 +22,15 @@ from .core import (
     check_integer,
     check_sequence,
 )
+from .draws import below, make_rng
 from .flow_ops import max_flow_value
-from .heuristics import make_rng
 
 
 class GenerationError(RmcifError):
     """No feasible instance emerged within the retry budget."""
 
 
-# The largest bound numpy's int64 draw takes: `integers(lo, hi + 1)` needs hi + 1 <= 2**63.
+# The largest range end a spec takes; `below` draws exactly uniformly up to it.
 _DRAW_MAX = 2**63 - 1
 
 
@@ -102,14 +102,14 @@ def _layer_vertices(widths: tuple[int, ...]) -> list[list[int]]:
     return layers
 
 
-def _draw_arcs(layers: list[list[int]], density: float, rng) -> list[tuple[int, int]]:
+def _draw_arcs(layers: list[list[int]], density: float, rand) -> list[tuple[int, int]]:
     pairs: list[tuple[int, int]] = []
     for v in layers[1]:
         pairs.append((1, v))
     for left, right in zip(layers[1:-2], layers[2:-1]):
         for u in left:
             for v in right:
-                if rng.random() < density:
+                if rand() < density:
                     pairs.append((u, v))
     sink = layers[-1][0]
     for u in layers[-2]:
@@ -119,14 +119,14 @@ def _draw_arcs(layers: list[list[int]], density: float, rng) -> list[tuple[int, 
     for left, right in zip(layers[1:-2], layers[2:-1]):
         for v in right:
             if v not in has_in:
-                u = left[int(rng.integers(0, len(left)))]
+                u = left[below(rand, len(left))]
                 pairs.append((u, v))
                 has_in.add(v)
     has_out = {t for t, _ in pairs}
     for left, right in zip(layers[1:-2], layers[2:-1]):
         for u in left:
             if u not in has_out:
-                v = right[int(rng.integers(0, len(right)))]
+                v = right[below(rand, len(right))]
                 pairs.append((u, v))
                 has_out.add(u)
     return pairs
@@ -136,15 +136,15 @@ def generate(spec: GeneratorSpec) -> Instance:
     """One instance, fully determined by the spec (seed included)."""
     layers = _layer_vertices(spec.layer_widths)
     vertex_count = layers[-1][0]
-    rng = make_rng(spec.seed)
+    rand = make_rng(spec.seed).random
     cap_lo, cap_hi = spec.capacity_range
     cost_lo, cost_hi = spec.cost_range
     for _ in range(spec.max_retries):
-        pairs = _draw_arcs(layers, spec.density, rng)
+        pairs = _draw_arcs(layers, spec.density, rand)
         tails, heads = zip(*pairs)
-        capacities = tuple(int(rng.integers(cap_lo, cap_hi + 1)) for _ in pairs)
+        capacities = tuple(cap_lo + below(rand, cap_hi - cap_lo + 1) for _ in pairs)
         rows = tuple(
-            tuple(int(rng.integers(cost_lo, cost_hi + 1)) for _ in pairs)
+            tuple(cost_lo + below(rand, cost_hi - cost_lo + 1) for _ in pairs)
             for _ in range(spec.scenario_count)
         )
         network = Network(vertex_count, tails, heads, capacities)

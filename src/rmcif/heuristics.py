@@ -54,22 +54,21 @@ dropped once the population is full.  The mutations of the generation
 loop and `local_search` build every neighborhood afresh.
 
 The loop's frequent draws are cheap ones: a tournament draws its sample
-from ``size`` uniforms (Floyd's algorithm) and maps the positions past
-the excluded index without building a candidate list, both parents'
-tournaments take their uniforms from one ``rng.random(2 * size)`` call,
-and the per-generation mutation coin is one ``rng.random()``.
-`insert_child` compares cost gaps with one integer band per call.
+with one `below` per member (Floyd's algorithm) and maps the positions
+past the excluded index without building a candidate list, and the
+per-generation mutation coin is one ``random()``.  `insert_child`
+compares cost gaps with one integer band per call.
 
 Every solver is deterministic for a fixed (instance, variant, parameters,
-seed): randomness comes from one counter-based generator created from the
-seed, and every tie is broken by position.
+seed): randomness comes from one `random.Random` made from the seed
+(`draws.make_rng`), read through its `random()` alone, and every tie is
+broken by position.
 """
 from __future__ import annotations
 
 import time
 from itertools import compress, islice
 from operator import gt, lt, ne
-from typing import TYPE_CHECKING
 
 from .core import (
     EC_SOLVERS,
@@ -80,6 +79,7 @@ from .core import (
     SolutionRecord,
     check_integer,
 )
+from .draws import below, make_rng
 from .flow_ops import (
     center,
     compose,
@@ -91,9 +91,6 @@ from .flow_ops import (
     round_flow,
 )
 from .objectives import Criterion, compute_optima, make_criterion, scenario_costs
-
-if TYPE_CHECKING:
-    from numpy.random import Generator
 
 # Iteration ceiling for local search used as a mutation operator.
 MUTATION_SEARCH_CAP = 50
@@ -156,22 +153,6 @@ def check_params(params) -> SearchParams:
     if not isinstance(params, SearchParams):
         raise InvalidParameter(f"params must be a SearchParams or None, got {params!r}")
     return params
-
-
-def make_rng(seed: int) -> Generator:
-    """Counter-based generator; the same seed reproduces the same stream anywhere.
-
-    numpy is imported here, on the first call; the only other import is
-    `compose`'s, which takes one of these generators and so finds numpy
-    loaded.  ls1..ls4, `exact`, `export_lp` and the parser never draw, so
-    ``import rmcif`` and those paths run without loading it.  The seed is
-    judged before the import, and the stream does not depend on when
-    numpy was loaded.
-    """
-    seed = check_integer(seed, "seed")
-    from numpy.random import Generator, Philox
-
-    return Generator(Philox(seed))
 
 
 def _changes(old: tuple[int, ...], new: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -360,21 +341,21 @@ def local_search(
     return SolutionRecord(variant, solver, best_cost, best_flow, seed, time.perf_counter() - t0)
 
 
-def _tournament(population, better, uniforms: list[float], exclude: int | None = None) -> int | None:
-    """Index of the member that `better` prefers in the sample `uniforms` draw.
+def _tournament(population, better, size: int, rand, exclude: int | None = None) -> int | None:
+    """Index of the member that `better` prefers in a sample of `size` members.
 
-    The sample holds one position per uniform, among the ``n`` members
-    other than `exclude`: step j, for j from ``n - len(uniforms)`` to
-    ``n - 1``, takes a uniform position in 0..j, or j itself when that one
-    is already taken (Floyd's algorithm).  Position p is member p, or
-    p + 1 from the excluded index on, so ``size`` uniforms from one
-    ``rng.random(size)`` call draw a sample uniform over the subsets of
-    that size.  Ties go to the lower member index; no uniforms pick None.
+    The sample holds ``min(size, n)`` positions among the ``n`` members
+    other than `exclude`: step j, for j from ``n - size`` (or 0) to
+    ``n - 1``, takes ``below(rand, j + 1)``, or j itself when that one is
+    already taken (Floyd's algorithm), so the sample is uniform over the
+    subsets of its size.  Position p is member p, or p + 1 from the
+    excluded index on.  Ties go to the lower member index; an empty sample
+    picks None.
     """
     n = len(population) - (exclude is not None)
     picked: set[int] = set()
-    for j, u in zip(range(n - len(uniforms), n), uniforms):
-        t = int(u * (j + 1))
+    for j in range(max(n - size, 0), n):
+        t = below(rand, j + 1)
         picked.add(j if t in picked else t)
     chosen = chosen_cost = None
     for i in sorted(picked):
@@ -418,9 +399,8 @@ def insert_child(
             if child_cost < twin[1]:
                 population[i] = (child, child_cost, child_costs)
             return population
-    n = len(population) - 1
-    if n > 0:
-        victim = _tournament(population, gt, rng.random(min(tournament_size, n)).tolist(), best_index)
+    if len(population) > 1:
+        victim = _tournament(population, gt, tournament_size, rng.random, best_index)
         population[victim] = (child, child_cost, child_costs)
     return population
 
@@ -450,6 +430,7 @@ def evolutionary(
     cross_kind, mut_kind = divmod(kind, 3)
     seed = check_integer(seed, "seed")
     rng = make_rng(seed)
+    rand = rng.random
     t0 = time.perf_counter()
     criterion = make_criterion(instance, variant)
     network = instance.network
@@ -504,7 +485,7 @@ def evolutionary(
             mutant = perturb(network, flow, rng)
             changes = _changes(flow, mutant)
         else:
-            s = int(rng.integers(0, len(cost_rows)))
+            s = below(rand, len(cost_rows))
             if costs[s] == optima.costs[s]:
                 # already optimal for s: cost_reduce would find no cycle
                 return flow, costs
@@ -523,7 +504,7 @@ def evolutionary(
     # The fill's descents mostly start from copies of the same few optima.
     neighborhoods: dict = {}
     while len(population) < params.population_size:
-        source = int(rng.integers(0, len(population)))
+        source = below(rand, len(population))
         if mut_kind == 2:
             # each accepted move fills a slot, and the start one only when
             # the descent made no move
@@ -550,12 +531,8 @@ def evolutionary(
         params.generation_limit is None or generations < params.generation_limit
     ) and stagnant < params.no_improvement_limit:
         previous = best_cost
-        # both parents' tournaments from one draw: the stream of two
-        # ``rng.random(size)`` calls, in one numpy call
-        size = min(params.tournament_size, len(population))
-        uniforms = rng.random(2 * size).tolist()
-        first = _tournament(population, lt, uniforms[:size])
-        second = _tournament(population, lt, uniforms[size:])
+        first = _tournament(population, lt, params.tournament_size, rand)
+        second = _tournament(population, lt, params.tournament_size, rand)
         child, child_costs = crossover(first, second)
         child_cost = criterion.evaluate(child, child_costs)
         population = insert_child(
@@ -572,8 +549,8 @@ def evolutionary(
             robust = [member[1] for member in population]
             best_cost = min(robust)
             best = robust.index(best_cost)
-        if rng.random() * 100 < params.mutation_threshold and len(population) > 1:
-            target = int(rng.integers(0, len(population) - 1))
+        if rand() * 100 < params.mutation_threshold and len(population) > 1:
+            target = below(rand, len(population) - 1)
             target += target >= best  # any member but the best
             mutant, costs = mutate(target)
             cost = criterion.evaluate(mutant, costs)

@@ -623,30 +623,68 @@ def round_to_integer(network: Network, values) -> tuple[int, ...]:
     return augment_to_value(network, extracted, target)
 
 
+def uniform_below(rng, n: int) -> int:
+    """A uniform value in ``range(n)``, n at most 2**30, from ``rng.random()`` alone.
+
+    A draw u is a multiple of 2**-53, so ``k = floor(u · 2**30)`` is a
+    uniform 30-bit integer.  Its 2**30 values are cut into n blocks of
+    ``2**30 // n`` each and a remainder; k in the remainder is drawn
+    again, and otherwise the block holding it is the value.
+    """
+    block = 2**30 // n
+    while True:
+        k = int(rng.random() * 2**30)
+        if k < n * block:
+            return k // block
+
+
+def next_from(pool: list, rng):
+    """Remove and return the next element of a random scan over `pool`.
+
+    A uniform element is taken and the pool's front element moves into
+    its place; the last element is taken without a draw.
+    """
+    k = uniform_below(rng, len(pool)) if len(pool) > 1 else 0
+    chosen = pool[k]
+    pool[k] = pool[0]
+    del pool[0]
+    return chosen
+
+
+def random_scan(rng, items):
+    """`items` in a random order, each drawn from the unscanned pool only
+    when the caller asks for the next one."""
+    pool = list(items)
+    while pool:
+        yield next_from(pool, rng)
+
+
 def compose_units(network: Network, first, second, rng) -> tuple[int, ...]:
     """Alternating composition with the capacity check zipped over every arc.
 
-    Each list is walked in one random order drawn per call; an element
-    that does not fit is dropped from the list for the rest of the call.
+    Each list is scanned once in a random order whose next element is
+    drawn from the list's unscanned pool only when the list's turn asks
+    for it; an element that does not fit is dropped for the rest of the
+    call.
     """
     target = len(first)
     caps = network.capacities
     totals = [0] * network.arc_count
-    active = int(rng.integers(0, 2))
-    queues = [
-        [first[int(j)] for j in rng.permutation(target)],
-        [second[int(j)] for j in rng.permutation(target)],
-    ]
+    active = uniform_below(rng, 2)
+    pools = [list(first), list(second)]
     picked = stalls = 0
     while picked < target and stalls < 2:
-        queue = queues[active]
-        while queue and not all(t + v <= c for t, v, c in zip(totals, queue[0], caps)):
-            queue.pop(0)
-        if not queue:
+        pool = pools[active]
+        unit = None
+        while pool and unit is None:
+            candidate = next_from(pool, rng)
+            if all(t + v <= c for t, v, c in zip(totals, candidate, caps)):
+                unit = candidate
+        if unit is None:
             stalls += 1
             active = 1 - active
             continue
-        for i, v in enumerate(queue.pop(0)):
+        for i, v in enumerate(unit):
             totals[i] += v
         picked += 1
         stalls = 0
@@ -657,23 +695,22 @@ def compose_units(network: Network, first, second, rng) -> tuple[int, ...]:
 def compose_units_per_pick(network: Network, first, second, rng) -> tuple[int, ...]:
     """Alternating composition drawing a fresh random order for every pick.
 
-    The scheme `compose` used before it drew one order per list and call;
-    its output flows must follow the same distribution.
+    Its output flows must follow the same distribution as `compose`'s,
+    which scans each list once per call.
     """
     target = len(first)
     caps = network.capacities
     totals = [0] * network.arc_count
     remaining = [list(range(target)), list(range(target))]
     lists = (first, second)
-    active = int(rng.integers(0, 2))
+    active = uniform_below(rng, 2)
     picked = stalls = 0
     while picked < target and stalls < 2:
         pool = remaining[active]
         chosen = -1
-        for j in rng.permutation(len(pool)):
-            unit = lists[active][pool[int(j)]]
-            if all(t + v <= c for t, v, c in zip(totals, unit, caps)):
-                chosen = pool[int(j)]
+        for j in random_scan(rng, pool):
+            if all(t + v <= c for t, v, c in zip(totals, lists[active][j], caps)):
+                chosen = j
                 break
         if chosen < 0:
             stalls += 1
@@ -691,22 +728,22 @@ def compose_units_per_pick(network: Network, first, second, rng) -> tuple[int, .
 def random_cycle(vertex_count: int, out, rng):
     """Randomized depth-first cycle search over move lists, as a move tuple.
 
-    Start vertices and each expansion are shuffled with `rng`; the move
+    Start vertices and each expansion are read in random orders drawn from
+    `rng` as the search reaches each position (`random_scan`); the move
     that immediately reverses the one just taken is skipped.
     """
     color = [0] * (vertex_count + 1)
 
     def shuffled(v):
-        lst = out[v]
-        return [lst[int(j)] for j in rng.permutation(len(lst))]
+        return random_scan(rng, out[v])
 
-    for s in (int(i) + 1 for i in rng.permutation(vertex_count)):
+    for s in random_scan(rng, range(1, vertex_count + 1)):
         if color[s]:
             continue
         color[s] = 1
         depth = {s: 0}
         path = []
-        stack = [(s, iter(shuffled(s)), None)]
+        stack = [(s, shuffled(s), None)]
         while stack:
             v, moves, entry = stack[-1]
             advanced = False
@@ -720,7 +757,7 @@ def random_cycle(vertex_count: int, out, rng):
                     color[h] = 1
                     depth[h] = len(path) + 1
                     path.append(move)
-                    stack.append((h, iter(shuffled(h)), move))
+                    stack.append((h, shuffled(h), move))
                     advanced = True
                     break
             if not advanced:
@@ -973,9 +1010,9 @@ def tournament_select_by_candidates(population, mode: str, sample_size: int, rng
     """Tournament selection over an explicit list of the members other than
     `exclude`, a member index or None.
 
-    Floyd's algorithm draws positions into that list from one
-    ``rng.random(size)`` call, and a keyed `min` or `max` over the sampled
-    members breaks ties toward the lower index.
+    Floyd's algorithm draws positions into that list, one `uniform_below`
+    per position, and a keyed `min` or `max` over the sampled members
+    breaks ties toward the lower index.
     """
     candidates = [i for i in range(len(population)) if i != exclude]
     if not candidates:
@@ -983,8 +1020,8 @@ def tournament_select_by_candidates(population, mode: str, sample_size: int, rng
     n = len(candidates)
     size = min(sample_size, n)
     picked: set[int] = set()
-    for j, u in zip(range(n - size, n), rng.random(size).tolist()):
-        t = int(u * (j + 1))
+    for j in range(n - size, n):
+        t = uniform_below(rng, j + 1)
         picked.add(j if t in picked else t)
     sampled = [candidates[p] for p in sorted(picked)]
     if mode == "best":

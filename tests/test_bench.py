@@ -17,6 +17,7 @@ from rmcif import (
     RmcifError,
     SearchParams,
     SolutionRecord,
+    compute_optima,
     enumerate_optimum,
     format_solution,
     parse_instance,
@@ -43,8 +44,9 @@ def bench_dir(tmp_path):
     # lower bound, so a starved enumeration budget genuinely fails on them.
     directory = tmp_path / "instances"
     directory.mkdir()
-    for k, seed in enumerate((0, 1)):
+    for k, seed in enumerate((0, 7)):
         instance = gen(seed, widths=(2, 2), scenarios=2, caps=(1, 3), density=0.9)
+        assert enumerate_optimum(instance, ABSOLUTE)[0] > max(compute_optima(instance).costs)
         (directory / f"inst{k}.rmcif").write_text(write_instance(instance))
     return directory
 

@@ -99,7 +99,7 @@ class TestArgumentHelpers:
                                       ["sweep", "out", "--shapes", "1"]], ids=["generate", "sweep"])
     def test_generator_flag_defaults_are_the_spec_defaults(self, argv):
         args = cli._make_parser().parse_args(argv + ["--scenarios", "1"])
-        assert cli._specs(args, 1, (1,)) == [GeneratorSpec((1,), 1)]
+        assert list(cli._specs(cli._family(args, 1, (1,)))) == [GeneratorSpec((1,), 1)]
 
 
 class TestGenerate:
@@ -389,8 +389,8 @@ class TestCorpus:
             assert (out / f"2x3_s{seed:04d}.rmcif").read_bytes() == data
 
     def test_late_failed_draw_writes_nothing(self, tmp_path, capsys):
-        # the draws of seeds 1..4 reach flow value 5 in one attempt, seed 5's does not
-        argv = ["--width", "3,3", "--scenarios", "2", "--cap", "1:3", "--seed", "1",
+        # the draws of seeds 28..31 reach flow value 5 in one attempt, seed 32's does not
+        argv = ["--width", "3,3", "--scenarios", "2", "--cap", "1:3", "--seed", "28",
                 "--flow", "5", "--retries", "1"]
         out = tmp_path / "four"
         assert main(["corpus", str(out), "--count", "4"] + argv) == 0
@@ -400,7 +400,7 @@ class TestCorpus:
         assert main(["corpus", str(out), "--count", "5"] + argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: no draw reached flow value 5 within 1 attempts (seed 5)\n"
+        assert captured.err == "error: no draw reached flow value 5 within 1 attempts (seed 32)\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("flow", [[], ["--flow", "1"]], ids=["fraction", "flow"])
@@ -599,9 +599,9 @@ BAD_INPUTS = {
                              "--flow", "3", "--retries", "2"],
     "sweep-repeated-shape": ["sweep", "{out}", "--shapes", "2x2,2x2", "--solvers", "ls1",
                              "--count", "1", "--scenarios", "2"],
-    # the draws of seeds 1..4 reach flow value 5 in one attempt, seed 5's does not
+    # the draws of seeds 28..31 reach flow value 5 in one attempt, seed 32's does not
     "corpus-late-draw": ["corpus", "{out}", "--count", "5", "--width", "3,3", "--scenarios", "2",
-                         "--cap", "1:3", "--seed", "1", "--flow", "5", "--retries", "1"],
+                         "--cap", "1:3", "--seed", "28", "--flow", "5", "--retries", "1"],
     # each setting has one spelling: a --width list, repeated --param, 'none'
     # and the default solver list stand for these
     "generate-layers": ["generate", "--width", "2", "--layers", "2", "--scenarios", "1"],
@@ -635,7 +635,7 @@ ERROR_LINES = {
     "sweep-negative-seed": "error: seed must be nonnegative, got -1",
     "sweep-negative-seed-list": "error: seed must be nonnegative, got -1",
     "sweep-negative-seed-range": "error: seed must be nonnegative, got -2",
-    "corpus-late-draw": "error: no draw reached flow value 5 within 1 attempts (seed 5)",
+    "corpus-late-draw": "error: no draw reached flow value 5 within 1 attempts (seed 32)",
     "generate-layers": "error: unrecognized arguments: --layers 2",
     "solve-config": "error: unrecognized arguments: --config {config}",
     "param-inf": "error: parameter generation_limit: expected an integer, got 'inf'",
@@ -708,3 +708,28 @@ def test_running_out_of_memory_is_one_error_line(diamond_file, tmp_path):
     )
     assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: out of memory\n")
     assert not out_csv.exists()
+
+
+def test_huge_count_with_an_unreachable_flow_ends_at_once(tmp_path):
+    """The first spec's draw fails before a second spec is made.
+
+    A corpus of 10**12 instances whose flow value no draw reaches; the
+    child's address space is capped at 1 GiB and it has 60 s, so a
+    command that built every spec first would end in "out of memory" or
+    a timeout, not in the draw's error.
+    """
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    out = tmp_path / "huge"
+    argv = ["corpus", str(out), "--count", "1000000000000", "--width", "2", "--scenarios", "1",
+            "--cap", "1:1", "--flow", "5", "--retries", "1"]
+    done = subprocess.run(
+        [sys.executable, "-m", "rmcif.cli", *argv], capture_output=True, text=True,
+        env=child_env(), preexec_fn=cap_address_space, timeout=60,
+    )
+    error = "error: no draw reached flow value 5 within 1 attempts (seed 0)\n"
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", error)
+    assert not out.exists()

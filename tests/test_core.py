@@ -26,6 +26,7 @@ from rmcif import (
     validate_flow,
     write_instance,
 )
+from rmcif import core
 
 
 class TestNetworkValidation:
@@ -268,6 +269,28 @@ class TestInstanceFormat:
             parse_instance(DIAMOND_TEXT.replace("s 1 1 2 1 2", row))
         assert err.value.line == 6
         assert str(err.value) == f"line 6: {message}"
+
+    def test_bad_cost_names_its_own_scenario_line(self):
+        # the second scenario line, after a good first one
+        with pytest.raises(InstanceFormatError) as err:
+            parse_instance(DIAMOND_TEXT.replace("s 2 2 1 2 1", "s 2 2 1 -7 1"))
+        assert err.value.line == 7
+        assert str(err.value) == "line 7: cost must be nonnegative, got -7"
+
+    def test_each_row_judged_once_per_parse(self, monkeypatch):
+        judged = []
+        check_costs = core.check_costs
+
+        def counting(row, width):
+            judged.append(tuple(row))
+            return check_costs(row, width)
+
+        monkeypatch.setattr(core, "check_costs", counting)
+        instance = gen(3, widths=(3, 3), scenarios=4)
+        text = write_instance(instance)
+        del judged[:]
+        assert parse_instance(text) == instance
+        assert judged == list(instance.costs)
 
     def test_vertex_count_bound(self):
         text = "p rmcif {} 1 1 0\na 1 {} 1\ns 1 5\n"

@@ -38,7 +38,7 @@ from rmcif import (
     round_flow,
 )
 from rmcif.flow_ops import _push_room, dfs_cycle, fewest_arc_path, negative_cycle
-from rmcif.heuristics import make_rng
+from rmcif.draws import make_rng, scan
 
 UPPER = (1, 0, 1, 0)
 LOWER = (0, 1, 0, 1)
@@ -649,8 +649,7 @@ class TestDfsCycle:
 
     @pytest.mark.parametrize("size", [0, 1])
     def test_permuting_fewer_than_two_items_draws_nothing(self, size):
-        # dfs_cycle keeps a list of 0 or 1 moves as it is instead of permuting
-        # it; that leaves the stream as it was only while numpy draws nothing here.
+        # dfs_cycle scans every vertex's kept moves, one or none included
         rng, fresh = make_rng(7), make_rng(7)
-        assert rng.permutation(size).tolist() == list(range(size))
-        assert rng.random(4).tolist() == fresh.random(4).tolist()
+        assert list(scan(rng.random, size)) == list(range(size))
+        assert [rng.random() for _ in range(4)] == [fresh.random() for _ in range(4)]

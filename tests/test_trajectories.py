@@ -22,73 +22,74 @@ from rmcif.exact import export_lp
 from rmcif.heuristics import SearchParams
 
 PARAMS = SearchParams(generation_limit=10)
+DATA = Path(__file__).parent / "data"
 
 # (instance seed, variant, solver) -> SHA-256 of the `.sol` text; the
 # solver seed equals the instance seed.
 GOLDEN = {
-    (1, "absolute", "ls1"): "2c616d5a895530fc6b1de2436328343ae2d1172ed8104316e3f53ddff2af36c3",
-    (1, "absolute", "ls3"): "0ec274440283e492d4ece268de53db8dad26086fb83419eb4520e554c911dbcf",
-    (1, "absolute", "ec1"): "cf4e3ba943de2417c7f31e2f96ee45c58d3a82c639ee4ff877612539143b90f9",
-    (1, "absolute", "ec4"): "459fa6e7b18111114398bf4f8b54efb74666e58fb4fc024fb83d9ee89ee3c8a8",
-    (1, "absolute", "ec7"): "be7ac80ad927d2a62130a1ec2044cdfc2894bade36fae9cfb91b6aaca29ddc40",
-    (1, "absolute", "ec9"): "a17fc57550a276f13d4f1e3519cb881a6da890b20119467a128bb1201034f66c",
-    (1, "deviation", "ls1"): "62473e656eb8525deb19ed1917924e9ba26685dc139c8e09f7a48eac4d592d2e",
-    (1, "deviation", "ls3"): "28d1bb3d67d1101d8d294697c5cc5e28f82736f3a87ed1028911a6bc28c3beed",
-    (1, "deviation", "ec1"): "b9a6976a0075e9654551e185f4b962724812c677eab260936bb1f162a15861e7",
-    (1, "deviation", "ec4"): "79223dcd5005a1f8e4a31af26cb75203bf5b796e02c5cf0fdb069d2e1359888d",
-    (1, "deviation", "ec7"): "59f5f1c32bd05bf69a2a159c3e0ad45a820174e51c3beea93c9cf333ede35d86",
-    (1, "deviation", "ec9"): "13e540dd5784e63fbf62e8bdcd0d0f3e84a114655bf4300ad39b8ee9c240fe3a",
-    (2, "absolute", "ls1"): "ba0f550b62a4bbf7d2cd0478271e2023586f050235966fb339e5e75e74a420a5",
-    (2, "absolute", "ls3"): "3a49189a6bbcb114afa876d1f6987a18c1974120899c157c3c5e87df2d782a94",
-    (2, "absolute", "ec1"): "0203cefb925253ee5523c7036e2d5a30ebfb736c3504e8ca2d4b5fd51766b125",
-    (2, "absolute", "ec4"): "f5d02d6a5b3f8b0fec78769fe9a32ef936952f8c9929d9a7c1016dbb8663c618",
-    (2, "absolute", "ec7"): "c97cc028124c735c461c6767b41ddfc0439ce3918b56b12c4bf0472e2ab89295",
-    (2, "absolute", "ec9"): "de3f47a1cfe66c932b5d4891cbe9f1da46b532cb9c06e95711d7ef95060ee64f",
-    (2, "deviation", "ls1"): "e1f20e8191e691d8b416f6cbe08ee82d7b2d00c38315d84ba93c182db191e59c",
-    (2, "deviation", "ls3"): "49d959275fbdf8ddcb5c873530532e9dffb561881d9431636a97e2e1b6a909f8",
-    (2, "deviation", "ec1"): "5c28ad87abbc0192df4679eb50c977773777653051b83fc1cc2bee19481365f8",
-    (2, "deviation", "ec4"): "d9e3245e49c49eb20518993a55cf6dbbdb6c62d09bf6aad578b421b76fbdcd88",
-    (2, "deviation", "ec7"): "d19d6d1fb085e07bc6330fd2d41a3050842ca32441dfda800bbe9842c07c2954",
-    (2, "deviation", "ec9"): "bd20cfdd4c86199e910262b244bd5642480607bccf360d12540af8e9e6036e06",
+    (1, "absolute", "ec1"): "14c0b5b0cc502029c68d75ebf2bcc3c1ca24b5dc31e5f836c38883d9a1780344",
+    (1, "absolute", "ec4"): "e864bf845d8e1feba5e5cbb64f43bdfc96f089c0c05486e8ec242142c198f113",
+    (1, "absolute", "ec7"): "c3590b0cac2fe641492cfa6c1edbcc8a7e4db69335e93e86b07e28c9597de164",
+    (1, "absolute", "ec9"): "71c734498f81cbd6f0866569e56edc09bfaa942092691f28072c38ed8223b4e7",
+    (1, "absolute", "ls1"): "171f8456ffd967a155ffa60f658074ece535b4ca3225dda3665b7968258d9165",
+    (1, "absolute", "ls3"): "81a8ae45889623907e5b95d46f9e6fb9a84a64160646d78744ea557ad5c38180",
+    (1, "deviation", "ec1"): "bcf70d1dc24b5564466b0479752ade2ae3da3e2dfe32f894c467782122203397",
+    (1, "deviation", "ec4"): "9f0300b2c64a7461307478e335ea1ecc64dab04bcac35bae99f691530c8d198d",
+    (1, "deviation", "ec7"): "a1fa55ba0ea0a9a62c9126f8b5c953efb3afc96b5a2e54a9f9c7c30e51a705be",
+    (1, "deviation", "ec9"): "ed38a8ad9cf394afc3d0b51996eab623d85a4fa93574108d0585b41d523b7efc",
+    (1, "deviation", "ls1"): "4a8c7d6eb2ded812c1fde7b9b6f3f1c204cac7366a106772aea61670df1b21dc",
+    (1, "deviation", "ls3"): "117976f462a22f62bc2ca8b1460b18f90f6f0411108a8d0a26c3b6ec385a9e88",
+    (2, "absolute", "ec1"): "b1a1d0e04f1d78674be798daffd549a54fa954c076d5a530856fa919e340f0df",
+    (2, "absolute", "ec4"): "0e2b1153b6e1170326450c0aba0315e1d4dd1dbf629142eb384caf67d0594c8c",
+    (2, "absolute", "ec7"): "e868fcb15e1139dd7a28bc66b34ccb7130f9b596ef51808d686cc479511411a3",
+    (2, "absolute", "ec9"): "f1ae4f4316f8f8283b2c6eaf398fcae7e766f973756375c00b2555b7e0aa7d44",
+    (2, "absolute", "ls1"): "9a705e7fae4c3760aa36eb63f3677e192331068f5237567a9136ad24ce5e46e0",
+    (2, "absolute", "ls3"): "6227c5c616d3643a1eb9ad42907f9db2c0faa136bfdeb385d4b51e7b88f9cc56",
+    (2, "deviation", "ec1"): "6665de9447fb6c8223742b4bdafbd0a34660a131b5b0f5c7a463f565f6fdf96f",
+    (2, "deviation", "ec4"): "0a5c48cf569d09520e51e0aa39b6c0b48da862b2568f880c747b3a10133d02ba",
+    (2, "deviation", "ec7"): "7ec5d955e347fc51edffdd1434e9ad73cecd86e2dcaf58c289e75f10f669bcc5",
+    (2, "deviation", "ec9"): "ec8b79194de01c3602ece42159fc7fb1ee365720a70a6d6732b6e116adf97841",
+    (2, "deviation", "ls1"): "b5bb5f2b69142db9d05e8cba35fc3006bf7a0c583f8c7383b8fc2f21538f5690",
+    (2, "deviation", "ls3"): "0ae3d8485e01c47b94d74cbe3b359f10dd03b62caa1eb7a6fc695b41a011d069",
 }
 
 # The rest of the tags on the same instances, and all thirteen on two
 # networks with directed cycles: `data/cyc.rmcif`, whose arcs run both ways
-# between most vertex pairs, and "rev", the seed-1 instance with a reverse
-# of each inner arc.  On "rev" the cycle search meets finished vertices and
+# between most vertex pairs, and `data/rev.rmcif`, a 6x6x6 instance with
+# a reverse of each inner arc.  On "rev" the cycle search meets finished vertices and
 # every negative cycle runs through backward moves; on cyc.rmcif no
 # negative cycle is ever found.  (instance, seed, variant, solver) ->
 # SHA-256 of the `.sol` text; "gen" is the generator instance of that seed,
 # and the solver seed is the seed.
 MORE_GOLDEN = {
-    ("gen", 1, "absolute", "ls2"): "1aff73ccf9b8ec30b4f60bab0aaade855ae0e3dc646b8e294b2bf5adb9bf9f72",
-    ("gen", 1, "absolute", "ls4"): "182390d92b54ef4b3549a449c64ee1205aa3d86d49a25266b467f8f8a04eeb1d",
-    ("gen", 1, "absolute", "ec2"): "d55021ea6cfd58c759a00dd65f8d58de32a5d7b239bb85ff5e3e68a6a145115a",
-    ("gen", 1, "absolute", "ec3"): "e6754d6cbc0e409645914b6e0d2b2021bd619271a048266b53b59c281473034a",
-    ("gen", 1, "absolute", "ec5"): "b608087ec6d86c9efd1cb86e212babe2fb26a46cbb2f0356971b2e300f3551c9",
-    ("gen", 1, "absolute", "ec6"): "c65172f3141fdf524d66a39c68b74b8d5b12ffe7a7bca1d5ec239308d5d79a8c",
-    ("gen", 1, "absolute", "ec8"): "1dea69a9bb9f9885bfc070f24f5976c77c70ce02dbb8dac920185cd38c9dd6cb",
-    ("gen", 1, "deviation", "ls2"): "e72fe39a842ac3eb3b60f96bde021e93bb97ecf4cae5f534a2ebd9b3f82fdc7d",
-    ("gen", 1, "deviation", "ls4"): "7b7511fbdc6038f71a04bc8a3db3c3555fe3a7f53e04aad0daf24e45d6ac232b",
-    ("gen", 1, "deviation", "ec2"): "8133ad255e463e03e0999cc9c8d0edcd90af6627d064f1c39e5b06c3572eb746",
-    ("gen", 1, "deviation", "ec3"): "6466c4fa2d7a5ee0243694fa962bb9235042c9a2077b5066bb53f62f855da01b",
-    ("gen", 1, "deviation", "ec5"): "aff5df7459706691e7a760411aee49a21196b76aa4537b0b5dc2d1dc08ec63dc",
-    ("gen", 1, "deviation", "ec6"): "6ed547990360bb5e79c7f86d487004dac5bca41f2dae71cf80fd66dd3c5aae2f",
-    ("gen", 1, "deviation", "ec8"): "8dc5f1ebcb6aa6080b8e2496ab3c5fefc1ebcd0ebd861dda1f737b0652d4df6e",
-    ("gen", 2, "absolute", "ls2"): "417c311dc8d7ebf39ea89ed58aa40f23091b32dcaefc580eeb9dd3aa4e26ecbc",
-    ("gen", 2, "absolute", "ls4"): "3fd5a3cbe6e266eabb6b889fa2ce9b410a3b1b200b60d6c247bf5ee267f2acdb",
-    ("gen", 2, "absolute", "ec2"): "fdfcd8af1539d79a360241c5d32872718c3a81afd72760f02e9fb620160439bd",
-    ("gen", 2, "absolute", "ec3"): "7db131142e1122129786d921f117feaabaf0d8e2e227738e3685ff8c11895308",
-    ("gen", 2, "absolute", "ec5"): "8e6d476dbadd1008f275a54c06b931c3e5cd933878eee7651ae94ce7748ef2ed",
-    ("gen", 2, "absolute", "ec6"): "ada64a93fe8298ed75b67e8bf7018e8e1d63c2ae367775658a3685266de4fce4",
-    ("gen", 2, "absolute", "ec8"): "0856f078f796f8aed0fea95e86900190cc1d8e9c1ed4defd76122b7b10c3d1a8",
-    ("gen", 2, "deviation", "ls2"): "a5659adad3c91e63646802cb5523b444b3aa48da88fd3828701f7245a270837d",
-    ("gen", 2, "deviation", "ls4"): "5fbfcd37dbdd8ffbfe1075a020c16f3dab12c23656bb36445746551267ef4d32",
-    ("gen", 2, "deviation", "ec2"): "79c1d26e91cc61235ea8258cae70e4a0b807ec523a744ac2b77908da792c0a3b",
-    ("gen", 2, "deviation", "ec3"): "f48469f1e60f7ccdce259fab8540f61156d3a0905e590362381134ceccda657d",
-    ("gen", 2, "deviation", "ec5"): "f366ee7e5f9500deae3a534d36a48052c2b93d6b779ddd43ecd97afcbfe7980b",
-    ("gen", 2, "deviation", "ec6"): "f885785824ffca4bfe373f7f24125d910223cb0f6facbb4d334774f00903fb36",
-    ("gen", 2, "deviation", "ec8"): "e4fc85214ed9a156a33fbabdccbdebbf435e3e76b025f5aa67d93a42ca8dc257",
+    ("gen", 1, "absolute", "ec2"): "3d77276c182acce61db68a4c9be825c968a1d8a2e8d80b852b7580943ebb2610",
+    ("gen", 1, "absolute", "ec3"): "5c36ced9cf420d4439a558900a8eff65b503b8dec82f4fc25d2ec41882f3cadc",
+    ("gen", 1, "absolute", "ec5"): "77dce3578eaccf9041bcf58830066702da0056f0bbf35502159ad2957f25a931",
+    ("gen", 1, "absolute", "ec6"): "37aac2b653724fd952886967756d6a022da24c3efc3b3eedf278d20fb3167773",
+    ("gen", 1, "absolute", "ec8"): "9081540436dbb4e5a6d59dd9e03f305abd7a94c88357cfeb943430b8cdc66eff",
+    ("gen", 1, "absolute", "ls2"): "5945ff273d3e2f6a469721cdad7620eedc022bb177701459943481b767c01b9f",
+    ("gen", 1, "absolute", "ls4"): "7b08713dfbd23831fa0f3d91bc7ed1196d2102b73b859f0a39a7f79fd766a434",
+    ("gen", 1, "deviation", "ec2"): "91a2ec0a4c1f40578a4da3a45239d74cb4e314e05a4a1e5b2a266b3c0261d481",
+    ("gen", 1, "deviation", "ec3"): "e23ca7b097367602ab128c321049087b8f506489e7066e4b011e8f53fa4be113",
+    ("gen", 1, "deviation", "ec5"): "06f3de875e1ba16c80a789f2b1b00fb75753fea73236c0c53e709dcf86d45fb4",
+    ("gen", 1, "deviation", "ec6"): "658f389761dd55191295ce1c16d93ef5696d23a7f1873593e2a91366ac4703ac",
+    ("gen", 1, "deviation", "ec8"): "d1a95721c94a36b715ddec8ac1144854691f22e70102daa4a27faf5c34204a83",
+    ("gen", 1, "deviation", "ls2"): "19d1c8478e3bdc6f7b3fdc65a6d03e4f8730f28727a67a1ce31c3cbad11b19b8",
+    ("gen", 1, "deviation", "ls4"): "3442fca83ae4766c42c40e465fb1d5e4609f4eb13fae1b130f1e417ac1a6aee1",
+    ("gen", 2, "absolute", "ec2"): "0742db3c7041cb66d772b6c2e3ea11bc099e0d7c74359f0fe32e93fc4f0e905e",
+    ("gen", 2, "absolute", "ec3"): "1b1164b7b4bd3b69d7d71cd27987f7bd090126e763e4bb69bcc632cf0696107a",
+    ("gen", 2, "absolute", "ec5"): "a6054f88060fa11bec3c3fa99f6332cd5f426569059738bbd00e9ad7e9671706",
+    ("gen", 2, "absolute", "ec6"): "4efabdd5a72a5b3991bf9f410d977bfa2de1b05f38d5539b4ae0a5a2bf8303b5",
+    ("gen", 2, "absolute", "ec8"): "17f58cb42e8c626dcea5c8f939261b10a6c706e40dbf1fee512f0dacf9d10405",
+    ("gen", 2, "absolute", "ls2"): "0ca861258e539c060c6c6b6c8e84e8e1d4017e649501949e76937f20e3d43eed",
+    ("gen", 2, "absolute", "ls4"): "fab8ad065359d5839fb834cf2b11239ca533998d14604187ad94051cd9bb044a",
+    ("gen", 2, "deviation", "ec2"): "50ad390681aee97c5be1026579bf600d35b9ff0b8821dc07df21a99af9a2b9bf",
+    ("gen", 2, "deviation", "ec3"): "cd7e2f78ab4d8e3d82e4718e4ff00d4f6798a173b4f32c9bf405b49f14c8e3de",
+    ("gen", 2, "deviation", "ec5"): "baba86337cbca0d9152a323a91ad9470001c011be3fa825dd4e5d60711453a21",
+    ("gen", 2, "deviation", "ec6"): "a3b83fc76fa581a688234da543d1211b308fe695e1e6e576cb7b038ce2fe6062",
+    ("gen", 2, "deviation", "ec8"): "153815a46a6de5c6c931d2026ea9d92abeff8e10eb032fced65ff649a8d5a48c",
+    ("gen", 2, "deviation", "ls2"): "2db1380b2121df5ce0c9729f978b5082e2e5a54ad8e2b92247710d0244ef9768",
+    ("gen", 2, "deviation", "ls4"): "f50646ad2d251b9c29d22d6b64805e968a61d03d8a71d8f8b5ad321795cda336",
     ("cyc", 0, "absolute", "ec1"): "8bc46f3473339fa100005cc169ac2c4d3c02587bed2e8aabf46e88f26ba10aa1",
     ("cyc", 0, "absolute", "ec2"): "479434b9306dca522133108ab842a5bd5e69b1e958dea7dfc7deb32249ccedd9",
     ("cyc", 0, "absolute", "ec3"): "b4c8bb5a942333f72d3d87fcd871fa58cbbc5746fe778a0c873806be1dcae88e",
@@ -115,28 +116,28 @@ MORE_GOLDEN = {
     ("cyc", 0, "deviation", "ls2"): "041b7f721da7975bc907eb8b18c2b2e013ded411e64fe3b228a6b04395b8f0a6",
     ("cyc", 0, "deviation", "ls3"): "122a07f59484307c35fd67a049c926abb5a9af678c6ec142bf852824c5f69cac",
     ("cyc", 0, "deviation", "ls4"): "96e9d0e5ec42468c53169da3519cbc3747cd4248344f4fe99a20118869a9acd8",
-    ("rev", 1, "absolute", "ec1"): "98ef812fdacb5ebfdd19910f8b4a95033f2ba2d2a420912d31d878517a4aff23",
-    ("rev", 1, "absolute", "ec2"): "cf07b162c72ce931f106351ad403f44faa0c023b43d8dc74ba713b819a7aec53",
-    ("rev", 1, "absolute", "ec3"): "0504868878727b1fa31686928051869423fac053e17df86a1afbf65a771ba79c",
-    ("rev", 1, "absolute", "ec4"): "c77a4cd465e05ba0dc92be2232b484b0ace2c453ea1b1a23513936fabd786332",
-    ("rev", 1, "absolute", "ec5"): "3010fef9d62210c1f5994f55356eb320103f36253fed691f8125e8abf32d6208",
+    ("rev", 1, "absolute", "ec1"): "5a9922e39fe02aa2a45ebd1e301a4322840bcf1d37762e11143bf33f3235178a",
+    ("rev", 1, "absolute", "ec2"): "4b1edcf260299b223921d01223dc336b60fb83cebbf8af2e69e455423cdd2c83",
+    ("rev", 1, "absolute", "ec3"): "d062a765c09571c662f7f1aa216419ace885898c71bbacc8574b09092280e708",
+    ("rev", 1, "absolute", "ec4"): "02c3e0ef9c1c7d20f7fc32d4d2df328f3e1b6ffa3b57a1c58bdab1ffc445a107",
+    ("rev", 1, "absolute", "ec5"): "95975b5d338f121a4d79245d66b8d3bc22738427ab37ae13537530de1b6238e5",
     ("rev", 1, "absolute", "ec6"): "8890ec6bcb294e8b3646521b99cf9e2f0b7cdb5982d44ac4e91e9b4384d495d8",
-    ("rev", 1, "absolute", "ec7"): "994d45aaaab469e9a97776a3210e5146927e6595d5f3e2aa82c46af5d499564c",
-    ("rev", 1, "absolute", "ec8"): "d6085b2683fef7279c81526d9592ebf0c9163465bb7b60a0f0c80b7378c3738f",
+    ("rev", 1, "absolute", "ec7"): "4082d5674609f74f938f1d220af96f5c54d495715df285cc91e9b71869411cc2",
+    ("rev", 1, "absolute", "ec8"): "b97fef0f7297588a7102f720acf5c67fdfd30657c69a06738e8570176b385b6f",
     ("rev", 1, "absolute", "ec9"): "40915a6a8a342f3bcde8d2b79615a7e88b434b07b3917134eb85654cf2a6aef0",
     ("rev", 1, "absolute", "ls1"): "83fc639a120c8a77d6455771b7ff640df255acba2d6f1a7a8afa71c3a5d0e5ac",
     ("rev", 1, "absolute", "ls2"): "a162ad37884ab916e62acb9149212e9694ec0120e4cab7006c22283afea4bf3e",
     ("rev", 1, "absolute", "ls3"): "605591ea04006e599a9585966b6d61faac500140c4322aa75a2f4d666e420698",
     ("rev", 1, "absolute", "ls4"): "6610215c3573bada29065b96570946906bc063f6fa7e9548ddc695b1653d6415",
-    ("rev", 1, "deviation", "ec1"): "b067cb4f748be903c095f00d75b7a25298cee166117fab1f28a985f1e66286ad",
-    ("rev", 1, "deviation", "ec2"): "8bed98ad61dddfc766c3fc92643c43bf3a1348dbb65e4c959c69f7a455cea127",
+    ("rev", 1, "deviation", "ec1"): "aa591e96c59d4982e6efe5c5b426daa98a15a217513f8825e7604504795ae35c",
+    ("rev", 1, "deviation", "ec2"): "df36783a6c1d35bb6d7dc549d67fe17fa7e7f83c706a2f5977c273b81be99c31",
     ("rev", 1, "deviation", "ec3"): "83e28377bdfe0901e506e60a7dbb7aeddb2ebd33d3d55ce73c0eeccaf4c43fb5",
     ("rev", 1, "deviation", "ec4"): "b7e9fc5e6f2cbc5a65c92d99641d90daf9bd365e97176991e3bdd92fab77dc3c",
-    ("rev", 1, "deviation", "ec5"): "66462069226db79f51badcd3189a3ac57580dfe5b1a388f681961d121daac2d7",
+    ("rev", 1, "deviation", "ec5"): "80d0e9ccb3278311b349b8a47189b3c7f1ffdb127320fc47951d3fe76527e969",
     ("rev", 1, "deviation", "ec6"): "4d3f1eb90f511edbdaa3c00dc8d89693f1289dab93e14ac5dbb5628c49712bdd",
-    ("rev", 1, "deviation", "ec7"): "4ffaf4e05026372ab4ebc471cad24eea2382d175946ed91fe76c8436175dbe69",
-    ("rev", 1, "deviation", "ec8"): "f9c9fd75222f7c83d0153f00a4cb28bba2df3777e40ab1d055dd5f30a2cdceb6",
-    ("rev", 1, "deviation", "ec9"): "9d3ca434d21a8559d5aa8ec5395998ded8a3bcc29d28de4f14b4a9e5278cdb79",
+    ("rev", 1, "deviation", "ec7"): "ad7ed36fb592a93abe004bde00310506e29752023251f9536eb4b4af4288fc2f",
+    ("rev", 1, "deviation", "ec8"): "9151a25eddb68211b60b9f7e6f62cc4a4d71f24b209bddfed4ba2a207974ee0a",
+    ("rev", 1, "deviation", "ec9"): "710d3a151dc9ce8eb3972895f400b6cd2696e780602f9b4b294b2d04f274ec89",
     ("rev", 1, "deviation", "ls1"): "4f50fb39a7c9a89f3ca7db09a24cea052fe07e5faef8f820dfa23cb5f177e6d9",
     ("rev", 1, "deviation", "ls2"): "db7a6909116b83d11ccda29c4052d8e4b91a1149548b73a03ec57710ababb477",
     ("rev", 1, "deviation", "ls3"): "5b9a0e90b25be55be07a3dfd8b029de4284dc0ac130f4e68cd5523fd3c8cbaa0",
@@ -146,18 +147,18 @@ MORE_GOLDEN = {
 # (instance seed, text) -> SHA-256 of `write_instance` and of `export_lp`
 # for each variant, pinning the instance and LP text of a generator instance.
 TEXT_GOLDEN = {
-    (1, "instance"): "b245f2678e76c22073481a4a7c077cc08d2c25178ebbf1ae2f9cafc93a05f7e9",
-    (1, "absolute"): "60a9c22f2aad863b4cd9c60e77d32cd692494371b8ee9c511fae2e60c4b5afad",
-    (1, "deviation"): "a9712f1904bf437f1c0383bf3b530077187d6aa5fe87fa202f48527c10d5d92e",
-    (2, "instance"): "9e10550d7126f4b8c6703d16a6e924d47974169b176375c236324f5e0d6031a6",
-    (2, "absolute"): "880e7f6d5bf75f1065eac7f7572b95b220456a35967a42918d8cf4c4e59a2283",
-    (2, "deviation"): "ab51fed175e72e0ad3f3d549ff563363eb4746a1d79a5460ed2d8dff7a11407e",
+    (1, "absolute"): "26758f6bafb53b7a9e5ad3c0e8077a1d9b4ff8ad0f70ba35b16a3fa99a865c9f",
+    (1, "deviation"): "d7483907c2edd53b7e21ba52f8f42893fa43e055fa41abbdecd463f3959a160f",
+    (1, "instance"): "9ffde4fd116c863926140b977f041b6d90f1bdf6b21220145fa87e2b7542912f",
+    (2, "absolute"): "fccbbd50334fcc429cdb1835b13286320ea3d7ba75e359d41641162b4a14ff12",
+    (2, "deviation"): "943681d36b371a20f3542b48ac40d6a49b18bcb1dd9c914c18b28db3a0b8f124",
+    (2, "instance"): "7812c195e66de3dcea8953c4cba6f689b674c2945f55a68034cc9ee22bc944e9",
 }
 
 
 @pytest.fixture(scope="module")
 def instances():
-    """Two 6x6x6 instances with five scenarios (84 arcs, F = 35 and 39)."""
+    """Two 6x6x6 instances with five scenarios (84 arcs, F = 20 and 13)."""
     return {
         seed: gen(seed, widths=(6, 6, 6), scenarios=5, caps=(1, 20), costs=(0, 99))
         for seed in (1, 2)
@@ -190,19 +191,26 @@ def with_reversed_inner_arcs(instance):
 
 
 @pytest.fixture(scope="module")
-def cyclic(instances):
-    return {
-        "cyc": parse_instance((Path(__file__).parent / "data" / "cyc.rmcif").read_text()),
-        "rev": with_reversed_inner_arcs(instances[1]),
-    }
+def cyclic():
+    return {name: parse_instance((DATA / f"{name}.rmcif").read_text()) for name in ("cyc", "rev")}
 
 
 def test_rev_fixture_file_is_the_built_instance(cyclic):
-    # CI's cyclic smoke runs the solvers on data/rev.rmcif; it must stay
-    # the instance whose digests MORE_GOLDEN records under "rev"
-    text = (Path(__file__).parent / "data" / "rev.rmcif").read_text()
-    assert parse_instance(text) == cyclic["rev"]
-    assert text == write_instance(cyclic["rev"])
+    # data/rev.rmcif, whose digests MORE_GOLDEN records under "rev", is a
+    # layered instance with its inner arcs reversed: the arcs before the
+    # first reverse of an earlier arc, and then those reverses
+    text = (DATA / "rev.rmcif").read_text()
+    rev = cyclic["rev"]
+    net = rev.network
+    pairs = list(zip(net.tails, net.heads))
+    m = next(i for i, (t, h) in enumerate(pairs) if (h, t) in pairs[:i])
+    forward = Instance(
+        Network(net.vertex_count, net.tails[:m], net.heads[:m], net.capacities[:m]),
+        [row[:m] for row in rev.costs],
+        rev.flow_value,
+    )
+    assert with_reversed_inner_arcs(forward) == rev
+    assert text == write_instance(rev)
 
 
 @pytest.mark.parametrize("name, seed, variant, solver", sorted(MORE_GOLDEN))
